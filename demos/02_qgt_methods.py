@@ -1,6 +1,6 @@
 """Three routes to the same geometric tensor, plus the analytic limit.
 
-The spectral sum, the overlap metric, and the plaquette curvature are
+The linear-response kernel, the overlap metric, and the plaquette curvature are
 independent computations; below the transition they must also approach the
 closed-form squeezed-vacuum values as the effective size grows.
 """

@@ -1,7 +1,7 @@
 """Ground-state geometry of a parametrically driven Kerr resonator.
 
 Exact diagonalization in the truncated Fock basis, the quantum geometric
-tensor over the drive coordinates by spectral sums and gauge-invariant
+tensor over the drive coordinates by linear response and gauge-invariant
 finite differences, closed-form oracles in both phases, and the full
 finite-size-scaling analysis (critical point, exponents, data collapse,
 cutoff scaling at zero nonlinearity).
@@ -14,6 +14,7 @@ from .errors import (
     CutoffError,
     EigenConvergenceError,
     FitError,
+    GapError,
     SchemaError,
     StepSizeError,
     WindowError,
@@ -95,5 +96,5 @@ __all__ = [
     "optimize_collapse", "pair_slopes", "perturbation_dimensions",
     "scaling_pipeline",
     "BracketError", "CutoffError", "EigenConvergenceError", "FitError",
-    "SchemaError", "StepSizeError", "WindowError",
+    "GapError", "SchemaError", "StepSizeError", "WindowError",
 ]

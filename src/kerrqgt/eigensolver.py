@@ -1,9 +1,12 @@
-"""Full eigendecomposition of the parity blocks and ground-state extraction.
+"""Eigenpairs of the parity blocks and ground-state extraction.
 
-The tridiagonal solve is delegated to LAPACK's implicit-shift QL/QR driver
-(dstev via scipy.linalg.eigh_tridiagonal); residual and orthogonality bounds
-are checked on every decomposition.  A dense Hermitian path over the full
-banded matrix exists for cross-validation at small cutoffs.
+Ground-state work needs only the lowest pair of a block: bisection plus
+inverse iteration (dstebz/dstein via scipy.linalg.eigh_tridiagonal with
+select='i') gets it in O(N).  The full spectrum (LAPACK's implicit-shift QL/QR
+driver dstev) is kept for the spectral-sum oracle and sector_spectra.
+Residual and orthogonality bounds are checked on every decomposition.  A dense
+Hermitian path over the full banded matrix exists for cross-validation at
+small cutoffs.
 """
 
 from __future__ import annotations
@@ -31,12 +34,18 @@ DEGENERACY_TOLERANCE = 1e-12
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigenvalues (ascending) and orthonormal eigenvector columns of one block."""
+    """Eigenvalues (ascending) and orthonormal eigenvector columns of one block.
+
+    Holds either the full spectrum or only its lowest pairs; scale is
+    max(1, largest |eigenvalue| of the whole block) in both cases, the unit
+    of the residual bound, the gap floor and the parity tie-break.
+    """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     max_residual: float
     max_orthogonality_defect: float
+    scale: float
 
 
 @dataclass(frozen=True)
@@ -64,11 +73,25 @@ def _tridiagonal_multiply(diag, off, vectors):
     return out
 
 
-def eig_tridiagonal(block: TridiagonalBlock) -> Spectrum:
-    """Full spectrum of a real symmetric tridiagonal parity block."""
+def eig_tridiagonal(block: TridiagonalBlock, lowest: int | None = None) -> Spectrum:
+    """Spectrum of a real symmetric tridiagonal parity block.
+
+    lowest=None gives the full spectrum (dstev, O(N^2) vectors); lowest=k
+    gives only the k lowest eigenpairs by bisection and inverse iteration,
+    plus the top eigenvalue by bisection for the spectral scale, all in O(kN).
+    """
+    full = lowest is None or lowest >= block.size
     try:
-        lam, vec = scipy.linalg.eigh_tridiagonal(block.diag, block.offdiag,
-                                                 lapack_driver="stev")
+        if full:
+            lam, vec = scipy.linalg.eigh_tridiagonal(block.diag, block.offdiag,
+                                                     lapack_driver="stev")
+            top = lam[-1]
+        else:
+            lam, vec = scipy.linalg.eigh_tridiagonal(
+                block.diag, block.offdiag, select="i", select_range=(0, lowest - 1))
+            top = scipy.linalg.eigvalsh_tridiagonal(
+                block.diag, block.offdiag, select="i",
+                select_range=(block.size - 1, block.size - 1))[0]
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure path
         raise EigenConvergenceError(
             f"tridiagonal eigensolve failed on {block.parity} block of size "
@@ -80,12 +103,12 @@ def eig_tridiagonal(block: TridiagonalBlock) -> Spectrum:
     signs[signs == 0] = 1.0
     vec = vec * signs
 
-    scale = max(1.0, float(np.max(np.abs(lam))) if len(lam) else 1.0)
+    scale = max(1.0, abs(float(lam[0])), abs(float(top)))
     resid = _tridiagonal_multiply(block.diag, block.offdiag, vec) - vec * lam
     max_residual = float(np.max(np.linalg.norm(resid, axis=0))) if block.size else 0.0
     gram = vec.T @ vec
     np.fill_diagonal(gram, 0.0)
-    max_defect = float(np.max(np.abs(gram))) if block.size > 1 else 0.0
+    max_defect = float(np.max(np.abs(gram))) if vec.shape[1] > 1 else 0.0
 
     if max_residual > RESIDUAL_BOUND * scale:
         raise EigenConvergenceError(
@@ -96,7 +119,7 @@ def eig_tridiagonal(block: TridiagonalBlock) -> Spectrum:
             f"orthogonality defect {max_defect:.3e} exceeds bound on {block.parity} block")
 
     return Spectrum(eigenvalues=lam, eigenvectors=vec, max_residual=max_residual,
-                    max_orthogonality_defect=max_defect)
+                    max_orthogonality_defect=max_defect, scale=scale)
 
 
 def sector_spectra(params: ModelParams) -> tuple[Spectrum, Spectrum]:
@@ -123,11 +146,10 @@ def ground_state(params: ModelParams) -> GroundState:
     parity, which continues the normal-phase ground state.
     """
     even, odd = parity_blocks(params)
-    spec_e = eig_tridiagonal(even)
-    spec_o = eig_tridiagonal(odd)
+    spec_e = eig_tridiagonal(even, lowest=2)
+    spec_o = eig_tridiagonal(odd, lowest=2)
     e0, o0 = float(spec_e.eigenvalues[0]), float(spec_o.eigenvalues[0])
-    scale = max(1.0, float(np.max(np.abs(spec_e.eigenvalues))),
-                float(np.max(np.abs(spec_o.eigenvalues))))
+    scale = max(spec_e.scale, spec_o.scale)
 
     if o0 < e0 - DEGENERACY_TOLERANCE * scale:
         parity, spec, block = "odd", spec_o, odd

@@ -13,6 +13,10 @@ class StepSizeError(ValueError):
     """A finite-difference step is too small (precision loss) or too large."""
 
 
+class GapError(ValueError):
+    """A sector gap is too small, relative to the spectral scale, for linear response."""
+
+
 class EigenConvergenceError(RuntimeError):
     """The tridiagonal eigensolver failed to converge or missed its accuracy bounds."""
 

@@ -2,13 +2,16 @@
 
 Three independent routes are provided and must agree:
 
-* a spectral sum over the full even-sector eigenbasis,
+* linear response on the even-sector ground state (one Sternheimer solve),
 * overlap finite differences for the metric (with Richardson refinement),
 * a plaquette overlap product for the Berry curvature.
 
+The full spectral sum over the even-sector eigenbasis (qgt_sum_over_states)
+is kept as the test oracle of the linear-response kernel.
+
 The even sector carries the ground state throughout (exactly in the normal
 phase, by the parity tie-break in the symmetry-broken regime), and both drive
-derivatives conserve parity, so all sums stay inside that sector.
+derivatives conserve parity, so everything stays inside that sector.
 """
 
 from __future__ import annotations
@@ -16,9 +19,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from ._fd import curvature_fd, metric_fd, susceptibility_fd
-from .eigensolver import eig_tridiagonal, embed_sector_vector
+from .eigensolver import (
+    ORTHOGONALITY_BOUND,
+    RESIDUAL_BOUND,
+    _tridiagonal_multiply,
+    eig_tridiagonal,
+    embed_sector_vector,
+)
+from .errors import EigenConvergenceError, GapError
 from .model import (
     ModelParams,
     pair_coupling,
@@ -139,23 +150,109 @@ class QGTResult:
         return float(-2.0 * self.q[0, 1].imag)
 
 
-def _even_solution(params: ModelParams):
+def _even_solution(params: ModelParams, lowest: int | None = 2):
     even, _ = parity_blocks(params)
-    return even, eig_tridiagonal(even)
+    return even, eig_tridiagonal(even, lowest=lowest)
+
+
+def _check_gap(spec) -> float:
+    lam = spec.eigenvalues
+    gap = float(lam[1] - lam[0])
+    if gap <= GAP_FLOOR * spec.scale:
+        raise GapError(f"sector gap {gap:.3e} is below the floor "
+                       f"{GAP_FLOOR:g} x spectral scale {spec.scale:.3e}")
+    return gap
+
+
+def _photon_moments(levels: np.ndarray, u0: np.ndarray) -> tuple[float, float]:
+    weights = u0**2
+    mean_n = float(np.sum(levels * weights))
+    var_n = float(np.sum(levels.astype(float) ** 2 * weights)) - mean_n**2
+    return mean_n, var_n
+
+
+def _sternheimer(block, e0: float, u0: np.ndarray, rhs: np.ndarray,
+                 scale: float) -> np.ndarray:
+    """y = (T - E0)^+ rhs for rhs orthogonal to the ground vector u0.
+
+    Row and column k = argmax|u0| are dropped.  The ground vector of an
+    irreducible Jacobi matrix has no zero component, so by Cauchy interlacing
+    every eigenvalue of what remains lies strictly above E0: the reduced
+    shifted matrix is positive definite and one O(N) LDL^T solve (dptsv)
+    gives the solution with y_k = 0, from which u0 is projected out.  At
+    eps = 0 the block is diagonal, u0 is a unit vector and the same holds.
+    """
+    size = block.size
+    k = int(np.argmax(np.abs(u0)))
+    diag = np.delete(block.diag, k) - e0
+    off = np.delete(block.offdiag, min(k, size - 2))
+    if 0 < k < size - 1:
+        off[k - 1] = 0.0
+    _, _, z, info = scipy.linalg.lapack.dptsv(diag, off, np.delete(rhs, k))
+    if info != 0:
+        raise EigenConvergenceError(
+            f"shifted {block.parity} block is not positive definite after "
+            f"deflation (dptsv info {info})")
+    y = np.insert(z, k, 0.0)
+    y -= (u0 @ y) * u0
+
+    norm_y = max(1.0, float(np.linalg.norm(y)))
+    shifted_y = _tridiagonal_multiply(block.diag - e0, block.offdiag, y[:, None])[:, 0]
+    residual = float(np.linalg.norm(shifted_y - rhs))
+    if residual > RESIDUAL_BOUND * scale * norm_y:
+        raise EigenConvergenceError(
+            f"linear-response residual {residual:.3e} exceeds bound on "
+            f"{block.parity} block")
+    overlap = abs(float(u0 @ y))
+    if overlap > ORTHOGONALITY_BOUND * norm_y:
+        raise EigenConvergenceError(
+            f"linear response keeps overlap {overlap:.3e} with the ground vector")
+    return y
 
 
 def qgt_spectral(params: ModelParams) -> QGTResult:
-    """Geometric tensor from the spectral sum over the even-sector eigenbasis.
+    """Geometric tensor by linear response on the even-sector ground state.
 
-    Q_jk = sum_{n>0} <u0|dH_j|u_n><u_n|dH_k|u0> / (E_n - E_0)^2, assembled from
-    the gauge-phased eigenvectors at the requested phi.
+    The drive phase is a gauge rotation, so the tensor is computed at phi = 0
+    in real arithmetic from the ground pair (E0, E1, u0) alone.  With
+    B = dH/deps (off-diagonal band -(delta/2) sqrt((n+1)(n+2))) and
+    dH/dphi = -i[n/2, H]:
+
+        y    = (T - E0)^+ (1 - |u0><u0|) B u0     (one Sternheimer solve)
+        g_ee = y.y,   g_pp = Var(n)/4,   f_ep = -y.(n u0),   g_ep = 0.
+
+    The method label stays "spectral": this is the spectral sum of
+    qgt_sum_over_states evaluated without the eigenbasis.
     """
     block, spec = _even_solution(params)
+    gap = _check_gap(spec)
+    e0, u0 = float(spec.eigenvalues[0]), spec.eigenvectors[:, 0]
+    levels = block.index_map
+
+    band = -(params.delta / 2.0) * pair_coupling(levels[:-1])
+    rhs = _tridiagonal_multiply(np.zeros(block.size), band, u0[:, None])[:, 0]
+    rhs -= (u0 @ rhs) * u0
+    y = _sternheimer(block, e0, u0, rhs, spec.scale)
+
+    mean_n, var_n = _photon_moments(levels, u0)
+    q_ep = 0.5j * float(y @ (levels * u0))
+    q = np.array([[float(y @ y), q_ep], [np.conj(q_ep), var_n / 4.0]])
+    tail = tail_weight(embed_sector_vector(u0, levels, params.dim))
+    return QGTResult(q=q, gap=gap, method="spectral", params=params,
+                     mean_n=mean_n, var_n=var_n, tail_weight=tail,
+                     cutoff_warning=bool(tail > TAIL_TOLERANCE))
+
+
+def qgt_sum_over_states(params: ModelParams) -> QGTResult:
+    """Geometric tensor from the spectral sum over the full even-sector eigenbasis.
+
+    Q_jk = sum_{n>0} <u0|dH_j|u_n><u_n|dH_k|u0> / (E_n - E_0)^2, assembled from
+    the gauge-phased eigenvectors at the requested phi.  O(N^3); the test
+    oracle of qgt_spectral.
+    """
+    block, spec = _even_solution(params, lowest=None)
+    gap = _check_gap(spec)
     lam, vec = spec.eigenvalues, spec.eigenvectors
-    scale = max(1.0, float(np.max(np.abs(lam))))
-    gap = float(lam[1] - lam[0])
-    if gap <= GAP_FLOOR * scale:
-        raise ValueError(f"sector gap {gap:.3e} is too small for the spectral sum")
 
     levels = block.index_map
     u0_full = embed_sector_vector(vec[:, 0], levels, params.dim, params.phi)
@@ -170,11 +267,9 @@ def qgt_spectral(params: ModelParams) -> QGTResult:
     q_ep = complex(np.sum(np.conj(m_eps[1:]) * m_phi[1:] / de2))
     q = np.array([[q_ee, q_ep], [np.conj(q_ep), q_pp]])
 
-    weights = vec[:, 0] ** 2
-    mean_n = float(np.sum(levels * weights))
-    var_n = float(np.sum(levels.astype(float) ** 2 * weights)) - mean_n**2
+    mean_n, var_n = _photon_moments(levels, vec[:, 0])
     tail = tail_weight(u0_full)
-    return QGTResult(q=q, gap=gap, method="spectral", params=params,
+    return QGTResult(q=q, gap=gap, method="sum-over-states", params=params,
                      mean_n=mean_n, var_n=var_n, tail_weight=tail,
                      cutoff_warning=bool(tail > TAIL_TOLERANCE))
 
@@ -218,7 +313,4 @@ def fidelity_susceptibility(params: ModelParams,
 def gphiphi_variance(params: ModelParams) -> float:
     """Var(n)/4 on the ground state; the phase generator form of g_pp."""
     block, spec = _even_solution(params)
-    weights = spec.eigenvectors[:, 0] ** 2
-    levels = block.index_map.astype(float)
-    mean_n = float(np.sum(levels * weights))
-    return (float(np.sum(levels**2 * weights)) - mean_n**2) / 4.0
+    return _photon_moments(block.index_map, spec.eigenvectors[:, 0])[1] / 4.0

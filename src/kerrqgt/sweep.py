@@ -14,6 +14,7 @@ import datetime
 import hashlib
 import json
 import os
+import tempfile
 from dataclasses import dataclass, asdict
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .eigensolver import ground_state
-from .errors import SchemaError
+from .errors import EigenConvergenceError, GapError, SchemaError, StepSizeError
 from .model import ModelParams, mean_photon
 from .qgt import berry_plaquette, metric_overlap, qgt_spectral
 from .scaling import (
@@ -39,11 +40,19 @@ from .scaling import (
     scaling_pipeline,
 )
 
+# Numerical failures that drop a grid point (reported as manifest warnings);
+# anything else is a programming error and propagates.
+POINT_ERRORS = (EigenConvergenceError, GapError, StepSizeError)
+
 PHASE_DIAGRAM_COLUMNS = ["eps", "phi", "L", "ncut", "mean_n", "rho", "warn"]
 QGT_COLUMNS = ["L", "eps", "phi", "ncut", "method", "g_ee", "g_pp", "g_ep",
                "f_ep", "gap", "mean_n", "warn"]
 SCALING_REPORT_NAME = "scaling_report.json"
 K0_REPORT_NAME = "k0_report.json"
+
+# mkstemp creates 0600 files; outputs get the mode a plain open() would give.
+_UMASK = os.umask(0o022)
+os.umask(_UMASK)
 
 
 # ---------------------------------------------------------------------------
@@ -85,9 +94,17 @@ def dumps_json(obj) -> str:
 
 
 def atomic_write_text(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    """Write through a uniquely named temporary file in the target directory,
+    then rename it over the target; concurrent writers never share a name."""
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as handle:
+            os.fchmod(handle.fileno(), 0o666 & ~_UMASK)
+            handle.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def sha256_file(path: Path) -> str:
@@ -280,7 +297,7 @@ def run_qgt_sweep(config: SweepConfig) -> list[Path]:
         rows, failures = [], []
         try:
             spectral = qgt_spectral(params)
-        except Exception as exc:
+        except POINT_ERRORS as exc:
             failures.append(f"L={size:g} eps={eps:g}: {exc}")
             return rows, failures
         warn = "cutoff" if spectral.cutoff_warning else ""
@@ -295,7 +312,7 @@ def run_qgt_sweep(config: SweepConfig) -> list[Path]:
                 rows.append((size, eps, config.phi, config.n_cut, "fd",
                              float(g[0, 0]), float(g[1, 1]), float(g[0, 1]), f,
                              spectral.gap, spectral.mean_n, warn))
-            except Exception as exc:
+            except POINT_ERRORS as exc:
                 failures.append(f"L={size:g} eps={eps:g} (fd): {exc}")
         return rows, failures
 
@@ -353,12 +370,21 @@ def run_k0(config: SweepConfig) -> list[Path]:
     if existing.exists():
         candidate = load_scaling_report(existing)
         diag = candidate.diagnostics
+        # The peak bracket fixes eps_c by size, hence the k0 inputs; the
+        # collapse window and step do not enter the k0 study.
         if (diag.get("sizes") == [float(s) for s in config.sizes]
                 and diag.get("n_cut") == config.n_cut
-                and diag.get("delta") == config.delta):
+                and diag.get("delta") == config.delta
+                and diag.get("peak_bracket") == [float(b) for b in config.peak_bracket]):
             scaling = candidate
 
     mapper = lambda fn, items: ordered_parallel_map(fn, items, config.threads)
+    if scaling is None:
+        scaling = scaling_pipeline(
+            sizes=config.sizes, n_cut=config.n_cut, delta=config.delta,
+            peak_bracket=tuple(config.peak_bracket),
+            collapse_window=tuple(config.collapse_window),
+            collapse_step=config.collapse_step, point_map=mapper)
     report = k0_pipeline(ncut_list=config.ncut_list, sizes=config.sizes,
                          delta=config.delta, scaling=scaling,
                          n_cut=config.n_cut, point_map=mapper)

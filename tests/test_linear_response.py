@@ -1,0 +1,124 @@
+"""Linear-response tensor kernel and selective ground solves against the
+full-spectrum oracles."""
+
+import numpy as np
+import pytest
+import scipy.linalg
+
+from kerrqgt import (
+    GapError,
+    ModelParams,
+    eig_tridiagonal,
+    ground_state,
+    metric_overlap,
+    parity_blocks,
+    qgt_spectral,
+    sector_spectra,
+)
+from kerrqgt.eigensolver import DEGENERACY_TOLERANCE, embed_sector_vector
+from kerrqgt.qgt import qgt_sum_over_states
+
+RELATIVE = 1e-9
+
+GRID = (
+    # eps = 0: the block is reducible (diagonal)
+    [ModelParams.from_size(150, 0.0, n_cut=400),
+     ModelParams(delta=1.0, kerr=0.0, eps=0.0, n_cut=200)]
+    # deep superradiant: near-degenerate parity minima
+    + [ModelParams.from_size(150, eps, n_cut=400) for eps in (1.4, 1.7, 2.0)]
+    # around the transition at L = 150..700
+    + [ModelParams.from_size(L, eps, n_cut=800)
+       for L in (150, 400, 700) for eps in (0.97, 1.0, 1.03)]
+    # K = 0 at the critical drive, small gap at large cutoff
+    + [ModelParams(delta=1.0, kerr=0.0, eps=1.0, n_cut=nc) for nc in (200, 400, 800, 1600)]
+)
+
+
+def _label(p):
+    return f"K={p.kerr:.3g}-eps={p.eps:g}-ncut={p.n_cut}"
+
+
+def _close(value, reference):
+    return abs(value - reference) <= RELATIVE * abs(reference)
+
+
+@pytest.mark.parametrize("p", GRID, ids=_label)
+def test_linear_response_matches_sum_over_states(p):
+    fast, oracle = qgt_spectral(p), qgt_sum_over_states(p)
+    assert fast.method == "spectral"
+    for name in ("g_ee", "g_pp", "f_ep", "gap", "mean_n"):
+        value, reference = getattr(fast, name), getattr(oracle, name)
+        assert _close(value, reference), (name, value, reference)
+    assert np.sign(fast.f_ep) == np.sign(oracle.f_ep)
+    assert fast.g_ep == 0.0
+    assert fast.cutoff_warning == oracle.cutoff_warning
+    if p.eps == 0.0:
+        assert fast.g_pp == 0.0 and fast.f_ep == 0.0
+        assert oracle.g_pp == 0.0 and oracle.f_ep == 0.0
+
+
+def _full_ground_state(p):
+    """ground_state's selection rule on the full spectra of both sectors."""
+    (spec_e, spec_o), (even, odd) = sector_spectra(p), parity_blocks(p)
+    scale = max(spec_e.scale, spec_o.scale)
+    e0, o0 = spec_e.eigenvalues[0], spec_o.eigenvalues[0]
+    if o0 < e0 - DEGENERACY_TOLERANCE * scale:
+        parity, spec, block = "odd", spec_o, odd
+    else:
+        parity, spec, block = "even", spec_e, even
+    vector = embed_sector_vector(spec.eigenvectors[:, 0], block.index_map, p.dim, p.phi)
+    return parity, spec, vector, scale
+
+
+@pytest.mark.parametrize("p", GRID, ids=_label)
+def test_ground_state_matches_full_spectrum(p):
+    p = p.replace(phi=0.7)
+    gs = ground_state(p)
+    parity, spec, vector, scale = _full_ground_state(p)
+    assert gs.parity == parity
+    assert abs(gs.energy - spec.eigenvalues[0]) <= 1e-12 * scale
+    assert _close(gs.gap, spec.eigenvalues[1] - spec.eigenvalues[0])
+    assert abs(abs(np.vdot(vector, gs.fock_vector)) - 1.0) <= 1e-12
+
+
+def test_selective_spectrum_matches_full():
+    even, odd = parity_blocks(ModelParams.from_size(300, 1.02, n_cut=800))
+    for block in (even, odd):
+        full, low = eig_tridiagonal(block), eig_tridiagonal(block, lowest=2)
+        assert low.eigenvalues.shape == (2,) and low.eigenvectors.shape == (block.size, 2)
+        np.testing.assert_allclose(low.eigenvalues, full.eigenvalues[:2],
+                                   rtol=0, atol=1e-12 * full.scale)
+        assert low.scale == pytest.approx(full.scale, rel=1e-12)
+        assert low.max_residual <= 1e-10 * low.scale
+        assert low.max_orthogonality_defect <= 1e-10
+        overlaps = np.abs(np.sum(low.eigenvectors * full.eigenvectors[:, :2], axis=0))
+        np.testing.assert_allclose(overlaps, 1.0, atol=1e-12)
+
+
+def test_gap_floor_raises_named_error(monkeypatch):
+    import kerrqgt.qgt as qgt
+    monkeypatch.setattr(qgt, "GAP_FLOOR", 1.0)
+    p = ModelParams.from_size(150, 0.9, n_cut=400)
+    for kernel in (qgt_spectral, qgt_sum_over_states):
+        with pytest.raises(GapError, match="sector gap"):
+            kernel(p)
+    assert issubclass(GapError, ValueError)
+
+
+def test_hot_paths_never_decompose_fully(monkeypatch):
+    calls = []
+    original = scipy.linalg.eigh_tridiagonal
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs.get("select", "a"))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", spy)
+    p = ModelParams.from_size(150, 0.95, phi=0.4, n_cut=400)
+    qgt_spectral(p)
+    ground_state(p)
+    metric_overlap(p)
+    assert calls and set(calls) == {"i"}
+    # the spy sees a full decomposition when one is made
+    sector_spectra(p)
+    assert "a" in calls

@@ -1,0 +1,166 @@
+"""Run bookkeeping: which errors drop a grid point, atomic writes, and reuse
+of a prior scaling report by the k0 study."""
+
+import json
+import threading
+
+import pytest
+
+import kerrqgt.qgt
+import kerrqgt.sweep as sweep
+from kerrqgt.errors import StepSizeError
+from kerrqgt.scaling import K0Report
+from kerrqgt.sweep import SweepConfig, atomic_write_text, read_csv, run_k0, run_qgt_sweep
+
+
+def _qgt_config(tmp_path, method="spectral"):
+    return SweepConfig(mode="qgt", out_dir=str(tmp_path), sizes=(60,),
+                       eps_range=(0.5, 0.9, 2), method=method, n_cut=160)
+
+
+def _manifest_warnings(out, mode):
+    return json.loads((out / f"manifest_{mode}.json").read_text())["warnings"]
+
+
+def test_gap_error_drops_point_with_warning(tmp_path, monkeypatch):
+    monkeypatch.setattr(kerrqgt.qgt, "GAP_FLOOR", 1.0)
+    files = run_qgt_sweep(_qgt_config(tmp_path))
+    assert read_csv(files[0])[1] == []
+    warnings = _manifest_warnings(tmp_path, "qgt")
+    assert len(warnings) == 2
+    assert all("sector gap" in w and w.startswith("L=60 eps=") for w in warnings)
+
+
+def test_step_size_error_drops_fd_row_only(tmp_path, monkeypatch):
+    def too_small(params):
+        raise StepSizeError("overlap distance below the precision floor")
+
+    monkeypatch.setattr(sweep, "metric_overlap", too_small)
+    files = run_qgt_sweep(_qgt_config(tmp_path, method="both"))
+    rows = read_csv(files[0])[1]
+    assert [r[4] for r in rows] == ["spectral", "spectral"]
+    warnings = _manifest_warnings(tmp_path, "qgt")
+    assert len(warnings) == 2 and all("(fd)" in w for w in warnings)
+
+
+@pytest.mark.parametrize("target", ["qgt_spectral", "metric_overlap"])
+def test_programming_errors_propagate(tmp_path, monkeypatch, target):
+    def broken(params):
+        raise TypeError("unsupported operand")
+
+    monkeypatch.setattr(sweep, target, broken)
+    with pytest.raises(TypeError, match="unsupported operand"):
+        run_qgt_sweep(_qgt_config(tmp_path, method="both"))
+    assert not (tmp_path / "qgt.csv").exists()
+    assert not (tmp_path / "manifest_qgt.json").exists()
+
+
+def test_atomic_write_leaves_no_temp_file(tmp_path):
+    target = tmp_path / "out.json"
+    atomic_write_text(target, "first\n")
+    atomic_write_text(target, "second\n")
+    assert target.read_text() == "second\n"
+    assert list(tmp_path.glob("*.tmp")) == []
+    plain = tmp_path / "plain.json"
+    plain.write_text("x")
+    assert target.stat().st_mode == plain.stat().st_mode
+
+
+def test_atomic_write_cleans_up_on_failure(tmp_path, monkeypatch):
+    target = tmp_path / "out.json"
+    target.write_text("old\n")
+
+    def failing_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(sweep.os, "replace", failing_replace)
+    with pytest.raises(OSError, match="disk full"):
+        atomic_write_text(target, "new\n")
+    assert target.read_text() == "old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.json"]
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["own-files", "one-file"])
+def test_concurrent_writers_do_not_collide(tmp_path, shared):
+    names = ["shared.txt" if shared else f"file_{i}.txt" for i in range(4)]
+    errors = []
+
+    def writer(index):
+        try:
+            for round_ in range(50):
+                atomic_write_text(tmp_path / names[index], f"{index} {round_}\n" * 200)
+        except Exception as exc:  # pragma: no cover - reported below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=writer, args=(i,)) for i in range(len(names))]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert errors == []
+    for index, name in enumerate(names):
+        text = (tmp_path / name).read_text()
+        if shared:  # one writer's last complete text wins
+            assert text in {f"{i} 49\n" * 200 for i in range(len(names))}
+        else:
+            assert text == f"{index} 49\n" * 200
+    assert list(tmp_path.glob("*.tmp")) == []
+
+
+# ---------------------------------------------------------------------------
+# k0 reuse of scaling_report.json
+
+K0_BASE = dict(sizes=(40, 50, 60, 70, 85), n_cut=200, peak_bracket=(1.05, 1.45),
+               collapse_window=(1.05, 1.40), collapse_step=2e-3,
+               ncut_list=(60, 84, 120, 170, 240))
+
+
+def _write_report(out, **diag_overrides):
+    diagnostics = {
+        "sizes": [float(s) for s in K0_BASE["sizes"]], "n_cut": K0_BASE["n_cut"],
+        "delta": 1.0, "peak_bracket": list(K0_BASE["peak_bracket"]),
+        "collapse_window": list(K0_BASE["collapse_window"]),
+        "collapse_step": K0_BASE["collapse_step"], "source": "on disk",
+    }
+    diagnostics.update(diag_overrides)
+    keys = ["eps_c_star", "fit_a", "fit_b", "nu", "delta_ee", "delta_pp", "delta_ep",
+            "delta_eps", "delta_phi", "collapse_quality_gee", "collapse_quality_fep"]
+    report = {key: 1.0 for key in keys}
+    report["diagnostics"] = diagnostics
+    (out / sweep.SCALING_REPORT_NAME).write_text(json.dumps(report))
+
+
+@pytest.fixture
+def k0_spies(monkeypatch):
+    seen = {"rebuilt": [], "scaling": []}
+
+    def fake_scaling_pipeline(**kwargs):
+        seen["rebuilt"].append(kwargs)
+        return sweep.ScalingReport(**{k: 0.0 for k in (
+            "eps_c_star", "fit_a", "fit_b", "nu", "delta_ee", "delta_pp", "delta_ep",
+            "delta_eps", "delta_phi", "collapse_quality_gee", "collapse_quality_fep")},
+            diagnostics={"source": "rebuilt"})
+
+    def fake_k0_pipeline(scaling=None, **kwargs):
+        seen["scaling"].append(scaling.diagnostics["source"])
+        return K0Report(gamma1=4.0, gamma2=3.0, alpha_exp=1.0, delta_nbar=0.33,
+                        beta1=1.3, beta2=1.0, beta1_prime=1.3, beta2_prime=1.0,
+                        flagged=False, diagnostics={})
+
+    monkeypatch.setattr(sweep, "scaling_pipeline", fake_scaling_pipeline)
+    monkeypatch.setattr(sweep, "k0_pipeline", fake_k0_pipeline)
+    return seen
+
+
+def test_k0_recomputes_report_with_other_peak_bracket(tmp_path, k0_spies):
+    _write_report(tmp_path, peak_bracket=[0.99, 1.40])
+    run_k0(SweepConfig(mode="k0", out_dir=str(tmp_path), **K0_BASE))
+    assert k0_spies["scaling"] == ["rebuilt"]
+    assert k0_spies["rebuilt"][0]["peak_bracket"] == K0_BASE["peak_bracket"]
+
+
+def test_k0_reuses_report_with_other_collapse_grid(tmp_path, k0_spies):
+    _write_report(tmp_path, collapse_step=4e-3, collapse_window=[0.95, 1.06])
+    run_k0(SweepConfig(mode="k0", out_dir=str(tmp_path), **K0_BASE))
+    assert k0_spies["scaling"] == ["on disk"]
+    assert k0_spies["rebuilt"] == []

@@ -145,7 +145,8 @@ def test_cli_end_to_end(tmp_path):
     assert rc == 0
     assert (out / "scaling_report.json").exists()
 
-    # k0 reuses the scaling report written above (matching sizes and n_cut)
+    # k0 runs at the default peak bracket, not the one above, so it rebuilds
+    # the scaling report instead of reusing it; the peaks, hence eps_c*, agree
     rc = main(["k0", "--out", str(out), "--ncut-list", "60,84,120,170,240",
                "--L-list", "40,50,60,70,85", "--ncut", "200"])
     assert rc == 0
