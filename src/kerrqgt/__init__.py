@@ -20,11 +20,9 @@ from .errors import (
     WindowError,
 )
 from .model import (
-    BandedHermitian,
     ModelParams,
     TridiagonalBlock,
     apply_gauge_phases,
-    build_hamiltonian,
     mean_photon,
     pair_coupling,
     parity_blocks,
@@ -35,7 +33,6 @@ from .model import (
 from .eigensolver import (
     GroundState,
     Spectrum,
-    dense_eigenvalues,
     eig_tridiagonal,
     ground_state,
     sector_spectra,
@@ -51,11 +48,9 @@ from .oracle import (
     superradiant_phase,
 )
 from .qgt import (
-    PerturbationOps,
     QGTResult,
     berry_plaquette,
     fidelity_susceptibility,
-    gphiphi_variance,
     metric_overlap,
     qgt_spectral,
 )
@@ -80,16 +75,16 @@ from .scaling import (
 
 __all__ = [
     "__version__",
-    "BandedHermitian", "ModelParams", "TridiagonalBlock",
-    "apply_gauge_phases", "build_hamiltonian", "mean_photon", "pair_coupling",
+    "ModelParams", "TridiagonalBlock",
+    "apply_gauge_phases", "mean_photon", "pair_coupling",
     "parity_blocks", "photon_variance", "rho", "tail_weight",
-    "GroundState", "Spectrum", "dense_eigenvalues", "eig_tridiagonal",
+    "GroundState", "Spectrum", "eig_tridiagonal",
     "ground_state", "sector_spectra",
     "NormalPhaseSolution", "SuperradiantSolution", "displaced_squeezed_cat",
     "displaced_squeezed_fock", "normal_phase", "normal_phase_qgt_limit",
     "squeezed_vacuum_fock", "superradiant_phase",
-    "PerturbationOps", "QGTResult", "berry_plaquette", "fidelity_susceptibility",
-    "gphiphi_variance", "metric_overlap", "qgt_spectral",
+    "QGTResult", "berry_plaquette", "fidelity_susceptibility",
+    "metric_overlap", "qgt_spectral",
     "CollapseOptimum", "CurveFamily", "K0Report", "PowerLawFit", "ScalingReport",
     "ShiftedPowerFit", "collapse_objective", "extrapolate_critical_point",
     "fit_power_law", "k0_pipeline", "locate_peak", "nu_convergence",

@@ -1,12 +1,10 @@
-"""Eigenpairs of the parity blocks and ground-state extraction.
+"""Lowest eigenpairs of the parity blocks and ground-state extraction.
 
 Ground-state work needs only the lowest pair of a block: bisection plus
 inverse iteration (dstebz/dstein via scipy.linalg.eigh_tridiagonal with
-select='i') gets it in O(N).  The full spectrum (LAPACK's implicit-shift QL/QR
-driver dstev) is kept for the spectral-sum oracle and sector_spectra.
-Residual and orthogonality bounds are checked on every decomposition.  A dense
-Hermitian path over the full banded matrix exists for cross-validation at
-small cutoffs.
+select='i') gets it in O(N), and one more bisection gives the top eigenvalue
+for the spectral scale.  Residual and orthogonality bounds are checked on
+every solve.
 """
 
 from __future__ import annotations
@@ -21,7 +19,6 @@ from .model import (
     ModelParams,
     TridiagonalBlock,
     apply_gauge_phases,
-    build_hamiltonian,
     parity_blocks,
     tail_weight,
     TAIL_TOLERANCE,
@@ -34,11 +31,10 @@ DEGENERACY_TOLERANCE = 1e-12
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigenvalues (ascending) and orthonormal eigenvector columns of one block.
+    """Lowest two eigenvalues (ascending) and eigenvector columns of one block.
 
-    Holds either the full spectrum or only its lowest pairs; scale is
-    max(1, largest |eigenvalue| of the whole block) in both cases, the unit
-    of the residual bound, the gap floor and the parity tie-break.
+    scale is max(1, largest |eigenvalue| of the whole block), the unit of the
+    residual bound, the gap floor and the parity tie-break.
     """
 
     eigenvalues: np.ndarray
@@ -73,42 +69,32 @@ def _tridiagonal_multiply(diag, off, vectors):
     return out
 
 
-def eig_tridiagonal(block: TridiagonalBlock, lowest: int | None = None) -> Spectrum:
-    """Spectrum of a real symmetric tridiagonal parity block.
+def eig_tridiagonal(block: TridiagonalBlock) -> Spectrum:
+    """Lowest two eigenpairs of a real symmetric tridiagonal parity block.
 
-    lowest=None gives the full spectrum (dstev, O(N^2) vectors); lowest=k
-    gives only the k lowest eigenpairs by bisection and inverse iteration,
-    plus the top eigenvalue by bisection for the spectral scale, all in O(kN).
+    Bisection and inverse iteration give the pair, one more bisection the top
+    eigenvalue for the spectral scale, all in O(N).
     """
-    full = lowest is None or lowest >= block.size
     try:
-        if full:
-            lam, vec = scipy.linalg.eigh_tridiagonal(block.diag, block.offdiag,
-                                                     lapack_driver="stev")
-            top = lam[-1]
-        else:
-            lam, vec = scipy.linalg.eigh_tridiagonal(
-                block.diag, block.offdiag, select="i", select_range=(0, lowest - 1))
-            top = scipy.linalg.eigvalsh_tridiagonal(
-                block.diag, block.offdiag, select="i",
-                select_range=(block.size - 1, block.size - 1))[0]
+        lam, vec = scipy.linalg.eigh_tridiagonal(
+            block.diag, block.offdiag, select="i", select_range=(0, 1))
+        top = scipy.linalg.eigvalsh_tridiagonal(
+            block.diag, block.offdiag, select="i",
+            select_range=(block.size - 1, block.size - 1))[0]
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure path
         raise EigenConvergenceError(
             f"tridiagonal eigensolve failed on {block.parity} block of size "
             f"{block.size}: {exc}") from exc
 
-    # Canonical sign: largest-magnitude component of each vector positive.
+    # Canonical sign: largest-magnitude component of each vector positive
+    # (never zero for a unit vector).
     anchor = np.argmax(np.abs(vec), axis=0)
-    signs = np.sign(vec[anchor, np.arange(vec.shape[1])])
-    signs[signs == 0] = 1.0
-    vec = vec * signs
+    vec = vec * np.sign(vec[anchor, [0, 1]])
 
     scale = max(1.0, abs(float(lam[0])), abs(float(top)))
     resid = _tridiagonal_multiply(block.diag, block.offdiag, vec) - vec * lam
-    max_residual = float(np.max(np.linalg.norm(resid, axis=0))) if block.size else 0.0
-    gram = vec.T @ vec
-    np.fill_diagonal(gram, 0.0)
-    max_defect = float(np.max(np.abs(gram))) if vec.shape[1] > 1 else 0.0
+    max_residual = float(np.max(np.linalg.norm(resid, axis=0)))
+    max_defect = abs(float(vec[:, 0] @ vec[:, 1]))
 
     if max_residual > RESIDUAL_BOUND * scale:
         raise EigenConvergenceError(
@@ -123,7 +109,7 @@ def eig_tridiagonal(block: TridiagonalBlock, lowest: int | None = None) -> Spect
 
 
 def sector_spectra(params: ModelParams) -> tuple[Spectrum, Spectrum]:
-    """Full spectra of the even and odd parity blocks."""
+    """Lowest eigenpairs of the even and odd parity blocks."""
     even, odd = parity_blocks(params)
     return eig_tridiagonal(even), eig_tridiagonal(odd)
 
@@ -146,8 +132,7 @@ def ground_state(params: ModelParams) -> GroundState:
     parity, which continues the normal-phase ground state.
     """
     even, odd = parity_blocks(params)
-    spec_e = eig_tridiagonal(even, lowest=2)
-    spec_o = eig_tridiagonal(odd, lowest=2)
+    spec_e, spec_o = eig_tridiagonal(even), eig_tridiagonal(odd)
     e0, o0 = float(spec_e.eigenvalues[0]), float(spec_o.eigenvalues[0])
     scale = max(spec_e.scale, spec_o.scale)
 
@@ -169,7 +154,3 @@ def ground_state(params: ModelParams) -> GroundState:
         cutoff_warning=bool(tail > TAIL_TOLERANCE),
     )
 
-
-def dense_eigenvalues(params: ModelParams) -> np.ndarray:
-    """Eigenvalues from the dense Hermitian debug path (small cutoffs only)."""
-    return np.linalg.eigvalsh(build_hamiltonian(params).to_dense())

@@ -87,39 +87,6 @@ def pair_coupling(n):
 
 
 @dataclass(frozen=True)
-class BandedHermitian:
-    """Hermitian matrix stored as main diagonal plus the offset-2 band.
-
-    band2[n] is the element <n+2|H|n>; Hermiticity fixes <n|H|n+2> to its
-    conjugate.  All other off-diagonal entries are identically zero.
-    """
-
-    dim: int
-    diag: np.ndarray
-    band2: np.ndarray
-
-    def __post_init__(self):
-        if self.diag.shape != (self.dim,) or self.band2.shape != (self.dim - 2,):
-            raise ValueError("inconsistent band shapes")
-
-    def apply(self, state: np.ndarray) -> np.ndarray:
-        out = self.diag * state
-        out = out.astype(np.result_type(out, self.band2, state))
-        out[2:] += self.band2 * state[:-2]
-        out[:-2] += np.conj(self.band2) * state[2:]
-        return out
-
-    def to_dense(self) -> np.ndarray:
-        """Dense realization; debug/cross-validation path only."""
-        h = np.zeros((self.dim, self.dim), dtype=complex)
-        h[np.arange(self.dim), np.arange(self.dim)] = self.diag
-        idx = np.arange(self.dim - 2)
-        h[idx + 2, idx] = self.band2
-        h[idx, idx + 2] = np.conj(self.band2)
-        return h
-
-
-@dataclass(frozen=True)
 class TridiagonalBlock:
     """One parity sector after the gauge rotation: real symmetric tridiagonal.
 
@@ -138,15 +105,6 @@ class TridiagonalBlock:
             raise ValueError(f"parity must be 'even' or 'odd', got {self.parity}")
         if self.diag.shape != (self.size,) or self.offdiag.shape != (self.size - 1,):
             raise ValueError("inconsistent block shapes")
-
-
-def build_hamiltonian(params: ModelParams) -> BandedHermitian:
-    """Assemble the banded Hamiltonian on the truncated Fock basis."""
-    n = np.arange(params.dim, dtype=float)
-    diag = params.kerr * n * (n - 1.0) + params.delta * n
-    amp = -(params.delta * params.eps / 2.0) * np.exp(-1j * params.phi)
-    band2 = amp * pair_coupling(n[:-2])
-    return BandedHermitian(dim=params.dim, diag=diag, band2=band2)
 
 
 def parity_blocks(params: ModelParams) -> tuple[TridiagonalBlock, TridiagonalBlock]:

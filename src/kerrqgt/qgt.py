@@ -6,9 +6,6 @@ Three independent routes are provided and must agree:
 * overlap finite differences for the metric (with Richardson refinement),
 * a plaquette overlap product for the Berry curvature.
 
-The full spectral sum over the even-sector eigenbasis (qgt_sum_over_states)
-is kept as the test oracle of the linear-response kernel.
-
 The even sector carries the ground state throughout (exactly in the normal
 phase, by the parity tie-break in the symmetry-broken regime), and both drive
 derivatives conserve parity, so everything stays inside that sector.
@@ -43,57 +40,6 @@ PSD_TOLERANCE = 1e-9
 
 DEFAULT_STEP_EPS = 1e-4
 DEFAULT_STEP_PHI = 1e-3
-
-
-@dataclass(frozen=True)
-class PerturbationOps:
-    """Drive derivatives of the Hamiltonian as offset-2 banded Hermitian operators.
-
-    band_eps[n] = <n+2| dH/deps |n> = -(delta/2) e^{-i phi} sqrt((n+1)(n+2))
-    band_phi[n] = <n+2| dH/dphi |n> = (i delta eps / 2) e^{-i phi} sqrt((n+1)(n+2))
-
-    Both couple n <-> n+2 only, hence conserve parity.
-    """
-
-    dim: int
-    band_eps: np.ndarray
-    band_phi: np.ndarray
-
-    @classmethod
-    def for_params(cls, params: ModelParams) -> "PerturbationOps":
-        p = pair_coupling(np.arange(params.dim - 2))
-        phase = np.exp(-1j * params.phi)
-        return cls(
-            dim=params.dim,
-            band_eps=-(params.delta / 2.0) * phase * p,
-            band_phi=(0.5j * params.delta * params.eps) * phase * p,
-        )
-
-    @staticmethod
-    def _apply(band: np.ndarray, state: np.ndarray) -> np.ndarray:
-        out = np.zeros(len(state), dtype=complex)
-        out[2:] += band * state[:-2]
-        out[:-2] += np.conj(band) * state[2:]
-        return out
-
-    def apply_eps(self, state: np.ndarray) -> np.ndarray:
-        return self._apply(self.band_eps, state)
-
-    def apply_phi(self, state: np.ndarray) -> np.ndarray:
-        return self._apply(self.band_phi, state)
-
-    def dense_eps(self) -> np.ndarray:
-        return self._dense(self.band_eps)
-
-    def dense_phi(self) -> np.ndarray:
-        return self._dense(self.band_phi)
-
-    def _dense(self, band: np.ndarray) -> np.ndarray:
-        h = np.zeros((self.dim, self.dim), dtype=complex)
-        idx = np.arange(self.dim - 2)
-        h[idx + 2, idx] = band
-        h[idx, idx + 2] = np.conj(band)
-        return h
 
 
 @dataclass(frozen=True)
@@ -150,25 +96,9 @@ class QGTResult:
         return float(-2.0 * self.q[0, 1].imag)
 
 
-def _even_solution(params: ModelParams, lowest: int | None = 2):
+def _even_solution(params: ModelParams):
     even, _ = parity_blocks(params)
-    return even, eig_tridiagonal(even, lowest=lowest)
-
-
-def _check_gap(spec) -> float:
-    lam = spec.eigenvalues
-    gap = float(lam[1] - lam[0])
-    if gap <= GAP_FLOOR * spec.scale:
-        raise GapError(f"sector gap {gap:.3e} is below the floor "
-                       f"{GAP_FLOOR:g} x spectral scale {spec.scale:.3e}")
-    return gap
-
-
-def _photon_moments(levels: np.ndarray, u0: np.ndarray) -> tuple[float, float]:
-    weights = u0**2
-    mean_n = float(np.sum(levels * weights))
-    var_n = float(np.sum(levels.astype(float) ** 2 * weights)) - mean_n**2
-    return mean_n, var_n
+    return even, eig_tridiagonal(even)
 
 
 def _sternheimer(block, e0: float, u0: np.ndarray, rhs: np.ndarray,
@@ -221,12 +151,15 @@ def qgt_spectral(params: ModelParams) -> QGTResult:
         y    = (T - E0)^+ (1 - |u0><u0|) B u0     (one Sternheimer solve)
         g_ee = y.y,   g_pp = Var(n)/4,   f_ep = -y.(n u0),   g_ep = 0.
 
-    The method label stays "spectral": this is the spectral sum of
-    qgt_sum_over_states evaluated without the eigenbasis.
+    The method label stays "spectral": this is the spectral sum over the
+    even-sector eigenbasis, evaluated without the eigenbasis.
     """
     block, spec = _even_solution(params)
-    gap = _check_gap(spec)
     e0, u0 = float(spec.eigenvalues[0]), spec.eigenvectors[:, 0]
+    gap = float(spec.eigenvalues[1]) - e0
+    if gap <= GAP_FLOOR * spec.scale:
+        raise GapError(f"sector gap {gap:.3e} is below the floor "
+                       f"{GAP_FLOOR:g} x spectral scale {spec.scale:.3e}")
     levels = block.index_map
 
     band = -(params.delta / 2.0) * pair_coupling(levels[:-1])
@@ -234,42 +167,13 @@ def qgt_spectral(params: ModelParams) -> QGTResult:
     rhs -= (u0 @ rhs) * u0
     y = _sternheimer(block, e0, u0, rhs, spec.scale)
 
-    mean_n, var_n = _photon_moments(levels, u0)
+    weights = u0**2
+    mean_n = float(np.sum(levels * weights))
+    var_n = float(np.sum(levels.astype(float) ** 2 * weights)) - mean_n**2
     q_ep = 0.5j * float(y @ (levels * u0))
     q = np.array([[float(y @ y), q_ep], [np.conj(q_ep), var_n / 4.0]])
     tail = tail_weight(embed_sector_vector(u0, levels, params.dim))
     return QGTResult(q=q, gap=gap, method="spectral", params=params,
-                     mean_n=mean_n, var_n=var_n, tail_weight=tail,
-                     cutoff_warning=bool(tail > TAIL_TOLERANCE))
-
-
-def qgt_sum_over_states(params: ModelParams) -> QGTResult:
-    """Geometric tensor from the spectral sum over the full even-sector eigenbasis.
-
-    Q_jk = sum_{n>0} <u0|dH_j|u_n><u_n|dH_k|u0> / (E_n - E_0)^2, assembled from
-    the gauge-phased eigenvectors at the requested phi.  O(N^3); the test
-    oracle of qgt_spectral.
-    """
-    block, spec = _even_solution(params, lowest=None)
-    gap = _check_gap(spec)
-    lam, vec = spec.eigenvalues, spec.eigenvectors
-
-    levels = block.index_map
-    u0_full = embed_sector_vector(vec[:, 0], levels, params.dim, params.phi)
-    ops = PerturbationOps.for_params(params)
-    phase_conj = np.exp(0.5j * levels * params.phi)
-    m_eps = vec.T @ (phase_conj * ops.apply_eps(u0_full)[levels])
-    m_phi = vec.T @ (phase_conj * ops.apply_phi(u0_full)[levels])
-
-    de2 = (lam[1:] - lam[0]) ** 2
-    q_ee = float(np.sum(np.abs(m_eps[1:]) ** 2 / de2))
-    q_pp = float(np.sum(np.abs(m_phi[1:]) ** 2 / de2))
-    q_ep = complex(np.sum(np.conj(m_eps[1:]) * m_phi[1:] / de2))
-    q = np.array([[q_ee, q_ep], [np.conj(q_ep), q_pp]])
-
-    mean_n, var_n = _photon_moments(levels, vec[:, 0])
-    tail = tail_weight(u0_full)
-    return QGTResult(q=q, gap=gap, method="sum-over-states", params=params,
                      mean_n=mean_n, var_n=var_n, tail_weight=tail,
                      cutoff_warning=bool(tail > TAIL_TOLERANCE))
 
@@ -309,8 +213,3 @@ def fidelity_susceptibility(params: ModelParams,
     return susceptibility_fd(_even_ground_family(params), params.eps, params.phi,
                              step_eps)
 
-
-def gphiphi_variance(params: ModelParams) -> float:
-    """Var(n)/4 on the ground state; the phase generator form of g_pp."""
-    block, spec = _even_solution(params)
-    return _photon_moments(block.index_map, spec.eigenvectors[:, 0])[1] / 4.0

@@ -147,6 +147,11 @@ def ordered_parallel_map(fn: Callable, items: Sequence, threads: int) -> list:
 # ---------------------------------------------------------------------------
 # Configuration and manifest
 
+# How a run executes, not what it computes: echoed into the manifest but left
+# out of its identity, so changing them alone never forces a recompute.
+RUN_ONLY_FIELDS = ("out_dir", "threads", "force")
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """One run's full parameter set; echoed verbatim into the manifest."""
@@ -187,6 +192,11 @@ class SweepConfig:
         return {k: list(v) if isinstance(v, tuple) else v for k, v in raw.items()}
 
 
+def _identity(echo: dict) -> str:
+    """Canonical text of the config fields that determine the outputs."""
+    return dumps_json({k: v for k, v in echo.items() if k not in RUN_ONLY_FIELDS})
+
+
 def _manifest_path(out: Path, mode: str) -> Path:
     return out / f"manifest_{mode}.json"
 
@@ -208,7 +218,8 @@ def _write_manifest(out: Path, config: SweepConfig, started: str,
 
 
 def manifest_is_current(out: Path, config: SweepConfig) -> bool:
-    """True when a completed manifest matches this config and its files verify."""
+    """True when a completed manifest of this version matches this config (up
+    to RUN_ONLY_FIELDS) and its files verify."""
     path = _manifest_path(out, config.mode)
     if not path.exists():
         return False
@@ -216,7 +227,9 @@ def manifest_is_current(out: Path, config: SweepConfig) -> bool:
         manifest = json.loads(path.read_text())
     except json.JSONDecodeError:
         return False
-    if dumps_json(manifest.get("config")) != dumps_json(config.echo()):
+    echo = manifest.get("config")
+    if (manifest.get("version") != __version__ or not isinstance(echo, dict)
+            or _identity(echo) != _identity(config.echo())):
         return False
     for name, digest in manifest.get("outputs", {}).items():
         target = out / name
@@ -258,18 +271,19 @@ def run_phase_diagram(config: SweepConfig) -> list[Path]:
                 f"phi={float(phi_grid[-1]):g}: need n_cut >= {required}, "
                 f"got {config.n_cut}")
 
-    points = [(e, p) for e in eps_grid for p in phi_grid]
-
-    def work(point):
-        eps, phi = point
-        params = ModelParams.from_size(config.size, eps, phi=phi,
-                                       n_cut=config.n_cut, delta=config.delta)
+    # H(eps, phi) = G H(eps, 0) G^dagger for the diagonal gauge unitary
+    # G = exp(-i n phi / 2), so the photon distribution of the ground state,
+    # hence mean_n, rho and the cutoff gate, is exactly phi-independent: one
+    # solve at phi = 0 fills every phi column of its eps row.
+    def work(eps):
+        params = ModelParams.from_size(config.size, eps, n_cut=config.n_cut,
+                                       delta=config.delta)
         gs = ground_state(params)
-        n_mean = mean_photon(gs.fock_vector)
-        return (eps, phi, config.size, config.n_cut, n_mean,
-                n_mean / config.size, "cutoff" if gs.cutoff_warning else "")
+        return mean_photon(gs.fock_vector), "cutoff" if gs.cutoff_warning else ""
 
-    rows = ordered_parallel_map(work, points, config.threads)
+    solved = ordered_parallel_map(work, list(eps_grid), config.threads)
+    rows = [(eps, phi, config.size, config.n_cut, n_mean, n_mean / config.size, warn)
+            for eps, (n_mean, warn) in zip(eps_grid, solved) for phi in phi_grid]
     warnings = [f"cutoff-inadequate point: eps={r[0]:g} phi={r[1]:g}"
                 for r in rows if r[6]]
     csv_path = out / "phase_diagram.csv"

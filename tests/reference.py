@@ -1,0 +1,131 @@
+"""Slow, independent reference paths for the tests (not part of the package).
+
+Everything here is built straight from the Hamiltonian formula or from a full
+decomposition, never from the kernels it checks:
+
+* dense_hamiltonian and dense_drive_derivatives assemble the complex
+  full-Fock matrices at any phi from ladder operators;
+* dense_eigenvalues diagonalizes the dense matrix;
+* full_spectrum is the whole spectrum of a parity block (LAPACK dstev) under
+  the package's residual and orthogonality bounds;
+* qgt_sum_over_states is the spectral sum over the full even-sector
+  eigenbasis at the requested phi, on gauge-phased full-Fock vectors with
+  the dense drive derivatives.
+
+From the package it takes only data containers, parity_blocks and the gate
+constants.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import scipy.linalg
+import scipy.sparse
+
+from kerrqgt.eigensolver import (
+    ORTHOGONALITY_BOUND,
+    RESIDUAL_BOUND,
+    Spectrum,
+)
+from kerrqgt.errors import EigenConvergenceError, GapError
+from kerrqgt.model import TAIL_LEVELS, TAIL_TOLERANCE, parity_blocks
+from kerrqgt.qgt import GAP_FLOOR, QGTResult
+
+
+def _ladder(dim: int):
+    """Truncated annihilation operator a and its square, as sparse matrices."""
+    a = scipy.sparse.diags(np.sqrt(np.arange(1.0, dim)), 1, format="csr")
+    return a, a @ a
+
+
+def dense_hamiltonian(params) -> np.ndarray:
+    """H = K a+^2 a^2 + delta a+ a - (delta eps / 2)(e^{-i phi} a+^2 + e^{i phi} a^2).
+
+    Exactly Hermitian: the two drive terms are built as conjugate transposes.
+    """
+    a, a2 = _ladder(params.dim)
+    drive = np.exp(-1j * params.phi) * a2.T
+    h = (params.kerr * (a2.T @ a2) + params.delta * (a.T @ a)
+         - (params.delta * params.eps / 2.0) * (drive + drive.conj().T))
+    return h.toarray()
+
+
+def dense_drive_derivatives(params) -> tuple[np.ndarray, np.ndarray]:
+    """dH/deps and dH/dphi of dense_hamiltonian, differentiated by hand."""
+    _, a2 = _ladder(params.dim)
+    drive = np.exp(-1j * params.phi) * a2.T
+    d_eps = -(params.delta / 2.0) * (drive + drive.conj().T)
+    d_phi = -(params.delta * params.eps / 2.0) * (-1j * drive + (-1j * drive).conj().T)
+    return d_eps.toarray(), d_phi.toarray()
+
+
+def dense_eigenvalues(params) -> np.ndarray:
+    """Whole spectrum of the dense Hamiltonian (small cutoffs only)."""
+    return np.linalg.eigvalsh(dense_hamiltonian(params))
+
+
+def full_spectrum(block) -> Spectrum:
+    """Every eigenpair of a parity block by dstev, gated like eig_tridiagonal.
+
+    Vectors get the same sign convention (largest component positive); the
+    residual is measured against the dense block.
+    """
+    lam, vec = scipy.linalg.eigh_tridiagonal(block.diag, block.offdiag,
+                                             lapack_driver="stev")
+    anchor = np.argmax(np.abs(vec), axis=0)
+    signs = np.sign(vec[anchor, np.arange(block.size)])
+    signs[signs == 0] = 1.0
+    vec = vec * signs
+
+    scale = max(1.0, abs(float(lam[0])), abs(float(lam[-1])))
+    dense = (np.diag(block.diag) + np.diag(block.offdiag, 1)
+             + np.diag(block.offdiag, -1))
+    max_residual = float(np.max(np.linalg.norm(dense @ vec - vec * lam, axis=0)))
+    gram = vec.T @ vec
+    np.fill_diagonal(gram, 0.0)
+    max_defect = float(np.max(np.abs(gram)))
+    if max_residual > RESIDUAL_BOUND * scale:
+        raise EigenConvergenceError(f"residual {max_residual:.3e} exceeds bound")
+    if max_defect > ORTHOGONALITY_BOUND:
+        raise EigenConvergenceError(f"orthogonality defect {max_defect:.3e} exceeds bound")
+    return Spectrum(eigenvalues=lam, eigenvectors=vec, max_residual=max_residual,
+                    max_orthogonality_defect=max_defect, scale=scale)
+
+
+def qgt_sum_over_states(params) -> QGTResult:
+    """Q_jk = sum_{n>0} <u0|dH_j|u_n><u_n|dH_k|u0> / (E_n - E0)^2 at params.phi.
+
+    The sum runs over the full even-sector eigenbasis, lifted onto the Fock
+    basis with the gauge phases of the requested phi; both drive derivatives
+    conserve parity, so the odd sector contributes nothing.  O(N^3).
+    """
+    even, _ = parity_blocks(params)
+    spec = full_spectrum(even)
+    lam = spec.eigenvalues
+    gap = float(lam[1] - lam[0])
+    if gap <= GAP_FLOOR * spec.scale:
+        raise GapError(f"sector gap {gap:.3e} is below the floor "
+                       f"{GAP_FLOOR:g} x spectral scale {spec.scale:.3e}")
+
+    states = np.zeros((params.dim, even.size), dtype=complex)
+    states[even.index_map] = spec.eigenvectors
+    states *= np.exp(-0.5j * np.arange(params.dim) * params.phi)[:, None]
+    u0 = states[:, 0]
+    d_eps, d_phi = dense_drive_derivatives(params)
+    m_eps = states.conj().T @ (d_eps @ u0)
+    m_phi = states.conj().T @ (d_phi @ u0)
+
+    de2 = (lam[1:] - lam[0]) ** 2
+    q_ee = float(np.sum(np.abs(m_eps[1:]) ** 2 / de2))
+    q_pp = float(np.sum(np.abs(m_phi[1:]) ** 2 / de2))
+    q_ep = complex(np.sum(np.conj(m_eps[1:]) * m_phi[1:] / de2))
+    q = np.array([[q_ee, q_ep], [np.conj(q_ep), q_pp]])
+
+    n = np.arange(params.dim)
+    weights = np.abs(u0) ** 2
+    mean_n = float(n @ weights)
+    var_n = float((n * n) @ weights) - mean_n**2
+    tail = float(np.sum(weights[-TAIL_LEVELS:]))
+    return QGTResult(q=q, gap=gap, method="sum-over-states", params=params,
+                     mean_n=mean_n, var_n=var_n, tail_weight=tail,
+                     cutoff_warning=bool(tail > TAIL_TOLERANCE))

@@ -5,8 +5,6 @@ import pytest
 
 from kerrqgt import (
     ModelParams,
-    build_hamiltonian,
-    dense_eigenvalues,
     eig_tridiagonal,
     ground_state,
     parity_blocks,
@@ -14,6 +12,7 @@ from kerrqgt import (
     squeezed_vacuum_fock,
 )
 from kerrqgt.model import TridiagonalBlock
+from reference import dense_eigenvalues, dense_hamiltonian, full_spectrum
 
 
 def make_block(diag, off):
@@ -24,32 +23,40 @@ def make_block(diag, off):
 
 
 def test_diagonal_case():
-    spec = eig_tridiagonal(make_block([0.0, 2.0, 4.0], [0.0, 0.0]))
-    np.testing.assert_allclose(spec.eigenvalues, [0.0, 2.0, 4.0])
-    np.testing.assert_allclose(np.abs(spec.eigenvectors), np.eye(3), atol=1e-14)
+    block = make_block([0.0, 2.0, 4.0], [0.0, 0.0])
+    spec = eig_tridiagonal(block)
+    np.testing.assert_allclose(spec.eigenvalues, [0.0, 2.0])
+    np.testing.assert_allclose(np.abs(spec.eigenvectors), np.eye(3)[:, :2], atol=1e-14)
+    assert spec.scale == 4.0
+    full = full_spectrum(block)
+    np.testing.assert_allclose(full.eigenvalues, [0.0, 2.0, 4.0])
+    np.testing.assert_allclose(np.abs(full.eigenvectors), np.eye(3), atol=1e-14)
 
 
 def test_two_by_two_closed_form():
-    spec = eig_tridiagonal(make_block([0.0, 2.0], [-1.0]))
-    np.testing.assert_allclose(spec.eigenvalues,
-                               [1.0 - np.sqrt(2.0), 1.0 + np.sqrt(2.0)], atol=1e-14)
+    block = make_block([0.0, 2.0], [-1.0])
+    for spec in (eig_tridiagonal(block), full_spectrum(block)):
+        np.testing.assert_allclose(spec.eigenvalues,
+                                   [1.0 - np.sqrt(2.0), 1.0 + np.sqrt(2.0)], atol=1e-14)
 
 
 def test_no_drive_eigenvalues_are_diagonal():
     even, _ = parity_blocks(ModelParams(delta=1.0, kerr=0.01, eps=0.0, n_cut=20))
-    spec = eig_tridiagonal(even)
     n = np.arange(0, 21, 2, dtype=float)
-    np.testing.assert_allclose(spec.eigenvalues, 0.01 * n * (n - 1) + n, atol=1e-13)
+    expected = 0.01 * n * (n - 1) + n
+    np.testing.assert_allclose(full_spectrum(even).eigenvalues, expected, atol=1e-13)
+    np.testing.assert_allclose(eig_tridiagonal(even).eigenvalues, expected[:2], atol=1e-13)
 
 
 def test_spectrum_bounds_hold():
     even, odd = parity_blocks(ModelParams(delta=1.0, kerr=1.0 / 400.0, eps=1.02, n_cut=800))
     for block in (even, odd):
-        spec = eig_tridiagonal(block)
-        scale = max(1.0, np.max(np.abs(spec.eigenvalues)))
-        assert spec.max_residual <= 1e-10 * scale
-        assert spec.max_orthogonality_defect <= 1e-10
-        assert np.all(np.diff(spec.eigenvalues) >= 0.0)
+        full = full_spectrum(block)
+        assert full.scale == max(1.0, np.max(np.abs(full.eigenvalues)))
+        for spec in (full, eig_tridiagonal(block)):
+            assert spec.max_residual <= 1e-10 * full.scale
+            assert spec.max_orthogonality_defect <= 1e-10
+            assert np.all(np.diff(spec.eigenvalues) >= 0.0)
 
 
 def test_blocks_match_dense_debug_path():
@@ -60,20 +67,23 @@ def test_blocks_match_dense_debug_path():
                         eps=float(rng.uniform(0.0, 1.5)),
                         phi=float(rng.uniform(0.0, 2 * np.pi)),
                         n_cut=int(rng.integers(12, 65)))
-        even_spec, odd_spec = sector_spectra(p)
-        merged = np.sort(np.concatenate([even_spec.eigenvalues, odd_spec.eigenvalues]))
-        np.testing.assert_allclose(merged, dense_eigenvalues(p), atol=1e-9)
+        blocks = parity_blocks(p)
+        full = [full_spectrum(block).eigenvalues for block in blocks]
+        np.testing.assert_allclose(np.sort(np.concatenate(full)), dense_eigenvalues(p),
+                                   atol=1e-9)
+        for spec, eigenvalues in zip(sector_spectra(p), full):
+            np.testing.assert_allclose(spec.eigenvalues, eigenvalues[:2], atol=1e-9)
 
 
 def test_variational_bound():
     p = ModelParams(delta=1.0, kerr=0.02, eps=0.9, phi=0.3, n_cut=48)
-    h = build_hamiltonian(p)
+    h = dense_hamiltonian(p)
     e0 = ground_state(p).energy
     rng = np.random.default_rng(5)
     for _ in range(100):
         v = rng.normal(size=p.dim) + 1j * rng.normal(size=p.dim)
         v /= np.linalg.norm(v)
-        assert e0 <= np.real(np.vdot(v, h.apply(v))) + 1e-12
+        assert e0 <= np.real(np.vdot(v, h @ v)) + 1e-12
 
 
 def test_ground_state_vacuum():

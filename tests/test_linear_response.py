@@ -13,10 +13,9 @@ from kerrqgt import (
     metric_overlap,
     parity_blocks,
     qgt_spectral,
-    sector_spectra,
 )
 from kerrqgt.eigensolver import DEGENERACY_TOLERANCE, embed_sector_vector
-from kerrqgt.qgt import qgt_sum_over_states
+from reference import full_spectrum, qgt_sum_over_states
 
 RELATIVE = 1e-9
 
@@ -59,7 +58,8 @@ def test_linear_response_matches_sum_over_states(p):
 
 def _full_ground_state(p):
     """ground_state's selection rule on the full spectra of both sectors."""
-    (spec_e, spec_o), (even, odd) = sector_spectra(p), parity_blocks(p)
+    even, odd = parity_blocks(p)
+    spec_e, spec_o = full_spectrum(even), full_spectrum(odd)
     scale = max(spec_e.scale, spec_o.scale)
     e0, o0 = spec_e.eigenvalues[0], spec_o.eigenvalues[0]
     if o0 < e0 - DEGENERACY_TOLERANCE * scale:
@@ -84,7 +84,7 @@ def test_ground_state_matches_full_spectrum(p):
 def test_selective_spectrum_matches_full():
     even, odd = parity_blocks(ModelParams.from_size(300, 1.02, n_cut=800))
     for block in (even, odd):
-        full, low = eig_tridiagonal(block), eig_tridiagonal(block, lowest=2)
+        full, low = full_spectrum(block), eig_tridiagonal(block)
         assert low.eigenvalues.shape == (2,) and low.eigenvectors.shape == (block.size, 2)
         np.testing.assert_allclose(low.eigenvalues, full.eigenvalues[:2],
                                    rtol=0, atol=1e-12 * full.scale)
@@ -97,7 +97,9 @@ def test_selective_spectrum_matches_full():
 
 def test_gap_floor_raises_named_error(monkeypatch):
     import kerrqgt.qgt as qgt
+    import reference
     monkeypatch.setattr(qgt, "GAP_FLOOR", 1.0)
+    monkeypatch.setattr(reference, "GAP_FLOOR", 1.0)
     p = ModelParams.from_size(150, 0.9, n_cut=400)
     for kernel in (qgt_spectral, qgt_sum_over_states):
         with pytest.raises(GapError, match="sector gap"):
@@ -120,5 +122,5 @@ def test_hot_paths_never_decompose_fully(monkeypatch):
     metric_overlap(p)
     assert calls and set(calls) == {"i"}
     # the spy sees a full decomposition when one is made
-    sector_spectra(p)
+    full_spectrum(parity_blocks(p)[0])
     assert "a" in calls

@@ -6,14 +6,14 @@ import pytest
 from kerrqgt import (
     ModelParams,
     apply_gauge_phases,
-    build_hamiltonian,
     mean_photon,
     parity_blocks,
     photon_variance,
     rho,
     tail_weight,
 )
-from kerrqgt.eigensolver import ground_state
+from kerrqgt.eigensolver import _tridiagonal_multiply, ground_state
+from reference import dense_hamiltonian
 
 
 def test_params_validation():
@@ -37,29 +37,38 @@ def test_effective_size():
 
 
 def test_diagonal_entries():
-    h = build_hamiltonian(ModelParams(delta=1.0, kerr=0.01, eps=1.0, n_cut=16))
-    assert h.diag[0] == 0.0
-    assert h.diag[4] == pytest.approx(0.01 * 12 + 4.0)  # K n(n-1) + delta n at n=4
+    h = dense_hamiltonian(ModelParams(delta=1.0, kerr=0.01, eps=1.0, n_cut=16))
+    assert h[0, 0] == 0.0
+    assert h[4, 4] == pytest.approx(0.01 * 12 + 4.0)  # K n(n-1) + delta n at n=4
 
 
 def test_band_entries_no_kerr():
-    h = build_hamiltonian(ModelParams(delta=1.0, kerr=0.0, eps=1.0, n_cut=16))
-    assert h.band2[0] == pytest.approx(-np.sqrt(2.0) / 2.0)
-    assert h.band2[2] == pytest.approx(-np.sqrt(12.0) / 2.0)
+    h = dense_hamiltonian(ModelParams(delta=1.0, kerr=0.0, eps=1.0, n_cut=16))
+    assert h[2, 0] == pytest.approx(-np.sqrt(2.0) / 2.0)  # <n+2|H|n>
+    assert h[4, 2] == pytest.approx(-np.sqrt(12.0) / 2.0)
+    # only the main diagonal and the offset-2 bands are occupied
+    rows, cols = np.nonzero(h)
+    assert set(np.abs(rows - cols)) == {0, 2}
 
 
 def test_dense_hermitian_exactly():
-    h = build_hamiltonian(ModelParams(delta=1.3, kerr=0.02, eps=0.8, phi=0.9, n_cut=24))
-    dense = h.to_dense()
+    dense = dense_hamiltonian(ModelParams(delta=1.3, kerr=0.02, eps=0.8, phi=0.9, n_cut=24))
     assert np.max(np.abs(dense - dense.conj().T)) == 0.0
 
 
 def test_banded_apply_matches_dense():
+    # The package's one banded matvec, on both parity blocks, is the dense
+    # Hamiltonian at any phi once the gauge phases are undone and redone.
     p = ModelParams(delta=1.1, kerr=0.03, eps=0.7, phi=1.1, n_cut=20)
-    h = build_hamiltonian(p)
     rng = np.random.default_rng(7)
     v = rng.normal(size=p.dim) + 1j * rng.normal(size=p.dim)
-    np.testing.assert_allclose(h.apply(v), h.to_dense() @ v, atol=1e-12)
+    rotated = apply_gauge_phases(v, -p.phi)
+    out = np.zeros(p.dim, dtype=complex)
+    for block in parity_blocks(p):
+        sector = rotated[block.index_map][:, None]
+        out[block.index_map] = _tridiagonal_multiply(block.diag, block.offdiag, sector)[:, 0]
+    np.testing.assert_allclose(apply_gauge_phases(out, p.phi), dense_hamiltonian(p) @ v,
+                               atol=1e-12)
 
 
 def test_parity_blocks_small():
@@ -91,10 +100,10 @@ def test_spectrum_independent_of_phi():
     # The gauge rotation with phases e^{i n phi / 2} conjugates H(eps, phi)
     # into H(eps, 0), so the dense spectra must coincide.
     base = ModelParams(delta=1.0, kerr=0.02, eps=0.8, n_cut=40)
-    ref = np.linalg.eigvalsh(build_hamiltonian(base).to_dense())
+    ref = np.linalg.eigvalsh(dense_hamiltonian(base))
     scale = np.max(np.abs(ref))
     for phi in (np.pi / 4, np.pi, 2.3):
-        ev = np.linalg.eigvalsh(build_hamiltonian(base.replace(phi=phi)).to_dense())
+        ev = np.linalg.eigvalsh(dense_hamiltonian(base.replace(phi=phi)))
         assert np.max(np.abs(ev - ref)) <= 1e-10 * scale
 
 
@@ -106,13 +115,13 @@ def test_block_spectra_match_dense():
         scipy.linalg.eigvalsh_tridiagonal(even.diag, even.offdiag),
         scipy.linalg.eigvalsh_tridiagonal(odd.diag, odd.offdiag),
     ]))
-    ev_dense = np.linalg.eigvalsh(build_hamiltonian(p).to_dense())
+    ev_dense = np.linalg.eigvalsh(dense_hamiltonian(p))
     np.testing.assert_allclose(ev_blocks, ev_dense, atol=1e-10)
 
 
 def test_even_state_stays_even():
     p = ModelParams(delta=1.0, kerr=0.01, eps=1.2, phi=0.4, n_cut=30)
-    dense = build_hamiltonian(p).to_dense()
+    dense = dense_hamiltonian(p)
     rng = np.random.default_rng(3)
     for _ in range(5):
         v = np.zeros(p.dim, dtype=complex)
@@ -135,8 +144,8 @@ def test_gauge_phases():
 def test_gauge_phases_map_eigenvectors():
     p0 = ModelParams(delta=1.0, kerr=0.02, eps=0.7, phi=0.0, n_cut=36)
     p1 = p0.replace(phi=1.3)
-    w0, v0 = np.linalg.eigh(build_hamiltonian(p0).to_dense())
-    h1 = build_hamiltonian(p1).to_dense()
+    w0, v0 = np.linalg.eigh(dense_hamiltonian(p0))
+    h1 = dense_hamiltonian(p1)
     mapped = apply_gauge_phases(v0[:, 0], 1.3)
     resid = h1 @ mapped - w0[0] * mapped
     assert np.linalg.norm(resid) < 1e-10

@@ -5,21 +5,19 @@ import pytest
 
 from kerrqgt import (
     ModelParams,
-    PerturbationOps,
     StepSizeError,
     berry_plaquette,
     fidelity_susceptibility,
-    gphiphi_variance,
     metric_overlap,
     normal_phase_qgt_limit,
     qgt_spectral,
 )
+from reference import dense_drive_derivatives, dense_hamiltonian, qgt_sum_over_states
 
 
 def test_perturbation_ops_hermitian_and_parity_conserving():
     p = ModelParams(delta=1.2, kerr=0.03, eps=0.8, phi=0.9, n_cut=24)
-    ops = PerturbationOps.for_params(p)
-    for dense in (ops.dense_eps(), ops.dense_phi()):
+    for dense in dense_drive_derivatives(p):
         assert np.max(np.abs(dense - dense.conj().T)) == 0.0
         v = np.zeros(p.dim, dtype=complex)
         v[::2] = 1.0
@@ -28,15 +26,14 @@ def test_perturbation_ops_hermitian_and_parity_conserving():
 
 def test_perturbation_ops_match_derivative_stencil():
     p = ModelParams(delta=1.1, kerr=0.02, eps=0.7, phi=0.5, n_cut=20)
-    ops = PerturbationOps.for_params(p)
-    from kerrqgt import build_hamiltonian
     h = 1e-6
-    d_eps = (build_hamiltonian(p.replace(eps=p.eps + h)).to_dense()
-             - build_hamiltonian(p.replace(eps=p.eps - h)).to_dense()) / (2 * h)
-    d_phi = (build_hamiltonian(p.replace(phi=p.phi + h)).to_dense()
-             - build_hamiltonian(p.replace(phi=p.phi - h)).to_dense()) / (2 * h)
-    np.testing.assert_allclose(ops.dense_eps(), d_eps, atol=1e-7)
-    np.testing.assert_allclose(ops.dense_phi(), d_phi, atol=1e-7)
+    d_eps = (dense_hamiltonian(p.replace(eps=p.eps + h))
+             - dense_hamiltonian(p.replace(eps=p.eps - h))) / (2 * h)
+    d_phi = (dense_hamiltonian(p.replace(phi=p.phi + h))
+             - dense_hamiltonian(p.replace(phi=p.phi - h))) / (2 * h)
+    exact_eps, exact_phi = dense_drive_derivatives(p)
+    np.testing.assert_allclose(exact_eps, d_eps, atol=1e-7)
+    np.testing.assert_allclose(exact_phi, d_phi, atol=1e-7)
 
 
 def test_spectral_no_drive_closed_form():
@@ -72,10 +69,11 @@ def test_spectral_matches_analytic_limit():
 
 
 def test_phi_independence_of_tensor():
+    # the kernel works at phi = 0; the spectral sum runs at each phi
     base = ModelParams.from_size(300, 0.9, n_cut=800)
     ref = qgt_spectral(base)
     for phi in (0.25, np.pi / 4, np.pi / 2, np.pi):
-        r = qgt_spectral(base.replace(phi=phi))
+        r = qgt_sum_over_states(base.replace(phi=phi))
         assert abs(r.g_ee / ref.g_ee - 1.0) <= 1e-8
         assert abs(r.g_pp / ref.g_pp - 1.0) <= 1e-8
         assert abs(r.f_ep / ref.f_ep - 1.0) <= 1e-8
@@ -150,16 +148,18 @@ def test_gphiphi_variance_identity():
                                   float(rng.uniform(0.1, 1.4)),
                                   phi=float(rng.uniform(0, 2 * np.pi)),
                                   n_cut=300)
-        spectral = qgt_spectral(p)
-        assert gphiphi_variance(p) == pytest.approx(spectral.g_pp, rel=1e-9)
+        # the kernel's g_pp is Var(n)/4; the spectral sum squares dH/dphi
+        spectral, oracle = qgt_spectral(p), qgt_sum_over_states(p)
+        assert oracle.g_pp == pytest.approx(spectral.g_pp, rel=1e-9)
+        assert oracle.g_pp == pytest.approx(oracle.var_n / 4.0, rel=1e-9)
 
 
 def test_variance_vanishes_at_zero_drive():
-    assert gphiphi_variance(ModelParams(delta=1.0, kerr=0.01, eps=0.0, n_cut=32)) == 0.0
+    assert qgt_spectral(ModelParams(delta=1.0, kerr=0.01, eps=0.0, n_cut=32)).g_pp == 0.0
 
 
 def test_gphiphi_against_limit():
-    value = gphiphi_variance(ModelParams.from_size(500, 0.6, n_cut=800))
+    value = qgt_spectral(ModelParams.from_size(500, 0.6, n_cut=800)).g_pp
     assert value == pytest.approx(0.07031, rel=0.02)
 
 

@@ -1,7 +1,9 @@
-"""Run bookkeeping: which errors drop a grid point, atomic writes, and reuse
-of a prior scaling report by the k0 study."""
+"""Run bookkeeping: which errors drop a grid point, atomic writes, manifest
+identity under reruns, and reuse of a prior scaling report by the k0 study."""
 
+import dataclasses
 import json
+import shutil
 import threading
 
 import pytest
@@ -10,7 +12,14 @@ import kerrqgt.qgt
 import kerrqgt.sweep as sweep
 from kerrqgt.errors import StepSizeError
 from kerrqgt.scaling import K0Report
-from kerrqgt.sweep import SweepConfig, atomic_write_text, read_csv, run_k0, run_qgt_sweep
+from kerrqgt.sweep import (
+    SweepConfig,
+    atomic_write_text,
+    manifest_is_current,
+    read_csv,
+    run_k0,
+    run_qgt_sweep,
+)
 
 
 def _qgt_config(tmp_path, method="spectral"):
@@ -113,6 +122,38 @@ def test_concurrent_writers_do_not_collide(tmp_path, shared):
 K0_BASE = dict(sizes=(40, 50, 60, 70, 85), n_cut=200, peak_bracket=(1.05, 1.45),
                collapse_window=(1.05, 1.40), collapse_step=2e-3,
                ncut_list=(60, 84, 120, 170, 240))
+
+
+def test_thread_count_alone_does_not_recompute(tmp_path):
+    cfg = _qgt_config(tmp_path)
+    assert run_qgt_sweep(cfg)
+    manifest = (tmp_path / "manifest_qgt.json").read_bytes()
+    assert run_qgt_sweep(dataclasses.replace(cfg, threads=2)) == []
+    assert (tmp_path / "manifest_qgt.json").read_bytes() == manifest
+
+
+def test_plain_rerun_after_force_is_a_no_op(tmp_path):
+    cfg = _qgt_config(tmp_path)
+    run_qgt_sweep(cfg)
+    assert run_qgt_sweep(dataclasses.replace(cfg, force=True, threads=2))
+    echoed = json.loads((tmp_path / "manifest_qgt.json").read_text())["config"]
+    assert echoed["force"] is True and echoed["threads"] == 2
+    assert run_qgt_sweep(cfg) == []
+
+
+def test_manifest_identity_ignores_out_dir_but_not_physics(tmp_path):
+    first = tmp_path / "first"
+    cfg = _qgt_config(first)
+    run_qgt_sweep(cfg)
+    moved = tmp_path / "moved"
+    shutil.copytree(first, moved)
+    assert manifest_is_current(moved, dataclasses.replace(cfg, out_dir=str(moved)))
+    assert not manifest_is_current(first, dataclasses.replace(cfg, n_cut=170))
+    assert not manifest_is_current(first, dataclasses.replace(cfg, phi=0.1))
+    manifest_path = first / "manifest_qgt.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest_path.write_text(json.dumps({**manifest, "version": "0.0.0"}))
+    assert not manifest_is_current(first, cfg)
 
 
 def _write_report(out, **diag_overrides):

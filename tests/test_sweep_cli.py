@@ -6,6 +6,8 @@ import re
 import numpy as np
 import pytest
 
+import kerrqgt.sweep as sweep
+from kerrqgt import ModelParams, ground_state, mean_photon
 from kerrqgt.cli import main, parse_int_list, parse_pair, parse_range
 from kerrqgt.errors import SchemaError
 from kerrqgt.plots import emit_plots
@@ -67,6 +69,32 @@ def test_phase_diagram_run(tmp_path):
     for row in rows:
         if float(row[0]) <= 0.5:
             assert float(row[5]) < 1e-2
+
+
+def test_phase_diagram_solves_once_per_eps(tmp_path, monkeypatch):
+    solved = []
+    monkeypatch.setattr(sweep, "ground_state",
+                        lambda params: solved.append(params) or ground_state(params))
+    size, n_cut = 200.0, 160
+    cfg = SweepConfig(mode="phase-diagram", out_dir=str(tmp_path), threads=2,
+                      size=size, n_cut=n_cut, eps_range=(0.0, 1.2, 7),
+                      phi_range=(0.0, 2.0 * np.pi, 5))
+    _, rows = read_csv(run_phase_diagram(cfg)[0])
+    assert len(solved) == 7 and all(p.phi == 0.0 for p in solved)
+    phis = [fmt_float(phi) for phi in np.linspace(0.0, 2.0 * np.pi, 5)]
+    for i in range(7):
+        row_set = rows[5 * i:5 * (i + 1)]
+        assert [r[1] for r in row_set] == phis
+        # every phi column repeats the phi = 0 one byte for byte
+        assert all(r[:1] + r[2:] == row_set[0][:1] + row_set[0][2:] for r in row_set)
+        # and agrees with a separate ground-state solve at its own phi
+        for r in row_set:
+            gs = ground_state(ModelParams.from_size(size, float(r[0]), phi=float(r[1]),
+                                                    n_cut=n_cut))
+            n_mean = mean_photon(gs.fock_vector)
+            assert abs(float(r[4]) - n_mean) <= 1e-12 * n_mean
+            assert abs(float(r[5]) - n_mean / size) <= 1e-12 * n_mean / size
+            assert r[6] == ("cutoff" if gs.cutoff_warning else "")
 
 
 def test_phase_diagram_cutoff_precheck(tmp_path):
