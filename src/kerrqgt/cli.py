@@ -89,7 +89,8 @@ def parse_int_list(text: str) -> tuple:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--threads", type=int, default=None, help="worker count")
+    common.add_argument("--threads", type=int, default=None,
+                        help="accepted for old command lines; has no effect")
     common.add_argument("--config", type=str, default=None, help="JSON config file")
     common.add_argument("--out", type=str, default=None, help="output directory")
     common.add_argument("--force", action="store_true", default=None,
@@ -148,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def assemble_config(args: argparse.Namespace) -> SweepConfig:
-    settings = dict(mode=args.mode, out_dir="runs", threads=1, force=False, delta=1.0)
+    settings = dict(mode=args.mode, out_dir="runs", force=False, delta=1.0)
     settings.update(MODE_DEFAULTS[args.mode])
 
     if args.config:

@@ -114,16 +114,6 @@ def sector_spectra(params: ModelParams) -> tuple[Spectrum, Spectrum]:
     return eig_tridiagonal(even), eig_tridiagonal(odd)
 
 
-def embed_sector_vector(vector: np.ndarray, index_map: np.ndarray, dim: int,
-                        phi: float = 0.0) -> np.ndarray:
-    """Lift a sector vector onto the full Fock basis and apply gauge phases."""
-    full = np.zeros(dim, dtype=complex)
-    full[index_map] = vector
-    if phi != 0.0:
-        full = apply_gauge_phases(full, phi)
-    return full
-
-
 def ground_state(params: ModelParams) -> GroundState:
     """Ground state over both parity sectors.
 
@@ -141,8 +131,9 @@ def ground_state(params: ModelParams) -> GroundState:
     else:
         parity, spec, block = "even", spec_e, even
 
-    vec = spec.eigenvectors[:, 0]
-    full = embed_sector_vector(vec, block.index_map, params.dim, params.phi)
+    full = np.zeros(params.dim, dtype=complex)
+    full[block.index_map] = spec.eigenvectors[:, 0]
+    full = apply_gauge_phases(full, params.phi)
     tail = tail_weight(full)
     return GroundState(
         energy=float(spec.eigenvalues[0]),

@@ -12,7 +12,7 @@ import json
 from pathlib import Path
 
 from .errors import SchemaError
-from .sweep import PHASE_DIAGRAM_COLUMNS, QGT_COLUMNS, read_csv
+from .sweep import PHASE_DIAGRAM_COLUMNS, QGT_COLUMNS, atomic_write_text, read_csv
 
 _PHASE_SCRIPT = '''"""Phase diagram: order parameter rho over the (eps, phi) grid."""
 import csv
@@ -239,7 +239,7 @@ def emit_plots(out_dir) -> list[Path]:
     if phase.exists():
         _check_csv_schema(phase, PHASE_DIAGRAM_COLUMNS)
         target = out / "plot_phase_diagram.py"
-        target.write_text(_PHASE_SCRIPT)
+        atomic_write_text(target, _PHASE_SCRIPT)
         written.append(target)
 
     qgt = out / "qgt.csv"
@@ -256,7 +256,7 @@ def emit_plots(out_dir) -> list[Path]:
                              ("plot_scaling_fits.py", _FITS_SCRIPT),
                              ("plot_curvature.py", _CURVATURE_SCRIPT)]:
             target = out / name
-            target.write_text(script)
+            atomic_write_text(target, script)
             written.append(target)
 
     k0 = out / "k0_report.json"
@@ -265,7 +265,7 @@ def emit_plots(out_dir) -> list[Path]:
                            ["ncut_list", "g_ee", "f_ep", "nbar",
                             "nbar_pair_sizes", "nbar_pair_slopes"])
         target = out / "plot_k0.py"
-        target.write_text(_K0_SCRIPT)
+        atomic_write_text(target, _K0_SCRIPT)
         written.append(target)
 
     return written

@@ -24,14 +24,13 @@ from .eigensolver import (
     RESIDUAL_BOUND,
     _tridiagonal_multiply,
     eig_tridiagonal,
-    embed_sector_vector,
 )
 from .errors import EigenConvergenceError, GapError
 from .model import (
     ModelParams,
     pair_coupling,
     parity_blocks,
-    tail_weight,
+    TAIL_LEVELS,
     TAIL_TOLERANCE,
 )
 
@@ -172,14 +171,15 @@ def qgt_spectral(params: ModelParams) -> QGTResult:
     var_n = float(np.sum(levels.astype(float) ** 2 * weights)) - mean_n**2
     q_ep = 0.5j * float(y @ (levels * u0))
     q = np.array([[float(y @ y), q_ep], [np.conj(q_ep), var_n / 4.0]])
-    tail = tail_weight(embed_sector_vector(u0, levels, params.dim))
+    tail = float(np.sum(u0[levels > params.n_cut - TAIL_LEVELS] ** 2))
     return QGTResult(q=q, gap=gap, method="spectral", params=params,
                      mean_n=mean_n, var_n=var_n, tail_weight=tail,
                      cutoff_warning=bool(tail > TAIL_TOLERANCE))
 
 
 def _even_ground_family(params: ModelParams):
-    """State map (eps, phi) -> even ground vector, caching the eps solves."""
+    """State map (eps, phi) -> gauge-phased even-sector ground vector, caching
+    the eps solves."""
     cache: dict[float, tuple[np.ndarray, np.ndarray]] = {}
 
     def state(eps: float, phi: float) -> np.ndarray:
@@ -188,7 +188,7 @@ def _even_ground_family(params: ModelParams):
             block, spec = _even_solution(params.replace(eps=key, phi=0.0))
             cache[key] = (spec.eigenvectors[:, 0], block.index_map)
         vec, levels = cache[key]
-        return embed_sector_vector(vec, levels, params.dim, phi)
+        return vec * np.exp(-0.5j * levels * phi)
 
     return state
 

@@ -367,18 +367,9 @@ def _point(size: float, eps: float, n_cut: int, delta: float) -> QGTResult:
 
 
 def sweep_family(sizes: Sequence[float], eps_grid: np.ndarray, n_cut: int,
-                 delta: float = 1.0,
-                 point_map: Callable | None = None) -> list[list[QGTResult]]:
-    """Evaluate the spectral tensor on sizes x eps_grid, optionally in parallel.
-
-    point_map(func, items) may be an ordered parallel mapper; results keep
-    grid order either way.
-    """
-    tasks = [(L, e) for L in sizes for e in eps_grid]
-    fn = lambda t: _point(t[0], t[1], n_cut, delta)
-    results = list(point_map(fn, tasks)) if point_map is not None else [fn(t) for t in tasks]
-    n = len(eps_grid)
-    return [results[i * n:(i + 1) * n] for i in range(len(sizes))]
+                 delta: float = 1.0) -> list[list[QGTResult]]:
+    """Evaluate the spectral tensor on sizes x eps_grid, one row per size."""
+    return [[_point(L, e, n_cut, delta) for e in eps_grid] for L in sizes]
 
 
 def scaling_pipeline(sizes: Sequence[float] = DEFAULT_SIZES,
@@ -386,8 +377,7 @@ def scaling_pipeline(sizes: Sequence[float] = DEFAULT_SIZES,
                      delta: float = 1.0,
                      peak_bracket: tuple[float, float] = DEFAULT_PEAK_BRACKET,
                      collapse_window: tuple[float, float] = DEFAULT_COLLAPSE_WINDOW,
-                     collapse_step: float = DEFAULT_COLLAPSE_STEP,
-                     point_map: Callable | None = None) -> ScalingReport:
+                     collapse_step: float = DEFAULT_COLLAPSE_STEP) -> ScalingReport:
     """Full finite-size-scaling analysis at the given sizes.
 
     Stages: per-size peak location of g_ee, critical-point extrapolation,
@@ -435,7 +425,7 @@ def scaling_pipeline(sizes: Sequence[float] = DEFAULT_SIZES,
 
     eps_grid = np.arange(collapse_window[0], collapse_window[1] + collapse_step / 2,
                          collapse_step)
-    grid_results = sweep_family(sizes_kept, eps_grid, n_cut, delta, point_map)
+    grid_results = sweep_family(sizes_kept, eps_grid, n_cut, delta)
     flagged = [(L, e) for L, row in zip(sizes_kept, grid_results)
                for e, r in zip(eps_grid, row) if r.cutoff_warning]
     if flagged:
@@ -534,8 +524,7 @@ def k0_pipeline(ncut_list: Sequence[int] = DEFAULT_K0_CUTOFFS,
                 sizes: Sequence[float] = DEFAULT_SIZES,
                 delta: float = 1.0,
                 scaling: ScalingReport | None = None,
-                n_cut: int = DEFAULT_N_CUT,
-                point_map: Callable | None = None) -> K0Report:
+                n_cut: int = DEFAULT_N_CUT) -> K0Report:
     """Cutoff scaling of the tensor at the K=0 critical drive eps = 1.
 
     Without Kerr nonlinearity the truncation itself plays the role of the
@@ -548,8 +537,7 @@ def k0_pipeline(ncut_list: Sequence[int] = DEFAULT_K0_CUTOFFS,
     if len(ncut_list) < 5:
         raise FitError("the cutoff study needs at least 5 cutoffs")
     if scaling is None:
-        scaling = scaling_pipeline(sizes=sizes, n_cut=n_cut, delta=delta,
-                                   point_map=point_map)
+        scaling = scaling_pipeline(sizes=sizes, n_cut=n_cut, delta=delta)
 
     points = [qgt_spectral(ModelParams(delta=delta, kerr=0.0, eps=1.0, n_cut=nc))
               for nc in ncut_list]

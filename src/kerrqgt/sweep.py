@@ -1,23 +1,21 @@
-"""Parameter sweeps with parallel execution, CSV/JSON persistence and manifests.
+"""Parameter sweeps with CSV/JSON persistence and manifests.
 
-Work units are single grid points (pure functions of their parameters); a
-fixed-size thread pool maps over them and results are merged in grid order, so
-output files are byte-identical for any worker count.  Every file is written
-to a temporary name and renamed atomically; the manifest is written last, so
-its presence certifies a completed run.
+Work units are single grid points (pure functions of their parameters),
+evaluated in grid order.  Every file is written to a temporary name and
+renamed atomically; the manifest is written last, so its presence certifies a
+completed run.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import datetime
 import hashlib
 import json
 import os
 import tempfile
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, fields
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -130,18 +128,10 @@ def write_csv(path: Path, columns: Sequence[str], rows: Iterable[Sequence]) -> N
 
 def read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
     lines = path.read_text().strip().splitlines()
+    if not lines:
+        raise SchemaError(f"{path.name} is empty")
     header = lines[0].split(",")
     return header, [line.split(",") for line in lines[1:]]
-
-
-# ---------------------------------------------------------------------------
-# Parallel mapping (ordered, deterministic)
-
-def ordered_parallel_map(fn: Callable, items: Sequence, threads: int) -> list:
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +139,7 @@ def ordered_parallel_map(fn: Callable, items: Sequence, threads: int) -> list:
 
 # How a run executes, not what it computes: echoed into the manifest but left
 # out of its identity, so changing them alone never forces a recompute.
-RUN_ONLY_FIELDS = ("out_dir", "threads", "force")
+RUN_ONLY_FIELDS = ("out_dir", "force")
 
 
 @dataclass(frozen=True)
@@ -158,7 +148,6 @@ class SweepConfig:
 
     mode: str
     out_dir: str
-    threads: int = 1
     force: bool = False
     delta: float = 1.0
     n_cut: int = DEFAULT_N_CUT
@@ -179,8 +168,6 @@ class SweepConfig:
     ec_range: tuple | None = None
 
     def __post_init__(self):
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
         if self.method not in ("spectral", "fd", "both"):
             raise ValueError(f"unknown method {self.method!r}")
         for rng in (self.eps_range, self.phi_range):
@@ -281,7 +268,7 @@ def run_phase_diagram(config: SweepConfig) -> list[Path]:
         gs = ground_state(params)
         return mean_photon(gs.fock_vector), "cutoff" if gs.cutoff_warning else ""
 
-    solved = ordered_parallel_map(work, list(eps_grid), config.threads)
+    solved = [work(eps) for eps in eps_grid]
     rows = [(eps, phi, config.size, config.n_cut, n_mean, n_mean / config.size, warn)
             for eps, (n_mean, warn) in zip(eps_grid, solved) for phi in phi_grid]
     warnings = [f"cutoff-inadequate point: eps={r[0]:g} phi={r[1]:g}"
@@ -330,7 +317,7 @@ def run_qgt_sweep(config: SweepConfig) -> list[Path]:
                 failures.append(f"L={size:g} eps={eps:g} (fd): {exc}")
         return rows, failures
 
-    results = ordered_parallel_map(work, points, config.threads)
+    results = [work(point) for point in points]
     rows = [row for point_rows, _ in results for row in point_rows]
     warnings = [msg for _, failures in results for msg in failures]
     warnings += [f"cutoff-inadequate point: L={r[0]:g} eps={r[1]:g}"
@@ -341,6 +328,14 @@ def run_qgt_sweep(config: SweepConfig) -> list[Path]:
     return [csv_path]
 
 
+def _scaling_report(config: SweepConfig) -> ScalingReport:
+    return scaling_pipeline(
+        sizes=config.sizes, n_cut=config.n_cut, delta=config.delta,
+        peak_bracket=tuple(config.peak_bracket),
+        collapse_window=tuple(config.collapse_window),
+        collapse_step=config.collapse_step)
+
+
 def run_scaling(config: SweepConfig) -> list[Path]:
     """Full scaling analysis; the JSON report carries the curve families."""
     setup = _prepare(config)
@@ -348,12 +343,7 @@ def run_scaling(config: SweepConfig) -> list[Path]:
         return []
     out, started = setup
 
-    mapper = lambda fn, items: ordered_parallel_map(fn, items, config.threads)
-    report = scaling_pipeline(
-        sizes=config.sizes, n_cut=config.n_cut, delta=config.delta,
-        peak_bracket=tuple(config.peak_bracket),
-        collapse_window=tuple(config.collapse_window),
-        collapse_step=config.collapse_step, point_map=mapper)
+    report = _scaling_report(config)
     path = out / SCALING_REPORT_NAME
     atomic_write_text(path, dumps_json(report.to_dict()))
     _write_manifest(out, config, started, list(report.diagnostics["warnings"]), [path])
@@ -361,15 +351,13 @@ def run_scaling(config: SweepConfig) -> list[Path]:
 
 
 def load_scaling_report(path: Path) -> ScalingReport:
-    data = json.loads(Path(path).read_text())
-    return ScalingReport(
-        eps_c_star=data["eps_c_star"], fit_a=data["fit_a"], fit_b=data["fit_b"],
-        nu=data["nu"], delta_ee=data["delta_ee"], delta_pp=data["delta_pp"],
-        delta_ep=data["delta_ep"], delta_eps=data["delta_eps"],
-        delta_phi=data["delta_phi"],
-        collapse_quality_gee=data["collapse_quality_gee"],
-        collapse_quality_fep=data["collapse_quality_fep"],
-        diagnostics=data["diagnostics"])
+    path = Path(path)
+    data = json.loads(path.read_text())
+    keys = [f.name for f in fields(ScalingReport)]
+    for key in keys:
+        if key not in data:
+            raise SchemaError(f"{path.name} is missing required key {key!r}")
+    return ScalingReport(**{key: data[key] for key in keys})
 
 
 def run_k0(config: SweepConfig) -> list[Path]:
@@ -392,16 +380,10 @@ def run_k0(config: SweepConfig) -> list[Path]:
                 and diag.get("peak_bracket") == [float(b) for b in config.peak_bracket]):
             scaling = candidate
 
-    mapper = lambda fn, items: ordered_parallel_map(fn, items, config.threads)
     if scaling is None:
-        scaling = scaling_pipeline(
-            sizes=config.sizes, n_cut=config.n_cut, delta=config.delta,
-            peak_bracket=tuple(config.peak_bracket),
-            collapse_window=tuple(config.collapse_window),
-            collapse_step=config.collapse_step, point_map=mapper)
+        scaling = _scaling_report(config)
     report = k0_pipeline(ncut_list=config.ncut_list, sizes=config.sizes,
-                         delta=config.delta, scaling=scaling,
-                         n_cut=config.n_cut, point_map=mapper)
+                         delta=config.delta, scaling=scaling, n_cut=config.n_cut)
     path = out / K0_REPORT_NAME
     atomic_write_text(path, dumps_json(report.to_dict()))
     warnings = ["a power-law fit has r^2 < 0.99"] if report.flagged else []

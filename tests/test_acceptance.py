@@ -27,7 +27,7 @@ from kerrqgt import (
     squeezed_vacuum_fock,
     superradiant_phase,
 )
-from kerrqgt.sweep import SweepConfig, ordered_parallel_map, run_scaling
+from kerrqgt.cli import main
 from kerrqgt.scaling import CurveFamily
 from reference import qgt_sum_over_states
 
@@ -47,9 +47,8 @@ def _report(name, checks):
 
 @pytest.fixture(scope="module")
 def report():
-    mapper = lambda fn, items: ordered_parallel_map(fn, items, 4)
     start = time.time()
-    rep = scaling_pipeline(point_map=mapper)
+    rep = scaling_pipeline()
     _timings["scaling"] = time.time() - start
     return rep
 
@@ -256,11 +255,10 @@ def test_criterion_7_determinism(tmp_path):
     outputs = {}
     for threads in (1, 4):
         out = tmp_path / f"threads{threads}"
-        cfg = SweepConfig(mode="scaling", out_dir=str(out), threads=threads,
-                          sizes=(40, 50, 60, 70, 85), n_cut=200,
-                          peak_bracket=(1.05, 1.45), collapse_window=(1.05, 1.40),
-                          collapse_step=2e-3)
-        run_scaling(cfg)
+        assert main(["scaling", "--out", str(out), "--L-list", "40,50,60,70,85",
+                     "--ncut", "200", "--bracket", "1.05:1.45",
+                     "--eps-window", "1.05:1.40", "--eps-step", "0.002",
+                     "--threads", str(threads)]) == 0
         outputs[threads] = (out / "scaling_report.json").read_bytes()
     identical = outputs[1] == outputs[4]
     _report("7 determinism", [

@@ -12,7 +12,6 @@ import pytest
 import kerrqgt
 import kerrqgt.eigensolver
 import kerrqgt.scaling
-import kerrqgt.sweep
 from kerrqgt import ModelParams, parity_blocks
 
 
@@ -47,5 +46,4 @@ def test_traced_kernels_call_eig_tridiagonal(eig_calls, kernel):
 
 
 def test_pool_and_pipeline_names_exist():
-    assert callable(kerrqgt.sweep.ordered_parallel_map)
     assert callable(kerrqgt.scaling.scaling_pipeline)

@@ -14,7 +14,7 @@ from kerrqgt import (
     parity_blocks,
     qgt_spectral,
 )
-from kerrqgt.eigensolver import DEGENERACY_TOLERANCE, embed_sector_vector
+from kerrqgt.eigensolver import DEGENERACY_TOLERANCE
 from reference import full_spectrum, qgt_sum_over_states
 
 RELATIVE = 1e-9
@@ -66,7 +66,9 @@ def _full_ground_state(p):
         parity, spec, block = "odd", spec_o, odd
     else:
         parity, spec, block = "even", spec_e, even
-    vector = embed_sector_vector(spec.eigenvectors[:, 0], block.index_map, p.dim, p.phi)
+    vector = np.zeros(p.dim, dtype=complex)
+    vector[block.index_map] = spec.eigenvectors[:, 0]
+    vector *= np.exp(-0.5j * np.arange(p.dim) * p.phi)
     return parity, spec, vector, scale
 
 
@@ -79,6 +81,21 @@ def test_ground_state_matches_full_spectrum(p):
     assert abs(gs.energy - spec.eigenvalues[0]) <= 1e-12 * scale
     assert _close(gs.gap, spec.eigenvalues[1] - spec.eigenvalues[0])
     assert abs(abs(np.vdot(vector, gs.fock_vector)) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("p", [
+    ModelParams.from_size(150, 0.5, n_cut=60),
+    ModelParams.from_size(150, 0.97, phi=0.7, n_cut=400),
+    ModelParams.from_size(150, 1.4, phi=1.3, n_cut=400),
+    ModelParams.from_size(300, 1.2, n_cut=120),
+    # cutoff warning: the condensate reaches the last retained levels
+    ModelParams.from_size(2000, 1.3, phi=0.4, n_cut=400),
+], ids=_label)
+def test_kernel_tail_weight_matches_ground_state(p):
+    tensor, gs = qgt_spectral(p), ground_state(p)
+    assert gs.parity == "even"
+    assert tensor.tail_weight == pytest.approx(gs.tail_weight, rel=1e-14, abs=0.0)
+    assert tensor.cutoff_warning == gs.cutoff_warning
 
 
 def test_selective_spectrum_matches_full():

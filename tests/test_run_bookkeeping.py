@@ -10,7 +10,9 @@ import pytest
 
 import kerrqgt.qgt
 import kerrqgt.sweep as sweep
+from kerrqgt.cli import main
 from kerrqgt.errors import StepSizeError
+from kerrqgt.plots import emit_plots
 from kerrqgt.scaling import K0Report
 from kerrqgt.sweep import (
     SweepConfig,
@@ -89,6 +91,19 @@ def test_atomic_write_cleans_up_on_failure(tmp_path, monkeypatch):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.json"]
 
 
+def test_plot_scripts_written_atomically(tmp_path, monkeypatch):
+    (tmp_path / "phase_diagram.csv").write_text(
+        ",".join(sweep.PHASE_DIAGRAM_COLUMNS) + "\n0,0,10,20,0,0,\n")
+
+    def failing_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(sweep.os, "replace", failing_replace)
+    with pytest.raises(OSError, match="disk full"):
+        emit_plots(tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["phase_diagram.csv"]
+
+
 @pytest.mark.parametrize("shared", [False, True], ids=["own-files", "one-file"])
 def test_concurrent_writers_do_not_collide(tmp_path, shared):
     names = ["shared.txt" if shared else f"file_{i}.txt" for i in range(4)]
@@ -124,20 +139,23 @@ K0_BASE = dict(sizes=(40, 50, 60, 70, 85), n_cut=200, peak_bracket=(1.05, 1.45),
                ncut_list=(60, 84, 120, 170, 240))
 
 
-def test_thread_count_alone_does_not_recompute(tmp_path):
-    cfg = _qgt_config(tmp_path)
-    assert run_qgt_sweep(cfg)
+def test_thread_count_alone_does_not_recompute(tmp_path, capsys):
+    argv = ["qgt", "--out", str(tmp_path), "--L-list", "60", "--eps", "0.5:0.9:2",
+            "--ncut", "160"]
+    assert main(argv + ["--threads", "1"]) == 0
+    assert "wrote" in capsys.readouterr().out
     manifest = (tmp_path / "manifest_qgt.json").read_bytes()
-    assert run_qgt_sweep(dataclasses.replace(cfg, threads=2)) == []
+    assert main(argv + ["--threads", "2"]) == 0
+    assert "are current" in capsys.readouterr().out
     assert (tmp_path / "manifest_qgt.json").read_bytes() == manifest
 
 
 def test_plain_rerun_after_force_is_a_no_op(tmp_path):
     cfg = _qgt_config(tmp_path)
     run_qgt_sweep(cfg)
-    assert run_qgt_sweep(dataclasses.replace(cfg, force=True, threads=2))
+    assert run_qgt_sweep(dataclasses.replace(cfg, force=True))
     echoed = json.loads((tmp_path / "manifest_qgt.json").read_text())["config"]
-    assert echoed["force"] is True and echoed["threads"] == 2
+    assert echoed["force"] is True
     assert run_qgt_sweep(cfg) == []
 
 

@@ -52,7 +52,7 @@ def test_parse_helpers():
 
 
 def test_phase_diagram_run(tmp_path):
-    cfg = SweepConfig(mode="phase-diagram", out_dir=str(tmp_path), threads=2,
+    cfg = SweepConfig(mode="phase-diagram", out_dir=str(tmp_path),
                       size=200.0, n_cut=160, eps_range=(0.0, 1.2, 7),
                       phi_range=(0.0, np.pi, 4))
     files = run_phase_diagram(cfg)
@@ -76,7 +76,7 @@ def test_phase_diagram_solves_once_per_eps(tmp_path, monkeypatch):
     monkeypatch.setattr(sweep, "ground_state",
                         lambda params: solved.append(params) or ground_state(params))
     size, n_cut = 200.0, 160
-    cfg = SweepConfig(mode="phase-diagram", out_dir=str(tmp_path), threads=2,
+    cfg = SweepConfig(mode="phase-diagram", out_dir=str(tmp_path),
                       size=size, n_cut=n_cut, eps_range=(0.0, 1.2, 7),
                       phi_range=(0.0, 2.0 * np.pi, 5))
     _, rows = read_csv(run_phase_diagram(cfg)[0])
@@ -121,12 +121,34 @@ def test_qgt_sweep_rows_and_methods(tmp_path):
 
 def test_qgt_sweep_thread_determinism(tmp_path):
     out1, out4 = tmp_path / "t1", tmp_path / "t4"
-    for out, threads in ((out1, 1), (out4, 4)):
-        cfg = SweepConfig(mode="qgt", out_dir=str(out), threads=threads,
-                          sizes=(60, 80, 100), eps_range=(0.8, 1.3, 5),
-                          phi=0.0, method="spectral", n_cut=200)
-        run_qgt_sweep(cfg)
+    for out, threads in ((out1, "1"), (out4, "4")):
+        assert main(["qgt", "--out", str(out), "--threads", threads,
+                     "--L-list", "60,80,100", "--eps", "0.8:1.3:5", "--phi", "0",
+                     "--method", "spectral", "--ncut", "200"]) == 0
     assert (out1 / "qgt.csv").read_bytes() == (out4 / "qgt.csv").read_bytes()
+
+
+def test_cli_starts_no_thread_pool(tmp_path, monkeypatch):
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise RuntimeError("a sweep started a thread pool")
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+    small_scaling = ["--L-list", "40,50,60,70,85", "--ncut", "200"]
+    for argv in (
+        ["phase-diagram", "--L", "200", "--ncut", "160", "--eps", "0:1.2:4",
+         "--phi", "0:3:2"],
+        ["qgt", "--L-list", "60,80", "--eps", "0.5:0.9:2", "--method", "both",
+         "--ncut", "160"],
+        ["scaling", *small_scaling, "--bracket", "1.05:1.45",
+         "--eps-window", "1.05:1.40", "--eps-step", "0.002"],
+        ["k0", *small_scaling, "--ncut-list", "60,84,120,170,240"],
+    ):
+        assert main([*argv, "--out", str(tmp_path / argv[0]), "--threads", "4"]) == 0
+    for output in ("phase-diagram/phase_diagram.csv", "qgt/qgt.csv",
+                   "scaling/scaling_report.json", "k0/k0_report.json"):
+        assert (tmp_path / output).exists()
 
 
 def test_scaling_run_manifest_and_idempotence(tmp_path):
@@ -219,6 +241,23 @@ def test_cli_config_file_and_override(tmp_path):
     header, rows = read_csv(tmp_path / "a" / "qgt.csv")
     assert all(float(r[2]) == 0.4 for r in rows)  # CLI overrides config file
     assert len(rows) == 4
+
+
+def test_emit_plots_empty_csv_schema_error(tmp_path):
+    (tmp_path / "phase_diagram.csv").write_text("")
+    with pytest.raises(SchemaError, match="phase_diagram.csv is empty"):
+        emit_plots(tmp_path)
+
+
+def test_collapse_input_missing_key_schema_error(tmp_path):
+    keys = ["eps_c_star", "fit_a", "fit_b", "nu", "delta_ee", "delta_pp", "delta_ep",
+            "delta_eps", "delta_phi", "collapse_quality_gee", "collapse_quality_fep"]
+    report = {key: 1.0 for key in keys if key != "fit_a"}
+    report["diagnostics"] = {}
+    source = tmp_path / "report.json"
+    source.write_text(json.dumps(report))
+    with pytest.raises(SchemaError, match="missing required key 'fit_a'"):
+        main(["collapse", "--out", str(tmp_path / "c"), "--input", str(source)])
 
 
 def test_emit_plots_schema_error(tmp_path):
