@@ -1,9 +1,11 @@
-"""Command-line interface for the sweep runners.
+"""Command-line interface: one subcommand per sweep mode, plus plots.
 
-Subcommands: phase-diagram, qgt, scaling, collapse, k0, plots.  Options may
-also come from a JSON config file (--config); explicit command-line flags
-take precedence over file entries, which take precedence over built-in
-defaults.
+Subcommands: phase-diagram, qgt, scaling, collapse, k0, plots.  Each
+subcommand but ``plots`` builds a SweepConfig whose mode is the subcommand and
+hands it to ``sweep.run``.  Options may also come from a JSON config file
+(--config); explicit command-line flags take precedence over file entries,
+which take precedence over built-in defaults.  A file whose ``mode`` names
+another subcommand is rejected.
 """
 
 from __future__ import annotations
@@ -13,50 +15,11 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .plots import emit_plots
-from .scaling import (
-    DEFAULT_COLLAPSE_STEP,
-    DEFAULT_COLLAPSE_WINDOW,
-    DEFAULT_K0_CUTOFFS,
-    DEFAULT_N_CUT,
-    DEFAULT_PEAK_BRACKET,
-    DEFAULT_SIZES,
-)
-from .sweep import (
-    SweepConfig,
-    run_collapse,
-    run_k0,
-    run_phase_diagram,
-    run_qgt_sweep,
-    run_scaling,
-)
+from .sweep import SweepConfig, run
 
-MODE_DEFAULTS = {
-    "phase-diagram": dict(size=2000.0, eps_range=(0.0, 1.5, 31),
-                          phi_range=(0.0, 2.0 * np.pi, 24), n_cut=DEFAULT_N_CUT),
-    "qgt": dict(sizes=DEFAULT_SIZES, eps_range=(0.95, 1.06, 23), phi=0.0,
-                method="spectral", n_cut=DEFAULT_N_CUT),
-    "scaling": dict(sizes=DEFAULT_SIZES, n_cut=DEFAULT_N_CUT,
-                    peak_bracket=DEFAULT_PEAK_BRACKET,
-                    collapse_window=DEFAULT_COLLAPSE_WINDOW,
-                    collapse_step=DEFAULT_COLLAPSE_STEP),
-    "k0": dict(ncut_list=DEFAULT_K0_CUTOFFS, sizes=DEFAULT_SIZES, n_cut=DEFAULT_N_CUT,
-               peak_bracket=DEFAULT_PEAK_BRACKET,
-               collapse_window=DEFAULT_COLLAPSE_WINDOW,
-               collapse_step=DEFAULT_COLLAPSE_STEP),
-    "collapse": dict(observable="g_ee", nu_range=(1.2, 1.9)),
-    "plots": dict(),
-}
-
-RUNNERS = {
-    "phase-diagram": run_phase_diagram,
-    "qgt": run_qgt_sweep,
-    "scaling": run_scaling,
-    "k0": run_k0,
-    "collapse": run_collapse,
-}
+# Built-in defaults that differ from SweepConfig's own.
+MODE_DEFAULTS = {"qgt": dict(eps_range=(0.95, 1.06, 23))}
 
 
 def parse_range(text: str) -> tuple:
@@ -149,11 +112,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def assemble_config(args: argparse.Namespace) -> SweepConfig:
-    settings = dict(mode=args.mode, out_dir="runs", force=False, delta=1.0)
-    settings.update(MODE_DEFAULTS[args.mode])
+    settings = dict(mode=args.mode, out_dir="runs")
+    settings.update(MODE_DEFAULTS.get(args.mode, {}))
 
     if args.config:
         loaded = json.loads(Path(args.config).read_text())
+        if loaded.get("mode", args.mode) != args.mode:
+            raise ValueError(f"config file {args.config} is for mode "
+                             f"{loaded['mode']!r}, not for {args.mode!r}")
         for key, value in loaded.items():
             settings[key] = tuple(value) if isinstance(value, list) else value
 
@@ -172,19 +138,15 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     config = assemble_config(args)
 
-    if args.mode == "plots":
+    if config.mode == "plots":
         written = emit_plots(config.out_dir)
         if not written:
             print(f"no plottable outputs found in {config.out_dir}")
-        for path in written:
-            print(f"wrote {path}")
-        return 0
-
-    runner = RUNNERS[args.mode]
-    written = runner(config)
-    if not written:
-        print(f"{args.mode}: outputs in {config.out_dir} are current "
-              f"(manifest verified); use --force to rerun")
+    else:
+        written = run(config)
+        if not written:
+            print(f"{config.mode}: outputs in {config.out_dir} are current "
+                  f"(manifest verified); use --force to rerun")
     for path in written:
         print(f"wrote {path}")
     return 0

@@ -1,7 +1,7 @@
 """Emission of self-contained matplotlib scripts for the standard figures.
 
-Each generated script reads only data files produced by the sweep runners
-(and listed in their manifests), revalidates its input schema, and saves a
+Each generated script reads only data files written by ``sweep.run`` (and
+listed in its manifests), revalidates its input schema, and saves a
 PNG next to the data.  Generation itself fails fast with SchemaError when an
 input file lacks a required column.
 """

@@ -158,7 +158,8 @@ def qgt_spectral(params: ModelParams) -> QGTResult:
     gap = float(spec.eigenvalues[1]) - e0
     if gap <= GAP_FLOOR * spec.scale:
         raise GapError(f"sector gap {gap:.3e} is below the floor "
-                       f"{GAP_FLOOR:g} x spectral scale {spec.scale:.3e}")
+                       f"{GAP_FLOOR:g} x spectral scale {spec.scale:.3e} at "
+                       f"eps={params.eps:g}, kerr={params.kerr:g}, n_cut={params.n_cut}")
     levels = block.index_map
 
     band = -(params.delta / 2.0) * pair_coupling(levels[:-1])

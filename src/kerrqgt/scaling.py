@@ -345,22 +345,6 @@ class ScalingReport:
     collapse_quality_fep: float
     diagnostics: dict = field(repr=False)
 
-    def to_dict(self) -> dict:
-        return {
-            "eps_c_star": self.eps_c_star,
-            "fit_a": self.fit_a,
-            "fit_b": self.fit_b,
-            "nu": self.nu,
-            "delta_ee": self.delta_ee,
-            "delta_pp": self.delta_pp,
-            "delta_ep": self.delta_ep,
-            "delta_eps": self.delta_eps,
-            "delta_phi": self.delta_phi,
-            "collapse_quality_gee": self.collapse_quality_gee,
-            "collapse_quality_fep": self.collapse_quality_fep,
-            "diagnostics": self.diagnostics,
-        }
-
 
 def _point(size: float, eps: float, n_cut: int, delta: float) -> QGTResult:
     return qgt_spectral(ModelParams.from_size(size, eps, n_cut=n_cut, delta=delta))
@@ -504,20 +488,6 @@ class K0Report:
     beta2_prime: float
     flagged: bool
     diagnostics: dict = field(repr=False)
-
-    def to_dict(self) -> dict:
-        return {
-            "gamma1": self.gamma1,
-            "gamma2": self.gamma2,
-            "alpha_exp": self.alpha_exp,
-            "delta_nbar": self.delta_nbar,
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-            "beta1_prime": self.beta1_prime,
-            "beta2_prime": self.beta2_prime,
-            "flagged": self.flagged,
-            "diagnostics": self.diagnostics,
-        }
 
 
 def k0_pipeline(ncut_list: Sequence[int] = DEFAULT_K0_CUTOFFS,

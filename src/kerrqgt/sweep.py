@@ -1,9 +1,11 @@
 """Parameter sweeps with CSV/JSON persistence and manifests.
 
-Work units are single grid points (pure functions of their parameters),
-evaluated in grid order.  Every file is written to a temporary name and
-renamed atomically; the manifest is written last, so its presence certifies a
-completed run.
+Every subcommand but ``plots`` goes through one entry point, ``run(config)``.
+The mode function named by ``config.mode`` in ``MODES`` computes the output
+texts, evaluating its grid points in grid order; ``run`` then writes each text
+to a temporary name and renames it atomically, and writes the manifest last,
+so its presence certifies a completed run.  A rerun whose manifest is current
+computes and writes nothing.
 """
 
 from __future__ import annotations
@@ -109,7 +111,7 @@ def sha256_file(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def write_csv(path: Path, columns: Sequence[str], rows: Iterable[Sequence]) -> None:
+def csv_text(columns: Sequence[str], rows: Iterable[Sequence]) -> str:
     lines = [",".join(columns)]
     for row in rows:
         cells = []
@@ -123,7 +125,7 @@ def write_csv(path: Path, columns: Sequence[str], rows: Iterable[Sequence]) -> N
             else:
                 cells.append(str(value))
         lines.append(",".join(cells))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 def read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
@@ -188,6 +190,10 @@ def _manifest_path(out: Path, mode: str) -> Path:
     return out / f"manifest_{mode}.json"
 
 
+def _utcnow() -> str:
+    return datetime.datetime.now(datetime.timezone.utc).isoformat()
+
+
 def _write_manifest(out: Path, config: SweepConfig, started: str,
                     warnings: list[str], outputs: list[Path]) -> Path:
     manifest = {
@@ -195,7 +201,7 @@ def _write_manifest(out: Path, config: SweepConfig, started: str,
         "version": __version__,
         "config": config.echo(),
         "started_at": started,
-        "finished_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+        "finished_at": _utcnow(),
         "warnings": warnings,
         "outputs": {p.name: sha256_file(p) for p in outputs},
     }
@@ -225,28 +231,33 @@ def manifest_is_current(out: Path, config: SweepConfig) -> bool:
     return True
 
 
-def _utcnow() -> str:
-    return datetime.datetime.now(datetime.timezone.utc).isoformat()
+def run(config: SweepConfig) -> list[Path]:
+    """Run ``config.mode`` into ``config.out_dir`` and return the files written.
 
-
-def _prepare(config: SweepConfig) -> tuple[Path, str] | None:
+    Returns [] without computing anything when the manifest is current (see
+    manifest_is_current) and ``config.force`` is not set.
+    """
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if not config.force and manifest_is_current(out, config):
-        return None
-    return out, _utcnow()
+        return []
+    started = _utcnow()
+    texts, warnings = MODES[config.mode](config, out)
+    for name, text in texts.items():
+        atomic_write_text(out / name, text)
+    paths = [out / name for name in texts]
+    _write_manifest(out, config, started, warnings, paths)
+    return paths
 
 
 # ---------------------------------------------------------------------------
-# Runners
+# Modes: each maps (config, out) to ({file name: text}, manifest warnings)
 
-def run_phase_diagram(config: SweepConfig) -> list[Path]:
+ModeResult = tuple[dict[str, str], list[str]]
+
+
+def _phase_diagram(config: SweepConfig, out: Path) -> ModeResult:
     """Order-parameter grid rho(eps, phi) at fixed effective size."""
-    setup = _prepare(config)
-    if setup is None:
-        return []
-    out, started = setup
-
     eps_grid = np.linspace(*config.eps_range[:2], int(config.eps_range[2]))
     phi_grid = np.linspace(*config.phi_range[:2], int(config.phi_range[2]))
     eps_max = float(np.max(eps_grid))
@@ -273,19 +284,11 @@ def run_phase_diagram(config: SweepConfig) -> list[Path]:
             for eps, (n_mean, warn) in zip(eps_grid, solved) for phi in phi_grid]
     warnings = [f"cutoff-inadequate point: eps={r[0]:g} phi={r[1]:g}"
                 for r in rows if r[6]]
-    csv_path = out / "phase_diagram.csv"
-    write_csv(csv_path, PHASE_DIAGRAM_COLUMNS, rows)
-    _write_manifest(out, config, started, warnings, [csv_path])
-    return [csv_path]
+    return {"phase_diagram.csv": csv_text(PHASE_DIAGRAM_COLUMNS, rows)}, warnings
 
 
-def run_qgt_sweep(config: SweepConfig) -> list[Path]:
+def _qgt(config: SweepConfig, out: Path) -> ModeResult:
     """Tensor components on a (size, eps) grid at fixed phi."""
-    setup = _prepare(config)
-    if setup is None:
-        return []
-    out, started = setup
-
     eps_grid = np.linspace(*config.eps_range[:2], int(config.eps_range[2]))
     points = [(L, e) for L in config.sizes for e in eps_grid]
     methods = {"spectral": ("spectral",), "fd": ("fd",),
@@ -322,10 +325,7 @@ def run_qgt_sweep(config: SweepConfig) -> list[Path]:
     warnings = [msg for _, failures in results for msg in failures]
     warnings += [f"cutoff-inadequate point: L={r[0]:g} eps={r[1]:g}"
                  for r in rows if r[11]]
-    csv_path = out / "qgt.csv"
-    write_csv(csv_path, QGT_COLUMNS, rows)
-    _write_manifest(out, config, started, warnings, [csv_path])
-    return [csv_path]
+    return {"qgt.csv": csv_text(QGT_COLUMNS, rows)}, warnings
 
 
 def _scaling_report(config: SweepConfig) -> ScalingReport:
@@ -336,18 +336,11 @@ def _scaling_report(config: SweepConfig) -> ScalingReport:
         collapse_step=config.collapse_step)
 
 
-def run_scaling(config: SweepConfig) -> list[Path]:
+def _scaling(config: SweepConfig, out: Path) -> ModeResult:
     """Full scaling analysis; the JSON report carries the curve families."""
-    setup = _prepare(config)
-    if setup is None:
-        return []
-    out, started = setup
-
     report = _scaling_report(config)
-    path = out / SCALING_REPORT_NAME
-    atomic_write_text(path, dumps_json(report.to_dict()))
-    _write_manifest(out, config, started, list(report.diagnostics["warnings"]), [path])
-    return [path]
+    return ({SCALING_REPORT_NAME: dumps_json(asdict(report))},
+            list(report.diagnostics["warnings"]))
 
 
 def load_scaling_report(path: Path) -> ScalingReport:
@@ -360,13 +353,8 @@ def load_scaling_report(path: Path) -> ScalingReport:
     return ScalingReport(**{key: data[key] for key in keys})
 
 
-def run_k0(config: SweepConfig) -> list[Path]:
-    """Cutoff-scaling study; reuses a matching scaling report when present."""
-    setup = _prepare(config)
-    if setup is None:
-        return []
-    out, started = setup
-
+def _k0(config: SweepConfig, out: Path) -> ModeResult:
+    """Cutoff-scaling study; reuses a matching scaling report in ``out``."""
     scaling = None
     existing = out / SCALING_REPORT_NAME
     if existing.exists():
@@ -384,11 +372,8 @@ def run_k0(config: SweepConfig) -> list[Path]:
         scaling = _scaling_report(config)
     report = k0_pipeline(ncut_list=config.ncut_list, sizes=config.sizes,
                          delta=config.delta, scaling=scaling, n_cut=config.n_cut)
-    path = out / K0_REPORT_NAME
-    atomic_write_text(path, dumps_json(report.to_dict()))
     warnings = ["a power-law fit has r^2 < 0.99"] if report.flagged else []
-    _write_manifest(out, config, started, warnings, [path])
-    return [path]
+    return {K0_REPORT_NAME: dumps_json(asdict(report))}, warnings
 
 
 def family_from_report(report: ScalingReport, observable: str) -> CurveFamily:
@@ -402,13 +387,8 @@ def family_from_report(report: ScalingReport, observable: str) -> CurveFamily:
                        observable=observable)
 
 
-def run_collapse(config: SweepConfig) -> list[Path]:
+def _collapse(config: SweepConfig, out: Path) -> ModeResult:
     """Collapse optimization on a stored curve family."""
-    setup = _prepare(config)
-    if setup is None:
-        return []
-    out, started = setup
-
     source = Path(config.input_path) if config.input_path else out / SCALING_REPORT_NAME
     report = load_scaling_report(source)
     family = family_from_report(report, config.observable)
@@ -432,8 +412,14 @@ def run_collapse(config: SweepConfig) -> list[Path]:
         "boundary_warning": optimum.boundary_warning,
         "source": source.name,
     }
-    path = out / f"collapse_{config.observable}.json"
-    atomic_write_text(path, dumps_json(payload))
-    warn = ["collapse optimum at a search boundary"] if optimum.boundary_warning else []
-    _write_manifest(out, config, started, warn, [path])
-    return [path]
+    warnings = ["collapse optimum at a search boundary"] if optimum.boundary_warning else []
+    return {f"collapse_{config.observable}.json": dumps_json(payload)}, warnings
+
+
+MODES = {
+    "phase-diagram": _phase_diagram,
+    "qgt": _qgt,
+    "scaling": _scaling,
+    "k0": _k0,
+    "collapse": _collapse,
+}

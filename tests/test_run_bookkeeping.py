@@ -1,5 +1,6 @@
-"""Run bookkeeping: which errors drop a grid point, atomic writes, manifest
-identity under reruns, and reuse of a prior scaling report by the k0 study."""
+"""Run bookkeeping: which errors drop a grid point, atomic writes and their
+order, manifest identity under reruns, and reuse of a prior scaling report by
+the k0 study."""
 
 import dataclasses
 import json
@@ -19,8 +20,7 @@ from kerrqgt.sweep import (
     atomic_write_text,
     manifest_is_current,
     read_csv,
-    run_k0,
-    run_qgt_sweep,
+    run,
 )
 
 
@@ -35,7 +35,7 @@ def _manifest_warnings(out, mode):
 
 def test_gap_error_drops_point_with_warning(tmp_path, monkeypatch):
     monkeypatch.setattr(kerrqgt.qgt, "GAP_FLOOR", 1.0)
-    files = run_qgt_sweep(_qgt_config(tmp_path))
+    files = run(_qgt_config(tmp_path))
     assert read_csv(files[0])[1] == []
     warnings = _manifest_warnings(tmp_path, "qgt")
     assert len(warnings) == 2
@@ -47,7 +47,7 @@ def test_step_size_error_drops_fd_row_only(tmp_path, monkeypatch):
         raise StepSizeError("overlap distance below the precision floor")
 
     monkeypatch.setattr(sweep, "metric_overlap", too_small)
-    files = run_qgt_sweep(_qgt_config(tmp_path, method="both"))
+    files = run(_qgt_config(tmp_path, method="both"))
     rows = read_csv(files[0])[1]
     assert [r[4] for r in rows] == ["spectral", "spectral"]
     warnings = _manifest_warnings(tmp_path, "qgt")
@@ -61,7 +61,7 @@ def test_programming_errors_propagate(tmp_path, monkeypatch, target):
 
     monkeypatch.setattr(sweep, target, broken)
     with pytest.raises(TypeError, match="unsupported operand"):
-        run_qgt_sweep(_qgt_config(tmp_path, method="both"))
+        run(_qgt_config(tmp_path, method="both"))
     assert not (tmp_path / "qgt.csv").exists()
     assert not (tmp_path / "manifest_qgt.json").exists()
 
@@ -152,17 +152,17 @@ def test_thread_count_alone_does_not_recompute(tmp_path, capsys):
 
 def test_plain_rerun_after_force_is_a_no_op(tmp_path):
     cfg = _qgt_config(tmp_path)
-    run_qgt_sweep(cfg)
-    assert run_qgt_sweep(dataclasses.replace(cfg, force=True))
+    run(cfg)
+    assert run(dataclasses.replace(cfg, force=True))
     echoed = json.loads((tmp_path / "manifest_qgt.json").read_text())["config"]
     assert echoed["force"] is True
-    assert run_qgt_sweep(cfg) == []
+    assert run(cfg) == []
 
 
 def test_manifest_identity_ignores_out_dir_but_not_physics(tmp_path):
     first = tmp_path / "first"
     cfg = _qgt_config(first)
-    run_qgt_sweep(cfg)
+    run(cfg)
     moved = tmp_path / "moved"
     shutil.copytree(first, moved)
     assert manifest_is_current(moved, dataclasses.replace(cfg, out_dir=str(moved)))
@@ -213,13 +213,41 @@ def k0_spies(monkeypatch):
 
 def test_k0_recomputes_report_with_other_peak_bracket(tmp_path, k0_spies):
     _write_report(tmp_path, peak_bracket=[0.99, 1.40])
-    run_k0(SweepConfig(mode="k0", out_dir=str(tmp_path), **K0_BASE))
+    run(SweepConfig(mode="k0", out_dir=str(tmp_path), **K0_BASE))
     assert k0_spies["scaling"] == ["rebuilt"]
     assert k0_spies["rebuilt"][0]["peak_bracket"] == K0_BASE["peak_bracket"]
 
 
 def test_k0_reuses_report_with_other_collapse_grid(tmp_path, k0_spies):
     _write_report(tmp_path, collapse_step=4e-3, collapse_window=[0.95, 1.06])
-    run_k0(SweepConfig(mode="k0", out_dir=str(tmp_path), **K0_BASE))
+    run(SweepConfig(mode="k0", out_dir=str(tmp_path), **K0_BASE))
     assert k0_spies["scaling"] == ["on disk"]
     assert k0_spies["rebuilt"] == []
+
+
+# ---------------------------------------------------------------------------
+# Write order of run(), every mode at small sizes; k0 and collapse read a
+# scaling report made beforehand in the same directory
+
+SMALL_RUNS = {
+    "phase-diagram": dict(size=200.0, n_cut=160, eps_range=(0.0, 1.2, 4),
+                          phi_range=(0.0, 3.0, 2)),
+    "qgt": dict(sizes=(60,), eps_range=(0.5, 0.9, 2), method="both", n_cut=160),
+    "scaling": {k: v for k, v in K0_BASE.items() if k != "ncut_list"},
+    "k0": K0_BASE,
+    "collapse": {},
+}
+
+
+@pytest.mark.parametrize("mode", list(SMALL_RUNS))
+def test_run_writes_manifest_last(tmp_path, monkeypatch, mode):
+    if mode in ("k0", "collapse"):
+        run(SweepConfig(mode="scaling", out_dir=str(tmp_path), **SMALL_RUNS["scaling"]))
+    writes = []
+    write = sweep.atomic_write_text
+    monkeypatch.setattr(sweep, "atomic_write_text",
+                        lambda path, text: writes.append(path) or write(path, text))
+    files = run(SweepConfig(mode=mode, out_dir=str(tmp_path), **SMALL_RUNS[mode]))
+    assert files and writes == [*files, tmp_path / f"manifest_{mode}.json"]
+    outputs = json.loads(writes[-1].read_text())["outputs"]
+    assert list(outputs) == [path.name for path in files]

@@ -7,6 +7,7 @@ from kerrqgt import (
     BracketError,
     CurveFamily,
     FitError,
+    GapError,
     ModelParams,
     WindowError,
     collapse_objective,
@@ -18,6 +19,7 @@ from kerrqgt import (
     pair_slopes,
     perturbation_dimensions,
     qgt_spectral,
+    scaling_pipeline,
 )
 
 
@@ -173,3 +175,13 @@ def test_family_validation():
     with pytest.raises(ValueError):
         CurveFamily(sizes=np.array([1.0, 2.0]), eps_grid=np.array([0.0, 1.0]),
                     values=np.full((2, 2), np.nan), observable="x")
+
+
+def test_gap_error_in_pipeline_names_the_point(monkeypatch):
+    import kerrqgt.qgt
+    monkeypatch.setattr(kerrqgt.qgt, "GAP_FLOOR", 1.0)
+    with pytest.raises(GapError, match=r"sector gap .* at eps=[0-9.]+, kerr=[0-9.e-]+, "
+                                       r"n_cut=200$"):
+        scaling_pipeline(sizes=(40, 50, 60, 70, 85), n_cut=200,
+                         peak_bracket=(1.05, 1.45), collapse_window=(1.05, 1.40),
+                         collapse_step=2e-3)

@@ -8,7 +8,14 @@ import pytest
 
 import kerrqgt.sweep as sweep
 from kerrqgt import ModelParams, ground_state, mean_photon
-from kerrqgt.cli import main, parse_int_list, parse_pair, parse_range
+from kerrqgt.cli import (
+    assemble_config,
+    build_parser,
+    main,
+    parse_int_list,
+    parse_pair,
+    parse_range,
+)
 from kerrqgt.errors import SchemaError
 from kerrqgt.plots import emit_plots
 from kerrqgt.sweep import (
@@ -17,9 +24,7 @@ from kerrqgt.sweep import (
     fmt_float,
     manifest_is_current,
     read_csv,
-    run_phase_diagram,
-    run_qgt_sweep,
-    run_scaling,
+    run,
     sha256_file,
 )
 
@@ -55,7 +60,7 @@ def test_phase_diagram_run(tmp_path):
     cfg = SweepConfig(mode="phase-diagram", out_dir=str(tmp_path),
                       size=200.0, n_cut=160, eps_range=(0.0, 1.2, 7),
                       phi_range=(0.0, np.pi, 4))
-    files = run_phase_diagram(cfg)
+    files = run(cfg)
     header, rows = read_csv(files[0])
     assert header == ["eps", "phi", "L", "ncut", "mean_n", "rho", "warn"]
     assert len(rows) == 7 * 4
@@ -79,7 +84,7 @@ def test_phase_diagram_solves_once_per_eps(tmp_path, monkeypatch):
     cfg = SweepConfig(mode="phase-diagram", out_dir=str(tmp_path),
                       size=size, n_cut=n_cut, eps_range=(0.0, 1.2, 7),
                       phi_range=(0.0, 2.0 * np.pi, 5))
-    _, rows = read_csv(run_phase_diagram(cfg)[0])
+    _, rows = read_csv(run(cfg)[0])
     assert len(solved) == 7 and all(p.phi == 0.0 for p in solved)
     phis = [fmt_float(phi) for phi in np.linspace(0.0, 2.0 * np.pi, 5)]
     for i in range(7):
@@ -101,13 +106,13 @@ def test_phase_diagram_cutoff_precheck(tmp_path):
     cfg = SweepConfig(mode="phase-diagram", out_dir=str(tmp_path), size=2000.0,
                       n_cut=100, eps_range=(0.0, 1.5, 4), phi_range=(0.0, 1.0, 2))
     with pytest.raises(ValueError, match="grid corner"):
-        run_phase_diagram(cfg)
+        run(cfg)
 
 
 def test_qgt_sweep_rows_and_methods(tmp_path):
     cfg = SweepConfig(mode="qgt", out_dir=str(tmp_path), sizes=(60, 80),
                       eps_range=(0.5, 0.9, 3), phi=0.3, method="both", n_cut=160)
-    files = run_qgt_sweep(cfg)
+    files = run(cfg)
     header, rows = read_csv(files[0])
     assert header[:5] == ["L", "eps", "phi", "ncut", "method"]
     spectral = [r for r in rows if r[4] == "spectral"]
@@ -153,7 +158,7 @@ def test_cli_starts_no_thread_pool(tmp_path, monkeypatch):
 
 def test_scaling_run_manifest_and_idempotence(tmp_path):
     cfg = SweepConfig(mode="scaling", out_dir=str(tmp_path), **SMALL_SCALING)
-    files = run_scaling(cfg)
+    files = run(cfg)
     assert files and files[0].name == "scaling_report.json"
     report = json.loads(files[0].read_text())
     for key in ["eps_c_star", "fit_a", "fit_b", "nu", "delta_ee", "delta_pp",
@@ -168,9 +173,9 @@ def test_scaling_run_manifest_and_idempotence(tmp_path):
     assert manifest_is_current(tmp_path, cfg)
 
     # unchanged config: no-op
-    assert run_scaling(cfg) == []
+    assert run(cfg) == []
     # force: reruns and rewrites
-    forced = run_scaling(SweepConfig(**{**cfg.__dict__, "force": True}))
+    forced = run(SweepConfig(**{**cfg.__dict__, "force": True}))
     assert forced and forced[0].exists()
     # changed config: manifest no longer current
     changed = SweepConfig(**{**cfg.__dict__, "collapse_step": 1e-3})
@@ -179,7 +184,7 @@ def test_scaling_run_manifest_and_idempotence(tmp_path):
 
 def test_report_floats_have_17_significant_digits(tmp_path):
     cfg = SweepConfig(mode="scaling", out_dir=str(tmp_path), **SMALL_SCALING)
-    run_scaling(cfg)
+    run(cfg)
     text = (tmp_path / "scaling_report.json").read_text()
     match = re.search(r'"eps_c_star": ([0-9.eE+-]+)', text)
     mantissa = match.group(1).replace("-", "").replace(".", "").split("e")[0].lstrip("0")
@@ -243,6 +248,18 @@ def test_cli_config_file_and_override(tmp_path):
     assert len(rows) == 4
 
 
+def test_cli_config_file_mode_must_match_subcommand(tmp_path):
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps({"mode": "collapse"}))
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match="mode 'collapse', not for 'phase-diagram'"):
+        main(["phase-diagram", "--config", str(config_path), "--out", str(out),
+              "--L", "200", "--ncut", "160", "--eps", "0:1.2:4", "--phi", "0:3:2"])
+    assert not out.exists()
+    args = build_parser().parse_args(["collapse", "--config", str(config_path)])
+    assert assemble_config(args).mode == "collapse"
+
+
 def test_emit_plots_empty_csv_schema_error(tmp_path):
     (tmp_path / "phase_diagram.csv").write_text("")
     with pytest.raises(SchemaError, match="phase_diagram.csv is empty"):
@@ -271,7 +288,7 @@ def test_generated_plot_scripts_run(tmp_path):
     pytest.importorskip("matplotlib")
     cfg = SweepConfig(mode="phase-diagram", out_dir=str(tmp_path), size=100.0,
                       n_cut=120, eps_range=(0.0, 1.2, 5), phi_range=(0.0, 3.0, 3))
-    run_phase_diagram(cfg)
+    run(cfg)
     emit_plots(tmp_path)
     import subprocess, sys
     proc = subprocess.run([sys.executable, str(tmp_path / "plot_phase_diagram.py")],
