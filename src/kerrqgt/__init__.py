@@ -51,6 +51,7 @@ from .qgt import (
     QGTResult,
     berry_plaquette,
     fidelity_susceptibility,
+    g_ee_slope,
     metric_overlap,
     qgt_spectral,
 )
@@ -84,7 +85,7 @@ __all__ = [
     "displaced_squeezed_fock", "normal_phase", "normal_phase_qgt_limit",
     "squeezed_vacuum_fock", "superradiant_phase",
     "QGTResult", "berry_plaquette", "fidelity_susceptibility",
-    "metric_overlap", "qgt_spectral",
+    "g_ee_slope", "metric_overlap", "qgt_spectral",
     "CollapseOptimum", "CurveFamily", "K0Report", "PowerLawFit", "ScalingReport",
     "ShiftedPowerFit", "collapse_objective", "extrapolate_critical_point",
     "fit_power_law", "k0_pipeline", "locate_peak", "nu_convergence",

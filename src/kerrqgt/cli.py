@@ -5,7 +5,8 @@ subcommand but ``plots`` builds a SweepConfig whose mode is the subcommand and
 hands it to ``sweep.run``.  Options may also come from a JSON config file
 (--config); explicit command-line flags take precedence over file entries,
 which take precedence over built-in defaults.  A file whose ``mode`` names
-another subcommand is rejected.
+another subcommand is rejected, and so is a file holding anything but an
+object of SweepConfig fields (an old ``threads`` entry is ignored).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import json
 import sys
 from pathlib import Path
 
+from .errors import SchemaError
 from .plots import emit_plots
 from .sweep import SweepConfig, run
 
@@ -55,7 +57,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--threads", type=int, default=None,
                         help="accepted for old command lines; has no effect")
     common.add_argument("--config", type=str, default=None, help="JSON config file")
-    common.add_argument("--out", type=str, default=None, help="output directory")
+    common.add_argument("--out", dest="out_dir", type=str, default=None,
+                        help="output directory")
     common.add_argument("--force", action="store_true", default=None,
                         help="rerun even if a matching manifest exists")
     common.add_argument("--delta", type=float, default=None, help="detuning scale")
@@ -111,27 +114,44 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _flag_fields(mode: str) -> dict[str, str]:
+    """Flag name (without dashes) -> config field, for one subcommand."""
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {flag.lstrip("-"): action.dest for action in sub.choices[mode]._actions
+            for flag in action.option_strings}
+
+
+def _file_settings(path: str, mode: str) -> dict:
+    """Entries of a JSON config file; every key must be a SweepConfig field."""
+    loaded = json.loads(Path(path).read_text())
+    if not isinstance(loaded, dict):
+        raise SchemaError(f"config file {path} holds a JSON {type(loaded).__name__}, "
+                          f"not an object of config fields")
+    if loaded.get("mode", mode) != mode:
+        raise ValueError(f"config file {path} is for mode "
+                         f"{loaded['mode']!r}, not for {mode!r}")
+    loaded.pop("threads", None)  # the no-op thread count of old files
+
+    fields = set(SweepConfig.__dataclass_fields__)
+    unknown = [key for key in loaded if key not in fields]
+    if unknown:
+        flags = _flag_fields(mode)
+        named = [f"{key!r} (the --{key} flag; its field is {flags[key]!r})"
+                 if flags.get(key) in fields else repr(key) for key in unknown]
+        raise SchemaError(f"config file {path} has unknown keys: {', '.join(named)}")
+    return {key: tuple(value) if isinstance(value, list) else value
+            for key, value in loaded.items()}
+
+
 def assemble_config(args: argparse.Namespace) -> SweepConfig:
     settings = dict(mode=args.mode, out_dir="runs")
     settings.update(MODE_DEFAULTS.get(args.mode, {}))
-
     if args.config:
-        loaded = json.loads(Path(args.config).read_text())
-        if loaded.get("mode", args.mode) != args.mode:
-            raise ValueError(f"config file {args.config} is for mode "
-                             f"{loaded['mode']!r}, not for {args.mode!r}")
-        for key, value in loaded.items():
-            settings[key] = tuple(value) if isinstance(value, list) else value
-
-    overrides = {k: v for k, v in vars(args).items()
-                 if k not in ("mode", "config") and v is not None}
-    if "out" in overrides:
-        overrides["out_dir"] = overrides.pop("out")
-    settings.update(overrides)
-
-    fields = set(SweepConfig.__dataclass_fields__)
-    filtered = {k: v for k, v in settings.items() if k in fields}
-    return SweepConfig(**filtered)
+        settings.update(_file_settings(args.config, args.mode))
+    settings.update({k: v for k, v in vars(args).items()
+                     if k not in ("config", "threads") and v is not None})
+    return SweepConfig(**settings)
 
 
 def main(argv=None) -> int:

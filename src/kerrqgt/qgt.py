@@ -6,6 +6,10 @@ Three independent routes are provided and must agree:
 * overlap finite differences for the metric (with Richardson refinement),
 * a plaquette overlap product for the Berry curvature.
 
+The linear-response route also gives d g_ee / d eps analytically (third-order
+response: a second back-substitution on the factorisation of the first
+solve), whose root locates the pseudo-critical peak of g_ee.
+
 The even sector carries the ground state throughout (exactly in the normal
 phase, by the parity tie-break in the symmetry-broken regime), and both drive
 derivatives conserve parity, so everything stays inside that sector.
@@ -101,15 +105,16 @@ def _even_solution(params: ModelParams):
 
 
 def _sternheimer(block, e0: float, u0: np.ndarray, rhs: np.ndarray,
-                 scale: float) -> np.ndarray:
-    """y = (T - E0)^+ rhs for rhs orthogonal to the ground vector u0.
+                 scale: float, powers: int) -> list[np.ndarray]:
+    """[R rhs, R^2 rhs, ...] for R = (T - E0)^+ and rhs orthogonal to u0.
 
     Row and column k = argmax|u0| are dropped.  The ground vector of an
     irreducible Jacobi matrix has no zero component, so by Cauchy interlacing
     every eigenvalue of what remains lies strictly above E0: the reduced
-    shifted matrix is positive definite and one O(N) LDL^T solve (dptsv)
-    gives the solution with y_k = 0, from which u0 is projected out.  At
-    eps = 0 the block is diagonal, u0 is a unit vector and the same holds.
+    shifted matrix is positive definite.  One O(N) LDL^T factorisation
+    (dpttrf) serves every power; each back-substitution (dpttrs) gives a
+    solution with y_k = 0, from which u0 is projected out.  At eps = 0 the
+    block is diagonal, u0 is a unit vector and the same holds.
     """
     size = block.size
     k = int(np.argmax(np.abs(u0)))
@@ -117,41 +122,44 @@ def _sternheimer(block, e0: float, u0: np.ndarray, rhs: np.ndarray,
     off = np.delete(block.offdiag, min(k, size - 2))
     if 0 < k < size - 1:
         off[k - 1] = 0.0
-    _, _, z, info = scipy.linalg.lapack.dptsv(diag, off, np.delete(rhs, k))
+    d, e, info = scipy.linalg.lapack.dpttrf(diag, off)
     if info != 0:
         raise EigenConvergenceError(
             f"shifted {block.parity} block is not positive definite after "
-            f"deflation (dptsv info {info})")
-    y = np.insert(z, k, 0.0)
-    y -= (u0 @ y) * u0
+            f"deflation (dpttrf info {info})")
 
-    norm_y = max(1.0, float(np.linalg.norm(y)))
-    shifted_y = _tridiagonal_multiply(block.diag - e0, block.offdiag, y[:, None])[:, 0]
-    residual = float(np.linalg.norm(shifted_y - rhs))
-    if residual > RESIDUAL_BOUND * scale * norm_y:
-        raise EigenConvergenceError(
-            f"linear-response residual {residual:.3e} exceeds bound on "
-            f"{block.parity} block")
-    overlap = abs(float(u0 @ y))
-    if overlap > ORTHOGONALITY_BOUND * norm_y:
-        raise EigenConvergenceError(
-            f"linear response keeps overlap {overlap:.3e} with the ground vector")
-    return y
+    solutions = []
+    for _ in range(powers):
+        x, _ = scipy.linalg.lapack.dpttrs(d, e, np.delete(rhs, k))
+        y = np.insert(x, k, 0.0)
+        y -= (u0 @ y) * u0
+
+        norm_y = max(1.0, float(np.linalg.norm(y)))
+        shifted_y = _tridiagonal_multiply(block.diag - e0, block.offdiag, y[:, None])[:, 0]
+        residual = float(np.linalg.norm(shifted_y - rhs))
+        if residual > RESIDUAL_BOUND * scale * norm_y:
+            raise EigenConvergenceError(
+                f"linear-response residual {residual:.3e} exceeds bound on "
+                f"{block.parity} block")
+        overlap = abs(float(u0 @ y))
+        if overlap > ORTHOGONALITY_BOUND * norm_y:
+            raise EigenConvergenceError(
+                f"linear response keeps overlap {overlap:.3e} with the ground vector")
+        solutions.append(y)
+        rhs = y
+    return solutions
 
 
-def qgt_spectral(params: ModelParams) -> QGTResult:
-    """Geometric tensor by linear response on the even-sector ground state.
+def _band_multiply(band: np.ndarray, vector: np.ndarray) -> np.ndarray:
+    return _tridiagonal_multiply(np.zeros(len(vector)), band, vector[:, None])[:, 0]
 
-    The drive phase is a gauge rotation, so the tensor is computed at phi = 0
-    in real arithmetic from the ground pair (E0, E1, u0) alone.  With
-    B = dH/deps (off-diagonal band -(delta/2) sqrt((n+1)(n+2))) and
-    dH/dphi = -i[n/2, H]:
 
-        y    = (T - E0)^+ (1 - |u0><u0|) B u0     (one Sternheimer solve)
-        g_ee = y.y,   g_pp = Var(n)/4,   f_ep = -y.(n u0),   g_ep = 0.
+def _response(params: ModelParams, powers: int):
+    """Gap-gated even ground pair and the eps response on it.
 
-    The method label stays "spectral": this is the spectral sum over the
-    even-sector eigenbasis, evaluated without the eigenbasis.
+    Returns the block, u0, the gap, C = dT/deps (its off-diagonal band),
+    dE0 = u0.C u0 (Hellmann-Feynman) and the Sternheimer solutions
+    [y, R y, ...] for y = R (C u0 - dE0 u0).
     """
     block, spec = _even_solution(params)
     e0, u0 = float(spec.eigenvalues[0]), spec.eigenvectors[:, 0]
@@ -160,13 +168,31 @@ def qgt_spectral(params: ModelParams) -> QGTResult:
         raise GapError(f"sector gap {gap:.3e} is below the floor "
                        f"{GAP_FLOOR:g} x spectral scale {spec.scale:.3e} at "
                        f"eps={params.eps:g}, kerr={params.kerr:g}, n_cut={params.n_cut}")
+
+    band = -(params.delta / 2.0) * pair_coupling(block.index_map[:-1])
+    rhs = _band_multiply(band, u0)
+    de0 = u0 @ rhs
+    rhs -= de0 * u0
+    solutions = _sternheimer(block, e0, u0, rhs, spec.scale, powers)
+    return block, u0, gap, band, float(de0), solutions
+
+
+def qgt_spectral(params: ModelParams) -> QGTResult:
+    """Geometric tensor by linear response on the even-sector ground state.
+
+    The drive phase is a gauge rotation, so the tensor is computed at phi = 0
+    in real arithmetic from the lowest two levels and u0 alone.  With
+    C = dT/deps (off-diagonal band -(delta/2) sqrt((n+1)(n+2))) and
+    dH/dphi = -i[n/2, H]:
+
+        y    = (T - E0)^+ (1 - |u0><u0|) C u0     (one Sternheimer solve)
+        g_ee = y.y,   g_pp = Var(n)/4,   f_ep = -y.(n u0),   g_ep = 0.
+
+    The method label stays "spectral": this is the spectral sum over the
+    even-sector eigenbasis, evaluated without the eigenbasis.
+    """
+    block, u0, gap, _, _, (y,) = _response(params, powers=1)
     levels = block.index_map
-
-    band = -(params.delta / 2.0) * pair_coupling(levels[:-1])
-    rhs = _tridiagonal_multiply(np.zeros(block.size), band, u0[:, None])[:, 0]
-    rhs -= (u0 @ rhs) * u0
-    y = _sternheimer(block, e0, u0, rhs, spec.scale)
-
     weights = u0**2
     mean_n = float(np.sum(levels * weights))
     var_n = float(np.sum(levels.astype(float) ** 2 * weights)) - mean_n**2
@@ -176,6 +202,22 @@ def qgt_spectral(params: ModelParams) -> QGTResult:
     return QGTResult(q=q, gap=gap, method="spectral", params=params,
                      mean_n=mean_n, var_n=var_n, tail_weight=tail,
                      cutoff_warning=bool(tail > TAIL_TOLERANCE))
+
+
+def g_ee_slope(params: ModelParams) -> float:
+    """d g_ee / d eps by third-order response: one more back-substitution.
+
+    Differentiating the Sternheimer equation (T - E0) y = (C - dE0) u0, with
+    du0/deps = -y and d(dE0)/deps = -2 y.C u0, gives (the 2n+1 theorem)
+
+        d g_ee / d eps = -4 z.(C y - dE0 y),   z = (T - E0)^+ y,
+
+    where z reuses the factorisation that gave y.  g_ee is even in eps
+    (eps -> -eps is the gauge shift phi -> phi + pi), so the slope is 0 at
+    eps = 0.
+    """
+    _, _, _, band, de0, (y, z) = _response(params, powers=2)
+    return float(-4.0 * (z @ (_band_multiply(band, y) - de0 * y)))
 
 
 def _even_ground_family(params: ModelParams):

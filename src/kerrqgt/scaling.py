@@ -1,5 +1,7 @@
 """Finite-size-scaling toolkit: peaks, extrapolations, exponents, data collapse.
 
+Each pseudo-critical peak of g_ee is the root of its analytic slope
+(qgt.g_ee_slope), bracketed by a coarse sign scan and found by Brent's method.
 All fitters are deterministic, closed-form least squares combined with scanned
 and golden-section 1D searches; no stochastic optimization is used anywhere.
 The end-to-end pipelines assemble the critical point, the correlation-length
@@ -13,11 +15,11 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import brentq, minimize
 
 from .errors import BracketError, FitError, WindowError
-from .model import ModelParams
-from .qgt import qgt_spectral, QGTResult
+from .model import ModelParams, TAIL_TOLERANCE
+from .qgt import g_ee_slope, qgt_spectral, QGTResult
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -56,34 +58,32 @@ def golden_section_min(f: Callable[[float], float], lo: float, hi: float,
     return x, -y
 
 
-def locate_peak(evaluate: Callable[[float], float], bracket: tuple[float, float],
-                *, coarse: int = 22, tol: float = 1e-5) -> tuple[float, float]:
-    """Maximize a unimodal curve: coarse scan, golden section, parabolic polish.
+def locate_peak(slope: Callable[[float], float], bracket: tuple[float, float],
+                *, coarse: int = 8, xtol: float = 1e-12) -> float:
+    """Maximum of a curve, found as the root of its slope.
 
-    Raises BracketError when the coarse scan puts the maximum on a bracket
-    endpoint (no interior peak).
+    A sign scan of ``coarse`` points from lo stops at the first interval where
+    the slope turns from positive to non-positive; Brent's method then finds
+    the root inside it, reusing the two scanned endpoint values.
+
+    Raises BracketError on an empty bracket, when the slope is not positive
+    at lo (no rise into the bracket) and when it never turns (no interior
+    maximum).
     """
     lo, hi = bracket
     if not hi > lo:
         raise BracketError(f"empty bracket {bracket}")
-    xs = np.linspace(lo, hi, coarse)
-    ys = np.array([evaluate(x) for x in xs])
-    i = int(np.argmax(ys))
-    if i == 0 or i == coarse - 1:
-        raise BracketError(
-            f"no interior maximum in bracket {bracket}; best sample at edge {xs[i]:.6g}")
-    x0, y0 = golden_section_max(evaluate, xs[i - 1], xs[i + 1], tol)
-
-    h = tol
-    ym, yp = evaluate(x0 - h), evaluate(x0 + h)
-    denom = ym - 2.0 * y0 + yp
-    if denom < 0.0:
-        xq = x0 + 0.5 * h * (ym - yp) / denom
-        if lo < xq < hi:
-            yq = evaluate(xq)
-            if yq > y0:
-                return xq, yq
-    return x0, y0
+    xs = np.linspace(lo, hi, coarse).tolist()
+    known = {lo: slope(lo)}
+    if not known[lo] > 0.0:
+        raise BracketError(f"slope {known[lo]:.6g} is not positive at the bracket "
+                           f"start {lo:.6g}; no rise into bracket {bracket}")
+    for a, b in zip(xs, xs[1:]):
+        known[b] = slope(b)
+        if known[b] <= 0.0:
+            return brentq(lambda x: known[x] if x in known else slope(x), a, b, xtol=xtol)
+    raise BracketError(f"slope stays positive across bracket {bracket}; "
+                       f"no interior maximum")
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +110,8 @@ def fit_shifted_power(x: np.ndarray, y: np.ndarray,
     if len(x) < 3:
         raise FitError("shifted power fit needs at least 3 points")
     if np.ptp(y) == 0.0:
-        raise FitError("constant data leaves the exponent unidentifiable")
+        raise FitError(f"constant data y = {y[0]:.17g} at x = {x.tolist()} leaves "
+                       f"the exponent unidentifiable")
 
     def residual(b):
         basis = np.column_stack([np.ones_like(x), x**b])
@@ -376,7 +377,8 @@ def scaling_pipeline(sizes: Sequence[float] = DEFAULT_SIZES,
     warnings: list[str] = []
     peak_eps, peak_results = [], []
     for L in sizes:
-        ec, _ = locate_peak(lambda e: _point(L, e, n_cut, delta).g_ee, peak_bracket)
+        ec = locate_peak(lambda e: g_ee_slope(ModelParams.from_size(
+            L, e, n_cut=n_cut, delta=delta)), peak_bracket)
         res = _point(L, ec, n_cut, delta)
         if res.cutoff_warning:
             warnings.append(f"cutoff-inadequate point excluded: L={L:g} eps={ec:.6f}")
@@ -387,7 +389,9 @@ def scaling_pipeline(sizes: Sequence[float] = DEFAULT_SIZES,
     degraded = bool(np.any(~keep))
     sizes_kept = sizes[keep]
     if len(sizes_kept) < 4:
-        raise FitError("fewer than 4 sizes survive the cutoff-adequacy gate")
+        raise FitError(f"fewer than 4 sizes survive the cutoff-adequacy gate: "
+                       f"kept {sizes_kept.tolist()}, dropped {sizes[~keep].tolist()} "
+                       f"(tail weight above {TAIL_TOLERANCE:g} at their peaks)")
     ecs = np.array(peak_eps)[keep]
     g_peak = np.array([r.g_ee for r in peak_results])[keep]
     gpp_peak = np.array([r.g_pp for r in peak_results])[keep]

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .eigensolver import ground_state
-from .errors import EigenConvergenceError, GapError, SchemaError, StepSizeError
+from .errors import CutoffError, EigenConvergenceError, GapError, SchemaError, StepSizeError
 from .model import ModelParams, mean_photon
 from .qgt import berry_plaquette, metric_overlap, qgt_spectral
 from .scaling import (
@@ -186,8 +186,11 @@ def _identity(echo: dict) -> str:
     return dumps_json({k: v for k, v in echo.items() if k not in RUN_ONLY_FIELDS})
 
 
-def _manifest_path(out: Path, mode: str) -> Path:
-    return out / f"manifest_{mode}.json"
+def _manifest_path(out: Path, config: SweepConfig) -> Path:
+    """One manifest per mode, and per observable for collapse, whose outputs
+    differ by observable and so must not overwrite each other's manifest."""
+    suffix = f"_{config.observable}" if config.mode == "collapse" else ""
+    return out / f"manifest_{config.mode}{suffix}.json"
 
 
 def _utcnow() -> str:
@@ -205,7 +208,7 @@ def _write_manifest(out: Path, config: SweepConfig, started: str,
         "warnings": warnings,
         "outputs": {p.name: sha256_file(p) for p in outputs},
     }
-    path = _manifest_path(out, config.mode)
+    path = _manifest_path(out, config)
     atomic_write_text(path, dumps_json(manifest))
     return path
 
@@ -213,7 +216,7 @@ def _write_manifest(out: Path, config: SweepConfig, started: str,
 def manifest_is_current(out: Path, config: SweepConfig) -> bool:
     """True when a completed manifest of this version matches this config (up
     to RUN_ONLY_FIELDS) and its files verify."""
-    path = _manifest_path(out, config.mode)
+    path = _manifest_path(out, config)
     if not path.exists():
         return False
     try:
@@ -264,7 +267,7 @@ def _phase_diagram(config: SweepConfig, out: Path) -> ModeResult:
     if eps_max > 1.0:
         required = int(np.ceil(config.size * (eps_max - 1.0) / 2.0 * 1.3 + 50))
         if config.n_cut < required:
-            raise ValueError(
+            raise CutoffError(
                 f"cutoff check failed at grid corner eps={eps_max:g}, "
                 f"phi={float(phi_grid[-1]):g}: need n_cut >= {required}, "
                 f"got {config.n_cut}")

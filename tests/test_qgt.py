@@ -164,11 +164,12 @@ def test_gphiphi_against_limit():
 
 
 def test_peak_grows_with_size():
-    from kerrqgt import locate_peak
+    from kerrqgt import g_ee_slope, locate_peak
     peaks = []
     for size in (100, 150, 200):
-        peak_eps, peak = locate_peak(
-            lambda e: qgt_spectral(ModelParams.from_size(size, e, n_cut=400)).g_ee,
+        peak_eps = locate_peak(
+            lambda e: g_ee_slope(ModelParams.from_size(size, e, n_cut=400)),
             bracket=(1.0, 1.35))
+        peak = qgt_spectral(ModelParams.from_size(size, peak_eps, n_cut=400)).g_ee
         peaks.append(peak / size)
     assert peaks[0] < peaks[1] < peaks[2]

@@ -248,6 +248,23 @@ def test_run_writes_manifest_last(tmp_path, monkeypatch, mode):
     monkeypatch.setattr(sweep, "atomic_write_text",
                         lambda path, text: writes.append(path) or write(path, text))
     files = run(SweepConfig(mode=mode, out_dir=str(tmp_path), **SMALL_RUNS[mode]))
-    assert files and writes == [*files, tmp_path / f"manifest_{mode}.json"]
+    manifest = "manifest_collapse_g_ee" if mode == "collapse" else f"manifest_{mode}"
+    assert files and writes == [*files, tmp_path / f"{manifest}.json"]
     outputs = json.loads(writes[-1].read_text())["outputs"]
     assert list(outputs) == [path.name for path in files]
+
+
+def test_collapse_manifests_are_kept_per_observable(tmp_path, capsys):
+    run(SweepConfig(mode="scaling", out_dir=str(tmp_path), **SMALL_RUNS["scaling"]))
+    argv = ["collapse", "--out", str(tmp_path), "--observable"]
+    for observable in ("g_ee", "f_ep"):
+        main(argv + [observable])
+        assert f"collapse_{observable}.json" in capsys.readouterr().out
+    before = (tmp_path / "collapse_g_ee.json").stat().st_mtime_ns
+    main(argv + ["g_ee"])
+    printed = capsys.readouterr().out
+    assert "are current" in printed and "wrote" not in printed
+    assert (tmp_path / "collapse_g_ee.json").stat().st_mtime_ns == before
+    for observable in ("g_ee", "f_ep"):
+        manifest = json.loads((tmp_path / f"manifest_collapse_{observable}.json").read_text())
+        assert list(manifest["outputs"]) == [f"collapse_{observable}.json"]

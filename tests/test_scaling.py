@@ -13,6 +13,7 @@ from kerrqgt import (
     collapse_objective,
     extrapolate_critical_point,
     fit_power_law,
+    g_ee_slope,
     locate_peak,
     nu_convergence,
     optimize_collapse,
@@ -21,30 +22,32 @@ from kerrqgt import (
     qgt_spectral,
     scaling_pipeline,
 )
+from kerrqgt.scaling import fit_shifted_power
 
 
 def test_locate_peak_parabola():
-    x, y = locate_peak(lambda e: -((e - 1.02) ** 2), bracket=(0.9, 1.1))
+    # the slope of -(e - 1.02)^2
+    x = locate_peak(lambda e: -2.0 * (e - 1.02), bracket=(0.9, 1.1))
     assert x == pytest.approx(1.02, abs=1e-6)
-    assert y == pytest.approx(0.0, abs=1e-10)
+    assert -((x - 1.02) ** 2) == pytest.approx(0.0, abs=1e-10)
 
 
 def test_locate_peak_monotone_raises():
     with pytest.raises(BracketError):
-        locate_peak(lambda e: e, bracket=(0.0, 1.0))
+        locate_peak(lambda e: 1.0, bracket=(0.0, 1.0))
     with pytest.raises(BracketError):
-        locate_peak(lambda e: -e, bracket=(0.0, 1.0))
+        locate_peak(lambda e: -1.0, bracket=(0.0, 1.0))
 
 
 def test_locate_peak_matches_grid_scan():
-    # Golden-section peak vs a brute-force 1e-4-spaced argmax at L = 300.
-    def g_ee(e):
-        return qgt_spectral(ModelParams.from_size(300, e, n_cut=800)).g_ee
+    # Root of the analytic slope vs a brute-force 1e-4-spaced argmax at L = 300.
+    def params(e):
+        return ModelParams.from_size(300, e, n_cut=800)
 
     bracket = (1.06, 1.085)
-    x, _ = locate_peak(g_ee, bracket=bracket)
+    x = locate_peak(lambda e: g_ee_slope(params(e)), bracket=bracket)
     grid = np.arange(bracket[0], bracket[1] + 5e-5, 1e-4)
-    values = [g_ee(e) for e in grid]
+    values = [qgt_spectral(params(e)).g_ee for e in grid]
     x_grid = grid[int(np.argmax(values))]
     assert abs(x - x_grid) <= 2e-4
 
@@ -183,5 +186,19 @@ def test_gap_error_in_pipeline_names_the_point(monkeypatch):
     with pytest.raises(GapError, match=r"sector gap .* at eps=[0-9.]+, kerr=[0-9.e-]+, "
                                        r"n_cut=200$"):
         scaling_pipeline(sizes=(40, 50, 60, 70, 85), n_cut=200,
+                         peak_bracket=(1.05, 1.45), collapse_window=(1.05, 1.40),
+                         collapse_step=2e-3)
+
+
+def test_constant_fit_data_is_named():
+    with pytest.raises(FitError, match=r"constant data y = 1 at x = \[0.5, 0.25, 0.125\]"):
+        fit_shifted_power(np.array([0.5, 0.25, 0.125]), np.ones(3))
+
+
+def test_pipeline_names_the_sizes_the_cutoff_gate_drops():
+    # at n_cut = 60 the ground state of the two largest sizes reaches the
+    # last retained levels at their peaks
+    with pytest.raises(FitError, match=r"kept \[40.0, 50.0, 60.0\], dropped \[100.0, 150.0\]"):
+        scaling_pipeline(sizes=(40, 50, 60, 100, 150), n_cut=60,
                          peak_bracket=(1.05, 1.45), collapse_window=(1.05, 1.40),
                          collapse_step=2e-3)

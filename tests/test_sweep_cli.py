@@ -16,7 +16,7 @@ from kerrqgt.cli import (
     parse_pair,
     parse_range,
 )
-from kerrqgt.errors import SchemaError
+from kerrqgt.errors import CutoffError, SchemaError
 from kerrqgt.plots import emit_plots
 from kerrqgt.sweep import (
     SweepConfig,
@@ -107,6 +107,14 @@ def test_phase_diagram_cutoff_precheck(tmp_path):
                       n_cut=100, eps_range=(0.0, 1.5, 4), phi_range=(0.0, 1.0, 2))
     with pytest.raises(ValueError, match="grid corner"):
         run(cfg)
+
+
+def test_phase_diagram_cutoff_check_raises_cutoff_error(tmp_path):
+    cfg = SweepConfig(mode="phase-diagram", out_dir=str(tmp_path), size=2000.0,
+                      n_cut=100, eps_range=(0.0, 1.5, 4), phi_range=(0.0, 1.0, 2))
+    with pytest.raises(CutoffError, match=r"eps=1.5, phi=1: need n_cut >= 700, got 100"):
+        run(cfg)
+    assert not list(tmp_path.glob("manifest_*"))
 
 
 def test_qgt_sweep_rows_and_methods(tmp_path):
@@ -258,6 +266,35 @@ def test_cli_config_file_mode_must_match_subcommand(tmp_path):
     assert not out.exists()
     args = build_parser().parse_args(["collapse", "--config", str(config_path)])
     assert assemble_config(args).mode == "collapse"
+
+
+@pytest.mark.parametrize("entries, message", [
+    ({"ncut": 100, "L": 50}, r"unknown keys: 'ncut' \(the --ncut flag; its field is "
+                             r"'n_cut'\), 'L' \(the --L flag; its field is 'size'\)"),
+    ({"n_cut": 100, "colour": "red"}, r"unknown keys: 'colour'$"),
+])
+def test_config_file_unknown_keys_schema_error(tmp_path, entries, message):
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps(entries))
+    args = build_parser().parse_args(["phase-diagram", "--config", str(config_path)])
+    with pytest.raises(SchemaError, match=message):
+        assemble_config(args)
+
+
+def test_config_file_must_hold_an_object(tmp_path):
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps([["n_cut", 100]]))
+    args = build_parser().parse_args(["qgt", "--config", str(config_path)])
+    with pytest.raises(SchemaError, match="holds a JSON list, not an object"):
+        assemble_config(args)
+
+
+def test_config_file_legacy_threads_key_is_dropped(tmp_path):
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps({"threads": 4, "n_cut": 120}))
+    args = build_parser().parse_args(["qgt", "--config", str(config_path), "--threads", "2"])
+    config = assemble_config(args)
+    assert config.n_cut == 120 and "threads" not in config.echo()
 
 
 def test_emit_plots_empty_csv_schema_error(tmp_path):
