@@ -91,8 +91,10 @@ def curvature_fd(state, eps: float, phi: float, step_eps: float, step_phi: float
     if step_eps <= 0 or step_phi <= 0:
         raise ValueError("steps must be positive")
     if eps - step_eps / 2.0 >= 0.0:
-        return _plaquette(state, eps - step_eps / 2.0, eps + step_eps / 2.0,
-                          phi, step_phi)
+        # eps values exactly as metric_fd spells them, so a shared state
+        # family solves them once
+        e_lo = eps - step_eps / 2.0
+        return _plaquette(state, e_lo, e_lo + step_eps, phi, step_phi)
     # boundary: plaquette centers sit at h/2 and h/4; extrapolate linearly to eps
     full = _plaquette(state, 0.0, step_eps, phi, step_phi)
     half = _plaquette(state, 0.0, step_eps / 2.0, phi, step_phi / 2.0)

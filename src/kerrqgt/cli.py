@@ -98,6 +98,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ncut-list", dest="ncut_list", type=parse_int_list, default=None)
     p.add_argument("--L-list", dest="sizes", type=parse_int_list, default=None)
     p.add_argument("--ncut", dest="n_cut", type=int, default=None)
+    p.add_argument("--bracket", dest="peak_bracket", type=parse_pair, default=None,
+                   metavar="LO:HI",
+                   help="peak bracket; a scaling report in --out made with the "
+                        "same one is reused")
 
     p = sub.add_parser("collapse", parents=[common],
                        help="collapse optimization on a stored family")

@@ -1,10 +1,10 @@
 """Lowest eigenpairs of the parity blocks and ground-state extraction.
 
-Ground-state work needs only the lowest pair of a block: bisection plus
+Ground-state work needs only the lowest pair of a block: one bisection plus
 inverse iteration (dstebz/dstein via scipy.linalg.eigh_tridiagonal with
-select='i') gets it in O(N), and one more bisection gives the top eigenvalue
-for the spectral scale.  Residual and orthogonality bounds are checked on
-every solve.
+select='i') gets it in O(N).  The gates take their units from two O(N) bounds
+on the block norm (see Spectrum), not from a second bisection for the top
+eigenvalue.  Residual and orthogonality bounds are checked on every solve.
 """
 
 from __future__ import annotations
@@ -33,8 +33,14 @@ DEGENERACY_TOLERANCE = 1e-12
 class Spectrum:
     """Lowest two eigenvalues (ascending) and eigenvector columns of one block.
 
-    scale is max(1, largest |eigenvalue| of the whole block), the unit of the
-    residual bound, the gap floor and the parity tie-break.
+    Two units bracket max(1, ||T||_2), the largest |eigenvalue| of the block:
+
+    * scale, the Gershgorin bound max(1, max_i |d_i| + |e_{i-1}| + |e_i|) =
+      max(1, ||T||_inf) >= ||T||_2, is the unit of the gap floor and the
+      parity tie-break (a larger unit makes both stricter);
+    * residual_unit, max(1, |E0|, max_i |d_i|) <= ||T||_2, is the unit of
+      the eigen and Sternheimer residual bounds (a smaller unit makes them
+      stricter).
     """
 
     eigenvalues: np.ndarray
@@ -42,6 +48,7 @@ class Spectrum:
     max_residual: float
     max_orthogonality_defect: float
     scale: float
+    residual_unit: float
 
 
 @dataclass(frozen=True)
@@ -72,15 +79,12 @@ def _tridiagonal_multiply(diag, off, vectors):
 def eig_tridiagonal(block: TridiagonalBlock) -> Spectrum:
     """Lowest two eigenpairs of a real symmetric tridiagonal parity block.
 
-    Bisection and inverse iteration give the pair, one more bisection the top
-    eigenvalue for the spectral scale, all in O(N).
+    One bisection and inverse iteration give the pair in O(N); the two units
+    of Spectrum are O(N) bounds read off the block, with no further solve.
     """
     try:
         lam, vec = scipy.linalg.eigh_tridiagonal(
             block.diag, block.offdiag, select="i", select_range=(0, 1))
-        top = scipy.linalg.eigvalsh_tridiagonal(
-            block.diag, block.offdiag, select="i",
-            select_range=(block.size - 1, block.size - 1))[0]
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure path
         raise EigenConvergenceError(
             f"tridiagonal eigensolve failed on {block.parity} block of size "
@@ -91,12 +95,19 @@ def eig_tridiagonal(block: TridiagonalBlock) -> Spectrum:
     anchor = np.argmax(np.abs(vec), axis=0)
     vec = vec * np.sign(vec[anchor, [0, 1]])
 
-    scale = max(1.0, abs(float(lam[0])), abs(float(top)))
+    # The largest absolute row sum (Gershgorin) bounds ||T||_2 above; |E0|
+    # and every |d_i| bound it below.
+    abs_diag, abs_off = np.abs(block.diag), np.abs(block.offdiag)
+    row_sums = abs_diag.copy()
+    row_sums[:-1] += abs_off
+    row_sums[1:] += abs_off
+    scale = max(1.0, float(row_sums.max()))
+    residual_unit = max(1.0, abs(float(lam[0])), float(abs_diag.max()))
     resid = _tridiagonal_multiply(block.diag, block.offdiag, vec) - vec * lam
     max_residual = float(np.max(np.linalg.norm(resid, axis=0)))
     max_defect = abs(float(vec[:, 0] @ vec[:, 1]))
 
-    if max_residual > RESIDUAL_BOUND * scale:
+    if max_residual > RESIDUAL_BOUND * residual_unit:
         raise EigenConvergenceError(
             f"residual {max_residual:.3e} exceeds bound on {block.parity} block "
             f"(worst eigenpair {int(np.argmax(np.linalg.norm(resid, axis=0)))})")
@@ -105,7 +116,8 @@ def eig_tridiagonal(block: TridiagonalBlock) -> Spectrum:
             f"orthogonality defect {max_defect:.3e} exceeds bound on {block.parity} block")
 
     return Spectrum(eigenvalues=lam, eigenvectors=vec, max_residual=max_residual,
-                    max_orthogonality_defect=max_defect, scale=scale)
+                    max_orthogonality_defect=max_defect, scale=scale,
+                    residual_unit=residual_unit)
 
 
 def sector_spectra(params: ModelParams) -> tuple[Spectrum, Spectrum]:
@@ -117,7 +129,7 @@ def sector_spectra(params: ModelParams) -> tuple[Spectrum, Spectrum]:
 def ground_state(params: ModelParams) -> GroundState:
     """Ground state over both parity sectors.
 
-    Near-degenerate sector minima (within 1e-12 of the spectral scale, the
+    Near-degenerate sector minima (within 1e-12 of the Gershgorin bound, the
     generic situation deep in the symmetry-broken regime) resolve to even
     parity, which continues the normal-phase ground state.
     """

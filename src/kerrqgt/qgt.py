@@ -105,7 +105,7 @@ def _even_solution(params: ModelParams):
 
 
 def _sternheimer(block, e0: float, u0: np.ndarray, rhs: np.ndarray,
-                 scale: float, powers: int) -> list[np.ndarray]:
+                 residual_unit: float, powers: int) -> list[np.ndarray]:
     """[R rhs, R^2 rhs, ...] for R = (T - E0)^+ and rhs orthogonal to u0.
 
     Row and column k = argmax|u0| are dropped.  The ground vector of an
@@ -137,7 +137,7 @@ def _sternheimer(block, e0: float, u0: np.ndarray, rhs: np.ndarray,
         norm_y = max(1.0, float(np.linalg.norm(y)))
         shifted_y = _tridiagonal_multiply(block.diag - e0, block.offdiag, y[:, None])[:, 0]
         residual = float(np.linalg.norm(shifted_y - rhs))
-        if residual > RESIDUAL_BOUND * scale * norm_y:
+        if residual > RESIDUAL_BOUND * residual_unit * norm_y:
             raise EigenConvergenceError(
                 f"linear-response residual {residual:.3e} exceeds bound on "
                 f"{block.parity} block")
@@ -166,14 +166,14 @@ def _response(params: ModelParams, powers: int):
     gap = float(spec.eigenvalues[1]) - e0
     if gap <= GAP_FLOOR * spec.scale:
         raise GapError(f"sector gap {gap:.3e} is below the floor "
-                       f"{GAP_FLOOR:g} x spectral scale {spec.scale:.3e} at "
+                       f"{GAP_FLOOR:g} x Gershgorin bound {spec.scale:.3e} at "
                        f"eps={params.eps:g}, kerr={params.kerr:g}, n_cut={params.n_cut}")
 
     band = -(params.delta / 2.0) * pair_coupling(block.index_map[:-1])
     rhs = _band_multiply(band, u0)
     de0 = u0 @ rhs
     rhs -= de0 * u0
-    solutions = _sternheimer(block, e0, u0, rhs, spec.scale, powers)
+    solutions = _sternheimer(block, e0, u0, rhs, spec.residual_unit, powers)
     return block, u0, gap, band, float(de0), solutions
 
 
@@ -237,17 +237,26 @@ def _even_ground_family(params: ModelParams):
 
 
 def metric_overlap(params: ModelParams, step_eps: float = DEFAULT_STEP_EPS,
-                   step_phi: float = DEFAULT_STEP_PHI) -> np.ndarray:
-    """2x2 quantum metric from gauge-invariant overlap finite differences."""
-    return metric_fd(_even_ground_family(params), params.eps, params.phi,
-                     step_eps, step_phi)
+                   step_phi: float = DEFAULT_STEP_PHI, state=None) -> np.ndarray:
+    """2x2 quantum metric from gauge-invariant overlap finite differences.
+
+    state is an _even_ground_family(params) to share its eps solves with
+    other stencils at the same point; a fresh family by default.
+    """
+    if state is None:
+        state = _even_ground_family(params)
+    return metric_fd(state, params.eps, params.phi, step_eps, step_phi)
 
 
 def berry_plaquette(params: ModelParams, step_eps: float = DEFAULT_STEP_EPS,
-                    step_phi: float = DEFAULT_STEP_PHI) -> float:
-    """Berry curvature F_{eps,phi} from the overlap product around one plaquette."""
-    return curvature_fd(_even_ground_family(params), params.eps, params.phi,
-                        step_eps, step_phi)
+                    step_phi: float = DEFAULT_STEP_PHI, state=None) -> float:
+    """Berry curvature F_{eps,phi} from the overlap product around one plaquette.
+
+    state is shared as in metric_overlap.
+    """
+    if state is None:
+        state = _even_ground_family(params)
+    return curvature_fd(state, params.eps, params.phi, step_eps, step_phi)
 
 
 def fidelity_susceptibility(params: ModelParams,

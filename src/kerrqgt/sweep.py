@@ -25,7 +25,7 @@ from . import __version__
 from .eigensolver import ground_state
 from .errors import CutoffError, EigenConvergenceError, GapError, SchemaError, StepSizeError
 from .model import ModelParams, mean_photon
-from .qgt import berry_plaquette, metric_overlap, qgt_spectral
+from .qgt import _even_ground_family, berry_plaquette, metric_overlap, qgt_spectral
 from .scaling import (
     CurveFamily,
     ScalingReport,
@@ -314,8 +314,11 @@ def _qgt(config: SweepConfig, out: Path) -> ModeResult:
                          spectral.f_ep, spectral.gap, spectral.mean_n, warn))
         if "fd" in methods:
             try:
-                g = metric_overlap(params)
-                f = berry_plaquette(params)
+                # One state family: the plaquette corners reuse the metric's
+                # eps solves.
+                family = _even_ground_family(params)
+                g = metric_overlap(params, state=family)
+                f = berry_plaquette(params, state=family)
                 rows.append((size, eps, config.phi, config.n_cut, "fd",
                              float(g[0, 0]), float(g[1, 1]), float(g[0, 1]), f,
                              spectral.gap, spectral.mean_n, warn))

@@ -88,8 +88,10 @@ def full_spectrum(block) -> Spectrum:
         raise EigenConvergenceError(f"residual {max_residual:.3e} exceeds bound")
     if max_defect > ORTHOGONALITY_BOUND:
         raise EigenConvergenceError(f"orthogonality defect {max_defect:.3e} exceeds bound")
+    # With the whole spectrum both units of Spectrum are max(1, ||T||_2) exactly.
     return Spectrum(eigenvalues=lam, eigenvectors=vec, max_residual=max_residual,
-                    max_orthogonality_defect=max_defect, scale=scale)
+                    max_orthogonality_defect=max_defect, scale=scale,
+                    residual_unit=scale)
 
 
 def qgt_sum_over_states(params) -> QGTResult:

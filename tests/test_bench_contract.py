@@ -12,6 +12,7 @@ import pytest
 import kerrqgt
 import kerrqgt.eigensolver
 import kerrqgt.scaling
+import kerrqgt.sweep
 from kerrqgt import ModelParams, parity_blocks
 
 
@@ -19,7 +20,7 @@ def test_eig_tridiagonal_returns_what_the_tracer_reads():
     spec = kerrqgt.eigensolver.eig_tridiagonal(
         parity_blocks(ModelParams.from_size(150, 0.9, n_cut=200))[0])
     assert len(spec.eigenvalues) == 2
-    assert 0.0 <= spec.max_residual <= 1e-10 * spec.scale
+    assert 0.0 <= spec.max_residual <= 1e-10 * spec.residual_unit
 
 
 @pytest.fixture
@@ -43,6 +44,16 @@ def eig_calls(monkeypatch):
 def test_traced_kernels_call_eig_tridiagonal(eig_calls, kernel):
     getattr(kerrqgt, kernel)(ModelParams.from_size(150, 0.9, phi=0.3, n_cut=200))
     assert eig_calls
+
+
+@pytest.mark.parametrize("method, solves", [("spectral", 1), ("fd", 6), ("both", 6)])
+def test_qgt_point_eigensolve_count(tmp_path, eig_calls, method, solves):
+    # Per point: one tensor solve; the metric stencil solves at 5 eps values
+    # and the plaquette reuses two of them from the same state family.
+    kerrqgt.sweep.run(kerrqgt.sweep.SweepConfig(
+        mode="qgt", out_dir=str(tmp_path), sizes=(150,), eps_range=(0.95, 1.06, 8),
+        phi=0.3, n_cut=200, method=method))
+    assert len(eig_calls) == 8 * solves
 
 
 def test_pool_and_pipeline_names_exist():

@@ -56,16 +56,18 @@ def test_linear_response_matches_sum_over_states(p):
         assert oracle.g_pp == 0.0 and oracle.f_ep == 0.0
 
 
+def _exact_parity(e0, o0, scale):
+    """ground_state's tie-break rule in a given unit."""
+    return "odd" if o0 < e0 - DEGENERACY_TOLERANCE * scale else "even"
+
+
 def _full_ground_state(p):
     """ground_state's selection rule on the full spectra of both sectors."""
     even, odd = parity_blocks(p)
     spec_e, spec_o = full_spectrum(even), full_spectrum(odd)
     scale = max(spec_e.scale, spec_o.scale)
-    e0, o0 = spec_e.eigenvalues[0], spec_o.eigenvalues[0]
-    if o0 < e0 - DEGENERACY_TOLERANCE * scale:
-        parity, spec, block = "odd", spec_o, odd
-    else:
-        parity, spec, block = "even", spec_e, even
+    parity = _exact_parity(spec_e.eigenvalues[0], spec_o.eigenvalues[0], scale)
+    spec, block = (spec_o, odd) if parity == "odd" else (spec_e, even)
     vector = np.zeros(p.dim, dtype=complex)
     vector[block.index_map] = spec.eigenvectors[:, 0]
     vector *= np.exp(-0.5j * np.arange(p.dim) * p.phi)
@@ -98,6 +100,13 @@ def test_kernel_tail_weight_matches_ground_state(p):
     assert tensor.cutoff_warning == gs.cutoff_warning
 
 
+def _bracket_holds(low, norm):
+    """Neither gate is looser than in the exact unit max(1, ||T||_2) = norm:
+    residuals are measured against a unit no larger, the gap floor and the
+    tie-break against one no smaller (and at most 6% larger)."""
+    return low.residual_unit <= norm <= low.scale <= 1.06 * norm
+
+
 def test_selective_spectrum_matches_full():
     even, odd = parity_blocks(ModelParams.from_size(300, 1.02, n_cut=800))
     for block in (even, odd):
@@ -105,11 +114,42 @@ def test_selective_spectrum_matches_full():
         assert low.eigenvalues.shape == (2,) and low.eigenvectors.shape == (block.size, 2)
         np.testing.assert_allclose(low.eigenvalues, full.eigenvalues[:2],
                                    rtol=0, atol=1e-12 * full.scale)
-        assert low.scale == pytest.approx(full.scale, rel=1e-12)
-        assert low.max_residual <= 1e-10 * low.scale
+        assert _bracket_holds(low, full.scale)
+        assert low.max_residual <= 1e-10 * low.residual_unit
         assert low.max_orthogonality_defect <= 1e-10
         overlaps = np.abs(np.sum(low.eigenvectors * full.eigenvectors[:, :2], axis=0))
         np.testing.assert_allclose(overlaps, 1.0, atol=1e-12)
+
+
+def _exact_norm(block):
+    """max(1, ||T||_2) from every eigenvalue of the block (dstev, values only):
+    full_spectrum's unit, without the eigenvectors it does not need."""
+    lam = scipy.linalg.eigvalsh_tridiagonal(block.diag, block.offdiag,
+                                            lapack_driver="stev")
+    return max(1.0, abs(float(lam[0])), abs(float(lam[-1])))
+
+
+@pytest.mark.parametrize("n_cut", [200, 800, 1600])
+@pytest.mark.parametrize("L", [40, 150, 500, 2000])
+def test_spectrum_units_bracket_the_block_norm(L, n_cut):
+    for eps in np.linspace(0.0, 1.5, 7):
+        for block in parity_blocks(ModelParams.from_size(L, float(eps), n_cut=n_cut)):
+            low = eig_tridiagonal(block)
+            assert _bracket_holds(low, _exact_norm(block)), (L, eps, n_cut, block.parity)
+
+
+def test_tie_break_matches_exact_unit_on_phase_diagram_grid():
+    # The default phase-diagram grid (L 2000, eps 0:1.5:31, n_cut 800); above
+    # the transition the sector minima are degenerate, so the rule decides.
+    decided = 0
+    for eps in np.linspace(0.0, 1.5, 31):
+        p = ModelParams.from_size(2000, float(eps), n_cut=800)
+        gs = ground_state(p)
+        e0, o0 = gs.sector_energies
+        scale = max(_exact_norm(block) for block in parity_blocks(p))
+        assert gs.parity == _exact_parity(e0, o0, scale), eps
+        decided += abs(e0 - o0) <= DEGENERACY_TOLERANCE * scale
+    assert decided > 0
 
 
 def test_gap_floor_raises_named_error(monkeypatch):

@@ -43,7 +43,7 @@ def test_gap_error_drops_point_with_warning(tmp_path, monkeypatch):
 
 
 def test_step_size_error_drops_fd_row_only(tmp_path, monkeypatch):
-    def too_small(params):
+    def too_small(params, **kwargs):
         raise StepSizeError("overlap distance below the precision floor")
 
     monkeypatch.setattr(sweep, "metric_overlap", too_small)
@@ -56,7 +56,7 @@ def test_step_size_error_drops_fd_row_only(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("target", ["qgt_spectral", "metric_overlap"])
 def test_programming_errors_propagate(tmp_path, monkeypatch, target):
-    def broken(params):
+    def broken(params, **kwargs):
         raise TypeError("unsupported operand")
 
     monkeypatch.setattr(sweep, target, broken)

@@ -199,7 +199,7 @@ def test_report_floats_have_17_significant_digits(tmp_path):
     assert len(mantissa) == 17
 
 
-def test_cli_end_to_end(tmp_path):
+def test_cli_end_to_end(tmp_path, monkeypatch):
     out = tmp_path / "run"
     rc = main(["scaling", "--out", str(out), "--L-list", "40,50,60,70,85",
                "--ncut", "200", "--bracket", "1.05:1.45",
@@ -208,11 +208,15 @@ def test_cli_end_to_end(tmp_path):
     assert rc == 0
     assert (out / "scaling_report.json").exists()
 
-    # k0 runs at the default peak bracket, not the one above, so it rebuilds
-    # the scaling report instead of reusing it; the peaks, hence eps_c*, agree
+    # k0 at the same sizes, cutoff and peak bracket reuses the scaling report
+    rebuilt = []
+    original = sweep.scaling_pipeline
+    monkeypatch.setattr(sweep, "scaling_pipeline",
+                        lambda **kw: rebuilt.append(1) or original(**kw))
     rc = main(["k0", "--out", str(out), "--ncut-list", "60,84,120,170,240",
-               "--L-list", "40,50,60,70,85", "--ncut", "200"])
+               "--L-list", "40,50,60,70,85", "--ncut", "200", "--bracket", "1.05:1.45"])
     assert rc == 0
+    assert rebuilt == []
     k0 = json.loads((out / "k0_report.json").read_text())
     for key in ("gamma1", "gamma2", "alpha_exp", "delta_nbar", "beta1",
                 "beta2", "beta1_prime", "beta2_prime"):
