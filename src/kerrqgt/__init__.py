@@ -28,6 +28,7 @@ from .model import (
     parity_blocks,
     photon_variance,
     rho,
+    sector_block,
     tail_weight,
 )
 from .eigensolver import (
@@ -35,6 +36,7 @@ from .eigensolver import (
     Spectrum,
     eig_tridiagonal,
     ground_state,
+    ground_state_row,
     sector_spectra,
 )
 from .oracle import (
@@ -54,6 +56,7 @@ from .qgt import (
     g_ee_slope,
     metric_overlap,
     qgt_spectral,
+    qgt_spectral_row,
 )
 from .scaling import (
     CollapseOptimum,
@@ -78,14 +81,14 @@ __all__ = [
     "__version__",
     "ModelParams", "TridiagonalBlock",
     "apply_gauge_phases", "mean_photon", "pair_coupling",
-    "parity_blocks", "photon_variance", "rho", "tail_weight",
+    "parity_blocks", "photon_variance", "rho", "sector_block", "tail_weight",
     "GroundState", "Spectrum", "eig_tridiagonal",
-    "ground_state", "sector_spectra",
+    "ground_state", "ground_state_row", "sector_spectra",
     "NormalPhaseSolution", "SuperradiantSolution", "displaced_squeezed_cat",
     "displaced_squeezed_fock", "normal_phase", "normal_phase_qgt_limit",
     "squeezed_vacuum_fock", "superradiant_phase",
     "QGTResult", "berry_plaquette", "fidelity_susceptibility",
-    "g_ee_slope", "metric_overlap", "qgt_spectral",
+    "g_ee_slope", "metric_overlap", "qgt_spectral", "qgt_spectral_row",
     "CollapseOptimum", "CurveFamily", "K0Report", "PowerLawFit", "ScalingReport",
     "ShiftedPowerFit", "collapse_objective", "extrapolate_critical_point",
     "fit_power_law", "k0_pipeline", "locate_peak", "nu_convergence",

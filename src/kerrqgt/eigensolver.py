@@ -5,6 +5,10 @@ inverse iteration (dstebz/dstein via scipy.linalg.eigh_tridiagonal with
 select='i') gets it in O(N).  The gates take their units from two O(N) bounds
 on the block norm (see Spectrum), not from a second bisection for the top
 eigenvalue.  Residual and orthogonality bounds are checked on every solve.
+
+A block may stack the M blocks of one eps row (TridiagonalBlock): each row
+gets its own selective solve, and the sign convention, the gate units and
+the certificates are then taken on the whole stack at once.
 """
 
 from __future__ import annotations
@@ -20,7 +24,9 @@ from .model import (
     TridiagonalBlock,
     apply_gauge_phases,
     parity_blocks,
-    tail_weight,
+    row_drives,
+    sector_block,
+    TAIL_LEVELS,
     TAIL_TOLERANCE,
 )
 
@@ -32,6 +38,12 @@ DEGENERACY_TOLERANCE = 1e-12
 @dataclass(frozen=True)
 class Spectrum:
     """Lowest two eigenvalues (ascending) and eigenvector columns of one block.
+
+    For a stacked block every field but the two certificates gains the
+    leading row axis: eigenvalues (M, 2), eigenvectors (M, size, 2), scale
+    and residual_unit (M,); max_residual and max_orthogonality_defect are the
+    worst over the stack.  Each eigenvector eigenvectors[..., k] is
+    contiguous in memory.
 
     Two units bracket max(1, ||T||_2), the largest |eigenvalue| of the block:
 
@@ -47,77 +59,107 @@ class Spectrum:
     eigenvectors: np.ndarray
     max_residual: float
     max_orthogonality_defect: float
-    scale: float
-    residual_unit: float
+    scale: float | np.ndarray
+    residual_unit: float | np.ndarray
 
 
 @dataclass(frozen=True)
 class GroundState:
     """Lowest eigenstate over both parity sectors.
 
-    fock_vector lives on the full basis (gauge phases applied for the
-    requested phi); gap is measured within the winning parity sector.
+    vector is the ground vector of the winning parity sector, on the Fock
+    levels listed in levels; fock_vector lifts it onto the full basis with the
+    gauge phases of params.phi.  gap is measured within the winning sector,
+    mean_n and tail_weight are read off the sector vector.
     """
 
+    params: ModelParams
     energy: float
-    fock_vector: np.ndarray
+    vector: np.ndarray
+    levels: np.ndarray
     parity: str
     gap: float
     sector_energies: tuple[float, float]
+    mean_n: float
     tail_weight: float
     cutoff_warning: bool
 
+    @property
+    def fock_vector(self) -> np.ndarray:
+        full = np.zeros(self.params.dim, dtype=complex)
+        full[self.levels] = self.vector
+        return apply_gauge_phases(full, self.params.phi)
+
 
 def _tridiagonal_multiply(diag, off, vectors):
-    out = diag[:, None] * vectors
-    if len(off):
-        out[1:] += off[:, None] * vectors[:-1]
-        out[:-1] += off[:, None] * vectors[1:]
+    """T x along the last axis of vectors; diag and off broadcast against it."""
+    out = diag * vectors
+    if vectors.shape[-1] > 1:
+        out[..., 1:] += off * vectors[..., :-1]
+        out[..., :-1] += off * vectors[..., 1:]
     return out
 
 
 def eig_tridiagonal(block: TridiagonalBlock) -> Spectrum:
     """Lowest two eigenpairs of a real symmetric tridiagonal parity block.
 
-    One bisection and inverse iteration give the pair in O(N); the two units
-    of Spectrum are O(N) bounds read off the block, with no further solve.
+    One bisection and inverse iteration per row give the pair in O(N); the
+    two units of Spectrum are O(N) bounds read off the block, with no further
+    solve.
     """
-    try:
-        lam, vec = scipy.linalg.eigh_tridiagonal(
-            block.diag, block.offdiag, select="i", select_range=(0, 1))
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure path
-        raise EigenConvergenceError(
-            f"tridiagonal eigensolve failed on {block.parity} block of size "
-            f"{block.size}: {exc}") from exc
+    lead = block.offdiag.shape[:-1]
+    offdiag = block.offdiag.reshape(-1, block.size - 1)
+    lam = np.empty((len(offdiag), 2))
+    # (M, 2, N): each eigenvector is one contiguous row
+    vec = np.empty((len(offdiag), 2, block.size))
+    for m, off in enumerate(offdiag):
+        try:
+            lam[m], pair = scipy.linalg.eigh_tridiagonal(
+                block.diag, off, select="i", select_range=(0, 1))
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure path
+            raise EigenConvergenceError(
+                f"tridiagonal eigensolve failed on {block.parity} block of size "
+                f"{block.size}, row {m}: {exc}") from exc
+        vec[m] = pair.T
 
     # Canonical sign: largest-magnitude component of each vector positive
     # (never zero for a unit vector).
-    anchor = np.argmax(np.abs(vec), axis=0)
-    vec = vec * np.sign(vec[anchor, [0, 1]])
+    rows = np.arange(len(offdiag))[:, None]
+    vec *= np.sign(vec[rows, [0, 1], np.argmax(np.abs(vec), axis=-1)])[..., None]
 
     # The largest absolute row sum (Gershgorin) bounds ||T||_2 above; |E0|
     # and every |d_i| bound it below.
-    abs_diag, abs_off = np.abs(block.diag), np.abs(block.offdiag)
-    row_sums = abs_diag.copy()
-    row_sums[:-1] += abs_off
-    row_sums[1:] += abs_off
-    scale = max(1.0, float(row_sums.max()))
-    residual_unit = max(1.0, abs(float(lam[0])), float(abs_diag.max()))
-    resid = _tridiagonal_multiply(block.diag, block.offdiag, vec) - vec * lam
-    max_residual = float(np.max(np.linalg.norm(resid, axis=0)))
-    max_defect = abs(float(vec[:, 0] @ vec[:, 1]))
+    abs_diag, abs_off = np.abs(block.diag), np.abs(offdiag)
+    row_sums = np.repeat(abs_diag[None], len(offdiag), axis=0)
+    row_sums[:, :-1] += abs_off
+    row_sums[:, 1:] += abs_off
+    scale = np.maximum(1.0, row_sums.max(axis=1))
+    residual_unit = np.maximum(np.abs(lam[:, 0]), max(1.0, float(abs_diag.max())))
+    resid = (_tridiagonal_multiply(block.diag, offdiag[:, None], vec)
+             - vec * lam[:, :, None])
+    resid_norms = np.sqrt(np.einsum("mkn,mkn->mk", resid, resid))
+    defects = np.abs(np.einsum("mn,mn->m", vec[:, 0], vec[:, 1]))
+    max_residual, max_defect = float(resid_norms.max()), float(defects.max())
 
-    if max_residual > RESIDUAL_BOUND * residual_unit:
-        raise EigenConvergenceError(
-            f"residual {max_residual:.3e} exceeds bound on {block.parity} block "
-            f"(worst eigenpair {int(np.argmax(np.linalg.norm(resid, axis=0)))})")
+    # residual_unit >= 1, so only a residual above the bare bound can fail
+    if max_residual > RESIDUAL_BOUND:
+        over = resid_norms.max(axis=1) > RESIDUAL_BOUND * residual_unit
+        if over.any():
+            m = int(np.argmax(over))
+            raise EigenConvergenceError(
+                f"residual {resid_norms[m].max():.3e} exceeds bound on {block.parity} "
+                f"block, row {m} (worst eigenpair {int(np.argmax(resid_norms[m]))})")
     if max_defect > ORTHOGONALITY_BOUND:
+        m = int(np.argmax(defects))
         raise EigenConvergenceError(
-            f"orthogonality defect {max_defect:.3e} exceeds bound on {block.parity} block")
+            f"orthogonality defect {defects[m]:.3e} exceeds bound on {block.parity} "
+            f"block, row {m}")
 
-    return Spectrum(eigenvalues=lam, eigenvectors=vec, max_residual=max_residual,
-                    max_orthogonality_defect=max_defect, scale=scale,
-                    residual_unit=residual_unit)
+    return Spectrum(eigenvalues=lam.reshape(lead + (2,)),
+                    eigenvectors=vec.swapaxes(1, 2).reshape(lead + (block.size, 2)),
+                    max_residual=max_residual, max_orthogonality_defect=max_defect,
+                    scale=scale.reshape(lead)[()],
+                    residual_unit=residual_unit.reshape(lead)[()])
 
 
 def sector_spectra(params: ModelParams) -> tuple[Spectrum, Spectrum]:
@@ -126,34 +168,44 @@ def sector_spectra(params: ModelParams) -> tuple[Spectrum, Spectrum]:
     return eig_tridiagonal(even), eig_tridiagonal(odd)
 
 
-def ground_state(params: ModelParams) -> GroundState:
-    """Ground state over both parity sectors.
+def _photon_moments(block: TridiagonalBlock, u0: np.ndarray, n_cut: int):
+    """<n> and the tail weight of each row of sector vectors u0 (M, size)."""
+    weights = u0**2
+    return (np.sum(block.index_map * weights, axis=1),
+            np.sum(weights[:, block.index_map > n_cut - TAIL_LEVELS], axis=1))
 
+
+def ground_state_row(points) -> list[GroundState]:
+    """Ground states of a row of points that share delta, kerr and n_cut.
+
+    Each parity sector is one stacked solve over the row's eps.
     Near-degenerate sector minima (within 1e-12 of the Gershgorin bound, the
     generic situation deep in the symmetry-broken regime) resolve to even
     parity, which continues the normal-phase ground state.
     """
-    even, odd = parity_blocks(params)
-    spec_e, spec_o = eig_tridiagonal(even), eig_tridiagonal(odd)
-    e0, o0 = float(spec_e.eigenvalues[0]), float(spec_o.eigenvalues[0])
-    scale = max(spec_e.scale, spec_o.scale)
+    eps = row_drives(points)
+    blocks = [sector_block(points[0], parity, eps) for parity in ("even", "odd")]
+    spectra = [eig_tridiagonal(block) for block in blocks]
+    e0, o0 = (spec.eigenvalues[:, 0] for spec in spectra)
+    odd = o0 < e0 - DEGENERACY_TOLERANCE * np.maximum(spectra[0].scale, spectra[1].scale)
+    sectors = []
+    for block, spec in zip(blocks, spectra):
+        u0 = spec.eigenvectors[..., 0]
+        sectors.append((u0, *_photon_moments(block, u0, points[0].n_cut)))
 
-    if o0 < e0 - DEGENERACY_TOLERANCE * scale:
-        parity, spec, block = "odd", spec_o, odd
-    else:
-        parity, spec, block = "even", spec_e, even
+    states = []
+    for m, p in enumerate(points):
+        s = int(odd[m])
+        lam = spectra[s].eigenvalues[m]
+        u0, mean_n, tail = sectors[s]
+        states.append(GroundState(
+            params=p, energy=float(lam[0]), vector=u0[m], levels=blocks[s].index_map,
+            parity=blocks[s].parity, gap=float(lam[1] - lam[0]),
+            sector_energies=(float(e0[m]), float(o0[m])), mean_n=float(mean_n[m]),
+            tail_weight=float(tail[m]), cutoff_warning=bool(tail[m] > TAIL_TOLERANCE)))
+    return states
 
-    full = np.zeros(params.dim, dtype=complex)
-    full[block.index_map] = spec.eigenvectors[:, 0]
-    full = apply_gauge_phases(full, params.phi)
-    tail = tail_weight(full)
-    return GroundState(
-        energy=float(spec.eigenvalues[0]),
-        fock_vector=full,
-        parity=parity,
-        gap=float(spec.eigenvalues[1] - spec.eigenvalues[0]),
-        sector_energies=(e0, o0),
-        tail_weight=tail,
-        cutoff_warning=bool(tail > TAIL_TOLERANCE),
-    )
 
+def ground_state(params: ModelParams) -> GroundState:
+    """Ground state over both parity sectors: the row of one point."""
+    return ground_state_row([params])[0]

@@ -92,6 +92,8 @@ class TridiagonalBlock:
 
     index_map[m] is the Fock level represented by sector index m (2m for the
     even block, 2m+1 for the odd one).  offdiag entries are <= 0 for eps > 0.
+    An offdiag of shape (M, size - 1) stacks the M blocks of one eps row,
+    which share the eps-independent diagonal.
     """
 
     parity: str
@@ -103,25 +105,50 @@ class TridiagonalBlock:
     def __post_init__(self):
         if self.parity not in ("even", "odd"):
             raise ValueError(f"parity must be 'even' or 'odd', got {self.parity}")
-        if self.diag.shape != (self.size,) or self.offdiag.shape != (self.size - 1,):
+        if (self.diag.shape != (self.size,) or self.offdiag.ndim not in (1, 2)
+                or self.offdiag.shape[-1] != self.size - 1):
             raise ValueError("inconsistent block shapes")
 
 
-def parity_blocks(params: ModelParams) -> tuple[TridiagonalBlock, TridiagonalBlock]:
-    """Gauge-rotated parity sectors of the Hamiltonian.
+def sector_block(params: ModelParams, parity: str, eps=None) -> TridiagonalBlock:
+    """One gauge-rotated parity sector of the Hamiltonian.
 
-    The returned blocks are independent of phi: the diagonal unitary with
-    phases e^{i n phi / 2} maps H(eps, phi) to H(eps, 0), whose sectors are
-    real tridiagonal with off-diagonal -(delta*eps/2) sqrt((n+1)(n+2)).
+    The block is independent of phi: the diagonal unitary with phases
+    e^{i n phi / 2} maps H(eps, phi) to H(eps, 0), whose sectors are real
+    tridiagonal with off-diagonal -(delta*eps/2) sqrt((n+1)(n+2)).  With eps
+    (a 1-D array of drive amplitudes) the block is the stack of the blocks at
+    those eps, spelled entry for entry as the single blocks are.
     """
-    blocks = []
-    for parity, start in (("even", 0), ("odd", 1)):
-        levels = np.arange(start, params.n_cut + 1, 2, dtype=float)
-        diag = params.kerr * levels * (levels - 1.0) + params.delta * levels
-        off = -(params.delta * params.eps / 2.0) * pair_coupling(levels[:-1])
-        blocks.append(TridiagonalBlock(parity=parity, size=len(levels), diag=diag,
-                                       offdiag=off, index_map=levels.astype(int)))
-    return blocks[0], blocks[1]
+    levels = np.arange(0 if parity == "even" else 1, params.n_cut + 1, 2, dtype=float)
+    diag = params.kerr * levels * (levels - 1.0) + params.delta * levels
+    if eps is None:
+        drive = params.delta * params.eps / 2.0
+    else:
+        drive = params.delta * np.asarray(eps, dtype=float)[:, None] / 2.0
+    off = -drive * pair_coupling(levels[:-1])
+    return TridiagonalBlock(parity=parity, size=len(levels), diag=diag, offdiag=off,
+                            index_map=levels.astype(int))
+
+
+def parity_blocks(params: ModelParams) -> tuple[TridiagonalBlock, TridiagonalBlock]:
+    """Even and odd sectors of the Hamiltonian (see sector_block)."""
+    return sector_block(params, "even"), sector_block(params, "odd")
+
+
+def row_drives(points) -> np.ndarray:
+    """The eps of a row of points that share delta, kerr and n_cut.
+
+    Points of one row may differ in eps and phi only; anything else raises
+    ValueError.
+    """
+    if not points:
+        raise ValueError("a row needs at least one point")
+    first = points[0]
+    for p in points:
+        if (p.delta, p.kerr, p.n_cut) != (first.delta, first.kerr, first.n_cut):
+            raise ValueError(f"row points differ in more than eps and phi: {first} "
+                             f"and {p}")
+    return np.array([p.eps for p in points], dtype=float)
 
 
 def apply_gauge_phases(state: np.ndarray, phi: float) -> np.ndarray:

@@ -26,6 +26,7 @@ from ._fd import curvature_fd, metric_fd, susceptibility_fd
 from .eigensolver import (
     ORTHOGONALITY_BOUND,
     RESIDUAL_BOUND,
+    _photon_moments,
     _tridiagonal_multiply,
     eig_tridiagonal,
 )
@@ -33,8 +34,8 @@ from .errors import EigenConvergenceError, GapError
 from .model import (
     ModelParams,
     pair_coupling,
-    parity_blocks,
-    TAIL_LEVELS,
+    row_drives,
+    sector_block,
     TAIL_TOLERANCE,
 )
 
@@ -65,13 +66,16 @@ class QGTResult:
     def __post_init__(self):
         if self.q.shape != (2, 2):
             raise ValueError("q must be 2x2")
-        if not np.allclose(self.q, self.q.conj().T, rtol=0, atol=0):
+        if not np.isfinite(self.q).all():
+            raise ValueError("q has a non-finite entry")
+        if not np.array_equal(self.q, self.q.conj().T):
             raise ValueError("q is not Hermitian")
         if self.q[0, 0].imag != 0.0 or self.q[1, 1].imag != 0.0:
             raise ValueError("diagonal of q must be exactly real")
-        g = self.q.real
-        eigmin = min(np.linalg.eigvalsh(g))
-        if eigmin < -PSD_TOLERANCE * max(1.0, float(np.trace(g))):
+        # smallest eigenvalue of the real symmetric 2x2 metric, in closed form
+        (a, b), (_, c) = self.q.real
+        eigmin = 0.5 * (a + c) - float(np.hypot(0.5 * (a - c), b))
+        if eigmin < -PSD_TOLERANCE * max(1.0, a + c):
             raise ValueError(f"metric is not positive semidefinite: eigmin = {eigmin:.3e}")
 
     @property
@@ -99,82 +103,117 @@ class QGTResult:
         return float(-2.0 * self.q[0, 1].imag)
 
 
-def _even_solution(params: ModelParams):
-    even, _ = parity_blocks(params)
-    return even, eig_tridiagonal(even)
-
-
-def _sternheimer(block, e0: float, u0: np.ndarray, rhs: np.ndarray,
-                 residual_unit: float, powers: int) -> list[np.ndarray]:
-    """[R rhs, R^2 rhs, ...] for R = (T - E0)^+ and rhs orthogonal to u0.
+def _sternheimer(block, e0: np.ndarray, u0: np.ndarray, rhs: np.ndarray,
+                 residual_unit: np.ndarray, powers: int) -> list[np.ndarray]:
+    """[R rhs, R^2 rhs, ...] for R = (T - E0)^+ and rhs orthogonal to u0,
+    on every row of a stacked block (arrays (M, N), e0 and residual_unit (M,)).
 
     Row and column k = argmax|u0| are dropped.  The ground vector of an
     irreducible Jacobi matrix has no zero component, so by Cauchy interlacing
     every eigenvalue of what remains lies strictly above E0: the reduced
     shifted matrix is positive definite.  One O(N) LDL^T factorisation
-    (dpttrf) serves every power; each back-substitution (dpttrs) gives a
-    solution with y_k = 0, from which u0 is projected out.  At eps = 0 the
-    block is diagonal, u0 is a unit vector and the same holds.
+    (dpttrf) per row serves every power; each back-substitution (dpttrs)
+    gives a solution with y_k = 0, from which u0 is projected out.  At eps = 0
+    the block is diagonal, u0 is a unit vector and the same holds.
     """
-    size = block.size
-    k = int(np.argmax(np.abs(u0)))
-    diag = np.delete(block.diag, k) - e0
-    off = np.delete(block.offdiag, min(k, size - 2))
-    if 0 < k < size - 1:
-        off[k - 1] = 0.0
-    d, e, info = scipy.linalg.lapack.dpttrf(diag, off)
-    if info != 0:
-        raise EigenConvergenceError(
-            f"shifted {block.parity} block is not positive definite after "
-            f"deflation (dpttrf info {info})")
-
-    solutions = []
-    for _ in range(powers):
-        x, _ = scipy.linalg.lapack.dpttrs(d, e, np.delete(rhs, k))
-        y = np.insert(x, k, 0.0)
-        y -= (u0 @ y) * u0
-
-        norm_y = max(1.0, float(np.linalg.norm(y)))
-        shifted_y = _tridiagonal_multiply(block.diag - e0, block.offdiag, y[:, None])[:, 0]
-        residual = float(np.linalg.norm(shifted_y - rhs))
-        if residual > RESIDUAL_BOUND * residual_unit * norm_y:
+    rows, size = u0.shape
+    # keep[m] lists the indices that survive deflation of row m, in order;
+    # a reduced off-diagonal entry that straddles the dropped index is zero.
+    k = np.argmax(np.abs(u0), axis=1)
+    kept = np.arange(size - 1)
+    keep = kept + (kept >= k[:, None])
+    diag = block.diag[keep] - e0[:, None]
+    off = block.offdiag[np.arange(rows)[:, None], keep[:, :-1]]
+    off[keep[:, 1:] != keep[:, :-1] + 1] = 0.0
+    solutions = np.zeros((powers, rows, size))
+    for m in range(rows):
+        d, e, info = scipy.linalg.lapack.dpttrf(diag[m], off[m])
+        if info != 0:
             raise EigenConvergenceError(
-                f"linear-response residual {residual:.3e} exceeds bound on "
-                f"{block.parity} block")
-        overlap = abs(float(u0 @ y))
-        if overlap > ORTHOGONALITY_BOUND * norm_y:
+                f"shifted {block.parity} block is not positive definite after "
+                f"deflation (dpttrf info {info}, row {m})")
+        source = rhs[m]
+        for y in solutions[:, m]:
+            y[keep[m]], _ = scipy.linalg.lapack.dpttrs(d, e, source[keep[m]])
+            y -= (u0[m] @ y) * u0[m]
+            source = y
+
+    shifted_diag = block.diag - e0[:, None]
+    for source, y in zip([rhs, *solutions[:-1]], solutions):
+        resid = _tridiagonal_multiply(shifted_diag, block.offdiag, y) - source
+        residual = np.sqrt(np.einsum("mn,mn->m", resid, resid))
+        overlap = np.abs(np.einsum("mn,mn->m", u0, y))
+        # residual_unit and norm_y are >= 1, so only a certificate above its
+        # bare bound can fail
+        if residual.max() <= RESIDUAL_BOUND and overlap.max() <= ORTHOGONALITY_BOUND:
+            continue
+        norm_y = np.maximum(1.0, np.sqrt(np.einsum("mn,mn->m", y, y)))
+        over = residual > RESIDUAL_BOUND * residual_unit * norm_y
+        if over.any():
+            m = int(np.argmax(over))
             raise EigenConvergenceError(
-                f"linear response keeps overlap {overlap:.3e} with the ground vector")
-        solutions.append(y)
-        rhs = y
-    return solutions
+                f"linear-response residual {residual[m]:.3e} exceeds bound on "
+                f"{block.parity} block, row {m}")
+        if np.any(overlap > ORTHOGONALITY_BOUND * norm_y):
+            m = int(np.argmax(overlap / norm_y))
+            raise EigenConvergenceError(
+                f"linear response keeps overlap {overlap[m]:.3e} with the ground "
+                f"vector, row {m}")
+    return list(solutions)
 
 
-def _band_multiply(band: np.ndarray, vector: np.ndarray) -> np.ndarray:
-    return _tridiagonal_multiply(np.zeros(len(vector)), band, vector[:, None])[:, 0]
+def _band_multiply(band: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    return _tridiagonal_multiply(np.zeros(vectors.shape[-1]), band, vectors)
 
 
-def _response(params: ModelParams, powers: int):
-    """Gap-gated even ground pair and the eps response on it.
+def _response(points, powers: int):
+    """Gap-gated even ground pairs of a row and the eps response on them.
 
-    Returns the block, u0, the gap, C = dT/deps (its off-diagonal band),
-    dE0 = u0.C u0 (Hellmann-Feynman) and the Sternheimer solutions
-    [y, R y, ...] for y = R (C u0 - dE0 u0).
+    points share delta, kerr and n_cut.  Returns the stacked even block, u0
+    (M, N), the gaps, C = dT/deps (its off-diagonal band, the same for every
+    eps), dE0 = u0.C u0 (Hellmann-Feynman) and the Sternheimer solutions
+    [y, R y, ...] for y = R (C u0 - dE0 u0), each (M, N).
     """
-    block, spec = _even_solution(params)
-    e0, u0 = float(spec.eigenvalues[0]), spec.eigenvectors[:, 0]
-    gap = float(spec.eigenvalues[1]) - e0
-    if gap <= GAP_FLOOR * spec.scale:
-        raise GapError(f"sector gap {gap:.3e} is below the floor "
-                       f"{GAP_FLOOR:g} x Gershgorin bound {spec.scale:.3e} at "
-                       f"eps={params.eps:g}, kerr={params.kerr:g}, n_cut={params.n_cut}")
+    first = points[0]
+    block = sector_block(first, "even", row_drives(points))
+    spec = eig_tridiagonal(block)
+    lam, u0 = spec.eigenvalues, spec.eigenvectors[..., 0]
+    e0, gap = lam[:, 0], lam[:, 1] - lam[:, 0]
+    low = gap <= GAP_FLOOR * spec.scale
+    if low.any():
+        m = int(np.argmax(low))
+        raise GapError(f"sector gap {gap[m]:.3e} is below the floor "
+                       f"{GAP_FLOOR:g} x Gershgorin bound {spec.scale[m]:.3e} at "
+                       f"eps={points[m].eps:g}, kerr={first.kerr:g}, n_cut={first.n_cut}")
 
-    band = -(params.delta / 2.0) * pair_coupling(block.index_map[:-1])
+    band = -(first.delta / 2.0) * pair_coupling(block.index_map[:-1])
     rhs = _band_multiply(band, u0)
-    de0 = u0 @ rhs
-    rhs -= de0 * u0
+    de0 = np.array([u @ r for u, r in zip(u0, rhs)])
+    rhs -= de0[:, None] * u0
     solutions = _sternheimer(block, e0, u0, rhs, spec.residual_unit, powers)
-    return block, u0, gap, band, float(de0), solutions
+    return block, u0, gap, band, de0, solutions
+
+
+def qgt_spectral_row(points) -> list[QGTResult]:
+    """Geometric tensors of a row of points that share delta, kerr and n_cut.
+
+    One stacked even-block solve and one Sternheimer solve per row give every
+    point's tensor exactly as qgt_spectral gives it alone.
+    """
+    block, u0, gap, _, _, (y,) = _response(points, powers=1)
+    levels = block.index_map
+    mean_n, tail = _photon_moments(block, u0, points[0].n_cut)
+    var_n = np.sum(levels.astype(float) ** 2 * u0**2, axis=1) - mean_n**2
+    n_u0 = levels * u0
+    results = []
+    for m, params in enumerate(points):
+        q_ep = 0.5j * float(y[m] @ n_u0[m])
+        q = np.array([[float(y[m] @ y[m]), q_ep], [np.conj(q_ep), var_n[m] / 4.0]])
+        results.append(QGTResult(q=q, gap=float(gap[m]), method="spectral", params=params,
+                                 mean_n=float(mean_n[m]), var_n=float(var_n[m]),
+                                 tail_weight=float(tail[m]),
+                                 cutoff_warning=bool(tail[m] > TAIL_TOLERANCE)))
+    return results
 
 
 def qgt_spectral(params: ModelParams) -> QGTResult:
@@ -189,19 +228,10 @@ def qgt_spectral(params: ModelParams) -> QGTResult:
         g_ee = y.y,   g_pp = Var(n)/4,   f_ep = -y.(n u0),   g_ep = 0.
 
     The method label stays "spectral": this is the spectral sum over the
-    even-sector eigenbasis, evaluated without the eigenbasis.
+    even-sector eigenbasis, evaluated without the eigenbasis.  It is the row
+    of one point (qgt_spectral_row).
     """
-    block, u0, gap, _, _, (y,) = _response(params, powers=1)
-    levels = block.index_map
-    weights = u0**2
-    mean_n = float(np.sum(levels * weights))
-    var_n = float(np.sum(levels.astype(float) ** 2 * weights)) - mean_n**2
-    q_ep = 0.5j * float(y @ (levels * u0))
-    q = np.array([[float(y @ y), q_ep], [np.conj(q_ep), var_n / 4.0]])
-    tail = float(np.sum(u0[levels > params.n_cut - TAIL_LEVELS] ** 2))
-    return QGTResult(q=q, gap=gap, method="spectral", params=params,
-                     mean_n=mean_n, var_n=var_n, tail_weight=tail,
-                     cutoff_warning=bool(tail > TAIL_TOLERANCE))
+    return qgt_spectral_row([params])[0]
 
 
 def g_ee_slope(params: ModelParams) -> float:
@@ -216,22 +246,25 @@ def g_ee_slope(params: ModelParams) -> float:
     (eps -> -eps is the gauge shift phi -> phi + pi), so the slope is 0 at
     eps = 0.
     """
-    _, _, _, band, de0, (y, z) = _response(params, powers=2)
-    return float(-4.0 * (z @ (_band_multiply(band, y) - de0 * y)))
+    _, _, _, band, (de0,), (y, z) = _response([params], powers=2)
+    return float(-4.0 * (z[0] @ (_band_multiply(band, y[0]) - de0 * y[0])))
 
 
 def _even_ground_family(params: ModelParams):
     """State map (eps, phi) -> gauge-phased even-sector ground vector, caching
-    the eps solves."""
-    cache: dict[float, tuple[np.ndarray, np.ndarray]] = {}
+    the eps solves and the gauge phases of each phi."""
+    levels = np.arange(0, params.n_cut + 1, 2)
+    vectors: dict[float, np.ndarray] = {}
+    phases: dict[float, np.ndarray] = {}
 
     def state(eps: float, phi: float) -> np.ndarray:
         key = float(eps)
-        if key not in cache:
-            block, spec = _even_solution(params.replace(eps=key, phi=0.0))
-            cache[key] = (spec.eigenvectors[:, 0], block.index_map)
-        vec, levels = cache[key]
-        return vec * np.exp(-0.5j * levels * phi)
+        if key not in vectors:
+            block = sector_block(params.replace(eps=key, phi=0.0), "even")
+            vectors[key] = eig_tridiagonal(block).eigenvectors[:, 0]
+        if phi not in phases:
+            phases[phi] = np.exp(-0.5j * levels * phi)
+        return vectors[key] * phases[phi]
 
     return state
 

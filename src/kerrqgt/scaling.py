@@ -19,7 +19,7 @@ from scipy.optimize import brentq, minimize
 
 from .errors import BracketError, FitError, WindowError
 from .model import ModelParams, TAIL_TOLERANCE
-from .qgt import g_ee_slope, qgt_spectral, QGTResult
+from .qgt import g_ee_slope, qgt_spectral, qgt_spectral_row, QGTResult
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -353,8 +353,9 @@ def _point(size: float, eps: float, n_cut: int, delta: float) -> QGTResult:
 
 def sweep_family(sizes: Sequence[float], eps_grid: np.ndarray, n_cut: int,
                  delta: float = 1.0) -> list[list[QGTResult]]:
-    """Evaluate the spectral tensor on sizes x eps_grid, one row per size."""
-    return [[_point(L, e, n_cut, delta) for e in eps_grid] for L in sizes]
+    """Spectral tensor on sizes x eps_grid, one row kernel call per size."""
+    return [qgt_spectral_row([ModelParams.from_size(L, e, n_cut=n_cut, delta=delta)
+                              for e in eps_grid]) for L in sizes]
 
 
 def scaling_pipeline(sizes: Sequence[float] = DEFAULT_SIZES,

@@ -22,9 +22,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import __version__
-from .eigensolver import ground_state
+from .eigensolver import ground_state_row
 from .errors import CutoffError, EigenConvergenceError, GapError, SchemaError, StepSizeError
-from .model import ModelParams, mean_photon
+from .model import ModelParams
 from .qgt import _even_ground_family, berry_plaquette, metric_overlap, qgt_spectral
 from .scaling import (
     CurveFamily,
@@ -275,14 +275,12 @@ def _phase_diagram(config: SweepConfig, out: Path) -> ModeResult:
     # H(eps, phi) = G H(eps, 0) G^dagger for the diagonal gauge unitary
     # G = exp(-i n phi / 2), so the photon distribution of the ground state,
     # hence mean_n, rho and the cutoff gate, is exactly phi-independent: one
-    # solve at phi = 0 fills every phi column of its eps row.
-    def work(eps):
-        params = ModelParams.from_size(config.size, eps, n_cut=config.n_cut,
-                                       delta=config.delta)
-        gs = ground_state(params)
-        return mean_photon(gs.fock_vector), "cutoff" if gs.cutoff_warning else ""
-
-    solved = [work(eps) for eps in eps_grid]
+    # row solve at phi = 0 (one stacked solve per parity sector) fills every
+    # phi column of every eps row.
+    states = ground_state_row([ModelParams.from_size(config.size, eps, n_cut=config.n_cut,
+                                                     delta=config.delta)
+                               for eps in eps_grid])
+    solved = [(gs.mean_n, "cutoff" if gs.cutoff_warning else "") for gs in states]
     rows = [(eps, phi, config.size, config.n_cut, n_mean, n_mean / config.size, warn)
             for eps, (n_mean, warn) in zip(eps_grid, solved) for phi in phi_grid]
     warnings = [f"cutoff-inadequate point: eps={r[0]:g} phi={r[1]:g}"

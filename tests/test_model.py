@@ -65,8 +65,8 @@ def test_banded_apply_matches_dense():
     rotated = apply_gauge_phases(v, -p.phi)
     out = np.zeros(p.dim, dtype=complex)
     for block in parity_blocks(p):
-        sector = rotated[block.index_map][:, None]
-        out[block.index_map] = _tridiagonal_multiply(block.diag, block.offdiag, sector)[:, 0]
+        sector = rotated[block.index_map]
+        out[block.index_map] = _tridiagonal_multiply(block.diag, block.offdiag, sector)
     np.testing.assert_allclose(apply_gauge_phases(out, p.phi), dense_hamiltonian(p) @ v,
                                atol=1e-12)
 

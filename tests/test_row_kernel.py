@@ -1,0 +1,188 @@
+"""The row kernel against point-by-point calls, and the QGTResult gates.
+
+A row of points that share delta, kerr and n_cut is solved as one stacked
+block per parity sector; every result must equal the single-point call bit
+for bit, because the scaling report and the CSVs are compared byte for byte.
+"""
+
+import numpy as np
+import pytest
+
+import kerrqgt.qgt as qgt
+from kerrqgt import (
+    GapError,
+    ModelParams,
+    QGTResult,
+    eig_tridiagonal,
+    ground_state,
+    ground_state_row,
+    parity_blocks,
+    qgt_spectral,
+    qgt_spectral_row,
+    sector_block,
+)
+from kerrqgt.qgt import PSD_TOLERANCE
+
+ROWS = [
+    # (size, n_cut, eps row): a row of one point, rows through eps = 0, rows
+    # across the transition and into the symmetry-broken regime
+    (150, 400, [0.97]),
+    (40, 200, np.linspace(0.0, 1.5, 7)),
+    (150, 400, np.arange(0.95, 1.06 + 0.002, 0.004)),
+    (350, 400, np.concatenate([[0.0], np.linspace(0.6, 1.3, 9)])),
+]
+
+
+def _row(size, n_cut, eps_row, phi=0.0):
+    return [ModelParams.from_size(size, e, phi=phi, n_cut=n_cut) for e in eps_row]
+
+
+def _label(row):
+    size, n_cut, eps_row = row
+    return f"L={size}-ncut={n_cut}-M={len(eps_row)}"
+
+
+@pytest.mark.parametrize("row", ROWS, ids=_label)
+def test_stacked_blocks_are_the_single_blocks(row):
+    points = _row(*row)
+    eps = np.array([p.eps for p in points])
+    for parity in (0, 1):
+        stack = sector_block(points[0], ("even", "odd")[parity], eps)
+        for m, p in enumerate(points):
+            single = parity_blocks(p)[parity]
+            assert np.array_equal(stack.diag, single.diag)
+            assert np.array_equal(stack.offdiag[m], single.offdiag)
+            assert np.array_equal(stack.index_map, single.index_map)
+
+
+@pytest.mark.parametrize("row", ROWS, ids=_label)
+def test_tensor_row_equals_single_calls(row):
+    points = _row(*row, phi=0.4)
+    results = qgt_spectral_row(points)
+    assert len(results) == len(points)
+    for p, r in zip(points, results):
+        single = qgt_spectral(p)
+        assert r.params is p
+        assert np.array_equal(r.q, single.q)
+        assert (r.gap, r.mean_n, r.var_n, r.tail_weight, r.cutoff_warning) == (
+            single.gap, single.mean_n, single.var_n, single.tail_weight,
+            single.cutoff_warning)
+
+
+@pytest.mark.parametrize("row", ROWS, ids=_label)
+def test_ground_state_row_equals_single_calls(row):
+    points = _row(*row, phi=1.1)
+    for p, gs in zip(points, ground_state_row(points)):
+        single = ground_state(p)
+        assert gs.params is p
+        assert np.array_equal(gs.vector, single.vector)
+        assert np.array_equal(gs.fock_vector, single.fock_vector)
+        assert (gs.energy, gs.parity, gs.gap, gs.sector_energies, gs.mean_n,
+                gs.tail_weight, gs.cutoff_warning) == (
+            single.energy, single.parity, single.gap, single.sector_energies,
+            single.mean_n, single.tail_weight, single.cutoff_warning)
+
+
+def test_stacked_spectrum_shapes():
+    points = _row(150, 400, [0.5, 0.9, 1.1])
+    block = sector_block(points[0], "even", [p.eps for p in points])
+    spec = eig_tridiagonal(block)
+    assert spec.eigenvalues.shape == (3, 2)
+    assert spec.eigenvectors.shape == (3, block.size, 2)
+    assert spec.scale.shape == spec.residual_unit.shape == (3,)
+    assert np.ndim(spec.max_residual) == 0
+    # each ground vector is one contiguous row
+    assert spec.eigenvectors[..., 0].strides[-1] == spec.eigenvectors.itemsize
+
+
+def test_gap_floor_names_the_point_of_the_row(monkeypatch):
+    points = _row(150, 400, np.linspace(0.8, 1.2, 9))
+    ratios = []
+    for p in points:
+        spec = eig_tridiagonal(parity_blocks(p)[0])
+        ratios.append((spec.eigenvalues[1] - spec.eigenvalues[0]) / spec.scale)
+    worst, runner_up = np.sort(ratios)[:2]
+    m = int(np.argmin(ratios))
+    assert 0 < m < len(points) - 1
+    # only the point with the smallest gap falls below the patched floor
+    monkeypatch.setattr(qgt, "GAP_FLOOR", 0.5 * (worst + runner_up))
+    with pytest.raises(GapError, match=rf"sector gap .* at eps={points[m].eps:g}, "
+                                       rf"kerr=0.00666667, n_cut=400$"):
+        qgt_spectral_row(points)
+
+
+def test_row_points_must_share_everything_but_eps_and_phi():
+    with pytest.raises(ValueError, match="differ in more than eps and phi"):
+        qgt_spectral_row([ModelParams.from_size(150, 0.9, n_cut=400),
+                          ModelParams.from_size(200, 0.9, n_cut=400)])
+    with pytest.raises(ValueError, match="at least one point"):
+        ground_state_row([])
+
+
+# ---------------------------------------------------------------------------
+# QGTResult gates: exact Hermiticity and a closed-form PSD test
+
+def _old_gates(q):
+    """The gates as they were: allclose at zero tolerance and eigvalsh."""
+    if not np.allclose(q, q.conj().T, rtol=0, atol=0):
+        raise ValueError("q is not Hermitian")
+    if q[0, 0].imag != 0.0 or q[1, 1].imag != 0.0:
+        raise ValueError("diagonal of q must be exactly real")
+    g = q.real
+    eigmin = min(np.linalg.eigvalsh(g))
+    if eigmin < -PSD_TOLERANCE * max(1.0, float(np.trace(g))):
+        raise ValueError("metric is not positive semidefinite")
+
+
+def _accepts(gate, q) -> bool:
+    try:
+        gate(q)
+    except ValueError:
+        return False
+    return True
+
+
+def _new_gate(q):
+    QGTResult(q=q, gap=1.0, method="spectral", params=ModelParams.from_size(150, 0.9),
+              mean_n=0.0, var_n=0.0, tail_weight=0.0, cutoff_warning=False)
+
+
+GATE_CASES = {
+    "psd": ([[2.0, 0.5j], [-0.5j, 1.0]], True),
+    "rank one": ([[1.0, 1.0], [1.0, 1.0]], True),
+    "nan diagonal": ([[np.nan, 0.0], [0.0, 1.0]], False),
+    "nan off-diagonal": ([[1.0, np.nan], [np.nan, 1.0]], False),
+    "non-hermitian": ([[1.0, 0.1], [0.2, 1.0]], False),
+    "non-hermitian phase": ([[1.0, 0.1j], [0.1j, 1.0]], False),
+    "imaginary diagonal": ([[1.0 + 1e-20j, 0.0], [0.0, 1.0]], False),
+    "indefinite": ([[1.0, 2.0], [2.0, 1.0]], False),
+    "negative diagonal": ([[-1.0, 0.0], [0.0, 1.0]], False),
+    # PSD_TOLERANCE x max(1, trace): unit 1 on a diagonal metric, unit ~2
+    # on a nearly rank-one one with eigmin ~ -d/2
+    "edge inside, unit 1": ([[-0.99e-9, 0.0], [0.0, 1.0]], True),
+    "edge outside, unit 1": ([[-1.01e-9, 0.0], [0.0, 1.0]], False),
+    "edge inside, unit trace": ([[1.0, 1.0], [1.0, 1.0 - 3.6e-9]], True),
+    "edge outside, unit trace": ([[1.0, 1.0], [1.0, 1.0 - 4.4e-9]], False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GATE_CASES))
+def test_result_gates_match_the_old_ones(case):
+    q, accepted = GATE_CASES[case]
+    q = np.array(q, dtype=complex)
+    assert _accepts(_old_gates, q) == accepted
+    assert _accepts(_new_gate, q) == accepted
+
+
+@pytest.mark.parametrize("q", [
+    [[np.inf, 0.0], [0.0, 1.0]],
+    [[-np.inf, 0.0], [0.0, 1.0]],
+    [[1.0, np.inf], [np.inf, 1.0]],
+    [[np.inf, 0.0], [0.0, np.inf]],
+])
+def test_result_gates_reject_infinities(q):
+    # eigvalsh returns NaN for an infinite entry, which the old comparison let
+    # through; a non-finite tensor is now rejected before the PSD test
+    q = np.array(q, dtype=complex)
+    assert _accepts(_old_gates, q)
+    assert not _accepts(_new_gate, q)

@@ -5,9 +5,11 @@ import re
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import kerrqgt.sweep as sweep
-from kerrqgt import ModelParams, ground_state, mean_photon
+from kerrqgt import (ModelParams, ground_state, ground_state_row, mean_photon,
+                     parity_blocks)
 from kerrqgt.cli import (
     assemble_config,
     build_parser,
@@ -77,15 +79,31 @@ def test_phase_diagram_run(tmp_path):
 
 
 def test_phase_diagram_solves_once_per_eps(tmp_path, monkeypatch):
-    solved = []
-    monkeypatch.setattr(sweep, "ground_state",
-                        lambda params: solved.append(params) or ground_state(params))
+    rows_solved, pairs = [], []
+    monkeypatch.setattr(sweep, "ground_state_row",
+                        lambda row: rows_solved.append(row) or ground_state_row(row))
+    original = scipy.linalg.eigh_tridiagonal
+
+    def pair_solve(diag, off, **kwargs):
+        pairs.append((len(diag), off.copy(), kwargs.get("select")))
+        return original(diag, off, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", pair_solve)
     size, n_cut = 200.0, 160
+    eps_grid = np.linspace(0.0, 1.2, 7)
     cfg = SweepConfig(mode="phase-diagram", out_dir=str(tmp_path),
                       size=size, n_cut=n_cut, eps_range=(0.0, 1.2, 7),
                       phi_range=(0.0, 2.0 * np.pi, 5))
     _, rows = read_csv(run(cfg)[0])
-    assert len(solved) == 7 and all(p.phi == 0.0 for p in solved)
+    # one row of points at phi = 0, and one lowest-pair solve per (eps, sector)
+    assert len(rows_solved) == 1 and all(p.phi == 0.0 for p in rows_solved[0])
+    assert [p.eps for p in rows_solved[0]] == list(eps_grid)
+    expected = [parity_blocks(ModelParams.from_size(size, eps, n_cut=n_cut))[parity]
+                for parity in (0, 1) for eps in eps_grid]
+    assert len(pairs) == len(expected) == 14
+    for (size_solved, off, select), block in zip(pairs, expected):
+        assert size_solved == block.size and select == "i"
+        assert np.array_equal(off, block.offdiag)
     phis = [fmt_float(phi) for phi in np.linspace(0.0, 2.0 * np.pi, 5)]
     for i in range(7):
         row_set = rows[5 * i:5 * (i + 1)]
