@@ -25,7 +25,6 @@ from .model import (
     apply_gauge_phases,
     mean_photon,
     pair_coupling,
-    parity_blocks,
     photon_variance,
     rho,
     sector_block,
@@ -37,7 +36,6 @@ from .eigensolver import (
     eig_tridiagonal,
     ground_state,
     ground_state_row,
-    sector_spectra,
 )
 from .oracle import (
     NormalPhaseSolution,
@@ -81,9 +79,9 @@ __all__ = [
     "__version__",
     "ModelParams", "TridiagonalBlock",
     "apply_gauge_phases", "mean_photon", "pair_coupling",
-    "parity_blocks", "photon_variance", "rho", "sector_block", "tail_weight",
+    "photon_variance", "rho", "sector_block", "tail_weight",
     "GroundState", "Spectrum", "eig_tridiagonal",
-    "ground_state", "ground_state_row", "sector_spectra",
+    "ground_state", "ground_state_row",
     "NormalPhaseSolution", "SuperradiantSolution", "displaced_squeezed_cat",
     "displaced_squeezed_fock", "normal_phase", "normal_phase_qgt_limit",
     "squeezed_vacuum_fock", "superradiant_phase",

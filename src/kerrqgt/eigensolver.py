@@ -6,9 +6,9 @@ select='i') gets it in O(N).  The gates take their units from two O(N) bounds
 on the block norm (see Spectrum), not from a second bisection for the top
 eigenvalue.  Residual and orthogonality bounds are checked on every solve.
 
-A block may stack the M blocks of one eps row (TridiagonalBlock): each row
-gets its own selective solve, and the sign convention, the gate units and
-the certificates are then taken on the whole stack at once.
+Every block stacks the M blocks of a row of points (one point is a row of
+one).  Each gets its own selective solve; the sign convention, the gate units
+and the certificates are then taken on the whole stack at once.
 """
 
 from __future__ import annotations
@@ -23,8 +23,6 @@ from .model import (
     ModelParams,
     TridiagonalBlock,
     apply_gauge_phases,
-    parity_blocks,
-    row_drives,
     sector_block,
     TAIL_LEVELS,
     TAIL_TOLERANCE,
@@ -37,13 +35,11 @@ DEGENERACY_TOLERANCE = 1e-12
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Lowest two eigenvalues (ascending) and eigenvector columns of one block.
+    """Lowest two eigenvalues (ascending) and eigenvectors of each row of a block.
 
-    For a stacked block every field but the two certificates gains the
-    leading row axis: eigenvalues (M, 2), eigenvectors (M, size, 2), scale
-    and residual_unit (M,); max_residual and max_orthogonality_defect are the
-    worst over the stack.  Each eigenvector eigenvectors[..., k] is
-    contiguous in memory.
+    eigenvalues is (M, 2), eigenvectors (M, size, 2), scale and residual_unit
+    (M,); max_residual and max_orthogonality_defect are the worst over the
+    row.  Each eigenvector eigenvectors[m, :, k] is contiguous in memory.
 
     Two units bracket max(1, ||T||_2), the largest |eigenvalue| of the block:
 
@@ -59,8 +55,8 @@ class Spectrum:
     eigenvectors: np.ndarray
     max_residual: float
     max_orthogonality_defect: float
-    scale: float | np.ndarray
-    residual_unit: float | np.ndarray
+    scale: np.ndarray
+    residual_unit: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -101,14 +97,13 @@ def _tridiagonal_multiply(diag, off, vectors):
 
 
 def eig_tridiagonal(block: TridiagonalBlock) -> Spectrum:
-    """Lowest two eigenpairs of a real symmetric tridiagonal parity block.
+    """Lowest two eigenpairs of each row of a real symmetric tridiagonal block.
 
     One bisection and inverse iteration per row give the pair in O(N); the
     two units of Spectrum are O(N) bounds read off the block, with no further
     solve.
     """
-    lead = block.offdiag.shape[:-1]
-    offdiag = block.offdiag.reshape(-1, block.size - 1)
+    offdiag = block.offdiag
     lam = np.empty((len(offdiag), 2))
     # (M, 2, N): each eigenvector is one contiguous row
     vec = np.empty((len(offdiag), 2, block.size))
@@ -155,17 +150,9 @@ def eig_tridiagonal(block: TridiagonalBlock) -> Spectrum:
             f"orthogonality defect {defects[m]:.3e} exceeds bound on {block.parity} "
             f"block, row {m}")
 
-    return Spectrum(eigenvalues=lam.reshape(lead + (2,)),
-                    eigenvectors=vec.swapaxes(1, 2).reshape(lead + (block.size, 2)),
+    return Spectrum(eigenvalues=lam, eigenvectors=vec.swapaxes(1, 2),
                     max_residual=max_residual, max_orthogonality_defect=max_defect,
-                    scale=scale.reshape(lead)[()],
-                    residual_unit=residual_unit.reshape(lead)[()])
-
-
-def sector_spectra(params: ModelParams) -> tuple[Spectrum, Spectrum]:
-    """Lowest eigenpairs of the even and odd parity blocks."""
-    even, odd = parity_blocks(params)
-    return eig_tridiagonal(even), eig_tridiagonal(odd)
+                    scale=scale, residual_unit=residual_unit)
 
 
 def _photon_moments(block: TridiagonalBlock, u0: np.ndarray, n_cut: int):
@@ -183,8 +170,7 @@ def ground_state_row(points) -> list[GroundState]:
     generic situation deep in the symmetry-broken regime) resolve to even
     parity, which continues the normal-phase ground state.
     """
-    eps = row_drives(points)
-    blocks = [sector_block(points[0], parity, eps) for parity in ("even", "odd")]
+    blocks = [sector_block(points, parity) for parity in ("even", "odd")]
     spectra = [eig_tridiagonal(block) for block in blocks]
     e0, o0 = (spec.eigenvalues[:, 0] for spec in spectra)
     odd = o0 < e0 - DEGENERACY_TOLERANCE * np.maximum(spectra[0].scale, spectra[1].scale)

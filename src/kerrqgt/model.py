@@ -9,6 +9,9 @@ couples Fock levels n and n+2, so the matrix is pentadiagonal with an empty
 first off-diagonal and splits into even/odd parity blocks.  A diagonal gauge
 rotation with phases e^{i n phi / 2} removes the drive phase, leaving real
 symmetric tridiagonal blocks whose off-diagonal entries are non-positive.
+sector_block builds a sector for a row of M points that share delta, kerr and
+n_cut (one point is a row of one): one diagonal under an (M, N-1) stack of
+off-diagonals, one per eps.
 """
 
 from __future__ import annotations
@@ -88,12 +91,12 @@ def pair_coupling(n):
 
 @dataclass(frozen=True)
 class TridiagonalBlock:
-    """One parity sector after the gauge rotation: real symmetric tridiagonal.
+    """One parity sector after the gauge rotation, over a row of M points:
+    M real symmetric tridiagonal blocks that share the eps-independent diagonal.
 
     index_map[m] is the Fock level represented by sector index m (2m for the
-    even block, 2m+1 for the odd one).  offdiag entries are <= 0 for eps > 0.
-    An offdiag of shape (M, size - 1) stacks the M blocks of one eps row,
-    which share the eps-independent diagonal.
+    even block, 2m+1 for the odd one).  offdiag has shape (M, size - 1), one
+    row per point; its entries are <= 0 for eps > 0.
     """
 
     parity: str
@@ -105,41 +108,19 @@ class TridiagonalBlock:
     def __post_init__(self):
         if self.parity not in ("even", "odd"):
             raise ValueError(f"parity must be 'even' or 'odd', got {self.parity}")
-        if (self.diag.shape != (self.size,) or self.offdiag.ndim not in (1, 2)
-                or self.offdiag.shape[-1] != self.size - 1):
-            raise ValueError("inconsistent block shapes")
+        if (self.diag.shape != (self.size,) or self.offdiag.ndim != 2
+                or self.offdiag.shape[1] != self.size - 1):
+            raise ValueError(f"inconsistent block shapes {self.diag.shape}, {self.offdiag.shape}")
 
 
-def sector_block(params: ModelParams, parity: str, eps=None) -> TridiagonalBlock:
-    """One gauge-rotated parity sector of the Hamiltonian.
+def sector_block(points, parity: str) -> TridiagonalBlock:
+    """One gauge-rotated parity sector over a row of points.
 
-    The block is independent of phi: the diagonal unitary with phases
-    e^{i n phi / 2} maps H(eps, phi) to H(eps, 0), whose sectors are real
-    tridiagonal with off-diagonal -(delta*eps/2) sqrt((n+1)(n+2)).  With eps
-    (a 1-D array of drive amplitudes) the block is the stack of the blocks at
-    those eps, spelled entry for entry as the single blocks are.
-    """
-    levels = np.arange(0 if parity == "even" else 1, params.n_cut + 1, 2, dtype=float)
-    diag = params.kerr * levels * (levels - 1.0) + params.delta * levels
-    if eps is None:
-        drive = params.delta * params.eps / 2.0
-    else:
-        drive = params.delta * np.asarray(eps, dtype=float)[:, None] / 2.0
-    off = -drive * pair_coupling(levels[:-1])
-    return TridiagonalBlock(parity=parity, size=len(levels), diag=diag, offdiag=off,
-                            index_map=levels.astype(int))
-
-
-def parity_blocks(params: ModelParams) -> tuple[TridiagonalBlock, TridiagonalBlock]:
-    """Even and odd sectors of the Hamiltonian (see sector_block)."""
-    return sector_block(params, "even"), sector_block(params, "odd")
-
-
-def row_drives(points) -> np.ndarray:
-    """The eps of a row of points that share delta, kerr and n_cut.
-
-    Points of one row may differ in eps and phi only; anything else raises
-    ValueError.
+    The points must share delta, kerr and n_cut; they may differ in eps and
+    phi only, and anything else raises ValueError.  The block is independent
+    of phi: the diagonal unitary with phases e^{i n phi / 2} maps H(eps, phi)
+    to H(eps, 0), whose sectors are real tridiagonal with off-diagonal
+    -(delta*eps/2) sqrt((n+1)(n+2)), one row per point.
     """
     if not points:
         raise ValueError("a row needs at least one point")
@@ -148,7 +129,12 @@ def row_drives(points) -> np.ndarray:
         if (p.delta, p.kerr, p.n_cut) != (first.delta, first.kerr, first.n_cut):
             raise ValueError(f"row points differ in more than eps and phi: {first} "
                              f"and {p}")
-    return np.array([p.eps for p in points], dtype=float)
+    eps = np.array([p.eps for p in points], dtype=float)
+    levels = np.arange(0 if parity == "even" else 1, first.n_cut + 1, 2, dtype=float)
+    diag = first.kerr * levels * (levels - 1.0) + first.delta * levels
+    off = -(first.delta * eps[:, None] / 2.0) * pair_coupling(levels[:-1])
+    return TridiagonalBlock(parity=parity, size=len(levels), diag=diag, offdiag=off,
+                            index_map=levels.astype(int))
 
 
 def apply_gauge_phases(state: np.ndarray, phi: float) -> np.ndarray:

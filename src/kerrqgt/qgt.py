@@ -34,7 +34,6 @@ from .errors import EigenConvergenceError, GapError
 from .model import (
     ModelParams,
     pair_coupling,
-    row_drives,
     sector_block,
     TAIL_TOLERANCE,
 )
@@ -162,10 +161,6 @@ def _sternheimer(block, e0: np.ndarray, u0: np.ndarray, rhs: np.ndarray,
     return list(solutions)
 
 
-def _band_multiply(band: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    return _tridiagonal_multiply(np.zeros(vectors.shape[-1]), band, vectors)
-
-
 def _response(points, powers: int):
     """Gap-gated even ground pairs of a row and the eps response on them.
 
@@ -174,20 +169,20 @@ def _response(points, powers: int):
     eps), dE0 = u0.C u0 (Hellmann-Feynman) and the Sternheimer solutions
     [y, R y, ...] for y = R (C u0 - dE0 u0), each (M, N).
     """
-    first = points[0]
-    block = sector_block(first, "even", row_drives(points))
+    block = sector_block(points, "even")
     spec = eig_tridiagonal(block)
     lam, u0 = spec.eigenvalues, spec.eigenvectors[..., 0]
     e0, gap = lam[:, 0], lam[:, 1] - lam[:, 0]
     low = gap <= GAP_FLOOR * spec.scale
     if low.any():
         m = int(np.argmax(low))
+        p = points[m]
         raise GapError(f"sector gap {gap[m]:.3e} is below the floor "
                        f"{GAP_FLOOR:g} x Gershgorin bound {spec.scale[m]:.3e} at "
-                       f"eps={points[m].eps:g}, kerr={first.kerr:g}, n_cut={first.n_cut}")
+                       f"eps={p.eps:g}, kerr={p.kerr:g}, n_cut={p.n_cut}")
 
-    band = -(first.delta / 2.0) * pair_coupling(block.index_map[:-1])
-    rhs = _band_multiply(band, u0)
+    band = -(points[0].delta / 2.0) * pair_coupling(block.index_map[:-1])
+    rhs = _tridiagonal_multiply(0.0, band, u0)
     de0 = np.array([u @ r for u, r in zip(u0, rhs)])
     rhs -= de0[:, None] * u0
     solutions = _sternheimer(block, e0, u0, rhs, spec.residual_unit, powers)
@@ -247,7 +242,7 @@ def g_ee_slope(params: ModelParams) -> float:
     eps = 0.
     """
     _, _, _, band, (de0,), (y, z) = _response([params], powers=2)
-    return float(-4.0 * (z[0] @ (_band_multiply(band, y[0]) - de0 * y[0])))
+    return float(-4.0 * (z[0] @ (_tridiagonal_multiply(0.0, band, y[0]) - de0 * y[0])))
 
 
 def _even_ground_family(params: ModelParams):
@@ -260,8 +255,8 @@ def _even_ground_family(params: ModelParams):
     def state(eps: float, phi: float) -> np.ndarray:
         key = float(eps)
         if key not in vectors:
-            block = sector_block(params.replace(eps=key, phi=0.0), "even")
-            vectors[key] = eig_tridiagonal(block).eigenvectors[:, 0]
+            block = sector_block([params.replace(eps=key)], "even")
+            vectors[key] = eig_tridiagonal(block).eigenvectors[0, :, 0]
         if phi not in phases:
             phases[phi] = np.exp(-0.5j * levels * phi)
         return vectors[key] * phases[phi]

@@ -30,6 +30,10 @@ DEFAULT_COLLAPSE_WINDOW = (0.95, 1.06)
 DEFAULT_COLLAPSE_STEP = 1e-3
 DEFAULT_K0_CUTOFFS = (200, 283, 400, 566, 800, 1131, 1600)
 DRIFT_EXPONENT_RANGE = (0.1, 3.0)
+DRIFT_EXPONENT_SCAN = 61
+PEAK_SCAN_POINTS = 8
+PEAK_XTOL = 1e-12
+COLLAPSE_SEED_GRID = (15, 9)  # (nu, eps_c*) points seeding the polish
 
 
 # ---------------------------------------------------------------------------
@@ -58,13 +62,13 @@ def golden_section_min(f: Callable[[float], float], lo: float, hi: float,
     return x, -y
 
 
-def locate_peak(slope: Callable[[float], float], bracket: tuple[float, float],
-                *, coarse: int = 8, xtol: float = 1e-12) -> float:
+def locate_peak(slope: Callable[[float], float], bracket: tuple[float, float]) -> float:
     """Maximum of a curve, found as the root of its slope.
 
-    A sign scan of ``coarse`` points from lo stops at the first interval where
-    the slope turns from positive to non-positive; Brent's method then finds
-    the root inside it, reusing the two scanned endpoint values.
+    A sign scan of PEAK_SCAN_POINTS points from lo stops at the first interval
+    where the slope turns from positive to non-positive; Brent's method then
+    finds the root inside it (to PEAK_XTOL), reusing the two scanned endpoint
+    values.
 
     Raises BracketError on an empty bracket, when the slope is not positive
     at lo (no rise into the bracket) and when it never turns (no interior
@@ -73,7 +77,7 @@ def locate_peak(slope: Callable[[float], float], bracket: tuple[float, float],
     lo, hi = bracket
     if not hi > lo:
         raise BracketError(f"empty bracket {bracket}")
-    xs = np.linspace(lo, hi, coarse).tolist()
+    xs = np.linspace(lo, hi, PEAK_SCAN_POINTS).tolist()
     known = {lo: slope(lo)}
     if not known[lo] > 0.0:
         raise BracketError(f"slope {known[lo]:.6g} is not positive at the bracket "
@@ -81,7 +85,8 @@ def locate_peak(slope: Callable[[float], float], bracket: tuple[float, float],
     for a, b in zip(xs, xs[1:]):
         known[b] = slope(b)
         if known[b] <= 0.0:
-            return brentq(lambda x: known[x] if x in known else slope(x), a, b, xtol=xtol)
+            return brentq(lambda x: known[x] if x in known else slope(x), a, b,
+                          xtol=PEAK_XTOL)
     raise BracketError(f"slope stays positive across bracket {bracket}; "
                        f"no interior maximum")
 
@@ -100,11 +105,9 @@ class ShiftedPowerFit:
     boundary_warning: bool
 
 
-def fit_shifted_power(x: np.ndarray, y: np.ndarray,
-                      exponent_range: tuple[float, float] = DRIFT_EXPONENT_RANGE,
-                      n_scan: int = 61) -> ShiftedPowerFit:
+def fit_shifted_power(x: np.ndarray, y: np.ndarray) -> ShiftedPowerFit:
     """Profiled linear least squares over (limit, amplitude) with a scanned and
-    golden-refined search over the exponent."""
+    golden-refined search over the exponent in DRIFT_EXPONENT_RANGE."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if len(x) < 3:
@@ -118,8 +121,8 @@ def fit_shifted_power(x: np.ndarray, y: np.ndarray,
         coef, *_ = np.linalg.lstsq(basis, y, rcond=None)
         return float(np.sum((basis @ coef - y) ** 2))
 
-    b_lo, b_hi = exponent_range
-    grid = np.linspace(b_lo, b_hi, n_scan)
+    n_scan = DRIFT_EXPONENT_SCAN
+    grid = np.linspace(*DRIFT_EXPONENT_RANGE, n_scan)
     values = np.array([residual(b) for b in grid])
     i = int(np.argmin(values))
     b, _ = golden_section_min(residual, grid[max(i - 1, 0)], grid[min(i + 1, n_scan - 1)],
@@ -281,8 +284,7 @@ class CollapseOptimum:
 
 def optimize_collapse(family: CurveFamily, delta_jk: float | None,
                       nu_range: tuple[float, float],
-                      ec_range: tuple[float, float],
-                      *, coarse: tuple[int, int] = (15, 9)) -> CollapseOptimum:
+                      ec_range: tuple[float, float]) -> CollapseOptimum:
     """Minimize the collapse objective over (nu, eps_c*).
 
     delta_jk is held fixed when given; delta_jk=None ties it to 2/nu during
@@ -300,8 +302,8 @@ def optimize_collapse(family: CurveFamily, delta_jk: float | None,
         except WindowError:
             return np.inf
 
-    nus = np.linspace(nu_range[0], nu_range[1], coarse[0])
-    ecs = np.linspace(ec_range[0], ec_range[1], coarse[1])
+    nus = np.linspace(nu_range[0], nu_range[1], COLLAPSE_SEED_GRID[0])
+    ecs = np.linspace(ec_range[0], ec_range[1], COLLAPSE_SEED_GRID[1])
     best = min(((objective((n, e)), n, e) for n in nus for e in ecs),
                key=lambda t: t[0])
     if not np.isfinite(best[0]):
@@ -370,7 +372,13 @@ def scaling_pipeline(sizes: Sequence[float] = DEFAULT_SIZES,
     exponent fits (converged delta_ee and nu from secant slopes, global fits
     for delta_pp and delta_ep at the pseudo-critical points), the data-collapse
     qualities on a shared eps window, and the curvature-collapse optimum.
+    An invalid collapse grid raises ValueError before any point is computed.
     """
+    lo, hi = collapse_window
+    if not (np.isfinite(collapse_step) and collapse_step > 0):
+        raise ValueError(f"collapse_step must be positive and finite, got {collapse_step}")
+    if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+        raise ValueError(f"collapse_window must be finite with lo < hi, got {(lo, hi)}")
     sizes = np.asarray(sorted(sizes), dtype=float)
     if len(sizes) < 4:
         raise FitError("the scaling pipeline needs at least 4 sizes")
@@ -495,24 +503,20 @@ class K0Report:
     diagnostics: dict = field(repr=False)
 
 
-def k0_pipeline(ncut_list: Sequence[int] = DEFAULT_K0_CUTOFFS,
-                sizes: Sequence[float] = DEFAULT_SIZES,
-                delta: float = 1.0,
-                scaling: ScalingReport | None = None,
-                n_cut: int = DEFAULT_N_CUT) -> K0Report:
+def k0_pipeline(scaling: ScalingReport,
+                ncut_list: Sequence[int] = DEFAULT_K0_CUTOFFS,
+                delta: float = 1.0) -> K0Report:
     """Cutoff scaling of the tensor at the K=0 critical drive eps = 1.
 
     Without Kerr nonlinearity the truncation itself plays the role of the
     system size, so the tail-weight gate is deliberately not applied here.
     eps is never taken above 1 in this mode.  The finite-Kerr part (the
     photon-number dimension and the scaling dimensions entering beta-prime)
-    reuses a ScalingReport, which is computed on demand when not supplied.
+    is read off scaling, the report of scaling_pipeline.
     """
     ncut_list = sorted(int(n) for n in ncut_list)
     if len(ncut_list) < 5:
         raise FitError("the cutoff study needs at least 5 cutoffs")
-    if scaling is None:
-        scaling = scaling_pipeline(sizes=sizes, n_cut=n_cut, delta=delta)
 
     points = [qgt_spectral(ModelParams(delta=delta, kerr=0.0, eps=1.0, n_cut=nc))
               for nc in ncut_list]

@@ -374,8 +374,7 @@ def _k0(config: SweepConfig, out: Path) -> ModeResult:
 
     if scaling is None:
         scaling = _scaling_report(config)
-    report = k0_pipeline(ncut_list=config.ncut_list, sizes=config.sizes,
-                         delta=config.delta, scaling=scaling, n_cut=config.n_cut)
+    report = k0_pipeline(scaling, ncut_list=config.ncut_list, delta=config.delta)
     warnings = ["a power-law fit has r^2 < 0.99"] if report.flagged else []
     return {K0_REPORT_NAME: dumps_json(asdict(report))}, warnings
 

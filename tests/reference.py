@@ -6,14 +6,15 @@ decomposition, never from the kernels it checks:
 * dense_hamiltonian and dense_drive_derivatives assemble the complex
   full-Fock matrices at any phi from ladder operators;
 * dense_eigenvalues diagonalizes the dense matrix;
-* full_spectrum is the whole spectrum of a parity block (LAPACK dstev) under
-  the package's residual and orthogonality bounds;
+* full_spectrum is the whole spectrum of a parity block over a row of one
+  point (LAPACK dstev) under the package's residual and orthogonality
+  bounds, in the package's Spectrum layout;
 * qgt_sum_over_states is the spectral sum over the full even-sector
   eigenbasis at the requested phi, on gauge-phased full-Fock vectors with
   the dense drive derivatives.
 
-From the package it takes only data containers, parity_blocks and the gate
-constants.
+From the package it takes only data containers, the block builder
+sector_block and the gate constants.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from kerrqgt.eigensolver import (
     Spectrum,
 )
 from kerrqgt.errors import EigenConvergenceError, GapError
-from kerrqgt.model import TAIL_LEVELS, TAIL_TOLERANCE, parity_blocks
+from kerrqgt.model import TAIL_LEVELS, TAIL_TOLERANCE, sector_block
 from kerrqgt.qgt import GAP_FLOOR, QGTResult
 
 
@@ -65,21 +66,22 @@ def dense_eigenvalues(params) -> np.ndarray:
 
 
 def full_spectrum(block) -> Spectrum:
-    """Every eigenpair of a parity block by dstev, gated like eig_tridiagonal.
+    """Every eigenpair of a parity block over a row of one point by dstev,
+    gated like eig_tridiagonal.
 
     Vectors get the same sign convention (largest component positive); the
-    residual is measured against the dense block.
+    residual is measured against the dense block.  Every field has the row
+    axis of one: eigenvalues (1, N), eigenvectors (1, N, N), scale (1,).
     """
-    lam, vec = scipy.linalg.eigh_tridiagonal(block.diag, block.offdiag,
-                                             lapack_driver="stev")
+    (off,) = block.offdiag
+    lam, vec = scipy.linalg.eigh_tridiagonal(block.diag, off, lapack_driver="stev")
     anchor = np.argmax(np.abs(vec), axis=0)
     signs = np.sign(vec[anchor, np.arange(block.size)])
     signs[signs == 0] = 1.0
     vec = vec * signs
 
     scale = max(1.0, abs(float(lam[0])), abs(float(lam[-1])))
-    dense = (np.diag(block.diag) + np.diag(block.offdiag, 1)
-             + np.diag(block.offdiag, -1))
+    dense = np.diag(block.diag) + np.diag(off, 1) + np.diag(off, -1)
     max_residual = float(np.max(np.linalg.norm(dense @ vec - vec * lam, axis=0)))
     gram = vec.T @ vec
     np.fill_diagonal(gram, 0.0)
@@ -89,9 +91,9 @@ def full_spectrum(block) -> Spectrum:
     if max_defect > ORTHOGONALITY_BOUND:
         raise EigenConvergenceError(f"orthogonality defect {max_defect:.3e} exceeds bound")
     # With the whole spectrum both units of Spectrum are max(1, ||T||_2) exactly.
-    return Spectrum(eigenvalues=lam, eigenvectors=vec, max_residual=max_residual,
-                    max_orthogonality_defect=max_defect, scale=scale,
-                    residual_unit=scale)
+    return Spectrum(eigenvalues=lam[None], eigenvectors=vec[None],
+                    max_residual=max_residual, max_orthogonality_defect=max_defect,
+                    scale=np.array([scale]), residual_unit=np.array([scale]))
 
 
 def qgt_sum_over_states(params) -> QGTResult:
@@ -101,16 +103,16 @@ def qgt_sum_over_states(params) -> QGTResult:
     basis with the gauge phases of the requested phi; both drive derivatives
     conserve parity, so the odd sector contributes nothing.  O(N^3).
     """
-    even, _ = parity_blocks(params)
+    even = sector_block([params], "even")
     spec = full_spectrum(even)
-    lam = spec.eigenvalues
+    lam, scale = spec.eigenvalues[0], spec.scale[0]
     gap = float(lam[1] - lam[0])
-    if gap <= GAP_FLOOR * spec.scale:
+    if gap <= GAP_FLOOR * scale:
         raise GapError(f"sector gap {gap:.3e} is below the floor "
-                       f"{GAP_FLOOR:g} x spectral scale {spec.scale:.3e}")
+                       f"{GAP_FLOOR:g} x spectral scale {scale:.3e}")
 
     states = np.zeros((params.dim, even.size), dtype=complex)
-    states[even.index_map] = spec.eigenvectors
+    states[even.index_map] = spec.eigenvectors[0]
     states *= np.exp(-0.5j * np.arange(params.dim) * params.phi)[:, None]
     u0 = states[:, 0]
     d_eps, d_phi = dense_drive_derivatives(params)

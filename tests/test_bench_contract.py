@@ -13,13 +13,13 @@ import kerrqgt
 import kerrqgt.eigensolver
 import kerrqgt.scaling
 import kerrqgt.sweep
-from kerrqgt import ModelParams, parity_blocks
+from kerrqgt import ModelParams, sector_block
 
 
 def test_eig_tridiagonal_returns_what_the_tracer_reads():
     spec = kerrqgt.eigensolver.eig_tridiagonal(
-        parity_blocks(ModelParams.from_size(150, 0.9, n_cut=200))[0])
-    assert len(spec.eigenvalues) == 2
+        sector_block([ModelParams.from_size(150, 0.9, n_cut=200)], "even"))
+    assert spec.eigenvalues.shape == (1, 2)
     assert 0.0 <= spec.max_residual <= 1e-10 * spec.residual_unit
 
 

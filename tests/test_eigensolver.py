@@ -7,8 +7,7 @@ from kerrqgt import (
     ModelParams,
     eig_tridiagonal,
     ground_state,
-    parity_blocks,
-    sector_spectra,
+    sector_block,
     squeezed_vacuum_fock,
 )
 from kerrqgt.model import TridiagonalBlock
@@ -17,7 +16,7 @@ from reference import dense_eigenvalues, dense_hamiltonian, full_spectrum
 
 def make_block(diag, off):
     diag = np.asarray(diag, dtype=float)
-    off = np.asarray(off, dtype=float)
+    off = np.asarray(off, dtype=float)[None]
     return TridiagonalBlock(parity="even", size=len(diag), diag=diag, offdiag=off,
                             index_map=np.arange(0, 2 * len(diag), 2))
 
@@ -25,36 +24,38 @@ def make_block(diag, off):
 def test_diagonal_case():
     block = make_block([0.0, 2.0, 4.0], [0.0, 0.0])
     spec = eig_tridiagonal(block)
-    np.testing.assert_allclose(spec.eigenvalues, [0.0, 2.0])
-    np.testing.assert_allclose(np.abs(spec.eigenvectors), np.eye(3)[:, :2], atol=1e-14)
-    assert spec.scale == 4.0
+    np.testing.assert_allclose(spec.eigenvalues[0], [0.0, 2.0])
+    np.testing.assert_allclose(np.abs(spec.eigenvectors[0]), np.eye(3)[:, :2], atol=1e-14)
+    assert spec.scale[0] == 4.0
     full = full_spectrum(block)
-    np.testing.assert_allclose(full.eigenvalues, [0.0, 2.0, 4.0])
-    np.testing.assert_allclose(np.abs(full.eigenvectors), np.eye(3), atol=1e-14)
+    np.testing.assert_allclose(full.eigenvalues[0], [0.0, 2.0, 4.0])
+    np.testing.assert_allclose(np.abs(full.eigenvectors[0]), np.eye(3), atol=1e-14)
 
 
 def test_two_by_two_closed_form():
     block = make_block([0.0, 2.0], [-1.0])
     for spec in (eig_tridiagonal(block), full_spectrum(block)):
-        np.testing.assert_allclose(spec.eigenvalues,
+        np.testing.assert_allclose(spec.eigenvalues[0],
                                    [1.0 - np.sqrt(2.0), 1.0 + np.sqrt(2.0)], atol=1e-14)
 
 
 def test_no_drive_eigenvalues_are_diagonal():
-    even, _ = parity_blocks(ModelParams(delta=1.0, kerr=0.01, eps=0.0, n_cut=20))
+    even = sector_block([ModelParams(delta=1.0, kerr=0.01, eps=0.0, n_cut=20)], "even")
     n = np.arange(0, 21, 2, dtype=float)
     expected = 0.01 * n * (n - 1) + n
-    np.testing.assert_allclose(full_spectrum(even).eigenvalues, expected, atol=1e-13)
-    np.testing.assert_allclose(eig_tridiagonal(even).eigenvalues, expected[:2], atol=1e-13)
+    np.testing.assert_allclose(full_spectrum(even).eigenvalues[0], expected, atol=1e-13)
+    np.testing.assert_allclose(eig_tridiagonal(even).eigenvalues[0], expected[:2],
+                               atol=1e-13)
 
 
 def test_spectrum_bounds_hold():
-    even, odd = parity_blocks(ModelParams(delta=1.0, kerr=1.0 / 400.0, eps=1.02, n_cut=800))
-    for block in (even, odd):
+    p = ModelParams(delta=1.0, kerr=1.0 / 400.0, eps=1.02, n_cut=800)
+    for parity in ("even", "odd"):
+        block = sector_block([p], parity)
         full = full_spectrum(block)
-        assert full.scale == max(1.0, np.max(np.abs(full.eigenvalues)))
+        assert full.scale[0] == max(1.0, np.max(np.abs(full.eigenvalues)))
         for spec in (full, eig_tridiagonal(block)):
-            assert spec.max_residual <= 1e-10 * full.scale
+            assert spec.max_residual <= 1e-10 * full.scale[0]
             assert spec.max_orthogonality_defect <= 1e-10
             assert np.all(np.diff(spec.eigenvalues) >= 0.0)
 
@@ -67,12 +68,13 @@ def test_blocks_match_dense_debug_path():
                         eps=float(rng.uniform(0.0, 1.5)),
                         phi=float(rng.uniform(0.0, 2 * np.pi)),
                         n_cut=int(rng.integers(12, 65)))
-        blocks = parity_blocks(p)
-        full = [full_spectrum(block).eigenvalues for block in blocks]
+        blocks = [sector_block([p], parity) for parity in ("even", "odd")]
+        full = [full_spectrum(block).eigenvalues[0] for block in blocks]
         np.testing.assert_allclose(np.sort(np.concatenate(full)), dense_eigenvalues(p),
                                    atol=1e-9)
-        for spec, eigenvalues in zip(sector_spectra(p), full):
-            np.testing.assert_allclose(spec.eigenvalues, eigenvalues[:2], atol=1e-9)
+        for block, eigenvalues in zip(blocks, full):
+            np.testing.assert_allclose(eig_tridiagonal(block).eigenvalues[0],
+                                       eigenvalues[:2], atol=1e-9)
 
 
 def test_variational_bound():
@@ -119,10 +121,10 @@ def test_degenerate_sectors_above_transition():
     assert abs(e_even - e_odd) < 1e-10 * scale
     assert gs.parity == "even"
     # both sector ground states carry the same condensate density ~ (eps-1)/2
-    even_spec, odd_spec = sector_spectra(p)
-    even_blk, odd_blk = parity_blocks(p)
-    for spec, blk in ((even_spec, even_blk), (odd_spec, odd_blk)):
-        w = spec.eigenvectors[:, 0] ** 2
+    for parity in ("even", "odd"):
+        blk = sector_block([p], parity)
+        spec = eig_tridiagonal(blk)
+        w = spec.eigenvectors[0, :, 0] ** 2
         dens = float(np.sum(blk.index_map * w)) / p.effective_size
         assert dens == pytest.approx(0.25, rel=0.10)
 

@@ -11,8 +11,8 @@ from kerrqgt import (
     eig_tridiagonal,
     ground_state,
     metric_overlap,
-    parity_blocks,
     qgt_spectral,
+    sector_block,
 )
 from kerrqgt.eigensolver import DEGENERACY_TOLERANCE
 from reference import full_spectrum, qgt_sum_over_states
@@ -63,13 +63,13 @@ def _exact_parity(e0, o0, scale):
 
 def _full_ground_state(p):
     """ground_state's selection rule on the full spectra of both sectors."""
-    even, odd = parity_blocks(p)
+    even, odd = sector_block([p], "even"), sector_block([p], "odd")
     spec_e, spec_o = full_spectrum(even), full_spectrum(odd)
-    scale = max(spec_e.scale, spec_o.scale)
-    parity = _exact_parity(spec_e.eigenvalues[0], spec_o.eigenvalues[0], scale)
+    scale = max(spec_e.scale[0], spec_o.scale[0])
+    parity = _exact_parity(spec_e.eigenvalues[0, 0], spec_o.eigenvalues[0, 0], scale)
     spec, block = (spec_o, odd) if parity == "odd" else (spec_e, even)
     vector = np.zeros(p.dim, dtype=complex)
-    vector[block.index_map] = spec.eigenvectors[:, 0]
+    vector[block.index_map] = spec.eigenvectors[0, :, 0]
     vector *= np.exp(-0.5j * np.arange(p.dim) * p.phi)
     return parity, spec, vector, scale
 
@@ -80,8 +80,8 @@ def test_ground_state_matches_full_spectrum(p):
     gs = ground_state(p)
     parity, spec, vector, scale = _full_ground_state(p)
     assert gs.parity == parity
-    assert abs(gs.energy - spec.eigenvalues[0]) <= 1e-12 * scale
-    assert _close(gs.gap, spec.eigenvalues[1] - spec.eigenvalues[0])
+    assert abs(gs.energy - spec.eigenvalues[0, 0]) <= 1e-12 * scale
+    assert _close(gs.gap, spec.eigenvalues[0, 1] - spec.eigenvalues[0, 0])
     assert abs(abs(np.vdot(vector, gs.fock_vector)) - 1.0) <= 1e-12
 
 
@@ -104,27 +104,30 @@ def _bracket_holds(low, norm):
     """Neither gate is looser than in the exact unit max(1, ||T||_2) = norm:
     residuals are measured against a unit no larger, the gap floor and the
     tie-break against one no smaller (and at most 6% larger)."""
-    return low.residual_unit <= norm <= low.scale <= 1.06 * norm
+    return low.residual_unit[0] <= norm <= low.scale[0] <= 1.06 * norm
 
 
 def test_selective_spectrum_matches_full():
-    even, odd = parity_blocks(ModelParams.from_size(300, 1.02, n_cut=800))
-    for block in (even, odd):
+    p = ModelParams.from_size(300, 1.02, n_cut=800)
+    for parity in ("even", "odd"):
+        block = sector_block([p], parity)
         full, low = full_spectrum(block), eig_tridiagonal(block)
-        assert low.eigenvalues.shape == (2,) and low.eigenvectors.shape == (block.size, 2)
-        np.testing.assert_allclose(low.eigenvalues, full.eigenvalues[:2],
-                                   rtol=0, atol=1e-12 * full.scale)
-        assert _bracket_holds(low, full.scale)
-        assert low.max_residual <= 1e-10 * low.residual_unit
+        assert low.eigenvalues.shape == (1, 2)
+        assert low.eigenvectors.shape == (1, block.size, 2)
+        np.testing.assert_allclose(low.eigenvalues, full.eigenvalues[:, :2],
+                                   rtol=0, atol=1e-12 * full.scale[0])
+        assert _bracket_holds(low, full.scale[0])
+        assert low.max_residual <= 1e-10 * low.residual_unit[0]
         assert low.max_orthogonality_defect <= 1e-10
-        overlaps = np.abs(np.sum(low.eigenvectors * full.eigenvectors[:, :2], axis=0))
+        overlaps = np.abs(np.sum(low.eigenvectors[0] * full.eigenvectors[0, :, :2],
+                                 axis=0))
         np.testing.assert_allclose(overlaps, 1.0, atol=1e-12)
 
 
 def _exact_norm(block):
     """max(1, ||T||_2) from every eigenvalue of the block (dstev, values only):
     full_spectrum's unit, without the eigenvectors it does not need."""
-    lam = scipy.linalg.eigvalsh_tridiagonal(block.diag, block.offdiag,
+    lam = scipy.linalg.eigvalsh_tridiagonal(block.diag, block.offdiag[0],
                                             lapack_driver="stev")
     return max(1.0, abs(float(lam[0])), abs(float(lam[-1])))
 
@@ -133,7 +136,8 @@ def _exact_norm(block):
 @pytest.mark.parametrize("L", [40, 150, 500, 2000])
 def test_spectrum_units_bracket_the_block_norm(L, n_cut):
     for eps in np.linspace(0.0, 1.5, 7):
-        for block in parity_blocks(ModelParams.from_size(L, float(eps), n_cut=n_cut)):
+        p = ModelParams.from_size(L, float(eps), n_cut=n_cut)
+        for block in (sector_block([p], "even"), sector_block([p], "odd")):
             low = eig_tridiagonal(block)
             assert _bracket_holds(low, _exact_norm(block)), (L, eps, n_cut, block.parity)
 
@@ -146,7 +150,7 @@ def test_tie_break_matches_exact_unit_on_phase_diagram_grid():
         p = ModelParams.from_size(2000, float(eps), n_cut=800)
         gs = ground_state(p)
         e0, o0 = gs.sector_energies
-        scale = max(_exact_norm(block) for block in parity_blocks(p))
+        scale = max(_exact_norm(sector_block([p], parity)) for parity in ("even", "odd"))
         assert gs.parity == _exact_parity(e0, o0, scale), eps
         decided += abs(e0 - o0) <= DEGENERACY_TOLERANCE * scale
     assert decided > 0
@@ -179,5 +183,5 @@ def test_hot_paths_never_decompose_fully(monkeypatch):
     metric_overlap(p)
     assert calls and set(calls) == {"i"}
     # the spy sees a full decomposition when one is made
-    full_spectrum(parity_blocks(p)[0])
+    full_spectrum(sector_block([p], "even"))
     assert "a" in calls

@@ -3,13 +3,15 @@
 import numpy as np
 import pytest
 
+import kerrqgt
 from kerrqgt import (
     ModelParams,
+    TridiagonalBlock,
     apply_gauge_phases,
     mean_photon,
-    parity_blocks,
     photon_variance,
     rho,
+    sector_block,
     tail_weight,
 )
 from kerrqgt.eigensolver import _tridiagonal_multiply, ground_state
@@ -64,34 +66,37 @@ def test_banded_apply_matches_dense():
     v = rng.normal(size=p.dim) + 1j * rng.normal(size=p.dim)
     rotated = apply_gauge_phases(v, -p.phi)
     out = np.zeros(p.dim, dtype=complex)
-    for block in parity_blocks(p):
+    for parity in ("even", "odd"):
+        block = sector_block([p], parity)
         sector = rotated[block.index_map]
-        out[block.index_map] = _tridiagonal_multiply(block.diag, block.offdiag, sector)
+        out[block.index_map] = _tridiagonal_multiply(block.diag, block.offdiag[0], sector)
     np.testing.assert_allclose(apply_gauge_phases(out, p.phi), dense_hamiltonian(p) @ v,
                                atol=1e-12)
 
 
 def test_parity_blocks_small():
-    even, odd = parity_blocks(ModelParams(delta=1.0, kerr=0.0, eps=1.0, n_cut=4))
+    p = ModelParams(delta=1.0, kerr=0.0, eps=1.0, n_cut=4)
+    even, odd = sector_block([p], "even"), sector_block([p], "odd")
     assert even.size == 3 and odd.size == 2
     np.testing.assert_allclose(even.diag, [0.0, 2.0, 4.0])
-    np.testing.assert_allclose(even.offdiag, [-np.sqrt(2.0) / 2.0, -np.sqrt(3.0)])
+    np.testing.assert_allclose(even.offdiag, [[-np.sqrt(2.0) / 2.0, -np.sqrt(3.0)]])
     np.testing.assert_array_equal(even.index_map, [0, 2, 4])
     np.testing.assert_array_equal(odd.index_map, [1, 3])
 
 
 def test_parity_blocks_no_drive_diagonal():
-    even, odd = parity_blocks(ModelParams(delta=1.0, kerr=0.05, eps=0.0, n_cut=12))
+    p = ModelParams(delta=1.0, kerr=0.05, eps=0.0, n_cut=12)
+    even, odd = sector_block([p], "even"), sector_block([p], "odd")
     assert np.all(even.offdiag == 0.0)
     assert np.all(odd.offdiag == 0.0)
 
 
 def test_blocks_independent_of_phi():
     base = ModelParams(delta=1.0, kerr=0.01, eps=0.9, n_cut=30)
-    ref = parity_blocks(base)
     for phi in (np.pi / 4, np.pi):
-        blocks = parity_blocks(base.replace(phi=phi))
-        for a, b in zip(ref, blocks):
+        for parity in ("even", "odd"):
+            a = sector_block([base], parity)
+            b = sector_block([base.replace(phi=phi)], parity)
             np.testing.assert_array_equal(a.diag, b.diag)
             np.testing.assert_array_equal(a.offdiag, b.offdiag)
 
@@ -109,11 +114,11 @@ def test_spectrum_independent_of_phi():
 
 def test_block_spectra_match_dense():
     p = ModelParams(delta=1.0, kerr=0.02, eps=0.8, phi=0.7, n_cut=40)
-    even, odd = parity_blocks(p)
+    even, odd = sector_block([p], "even"), sector_block([p], "odd")
     import scipy.linalg
     ev_blocks = np.sort(np.concatenate([
-        scipy.linalg.eigvalsh_tridiagonal(even.diag, even.offdiag),
-        scipy.linalg.eigvalsh_tridiagonal(odd.diag, odd.offdiag),
+        scipy.linalg.eigvalsh_tridiagonal(even.diag, even.offdiag[0]),
+        scipy.linalg.eigvalsh_tridiagonal(odd.diag, odd.offdiag[0]),
     ]))
     ev_dense = np.linalg.eigvalsh(dense_hamiltonian(p))
     np.testing.assert_allclose(ev_blocks, ev_dense, atol=1e-10)
@@ -184,3 +189,14 @@ def test_tail_weight():
     v2 = np.zeros(100)
     v2[-1] = 1.0
     assert tail_weight(v2) == 1.0
+
+
+def test_block_rejects_one_dimensional_offdiag():
+    diag = np.array([0.0, 2.0, 4.0])
+    with pytest.raises(ValueError, match="inconsistent block shapes"):
+        TridiagonalBlock(parity="even", size=3, diag=diag, offdiag=np.array([-1.0, -1.0]),
+                         index_map=np.array([0, 2, 4]))
+
+
+def test_every_exported_name_resolves():
+    assert [name for name in kerrqgt.__all__ if not hasattr(kerrqgt, name)] == []

@@ -8,10 +8,11 @@ from kerrqgt import (
     ModelParams,
     displaced_squeezed_cat,
     displaced_squeezed_fock,
+    eig_tridiagonal,
     ground_state,
     normal_phase,
     normal_phase_qgt_limit,
-    sector_spectra,
+    sector_block,
     squeezed_vacuum_fock,
     superradiant_phase,
 )
@@ -164,8 +165,9 @@ def test_gap_oracles():
     # broken phase: the even-sector internal gap approaches omega_e as well.
     for eps in (0.3, 0.6, 0.8):
         p = ModelParams.from_size(500, eps, n_cut=800)
-        even, odd = sector_spectra(p)
-        cross_gap = odd.eigenvalues[0] - even.eigenvalues[0]
+        even, odd = (eig_tridiagonal(sector_block([p], parity))
+                     for parity in ("even", "odd"))
+        cross_gap = odd.eigenvalues[0, 0] - even.eigenvalues[0, 0]
         assert cross_gap == pytest.approx(normal_phase(1.0, eps).omega_e, rel=0.05)
     for eps in (1.3, 1.6, 2.0):
         p = ModelParams.from_size(500, eps, n_cut=800)

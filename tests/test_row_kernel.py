@@ -16,7 +16,6 @@ from kerrqgt import (
     eig_tridiagonal,
     ground_state,
     ground_state_row,
-    parity_blocks,
     qgt_spectral,
     qgt_spectral_row,
     sector_block,
@@ -45,13 +44,14 @@ def _label(row):
 @pytest.mark.parametrize("row", ROWS, ids=_label)
 def test_stacked_blocks_are_the_single_blocks(row):
     points = _row(*row)
-    eps = np.array([p.eps for p in points])
-    for parity in (0, 1):
-        stack = sector_block(points[0], ("even", "odd")[parity], eps)
+    for parity in ("even", "odd"):
+        stack = sector_block(points, parity)
+        assert stack.offdiag.shape == (len(points), stack.size - 1)
         for m, p in enumerate(points):
-            single = parity_blocks(p)[parity]
+            single = sector_block([p], parity)
+            assert single.offdiag.shape == (1, stack.size - 1)
             assert np.array_equal(stack.diag, single.diag)
-            assert np.array_equal(stack.offdiag[m], single.offdiag)
+            assert np.array_equal(stack.offdiag[m], single.offdiag[0])
             assert np.array_equal(stack.index_map, single.index_map)
 
 
@@ -85,7 +85,7 @@ def test_ground_state_row_equals_single_calls(row):
 
 def test_stacked_spectrum_shapes():
     points = _row(150, 400, [0.5, 0.9, 1.1])
-    block = sector_block(points[0], "even", [p.eps for p in points])
+    block = sector_block(points, "even")
     spec = eig_tridiagonal(block)
     assert spec.eigenvalues.shape == (3, 2)
     assert spec.eigenvectors.shape == (3, block.size, 2)
@@ -99,8 +99,8 @@ def test_gap_floor_names_the_point_of_the_row(monkeypatch):
     points = _row(150, 400, np.linspace(0.8, 1.2, 9))
     ratios = []
     for p in points:
-        spec = eig_tridiagonal(parity_blocks(p)[0])
-        ratios.append((spec.eigenvalues[1] - spec.eigenvalues[0]) / spec.scale)
+        spec = eig_tridiagonal(sector_block([p], "even"))
+        ratios.append((spec.eigenvalues[0, 1] - spec.eigenvalues[0, 0]) / spec.scale[0])
     worst, runner_up = np.sort(ratios)[:2]
     m = int(np.argmin(ratios))
     assert 0 < m < len(points) - 1
@@ -115,8 +115,9 @@ def test_row_points_must_share_everything_but_eps_and_phi():
     with pytest.raises(ValueError, match="differ in more than eps and phi"):
         qgt_spectral_row([ModelParams.from_size(150, 0.9, n_cut=400),
                           ModelParams.from_size(200, 0.9, n_cut=400)])
-    with pytest.raises(ValueError, match="at least one point"):
-        ground_state_row([])
+    for kernel in (ground_state_row, qgt_spectral_row):
+        with pytest.raises(ValueError, match="at least one point"):
+            kernel([])
 
 
 # ---------------------------------------------------------------------------

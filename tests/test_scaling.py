@@ -202,3 +202,21 @@ def test_pipeline_names_the_sizes_the_cutoff_gate_drops():
         scaling_pipeline(sizes=(40, 50, 60, 100, 150), n_cut=60,
                          peak_bracket=(1.05, 1.45), collapse_window=(1.05, 1.40),
                          collapse_step=2e-3)
+
+
+@pytest.mark.parametrize("grid, named", [
+    (dict(collapse_step=0.0), "got 0.0"),
+    (dict(collapse_step=-0.01), "got -0.01"),
+    (dict(collapse_step=float("nan")), "got nan"),
+    (dict(collapse_step=float("inf")), "got inf"),
+    (dict(collapse_window=(1.06, 0.95)), r"got \(1.06, 0.95\)"),
+    (dict(collapse_window=(1.0, 1.0)), r"got \(1.0, 1.0\)"),
+])
+def test_invalid_collapse_grid_fails_before_the_peak_search(monkeypatch, grid, named):
+    import kerrqgt.scaling
+    slopes = []
+    monkeypatch.setattr(kerrqgt.scaling, "g_ee_slope",
+                        lambda params: slopes.append(params) or 1.0)
+    with pytest.raises(ValueError, match=rf"collapse_(step|window) .* {named}"):
+        scaling_pipeline(**{"sizes": (40, 50, 60, 70, 85), "n_cut": 200, **grid})
+    assert slopes == []

@@ -9,7 +9,7 @@ import scipy.linalg
 
 import kerrqgt.sweep as sweep
 from kerrqgt import (ModelParams, ground_state, ground_state_row, mean_photon,
-                     parity_blocks)
+                     sector_block)
 from kerrqgt.cli import (
     assemble_config,
     build_parser,
@@ -98,12 +98,12 @@ def test_phase_diagram_solves_once_per_eps(tmp_path, monkeypatch):
     # one row of points at phi = 0, and one lowest-pair solve per (eps, sector)
     assert len(rows_solved) == 1 and all(p.phi == 0.0 for p in rows_solved[0])
     assert [p.eps for p in rows_solved[0]] == list(eps_grid)
-    expected = [parity_blocks(ModelParams.from_size(size, eps, n_cut=n_cut))[parity]
-                for parity in (0, 1) for eps in eps_grid]
+    expected = [sector_block([ModelParams.from_size(size, eps, n_cut=n_cut)], parity)
+                for parity in ("even", "odd") for eps in eps_grid]
     assert len(pairs) == len(expected) == 14
     for (size_solved, off, select), block in zip(pairs, expected):
         assert size_solved == block.size and select == "i"
-        assert np.array_equal(off, block.offdiag)
+        assert np.array_equal(off, block.offdiag[0])
     phis = [fmt_float(phi) for phi in np.linspace(0.0, 2.0 * np.pi, 5)]
     for i in range(7):
         row_set = rows[5 * i:5 * (i + 1)]
