@@ -15,6 +15,7 @@ from .errors import (
     EigenConvergenceError,
     FitError,
     GapError,
+    InputError,
     SchemaError,
     StepSizeError,
     WindowError,
@@ -93,5 +94,5 @@ __all__ = [
     "optimize_collapse", "pair_slopes", "perturbation_dimensions",
     "scaling_pipeline",
     "BracketError", "CutoffError", "EigenConvergenceError", "FitError",
-    "GapError", "SchemaError", "StepSizeError", "WindowError",
+    "GapError", "InputError", "SchemaError", "StepSizeError", "WindowError",
 ]

@@ -16,7 +16,7 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import SchemaError
+from .errors import InputError, SchemaError
 from .plots import emit_plots
 from .sweep import SweepConfig, run
 
@@ -133,8 +133,8 @@ def _file_settings(path: str, mode: str) -> dict:
         raise SchemaError(f"config file {path} holds a JSON {type(loaded).__name__}, "
                           f"not an object of config fields")
     if loaded.get("mode", mode) != mode:
-        raise ValueError(f"config file {path} is for mode "
-                         f"{loaded['mode']!r}, not for {mode!r}")
+        raise SchemaError(f"config file {path} is for mode "
+                          f"{loaded['mode']!r}, not for {mode!r}")
     loaded.pop("threads", None)  # the no-op thread count of old files
 
     fields = set(SweepConfig.__dataclass_fields__)
@@ -159,18 +159,22 @@ def assemble_config(args: argparse.Namespace) -> SweepConfig:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; an InputError exits with status 2 and one line on stderr."""
     args = build_parser().parse_args(argv)
-    config = assemble_config(args)
-
-    if config.mode == "plots":
-        written = emit_plots(config.out_dir)
-        if not written:
-            print(f"no plottable outputs found in {config.out_dir}")
-    else:
-        written = run(config)
-        if not written:
-            print(f"{config.mode}: outputs in {config.out_dir} are current "
-                  f"(manifest verified); use --force to rerun")
+    try:
+        config = assemble_config(args)
+        if config.mode == "plots":
+            written = emit_plots(config.out_dir)
+            if not written:
+                print(f"no plottable outputs found in {config.out_dir}")
+        else:
+            written = run(config)
+            if not written:
+                print(f"{config.mode}: outputs in {config.out_dir} are current "
+                      f"(manifest verified); use --force to rerun")
+    except InputError as exc:
+        print(f"kerrqgt {args.mode}: error: {exc}", file=sys.stderr)
+        return 2
     for path in written:
         print(f"wrote {path}")
     return 0

@@ -1,11 +1,15 @@
 """Exception types shared across the package."""
 
 
-class BracketError(ValueError):
+class InputError(ValueError):
+    """The input of a run cannot be used; the CLI reports it as one line."""
+
+
+class BracketError(InputError):
     """A 1D search bracket does not contain an interior extremum."""
 
 
-class WindowError(ValueError):
+class WindowError(InputError):
     """Rescaled curves share no abscissa overlap."""
 
 
@@ -21,13 +25,13 @@ class EigenConvergenceError(RuntimeError):
     """The tridiagonal eigensolver failed to converge or missed its accuracy bounds."""
 
 
-class CutoffError(ValueError):
+class CutoffError(InputError):
     """A Fock-space construction does not fit below the requested cutoff."""
 
 
-class FitError(ValueError):
+class FitError(InputError):
     """Fit input is degenerate (e.g. constant data leaves an exponent unidentifiable)."""
 
 
-class SchemaError(ValueError):
+class SchemaError(InputError):
     """A data file is missing columns required by a consumer."""

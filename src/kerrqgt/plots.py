@@ -224,10 +224,10 @@ def _check_report_keys(path: Path, keys: list[str], diag_keys: list[str]) -> Non
     data = json.loads(path.read_text())
     for key in keys:
         if key not in data:
-            raise SchemaError(f"{path.name} is missing required column {key!r}")
+            raise SchemaError(f"{path.name} is missing required key {key!r}")
     for key in diag_keys:
         if key not in data.get("diagnostics", {}):
-            raise SchemaError(f"{path.name} is missing required column {key!r}")
+            raise SchemaError(f"{path.name} is missing required key 'diagnostics.{key}'")
 
 
 def emit_plots(out_dir) -> list[Path]:

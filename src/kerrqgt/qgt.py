@@ -246,8 +246,8 @@ def g_ee_slope(params: ModelParams) -> float:
 
 
 def _even_ground_family(params: ModelParams):
-    """State map (eps, phi) -> gauge-phased even-sector ground vector, caching
-    the eps solves and the gauge phases of each phi."""
+    """State map (eps, phi) -> gauge-phased even ground vector at the delta, kerr
+    and n_cut of params, caching the eps solves and the gauge phases of each phi."""
     levels = np.arange(0, params.n_cut + 1, 2)
     vectors: dict[float, np.ndarray] = {}
     phases: dict[float, np.ndarray] = {}
@@ -265,26 +265,16 @@ def _even_ground_family(params: ModelParams):
 
 
 def metric_overlap(params: ModelParams, step_eps: float = DEFAULT_STEP_EPS,
-                   step_phi: float = DEFAULT_STEP_PHI, state=None) -> np.ndarray:
-    """2x2 quantum metric from gauge-invariant overlap finite differences.
-
-    state is an _even_ground_family(params) to share its eps solves with
-    other stencils at the same point; a fresh family by default.
-    """
-    if state is None:
-        state = _even_ground_family(params)
-    return metric_fd(state, params.eps, params.phi, step_eps, step_phi)
+                   step_phi: float = DEFAULT_STEP_PHI) -> np.ndarray:
+    """2x2 quantum metric from gauge-invariant overlap finite differences."""
+    return metric_fd(_even_ground_family(params), params.eps, params.phi, step_eps, step_phi)
 
 
 def berry_plaquette(params: ModelParams, step_eps: float = DEFAULT_STEP_EPS,
-                    step_phi: float = DEFAULT_STEP_PHI, state=None) -> float:
-    """Berry curvature F_{eps,phi} from the overlap product around one plaquette.
-
-    state is shared as in metric_overlap.
-    """
-    if state is None:
-        state = _even_ground_family(params)
-    return curvature_fd(state, params.eps, params.phi, step_eps, step_phi)
+                    step_phi: float = DEFAULT_STEP_PHI) -> float:
+    """Berry curvature F_{eps,phi} from the overlap product around one plaquette."""
+    return curvature_fd(_even_ground_family(params), params.eps, params.phi, step_eps,
+                        step_phi)
 
 
 def fidelity_susceptibility(params: ModelParams,

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.optimize import brentq, minimize
 
-from .errors import BracketError, FitError, WindowError
+from .errors import BracketError, FitError, InputError, WindowError
 from .model import ModelParams, TAIL_TOLERANCE
 from .qgt import g_ee_slope, qgt_spectral, qgt_spectral_row, QGTResult
 
@@ -372,13 +372,13 @@ def scaling_pipeline(sizes: Sequence[float] = DEFAULT_SIZES,
     exponent fits (converged delta_ee and nu from secant slopes, global fits
     for delta_pp and delta_ep at the pseudo-critical points), the data-collapse
     qualities on a shared eps window, and the curvature-collapse optimum.
-    An invalid collapse grid raises ValueError before any point is computed.
+    An invalid collapse grid raises InputError before any point is computed.
     """
     lo, hi = collapse_window
     if not (np.isfinite(collapse_step) and collapse_step > 0):
-        raise ValueError(f"collapse_step must be positive and finite, got {collapse_step}")
+        raise InputError(f"collapse_step must be positive and finite, got {collapse_step}")
     if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
-        raise ValueError(f"collapse_window must be finite with lo < hi, got {(lo, hi)}")
+        raise InputError(f"collapse_window must be finite with lo < hi, got {(lo, hi)}")
     sizes = np.asarray(sorted(sizes), dtype=float)
     if len(sizes) < 4:
         raise FitError("the scaling pipeline needs at least 4 sizes")

@@ -22,10 +22,11 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import __version__
+from ._fd import curvature_fd, metric_fd
 from .eigensolver import ground_state_row
 from .errors import CutoffError, EigenConvergenceError, GapError, SchemaError, StepSizeError
 from .model import ModelParams
-from .qgt import _even_ground_family, berry_plaquette, metric_overlap, qgt_spectral
+from .qgt import DEFAULT_STEP_EPS, DEFAULT_STEP_PHI, _even_ground_family, qgt_spectral_row
 from .scaling import (
     CurveFamily,
     ScalingReport,
@@ -238,14 +239,15 @@ def run(config: SweepConfig) -> list[Path]:
     """Run ``config.mode`` into ``config.out_dir`` and return the files written.
 
     Returns [] without computing anything when the manifest is current (see
-    manifest_is_current) and ``config.force`` is not set.
+    manifest_is_current) and ``config.force`` is not set.  The directory is
+    made only once the mode has returned, so a rejected run leaves none.
     """
     out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     if not config.force and manifest_is_current(out, config):
         return []
     started = _utcnow()
     texts, warnings = MODES[config.mode](config, out)
+    out.mkdir(parents=True, exist_ok=True)
     for name, text in texts.items():
         atomic_write_text(out / name, text)
     paths = [out / name for name in texts]
@@ -289,44 +291,43 @@ def _phase_diagram(config: SweepConfig, out: Path) -> ModeResult:
 
 
 def _qgt(config: SweepConfig, out: Path) -> ModeResult:
-    """Tensor components on a (size, eps) grid at fixed phi."""
+    """Tensor components on a (size, eps) grid at fixed phi.  Each size is one
+    row: one qgt_spectral_row call, and one state family for its fd stencils."""
     eps_grid = np.linspace(*config.eps_range[:2], int(config.eps_range[2]))
-    points = [(L, e) for L in config.sizes for e in eps_grid]
-    methods = {"spectral": ("spectral",), "fd": ("fd",),
-               "both": ("spectral", "fd")}[config.method]
-
-    def work(point):
-        size, eps = point
-        params = ModelParams.from_size(size, eps, phi=config.phi,
-                                       n_cut=config.n_cut, delta=config.delta)
-        rows, failures = [], []
+    steps = (DEFAULT_STEP_EPS, DEFAULT_STEP_PHI)
+    rows, warnings = [], []
+    for size in config.sizes:
+        points = [ModelParams.from_size(size, eps, phi=config.phi, n_cut=config.n_cut,
+                                        delta=config.delta) for eps in eps_grid]
         try:
-            spectral = qgt_spectral(params)
-        except POINT_ERRORS as exc:
-            failures.append(f"L={size:g} eps={eps:g}: {exc}")
-            return rows, failures
-        warn = "cutoff" if spectral.cutoff_warning else ""
-        if "spectral" in methods:
-            rows.append((size, eps, config.phi, config.n_cut, "spectral",
-                         spectral.g_ee, spectral.g_pp, spectral.g_ep,
-                         spectral.f_ep, spectral.gap, spectral.mean_n, warn))
-        if "fd" in methods:
-            try:
-                # One state family: the plaquette corners reuse the metric's
-                # eps solves.
-                family = _even_ground_family(params)
-                g = metric_overlap(params, state=family)
-                f = berry_plaquette(params, state=family)
-                rows.append((size, eps, config.phi, config.n_cut, "fd",
-                             float(g[0, 0]), float(g[1, 1]), float(g[0, 1]), f,
-                             spectral.gap, spectral.mean_n, warn))
-            except POINT_ERRORS as exc:
-                failures.append(f"L={size:g} eps={eps:g} (fd): {exc}")
-        return rows, failures
-
-    results = [work(point) for point in points]
-    rows = [row for point_rows, _ in results for row in point_rows]
-    warnings = [msg for _, failures in results for msg in failures]
+            results = qgt_spectral_row(points)
+        except POINT_ERRORS:
+            # a row of one per point, so only the failing points are dropped
+            results = []
+            for params in points:
+                try:
+                    results += qgt_spectral_row([params])
+                except POINT_ERRORS as exc:
+                    results.append(exc)
+        family = _even_ground_family(points[0])
+        for eps, spectral in zip(eps_grid, results):
+            if isinstance(spectral, Exception):
+                warnings.append(f"L={size:g} eps={eps:g}: {spectral}")
+                continue
+            head = (size, eps, config.phi, config.n_cut)
+            tail = (spectral.gap, spectral.mean_n, "cutoff" if spectral.cutoff_warning else "")
+            if config.method != "fd":
+                rows.append((*head, "spectral", spectral.g_ee, spectral.g_pp,
+                             spectral.g_ep, spectral.f_ep, *tail))
+            if config.method != "spectral":
+                try:
+                    g = metric_fd(family, eps, config.phi, *steps)
+                    f = curvature_fd(family, eps, config.phi, *steps)
+                except POINT_ERRORS as exc:
+                    warnings.append(f"L={size:g} eps={eps:g} (fd): {exc}")
+                    continue
+                rows.append((*head, "fd", float(g[0, 0]), float(g[1, 1]), float(g[0, 1]),
+                             f, *tail))
     warnings += [f"cutoff-inadequate point: L={r[0]:g} eps={r[1]:g}"
                  for r in rows if r[11]]
     return {"qgt.csv": csv_text(QGT_COLUMNS, rows)}, warnings

@@ -5,12 +5,14 @@ its spans, and with no ``eigensolver.eig_tridiagonal`` span its residual gate
 is skipped without an error.  These tests fail instead.
 """
 
+import inspect
 import sys
 
 import pytest
 
 import kerrqgt
 import kerrqgt.eigensolver
+import kerrqgt.oracle
 import kerrqgt.scaling
 import kerrqgt.sweep
 from kerrqgt import ModelParams, sector_block
@@ -46,15 +48,21 @@ def test_traced_kernels_call_eig_tridiagonal(eig_calls, kernel):
     assert eig_calls
 
 
-@pytest.mark.parametrize("method, solves", [("spectral", 1), ("fd", 6), ("both", 6)])
+@pytest.mark.parametrize("method, solves", [("spectral", 1), ("fd", 41), ("both", 41)])
 def test_qgt_point_eigensolve_count(tmp_path, eig_calls, method, solves):
-    # Per point: one tensor solve; the metric stencil solves at 5 eps values
-    # and the plaquette reuses two of them from the same state family.
+    # One size of 8 points is one row: one tensor solve for the row, and the
+    # metric stencil of each point solves at 5 eps values of the size's state
+    # family, from which the plaquette reuses two.
     kerrqgt.sweep.run(kerrqgt.sweep.SweepConfig(
         mode="qgt", out_dir=str(tmp_path), sizes=(150,), eps_range=(0.95, 1.06, 8),
         phi=0.3, n_cut=200, method=method))
-    assert len(eig_calls) == 8 * solves
+    assert len(eig_calls) == solves
 
 
-def test_pool_and_pipeline_names_exist():
+def test_pipeline_and_gate_names_exist():
+    # bench/checks.py imports these to gate the paper and phase-diagram runs.
     assert callable(kerrqgt.scaling.scaling_pipeline)
+    assert callable(kerrqgt.scaling.CurveFamily)
+    assert list(inspect.signature(kerrqgt.scaling.collapse_objective).parameters) == [
+        "family", "delta_jk", "nu", "eps_c_star"]
+    assert abs(kerrqgt.oracle.superradiant_phase(1.0, 1.2, size=800.0).alpha) > 0.0

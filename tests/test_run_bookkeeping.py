@@ -12,7 +12,7 @@ import pytest
 import kerrqgt.qgt
 import kerrqgt.sweep as sweep
 from kerrqgt.cli import main
-from kerrqgt.errors import StepSizeError
+from kerrqgt.errors import GapError, StepSizeError
 from kerrqgt.plots import emit_plots
 from kerrqgt.scaling import K0Report
 from kerrqgt.sweep import (
@@ -43,10 +43,10 @@ def test_gap_error_drops_point_with_warning(tmp_path, monkeypatch):
 
 
 def test_step_size_error_drops_fd_row_only(tmp_path, monkeypatch):
-    def too_small(params, **kwargs):
+    def too_small(*args, **kwargs):
         raise StepSizeError("overlap distance below the precision floor")
 
-    monkeypatch.setattr(sweep, "metric_overlap", too_small)
+    monkeypatch.setattr(sweep, "metric_fd", too_small)
     files = run(_qgt_config(tmp_path, method="both"))
     rows = read_csv(files[0])[1]
     assert [r[4] for r in rows] == ["spectral", "spectral"]
@@ -54,9 +54,9 @@ def test_step_size_error_drops_fd_row_only(tmp_path, monkeypatch):
     assert len(warnings) == 2 and all("(fd)" in w for w in warnings)
 
 
-@pytest.mark.parametrize("target", ["qgt_spectral", "metric_overlap"])
+@pytest.mark.parametrize("target", ["qgt_spectral_row", "metric_fd"])
 def test_programming_errors_propagate(tmp_path, monkeypatch, target):
-    def broken(params, **kwargs):
+    def broken(*args, **kwargs):
         raise TypeError("unsupported operand")
 
     monkeypatch.setattr(sweep, target, broken)
@@ -64,6 +64,34 @@ def test_programming_errors_propagate(tmp_path, monkeypatch, target):
         run(_qgt_config(tmp_path, method="both"))
     assert not (tmp_path / "qgt.csv").exists()
     assert not (tmp_path / "manifest_qgt.json").exists()
+
+
+def test_row_gap_error_retries_point_by_point(tmp_path, monkeypatch):
+    config = SweepConfig(mode="qgt", out_dir=str(tmp_path / "plain"), sizes=(60, 80),
+                         eps_range=(0.5, 0.9, 3), method="both", n_cut=160)
+    plain = read_csv(run(config)[0])[1]
+    row_kernel = sweep.qgt_spectral_row
+
+    def gap_at_one_point(points):
+        if any(p.eps == 0.7 and p.kerr == 1.0 / 80 for p in points):
+            raise GapError("sector gap below the floor")
+        return row_kernel(points)
+
+    monkeypatch.setattr(sweep, "qgt_spectral_row", gap_at_one_point)
+    patched = dataclasses.replace(config, out_dir=str(tmp_path / "patched"))
+    rows = read_csv(run(patched)[0])[1]
+    dropped = [r for r in plain if r[0] == "80" and float(r[1]) == 0.7]
+    assert [r[4] for r in dropped] == ["spectral", "fd"]
+    assert rows == [r for r in plain if r not in dropped]
+    assert _manifest_warnings(tmp_path / "patched", "qgt") == [
+        "L=80 eps=0.7: sector gap below the floor"]
+
+
+def test_rejected_run_leaves_no_output_directory(tmp_path):
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match="collapse_step must be positive"):
+        run(SweepConfig(mode="scaling", out_dir=str(out), collapse_step=0.0))
+    assert not out.exists()
 
 
 def test_atomic_write_leaves_no_temp_file(tmp_path):

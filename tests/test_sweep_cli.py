@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import kerrqgt.cli
 import kerrqgt.sweep as sweep
 from kerrqgt import (ModelParams, ground_state, ground_state_row, mean_photon,
                      sector_block)
@@ -18,7 +19,7 @@ from kerrqgt.cli import (
     parse_pair,
     parse_range,
 )
-from kerrqgt.errors import CutoffError, SchemaError
+from kerrqgt.errors import CutoffError, GapError, SchemaError
 from kerrqgt.plots import emit_plots
 from kerrqgt.sweep import (
     SweepConfig,
@@ -278,13 +279,15 @@ def test_cli_config_file_and_override(tmp_path):
     assert len(rows) == 4
 
 
-def test_cli_config_file_mode_must_match_subcommand(tmp_path):
+def test_cli_config_file_mode_must_match_subcommand(tmp_path, capsys):
     config_path = tmp_path / "cfg.json"
     config_path.write_text(json.dumps({"mode": "collapse"}))
     out = tmp_path / "out"
-    with pytest.raises(ValueError, match="mode 'collapse', not for 'phase-diagram'"):
-        main(["phase-diagram", "--config", str(config_path), "--out", str(out),
-              "--L", "200", "--ncut", "160", "--eps", "0:1.2:4", "--phi", "0:3:2"])
+    rc = main(["phase-diagram", "--config", str(config_path), "--out", str(out),
+               "--L", "200", "--ncut", "160", "--eps", "0:1.2:4", "--phi", "0:3:2"])
+    assert rc == 2
+    assert re.fullmatch(r"kerrqgt phase-diagram: error: config file \S+ is for mode "
+                        r"'collapse', not for 'phase-diagram'\n", capsys.readouterr().err)
     assert not out.exists()
     args = build_parser().parse_args(["collapse", "--config", str(config_path)])
     assert assemble_config(args).mode == "collapse"
@@ -325,15 +328,17 @@ def test_emit_plots_empty_csv_schema_error(tmp_path):
         emit_plots(tmp_path)
 
 
-def test_collapse_input_missing_key_schema_error(tmp_path):
+def test_collapse_input_missing_key_schema_error(tmp_path, capsys):
     keys = ["eps_c_star", "fit_a", "fit_b", "nu", "delta_ee", "delta_pp", "delta_ep",
             "delta_eps", "delta_phi", "collapse_quality_gee", "collapse_quality_fep"]
     report = {key: 1.0 for key in keys if key != "fit_a"}
     report["diagnostics"] = {}
     source = tmp_path / "report.json"
     source.write_text(json.dumps(report))
-    with pytest.raises(SchemaError, match="missing required key 'fit_a'"):
-        main(["collapse", "--out", str(tmp_path / "c"), "--input", str(source)])
+    rc = main(["collapse", "--out", str(tmp_path / "c"), "--input", str(source)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "kerrqgt collapse: error: report.json is missing required key 'fit_a'\n")
 
 
 def test_emit_plots_schema_error(tmp_path):
@@ -341,6 +346,42 @@ def test_emit_plots_schema_error(tmp_path):
         "eps,phi,L,ncut,mean_n,warn\n0,0,10,20,0,\n")
     with pytest.raises(SchemaError, match="rho"):
         emit_plots(tmp_path)
+
+
+@pytest.mark.parametrize("name, report, key", [
+    ("scaling_report.json", {"eps_c_star": 1.0}, "nu"),
+    ("k0_report.json", {"gamma1": 1.0, "gamma2": 1.0, "alpha_exp": 1.0,
+                        "delta_nbar": 1.0, "diagnostics": {}}, "diagnostics.ncut_list"),
+], ids=["top-level", "diagnostics"])
+def test_emit_plots_names_missing_report_key(tmp_path, name, report, key):
+    (tmp_path / name).write_text(json.dumps(report))
+    with pytest.raises(SchemaError, match=f"^{name} is missing required key '{key}'$"):
+        emit_plots(tmp_path)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["scaling", "--eps-step", "0"], "collapse_step must be positive and finite, got 0.0"),
+    (["phase-diagram", "--L", "2000", "--eps", "0:1.5:3", "--ncut", "100"],
+     "cutoff check failed at grid corner eps=1.5, phi=6.28319: need n_cut >= 700, "
+     "got 100"),
+], ids=["collapse-step", "cutoff"])
+def test_cli_input_error_is_one_line_with_status_2(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"kerrqgt {argv[0]}: error: {message}\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_cli_numerical_error_keeps_its_traceback(tmp_path, monkeypatch):
+    # GapError is a ValueError but not an InputError: main must not swallow it
+    def gap(config):
+        raise GapError("sector gap below the floor")
+
+    monkeypatch.setattr(kerrqgt.cli, "run", gap)
+    with pytest.raises(GapError, match="sector gap"):
+        main(["qgt", "--out", str(tmp_path)])
 
 
 def test_generated_plot_scripts_run(tmp_path):
