@@ -128,7 +128,12 @@ def _flag_fields(mode: str) -> dict[str, str]:
 
 def _file_settings(path: str, mode: str) -> dict:
     """Entries of a JSON config file; every key must be a SweepConfig field."""
-    loaded = json.loads(Path(path).read_text())
+    try:
+        loaded = json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise SchemaError(f"config file {path} cannot be read: {exc.strerror}") from exc
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"config file {path} is not JSON: {exc}") from exc
     if not isinstance(loaded, dict):
         raise SchemaError(f"config file {path} holds a JSON {type(loaded).__name__}, "
                           f"not an object of config fields")

@@ -4,7 +4,13 @@ Ground-state work needs only the lowest pair of a block: one bisection plus
 inverse iteration (dstebz/dstein via scipy.linalg.eigh_tridiagonal with
 select='i') gets it in O(N).  The gates take their units from two O(N) bounds
 on the block norm (see Spectrum), not from a second bisection for the top
-eigenvalue.  Residual and orthogonality bounds are checked on every solve.
+eigenvalue.
+
+Every kernel certificate (the eigen residual and orthogonality here; the
+Sternheimer factorisation, residual and overlap and the gap floor in qgt) is
+checked exactly on every row by _certify, as the condition that holds (value
+<= limit, gap > floor), so a NaN fails it.  A failure raises
+EigenConvergenceError (GapError for the gap floor) naming the block and row.
 
 Every block stacks the M blocks of a row of points (one point is a row of
 one).  Each gets its own selective solve; the sign convention, the gate units
@@ -87,6 +93,15 @@ class GroundState:
         return apply_gauge_phases(full, self.params.phi)
 
 
+def _certify(ok: np.ndarray, block: TridiagonalBlock, message,
+             error: type[Exception] = EigenConvergenceError) -> None:
+    """Raise error for the first row m of block where the certificate ok[m] is
+    False; message(m) describes the failure.  A NaN value fails its certificate."""
+    if not ok.all():
+        m = int(np.argmin(ok))
+        raise error(f"{block.parity} block of size {block.size}, row {m}: {message(m)}")
+
+
 def _tridiagonal_multiply(diag, off, vectors):
     """T x along the last axis of vectors; diag and off broadcast against it."""
     out = diag * vectors
@@ -134,32 +149,24 @@ def eig_tridiagonal(block: TridiagonalBlock) -> Spectrum:
              - vec * lam[:, :, None])
     resid_norms = np.sqrt(np.einsum("mkn,mkn->mk", resid, resid))
     defects = np.abs(np.einsum("mn,mn->m", vec[:, 0], vec[:, 1]))
-    max_residual, max_defect = float(resid_norms.max()), float(defects.max())
-
-    # residual_unit >= 1, so only a residual above the bare bound can fail
-    if max_residual > RESIDUAL_BOUND:
-        over = resid_norms.max(axis=1) > RESIDUAL_BOUND * residual_unit
-        if over.any():
-            m = int(np.argmax(over))
-            raise EigenConvergenceError(
-                f"residual {resid_norms[m].max():.3e} exceeds bound on {block.parity} "
-                f"block, row {m} (worst eigenpair {int(np.argmax(resid_norms[m]))})")
-    if max_defect > ORTHOGONALITY_BOUND:
-        m = int(np.argmax(defects))
-        raise EigenConvergenceError(
-            f"orthogonality defect {defects[m]:.3e} exceeds bound on {block.parity} "
-            f"block, row {m}")
+    _certify((resid_norms <= RESIDUAL_BOUND * residual_unit[:, None]).all(axis=1), block,
+             lambda m: f"residual {resid_norms[m].max():.3e} exceeds bound "
+                       f"(worst eigenpair {int(np.argmax(resid_norms[m]))})")
+    _certify(defects <= ORTHOGONALITY_BOUND, block,
+             lambda m: f"orthogonality defect {defects[m]:.3e} exceeds bound")
 
     return Spectrum(eigenvalues=lam, eigenvectors=vec.swapaxes(1, 2),
-                    max_residual=max_residual, max_orthogonality_defect=max_defect,
+                    max_residual=float(resid_norms.max()),
+                    max_orthogonality_defect=float(defects.max()),
                     scale=scale, residual_unit=residual_unit)
 
 
 def _photon_moments(block: TridiagonalBlock, u0: np.ndarray, n_cut: int):
-    """<n> and the tail weight of each row of sector vectors u0 (M, size)."""
+    """<n>, the tail weight and the cutoff flag (tail weight not within
+    TAIL_TOLERANCE) of each row of sector vectors u0 (M, size)."""
     weights = u0**2
-    return (np.sum(block.index_map * weights, axis=1),
-            np.sum(weights[:, block.index_map > n_cut - TAIL_LEVELS], axis=1))
+    tail = np.sum(weights[:, block.index_map > n_cut - TAIL_LEVELS], axis=1)
+    return np.sum(block.index_map * weights, axis=1), tail, ~(tail <= TAIL_TOLERANCE)
 
 
 def ground_state_row(points) -> list[GroundState]:
@@ -183,12 +190,12 @@ def ground_state_row(points) -> list[GroundState]:
     for m, p in enumerate(points):
         s = int(odd[m])
         lam = spectra[s].eigenvalues[m]
-        u0, mean_n, tail = sectors[s]
+        u0, mean_n, tail, cutoff = sectors[s]
         states.append(GroundState(
             params=p, energy=float(lam[0]), vector=u0[m], levels=blocks[s].index_map,
             parity=blocks[s].parity, gap=float(lam[1] - lam[0]),
             sector_energies=(float(e0[m]), float(o0[m])), mean_n=float(mean_n[m]),
-            tail_weight=float(tail[m]), cutoff_warning=bool(tail[m] > TAIL_TOLERANCE)))
+            tail_weight=float(tail[m]), cutoff_warning=bool(cutoff[m])))
     return states
 
 

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InputError
+
 # Tail-weight gate: total ground-state weight allowed on the last few levels
 # before a truncation is considered inadequate.
 TAIL_LEVELS = 10
@@ -47,15 +49,15 @@ class ModelParams:
 
     def __post_init__(self):
         if not np.isfinite(self.delta) or self.delta <= 0:
-            raise ValueError(f"delta must be positive, got {self.delta}")
+            raise InputError(f"delta must be positive, got {self.delta}")
         if not np.isfinite(self.kerr) or self.kerr < 0:
-            raise ValueError(f"kerr must be >= 0, got {self.kerr}")
+            raise InputError(f"kerr must be >= 0, got {self.kerr}")
         if not np.isfinite(self.eps) or self.eps < 0:
-            raise ValueError(f"eps must be >= 0, got {self.eps}")
+            raise InputError(f"eps must be >= 0, got {self.eps}")
         if not np.isfinite(self.phi):
-            raise ValueError("phi must be finite")
+            raise InputError("phi must be finite")
         if int(self.n_cut) != self.n_cut or self.n_cut < 4:
-            raise ValueError(f"n_cut must be an integer >= 4, got {self.n_cut}")
+            raise InputError(f"n_cut must be an integer >= 4, got {self.n_cut}")
 
     @property
     def dim(self) -> int:
@@ -73,7 +75,7 @@ class ModelParams:
                   n_cut: int = 800, delta: float = 1.0) -> "ModelParams":
         """Build parameters at a given effective size L = delta / K."""
         if size <= 0:
-            raise ValueError(f"size must be positive, got {size}")
+            raise InputError(f"size must be positive, got {size}")
         return cls(delta=delta, kerr=delta / size, eps=eps, phi=phi, n_cut=n_cut)
 
     def replace(self, **kw) -> "ModelParams":

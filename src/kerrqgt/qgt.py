@@ -26,17 +26,13 @@ from ._fd import curvature_fd, metric_fd, susceptibility_fd
 from .eigensolver import (
     ORTHOGONALITY_BOUND,
     RESIDUAL_BOUND,
+    _certify,
     _photon_moments,
     _tridiagonal_multiply,
     eig_tridiagonal,
 )
-from .errors import EigenConvergenceError, GapError
-from .model import (
-    ModelParams,
-    pair_coupling,
-    sector_block,
-    TAIL_TOLERANCE,
-)
+from .errors import GapError
+from .model import ModelParams, pair_coupling, sector_block
 
 GAP_FLOOR = 1e-12
 PSD_TOLERANCE = 1e-9
@@ -124,13 +120,12 @@ def _sternheimer(block, e0: np.ndarray, u0: np.ndarray, rhs: np.ndarray,
     diag = block.diag[keep] - e0[:, None]
     off = block.offdiag[np.arange(rows)[:, None], keep[:, :-1]]
     off[keep[:, 1:] != keep[:, :-1] + 1] = 0.0
+    factors = [scipy.linalg.lapack.dpttrf(d, e) for d, e in zip(diag, off)]
+    _certify(np.array([info == 0 for *_, info in factors]), block,
+             lambda m: f"shifted block is not positive definite after deflation "
+                       f"(dpttrf info {factors[m][2]})")
     solutions = np.zeros((powers, rows, size))
-    for m in range(rows):
-        d, e, info = scipy.linalg.lapack.dpttrf(diag[m], off[m])
-        if info != 0:
-            raise EigenConvergenceError(
-                f"shifted {block.parity} block is not positive definite after "
-                f"deflation (dpttrf info {info}, row {m})")
+    for m, (d, e, _) in enumerate(factors):
         source = rhs[m]
         for y in solutions[:, m]:
             y[keep[m]], _ = scipy.linalg.lapack.dpttrs(d, e, source[keep[m]])
@@ -142,22 +137,12 @@ def _sternheimer(block, e0: np.ndarray, u0: np.ndarray, rhs: np.ndarray,
         resid = _tridiagonal_multiply(shifted_diag, block.offdiag, y) - source
         residual = np.sqrt(np.einsum("mn,mn->m", resid, resid))
         overlap = np.abs(np.einsum("mn,mn->m", u0, y))
-        # residual_unit and norm_y are >= 1, so only a certificate above its
-        # bare bound can fail
-        if residual.max() <= RESIDUAL_BOUND and overlap.max() <= ORTHOGONALITY_BOUND:
-            continue
         norm_y = np.maximum(1.0, np.sqrt(np.einsum("mn,mn->m", y, y)))
-        over = residual > RESIDUAL_BOUND * residual_unit * norm_y
-        if over.any():
-            m = int(np.argmax(over))
-            raise EigenConvergenceError(
-                f"linear-response residual {residual[m]:.3e} exceeds bound on "
-                f"{block.parity} block, row {m}")
-        if np.any(overlap > ORTHOGONALITY_BOUND * norm_y):
-            m = int(np.argmax(overlap / norm_y))
-            raise EigenConvergenceError(
-                f"linear response keeps overlap {overlap[m]:.3e} with the ground "
-                f"vector, row {m}")
+        _certify(residual <= RESIDUAL_BOUND * residual_unit * norm_y, block,
+                 lambda m: f"linear-response residual {residual[m]:.3e} exceeds bound")
+        _certify(overlap <= ORTHOGONALITY_BOUND * norm_y, block,
+                 lambda m: f"linear response keeps overlap {overlap[m]:.3e} with the "
+                           f"ground vector")
     return list(solutions)
 
 
@@ -173,13 +158,11 @@ def _response(points, powers: int):
     spec = eig_tridiagonal(block)
     lam, u0 = spec.eigenvalues, spec.eigenvectors[..., 0]
     e0, gap = lam[:, 0], lam[:, 1] - lam[:, 0]
-    low = gap <= GAP_FLOOR * spec.scale
-    if low.any():
-        m = int(np.argmax(low))
-        p = points[m]
-        raise GapError(f"sector gap {gap[m]:.3e} is below the floor "
-                       f"{GAP_FLOOR:g} x Gershgorin bound {spec.scale[m]:.3e} at "
-                       f"eps={p.eps:g}, kerr={p.kerr:g}, n_cut={p.n_cut}")
+    _certify(gap > GAP_FLOOR * spec.scale, block,
+             lambda m: f"sector gap {gap[m]:.3e} is below the floor {GAP_FLOOR:g} x "
+                       f"Gershgorin bound {spec.scale[m]:.3e} at eps={points[m].eps:g}, "
+                       f"kerr={points[m].kerr:g}, n_cut={points[m].n_cut}",
+             GapError)
 
     band = -(points[0].delta / 2.0) * pair_coupling(block.index_map[:-1])
     rhs = _tridiagonal_multiply(0.0, band, u0)
@@ -197,7 +180,7 @@ def qgt_spectral_row(points) -> list[QGTResult]:
     """
     block, u0, gap, _, _, (y,) = _response(points, powers=1)
     levels = block.index_map
-    mean_n, tail = _photon_moments(block, u0, points[0].n_cut)
+    mean_n, tail, cutoff = _photon_moments(block, u0, points[0].n_cut)
     var_n = np.sum(levels.astype(float) ** 2 * u0**2, axis=1) - mean_n**2
     n_u0 = levels * u0
     results = []
@@ -207,7 +190,7 @@ def qgt_spectral_row(points) -> list[QGTResult]:
         results.append(QGTResult(q=q, gap=float(gap[m]), method="spectral", params=params,
                                  mean_n=float(mean_n[m]), var_n=float(var_n[m]),
                                  tail_weight=float(tail[m]),
-                                 cutoff_warning=bool(tail[m] > TAIL_TOLERANCE)))
+                                 cutoff_warning=bool(cutoff[m])))
     return results
 
 

@@ -24,7 +24,8 @@ import numpy as np
 from . import __version__
 from ._fd import curvature_fd, metric_fd
 from .eigensolver import ground_state_row
-from .errors import CutoffError, EigenConvergenceError, GapError, SchemaError, StepSizeError
+from .errors import (CutoffError, EigenConvergenceError, GapError, InputError, SchemaError,
+                     StepSizeError)
 from .model import ModelParams
 from .qgt import DEFAULT_STEP_EPS, DEFAULT_STEP_PHI, _even_ground_family, qgt_spectral_row
 from .scaling import (
@@ -172,10 +173,10 @@ class SweepConfig:
 
     def __post_init__(self):
         if self.method not in ("spectral", "fd", "both"):
-            raise ValueError(f"unknown method {self.method!r}")
+            raise InputError(f"unknown method {self.method!r}")
         for rng in (self.eps_range, self.phi_range):
             if len(rng) != 3 or rng[1] < rng[0] or int(rng[2]) < 1:
-                raise ValueError(f"malformed grid range {rng}")
+                raise InputError(f"malformed grid range {rng}")
 
     def echo(self) -> dict:
         raw = asdict(self)

@@ -1,0 +1,110 @@
+"""Every kernel certificate trips on the row that fails it, NaN included.
+
+Each case breaks one LAPACK result (or the gap floor) on row 1 of a three-point
+row and checks that the certificate guarding it raises its named error for
+that row, where a NaN would slip past a `value > bound` test.
+"""
+
+import numpy as np
+import pytest
+import scipy.linalg
+
+import kerrqgt.qgt as qgt
+from kerrqgt import (
+    EigenConvergenceError,
+    GapError,
+    ModelParams,
+    g_ee_slope,
+    qgt_spectral_row,
+)
+
+# even-gap / Gershgorin ratios 5.7e-4, 2.4e-4, 4.3e-4: a floor of 3e-4 fails row 1 only
+ROW = [ModelParams.from_size(150, eps, n_cut=400) for eps in (0.9, 1.1, 1.2)]
+BLOCK = "even block of size 201"
+
+
+def _alter_call(monkeypatch, owner, name, index, alter):
+    """Make call number `index` (from 0) of owner.name return alter(result)."""
+    original = getattr(owner, name)
+    calls = []
+
+    def patched(*args, **kwargs):
+        calls.append(None)
+        result = original(*args, **kwargs)
+        return alter(result) if len(calls) == index + 1 else result
+
+    monkeypatch.setattr(owner, name, patched)
+
+
+def _nan_component(result):
+    lam, vec = result
+    vec = vec.copy()
+    vec[3, 0] = np.nan
+    return lam, vec
+
+
+def _perturbed_vector(result):
+    lam, vec = result
+    vec = vec.copy()
+    vec[:, 0] += 1e-4 * vec[:, 1]
+    return lam, vec
+
+
+def _non_orthogonal_pair(result):
+    # two copies of the ground pair: both residuals vanish, the pair overlaps fully
+    lam, vec = result
+    return np.array([lam[0], lam[0]]), np.column_stack([vec[:, 0], vec[:, 0]])
+
+
+def _eigensolve(alter):
+    return lambda mp: _alter_call(mp, scipy.linalg, "eigh_tridiagonal", 1, alter)
+
+
+def _solve(alter):
+    return lambda mp: _alter_call(mp, scipy.linalg.lapack, "dpttrs", 1, alter)
+
+
+def _unprojected_overlap(monkeypatch):
+    # a ground vector of norm 2 on row 1 defeats the projection, not the solve
+    sternheimer = qgt._sternheimer
+
+    def doubled(block, e0, u0, *args):
+        u0 = u0.copy()
+        u0[1] *= 2.0
+        return sternheimer(block, e0, u0, *args)
+
+    monkeypatch.setattr(qgt, "_sternheimer", doubled)
+
+
+CASES = {
+    "eigen-nan": (_eigensolve(_nan_component), qgt_spectral_row,
+                  EigenConvergenceError, "row 1: residual nan exceeds bound"),
+    "eigen-residual": (_eigensolve(_perturbed_vector), qgt_spectral_row,
+                       EigenConvergenceError, "row 1: residual .* exceeds bound"),
+    "orthogonality": (_eigensolve(_non_orthogonal_pair), qgt_spectral_row,
+                      EigenConvergenceError, "row 1: orthogonality defect 1.000e"),
+    "factorisation": (lambda mp: _alter_call(mp, scipy.linalg.lapack, "dpttrf", 1,
+                                             lambda r: (r[0], r[1], 1)),
+                      qgt_spectral_row, EigenConvergenceError,
+                      r"row 1: shifted block is not positive definite .*\(dpttrf info 1\)"),
+    "solve-nan": (_solve(lambda r: (np.full_like(r[0], np.nan), r[1])), qgt_spectral_row,
+                  EigenConvergenceError, "row 1: linear-response residual nan exceeds"),
+    "solve-wrong": (_solve(lambda r: (r[0] * (1.0 + 1e-3), r[1])), qgt_spectral_row,
+                    EigenConvergenceError, "row 1: linear-response residual .* exceeds"),
+    "overlap": (_unprojected_overlap, qgt_spectral_row, EigenConvergenceError,
+                "row 1: linear response keeps overlap"),
+    "gap-floor": (lambda mp: mp.setattr(qgt, "GAP_FLOOR", 3e-4), qgt_spectral_row,
+                  GapError, "row 1: sector gap .* at eps=1.1, kerr=0.00666667, n_cut=400$"),
+    # call 1 is the slope's second back-substitution on a row of one point
+    "slope-nan": (_solve(lambda r: (np.full_like(r[0], np.nan), r[1])),
+                  lambda points: g_ee_slope(points[1]), EigenConvergenceError,
+                  "row 0: linear-response residual nan exceeds"),
+}
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_certificate_names_the_failing_row(monkeypatch, case):
+    setup, kernel, error, message = CASES[case]
+    setup(monkeypatch)
+    with pytest.raises(error, match=f"^{BLOCK}, {message}"):
+        kernel(ROW)

@@ -7,10 +7,13 @@ import json
 import shutil
 import threading
 
+import numpy as np
 import pytest
+import scipy.linalg
 
 import kerrqgt.qgt
 import kerrqgt.sweep as sweep
+from kerrqgt import ModelParams, sector_block
 from kerrqgt.cli import main
 from kerrqgt.errors import GapError, StepSizeError
 from kerrqgt.plots import emit_plots
@@ -85,6 +88,31 @@ def test_row_gap_error_retries_point_by_point(tmp_path, monkeypatch):
     assert rows == [r for r in plain if r not in dropped]
     assert _manifest_warnings(tmp_path / "patched", "qgt") == [
         "L=80 eps=0.7: sector gap below the floor"]
+
+
+def test_nan_solve_drops_only_its_point(tmp_path, monkeypatch):
+    config = SweepConfig(mode="qgt", out_dir=str(tmp_path / "plain"), sizes=(60, 80),
+                         eps_range=(0.5, 0.9, 3), method="both", n_cut=160)
+    plain = run(config)[0].read_text().splitlines()
+    target = sector_block([ModelParams.from_size(80, 0.7, n_cut=160)], "even")
+    eigensolve = scipy.linalg.eigh_tridiagonal
+
+    def nan_at_target(diag, off, **kwargs):
+        lam, vec = eigensolve(diag, off, **kwargs)
+        if np.array_equal(diag, target.diag) and np.allclose(off, target.offdiag[0]):
+            vec = vec.copy()
+            vec[3, 0] = np.nan
+        return lam, vec
+
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", nan_at_target)
+    patched = dataclasses.replace(config, out_dir=str(tmp_path / "patched"))
+    lines = run(patched)[0].read_text().splitlines()
+    dropped = [line for line in plain if line.startswith("80,0.69999999999999996,")]
+    assert [line.split(",")[4] for line in dropped] == ["spectral", "fd"]
+    assert lines == [line for line in plain if line not in dropped]
+    warnings = _manifest_warnings(tmp_path / "patched", "qgt")
+    assert len(warnings) == 1
+    assert warnings[0].startswith("L=80 eps=0.7: even block of size 81, row 0: residual nan")
 
 
 def test_rejected_run_leaves_no_output_directory(tmp_path):

@@ -364,12 +364,23 @@ def test_emit_plots_names_missing_report_key(tmp_path, name, report, key):
     (["phase-diagram", "--L", "2000", "--eps", "0:1.5:3", "--ncut", "100"],
      "cutoff check failed at grid corner eps=1.5, phi=6.28319: need n_cut >= 700, "
      "got 100"),
-], ids=["collapse-step", "cutoff"])
+    (["qgt", "--config", "{dir}/method.json"], "unknown method 'xyz'"),
+    (["qgt", "--config", "{dir}/text.json"], "config file {dir}/text.json is not JSON: "
+                                             "Expecting value: line 1 column 1 (char 0)"),
+    (["qgt", "--config", "{dir}/missing.json"],
+     "config file {dir}/missing.json cannot be read: No such file or directory"),
+    (["phase-diagram", "--L", "-5"], "size must be positive, got -5.0"),
+    (["scaling", "--L-list", "0,1,2,3"], "size must be positive, got 0.0"),
+], ids=["collapse-step", "cutoff", "config-method", "config-not-json", "config-missing",
+        "negative-size", "zero-size"])
 def test_cli_input_error_is_one_line_with_status_2(tmp_path, capsys, argv, message):
+    (tmp_path / "method.json").write_text('{"method": "xyz"}')
+    (tmp_path / "text.json").write_text("not json")
+    argv = [arg.format(dir=tmp_path) for arg in argv]
     out = tmp_path / "out"
     assert main(argv + ["--out", str(out)]) == 2
     captured = capsys.readouterr()
-    assert captured.err == f"kerrqgt {argv[0]}: error: {message}\n"
+    assert captured.err == f"kerrqgt {argv[0]}: error: {message.format(dir=tmp_path)}\n"
     assert captured.out == ""
     assert not out.exists()
 
