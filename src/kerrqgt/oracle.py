@@ -5,7 +5,8 @@ it (eps > 1) there are two degenerate displaced-squeezed states related by
 parity.  These families, realized on the truncated Fock basis, serve as
 independent oracles for the numerical pipeline: state fidelities, excitation
 gaps, and the large-size limit of the geometric tensor are all checked
-against them.
+against them.  scipy.sparse is imported inside displaced_squeezed_fock, the
+only user, so that importing the package does not load it.
 """
 
 from __future__ import annotations
@@ -13,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import diags
-from scipy.sparse.linalg import expm_multiply
 
 from ._fd import curvature_fd, metric_fd
 from .errors import CutoffError
@@ -112,6 +111,8 @@ def displaced_squeezed_fock(alpha: complex, r: complex, n_cut: int) -> np.ndarra
     inner_dim = int(np.ceil(DISPLACEMENT_HEADROOM * (n_cut + 1)))
     base = squeezed_vacuum_fock(r, inner_dim - 1)
     if alpha != 0:
+        from scipy.sparse import diags
+        from scipy.sparse.linalg import expm_multiply
         k = np.arange(1, inner_dim, dtype=float)
         generator = diags(
             [alpha * np.sqrt(k), -np.conj(alpha) * np.sqrt(k)], [-1, 1], format="csc")

@@ -7,6 +7,8 @@ and golden-section 1D searches; no stochastic optimization is used anywhere.
 The end-to-end pipelines assemble the critical point, the correlation-length
 exponent, the scaling dimensions of the geometric tensor, the data-collapse
 qualities, and the cutoff-scaling study without Kerr nonlinearity.
+scipy.optimize is imported inside locate_peak and optimize_collapse, its only
+users, so that a run which calls neither does not load it.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import brentq, minimize
 
 from .errors import BracketError, FitError, InputError, WindowError
 from .model import ModelParams, TAIL_TOLERANCE
@@ -85,6 +86,7 @@ def locate_peak(slope: Callable[[float], float], bracket: tuple[float, float]) -
     for a, b in zip(xs, xs[1:]):
         known[b] = slope(b)
         if known[b] <= 0.0:
+            from scipy.optimize import brentq
             return brentq(lambda x: known[x] if x in known else slope(x), a, b,
                           xtol=PEAK_XTOL)
     raise BracketError(f"slope stays positive across bracket {bracket}; "
@@ -308,6 +310,7 @@ def optimize_collapse(family: CurveFamily, delta_jk: float | None,
                key=lambda t: t[0])
     if not np.isfinite(best[0]):
         raise WindowError("collapse objective is undefined everywhere on the seed grid")
+    from scipy.optimize import minimize
     result = minimize(objective, [best[1], best[2]], method="Nelder-Mead",
                       options=dict(xatol=1e-7, fatol=1e-16, maxiter=800))
     nu, ec = float(result.x[0]), float(result.x[1])

@@ -8,7 +8,7 @@ decomposition, never from the kernels it checks:
 * dense_eigenvalues diagonalizes the dense matrix;
 * full_spectrum is the whole spectrum of a parity block over a row of one
   point (LAPACK dstev) under the package's residual and orthogonality
-  bounds, in the package's Spectrum layout;
+  bounds, in the package's Spectrum layout; a NaN fails every gate;
 * qgt_sum_over_states is the spectral sum over the full even-sector
   eigenbasis at the requested phi, on gauge-phased full-Fock vectors with
   the dense drive derivatives.
@@ -86,9 +86,10 @@ def full_spectrum(block) -> Spectrum:
     gram = vec.T @ vec
     np.fill_diagonal(gram, 0.0)
     max_defect = float(np.max(np.abs(gram)))
-    if max_residual > RESIDUAL_BOUND * scale:
+    # Each gate is written as the condition that holds, so a NaN fails it.
+    if not max_residual <= RESIDUAL_BOUND * scale:
         raise EigenConvergenceError(f"residual {max_residual:.3e} exceeds bound")
-    if max_defect > ORTHOGONALITY_BOUND:
+    if not max_defect <= ORTHOGONALITY_BOUND:
         raise EigenConvergenceError(f"orthogonality defect {max_defect:.3e} exceeds bound")
     # With the whole spectrum both units of Spectrum are max(1, ||T||_2) exactly.
     return Spectrum(eigenvalues=lam[None], eigenvectors=vec[None],
@@ -107,7 +108,7 @@ def qgt_sum_over_states(params) -> QGTResult:
     spec = full_spectrum(even)
     lam, scale = spec.eigenvalues[0], spec.scale[0]
     gap = float(lam[1] - lam[0])
-    if gap <= GAP_FLOOR * scale:
+    if not gap > GAP_FLOOR * scale:
         raise GapError(f"sector gap {gap:.3e} is below the floor "
                        f"{GAP_FLOOR:g} x spectral scale {scale:.3e}")
 

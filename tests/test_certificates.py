@@ -2,7 +2,8 @@
 
 Each case breaks one LAPACK result (or the gap floor) on row 1 of a three-point
 row and checks that the certificate guarding it raises its named error for
-that row, where a NaN would slip past a `value > bound` test.
+that row, where a NaN would slip past a `value > bound` test.  The slow
+reference paths of the tests reject a NaN through the same kind of gate.
 """
 
 import numpy as np
@@ -10,12 +11,14 @@ import pytest
 import scipy.linalg
 
 import kerrqgt.qgt as qgt
+import reference
 from kerrqgt import (
     EigenConvergenceError,
     GapError,
     ModelParams,
     g_ee_slope,
     qgt_spectral_row,
+    sector_block,
 )
 
 # even-gap / Gershgorin ratios 5.7e-4, 2.4e-4, 4.3e-4: a floor of 3e-4 fails row 1 only
@@ -108,3 +111,32 @@ def test_certificate_names_the_failing_row(monkeypatch, case):
     setup(monkeypatch)
     with pytest.raises(error, match=f"^{BLOCK}, {message}"):
         kernel(ROW)
+
+
+def _nan_gap(monkeypatch):
+    # the NaN level is set after full_spectrum's own gates, so only the gap floor sees it
+    full_spectrum = reference.full_spectrum
+
+    def nan_level(block):
+        spec = full_spectrum(block)
+        spec.eigenvalues[0, 1] = np.nan
+        return spec
+
+    monkeypatch.setattr(reference, "full_spectrum", nan_level)
+
+
+REFERENCE_CASES = {
+    "eigen-nan": (lambda mp: _alter_call(mp, scipy.linalg, "eigh_tridiagonal", 0,
+                                         _nan_component),
+                  lambda p: reference.full_spectrum(sector_block([p], "even")),
+                  EigenConvergenceError, "residual nan exceeds bound"),
+    "gap-nan": (_nan_gap, reference.qgt_sum_over_states, GapError, "sector gap nan"),
+}
+
+
+@pytest.mark.parametrize("case", REFERENCE_CASES)
+def test_reference_gates_reject_nan(monkeypatch, case):
+    setup, kernel, error, message = REFERENCE_CASES[case]
+    setup(monkeypatch)
+    with pytest.raises(error, match=f"^{message}"):
+        kernel(ROW[1])
