@@ -8,7 +8,7 @@ scale: `kerrqgt phase-diagram --out runs/pd`).
 
 import numpy as np
 
-from kerrqgt import ModelParams, ground_state, rho
+from kerrqgt import ModelParams, ground_state_row
 
 L = 400.0
 n_cut = 400
@@ -17,12 +17,12 @@ phi_values = [0.0, np.pi / 4, np.pi / 2, np.pi]
 
 print(f"effective size L = {L:g}, cutoff {n_cut}")
 print("eps     " + "".join(f"phi={p:5.2f}  " for p in phi_values))
-grid = np.zeros((len(eps_values), len(phi_values)))
-for i, eps in enumerate(eps_values):
-    for j, phi in enumerate(phi_values):
-        gs = ground_state(ModelParams.from_size(L, eps, phi=phi, n_cut=n_cut))
-        grid[i, j] = rho(gs.fock_vector, L)
-    cells = "".join(f"{v:9.5f}" for v in grid[i])
+# one row of eps points per phase: each parity sector is one stacked solve
+grid = np.array([[gs.mean_n / L for gs in ground_state_row(
+    [ModelParams.from_size(L, eps, phi=phi, n_cut=n_cut) for eps in eps_values])]
+    for phi in phi_values]).T
+for eps, row in zip(eps_values, grid):
+    cells = "".join(f"{v:9.5f}" for v in row)
     print(f"{eps:5.2f} {cells}")
 
 spread = np.max(grid.max(axis=1) - grid.min(axis=1))

@@ -10,7 +10,6 @@ import numpy as np
 from kerrqgt import (
     ModelParams,
     berry_plaquette,
-    fidelity_susceptibility,
     metric_overlap,
     normal_phase_qgt_limit,
     qgt_spectral,
@@ -20,7 +19,6 @@ point = ModelParams.from_size(300, 0.85, phi=0.6, n_cut=600)
 spectral = qgt_spectral(point)
 g_fd = metric_overlap(point)
 f_fd = berry_plaquette(point)
-chi = fidelity_susceptibility(point)
 
 print(f"point: L = {point.effective_size:g}, eps = {point.eps}, phi = {point.phi}")
 print(f"{'':14}{'spectral':>14}{'finite diff':>14}{'rel dev':>12}")
@@ -28,7 +26,6 @@ rows = [
     ("g_ee", spectral.g_ee, g_fd[0, 0]),
     ("g_pp", spectral.g_pp, g_fd[1, 1]),
     ("F_ep", spectral.f_ep, f_fd),
-    ("chi_F vs g_ee", spectral.g_ee, chi),
 ]
 for name, a, b in rows:
     print(f"{name:14}{a:14.8f}{b:14.8f}{abs(b / a - 1):12.2e}")

@@ -23,11 +23,7 @@ from .errors import (
 from .model import (
     ModelParams,
     TridiagonalBlock,
-    apply_gauge_phases,
-    mean_photon,
     pair_coupling,
-    photon_variance,
-    rho,
     sector_block,
     tail_weight,
 )
@@ -51,7 +47,6 @@ from .oracle import (
 from .qgt import (
     QGTResult,
     berry_plaquette,
-    fidelity_susceptibility,
     g_ee_slope,
     metric_overlap,
     qgt_spectral,
@@ -78,16 +73,14 @@ from .scaling import (
 
 __all__ = [
     "__version__",
-    "ModelParams", "TridiagonalBlock",
-    "apply_gauge_phases", "mean_photon", "pair_coupling",
-    "photon_variance", "rho", "sector_block", "tail_weight",
+    "ModelParams", "TridiagonalBlock", "pair_coupling", "sector_block", "tail_weight",
     "GroundState", "Spectrum", "eig_tridiagonal",
     "ground_state", "ground_state_row",
     "NormalPhaseSolution", "SuperradiantSolution", "displaced_squeezed_cat",
     "displaced_squeezed_fock", "normal_phase", "normal_phase_qgt_limit",
     "squeezed_vacuum_fock", "superradiant_phase",
-    "QGTResult", "berry_plaquette", "fidelity_susceptibility",
-    "g_ee_slope", "metric_overlap", "qgt_spectral", "qgt_spectral_row",
+    "QGTResult", "berry_plaquette", "g_ee_slope", "metric_overlap",
+    "qgt_spectral", "qgt_spectral_row",
     "CollapseOptimum", "CurveFamily", "K0Report", "PowerLawFit", "ScalingReport",
     "ShiftedPowerFit", "collapse_objective", "extrapolate_critical_point",
     "fit_power_law", "k0_pipeline", "locate_peak", "nu_convergence",

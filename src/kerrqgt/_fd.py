@@ -101,21 +101,3 @@ def curvature_fd(state, eps: float, phi: float, step_eps: float, step_phi: float
     c_full, c_half = step_eps / 2.0, step_eps / 4.0
     return half + (half - full) * (eps - c_half) / (c_half - c_full)
 
-
-def susceptibility_fd(state, eps: float, phi: float, step_eps: float) -> float:
-    """-2 ln F / h^2 under a forward shift of eps, Richardson-refined over two steps."""
-    if step_eps <= 0:
-        raise ValueError("step must be positive")
-
-    def chi(h):
-        ov = abs(np.vdot(state(eps, phi), state(eps + h, phi)))
-        d = 1.0 - ov
-        if d <= DIST_ZERO / 2.0:
-            return 0.0
-        if d < DIST_FLOOR / 2.0:
-            raise StepSizeError(
-                f"fidelity deficit {d:.1e} is below the precision floor; "
-                "increase the finite-difference step")
-        return -2.0 * np.log(ov) / h**2
-
-    return 2.0 * chi(step_eps / 2.0) - chi(step_eps)

@@ -12,13 +12,11 @@ object of SweepConfig fields (an old ``threads`` entry is ignored).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from pathlib import Path
 
 from .errors import InputError, SchemaError
 from .plots import emit_plots
-from .sweep import SweepConfig, run
+from .sweep import SweepConfig, read_json, run
 
 # Built-in defaults that differ from SweepConfig's own.
 MODE_DEFAULTS = {"qgt": dict(eps_range=(0.95, 1.06, 23))}
@@ -128,15 +126,7 @@ def _flag_fields(mode: str) -> dict[str, str]:
 
 def _file_settings(path: str, mode: str) -> dict:
     """Entries of a JSON config file; every key must be a SweepConfig field."""
-    try:
-        loaded = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise SchemaError(f"config file {path} cannot be read: {exc.strerror}") from exc
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"config file {path} is not JSON: {exc}") from exc
-    if not isinstance(loaded, dict):
-        raise SchemaError(f"config file {path} holds a JSON {type(loaded).__name__}, "
-                          f"not an object of config fields")
+    loaded = read_json(path, "config file")
     if loaded.get("mode", mode) != mode:
         raise SchemaError(f"config file {path} is for mode "
                           f"{loaded['mode']!r}, not for {mode!r}")

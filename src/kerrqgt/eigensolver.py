@@ -15,6 +15,10 @@ EigenConvergenceError (GapError for the gap floor) naming the block and row.
 Every block stacks the M blocks of a row of points (one point is a row of
 one).  Each gets its own selective solve; the sign convention, the gate units
 and the certificates are then taken on the whole stack at once.
+
+A ground state (GroundState) is the real ground vector of the winning parity
+sector on that sector's Fock levels; the drive phase is a gauge, so it is the
+same vector at every phi, and <n> and the tail weight are read off it.
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ from .errors import EigenConvergenceError
 from .model import (
     ModelParams,
     TridiagonalBlock,
-    apply_gauge_phases,
     sector_block,
     TAIL_LEVELS,
     TAIL_TOLERANCE,
@@ -69,10 +72,11 @@ class Spectrum:
 class GroundState:
     """Lowest eigenstate over both parity sectors.
 
-    vector is the ground vector of the winning parity sector, on the Fock
-    levels listed in levels; fock_vector lifts it onto the full basis with the
-    gauge phases of params.phi.  gap is measured within the winning sector,
-    mean_n and tail_weight are read off the sector vector.
+    vector is the real ground vector of the winning parity sector, on the
+    Fock levels listed in levels, at phi = 0: the state at params.phi differs
+    only by the gauge phases e^{-i n phi / 2}, which change no observable.
+    gap is measured within the winning sector; mean_n and tail_weight are
+    read off the sector vector.
     """
 
     params: ModelParams
@@ -85,12 +89,6 @@ class GroundState:
     mean_n: float
     tail_weight: float
     cutoff_warning: bool
-
-    @property
-    def fock_vector(self) -> np.ndarray:
-        full = np.zeros(self.params.dim, dtype=complex)
-        full[self.levels] = self.vector
-        return apply_gauge_phases(full, self.params.phi)
 
 
 def _certify(ok: np.ndarray, block: TridiagonalBlock, message,

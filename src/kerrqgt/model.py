@@ -12,10 +12,16 @@ symmetric tridiagonal blocks whose off-diagonal entries are non-positive.
 sector_block builds a sector for a row of M points that share delta, kerr and
 n_cut (one point is a row of one): one diagonal under an (M, N-1) stack of
 off-diagonals, one per eps.
+
+The phase only relabels states, so the package never forms a complex
+full-Fock vector: a ground state is a real sector vector on its Fock levels
+(eigensolver.GroundState), and <n>, Var(n) and the tail weight are read off
+it.  tail_weight serves the Fock-basis states of the closed-form oracles.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +32,6 @@ from .errors import InputError
 # before a truncation is considered inadequate.
 TAIL_LEVELS = 10
 TAIL_TOLERANCE = 1e-12
-
-NORM_TOLERANCE = 1e-10
 
 
 @dataclass(frozen=True)
@@ -79,10 +83,7 @@ class ModelParams:
         return cls(delta=delta, kerr=delta / size, eps=eps, phi=phi, n_cut=n_cut)
 
     def replace(self, **kw) -> "ModelParams":
-        fields = dict(delta=self.delta, kerr=self.kerr, eps=self.eps,
-                      phi=self.phi, n_cut=self.n_cut)
-        fields.update(kw)
-        return ModelParams(**fields)
+        return dataclasses.replace(self, **kw)
 
 
 def pair_coupling(n):
@@ -137,47 +138,6 @@ def sector_block(points, parity: str) -> TridiagonalBlock:
     off = -(first.delta * eps[:, None] / 2.0) * pair_coupling(levels[:-1])
     return TridiagonalBlock(parity=parity, size=len(levels), diag=diag, offdiag=off,
                             index_map=levels.astype(int))
-
-
-def apply_gauge_phases(state: np.ndarray, phi: float) -> np.ndarray:
-    """Multiply component n by e^{-i n phi / 2}.
-
-    Maps eigenvectors of H(eps, 0) to eigenvectors of H(eps, phi); a diagonal
-    unitary, so norms are preserved.
-    """
-    n = np.arange(len(state))
-    return np.asarray(state, dtype=complex) * np.exp(-0.5j * n * phi)
-
-
-def _check_normalized(state: np.ndarray) -> np.ndarray:
-    state = np.asarray(state)
-    norm = float(np.linalg.norm(state))
-    if abs(norm - 1.0) > NORM_TOLERANCE:
-        raise ValueError(f"state is not normalized: |norm - 1| = {abs(norm - 1.0):.3e}")
-    return state
-
-
-def mean_photon(state: np.ndarray) -> float:
-    """<n> of a normalized Fock-basis state."""
-    state = _check_normalized(state)
-    n = np.arange(len(state))
-    return float(np.sum(n * np.abs(state) ** 2))
-
-
-def photon_variance(state: np.ndarray) -> float:
-    """Var(n) of a normalized Fock-basis state."""
-    state = _check_normalized(state)
-    n = np.arange(len(state))
-    p = np.abs(state) ** 2
-    m = float(np.sum(n * p))
-    return float(np.sum(n * n * p)) - m * m
-
-
-def rho(state: np.ndarray, size: float) -> float:
-    """Rescaled photon number <n>/L, the order parameter of the transition."""
-    if size <= 0:
-        raise ValueError(f"size must be positive, got {size}")
-    return mean_photon(state) / size
 
 
 def tail_weight(state: np.ndarray, n_last: int = TAIL_LEVELS) -> float:

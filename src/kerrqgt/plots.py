@@ -2,17 +2,18 @@
 
 Each generated script reads only data files written by ``sweep.run`` (and
 listed in its manifests), revalidates its input schema, and saves a
-PNG next to the data.  Generation itself fails fast with SchemaError when an
-input file lacks a required column.
+PNG next to the data.  Generation itself fails with SchemaError, before any
+script is written, when an input file cannot be read or lacks a required
+column or key.
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 from .errors import SchemaError
-from .sweep import PHASE_DIAGRAM_COLUMNS, QGT_COLUMNS, atomic_write_text, read_csv
+from .sweep import (PHASE_DIAGRAM_COLUMNS, QGT_COLUMNS, atomic_write_text, read_csv,
+                    read_json)
 
 _PHASE_SCRIPT = '''"""Phase diagram: order parameter rho over the (eps, phi) grid."""
 import csv
@@ -221,7 +222,7 @@ def _check_csv_schema(path: Path, required: list[str]) -> None:
 
 
 def _check_report_keys(path: Path, keys: list[str], diag_keys: list[str]) -> None:
-    data = json.loads(path.read_text())
+    data = read_json(path, "report")
     for key in keys:
         if key not in data:
             raise SchemaError(f"{path.name} is missing required key {key!r}")
@@ -233,14 +234,12 @@ def _check_report_keys(path: Path, keys: list[str], diag_keys: list[str]) -> Non
 def emit_plots(out_dir) -> list[Path]:
     """Write one plot script per figure whose input data exists in out_dir."""
     out = Path(out_dir)
-    written = []
+    scripts = {}
 
     phase = out / "phase_diagram.csv"
     if phase.exists():
         _check_csv_schema(phase, PHASE_DIAGRAM_COLUMNS)
-        target = out / "plot_phase_diagram.py"
-        atomic_write_text(target, _PHASE_SCRIPT)
-        written.append(target)
+        scripts["plot_phase_diagram.py"] = _PHASE_SCRIPT
 
     qgt = out / "qgt.csv"
     if qgt.exists():
@@ -252,20 +251,17 @@ def emit_plots(out_dir) -> list[Path]:
                            ["family_eps_grid", "family_g_ee", "family_f_ep",
                             "pair_sizes", "pair_slopes_gee", "eps_c_by_size",
                             "g_pp_at_peak", "f_collapse_optimum", "nu_fit"])
-        for name, script in [("plot_qgt_peaks.py", _PEAKS_SCRIPT),
-                             ("plot_scaling_fits.py", _FITS_SCRIPT),
-                             ("plot_curvature.py", _CURVATURE_SCRIPT)]:
-            target = out / name
-            atomic_write_text(target, script)
-            written.append(target)
+        scripts["plot_qgt_peaks.py"] = _PEAKS_SCRIPT
+        scripts["plot_scaling_fits.py"] = _FITS_SCRIPT
+        scripts["plot_curvature.py"] = _CURVATURE_SCRIPT
 
     k0 = out / "k0_report.json"
     if k0.exists():
         _check_report_keys(k0, ["gamma1", "gamma2", "alpha_exp", "delta_nbar"],
                            ["ncut_list", "g_ee", "f_ep", "nbar",
                             "nbar_pair_sizes", "nbar_pair_slopes"])
-        target = out / "plot_k0.py"
-        atomic_write_text(target, _K0_SCRIPT)
-        written.append(target)
+        scripts["plot_k0.py"] = _K0_SCRIPT
 
-    return written
+    for name, script in scripts.items():
+        atomic_write_text(out / name, script)
+    return [out / name for name in scripts]

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from ._fd import curvature_fd, metric_fd, susceptibility_fd
+from ._fd import curvature_fd, metric_fd
 from .eigensolver import (
     ORTHOGONALITY_BOUND,
     RESIDUAL_BOUND,
@@ -258,11 +258,4 @@ def berry_plaquette(params: ModelParams, step_eps: float = DEFAULT_STEP_EPS,
     """Berry curvature F_{eps,phi} from the overlap product around one plaquette."""
     return curvature_fd(_even_ground_family(params), params.eps, params.phi, step_eps,
                         step_phi)
-
-
-def fidelity_susceptibility(params: ModelParams,
-                            step_eps: float = DEFAULT_STEP_EPS) -> float:
-    """chi_F = -2 ln F / h^2 under an eps shift; equals the g_ee metric entry."""
-    return susceptibility_fd(_even_ground_family(params), params.eps, params.phi,
-                             step_eps)
 

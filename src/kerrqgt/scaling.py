@@ -352,10 +352,6 @@ class ScalingReport:
     diagnostics: dict = field(repr=False)
 
 
-def _point(size: float, eps: float, n_cut: int, delta: float) -> QGTResult:
-    return qgt_spectral(ModelParams.from_size(size, eps, n_cut=n_cut, delta=delta))
-
-
 def sweep_family(sizes: Sequence[float], eps_grid: np.ndarray, n_cut: int,
                  delta: float = 1.0) -> list[list[QGTResult]]:
     """Spectral tensor on sizes x eps_grid, one row kernel call per size."""
@@ -391,7 +387,7 @@ def scaling_pipeline(sizes: Sequence[float] = DEFAULT_SIZES,
     for L in sizes:
         ec = locate_peak(lambda e: g_ee_slope(ModelParams.from_size(
             L, e, n_cut=n_cut, delta=delta)), peak_bracket)
-        res = _point(L, ec, n_cut, delta)
+        res = qgt_spectral(ModelParams.from_size(L, ec, n_cut=n_cut, delta=delta))
         if res.cutoff_warning:
             warnings.append(f"cutoff-inadequate point excluded: L={L:g} eps={ec:.6f}")
         peak_eps.append(ec)

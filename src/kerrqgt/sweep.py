@@ -138,6 +138,21 @@ def read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
     return header, [line.split(",") for line in lines[1:]]
 
 
+def read_json(path: Path, what: str) -> dict:
+    """The JSON object in path.  A file that cannot be read, is not JSON or
+    holds anything but an object raises SchemaError naming what and path."""
+    try:
+        loaded = json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise SchemaError(f"{what} {path} cannot be read: {exc.strerror}") from exc
+    except ValueError as exc:  # invalid JSON, or bytes that are not text
+        raise SchemaError(f"{what} {path} is not JSON: {exc}") from exc
+    if not isinstance(loaded, dict):
+        raise SchemaError(f"{what} {path} holds a JSON {type(loaded).__name__}, "
+                          f"not an object")
+    return loaded
+
+
 # ---------------------------------------------------------------------------
 # Configuration and manifest
 
@@ -351,7 +366,7 @@ def _scaling(config: SweepConfig, out: Path) -> ModeResult:
 
 def load_scaling_report(path: Path) -> ScalingReport:
     path = Path(path)
-    data = json.loads(path.read_text())
+    data = read_json(path, "report")
     keys = [f.name for f in fields(ScalingReport)]
     for key in keys:
         if key not in data:

@@ -9,9 +9,14 @@ decomposition, never from the kernels it checks:
 * full_spectrum is the whole spectrum of a parity block over a row of one
   point (LAPACK dstev) under the package's residual and orthogonality
   bounds, in the package's Spectrum layout; a NaN fails every gate;
+* gauge_phases, lift and fock_vector put sector vectors on the full Fock
+  basis at any phi; mean_photon and photon_variance read <n> and Var(n) off
+  a normalized Fock-basis state;
 * qgt_sum_over_states is the spectral sum over the full even-sector
-  eigenbasis at the requested phi, on gauge-phased full-Fock vectors with
-  the dense drive derivatives.
+  eigenbasis at the requested phi, on lifted vectors with the dense drive
+  derivatives;
+* fidelity_susceptibility is -2 ln of the ground-state overlap under an eps
+  shift, on full_spectrum ground vectors.
 
 From the package it takes only data containers, the block builder
 sector_block and the gate constants.
@@ -31,6 +36,9 @@ from kerrqgt.eigensolver import (
 from kerrqgt.errors import EigenConvergenceError, GapError
 from kerrqgt.model import TAIL_LEVELS, TAIL_TOLERANCE, sector_block
 from kerrqgt.qgt import GAP_FLOOR, QGTResult
+
+
+NORM_TOLERANCE = 1e-10
 
 
 def _ladder(dim: int):
@@ -63,6 +71,49 @@ def dense_drive_derivatives(params) -> tuple[np.ndarray, np.ndarray]:
 def dense_eigenvalues(params) -> np.ndarray:
     """Whole spectrum of the dense Hamiltonian (small cutoffs only)."""
     return np.linalg.eigvalsh(dense_hamiltonian(params))
+
+
+def gauge_phases(dim: int, phi: float) -> np.ndarray:
+    """The diagonal e^{-i n phi / 2}, n = 0..dim-1, that maps eigenvectors of
+    H(eps, 0) onto eigenvectors of H(eps, phi)."""
+    return np.exp(-0.5j * np.arange(dim) * phi)
+
+
+def lift(vectors, levels, params) -> np.ndarray:
+    """Sector vectors on the Fock levels `levels` (axis 0) as full-Fock vectors
+    at params.phi: zero on the other levels, times the gauge phases."""
+    vectors = np.asarray(vectors)
+    full = np.zeros((params.dim, *vectors.shape[1:]), dtype=complex)
+    full[levels] = vectors
+    phases = gauge_phases(params.dim, params.phi)
+    return full * phases.reshape(-1, *[1] * (vectors.ndim - 1))
+
+
+def fock_vector(gs) -> np.ndarray:
+    """A GroundState on the full Fock basis at its own phi."""
+    return lift(gs.vector, gs.levels, gs.params)
+
+
+def _photon_weights(state) -> np.ndarray:
+    weights = np.abs(np.asarray(state)) ** 2
+    defect = abs(float(np.sqrt(np.sum(weights))) - 1.0)
+    if not defect <= NORM_TOLERANCE:
+        raise ValueError(f"state is not normalized: |norm - 1| = {defect:.3e}")
+    return weights
+
+
+def mean_photon(state) -> float:
+    """<n> of a normalized Fock-basis state."""
+    weights = _photon_weights(state)
+    return float(np.arange(len(weights)) @ weights)
+
+
+def photon_variance(state) -> float:
+    """Var(n) of a normalized Fock-basis state."""
+    weights = _photon_weights(state)
+    n = np.arange(len(weights))
+    mean = float(n @ weights)
+    return float((n * n) @ weights) - mean**2
 
 
 def full_spectrum(block) -> Spectrum:
@@ -112,9 +163,7 @@ def qgt_sum_over_states(params) -> QGTResult:
         raise GapError(f"sector gap {gap:.3e} is below the floor "
                        f"{GAP_FLOOR:g} x spectral scale {scale:.3e}")
 
-    states = np.zeros((params.dim, even.size), dtype=complex)
-    states[even.index_map] = spec.eigenvectors[0]
-    states *= np.exp(-0.5j * np.arange(params.dim) * params.phi)[:, None]
+    states = lift(spec.eigenvectors[0], even.index_map, params)
     u0 = states[:, 0]
     d_eps, d_phi = dense_drive_derivatives(params)
     m_eps = states.conj().T @ (d_eps @ u0)
@@ -126,11 +175,26 @@ def qgt_sum_over_states(params) -> QGTResult:
     q_ep = complex(np.sum(np.conj(m_eps[1:]) * m_phi[1:] / de2))
     q = np.array([[q_ee, q_ep], [np.conj(q_ep), q_pp]])
 
-    n = np.arange(params.dim)
-    weights = np.abs(u0) ** 2
-    mean_n = float(n @ weights)
-    var_n = float((n * n) @ weights) - mean_n**2
-    tail = float(np.sum(weights[-TAIL_LEVELS:]))
+    tail = float(np.sum(np.abs(u0[-TAIL_LEVELS:]) ** 2))
     return QGTResult(q=q, gap=gap, method="sum-over-states", params=params,
-                     mean_n=mean_n, var_n=var_n, tail_weight=tail,
+                     mean_n=mean_photon(u0), var_n=photon_variance(u0), tail_weight=tail,
                      cutoff_warning=bool(tail > TAIL_TOLERANCE))
+
+
+def fidelity_susceptibility(params, step_eps: float = 1e-4) -> float:
+    """chi_F = -2 ln|<u0(eps)|u0(eps + h)>| / h^2, which tends to g_ee as h -> 0.
+
+    u0 is the even-sector ground vector from full_spectrum.  The forward
+    difference has an O(h) error, removed by Richardson refinement over the
+    steps h and h/2.
+    """
+    def ground(eps):
+        block = sector_block([params.replace(eps=eps)], "even")
+        return full_spectrum(block).eigenvectors[0, :, 0]
+
+    u0 = ground(params.eps)
+
+    def chi(h):
+        return -2.0 * np.log(abs(u0 @ ground(params.eps + h))) / h**2
+
+    return 2.0 * chi(step_eps / 2.0) - chi(step_eps)

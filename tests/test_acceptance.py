@@ -16,13 +16,11 @@ from kerrqgt import (
     collapse_objective,
     displaced_squeezed_cat,
     eig_tridiagonal,
-    fidelity_susceptibility,
     ground_state,
     k0_pipeline,
     metric_overlap,
     normal_phase,
     qgt_spectral,
-    rho,
     scaling_pipeline,
     sector_block,
     squeezed_vacuum_fock,
@@ -30,7 +28,8 @@ from kerrqgt import (
 )
 from kerrqgt.cli import main
 from kerrqgt.scaling import CurveFamily
-from reference import qgt_sum_over_states
+from reference import (fidelity_susceptibility, fock_vector, mean_photon,
+                       qgt_sum_over_states)
 
 _timings = {}
 
@@ -196,7 +195,7 @@ def test_criterion_6_property_suite():
     checks.append(("g_pp = Var(n)/4 <= 1e-9 (50 points)", worst <= 1e-9,
                    f"worst {worst:.2e}"))
 
-    # chi_F = g_ee at 10 points
+    # chi_F = g_ee at 10 points; chi_F comes from full_spectrum (dstev) overlaps
     worst = 0.0
     for _ in range(10):
         p = ModelParams.from_size(float(rng.uniform(200, 500)),
@@ -211,7 +210,7 @@ def test_criterion_6_property_suite():
         p = ModelParams.from_size(500, eps, n_cut=800)
         gs = ground_state(p)
         target = squeezed_vacuum_fock(normal_phase(1.0, eps).r, 800)
-        fid_n = min(fid_n, abs(np.vdot(target, gs.fock_vector)))
+        fid_n = min(fid_n, abs(np.vdot(target, fock_vector(gs))))
         even, odd = (eig_tridiagonal(sector_block([p], parity))
                      for parity in ("even", "odd"))
         cross = odd.eigenvalues[0, 0] - even.eigenvalues[0, 0]
@@ -221,7 +220,7 @@ def test_criterion_6_property_suite():
         gs = ground_state(p)
         sol = superradiant_phase(1.0, eps, size=500.0)
         cat = displaced_squeezed_cat(sol.alpha, sol.r, 800)
-        fid_s = min(fid_s, abs(np.vdot(cat, gs.fock_vector)))
+        fid_s = min(fid_s, abs(np.vdot(cat, fock_vector(gs))))
         gap_dev = max(gap_dev, abs(gs.gap / sol.omega_e - 1.0))
     checks.append(("normal-phase handoff fidelity > 0.999", fid_n > 0.999,
                    f"min {fid_n:.6f}"))
@@ -240,10 +239,10 @@ def test_criterion_6_property_suite():
 
     # order parameter at L = 2000
     p = ModelParams.from_size(2000, 1.3, n_cut=800)
-    value = rho(ground_state(p).fock_vector, 2000.0)
+    value = mean_photon(fock_vector(ground_state(p))) / 2000.0
     ok_condensate = abs(value / 0.15 - 1.0) <= 0.05
-    dark = max(rho(ground_state(ModelParams.from_size(2000, eps, n_cut=800)).fock_vector,
-                   2000.0) for eps in (0.5, 0.9))
+    dark = max(mean_photon(fock_vector(ground_state(ModelParams.from_size(
+        2000, eps, n_cut=800)))) / 2000.0 for eps in (0.5, 0.9))
     checks.append(("rho(eps=1.3, L=2000) = 0.15 within 5%", ok_condensate,
                    f"{value:.5f}"))
     checks.append(("rho < 1e-3 for eps <= 0.9 at L=2000", dark < 1e-3, f"max {dark:.2e}"))

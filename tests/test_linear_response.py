@@ -15,7 +15,7 @@ from kerrqgt import (
     sector_block,
 )
 from kerrqgt.eigensolver import DEGENERACY_TOLERANCE
-from reference import full_spectrum, qgt_sum_over_states
+from reference import fock_vector, full_spectrum, lift, qgt_sum_over_states
 
 RELATIVE = 1e-9
 
@@ -68,10 +68,7 @@ def _full_ground_state(p):
     scale = max(spec_e.scale[0], spec_o.scale[0])
     parity = _exact_parity(spec_e.eigenvalues[0, 0], spec_o.eigenvalues[0, 0], scale)
     spec, block = (spec_o, odd) if parity == "odd" else (spec_e, even)
-    vector = np.zeros(p.dim, dtype=complex)
-    vector[block.index_map] = spec.eigenvectors[0, :, 0]
-    vector *= np.exp(-0.5j * np.arange(p.dim) * p.phi)
-    return parity, spec, vector, scale
+    return parity, spec, lift(spec.eigenvectors[0, :, 0], block.index_map, p), scale
 
 
 @pytest.mark.parametrize("p", GRID, ids=_label)
@@ -82,7 +79,7 @@ def test_ground_state_matches_full_spectrum(p):
     assert gs.parity == parity
     assert abs(gs.energy - spec.eigenvalues[0, 0]) <= 1e-12 * scale
     assert _close(gs.gap, spec.eigenvalues[0, 1] - spec.eigenvalues[0, 0])
-    assert abs(abs(np.vdot(vector, gs.fock_vector)) - 1.0) <= 1e-12
+    assert abs(abs(np.vdot(vector, fock_vector(gs))) - 1.0) <= 1e-12
 
 
 @pytest.mark.parametrize("p", [

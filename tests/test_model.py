@@ -1,21 +1,17 @@
-"""Hamiltonian assembly, parity blocks, gauge phases, basic observables."""
+"""Hamiltonian assembly, parity blocks, gauge phases, basic observables.
+
+The gauge-phase and photon-moment checks cover the Fock-basis helpers of
+reference.py, which the other test modules use as slow paths.
+"""
 
 import numpy as np
 import pytest
 
 import kerrqgt
-from kerrqgt import (
-    ModelParams,
-    TridiagonalBlock,
-    apply_gauge_phases,
-    mean_photon,
-    photon_variance,
-    rho,
-    sector_block,
-    tail_weight,
-)
+from kerrqgt import InputError, ModelParams, TridiagonalBlock, sector_block, tail_weight
 from kerrqgt.eigensolver import _tridiagonal_multiply, ground_state
-from reference import dense_hamiltonian
+from reference import (dense_hamiltonian, fock_vector, gauge_phases, mean_photon,
+                       photon_variance)
 
 
 def test_params_validation():
@@ -36,6 +32,16 @@ def test_effective_size():
         _ = ModelParams(delta=1.0, kerr=0.0, eps=0.5).effective_size
     q = ModelParams.from_size(250, 0.5)
     assert q.kerr == pytest.approx(1.0 / 250.0)
+
+
+def test_replace_validates_and_rejects_unknown_fields():
+    p = ModelParams(delta=1.0, kerr=0.01, eps=0.5)
+    assert p.replace(eps=0.7, phi=0.2) == ModelParams(delta=1.0, kerr=0.01, eps=0.7,
+                                                      phi=0.2)
+    with pytest.raises(InputError, match="eps must be >= 0"):
+        p.replace(eps=-1.0)
+    with pytest.raises(TypeError):
+        p.replace(colour="red")
 
 
 def test_diagonal_entries():
@@ -64,13 +70,13 @@ def test_banded_apply_matches_dense():
     p = ModelParams(delta=1.1, kerr=0.03, eps=0.7, phi=1.1, n_cut=20)
     rng = np.random.default_rng(7)
     v = rng.normal(size=p.dim) + 1j * rng.normal(size=p.dim)
-    rotated = apply_gauge_phases(v, -p.phi)
+    rotated = gauge_phases(p.dim, -p.phi) * v
     out = np.zeros(p.dim, dtype=complex)
     for parity in ("even", "odd"):
         block = sector_block([p], parity)
         sector = rotated[block.index_map]
         out[block.index_map] = _tridiagonal_multiply(block.diag, block.offdiag[0], sector)
-    np.testing.assert_allclose(apply_gauge_phases(out, p.phi), dense_hamiltonian(p) @ v,
+    np.testing.assert_allclose(gauge_phases(p.dim, p.phi) * out, dense_hamiltonian(p) @ v,
                                atol=1e-12)
 
 
@@ -139,11 +145,11 @@ def test_even_state_stays_even():
 def test_gauge_phases():
     state = np.zeros(8)
     state[2] = 1.0
-    np.testing.assert_array_equal(apply_gauge_phases(state, 0.0), state.astype(complex))
-    assert apply_gauge_phases(state, np.pi)[2] == pytest.approx(-1.0)
+    np.testing.assert_array_equal(gauge_phases(8, 0.0) * state, state.astype(complex))
+    assert (gauge_phases(8, np.pi) * state)[2] == pytest.approx(-1.0)
     rng = np.random.default_rng(11)
     v = rng.normal(size=16) + 1j * rng.normal(size=16)
-    assert np.linalg.norm(apply_gauge_phases(v, 1.7)) == pytest.approx(np.linalg.norm(v))
+    assert np.linalg.norm(gauge_phases(16, 1.7) * v) == pytest.approx(np.linalg.norm(v))
 
 
 def test_gauge_phases_map_eigenvectors():
@@ -151,7 +157,7 @@ def test_gauge_phases_map_eigenvectors():
     p1 = p0.replace(phi=1.3)
     w0, v0 = np.linalg.eigh(dense_hamiltonian(p0))
     h1 = dense_hamiltonian(p1)
-    mapped = apply_gauge_phases(v0[:, 0], 1.3)
+    mapped = gauge_phases(p1.dim, 1.3) * v0[:, 0]
     resid = h1 @ mapped - w0[0] * mapped
     assert np.linalg.norm(resid) < 1e-10
 
@@ -177,7 +183,7 @@ def test_rho_against_displacement_amplitude():
     # In the symmetry-broken regime <n>/L approaches (eps - 1) / 2.
     p = ModelParams(delta=1.0, kerr=1.0 / 2000.0, eps=1.3, n_cut=800)
     gs = ground_state(p)
-    value = rho(gs.fock_vector, p.effective_size)
+    value = mean_photon(fock_vector(gs)) / p.effective_size
     assert value == pytest.approx(0.15, rel=0.05)
     assert not gs.cutoff_warning
 

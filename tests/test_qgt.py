@@ -7,12 +7,12 @@ from kerrqgt import (
     ModelParams,
     StepSizeError,
     berry_plaquette,
-    fidelity_susceptibility,
     metric_overlap,
     normal_phase_qgt_limit,
     qgt_spectral,
 )
-from reference import dense_drive_derivatives, dense_hamiltonian, qgt_sum_over_states
+from reference import (dense_drive_derivatives, dense_hamiltonian, fidelity_susceptibility,
+                       qgt_sum_over_states)
 
 
 def test_perturbation_ops_hermitian_and_parity_conserving():

@@ -9,8 +9,7 @@ import scipy.linalg
 
 import kerrqgt.cli
 import kerrqgt.sweep as sweep
-from kerrqgt import (ModelParams, ground_state, ground_state_row, mean_photon,
-                     sector_block)
+from kerrqgt import ModelParams, ground_state, ground_state_row, sector_block
 from kerrqgt.cli import (
     assemble_config,
     build_parser,
@@ -30,6 +29,7 @@ from kerrqgt.sweep import (
     run,
     sha256_file,
 )
+from reference import fock_vector, mean_photon
 
 SMALL_SCALING = dict(sizes=(40, 50, 60, 70, 85), n_cut=200,
                      peak_bracket=(1.05, 1.45), collapse_window=(1.05, 1.40),
@@ -115,7 +115,7 @@ def test_phase_diagram_solves_once_per_eps(tmp_path, monkeypatch):
         for r in row_set:
             gs = ground_state(ModelParams.from_size(size, float(r[0]), phi=float(r[1]),
                                                     n_cut=n_cut))
-            n_mean = mean_photon(gs.fock_vector)
+            n_mean = mean_photon(fock_vector(gs))
             assert abs(float(r[4]) - n_mean) <= 1e-12 * n_mean
             assert abs(float(r[5]) - n_mean / size) <= 1e-12 * n_mean / size
             assert r[6] == ("cutoff" if gs.cutoff_warning else "")
@@ -371,8 +371,12 @@ def test_emit_plots_names_missing_report_key(tmp_path, name, report, key):
      "config file {dir}/missing.json cannot be read: No such file or directory"),
     (["phase-diagram", "--L", "-5"], "size must be positive, got -5.0"),
     (["scaling", "--L-list", "0,1,2,3"], "size must be positive, got 0.0"),
+    (["collapse"], "report {dir}/out/scaling_report.json cannot be read: "
+                   "No such file or directory"),
+    (["collapse", "--input", "{dir}/text.json"],
+     "report {dir}/text.json is not JSON: Expecting value: line 1 column 1 (char 0)"),
 ], ids=["collapse-step", "cutoff", "config-method", "config-not-json", "config-missing",
-        "negative-size", "zero-size"])
+        "negative-size", "zero-size", "collapse-no-report", "collapse-input-not-json"])
 def test_cli_input_error_is_one_line_with_status_2(tmp_path, capsys, argv, message):
     (tmp_path / "method.json").write_text('{"method": "xyz"}')
     (tmp_path / "text.json").write_text("not json")
@@ -383,6 +387,23 @@ def test_cli_input_error_is_one_line_with_status_2(tmp_path, capsys, argv, messa
     assert captured.err == f"kerrqgt {argv[0]}: error: {message.format(dir=tmp_path)}\n"
     assert captured.out == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", ["k0", "plots"])
+def test_corrupt_report_in_out_is_one_line_with_status_2(tmp_path, capsys, mode):
+    # --out already holds a corrupt scaling report next to a valid phase
+    # diagram: the run stops before it writes a file or a manifest
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "scaling_report.json").write_text('{"eps_c_star": 1.0,')
+    (out / "phase_diagram.csv").write_text(",".join(sweep.PHASE_DIAGRAM_COLUMNS) + "\n")
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert main([mode, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert re.fullmatch(rf"kerrqgt {mode}: error: report {re.escape(str(out))}/"
+                        rf"scaling_report.json is not JSON: [^\n]+\n", captured.err)
+    assert captured.out == ""
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
 
 def test_cli_numerical_error_keeps_its_traceback(tmp_path, monkeypatch):
