@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .errors import SchemaError
 from .sweep import (PHASE_DIAGRAM_COLUMNS, QGT_COLUMNS, atomic_write_text, read_csv,
-                    read_json)
+                    read_report)
 
 _PHASE_SCRIPT = '''"""Phase diagram: order parameter rho over the (eps, phi) grid."""
 import csv
@@ -222,10 +222,7 @@ def _check_csv_schema(path: Path, required: list[str]) -> None:
 
 
 def _check_report_keys(path: Path, keys: list[str], diag_keys: list[str]) -> None:
-    data = read_json(path, "report")
-    for key in keys:
-        if key not in data:
-            raise SchemaError(f"{path.name} is missing required key {key!r}")
+    data = read_report(path, keys)
     for key in diag_keys:
         if key not in data.get("diagnostics", {}):
             raise SchemaError(f"{path.name} is missing required key 'diagnostics.{key}'")

@@ -231,6 +231,8 @@ class CurveFamily:
             raise ValueError("values must have shape (n_sizes, n_grid)")
         order = np.argsort(sizes, kind="stable")
         sizes, vals = sizes[order], vals[order]
+        if len(sizes) < 2:
+            raise ValueError("a curve family needs at least 2 sizes")
         if np.any(np.diff(sizes) <= 0):
             raise ValueError("sizes must be distinct")
         if np.any(np.diff(grid) <= 0):
@@ -252,25 +254,33 @@ def collapse_objective(family: CurveFamily, delta_jk: float, nu: float,
     deviation is normalized by the mean squared rescaled value, making the
     objective invariant under a common rescaling and hence comparable across
     different delta_jk.  Lower is better; zero means exact collapse.
+
+    All points are sorted once per call.  A stable sort keeps ties in curve
+    order, so dropping curve i from it gives the stable sort of the other
+    curves.  Each curve's x is non-decreasing, so the points of curve i
+    inside the others' range form one slice.
     """
-    sizes = family.sizes
-    xs = [(family.eps_grid - eps_c_star) * L ** (1.0 / nu) for L in sizes]
-    ys = [family.values[i] * sizes[i] ** (-delta_jk) for i in range(len(sizes))]
+    powers = np.array([(L ** (1.0 / nu), L ** (-delta_jk)) for L in family.sizes])
+    xs = (family.eps_grid - eps_c_star) * powers[:, :1]
+    ys = family.values * powers[:, 1:]
+    order = np.argsort(xs.ravel(), kind="stable")
+    sorted_x, sorted_y, labels = xs.ravel()[order], ys.ravel()[order], order // xs.shape[1]
     total, count = 0.0, 0
-    for i in range(len(sizes)):
-        other_x = np.concatenate([xs[k] for k in range(len(sizes)) if k != i])
-        other_y = np.concatenate([ys[k] for k in range(len(sizes)) if k != i])
-        order = np.argsort(other_x, kind="stable")
-        other_x, other_y = other_x[order], other_y[order]
-        inside = (xs[i] >= other_x[0]) & (xs[i] <= other_x[-1])
-        if not np.any(inside):
+    for i, (x, y) in enumerate(zip(xs, ys)):
+        others = labels != i
+        other_x, other_y = sorted_x[others], sorted_y[others]
+        first, last = other_x[0], other_x[-1]
+        lo = int(x.searchsorted(first, side="left"))
+        hi = int(x.searchsorted(last, side="right"))
+        # A NaN bound (nu or eps_c* NaN) contains no point.
+        if not (lo < hi and first <= last):
             continue
-        interp = np.interp(xs[i][inside], other_x, other_y)
-        total += float(np.sum((ys[i][inside] - interp) ** 2))
-        count += int(np.sum(inside))
+        interp = np.interp(x[lo:hi], other_x, other_y)
+        total += float(((y[lo:hi] - interp) ** 2).sum())
+        count += hi - lo
     if count == 0:
         raise WindowError("rescaled curves share no abscissa overlap")
-    scale = float(np.mean(np.concatenate(ys) ** 2))
+    scale = float((ys.ravel() ** 2).mean())
     if scale == 0.0:
         raise WindowError("rescaled family is identically zero")
     return (total / count) / scale

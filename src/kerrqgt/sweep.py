@@ -364,13 +364,24 @@ def _scaling(config: SweepConfig, out: Path) -> ModeResult:
             list(report.diagnostics["warnings"]))
 
 
-def load_scaling_report(path: Path) -> ScalingReport:
+def read_report(path: Path, keys: list[str]) -> dict:
+    """The JSON report in path, which must hold every key in keys and, if it
+    has diagnostics, hold them as an object; otherwise SchemaError."""
     path = Path(path)
     data = read_json(path, "report")
-    keys = [f.name for f in fields(ScalingReport)]
     for key in keys:
         if key not in data:
             raise SchemaError(f"{path.name} is missing required key {key!r}")
+    diag = data.get("diagnostics", {})
+    if not isinstance(diag, dict):
+        raise SchemaError(f"{path.name} key 'diagnostics' holds a JSON "
+                          f"{type(diag).__name__}, not an object")
+    return data
+
+
+def load_scaling_report(path: Path) -> ScalingReport:
+    keys = [f.name for f in fields(ScalingReport)]
+    data = read_report(path, keys)
     return ScalingReport(**{key: data[key] for key in keys})
 
 

@@ -16,10 +16,13 @@ decomposition, never from the kernels it checks:
   eigenbasis at the requested phi, on lifted vectors with the dense drive
   derivatives;
 * fidelity_susceptibility is -2 ln of the ground-state overlap under an eps
-  shift, on full_spectrum ground vectors.
+  shift, on full_spectrum ground vectors;
+* collapse_objective is the data-collapse spread computed curve by curve:
+  it concatenates and re-sorts the other curves' points for every curve and
+  masks the points inside their range.
 
 From the package it takes only data containers, the block builder
-sector_block and the gate constants.
+sector_block, the gate constants and the error classes.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from kerrqgt.eigensolver import (
     RESIDUAL_BOUND,
     Spectrum,
 )
-from kerrqgt.errors import EigenConvergenceError, GapError
+from kerrqgt.errors import EigenConvergenceError, GapError, WindowError
 from kerrqgt.model import TAIL_LEVELS, TAIL_TOLERANCE, sector_block
 from kerrqgt.qgt import GAP_FLOOR, QGTResult
 
@@ -198,3 +201,34 @@ def fidelity_susceptibility(params, step_eps: float = 1e-4) -> float:
         return -2.0 * np.log(abs(u0 @ ground(params.eps + h))) / h**2
 
     return 2.0 * chi(step_eps / 2.0) - chi(step_eps)
+
+
+def collapse_objective(family, delta_jk: float, nu: float, eps_c_star: float) -> float:
+    """The collapse spread of kerrqgt.scaling.collapse_objective, curve by curve.
+
+    Curves are rescaled to y L^{-delta_jk} against x = (eps - eps_c*) L^{1/nu};
+    each curve is compared with the piecewise-linear interpolant through all
+    other curves' points, restricted to their abscissa range.  The mean squared
+    deviation is normalized by the mean squared rescaled value.
+    """
+    sizes = family.sizes
+    xs = [(family.eps_grid - eps_c_star) * L ** (1.0 / nu) for L in sizes]
+    ys = [family.values[i] * sizes[i] ** (-delta_jk) for i in range(len(sizes))]
+    total, count = 0.0, 0
+    for i in range(len(sizes)):
+        other_x = np.concatenate([xs[k] for k in range(len(sizes)) if k != i])
+        other_y = np.concatenate([ys[k] for k in range(len(sizes)) if k != i])
+        order = np.argsort(other_x, kind="stable")
+        other_x, other_y = other_x[order], other_y[order]
+        inside = (xs[i] >= other_x[0]) & (xs[i] <= other_x[-1])
+        if not np.any(inside):
+            continue
+        interp = np.interp(xs[i][inside], other_x, other_y)
+        total += float(np.sum((ys[i][inside] - interp) ** 2))
+        count += int(np.sum(inside))
+    if count == 0:
+        raise WindowError("rescaled curves share no abscissa overlap")
+    scale = float(np.mean(np.concatenate(ys) ** 2))
+    if scale == 0.0:
+        raise WindowError("rescaled family is identically zero")
+    return (total / count) / scale

@@ -8,6 +8,7 @@ is skipped without an error.  These tests fail instead.
 import inspect
 import sys
 
+import numpy as np
 import pytest
 
 import kerrqgt
@@ -15,6 +16,7 @@ import kerrqgt.eigensolver
 import kerrqgt.oracle
 import kerrqgt.scaling
 import kerrqgt.sweep
+import reference
 from kerrqgt import ModelParams, sector_block
 
 
@@ -66,3 +68,30 @@ def test_pipeline_and_gate_names_exist():
     assert list(inspect.signature(kerrqgt.scaling.collapse_objective).parameters) == [
         "family", "delta_jk", "nu", "eps_c_star"]
     assert abs(kerrqgt.oracle.superradiant_phase(1.0, 1.2, size=800.0).alpha) > 0.0
+
+
+def test_collapse_objective_counter_sees_every_optimize_collapse_call(monkeypatch):
+    # The bench counts scaling.collapse_objective.calls by wrapping this module
+    # global.  optimize_collapse must call through it, so that a wrapper sees
+    # the seed grid and every in-range polish step, and the reference objective
+    # patched in the same way is called exactly as often.
+    sizes = np.array([40.0, 50.0, 60.0, 70.0])
+    grid = np.linspace(0.95, 1.10, 16)
+    values = np.array([L / (1.0 + ((grid - 1.0) * L ** (2.0 / 3.0)) ** 2) for L in sizes])
+    family = kerrqgt.scaling.CurveFamily(sizes=sizes, eps_grid=grid, values=values,
+                                         observable="f_ep")
+    counts, optima = [], []
+    for objective in (kerrqgt.scaling.collapse_objective, reference.collapse_objective):
+        calls = []
+
+        def counted(*args, objective=objective):
+            calls.append(args)
+            return objective(*args)
+
+        monkeypatch.setattr(kerrqgt.scaling, "collapse_objective", counted)
+        optima.append(kerrqgt.scaling.optimize_collapse(family, 1.0, (1.2, 1.9),
+                                                        (0.95, 1.05)))
+        counts.append(len(calls))
+    seeds = np.prod(kerrqgt.scaling.COLLAPSE_SEED_GRID)
+    assert counts[0] == counts[1] > seeds
+    assert optima[0] == optima[1]

@@ -1,7 +1,12 @@
 """Peak location, extrapolation fits, power laws, and data collapse."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
+
+import kerrqgt.scaling
+import reference
 
 from kerrqgt import (
     BracketError,
@@ -22,7 +27,8 @@ from kerrqgt import (
     qgt_spectral,
     scaling_pipeline,
 )
-from kerrqgt.scaling import fit_shifted_power
+from kerrqgt.scaling import fit_shifted_power, sweep_family
+from kerrqgt.sweep import dumps_json, family_from_report, load_scaling_report
 
 
 def test_locate_peak_parabola():
@@ -168,7 +174,110 @@ def test_optimize_collapse_recovers_nu():
     assert opt.eps_c_star == pytest.approx(1.0, abs=1e-3)
 
 
+@pytest.fixture(scope="module")
+def bench_families():
+    # The g_ee and f_ep families of a bench-scale scaling run: sizes 150-350,
+    # cutoff 400, eps window 0.95-1.06 in steps of 0.004.
+    sizes = np.array([150.0, 200.0, 250.0, 300.0, 350.0])
+    grid = np.arange(0.95, 1.06 + 0.002, 0.004)
+    rows = sweep_family(sizes, grid, 400)
+    return [CurveFamily(sizes=sizes, eps_grid=grid, observable="g_ee",
+                        values=np.array([[r.g_ee for r in row] for row in rows])),
+            CurveFamily(sizes=sizes, eps_grid=grid, observable="f_ep",
+                        values=np.abs([[r.f_ep for r in row] for row in rows]))]
+
+
+def _outcome(objective, *args):
+    """The objective's value, or the WindowError it raises with its message."""
+    try:
+        return objective(*args)
+    except WindowError as exc:
+        return WindowError, str(exc)
+
+
+def _same_as_reference(family, delta_jk, nu, eps_c_star):
+    fast = _outcome(collapse_objective, family, delta_jk, nu, eps_c_star)
+    slow = _outcome(reference.collapse_objective, family, delta_jk, nu, eps_c_star)
+    return fast == slow
+
+
+def test_collapse_objective_equals_reference_bit_for_bit(bench_families):
+    # 5000 random (nu, eps_c*, delta_jk) per family; every tenth eps_c* is a
+    # grid point, where each curve has x = 0 and the sort meets ties
+    rng = np.random.default_rng(17)
+    for family in bench_families:
+        grid = family.eps_grid
+        draws = []
+        for _ in range(5000):
+            nu = float(rng.uniform(0.3, 4.0))
+            ec = (float(grid[rng.integers(len(grid))]) if rng.random() < 0.1
+                  else float(rng.uniform(0.8, 1.3)))
+            draws.append((float(rng.uniform(-1.0, 3.0)), nu, ec))
+        differ = [d for d in draws if not _same_as_reference(family, *d)]
+        assert differ == [], f"{family.observable}: {len(differ)} draws differ, first {differ[:3]}"
+
+
+def test_collapse_objective_edge_cases_equal_reference(bench_families):
+    g_ee = bench_families[0]
+    two = CurveFamily(sizes=g_ee.sizes[[0, 4]], eps_grid=g_ee.eps_grid,
+                      values=g_ee.values[[0, 4]], observable="g_ee")
+    for nu in (0.8, 1.5, 2.5):
+        assert _same_as_reference(two, 1.3, nu, 1.0)
+    for ec in g_ee.eps_grid[[0, 7, 14, -1]]:
+        for family in bench_families:
+            assert _same_as_reference(family, 1.0, 1.5, float(ec))
+            assert _same_as_reference(family, 4.0 / 3.0, 1.5, float(ec))
+    # eps_c* = nan puts no point inside any curve's range
+    assert _outcome(collapse_objective, g_ee, 1.3, 1.5, float("nan"))[0] is WindowError
+    assert _same_as_reference(g_ee, 1.3, 1.5, float("nan"))
+
+
+def test_collapse_skips_a_curve_outside_the_others_range():
+    # eps_c* = 0 puts every x at (1 ... 1.5) L^{1/nu}: the L = 1000 curve
+    # starts at 100, past the largest x of the others (1.5 * 340^{2/3} = 73),
+    # while the L = 300 curve still overlaps the L = 320 one.
+    sizes = np.array([300.0, 320.0, 340.0, 1000.0])
+    grid = np.linspace(1.0, 1.5, 11)
+    values = np.array([L * np.exp(-grid) for L in sizes])
+    family = CurveFamily(sizes=sizes, eps_grid=grid, values=values, observable="g_ee")
+    xs = grid * sizes[:, None] ** (1.0 / 1.5)
+    assert xs[3].min() > xs[:3].max()
+    value = collapse_objective(family, 1.0, 1.5, 0.0)
+    assert np.isfinite(value) and value > 0.0
+    assert value == reference.collapse_objective(family, 1.0, 1.5, 0.0)
+
+
+def test_collapse_of_an_all_zero_family_raises():
+    family = CurveFamily(sizes=np.array([100.0, 200.0, 300.0]),
+                         eps_grid=np.linspace(0.9, 1.1, 9), values=np.zeros((3, 9)),
+                         observable="f_ep")
+    for objective in (collapse_objective, reference.collapse_objective):
+        with pytest.raises(WindowError, match="identically zero"):
+            objective(family, 1.0, 1.5, 1.0)
+
+
+def test_pipeline_and_stored_family_collapse_equal_with_reference(tmp_path, monkeypatch):
+    tiny = dict(sizes=(40, 50, 60, 70, 85), n_cut=200, peak_bracket=(1.05, 1.45),
+                collapse_window=(1.05, 1.40), collapse_step=1e-2)
+    fast = scaling_pipeline(**tiny)
+    path = tmp_path / "scaling_report.json"
+    path.write_text(dumps_json(asdict(fast)))
+    stored = [family_from_report(load_scaling_report(path), name)
+              for name in ("g_ee", "f_ep")]
+    fast_optima = [optimize_collapse(f, d, (1.2, 1.9), (1.0, 1.3))
+                   for f in stored for d in (None, 1.0)]
+
+    monkeypatch.setattr(kerrqgt.scaling, "collapse_objective",
+                        reference.collapse_objective)
+    assert asdict(fast) == asdict(scaling_pipeline(**tiny))
+    assert fast_optima == [optimize_collapse(f, d, (1.2, 1.9), (1.0, 1.3))
+                           for f in stored for d in (None, 1.0)]
+
+
 def test_family_validation():
+    with pytest.raises(ValueError, match="at least 2 sizes"):
+        CurveFamily(sizes=np.array([1.0]), eps_grid=np.array([0.0, 1.0]),
+                    values=np.ones((1, 2)), observable="x")
     with pytest.raises(ValueError):
         CurveFamily(sizes=np.array([1.0, 1.0]), eps_grid=np.array([0.0, 1.0]),
                     values=np.ones((2, 2)), observable="x")

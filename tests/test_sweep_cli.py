@@ -1,7 +1,11 @@
 """Runners, persistence, manifests, determinism, CLI wiring, plot emission."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -20,6 +24,7 @@ from kerrqgt.cli import (
 )
 from kerrqgt.errors import CutoffError, GapError, SchemaError
 from kerrqgt.plots import emit_plots
+from kerrqgt.scaling import ScalingReport
 from kerrqgt.sweep import (
     SweepConfig,
     dumps_json,
@@ -406,6 +411,22 @@ def test_corrupt_report_in_out_is_one_line_with_status_2(tmp_path, capsys, mode)
     assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
 
+@pytest.mark.parametrize("mode", ["plots", "collapse", "k0"])
+def test_non_object_diagnostics_is_one_line_with_status_2(tmp_path, capsys, mode):
+    out = tmp_path / "out"
+    out.mkdir()
+    report = {f.name: 1.0 for f in fields(ScalingReport)}
+    report["diagnostics"] = 5
+    (out / "scaling_report.json").write_text(json.dumps(report))
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert main([mode, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"kerrqgt {mode}: error: scaling_report.json key 'diagnostics' "
+                            f"holds a JSON int, not an object\n")
+    assert captured.out == ""
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+
 def test_cli_numerical_error_keeps_its_traceback(tmp_path, monkeypatch):
     # GapError is a ValueError but not an InputError: main must not swallow it
     def gap(config):
@@ -422,8 +443,61 @@ def test_generated_plot_scripts_run(tmp_path):
                       n_cut=120, eps_range=(0.0, 1.2, 5), phi_range=(0.0, 3.0, 3))
     run(cfg)
     emit_plots(tmp_path)
-    import subprocess, sys
     proc = subprocess.run([sys.executable, str(tmp_path / "plot_phase_diagram.py")],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "phase_diagram.png").exists()
+
+
+# A stand-in for matplotlib: every figure and axes call is accepted and does
+# nothing, and savefig writes an empty file, so a plot script runs all of its
+# own code (imports, reads, array arithmetic) without the real package.
+_STUB_MATPLOTLIB = {
+    "__init__.py": "def use(*args, **kwargs):\n    pass\n",
+    "pyplot.py": '''import numpy as np
+
+
+class _Anything:
+    def __getattr__(self, name):
+        if name.startswith("__"):
+            raise AttributeError(name)
+        return lambda *args, **kwargs: _Anything()
+
+
+class _Figure(_Anything):
+    def savefig(self, path, **kwargs):
+        open(path, "wb").close()
+
+
+def subplots(nrows=1, ncols=1, **kwargs):
+    axes = np.array([_Anything() for _ in range(nrows * ncols)], dtype=object)
+    return _Figure(), axes[0] if axes.size == 1 else axes.reshape(nrows, ncols).squeeze()
+''',
+}
+
+
+def test_every_generated_plot_script_runs_on_stub_matplotlib(tmp_path):
+    out = tmp_path / "out"
+    run(SweepConfig(mode="phase-diagram", out_dir=str(out), size=100.0, n_cut=120,
+                    eps_range=(0.0, 1.2, 5), phi_range=(0.0, 3.0, 3)))
+    run(SweepConfig(mode="qgt", out_dir=str(out), sizes=(60, 80),
+                    eps_range=(0.5, 0.9, 3), n_cut=160))
+    run(SweepConfig(mode="scaling", out_dir=str(out), **SMALL_SCALING))
+    run(SweepConfig(mode="k0", out_dir=str(out), ncut_list=(60, 84, 120, 170, 240),
+                    **SMALL_SCALING))
+    scripts = emit_plots(out)
+    assert sorted(path.name for path in scripts) == [
+        "plot_curvature.py", "plot_k0.py", "plot_phase_diagram.py", "plot_qgt_peaks.py",
+        "plot_scaling_fits.py"]
+
+    stub = tmp_path / "stub" / "matplotlib"
+    stub.mkdir(parents=True)
+    for name, text in _STUB_MATPLOTLIB.items():
+        (stub / name).write_text(text)
+    env = {**os.environ, "PYTHONPATH": str(stub.parent)}
+    for script in scripts:
+        proc = subprocess.run([sys.executable, str(script)], capture_output=True,
+                              text=True, env=env)
+        assert proc.returncode == 0, f"{script.name}: {proc.stderr}"
+        png = re.search(r'savefig\(here / "([^"]+)"', script.read_text()).group(1)
+        assert (out / png).exists(), f"{script.name} wrote no {png}"
