@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from ._fd import curvature_fd, metric_fd
+from ._fd import curvature_fd, metric_fd, stencil_eps
 from .eigensolver import (
     ORTHOGONALITY_BOUND,
     RESIDUAL_BOUND,
@@ -228,21 +228,24 @@ def g_ee_slope(params: ModelParams) -> float:
     return float(-4.0 * (z[0] @ (_tridiagonal_multiply(0.0, band, y[0]) - de0 * y[0])))
 
 
-def _even_ground_family(params: ModelParams):
+def _even_ground_family(params: ModelParams, eps_values):
     """State map (eps, phi) -> gauge-phased even ground vector at the delta, kerr
-    and n_cut of params, caching the eps solves and the gauge phases of each phi."""
+    and n_cut of params, for every eps in eps_values.
+
+    The distinct eps values are solved up front as one stacked row; the map
+    only looks their vectors up (any other eps raises KeyError) and caches
+    the gauge phases of each phi.
+    """
+    keys = sorted({float(eps) for eps in eps_values})
+    spec = eig_tridiagonal(sector_block([params.replace(eps=eps) for eps in keys], "even"))
+    vectors = dict(zip(keys, spec.eigenvectors[..., 0]))
     levels = np.arange(0, params.n_cut + 1, 2)
-    vectors: dict[float, np.ndarray] = {}
     phases: dict[float, np.ndarray] = {}
 
     def state(eps: float, phi: float) -> np.ndarray:
-        key = float(eps)
-        if key not in vectors:
-            block = sector_block([params.replace(eps=key)], "even")
-            vectors[key] = eig_tridiagonal(block).eigenvectors[0, :, 0]
         if phi not in phases:
             phases[phi] = np.exp(-0.5j * levels * phi)
-        return vectors[key] * phases[phi]
+        return vectors[float(eps)] * phases[phi]
 
     return state
 
@@ -250,12 +253,12 @@ def _even_ground_family(params: ModelParams):
 def metric_overlap(params: ModelParams, step_eps: float = DEFAULT_STEP_EPS,
                    step_phi: float = DEFAULT_STEP_PHI) -> np.ndarray:
     """2x2 quantum metric from gauge-invariant overlap finite differences."""
-    return metric_fd(_even_ground_family(params), params.eps, params.phi, step_eps, step_phi)
+    family = _even_ground_family(params, stencil_eps(params.eps, step_eps))
+    return metric_fd(family, params.eps, params.phi, step_eps, step_phi)
 
 
 def berry_plaquette(params: ModelParams, step_eps: float = DEFAULT_STEP_EPS,
                     step_phi: float = DEFAULT_STEP_PHI) -> float:
     """Berry curvature F_{eps,phi} from the overlap product around one plaquette."""
-    return curvature_fd(_even_ground_family(params), params.eps, params.phi, step_eps,
-                        step_phi)
-
+    family = _even_ground_family(params, stencil_eps(params.eps, step_eps))
+    return curvature_fd(family, params.eps, params.phi, step_eps, step_phi)

@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import __version__
-from ._fd import curvature_fd, metric_fd
+from ._fd import curvature_fd, metric_fd, stencil_eps
 from .eigensolver import ground_state_row
 from .errors import (CutoffError, EigenConvergenceError, GapError, InputError, SchemaError,
                      StepSizeError)
@@ -306,27 +306,43 @@ def _phase_diagram(config: SweepConfig, out: Path) -> ModeResult:
     return {"phase_diagram.csv": csv_text(PHASE_DIAGRAM_COLUMNS, rows)}, warnings
 
 
+def _row_or_points(solve_row, items) -> list:
+    """solve_row(items), one result per item.  If the row fails with one of
+    POINT_ERRORS, each item is solved as a row of its own and a failing item
+    gets its exception in place of a result, so only that item is dropped."""
+    try:
+        return solve_row(items)
+    except POINT_ERRORS:
+        results = []
+        for item in items:
+            try:
+                results += solve_row([item])
+            except POINT_ERRORS as exc:
+                results.append(exc)
+        return results
+
+
 def _qgt(config: SweepConfig, out: Path) -> ModeResult:
     """Tensor components on a (size, eps) grid at fixed phi.  Each size is one
-    row: one qgt_spectral_row call, and one state family for its fd stencils."""
+    row: one qgt_spectral_row call and, for the fd rows, one state family that
+    solves the stencil eps of every point as one stacked row."""
     eps_grid = np.linspace(*config.eps_range[:2], int(config.eps_range[2]))
     steps = (DEFAULT_STEP_EPS, DEFAULT_STEP_PHI)
     rows, warnings = [], []
     for size in config.sizes:
         points = [ModelParams.from_size(size, eps, phi=config.phi, n_cut=config.n_cut,
                                         delta=config.delta) for eps in eps_grid]
-        try:
-            results = qgt_spectral_row(points)
-        except POINT_ERRORS:
-            # a row of one per point, so only the failing points are dropped
-            results = []
-            for params in points:
-                try:
-                    results += qgt_spectral_row([params])
-                except POINT_ERRORS as exc:
-                    results.append(exc)
-        family = _even_ground_family(points[0])
-        for eps, spectral in zip(eps_grid, results):
+
+        def shared_family(stencils):
+            # one family over the union of the stencils serves each of them
+            return [_even_ground_family(points[0], set().union(*stencils))] * len(stencils)
+
+        results = _row_or_points(qgt_spectral_row, points)
+        families = [None] * len(points)
+        if config.method != "spectral":
+            families = _row_or_points(shared_family,
+                                      [stencil_eps(eps, steps[0]) for eps in eps_grid])
+        for eps, spectral, family in zip(eps_grid, results, families):
             if isinstance(spectral, Exception):
                 warnings.append(f"L={size:g} eps={eps:g}: {spectral}")
                 continue
@@ -337,6 +353,8 @@ def _qgt(config: SweepConfig, out: Path) -> ModeResult:
                              spectral.g_ep, spectral.f_ep, *tail))
             if config.method != "spectral":
                 try:
+                    if isinstance(family, Exception):
+                        raise family  # its stencil states failed to solve
                     g = metric_fd(family, eps, config.phi, *steps)
                     f = curvature_fd(family, eps, config.phi, *steps)
                 except POINT_ERRORS as exc:
@@ -407,22 +425,32 @@ def _k0(config: SweepConfig, out: Path) -> ModeResult:
     return {K0_REPORT_NAME: dumps_json(asdict(report))}, warnings
 
 
-def family_from_report(report: ScalingReport, observable: str) -> CurveFamily:
+def family_from_report(report: ScalingReport, observable: str,
+                       source: str = SCALING_REPORT_NAME) -> CurveFamily:
+    """The stored curve family of observable; SchemaError, naming the report
+    file source and the family key, if it is missing or malformed."""
     diag = report.diagnostics
     key = {"g_ee": "family_g_ee", "f_ep": "family_f_ep"}.get(observable)
     if key is None or key not in diag:
-        raise SchemaError(f"scaling report carries no curve family for {observable!r}")
-    return CurveFamily(sizes=np.asarray(diag["sizes"], dtype=float),
-                       eps_grid=np.asarray(diag["family_eps_grid"], dtype=float),
-                       values=np.asarray(diag[key], dtype=float),
-                       observable=observable)
+        raise SchemaError(f"{source} carries no curve family for {observable!r}")
+    for axis in ("sizes", "family_eps_grid"):
+        if axis not in diag:
+            raise SchemaError(f"{source} holds curve family {key!r} without {axis!r}")
+    try:
+        return CurveFamily(sizes=np.asarray(diag["sizes"], dtype=float),
+                           eps_grid=np.asarray(diag["family_eps_grid"], dtype=float),
+                           values=np.asarray(diag[key], dtype=float),
+                           observable=observable)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"{source} key {key!r} holds a malformed curve family: "
+                          f"{exc}") from exc
 
 
 def _collapse(config: SweepConfig, out: Path) -> ModeResult:
     """Collapse optimization on a stored curve family."""
     source = Path(config.input_path) if config.input_path else out / SCALING_REPORT_NAME
     report = load_scaling_report(source)
-    family = family_from_report(report, config.observable)
+    family = family_from_report(report, config.observable, source.name)
     delta_jk = config.delta_jk
     if delta_jk is None:
         delta_jk = {"g_ee": report.delta_ee, "f_ep": 1.0}[config.observable]

@@ -19,10 +19,15 @@ decomposition, never from the kernels it checks:
   shift, on full_spectrum ground vectors;
 * collapse_objective is the data-collapse spread computed curve by curve:
   it concatenates and re-sorts the other curves' points for every curve and
-  masks the points inside their range.
+  masks the points inside their range;
+* lazy_even_ground_family is the fd state family solved one eps at a time,
+  on first request, as a row of one.
 
 From the package it takes only data containers, the block builder
-sector_block, the gate constants and the error classes.
+sector_block, the gate constants and the error classes, and for
+lazy_even_ground_family the eigensolver eig_tridiagonal: that path checks
+the stacking and lookup of the package's family, whose vectors it must
+match bit for bit, not the eigensolver.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from kerrqgt.eigensolver import (
     ORTHOGONALITY_BOUND,
     RESIDUAL_BOUND,
     Spectrum,
+    eig_tridiagonal,
 )
 from kerrqgt.errors import EigenConvergenceError, GapError, WindowError
 from kerrqgt.model import TAIL_LEVELS, TAIL_TOLERANCE, sector_block
@@ -182,6 +188,25 @@ def qgt_sum_over_states(params) -> QGTResult:
     return QGTResult(q=q, gap=gap, method="sum-over-states", params=params,
                      mean_n=mean_photon(u0), var_n=photon_variance(u0), tail_weight=tail,
                      cutoff_warning=bool(tail > TAIL_TOLERANCE))
+
+
+def lazy_even_ground_family(params):
+    """State map (eps, phi) -> gauge-phased even ground vector at the delta,
+    kerr and n_cut of params, solving each eps as a row of one when first
+    asked for it and caching the vectors and the gauge phases of each phi."""
+    levels = np.arange(0, params.n_cut + 1, 2)
+    vectors, phases = {}, {}
+
+    def state(eps, phi):
+        key = float(eps)
+        if key not in vectors:
+            block = sector_block([params.replace(eps=key)], "even")
+            vectors[key] = eig_tridiagonal(block).eigenvectors[0, :, 0]
+        if phi not in phases:
+            phases[phi] = np.exp(-0.5j * levels * phi)
+        return vectors[key] * phases[phi]
+
+    return state
 
 
 def fidelity_susceptibility(params, step_eps: float = 1e-4) -> float:

@@ -29,13 +29,14 @@ def test_eig_tridiagonal_returns_what_the_tracer_reads():
 
 @pytest.fixture
 def eig_calls(monkeypatch):
-    """Count eig_tridiagonal calls through every module binding, as the tracer does."""
+    """The rows each eig_tridiagonal call solves, counted through every module
+    binding, as the tracer counts the calls."""
     original = kerrqgt.eigensolver.eig_tridiagonal
     calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def counted(block, *args, **kwargs):
+        calls.append(len(block.offdiag))
+        return original(block, *args, **kwargs)
 
     for name, module in list(sys.modules.items()):
         if name.startswith("kerrqgt") and getattr(module, "eig_tridiagonal", None) is original:
@@ -50,15 +51,16 @@ def test_traced_kernels_call_eig_tridiagonal(eig_calls, kernel):
     assert eig_calls
 
 
-@pytest.mark.parametrize("method, solves", [("spectral", 1), ("fd", 41), ("both", 41)])
-def test_qgt_point_eigensolve_count(tmp_path, eig_calls, method, solves):
-    # One size of 8 points is one row: one tensor solve for the row, and the
-    # metric stencil of each point solves at 5 eps values of the size's state
-    # family, from which the plaquette reuses two.
+@pytest.mark.parametrize("method, calls, rows", [("spectral", 1, 8), ("fd", 2, 48),
+                                                 ("both", 2, 48)])
+def test_qgt_point_eigensolve_count(tmp_path, eig_calls, method, calls, rows):
+    # One size of 8 points is one row: one tensor solve of its 8 points and,
+    # for the fd rows, one stacked solve of the stencil states of every point,
+    # 5 eps values each, from which the plaquette reuses two.
     kerrqgt.sweep.run(kerrqgt.sweep.SweepConfig(
         mode="qgt", out_dir=str(tmp_path), sizes=(150,), eps_range=(0.95, 1.06, 8),
         phi=0.3, n_cut=200, method=method))
-    assert len(eig_calls) == solves
+    assert (len(eig_calls), sum(eig_calls)) == (calls, rows)
 
 
 def test_pipeline_and_gate_names_exist():

@@ -11,8 +11,12 @@ from kerrqgt import (
     normal_phase_qgt_limit,
     qgt_spectral,
 )
+from kerrqgt._fd import curvature_fd, metric_fd, stencil_eps
+from kerrqgt.qgt import _even_ground_family
 from reference import (dense_drive_derivatives, dense_hamiltonian, fidelity_susceptibility,
-                       qgt_sum_over_states)
+                       lazy_even_ground_family, qgt_sum_over_states)
+
+H_EPS, H_PHI = 1e-4, 1e-3
 
 
 def test_perturbation_ops_hermitian_and_parity_conserving():
@@ -101,9 +105,7 @@ def test_plaquette_orientation_antisymmetry():
     # Mirroring phi reverses the loop orientation, so the measured phase
     # (hence the curvature estimate) must flip sign exactly.
     p = ModelParams.from_size(200, 0.8, phi=0.4, n_cut=400)
-    from kerrqgt._fd import curvature_fd
-    from kerrqgt.qgt import _even_ground_family
-    fam = _even_ground_family(p)
+    fam = _even_ground_family(p, stencil_eps(p.eps, 1e-4))
     plain = curvature_fd(fam, p.eps, p.phi, 1e-4, 1e-3)
     mirrored = curvature_fd(lambda e, ph: fam(e, -ph), p.eps, -p.phi, 1e-4, 1e-3)
     assert mirrored == pytest.approx(-plain, rel=1e-10)
@@ -125,8 +127,7 @@ def test_fidelity_susceptibility_values():
 
 
 def test_fidelity_far_from_criticality():
-    from kerrqgt.qgt import _even_ground_family
-    fam = _even_ground_family(ModelParams.from_size(200, 0.5, n_cut=400))
+    fam = _even_ground_family(ModelParams.from_size(200, 0.5, n_cut=400), (0.5, 0.501))
     overlap = abs(np.vdot(fam(0.5, 0.0), fam(0.501, 0.0)))
     assert overlap > 0.999999
 
@@ -139,6 +140,79 @@ def test_step_guards():
         metric_overlap(p, step_eps=3e-7, step_phi=3e-7)
     with pytest.raises(StepSizeError):
         metric_overlap(p, step_eps=0.5, step_phi=0.5)  # quadratic regime left
+
+
+# eps = 0 and h/4 take the boundary stencils, the others the centred ones
+STENCIL_EPS = [0.0, H_EPS / 4.0, H_EPS / 2.0, 0.55, 0.97]
+
+
+@pytest.mark.parametrize("eps", STENCIL_EPS)
+def test_stencils_request_exactly_stencil_eps(eps):
+    p = ModelParams.from_size(150, eps, phi=0.4, n_cut=300)
+    family = lazy_even_ground_family(p)
+    requested = set()
+
+    def recording(e, phi):
+        requested.add(e)
+        return family(e, phi)
+
+    metric_fd(recording, eps, p.phi, H_EPS, H_PHI)
+    curvature_fd(recording, eps, p.phi, H_EPS, H_PHI)
+    assert requested == stencil_eps(eps, H_EPS)
+    if eps < H_EPS / 2.0:
+        spelled = {eps, eps + H_EPS, eps + H_EPS / 2.0, 0.0, H_EPS, H_EPS / 2.0}
+    else:
+        lo, lo_half = eps - H_EPS / 2.0, eps - H_EPS / 4.0
+        spelled = {eps, lo, lo + H_EPS, lo_half, lo_half + H_EPS / 2.0}
+    assert stencil_eps(eps, H_EPS) == spelled
+
+
+@pytest.mark.parametrize("eps", STENCIL_EPS)
+def test_stacked_family_equals_lazy_reference(eps):
+    # the stacked family, alone and shared with a neighbour's stencil as the
+    # qgt sweep shares it, gives the row-of-one solves bit for bit
+    p = ModelParams.from_size(150, eps, phi=0.4, n_cut=300)
+    lazy = lazy_even_ground_family(p)
+    own = stencil_eps(eps, H_EPS)
+    for stacked in (_even_ground_family(p, own),
+                    _even_ground_family(p, own | stencil_eps(eps + 0.01, H_EPS))):
+        assert np.array_equal(metric_fd(stacked, eps, p.phi, H_EPS, H_PHI),
+                              metric_fd(lazy, eps, p.phi, H_EPS, H_PHI))
+        assert (curvature_fd(stacked, eps, p.phi, H_EPS, H_PHI)
+                == curvature_fd(lazy, eps, p.phi, H_EPS, H_PHI))
+    assert metric_overlap(p).tolist() == metric_fd(lazy, eps, p.phi, H_EPS, H_PHI).tolist()
+    assert berry_plaquette(p) == curvature_fd(lazy, eps, p.phi, H_EPS, H_PHI)
+    with pytest.raises(KeyError):
+        _even_ground_family(p, own)(eps + 1e-3, p.phi)
+
+
+@pytest.mark.parametrize("steps", [(np.nan, H_PHI), (H_EPS, np.nan), (np.inf, H_PHI),
+                                   (H_EPS, np.inf), (0.0, H_PHI), (H_EPS, -H_PHI)])
+def test_steps_must_be_positive_and_finite(steps):
+    p = ModelParams.from_size(150, 0.8, phi=0.4, n_cut=300)
+    family = lazy_even_ground_family(p)
+    for call in (lambda: metric_overlap(p, *steps), lambda: berry_plaquette(p, *steps),
+                 lambda: metric_fd(family, p.eps, p.phi, *steps),
+                 lambda: curvature_fd(family, p.eps, p.phi, *steps)):
+        with pytest.raises(ValueError, match="steps must be positive and finite"):
+            call()
+
+
+@pytest.mark.parametrize("stencil", [metric_fd, curvature_fd])
+def test_nan_state_vector_raises_step_size_error(stencil):
+    p = ModelParams.from_size(150, 0.8, phi=0.4, n_cut=300)
+    family = lazy_even_ground_family(p)
+    corrupt = p.eps - H_EPS / 2.0  # an edge of both stencils
+
+    def state(eps, phi):
+        vector = family(eps, phi)
+        if eps == corrupt:
+            vector = vector.copy()
+            vector[3] = np.nan
+        return vector
+
+    with pytest.raises(StepSizeError, match="not finite"):
+        stencil(state, p.eps, p.phi, H_EPS, H_PHI)
 
 
 def test_gphiphi_variance_identity():

@@ -14,6 +14,8 @@ import scipy.linalg
 import kerrqgt.qgt
 import kerrqgt.sweep as sweep
 from kerrqgt import ModelParams, sector_block
+from kerrqgt._fd import stencil_eps
+from kerrqgt.qgt import DEFAULT_STEP_EPS
 from kerrqgt.cli import main
 from kerrqgt.errors import GapError, StepSizeError
 from kerrqgt.plots import emit_plots
@@ -113,6 +115,38 @@ def test_nan_solve_drops_only_its_point(tmp_path, monkeypatch):
     warnings = _manifest_warnings(tmp_path / "patched", "qgt")
     assert len(warnings) == 1
     assert warnings[0].startswith("L=80 eps=0.7: even block of size 81, row 0: residual nan")
+
+
+def test_nan_stencil_state_drops_only_its_fd_row(tmp_path, monkeypatch):
+    # a NaN vector at one stencil eps off the grid fails the size's stacked
+    # family; the point-by-point retry then drops that point's fd row alone
+    config = SweepConfig(mode="qgt", out_dir=str(tmp_path / "plain"), sizes=(60, 80),
+                         eps_range=(0.5, 0.9, 3), method="both", n_cut=160)
+    plain = run(config)[0].read_text().splitlines()
+    eps = float(np.linspace(0.5, 0.9, 3)[1])
+    stencil = max(stencil_eps(eps, DEFAULT_STEP_EPS))
+    assert stencil != eps
+    target = sector_block([ModelParams.from_size(80, stencil, n_cut=160)], "even")
+    eigensolve = scipy.linalg.eigh_tridiagonal
+
+    def nan_at_target(diag, off, **kwargs):
+        lam, vec = eigensolve(diag, off, **kwargs)
+        if np.array_equal(diag, target.diag) and np.array_equal(off, target.offdiag[0]):
+            vec = vec.copy()
+            vec[3, 0] = np.nan
+        return lam, vec
+
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", nan_at_target)
+    patched = dataclasses.replace(config, out_dir=str(tmp_path / "patched"))
+    lines = run(patched)[0].read_text().splitlines()
+    dropped = [line for line in plain if line.startswith("80,0.69999999999999996,")
+               and line.split(",")[4] == "fd"]
+    assert len(dropped) == 1
+    assert lines == [line for line in plain if line not in dropped]
+    warnings = _manifest_warnings(tmp_path / "patched", "qgt")
+    assert len(warnings) == 1
+    assert warnings[0].startswith("L=80 eps=0.7 (fd): even block of size 81, row 4: "
+                                  "residual nan")
 
 
 def test_rejected_run_leaves_no_output_directory(tmp_path):

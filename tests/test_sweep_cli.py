@@ -427,6 +427,27 @@ def test_non_object_diagnostics_is_one_line_with_status_2(tmp_path, capsys, mode
     assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
 
+@pytest.mark.parametrize("sizes, values, reason", [
+    ([100.0], [[1.0, 2.0]], "a curve family needs at least 2 sizes"),
+    ([100.0, 200.0], [[1.0, 2.0]], "values must have shape (n_sizes, n_grid)"),
+    ([100.0, 100.0], [[1.0, 2.0], [1.5, 2.5]], "sizes must be distinct"),
+], ids=["one-size", "shape-mismatch", "repeated-sizes"])
+def test_malformed_stored_family_is_one_line_with_status_2(tmp_path, capsys, sizes, values,
+                                                           reason):
+    report = {f.name: 1.0 for f in fields(ScalingReport)}
+    report["diagnostics"] = {"sizes": sizes, "family_eps_grid": [1.0, 1.1],
+                             "family_g_ee": values}
+    source = tmp_path / "R.json"
+    source.write_text(json.dumps(report))
+    out = tmp_path / "out"
+    assert main(["collapse", "--out", str(out), "--input", str(source)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"kerrqgt collapse: error: R.json key 'family_g_ee' holds a "
+                            f"malformed curve family: {reason}\n")
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["R.json"]
+
+
 def test_cli_numerical_error_keeps_its_traceback(tmp_path, monkeypatch):
     # GapError is a ValueError but not an InputError: main must not swallow it
     def gap(config):
