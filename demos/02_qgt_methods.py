@@ -9,16 +9,14 @@ import numpy as np
 
 from kerrqgt import (
     ModelParams,
-    berry_plaquette,
-    metric_overlap,
     normal_phase_qgt_limit,
+    qgt_fd,
     qgt_spectral,
 )
 
 point = ModelParams.from_size(300, 0.85, phi=0.6, n_cut=600)
 spectral = qgt_spectral(point)
-g_fd = metric_overlap(point)
-f_fd = berry_plaquette(point)
+g_fd, f_fd = qgt_fd(point)
 
 print(f"point: L = {point.effective_size:g}, eps = {point.eps}, phi = {point.phi}")
 print(f"{'':14}{'spectral':>14}{'finite diff':>14}{'rel dev':>12}")

@@ -46,9 +46,9 @@ from .oracle import (
 )
 from .qgt import (
     QGTResult,
-    berry_plaquette,
     g_ee_slope,
-    metric_overlap,
+    qgt_fd,
+    qgt_fd_row,
     qgt_spectral,
     qgt_spectral_row,
 )
@@ -79,7 +79,7 @@ __all__ = [
     "NormalPhaseSolution", "SuperradiantSolution", "displaced_squeezed_cat",
     "displaced_squeezed_fock", "normal_phase", "normal_phase_qgt_limit",
     "squeezed_vacuum_fock", "superradiant_phase",
-    "QGTResult", "berry_plaquette", "g_ee_slope", "metric_overlap",
+    "QGTResult", "g_ee_slope", "qgt_fd", "qgt_fd_row",
     "qgt_spectral", "qgt_spectral_row",
     "CollapseOptimum", "CurveFamily", "K0Report", "PowerLawFit", "ScalingReport",
     "ShiftedPowerFit", "collapse_objective", "extrapolate_critical_point",

@@ -1,10 +1,10 @@
 """Ground-state quantum geometric tensor over the drive coordinates (eps, phi).
 
-Three independent routes are provided and must agree:
+Two independent routes are provided and must agree:
 
 * linear response on the even-sector ground state (one Sternheimer solve),
-* overlap finite differences for the metric (with Richardson refinement),
-* a plaquette overlap product for the Berry curvature.
+* overlap finite differences for the metric (with Richardson refinement) and
+  a plaquette overlap product for the Berry curvature (qgt_fd_row).
 
 The linear-response route also gives d g_ee / d eps analytically (third-order
 response: a second back-substitution on the factorisation of the first
@@ -250,15 +250,23 @@ def _even_ground_family(params: ModelParams, eps_values):
     return state
 
 
-def metric_overlap(params: ModelParams, step_eps: float = DEFAULT_STEP_EPS,
-                   step_phi: float = DEFAULT_STEP_PHI) -> np.ndarray:
-    """2x2 quantum metric from gauge-invariant overlap finite differences."""
-    family = _even_ground_family(params, stencil_eps(params.eps, step_eps))
-    return metric_fd(family, params.eps, params.phi, step_eps, step_phi)
+def qgt_fd_row(points, step_eps: float = DEFAULT_STEP_EPS,
+               step_phi: float = DEFAULT_STEP_PHI) -> list[tuple[np.ndarray, float]]:
+    """(2x2 metric, Berry curvature F_{eps,phi}) of each point of a row that
+    shares delta, kerr and n_cut, by gauge-invariant overlap finite
+    differences (metric_fd first, so a step it rejects raises there, then
+    curvature_fd).
+
+    One stacked solve of the union of the points' stencil eps gives every
+    pair exactly as qgt_fd gives it alone.
+    """
+    family = _even_ground_family(points[0], set().union(
+        *(stencil_eps(p.eps, step_eps) for p in points)))
+    return [(metric_fd(family, p.eps, p.phi, step_eps, step_phi),
+             curvature_fd(family, p.eps, p.phi, step_eps, step_phi)) for p in points]
 
 
-def berry_plaquette(params: ModelParams, step_eps: float = DEFAULT_STEP_EPS,
-                    step_phi: float = DEFAULT_STEP_PHI) -> float:
-    """Berry curvature F_{eps,phi} from the overlap product around one plaquette."""
-    family = _even_ground_family(params, stencil_eps(params.eps, step_eps))
-    return curvature_fd(family, params.eps, params.phi, step_eps, step_phi)
+def qgt_fd(params: ModelParams, step_eps: float = DEFAULT_STEP_EPS,
+           step_phi: float = DEFAULT_STEP_PHI) -> tuple[np.ndarray, float]:
+    """(2x2 metric, Berry curvature) at one point: the row of one of qgt_fd_row."""
+    return qgt_fd_row([params], step_eps, step_phi)[0]

@@ -40,13 +40,13 @@ COLLAPSE_SEED_GRID = (15, 9)  # (nu, eps_c*) points seeding the polish
 # ---------------------------------------------------------------------------
 # 1D searches
 
-def golden_section_max(f: Callable[[float], float], lo: float, hi: float,
+def golden_section_min(f: Callable[[float], float], lo: float, hi: float,
                        tol: float) -> tuple[float, float]:
     c = hi - GOLDEN * (hi - lo)
     d = lo + GOLDEN * (hi - lo)
     fc, fd = f(c), f(d)
     while hi - lo > tol:
-        if fc > fd:
+        if fc < fd:
             hi, d, fd = d, c, fc
             c = hi - GOLDEN * (hi - lo)
             fc = f(c)
@@ -54,13 +54,7 @@ def golden_section_max(f: Callable[[float], float], lo: float, hi: float,
             lo, c, fc = c, d, fd
             d = lo + GOLDEN * (hi - lo)
             fd = f(d)
-    return (c, fc) if fc > fd else (d, fd)
-
-
-def golden_section_min(f: Callable[[float], float], lo: float, hi: float,
-                       tol: float) -> tuple[float, float]:
-    x, y = golden_section_max(lambda t: -f(t), lo, hi, tol)
-    return x, -y
+    return (c, fc) if fc < fd else (d, fd)
 
 
 def locate_peak(slope: Callable[[float], float], bracket: tuple[float, float]) -> float:

@@ -22,12 +22,11 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import __version__
-from ._fd import curvature_fd, metric_fd, stencil_eps
 from .eigensolver import ground_state_row
 from .errors import (CutoffError, EigenConvergenceError, GapError, InputError, SchemaError,
                      StepSizeError)
 from .model import ModelParams
-from .qgt import DEFAULT_STEP_EPS, DEFAULT_STEP_PHI, _even_ground_family, qgt_spectral_row
+from .qgt import qgt_fd_row, qgt_spectral_row
 from .scaling import (
     CurveFamily,
     ScalingReport,
@@ -324,25 +323,17 @@ def _row_or_points(solve_row, items) -> list:
 
 def _qgt(config: SweepConfig, out: Path) -> ModeResult:
     """Tensor components on a (size, eps) grid at fixed phi.  Each size is one
-    row: one qgt_spectral_row call and, for the fd rows, one state family that
-    solves the stencil eps of every point as one stacked row."""
+    row: one qgt_spectral_row call and, for the fd rows, one qgt_fd_row call."""
     eps_grid = np.linspace(*config.eps_range[:2], int(config.eps_range[2]))
-    steps = (DEFAULT_STEP_EPS, DEFAULT_STEP_PHI)
     rows, warnings = [], []
     for size in config.sizes:
         points = [ModelParams.from_size(size, eps, phi=config.phi, n_cut=config.n_cut,
                                         delta=config.delta) for eps in eps_grid]
-
-        def shared_family(stencils):
-            # one family over the union of the stencils serves each of them
-            return [_even_ground_family(points[0], set().union(*stencils))] * len(stencils)
-
         results = _row_or_points(qgt_spectral_row, points)
-        families = [None] * len(points)
+        fd_rows = [None] * len(points)
         if config.method != "spectral":
-            families = _row_or_points(shared_family,
-                                      [stencil_eps(eps, steps[0]) for eps in eps_grid])
-        for eps, spectral, family in zip(eps_grid, results, families):
+            fd_rows = _row_or_points(qgt_fd_row, points)
+        for eps, spectral, fd in zip(eps_grid, results, fd_rows):
             if isinstance(spectral, Exception):
                 warnings.append(f"L={size:g} eps={eps:g}: {spectral}")
                 continue
@@ -351,19 +342,15 @@ def _qgt(config: SweepConfig, out: Path) -> ModeResult:
             if config.method != "fd":
                 rows.append((*head, "spectral", spectral.g_ee, spectral.g_pp,
                              spectral.g_ep, spectral.f_ep, *tail))
-            if config.method != "spectral":
-                try:
-                    if isinstance(family, Exception):
-                        raise family  # its stencil states failed to solve
-                    g = metric_fd(family, eps, config.phi, *steps)
-                    f = curvature_fd(family, eps, config.phi, *steps)
-                except POINT_ERRORS as exc:
-                    warnings.append(f"L={size:g} eps={eps:g} (fd): {exc}")
-                    continue
+            if isinstance(fd, Exception):
+                warnings.append(f"L={size:g} eps={eps:g} (fd): {fd}")
+            elif fd is not None:
+                g, f = fd
                 rows.append((*head, "fd", float(g[0, 0]), float(g[1, 1]), float(g[0, 1]),
                              f, *tail))
-    warnings += [f"cutoff-inadequate point: L={r[0]:g} eps={r[1]:g}"
-                 for r in rows if r[11]]
+    # one warning per flagged point, though --method both gives it two rows
+    flagged = dict.fromkeys((r[0], r[1]) for r in rows if r[11])
+    warnings += [f"cutoff-inadequate point: L={size:g} eps={eps:g}" for size, eps in flagged]
     return {"qgt.csv": csv_text(QGT_COLUMNS, rows)}, warnings
 
 
@@ -412,7 +399,7 @@ def _k0(config: SweepConfig, out: Path) -> ModeResult:
         diag = candidate.diagnostics
         # The peak bracket fixes eps_c by size, hence the k0 inputs; the
         # collapse window and step do not enter the k0 study.
-        if (diag.get("sizes") == [float(s) for s in config.sizes]
+        if (diag.get("sizes") == sorted(float(s) for s in config.sizes)
                 and diag.get("n_cut") == config.n_cut
                 and diag.get("delta") == config.delta
                 and diag.get("peak_bracket") == [float(b) for b in config.peak_bracket]):

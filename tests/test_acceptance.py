@@ -12,14 +12,13 @@ import pytest
 
 from kerrqgt import (
     ModelParams,
-    berry_plaquette,
     collapse_objective,
     displaced_squeezed_cat,
     eig_tridiagonal,
     ground_state,
     k0_pipeline,
-    metric_overlap,
     normal_phase,
+    qgt_fd,
     qgt_spectral,
     scaling_pipeline,
     sector_block,
@@ -173,8 +172,7 @@ def test_criterion_6_property_suite():
         p = ModelParams.from_size(size, eps, phi=float(rng.uniform(0, 2 * np.pi)),
                                   n_cut=400)
         spectral = qgt_spectral(p)
-        g = metric_overlap(p)
-        f = berry_plaquette(p)
+        g, f = qgt_fd(p)
         worst = max(worst,
                     abs(g[0, 0] / spectral.g_ee - 1.0),
                     abs(g[1, 1] / spectral.g_pp - 1.0),

@@ -44,8 +44,7 @@ def eig_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("kernel", ["qgt_spectral", "ground_state", "metric_overlap",
-                                    "berry_plaquette"])
+@pytest.mark.parametrize("kernel", ["qgt_spectral", "ground_state", "qgt_fd"])
 def test_traced_kernels_call_eig_tridiagonal(eig_calls, kernel):
     getattr(kerrqgt, kernel)(ModelParams.from_size(150, 0.9, phi=0.3, n_cut=200))
     assert eig_calls

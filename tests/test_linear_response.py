@@ -10,7 +10,7 @@ from kerrqgt import (
     ModelParams,
     eig_tridiagonal,
     ground_state,
-    metric_overlap,
+    qgt_fd,
     qgt_spectral,
     sector_block,
 )
@@ -177,7 +177,7 @@ def test_hot_paths_never_decompose_fully(monkeypatch):
     p = ModelParams.from_size(150, 0.95, phi=0.4, n_cut=400)
     qgt_spectral(p)
     ground_state(p)
-    metric_overlap(p)
+    qgt_fd(p)
     assert calls and set(calls) == {"i"}
     # the spy sees a full decomposition when one is made
     full_spectrum(sector_block([p], "even"))

@@ -7,7 +7,7 @@ import pytest
 
 import kerrqgt.scaling as scaling
 from kerrqgt import GapError, ModelParams, g_ee_slope, qgt_spectral, scaling_pipeline
-from kerrqgt.scaling import golden_section_max
+from kerrqgt.scaling import golden_section_min
 
 SLOPE_GRID = (
     # around the transition at L = 150..700
@@ -78,7 +78,7 @@ def test_peaks_match_golden_section_on_g_ee(counted_pipeline):
 
         grid = np.linspace(lo, hi, 41)
         i = int(np.argmax([g_ee(e) for e in grid]))
-        x, _ = golden_section_max(g_ee, grid[i - 1], grid[i + 1], tol=1e-10)
+        x, _ = golden_section_min(lambda e: -g_ee(e), grid[i - 1], grid[i + 1], tol=1e-10)
         assert abs(eps_c - x) <= 1e-7, (size, eps_c, x)
 
         offsets = np.linspace(-2e-3, 2e-3, 41)

@@ -6,9 +6,9 @@ import pytest
 from kerrqgt import (
     ModelParams,
     StepSizeError,
-    berry_plaquette,
-    metric_overlap,
     normal_phase_qgt_limit,
+    qgt_fd,
+    qgt_fd_row,
     qgt_spectral,
 )
 from kerrqgt._fd import curvature_fd, metric_fd, stencil_eps
@@ -83,9 +83,9 @@ def test_phi_independence_of_tensor():
         assert abs(r.f_ep / ref.f_ep - 1.0) <= 1e-8
 
 
-def test_metric_overlap_at_zero_drive():
-    g = metric_overlap(ModelParams(delta=1.0, kerr=0.0, eps=0.0, n_cut=64),
-                       step_eps=1e-3, step_phi=1e-3)
+def test_fd_metric_at_zero_drive():
+    g, _ = qgt_fd(ModelParams(delta=1.0, kerr=0.0, eps=0.0, n_cut=64),
+                  step_eps=1e-3, step_phi=1e-3)
     assert g[0, 0] == pytest.approx(0.125, abs=1e-4)
     assert abs(g[1, 1]) <= 1e-10
     assert abs(g[0, 1]) <= 1e-10
@@ -94,8 +94,7 @@ def test_metric_overlap_at_zero_drive():
 def test_method_triangle_reference_point():
     p = ModelParams.from_size(300, 0.9, n_cut=800)
     spectral = qgt_spectral(p)
-    g = metric_overlap(p)
-    f = berry_plaquette(p)
+    g, f = qgt_fd(p)
     assert g[0, 0] == pytest.approx(spectral.g_ee, rel=1e-5)
     assert g[1, 1] == pytest.approx(spectral.g_pp, rel=1e-5)
     assert f == pytest.approx(spectral.f_ep, rel=1e-4)
@@ -109,12 +108,12 @@ def test_plaquette_orientation_antisymmetry():
     plain = curvature_fd(fam, p.eps, p.phi, 1e-4, 1e-3)
     mirrored = curvature_fd(lambda e, ph: fam(e, -ph), p.eps, -p.phi, 1e-4, 1e-3)
     assert mirrored == pytest.approx(-plain, rel=1e-10)
-    assert berry_plaquette(p, 1e-4, 1e-3) == pytest.approx(plain)
+    assert qgt_fd(p, 1e-4, 1e-3)[1] == pytest.approx(plain)
 
 
 def test_plaquette_vanishes_at_zero_drive():
-    f = berry_plaquette(ModelParams(delta=1.0, kerr=0.0, eps=0.0, n_cut=64),
-                        step_eps=1e-3, step_phi=1e-3)
+    _, f = qgt_fd(ModelParams(delta=1.0, kerr=0.0, eps=0.0, n_cut=64),
+                  step_eps=1e-3, step_phi=1e-3)
     assert abs(f) <= 1e-8
 
 
@@ -137,9 +136,9 @@ def test_step_guards():
     # 3e-7 puts the overlap deficit around 1e-14, squarely in the
     # unresolvable band between rounding noise and the precision floor
     with pytest.raises(StepSizeError):
-        metric_overlap(p, step_eps=3e-7, step_phi=3e-7)
+        qgt_fd(p, step_eps=3e-7, step_phi=3e-7)
     with pytest.raises(StepSizeError):
-        metric_overlap(p, step_eps=0.5, step_phi=0.5)  # quadratic regime left
+        qgt_fd(p, step_eps=0.5, step_phi=0.5)  # quadratic regime left
 
 
 # eps = 0 and h/4 take the boundary stencils, the others the centred ones
@@ -180,10 +179,21 @@ def test_stacked_family_equals_lazy_reference(eps):
                               metric_fd(lazy, eps, p.phi, H_EPS, H_PHI))
         assert (curvature_fd(stacked, eps, p.phi, H_EPS, H_PHI)
                 == curvature_fd(lazy, eps, p.phi, H_EPS, H_PHI))
-    assert metric_overlap(p).tolist() == metric_fd(lazy, eps, p.phi, H_EPS, H_PHI).tolist()
-    assert berry_plaquette(p) == curvature_fd(lazy, eps, p.phi, H_EPS, H_PHI)
+    g, f = qgt_fd(p)
+    assert g.tolist() == metric_fd(lazy, eps, p.phi, H_EPS, H_PHI).tolist()
+    assert f == curvature_fd(lazy, eps, p.phi, H_EPS, H_PHI)
     with pytest.raises(KeyError):
         _even_ground_family(p, own)(eps + 1e-3, p.phi)
+
+
+def test_fd_row_equals_points_alone():
+    # one stacked family over boundary (eps = 0, h/4) and centred stencils
+    points = [ModelParams.from_size(150, eps, phi=0.4, n_cut=300) for eps in STENCIL_EPS]
+    row = qgt_fd_row(points)
+    assert len(row) == len(points)
+    for (g_row, f_row), p in zip(row, points):
+        g, f = qgt_fd(p)
+        assert np.array_equal(g_row, g) and f_row == f
 
 
 @pytest.mark.parametrize("steps", [(np.nan, H_PHI), (H_EPS, np.nan), (np.inf, H_PHI),
@@ -191,7 +201,7 @@ def test_stacked_family_equals_lazy_reference(eps):
 def test_steps_must_be_positive_and_finite(steps):
     p = ModelParams.from_size(150, 0.8, phi=0.4, n_cut=300)
     family = lazy_even_ground_family(p)
-    for call in (lambda: metric_overlap(p, *steps), lambda: berry_plaquette(p, *steps),
+    for call in (lambda: qgt_fd(p, *steps), lambda: qgt_fd_row([p], *steps),
                  lambda: metric_fd(family, p.eps, p.phi, *steps),
                  lambda: curvature_fd(family, p.eps, p.phi, *steps)):
         with pytest.raises(ValueError, match="steps must be positive and finite"):

@@ -51,7 +51,7 @@ def test_step_size_error_drops_fd_row_only(tmp_path, monkeypatch):
     def too_small(*args, **kwargs):
         raise StepSizeError("overlap distance below the precision floor")
 
-    monkeypatch.setattr(sweep, "metric_fd", too_small)
+    monkeypatch.setattr(kerrqgt.qgt, "metric_fd", too_small)
     files = run(_qgt_config(tmp_path, method="both"))
     rows = read_csv(files[0])[1]
     assert [r[4] for r in rows] == ["spectral", "spectral"]
@@ -64,7 +64,8 @@ def test_programming_errors_propagate(tmp_path, monkeypatch, target):
     def broken(*args, **kwargs):
         raise TypeError("unsupported operand")
 
-    monkeypatch.setattr(sweep, target, broken)
+    # the sweep binds the spectral row kernel; qgt_fd_row looks metric_fd up in qgt
+    monkeypatch.setattr(sweep if target == "qgt_spectral_row" else kerrqgt.qgt, target, broken)
     with pytest.raises(TypeError, match="unsupported operand"):
         run(_qgt_config(tmp_path, method="both"))
     assert not (tmp_path / "qgt.csv").exists()
@@ -147,6 +148,14 @@ def test_nan_stencil_state_drops_only_its_fd_row(tmp_path, monkeypatch):
     assert len(warnings) == 1
     assert warnings[0].startswith("L=80 eps=0.7 (fd): even block of size 81, row 4: "
                                   "residual nan")
+
+
+def test_one_cutoff_warning_per_point_with_both_methods(tmp_path):
+    files = run(SweepConfig(mode="qgt", out_dir=str(tmp_path), sizes=(200,),
+                            eps_range=(1.2, 1.3, 2), n_cut=60, method="both"))
+    assert [r[4] + r[11] for r in read_csv(files[0])[1]] == ["spectralcutoff", "fdcutoff"] * 2
+    assert _manifest_warnings(tmp_path, "qgt") == [
+        "cutoff-inadequate point: L=200 eps=1.2", "cutoff-inadequate point: L=200 eps=1.3"]
 
 
 def test_rejected_run_leaves_no_output_directory(tmp_path):
@@ -311,6 +320,15 @@ def test_k0_recomputes_report_with_other_peak_bracket(tmp_path, k0_spies):
 def test_k0_reuses_report_with_other_collapse_grid(tmp_path, k0_spies):
     _write_report(tmp_path, collapse_step=4e-3, collapse_window=[0.95, 1.06])
     run(SweepConfig(mode="k0", out_dir=str(tmp_path), **K0_BASE))
+    assert k0_spies["scaling"] == ["on disk"]
+    assert k0_spies["rebuilt"] == []
+
+
+def test_k0_reuses_report_for_unsorted_sizes(tmp_path, k0_spies):
+    # the scaling report stores its sizes sorted
+    _write_report(tmp_path)
+    run(SweepConfig(mode="k0", out_dir=str(tmp_path),
+                    **{**K0_BASE, "sizes": K0_BASE["sizes"][::-1]}))
     assert k0_spies["scaling"] == ["on disk"]
     assert k0_spies["rebuilt"] == []
 
