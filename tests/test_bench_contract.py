@@ -44,9 +44,10 @@ def eig_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("kernel", ["qgt_spectral", "ground_state", "qgt_fd"])
+@pytest.mark.parametrize("kernel", ["qgt_spectral", "ground_state", "qgt_fd", "qgt_fd_row"])
 def test_traced_kernels_call_eig_tridiagonal(eig_calls, kernel):
-    getattr(kerrqgt, kernel)(ModelParams.from_size(150, 0.9, phi=0.3, n_cut=200))
+    params = ModelParams.from_size(150, 0.9, phi=0.3, n_cut=200)
+    getattr(kerrqgt, kernel)([params] if kernel.endswith("_row") else params)
     assert eig_calls
 
 
