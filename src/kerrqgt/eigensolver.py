@@ -16,9 +16,12 @@ Every block stacks the M blocks of a row of points (one point is a row of
 one).  Each gets its own selective solve; the sign convention, the gate units
 and the certificates are then taken on the whole stack at once.
 
-A ground state (GroundState) is the real ground vector of the winning parity
-sector on that sector's Fock levels; the drive phase is a gauge, so it is the
-same vector at every phi, and <n> and the tail weight are read off it.
+A ground state (GroundState) is the real ground vector of the even parity
+sector on that sector's Fock levels.  The drive conserves parity, and the
+nodeless ground state of the normal phase is even, as is its continuation
+above the transition, where the odd minimum is degenerate with it.  The drive
+phase is a gauge, so it is the same vector at every phi, and <n> and the tail
+weight are read off it.
 """
 
 from __future__ import annotations
@@ -39,7 +42,6 @@ from .model import (
 
 RESIDUAL_BOUND = 1e-10
 ORTHOGONALITY_BOUND = 1e-10
-DEGENERACY_TOLERANCE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -53,8 +55,8 @@ class Spectrum:
     Two units bracket max(1, ||T||_2), the largest |eigenvalue| of the block:
 
     * scale, the Gershgorin bound max(1, max_i |d_i| + |e_{i-1}| + |e_i|) =
-      max(1, ||T||_inf) >= ||T||_2, is the unit of the gap floor and the
-      parity tie-break (a larger unit makes both stricter);
+      max(1, ||T||_inf) >= ||T||_2, is the unit of the gap floor (a larger
+      unit makes it stricter);
     * residual_unit, max(1, |E0|, max_i |d_i|) <= ||T||_2, is the unit of
       the eigen and Sternheimer residual bounds (a smaller unit makes them
       stricter).
@@ -70,22 +72,19 @@ class Spectrum:
 
 @dataclass(frozen=True)
 class GroundState:
-    """Lowest eigenstate over both parity sectors.
+    """Lowest eigenstate of the even parity sector.
 
-    vector is the real ground vector of the winning parity sector, on the
-    Fock levels listed in levels, at phi = 0: the state at params.phi differs
-    only by the gauge phases e^{-i n phi / 2}, which change no observable.
-    gap is measured within the winning sector; mean_n and tail_weight are
-    read off the sector vector.
+    vector is the real even-sector ground vector, on the Fock levels listed
+    in levels, at phi = 0: the state at params.phi differs only by the gauge
+    phases e^{-i n phi / 2}, which change no observable.  gap is measured
+    within the sector; mean_n and tail_weight are read off the sector vector.
     """
 
     params: ModelParams
     energy: float
     vector: np.ndarray
     levels: np.ndarray
-    parity: str
     gap: float
-    sector_energies: tuple[float, float]
     mean_n: float
     tail_weight: float
     cutoff_warning: bool
@@ -168,35 +167,19 @@ def _photon_moments(block: TridiagonalBlock, u0: np.ndarray, n_cut: int):
 
 
 def ground_state_row(points) -> list[GroundState]:
-    """Ground states of a row of points that share delta, kerr and n_cut.
-
-    Each parity sector is one stacked solve over the row's eps.
-    Near-degenerate sector minima (within 1e-12 of the Gershgorin bound, the
-    generic situation deep in the symmetry-broken regime) resolve to even
-    parity, which continues the normal-phase ground state.
-    """
-    blocks = [sector_block(points, parity) for parity in ("even", "odd")]
-    spectra = [eig_tridiagonal(block) for block in blocks]
-    e0, o0 = (spec.eigenvalues[:, 0] for spec in spectra)
-    odd = o0 < e0 - DEGENERACY_TOLERANCE * np.maximum(spectra[0].scale, spectra[1].scale)
-    sectors = []
-    for block, spec in zip(blocks, spectra):
-        u0 = spec.eigenvectors[..., 0]
-        sectors.append((u0, *_photon_moments(block, u0, points[0].n_cut)))
-
-    states = []
-    for m, p in enumerate(points):
-        s = int(odd[m])
-        lam = spectra[s].eigenvalues[m]
-        u0, mean_n, tail, cutoff = sectors[s]
-        states.append(GroundState(
-            params=p, energy=float(lam[0]), vector=u0[m], levels=blocks[s].index_map,
-            parity=blocks[s].parity, gap=float(lam[1] - lam[0]),
-            sector_energies=(float(e0[m]), float(o0[m])), mean_n=float(mean_n[m]),
-            tail_weight=float(tail[m]), cutoff_warning=bool(cutoff[m])))
-    return states
+    """Ground states of a row of points that share delta, kerr and n_cut: one
+    stacked even-sector solve over the row's eps."""
+    block = sector_block(points, "even")
+    spec = eig_tridiagonal(block)
+    lam, u0 = spec.eigenvalues, spec.eigenvectors[..., 0]
+    mean_n, tail, cutoff = _photon_moments(block, u0, points[0].n_cut)
+    return [GroundState(params=p, energy=float(lam[m, 0]), vector=u0[m],
+                        levels=block.index_map, gap=float(lam[m, 1] - lam[m, 0]),
+                        mean_n=float(mean_n[m]), tail_weight=float(tail[m]),
+                        cutoff_warning=bool(cutoff[m]))
+            for m, p in enumerate(points)]
 
 
 def ground_state(params: ModelParams) -> GroundState:
-    """Ground state over both parity sectors: the row of one point."""
+    """Even-sector ground state: the row of one point."""
     return ground_state_row([params])[0]

@@ -10,8 +10,7 @@ The linear-response route also gives d g_ee / d eps analytically (third-order
 response: a second back-substitution on the factorisation of the first
 solve), whose root locates the pseudo-critical peak of g_ee.
 
-The even sector carries the ground state throughout (exactly in the normal
-phase, by the parity tie-break in the symmetry-broken regime), and both drive
+The ground state is the even sector's (see eigensolver), and both drive
 derivatives conserve parity, so everything stays inside that sector.
 """
 

@@ -385,6 +385,8 @@ def scaling_pipeline(sizes: Sequence[float] = DEFAULT_SIZES,
     sizes = np.asarray(sorted(sizes), dtype=float)
     if len(sizes) < 4:
         raise FitError("the scaling pipeline needs at least 4 sizes")
+    if np.any(np.diff(sizes) == 0):
+        raise FitError(f"the scaling pipeline needs distinct sizes, got {sizes.tolist()}")
 
     warnings: list[str] = []
     peak_eps, peak_results = [], []
@@ -520,6 +522,8 @@ def k0_pipeline(scaling: ScalingReport,
     ncut_list = sorted(int(n) for n in ncut_list)
     if len(ncut_list) < 5:
         raise FitError("the cutoff study needs at least 5 cutoffs")
+    if len(set(ncut_list)) < len(ncut_list):
+        raise FitError(f"the cutoff study needs distinct cutoffs, got {ncut_list}")
 
     points = [qgt_spectral(ModelParams(delta=delta, kerr=0.0, eps=1.0, n_cut=nc))
               for nc in ncut_list]

@@ -292,8 +292,8 @@ def _phase_diagram(config: SweepConfig, out: Path) -> ModeResult:
     # H(eps, phi) = G H(eps, 0) G^dagger for the diagonal gauge unitary
     # G = exp(-i n phi / 2), so the photon distribution of the ground state,
     # hence mean_n, rho and the cutoff gate, is exactly phi-independent: one
-    # row solve at phi = 0 (one stacked solve per parity sector) fills every
-    # phi column of every eps row.
+    # row solve at phi = 0 (one stacked even-sector solve) fills every phi
+    # column of every eps row.
     states = ground_state_row([ModelParams.from_size(config.size, eps, n_cut=config.n_cut,
                                                      delta=config.delta)
                                for eps in eps_grid])

@@ -9,6 +9,9 @@ decomposition, never from the kernels it checks:
 * full_spectrum is the whole spectrum of a parity block over a row of one
   point (LAPACK dstev) under the package's residual and orthogonality
   bounds, in the package's Spectrum layout; a NaN fails every gate;
+* two_sector_race races the minima of both parity sectors' full spectra,
+  with near-degenerate minima resolved to even in the exact unit
+  max(1, ||T||_2);
 * gauge_phases, lift and fock_vector put sector vectors on the full Fock
   basis at any phi; mean_photon and photon_variance read <n> and Var(n) off
   a normalized Fock-basis state;
@@ -48,6 +51,7 @@ from kerrqgt.qgt import GAP_FLOOR, QGTResult
 
 
 NORM_TOLERANCE = 1e-10
+DEGENERACY_TOLERANCE = 1e-12
 
 
 def _ladder(dim: int):
@@ -155,6 +159,26 @@ def full_spectrum(block) -> Spectrum:
     return Spectrum(eigenvalues=lam[None], eigenvectors=vec[None],
                     max_residual=max_residual, max_orthogonality_defect=max_defect,
                     scale=np.array([scale]), residual_unit=np.array([scale]))
+
+
+def two_sector_race(params):
+    """The lower of the two parity sectors' ground states, on full spectra.
+
+    Returns (parity, sectors, scale): sectors maps "even" and "odd" to
+    (block, full_spectrum(block)), and scale is the exact unit
+    max(1, ||T||_2) of the larger block.  The odd sector wins only if its
+    minimum lies below the even one by more than DEGENERACY_TOLERANCE x
+    scale, so near-degenerate minima (the generic situation deep in the
+    symmetry-broken regime) resolve to even.
+    """
+    sectors = {}
+    for parity in ("even", "odd"):
+        block = sector_block([params], parity)
+        sectors[parity] = block, full_spectrum(block)
+    (_, even), (_, odd) = sectors["even"], sectors["odd"]
+    scale = max(even.scale[0], odd.scale[0])
+    wins = odd.eigenvalues[0, 0] < even.eigenvalues[0, 0] - DEGENERACY_TOLERANCE * scale
+    return ("odd" if wins else "even"), sectors, scale
 
 
 def qgt_sum_over_states(params) -> QGTResult:

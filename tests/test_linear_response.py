@@ -14,8 +14,14 @@ from kerrqgt import (
     qgt_spectral,
     sector_block,
 )
-from kerrqgt.eigensolver import DEGENERACY_TOLERANCE
-from reference import fock_vector, full_spectrum, lift, qgt_sum_over_states
+from reference import (
+    DEGENERACY_TOLERANCE,
+    fock_vector,
+    full_spectrum,
+    lift,
+    qgt_sum_over_states,
+    two_sector_race,
+)
 
 RELATIVE = 1e-9
 
@@ -56,27 +62,14 @@ def test_linear_response_matches_sum_over_states(p):
         assert oracle.g_pp == 0.0 and oracle.f_ep == 0.0
 
 
-def _exact_parity(e0, o0, scale):
-    """ground_state's tie-break rule in a given unit."""
-    return "odd" if o0 < e0 - DEGENERACY_TOLERANCE * scale else "even"
-
-
-def _full_ground_state(p):
-    """ground_state's selection rule on the full spectra of both sectors."""
-    even, odd = sector_block([p], "even"), sector_block([p], "odd")
-    spec_e, spec_o = full_spectrum(even), full_spectrum(odd)
-    scale = max(spec_e.scale[0], spec_o.scale[0])
-    parity = _exact_parity(spec_e.eigenvalues[0, 0], spec_o.eigenvalues[0, 0], scale)
-    spec, block = (spec_o, odd) if parity == "odd" else (spec_e, even)
-    return parity, spec, lift(spec.eigenvectors[0, :, 0], block.index_map, p), scale
-
-
 @pytest.mark.parametrize("p", GRID, ids=_label)
 def test_ground_state_matches_full_spectrum(p):
     p = p.replace(phi=0.7)
     gs = ground_state(p)
-    parity, spec, vector, scale = _full_ground_state(p)
-    assert gs.parity == parity
+    parity, sectors, scale = two_sector_race(p)
+    assert parity == "even"
+    block, spec = sectors["even"]
+    vector = lift(spec.eigenvectors[0, :, 0], block.index_map, p)
     assert abs(gs.energy - spec.eigenvalues[0, 0]) <= 1e-12 * scale
     assert _close(gs.gap, spec.eigenvalues[0, 1] - spec.eigenvalues[0, 0])
     assert abs(abs(np.vdot(vector, fock_vector(gs))) - 1.0) <= 1e-12
@@ -92,7 +85,7 @@ def test_ground_state_matches_full_spectrum(p):
 ], ids=_label)
 def test_kernel_tail_weight_matches_ground_state(p):
     tensor, gs = qgt_spectral(p), ground_state(p)
-    assert gs.parity == "even"
+    assert np.array_equal(gs.levels, np.arange(0, p.n_cut + 1, 2))
     assert tensor.tail_weight == pytest.approx(gs.tail_weight, rel=1e-14, abs=0.0)
     assert tensor.cutoff_warning == gs.cutoff_warning
 
@@ -100,7 +93,7 @@ def test_kernel_tail_weight_matches_ground_state(p):
 def _bracket_holds(low, norm):
     """Neither gate is looser than in the exact unit max(1, ||T||_2) = norm:
     residuals are measured against a unit no larger, the gap floor and the
-    tie-break against one no smaller (and at most 6% larger)."""
+    reference's tie-break against one no smaller (and at most 6% larger)."""
     return low.residual_unit[0] <= norm <= low.scale[0] <= 1.06 * norm
 
 
@@ -139,18 +132,25 @@ def test_spectrum_units_bracket_the_block_norm(L, n_cut):
             assert _bracket_holds(low, _exact_norm(block)), (L, eps, n_cut, block.parity)
 
 
-def test_tie_break_matches_exact_unit_on_phase_diagram_grid():
-    # The default phase-diagram grid (L 2000, eps 0:1.5:31, n_cut 800); above
-    # the transition the sector minima are degenerate, so the rule decides.
-    decided = 0
-    for eps in np.linspace(0.0, 1.5, 31):
-        p = ModelParams.from_size(2000, float(eps), n_cut=800)
-        gs = ground_state(p)
-        e0, o0 = gs.sector_energies
-        scale = max(_exact_norm(sector_block([p], parity)) for parity in ("even", "odd"))
-        assert gs.parity == _exact_parity(e0, o0, scale), eps
-        decided += abs(e0 - o0) <= DEGENERACY_TOLERANCE * scale
-    assert decided > 0
+def test_even_minimum_is_lowest_in_exact_unit():
+    # The two-sector race on GRID, the default phase-diagram grid (L 2000,
+    # eps 0:1.5:31, n_cut 800) and the bench one (L 800, eps 0:1.5:31,
+    # n_cut 360): the odd minimum never lies below the even one.  Above the
+    # transition the sector minima are degenerate, so the tie-break decides.
+    eps_grid = np.linspace(0.0, 1.5, 31)
+    grids = {"GRID": GRID,
+             "default": [ModelParams.from_size(2000, float(e), n_cut=800) for e in eps_grid],
+             "bench": [ModelParams.from_size(800, float(e), n_cut=360) for e in eps_grid]}
+    decided = dict.fromkeys(grids, 0)
+    for name, points in grids.items():
+        for p in points:
+            parity, sectors, scale = two_sector_race(p)
+            assert parity == "even", (name, _label(p))
+            assert scale == pytest.approx(
+                max(_exact_norm(block) for block, _ in sectors.values()), rel=1e-12)
+            e0, o0 = (spec.eigenvalues[0, 0] for _, spec in sectors.values())
+            decided[name] += abs(e0 - o0) <= DEGENERACY_TOLERANCE * scale
+    assert decided["default"] > 0
 
 
 def test_gap_floor_raises_named_error(monkeypatch):

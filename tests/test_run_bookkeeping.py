@@ -12,6 +12,7 @@ import pytest
 import scipy.linalg
 
 import kerrqgt.qgt
+import kerrqgt.scaling
 import kerrqgt.sweep as sweep
 from kerrqgt import ModelParams, sector_block
 from kerrqgt._fd import stencil_eps
@@ -331,6 +332,38 @@ def test_k0_reuses_report_for_unsorted_sizes(tmp_path, k0_spies):
                     **{**K0_BASE, "sizes": K0_BASE["sizes"][::-1]}))
     assert k0_spies["scaling"] == ["on disk"]
     assert k0_spies["rebuilt"] == []
+
+
+@pytest.fixture
+def no_eigensolve(monkeypatch):
+    """Fail the test at the first tridiagonal eigensolve."""
+    def solve(*args, **kwargs):
+        raise AssertionError("a tridiagonal eigensolve was made")
+
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", solve)
+
+
+def test_repeated_sizes_fail_before_any_solve(tmp_path, capsys, no_eigensolve):
+    out = tmp_path / "out"
+    assert main(["scaling", "--out", str(out), "--L-list", "40,40,50,60,70",
+                 "--ncut", "200", "--bracket", "1.05:1.45", "--eps-window", "1.05:1.40",
+                 "--eps-step", "0.01"]) == 2
+    assert capsys.readouterr().err == (
+        "kerrqgt scaling: error: the scaling pipeline needs distinct sizes, "
+        "got [40.0, 40.0, 50.0, 60.0, 70.0]\n")
+    assert not out.exists()
+
+
+def test_k0_repeated_cutoffs_fail(tmp_path, capsys, monkeypatch, k0_spies, no_eigensolve):
+    # the scaling report on disk is reused; the cutoff study itself is real
+    _write_report(tmp_path)
+    monkeypatch.setattr(sweep, "k0_pipeline", kerrqgt.scaling.k0_pipeline)
+    assert main(["k0", "--out", str(tmp_path), "--L-list", "40,50,60,70,85",
+                 "--ncut", "200", "--bracket", "1.05:1.45", "--ncut-list", "60,60,60,60,60"]) == 2
+    assert capsys.readouterr().err == (
+        "kerrqgt k0: error: the cutoff study needs distinct cutoffs, got [60, 60, 60, 60, 60]\n")
+    assert k0_spies["rebuilt"] == []
+    assert not (tmp_path / sweep.K0_REPORT_NAME).exists()
 
 
 # ---------------------------------------------------------------------------

@@ -101,12 +101,12 @@ def test_phase_diagram_solves_once_per_eps(tmp_path, monkeypatch):
                       size=size, n_cut=n_cut, eps_range=(0.0, 1.2, 7),
                       phi_range=(0.0, 2.0 * np.pi, 5))
     _, rows = read_csv(run(cfg)[0])
-    # one row of points at phi = 0, and one lowest-pair solve per (eps, sector)
+    # one row of points at phi = 0, and one even-sector lowest-pair solve per eps
     assert len(rows_solved) == 1 and all(p.phi == 0.0 for p in rows_solved[0])
     assert [p.eps for p in rows_solved[0]] == list(eps_grid)
-    expected = [sector_block([ModelParams.from_size(size, eps, n_cut=n_cut)], parity)
-                for parity in ("even", "odd") for eps in eps_grid]
-    assert len(pairs) == len(expected) == 14
+    expected = [sector_block([ModelParams.from_size(size, eps, n_cut=n_cut)], "even")
+                for eps in eps_grid]
+    assert len(pairs) == len(expected) == 7
     for (size_solved, off, select), block in zip(pairs, expected):
         assert size_solved == block.size and select == "i"
         assert np.array_equal(off, block.offdiag[0])
@@ -139,6 +139,27 @@ def test_phase_diagram_cutoff_check_raises_cutoff_error(tmp_path):
     with pytest.raises(CutoffError, match=r"eps=1.5, phi=1: need n_cut >= 700, got 100"):
         run(cfg)
     assert not list(tmp_path.glob("manifest_*"))
+
+
+def test_phase_diagram_agrees_with_qgt_sweep(tmp_path):
+    # Both read <n> and the cutoff flag off the same even-sector ground state,
+    # also at the flagged points of a grid the cutoff pre-check accepts.
+    grid = ["--eps", "0:1.5:41", "--ncut", "149"]
+    assert main(["phase-diagram", "--out", str(tmp_path / "pd"), "--L", "300",
+                 "--phi", "0:0:1", *grid]) == 0
+    assert main(["qgt", "--out", str(tmp_path / "qgt"), "--L-list", "300", "--phi", "0",
+                 *grid]) == 0
+
+    def by_point(path):
+        header, rows = read_csv(path)
+        size, eps, mean_n, warn = (header.index(c) for c in ("L", "eps", "mean_n", "warn"))
+        return {(r[size], r[eps]): (r[mean_n], r[warn]) for r in rows}
+
+    pd = by_point(tmp_path / "pd" / "phase_diagram.csv")
+    qgt = by_point(tmp_path / "qgt" / "qgt.csv")
+    assert len(pd) == len(qgt) == 41 and pd.keys() == qgt.keys()
+    assert any(warn for _, warn in pd.values())
+    assert pd == qgt
 
 
 def test_qgt_sweep_rows_and_methods(tmp_path):
