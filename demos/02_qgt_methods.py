@@ -1,8 +1,9 @@
-"""Three routes to the same geometric tensor, plus the analytic limit.
+"""Three routes to the same geometric tensor, plus the analytic limits.
 
 The linear-response kernel, the overlap metric, and the plaquette curvature are
-independent computations; below the transition they must also approach the
-closed-form squeezed-vacuum values as the effective size grows.
+independent computations; as the effective size grows they must also approach
+the closed forms: the squeezed-vacuum limit below the transition, and the
+leading order in L above it.
 """
 
 import numpy as np
@@ -12,6 +13,7 @@ from kerrqgt import (
     normal_phase_qgt_limit,
     qgt_fd,
     qgt_spectral,
+    superradiant_qgt_limit,
 )
 
 point = ModelParams.from_size(300, 0.85, phi=0.6, n_cut=600)
@@ -28,14 +30,30 @@ rows = [
 for name, a, b in rows:
     print(f"{name:14}{a:14.8f}{b:14.8f}{abs(b / a - 1):12.2e}")
 
-print("\nconvergence to the squeezed-vacuum limit at eps = 0.6:")
-limit = normal_phase_qgt_limit(0.6)
-print(f"  limit: g_ee = {limit[0, 0].real:.6f}, g_pp = {limit[1, 1].real:.6f}, "
-      f"F = {-2 * limit[0, 1].imag:.6f}")
-for L in (250, 500, 1000, 2000):
-    r = qgt_spectral(ModelParams.from_size(L, 0.6, n_cut=400))
-    print(f"  L = {L:5d}: g_ee = {r.g_ee:.6f}  "
-          f"(dev {100 * (r.g_ee / limit[0, 0].real - 1):+.2f}%)")
+
+def components(q):
+    return q[0, 0].real, q[1, 1].real, -2 * q[0, 1].imag
+
+
+print("\nconvergence to the closed-form limits (deviation of qgt_spectral):")
+for eps in (0.6, 1.5):
+    if eps < 1:
+        limit = normal_phase_qgt_limit(eps)
+        print(f"  eps = {eps}, squeezed vacuum: g_ee = {limit[0, 0].real:.6f}, "
+              f"g_pp = {limit[1, 1].real:.6f}, F = {-2 * limit[0, 1].imag:.6f}")
+    else:
+        unit = superradiant_qgt_limit(eps, 1.0)
+        print(f"  eps = {eps}, leading order in L: g_ee = {unit[0, 0].real:.6f} L, "
+              f"g_pp = {unit[1, 1].real:.6f} L, F = {-2 * unit[0, 1].imag:.6f} L")
+    for L in (250, 500, 1000, 2000):
+        if eps < 1:
+            n_cut = 400
+        else:
+            limit = superradiant_qgt_limit(eps, L)
+            n_cut = int(L * (eps - 1) / 2 * 1.3 + 400)
+        r = qgt_spectral(ModelParams.from_size(L, eps, n_cut=n_cut))
+        devs = [100 * (a / b - 1) for a, b in zip((r.g_ee, r.g_pp, r.f_ep), components(limit))]
+        print(f"    L = {L:5d}: g_ee {devs[0]:+.3f}%  g_pp {devs[1]:+.3f}%  F {devs[2]:+.3f}%")
 
 print("\nthe tensor does not care about the drive phase:")
 base = ModelParams.from_size(300, 0.85, n_cut=600)

@@ -25,7 +25,6 @@ from .model import (
     TridiagonalBlock,
     pair_coupling,
     sector_block,
-    tail_weight,
 )
 from .eigensolver import (
     GroundState,
@@ -37,12 +36,10 @@ from .eigensolver import (
 from .oracle import (
     NormalPhaseSolution,
     SuperradiantSolution,
-    displaced_squeezed_cat,
-    displaced_squeezed_fock,
     normal_phase,
     normal_phase_qgt_limit,
-    squeezed_vacuum_fock,
     superradiant_phase,
+    superradiant_qgt_limit,
 )
 from .qgt import (
     QGTResult,
@@ -73,12 +70,11 @@ from .scaling import (
 
 __all__ = [
     "__version__",
-    "ModelParams", "TridiagonalBlock", "pair_coupling", "sector_block", "tail_weight",
+    "ModelParams", "TridiagonalBlock", "pair_coupling", "sector_block",
     "GroundState", "Spectrum", "eig_tridiagonal",
     "ground_state", "ground_state_row",
-    "NormalPhaseSolution", "SuperradiantSolution", "displaced_squeezed_cat",
-    "displaced_squeezed_fock", "normal_phase", "normal_phase_qgt_limit",
-    "squeezed_vacuum_fock", "superradiant_phase",
+    "NormalPhaseSolution", "SuperradiantSolution", "normal_phase",
+    "normal_phase_qgt_limit", "superradiant_phase", "superradiant_qgt_limit",
     "QGTResult", "g_ee_slope", "qgt_fd", "qgt_fd_row",
     "qgt_spectral", "qgt_spectral_row",
     "CollapseOptimum", "CurveFamily", "K0Report", "PowerLawFit", "ScalingReport",

@@ -1,4 +1,4 @@
-"""Lowest eigenpairs of the parity blocks and ground-state extraction.
+"""Lowest eigenpairs of the even block and ground-state extraction.
 
 Ground-state work needs only the lowest pair of a block: one bisection plus
 inverse iteration (dstebz/dstein via scipy.linalg.eigh_tridiagonal with
@@ -96,7 +96,7 @@ def _certify(ok: np.ndarray, block: TridiagonalBlock, message,
     False; message(m) describes the failure.  A NaN value fails its certificate."""
     if not ok.all():
         m = int(np.argmin(ok))
-        raise error(f"{block.parity} block of size {block.size}, row {m}: {message(m)}")
+        raise error(f"even block of size {block.size}, row {m}: {message(m)}")
 
 
 def _tridiagonal_multiply(diag, off, vectors):
@@ -125,7 +125,7 @@ def eig_tridiagonal(block: TridiagonalBlock) -> Spectrum:
                 block.diag, off, select="i", select_range=(0, 1))
         except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure path
             raise EigenConvergenceError(
-                f"tridiagonal eigensolve failed on {block.parity} block of size "
+                f"tridiagonal eigensolve failed on even block of size "
                 f"{block.size}, row {m}: {exc}") from exc
         vec[m] = pair.T
 
@@ -169,7 +169,7 @@ def _photon_moments(block: TridiagonalBlock, u0: np.ndarray, n_cut: int):
 def ground_state_row(points) -> list[GroundState]:
     """Ground states of a row of points that share delta, kerr and n_cut: one
     stacked even-sector solve over the row's eps."""
-    block = sector_block(points, "even")
+    block = sector_block(points)
     spec = eig_tridiagonal(block)
     lam, u0 = spec.eigenvalues, spec.eigenvectors[..., 0]
     mean_n, tail, cutoff = _photon_moments(block, u0, points[0].n_cut)

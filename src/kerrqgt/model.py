@@ -9,14 +9,13 @@ couples Fock levels n and n+2, so the matrix is pentadiagonal with an empty
 first off-diagonal and splits into even/odd parity blocks.  A diagonal gauge
 rotation with phases e^{i n phi / 2} removes the drive phase, leaving real
 symmetric tridiagonal blocks whose off-diagonal entries are non-positive.
-sector_block builds a sector for a row of M points that share delta, kerr and
-n_cut (one point is a row of one): one diagonal under an (M, N-1) stack of
-off-diagonals, one per eps.
+sector_block builds the even block, the ground state's (see eigensolver) and
+the only one the package needs, for a row of M points that share delta, kerr
+and n_cut (a point is a row of one): one diagonal under (M, N-1) off-diagonals.
 
 The phase only relabels states, so the package never forms a complex
 full-Fock vector: a ground state is a real sector vector on its Fock levels
-(eigensolver.GroundState), and <n>, Var(n) and the tail weight are read off
-it.  tail_weight serves the Fock-basis states of the closed-form oracles.
+(eigensolver.GroundState); <n>, Var(n) and the tail weight are read off it.
 """
 
 from __future__ import annotations
@@ -94,30 +93,27 @@ def pair_coupling(n):
 
 @dataclass(frozen=True)
 class TridiagonalBlock:
-    """One parity sector after the gauge rotation, over a row of M points:
+    """A parity sector after the gauge rotation, over a row of M points:
     M real symmetric tridiagonal blocks that share the eps-independent diagonal.
 
-    index_map[m] is the Fock level represented by sector index m (2m for the
-    even block, 2m+1 for the odd one).  offdiag has shape (M, size - 1), one
-    row per point; its entries are <= 0 for eps > 0.
+    index_map[m] is the Fock level represented by sector index m (2m in the
+    even sector that sector_block builds).  offdiag has shape (M, size - 1),
+    one row per point; its entries are <= 0 for eps > 0.
     """
 
-    parity: str
     size: int
     diag: np.ndarray
     offdiag: np.ndarray
     index_map: np.ndarray
 
     def __post_init__(self):
-        if self.parity not in ("even", "odd"):
-            raise ValueError(f"parity must be 'even' or 'odd', got {self.parity}")
         if (self.diag.shape != (self.size,) or self.offdiag.ndim != 2
                 or self.offdiag.shape[1] != self.size - 1):
             raise ValueError(f"inconsistent block shapes {self.diag.shape}, {self.offdiag.shape}")
 
 
-def sector_block(points, parity: str) -> TridiagonalBlock:
-    """One gauge-rotated parity sector over a row of points.
+def sector_block(points) -> TridiagonalBlock:
+    """The gauge-rotated even sector over a row of points.
 
     The points must share delta, kerr and n_cut; they may differ in eps and
     phi only, and anything else raises ValueError.  The block is independent
@@ -133,13 +129,8 @@ def sector_block(points, parity: str) -> TridiagonalBlock:
             raise ValueError(f"row points differ in more than eps and phi: {first} "
                              f"and {p}")
     eps = np.array([p.eps for p in points], dtype=float)
-    levels = np.arange(0 if parity == "even" else 1, first.n_cut + 1, 2, dtype=float)
+    levels = np.arange(0, first.n_cut + 1, 2, dtype=float)
     diag = first.kerr * levels * (levels - 1.0) + first.delta * levels
     off = -(first.delta * eps[:, None] / 2.0) * pair_coupling(levels[:-1])
-    return TridiagonalBlock(parity=parity, size=len(levels), diag=diag, offdiag=off,
+    return TridiagonalBlock(size=len(levels), diag=diag, offdiag=off,
                             index_map=levels.astype(int))
-
-
-def tail_weight(state: np.ndarray, n_last: int = TAIL_LEVELS) -> float:
-    """Probability weight on the highest n_last retained levels."""
-    return float(np.sum(np.abs(np.asarray(state)[-n_last:]) ** 2))

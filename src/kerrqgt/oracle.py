@@ -2,11 +2,9 @@
 
 Below the transition (eps < 1) the ground state is a squeezed vacuum; above
 it (eps > 1) there are two degenerate displaced-squeezed states related by
-parity.  These families, realized on the truncated Fock basis, serve as
-independent oracles for the numerical pipeline: state fidelities, excitation
-gaps, and the large-size limit of the geometric tensor are all checked
-against them.  scipy.sparse is imported inside displaced_squeezed_fock, the
-only user, so that importing the package does not load it.
+parity.  Their parameters, excitation energies and the large-size limits of
+the geometric tensor are closed forms, and serve as independent oracles for
+the numerical pipeline.
 """
 
 from __future__ import annotations
@@ -14,13 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from ._fd import curvature_fd, metric_fd
-from .errors import CutoffError
-from .model import tail_weight, TAIL_TOLERANCE
-
-MAX_SQUEEZING = 5.0
-DISPLACEMENT_HEADROOM = 1.5
 
 
 @dataclass(frozen=True)
@@ -78,99 +69,37 @@ def superradiant_phase(delta: float, eps: float, phi: float = 0.0,
                                 branch=branch)
 
 
-def squeezed_vacuum_fock(r: complex, n_cut: int) -> np.ndarray:
-    """Fock amplitudes of the squeezed vacuum S(r)|0>.
-
-    Even levels only; consecutive even amplitudes follow the two-term
-    recurrence c_{2m+2} = -(r/|r|) tanh|r| sqrt((2m+1)/(2m+2)) c_{2m}.
-    """
-    if abs(r) >= MAX_SQUEEZING:
-        raise ValueError(f"|r| = {abs(r):.2f} exceeds the supported range {MAX_SQUEEZING}")
-    amps = np.zeros(n_cut + 1, dtype=complex)
-    amps[0] = 1.0
-    if abs(r) > 0:
-        ratio = -(r / abs(r)) * np.tanh(abs(r))
-        m = np.arange(0, (n_cut - 2) // 2 + 1)
-        steps = ratio * np.sqrt((2 * m + 1.0) / (2 * m + 2.0))
-        amps[2 * m + 2] = np.cumprod(steps)
-    amps /= np.linalg.norm(amps)
-    if tail_weight(amps) > TAIL_TOLERANCE:
-        raise CutoffError(
-            f"squeezed vacuum with |r| = {abs(r):.3f} does not fit below n_cut = {n_cut}")
-    return amps
+def _tensor(g_ee: float, g_pp: float, f_ep: float) -> np.ndarray:
+    """2x2 tensor over (eps, phi): metric diag(g_ee, g_pp), curvature f_ep."""
+    return np.array([[g_ee + 0.0j, -0.5j * f_ep], [0.5j * f_ep, g_pp + 0.0j]])
 
 
-def displaced_squeezed_fock(alpha: complex, r: complex, n_cut: int) -> np.ndarray:
-    """Fock amplitudes of D(alpha) S(r)|0>.
-
-    The squeezing recurrence runs at 1.5x the requested cutoff and the
-    displacement is applied there as the matrix exponential of the truncated
-    generator alpha adag - conj(alpha) a, then the result is cut back and
-    renormalized.  Accuracy is certified by the tail-weight gate.
-    """
-    inner_dim = int(np.ceil(DISPLACEMENT_HEADROOM * (n_cut + 1)))
-    base = squeezed_vacuum_fock(r, inner_dim - 1)
-    if alpha != 0:
-        from scipy.sparse import diags
-        from scipy.sparse.linalg import expm_multiply
-        k = np.arange(1, inner_dim, dtype=float)
-        generator = diags(
-            [alpha * np.sqrt(k), -np.conj(alpha) * np.sqrt(k)], [-1, 1], format="csc")
-        base = expm_multiply(generator, base)
-    out = base[: n_cut + 1]
-    if tail_weight(base) > TAIL_TOLERANCE or tail_weight(out) > TAIL_TOLERANCE:
-        raise CutoffError(
-            f"displaced-squeezed state with |alpha|^2 = {abs(alpha)**2:.1f} does not "
-            f"fit below n_cut = {n_cut}")
-    return out / np.linalg.norm(out)
-
-
-def displaced_squeezed_cat(alpha: complex, r: complex, n_cut: int,
-                           parity: str = "even") -> np.ndarray:
-    """Normalized parity eigenstate built from the two degenerate branches."""
-    plus = displaced_squeezed_fock(alpha, r, n_cut)
-    minus = displaced_squeezed_fock(-alpha, r, n_cut)
-    combo = plus + minus if parity == "even" else plus - minus
-    norm = np.linalg.norm(combo)
-    if norm == 0:
-        raise ValueError("cat combination vanished; branches coincide")
-    return combo / norm
-
-
-def _auto_cutoff(eps: float, margin_eps: float = 2e-4) -> int:
-    """Cutoff that keeps the squeezed-vacuum tail below the gate at eps + margin."""
-    eps_max = min(eps + margin_eps, 1.0 - 1e-12)
-    r = 0.25 * np.log((1.0 + eps_max) / (1.0 - eps_max))
-    t = np.tanh(r)
-    if t <= 0:
-        return 64
-    pairs = int(np.ceil(-16.0 * np.log(10.0) / (2.0 * np.log(t)))) + 8
-    return max(64, 2 * pairs + 16)
-
-
-def normal_phase_qgt_limit(eps: float, phi: float = 0.0, *, n_cut: int | None = None,
-                           step_eps: float = 1e-4, step_phi: float = 1e-3) -> np.ndarray:
+def normal_phase_qgt_limit(eps: float) -> np.ndarray:
     """Large-size limit of the geometric tensor on the squeezed-vacuum family.
 
-    Computed by gauge-invariant finite differences directly on the analytic
-    states, independently of the diagonalization pipeline.  Returns the 2x2
-    complex tensor over ordered coordinates (eps, phi).
+    The squeezed vacuum with r = (1/4) ln((1-eps)/(1+eps)) e^{-i phi} has
+    g_ee = 1/(8(1-eps^2)^2), g_pp = eps^2/(8(1-eps^2)), g_ep = 0 and
+    F_ep = eps/(4(1-eps^2)^{3/2}) (Provost & Vallee, Commun. Math. Phys. 76,
+    289 (1980)); none depends on phi.  Returns the 2x2 complex tensor over
+    ordered coordinates (eps, phi).
     """
     if not 0.0 <= eps < 1.0:
         raise ValueError(f"normal-phase limit requires 0 <= eps < 1, got {eps}")
-    if n_cut is None:
-        n_cut = _auto_cutoff(eps, margin_eps=max(step_eps, 2e-4))
+    gap2 = 1.0 - eps**2
+    return _tensor(1.0 / (8.0 * gap2**2), eps**2 / (8.0 * gap2),
+                   eps / (4.0 * gap2**1.5))
 
-    def state(e, p):
-        r = 0.25 * np.log((1.0 - e) / (1.0 + e)) * np.exp(-1j * p)
-        return squeezed_vacuum_fock(r, n_cut)
 
-    g = metric_fd(state, eps, phi, step_eps, step_phi)
-    if eps == 0.0:
-        curvature = 0.0
-    else:
-        curvature = curvature_fd(state, eps, phi, step_eps, step_phi)
-    return np.array([
-        [g[0, 0] + 0.0j, g[0, 1] - 0.5j * curvature],
-        [g[0, 1] + 0.5j * curvature, g[1, 1] + 0.0j],
-    ])
+def superradiant_qgt_limit(eps: float, size: float) -> np.ndarray:
+    """Leading order in L of the geometric tensor above the transition.
+
+    g_ee = L/(8 sqrt(eps(eps-1))), g_pp = L sqrt(eps(eps-1))/8, g_ep = 0 and
+    F_ep = L/4, which is d<n>/deps = 2 F_ep on <n> = L(eps-1)/2; the relative
+    corrections are O(1/L).  Same layout as normal_phase_qgt_limit.
+    """
+    if eps <= 1.0:
+        raise ValueError(f"superradiant limit requires eps > 1, got {eps}")
+    if size <= 0:
+        raise ValueError(f"size must be positive, got {size}")
+    root = np.sqrt(eps * (eps - 1.0))
+    return _tensor(size / (8.0 * root), size * root / 8.0, size / 4.0)

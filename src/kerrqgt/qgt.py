@@ -153,7 +153,7 @@ def _response(points, powers: int):
     eps), dE0 = u0.C u0 (Hellmann-Feynman) and the Sternheimer solutions
     [y, R y, ...] for y = R (C u0 - dE0 u0), each (M, N).
     """
-    block = sector_block(points, "even")
+    block = sector_block(points)
     spec = eig_tridiagonal(block)
     lam, u0 = spec.eigenvalues, spec.eigenvectors[..., 0]
     e0, gap = lam[:, 0], lam[:, 1] - lam[:, 0]
@@ -236,7 +236,7 @@ def _even_ground_family(params: ModelParams, eps_values):
     the gauge phases of each phi.
     """
     keys = sorted({float(eps) for eps in eps_values})
-    spec = eig_tridiagonal(sector_block([params.replace(eps=eps) for eps in keys], "even"))
+    spec = eig_tridiagonal(sector_block([params.replace(eps=eps) for eps in keys]))
     vectors = dict(zip(keys, spec.eigenvectors[..., 0]))
     levels = np.arange(0, params.n_cut + 1, 2)
     phases: dict[float, np.ndarray] = {}

@@ -281,6 +281,9 @@ def _phase_diagram(config: SweepConfig, out: Path) -> ModeResult:
     eps_grid = np.linspace(*config.eps_range[:2], int(config.eps_range[2]))
     phi_grid = np.linspace(*config.phi_range[:2], int(config.phi_range[2]))
     eps_max = float(np.max(eps_grid))
+    # A screen that rejects hopeless grids (1.3 x the condensate's <n> ~
+    # L(eps - 1)/2, plus 50 levels), not a guarantee: it can pass a grid whose
+    # top rows come out flagged.  The per-row tail-weight gate is the certificate.
     if eps_max > 1.0:
         required = int(np.ceil(config.size * (eps_max - 1.0) / 2.0 * 1.3 + 50))
         if config.n_cut < required:

@@ -6,12 +6,15 @@ decomposition, never from the kernels it checks:
 * dense_hamiltonian and dense_drive_derivatives assemble the complex
   full-Fock matrices at any phi from ladder operators;
 * dense_eigenvalues diagonalizes the dense matrix;
+* odd_block is the odd parity sector of one point, read off the same
+  ladder-operator Hamiltonian with the gauge phases undone (the package
+  builds only the even sector);
 * full_spectrum is the whole spectrum of a parity block over a row of one
   point (LAPACK dstev) under the package's residual and orthogonality
   bounds, in the package's Spectrum layout; a NaN fails every gate;
-* two_sector_race races the minima of both parity sectors' full spectra,
-  with near-degenerate minima resolved to even in the exact unit
-  max(1, ||T||_2);
+* two_sector_race races the minima of both parity sectors' whole spectra
+  (dstev, values only), with near-degenerate minima resolved to even in the
+  exact unit max(1, ||T||_2);
 * gauge_phases, lift and fock_vector put sector vectors on the full Fock
   basis at any phi; mean_photon and photon_variance read <n> and Var(n) off
   a normalized Fock-basis state;
@@ -24,13 +27,21 @@ decomposition, never from the kernels it checks:
   it concatenates and re-sorts the other curves' points for every curve and
   masks the points inside their range;
 * lazy_even_ground_family is the fd state family solved one eps at a time,
-  on first request, as a row of one.
+  on first request, as a row of one;
+* squeezed_vacuum_fock, displaced_squeezed_fock and displaced_squeezed_cat
+  are the closed-form phases' states on the Fock basis (the displacement by
+  scipy.sparse expm_multiply), gated by tail_weight, and
+  squeezed_vacuum_qgt_fd is the geometric tensor of the squeezed-vacuum
+  family by finite differences on those states: the slow path behind the
+  package's closed-form normal_phase_qgt_limit.
 
 From the package it takes only data containers, the block builder
-sector_block, the gate constants and the error classes, and for
-lazy_even_ground_family the eigensolver eig_tridiagonal: that path checks
-the stacking and lookup of the package's family, whose vectors it must
-match bit for bit, not the eigensolver.
+sector_block, the gate constants and the error classes; for
+lazy_even_ground_family the eigensolver eig_tridiagonal, because that path
+checks the stacking and lookup of the package's family, whose vectors it
+must match bit for bit, not the eigensolver; and for squeezed_vacuum_qgt_fd
+the overlap stencils metric_fd and curvature_fd, applied to Fock-basis
+states that owe nothing to the eigensolver.
 """
 
 from __future__ import annotations
@@ -38,6 +49,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 import scipy.sparse
+import scipy.sparse.linalg
 
 from kerrqgt.eigensolver import (
     ORTHOGONALITY_BOUND,
@@ -45,13 +57,16 @@ from kerrqgt.eigensolver import (
     Spectrum,
     eig_tridiagonal,
 )
-from kerrqgt.errors import EigenConvergenceError, GapError, WindowError
-from kerrqgt.model import TAIL_LEVELS, TAIL_TOLERANCE, sector_block
+from kerrqgt._fd import curvature_fd, metric_fd
+from kerrqgt.errors import CutoffError, EigenConvergenceError, GapError, WindowError
+from kerrqgt.model import TAIL_LEVELS, TAIL_TOLERANCE, TridiagonalBlock, sector_block
 from kerrqgt.qgt import GAP_FLOOR, QGTResult
 
 
 NORM_TOLERANCE = 1e-10
 DEGENERACY_TOLERANCE = 1e-12
+MAX_SQUEEZING = 5.0
+DISPLACEMENT_HEADROOM = 1.5
 
 
 def _ladder(dim: int):
@@ -60,16 +75,20 @@ def _ladder(dim: int):
     return a, a @ a
 
 
+def _sparse_hamiltonian(params):
+    """dense_hamiltonian as a sparse matrix."""
+    a, a2 = _ladder(params.dim)
+    drive = np.exp(-1j * params.phi) * a2.T
+    return (params.kerr * (a2.T @ a2) + params.delta * (a.T @ a)
+            - (params.delta * params.eps / 2.0) * (drive + drive.conj().T))
+
+
 def dense_hamiltonian(params) -> np.ndarray:
     """H = K a+^2 a^2 + delta a+ a - (delta eps / 2)(e^{-i phi} a+^2 + e^{i phi} a^2).
 
     Exactly Hermitian: the two drive terms are built as conjugate transposes.
     """
-    a, a2 = _ladder(params.dim)
-    drive = np.exp(-1j * params.phi) * a2.T
-    h = (params.kerr * (a2.T @ a2) + params.delta * (a.T @ a)
-         - (params.delta * params.eps / 2.0) * (drive + drive.conj().T))
-    return h.toarray()
+    return _sparse_hamiltonian(params).toarray()
 
 
 def dense_drive_derivatives(params) -> tuple[np.ndarray, np.ndarray]:
@@ -100,6 +119,21 @@ def lift(vectors, levels, params) -> np.ndarray:
     full[levels] = vectors
     phases = gauge_phases(params.dim, params.phi)
     return full * phases.reshape(-1, *[1] * (vectors.ndim - 1))
+
+
+def odd_block(params) -> TridiagonalBlock:
+    """The odd parity sector (Fock levels 1, 3, ...) of a row of one point.
+
+    Read off the ladder-operator Hamiltonian at params.phi as G^dagger H G,
+    G = diag(gauge_phases), which is H(eps, 0): real up to rounding, and its
+    real part is kept.  Nothing is taken from sector_block.
+    """
+    levels = np.arange(1, params.n_cut + 1, 2)
+    undo = scipy.sparse.diags(gauge_phases(params.dim, params.phi).conj())
+    rotated = undo @ _sparse_hamiltonian(params) @ undo.conj()
+    sector = rotated.tocsr()[levels][:, levels].real
+    return TridiagonalBlock(size=len(levels), diag=sector.diagonal(),
+                            offdiag=sector.diagonal(1)[None], index_map=levels)
 
 
 def fock_vector(gs) -> np.ndarray:
@@ -162,22 +196,24 @@ def full_spectrum(block) -> Spectrum:
 
 
 def two_sector_race(params):
-    """The lower of the two parity sectors' ground states, on full spectra.
+    """The lower of the two parity sectors' minima, on their whole spectra.
 
     Returns (parity, sectors, scale): sectors maps "even" and "odd" to
-    (block, full_spectrum(block)), and scale is the exact unit
-    max(1, ||T||_2) of the larger block.  The odd sector wins only if its
-    minimum lies below the even one by more than DEGENERACY_TOLERANCE x
-    scale, so near-degenerate minima (the generic situation deep in the
-    symmetry-broken regime) resolve to even.
+    (block, eigenvalues), every eigenvalue of the block in ascending order
+    (dstev without vectors: QR, independent of the package's bisection), and
+    scale is the exact unit max(1, ||T||_2) of the larger block.  The odd
+    sector wins only if its minimum lies below the even one by more than
+    DEGENERACY_TOLERANCE x scale, so near-degenerate minima (the generic
+    situation deep in the symmetry-broken regime) resolve to even.
     """
-    sectors = {}
-    for parity in ("even", "odd"):
-        block = sector_block([params], parity)
-        sectors[parity] = block, full_spectrum(block)
-    (_, even), (_, odd) = sectors["even"], sectors["odd"]
-    scale = max(even.scale[0], odd.scale[0])
-    wins = odd.eigenvalues[0, 0] < even.eigenvalues[0, 0] - DEGENERACY_TOLERANCE * scale
+    sectors, scale = {}, 1.0
+    for parity, block in (("even", sector_block([params])), ("odd", odd_block(params))):
+        lam = scipy.linalg.eigvalsh_tridiagonal(block.diag, block.offdiag[0],
+                                                lapack_driver="stev")
+        sectors[parity] = block, lam
+        scale = max(scale, abs(float(lam[0])), abs(float(lam[-1])))
+    even, odd = sectors["even"][1][0], sectors["odd"][1][0]
+    wins = odd < even - DEGENERACY_TOLERANCE * scale
     return ("odd" if wins else "even"), sectors, scale
 
 
@@ -188,7 +224,7 @@ def qgt_sum_over_states(params) -> QGTResult:
     basis with the gauge phases of the requested phi; both drive derivatives
     conserve parity, so the odd sector contributes nothing.  O(N^3).
     """
-    even = sector_block([params], "even")
+    even = sector_block([params])
     spec = full_spectrum(even)
     lam, scale = spec.eigenvalues[0], spec.scale[0]
     gap = float(lam[1] - lam[0])
@@ -208,7 +244,7 @@ def qgt_sum_over_states(params) -> QGTResult:
     q_ep = complex(np.sum(np.conj(m_eps[1:]) * m_phi[1:] / de2))
     q = np.array([[q_ee, q_ep], [np.conj(q_ep), q_pp]])
 
-    tail = float(np.sum(np.abs(u0[-TAIL_LEVELS:]) ** 2))
+    tail = tail_weight(u0)
     return QGTResult(q=q, gap=gap, method="sum-over-states", params=params,
                      mean_n=mean_photon(u0), var_n=photon_variance(u0), tail_weight=tail,
                      cutoff_warning=bool(tail > TAIL_TOLERANCE))
@@ -224,7 +260,7 @@ def lazy_even_ground_family(params):
     def state(eps, phi):
         key = float(eps)
         if key not in vectors:
-            block = sector_block([params.replace(eps=key)], "even")
+            block = sector_block([params.replace(eps=key)])
             vectors[key] = eig_tridiagonal(block).eigenvectors[0, :, 0]
         if phi not in phases:
             phases[phi] = np.exp(-0.5j * levels * phi)
@@ -241,7 +277,7 @@ def fidelity_susceptibility(params, step_eps: float = 1e-4) -> float:
     steps h and h/2.
     """
     def ground(eps):
-        block = sector_block([params.replace(eps=eps)], "even")
+        block = sector_block([params.replace(eps=eps)])
         return full_spectrum(block).eigenvectors[0, :, 0]
 
     u0 = ground(params.eps)
@@ -281,3 +317,103 @@ def collapse_objective(family, delta_jk: float, nu: float, eps_c_star: float) ->
     if scale == 0.0:
         raise WindowError("rescaled family is identically zero")
     return (total / count) / scale
+
+
+def tail_weight(state: np.ndarray, n_last: int = TAIL_LEVELS) -> float:
+    """Probability weight on the highest n_last retained levels."""
+    return float(np.sum(np.abs(np.asarray(state)[-n_last:]) ** 2))
+
+
+def squeezed_vacuum_fock(r: complex, n_cut: int) -> np.ndarray:
+    """Fock amplitudes of the squeezed vacuum S(r)|0>.
+
+    Even levels only; consecutive even amplitudes follow the two-term
+    recurrence c_{2m+2} = -(r/|r|) tanh|r| sqrt((2m+1)/(2m+2)) c_{2m}.
+    """
+    if abs(r) >= MAX_SQUEEZING:
+        raise ValueError(f"|r| = {abs(r):.2f} exceeds the supported range {MAX_SQUEEZING}")
+    amps = np.zeros(n_cut + 1, dtype=complex)
+    amps[0] = 1.0
+    if abs(r) > 0:
+        ratio = -(r / abs(r)) * np.tanh(abs(r))
+        m = np.arange(0, (n_cut - 2) // 2 + 1)
+        steps = ratio * np.sqrt((2 * m + 1.0) / (2 * m + 2.0))
+        amps[2 * m + 2] = np.cumprod(steps)
+    amps /= np.linalg.norm(amps)
+    if tail_weight(amps) > TAIL_TOLERANCE:
+        raise CutoffError(
+            f"squeezed vacuum with |r| = {abs(r):.3f} does not fit below n_cut = {n_cut}")
+    return amps
+
+
+def displaced_squeezed_fock(alpha: complex, r: complex, n_cut: int) -> np.ndarray:
+    """Fock amplitudes of D(alpha) S(r)|0>.
+
+    The squeezing recurrence runs at 1.5x the requested cutoff and the
+    displacement is applied there as the matrix exponential of the truncated
+    generator alpha adag - conj(alpha) a, then the result is cut back and
+    renormalized.  Accuracy is certified by the tail-weight gate.
+    """
+    inner_dim = int(np.ceil(DISPLACEMENT_HEADROOM * (n_cut + 1)))
+    base = squeezed_vacuum_fock(r, inner_dim - 1)
+    if alpha != 0:
+        k = np.arange(1, inner_dim, dtype=float)
+        generator = scipy.sparse.diags(
+            [alpha * np.sqrt(k), -np.conj(alpha) * np.sqrt(k)], [-1, 1], format="csc")
+        base = scipy.sparse.linalg.expm_multiply(generator, base)
+    out = base[: n_cut + 1]
+    if tail_weight(base) > TAIL_TOLERANCE or tail_weight(out) > TAIL_TOLERANCE:
+        raise CutoffError(
+            f"displaced-squeezed state with |alpha|^2 = {abs(alpha)**2:.1f} does not "
+            f"fit below n_cut = {n_cut}")
+    return out / np.linalg.norm(out)
+
+
+def displaced_squeezed_cat(alpha: complex, r: complex, n_cut: int) -> np.ndarray:
+    """Normalized even cat of the two degenerate branches, the continuation of
+    the even ground state above the transition."""
+    combo = displaced_squeezed_fock(alpha, r, n_cut) + displaced_squeezed_fock(-alpha, r, n_cut)
+    norm = np.linalg.norm(combo)
+    if norm == 0:
+        raise ValueError("cat combination vanished; branches coincide")
+    return combo / norm
+
+
+def _auto_cutoff(eps: float, margin_eps: float = 2e-4) -> int:
+    """Cutoff that keeps the squeezed-vacuum tail below the gate at eps + margin."""
+    eps_max = min(eps + margin_eps, 1.0 - 1e-12)
+    r = 0.25 * np.log((1.0 + eps_max) / (1.0 - eps_max))
+    t = np.tanh(r)
+    if t <= 0:
+        return 64
+    pairs = int(np.ceil(-16.0 * np.log(10.0) / (2.0 * np.log(t)))) + 8
+    return max(64, 2 * pairs + 16)
+
+
+def squeezed_vacuum_qgt_fd(eps: float, phi: float = 0.0, *, n_cut: int | None = None,
+                           step_eps: float = 1e-4, step_phi: float = 1e-3) -> np.ndarray:
+    """Geometric tensor of the squeezed-vacuum family at (eps, phi).
+
+    Computed by gauge-invariant finite differences directly on the Fock-basis
+    states, independently of the diagonalization pipeline.  Returns the 2x2
+    complex tensor over ordered coordinates (eps, phi), in the layout of
+    kerrqgt.normal_phase_qgt_limit.
+    """
+    if not 0.0 <= eps < 1.0:
+        raise ValueError(f"normal-phase limit requires 0 <= eps < 1, got {eps}")
+    if n_cut is None:
+        n_cut = _auto_cutoff(eps, margin_eps=max(step_eps, 2e-4))
+
+    def state(e, p):
+        r = 0.25 * np.log((1.0 - e) / (1.0 + e)) * np.exp(-1j * p)
+        return squeezed_vacuum_fock(r, n_cut)
+
+    g = metric_fd(state, eps, phi, step_eps, step_phi)
+    if eps == 0.0:
+        curvature = 0.0
+    else:
+        curvature = curvature_fd(state, eps, phi, step_eps, step_phi)
+    return np.array([
+        [g[0, 0] + 0.0j, g[0, 1] - 0.5j * curvature],
+        [g[0, 1] + 0.5j * curvature, g[1, 1] + 0.0j],
+    ])

@@ -22,7 +22,7 @@ from kerrqgt import ModelParams, sector_block
 
 def test_eig_tridiagonal_returns_what_the_tracer_reads():
     spec = kerrqgt.eigensolver.eig_tridiagonal(
-        sector_block([ModelParams.from_size(150, 0.9, n_cut=200)], "even"))
+        sector_block([ModelParams.from_size(150, 0.9, n_cut=200)]))
     assert spec.eigenvalues.shape == (1, 2)
     assert 0.0 <= spec.max_residual <= 1e-10 * spec.residual_unit
 

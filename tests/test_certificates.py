@@ -128,7 +128,7 @@ def _nan_gap(monkeypatch):
 REFERENCE_CASES = {
     "eigen-nan": (lambda mp: _alter_call(mp, scipy.linalg, "eigh_tridiagonal", 0,
                                          _nan_component),
-                  lambda p: reference.full_spectrum(sector_block([p], "even")),
+                  lambda p: reference.full_spectrum(sector_block([p])),
                   EigenConvergenceError, "residual nan exceeds bound"),
     "gap-nan": (_nan_gap, reference.qgt_sum_over_states, GapError, "sector gap nan"),
 }

@@ -8,17 +8,16 @@ from kerrqgt import (
     eig_tridiagonal,
     ground_state,
     sector_block,
-    squeezed_vacuum_fock,
 )
 from kerrqgt.model import TridiagonalBlock
 from reference import (dense_eigenvalues, dense_hamiltonian, fock_vector, full_spectrum,
-                       gauge_phases, two_sector_race)
+                       gauge_phases, odd_block, squeezed_vacuum_fock, two_sector_race)
 
 
 def make_block(diag, off):
     diag = np.asarray(diag, dtype=float)
     off = np.asarray(off, dtype=float)[None]
-    return TridiagonalBlock(parity="even", size=len(diag), diag=diag, offdiag=off,
+    return TridiagonalBlock(size=len(diag), diag=diag, offdiag=off,
                             index_map=np.arange(0, 2 * len(diag), 2))
 
 
@@ -41,7 +40,7 @@ def test_two_by_two_closed_form():
 
 
 def test_no_drive_eigenvalues_are_diagonal():
-    even = sector_block([ModelParams(delta=1.0, kerr=0.01, eps=0.0, n_cut=20)], "even")
+    even = sector_block([ModelParams(delta=1.0, kerr=0.01, eps=0.0, n_cut=20)])
     n = np.arange(0, 21, 2, dtype=float)
     expected = 0.01 * n * (n - 1) + n
     np.testing.assert_allclose(full_spectrum(even).eigenvalues[0], expected, atol=1e-13)
@@ -51,8 +50,7 @@ def test_no_drive_eigenvalues_are_diagonal():
 
 def test_spectrum_bounds_hold():
     p = ModelParams(delta=1.0, kerr=1.0 / 400.0, eps=1.02, n_cut=800)
-    for parity in ("even", "odd"):
-        block = sector_block([p], parity)
+    for block in (sector_block([p]), odd_block(p)):
         full = full_spectrum(block)
         assert full.scale[0] == max(1.0, np.max(np.abs(full.eigenvalues)))
         for spec in (full, eig_tridiagonal(block)):
@@ -69,7 +67,7 @@ def test_blocks_match_dense_debug_path():
                         eps=float(rng.uniform(0.0, 1.5)),
                         phi=float(rng.uniform(0.0, 2 * np.pi)),
                         n_cut=int(rng.integers(12, 65)))
-        blocks = [sector_block([p], parity) for parity in ("even", "odd")]
+        blocks = [sector_block([p]), odd_block(p)]
         full = [full_spectrum(block).eigenvalues[0] for block in blocks]
         np.testing.assert_allclose(np.sort(np.concatenate(full)), dense_eigenvalues(p),
                                    atol=1e-9)
@@ -101,7 +99,7 @@ def test_ground_state_vacuum():
 def test_ground_state_normal_phase_is_even():
     for eps in (0.2, 0.5, 0.9):
         parity, sectors, _ = two_sector_race(ModelParams.from_size(200, eps, n_cut=400))
-        e_even, e_odd = (spec.eigenvalues[0, 0] for _, spec in sectors.values())
+        e_even, e_odd = (lam[0] for _, lam in sectors.values())
         assert parity == "even"
         assert e_even < e_odd
 
@@ -118,13 +116,12 @@ def test_degenerate_sectors_above_transition():
     # far below any resolvable scale at this size.
     p = ModelParams.from_size(500, 1.5, n_cut=800)
     parity, sectors, _ = two_sector_race(p)
-    e_even, e_odd = (spec.eigenvalues[0, 0] for _, spec in sectors.values())
+    e_even, e_odd = (lam[0] for _, lam in sectors.values())
     scale = max(1.0, abs(e_even))
     assert abs(e_even - e_odd) < 1e-10 * scale
     assert parity == "even"
     # both sector ground states carry the same condensate density ~ (eps-1)/2
-    for parity in ("even", "odd"):
-        blk = sector_block([p], parity)
+    for blk in (sector_block([p]), odd_block(p)):
         spec = eig_tridiagonal(blk)
         w = spec.eigenvectors[0, :, 0] ** 2
         dens = float(np.sum(blk.index_map * w)) / p.effective_size

@@ -19,6 +19,7 @@ from reference import (
     fock_vector,
     full_spectrum,
     lift,
+    odd_block,
     qgt_sum_over_states,
     two_sector_race,
 )
@@ -66,9 +67,10 @@ def test_linear_response_matches_sum_over_states(p):
 def test_ground_state_matches_full_spectrum(p):
     p = p.replace(phi=0.7)
     gs = ground_state(p)
-    parity, sectors, scale = two_sector_race(p)
+    parity, _, scale = two_sector_race(p)
     assert parity == "even"
-    block, spec = sectors["even"]
+    block = sector_block([p])
+    spec = full_spectrum(block)
     vector = lift(spec.eigenvectors[0, :, 0], block.index_map, p)
     assert abs(gs.energy - spec.eigenvalues[0, 0]) <= 1e-12 * scale
     assert _close(gs.gap, spec.eigenvalues[0, 1] - spec.eigenvalues[0, 0])
@@ -99,8 +101,7 @@ def _bracket_holds(low, norm):
 
 def test_selective_spectrum_matches_full():
     p = ModelParams.from_size(300, 1.02, n_cut=800)
-    for parity in ("even", "odd"):
-        block = sector_block([p], parity)
+    for block in (sector_block([p]), odd_block(p)):
         full, low = full_spectrum(block), eig_tridiagonal(block)
         assert low.eigenvalues.shape == (1, 2)
         assert low.eigenvectors.shape == (1, block.size, 2)
@@ -127,9 +128,9 @@ def _exact_norm(block):
 def test_spectrum_units_bracket_the_block_norm(L, n_cut):
     for eps in np.linspace(0.0, 1.5, 7):
         p = ModelParams.from_size(L, float(eps), n_cut=n_cut)
-        for block in (sector_block([p], "even"), sector_block([p], "odd")):
+        for parity, block in (("even", sector_block([p])), ("odd", odd_block(p))):
             low = eig_tridiagonal(block)
-            assert _bracket_holds(low, _exact_norm(block)), (L, eps, n_cut, block.parity)
+            assert _bracket_holds(low, _exact_norm(block)), (L, eps, n_cut, parity)
 
 
 def test_even_minimum_is_lowest_in_exact_unit():
@@ -148,9 +149,22 @@ def test_even_minimum_is_lowest_in_exact_unit():
             assert parity == "even", (name, _label(p))
             assert scale == pytest.approx(
                 max(_exact_norm(block) for block, _ in sectors.values()), rel=1e-12)
-            e0, o0 = (spec.eigenvalues[0, 0] for _, spec in sectors.values())
+            e0, o0 = (lam[0] for _, lam in sectors.values())
             decided[name] += abs(e0 - o0) <= DEGENERACY_TOLERANCE * scale
     assert decided["default"] > 0
+
+
+@pytest.mark.parametrize("p", GRID + [ModelParams.from_size(2000, 0.3, n_cut=200),
+                                       ModelParams.from_size(2000, 1.2, n_cut=1200)],
+                         ids=_label)
+def test_metric_determinant_bounds_the_curvature(p):
+    # det g >= (F_ep / 2)^2.  In the even sector g_ee = |y|^2, g_pp = Var(n)/4
+    # and F_ep = -y.(n - <n>)u0, so this is Cauchy-Schwarz and holds for every
+    # state; the large-L limits of both phases saturate it (at L = 2000 the
+    # excess is about 2e-10 of det g at eps = 0.3 and 1e-3 at eps = 1.2).
+    r = qgt_spectral(p)
+    det = r.g_ee * r.g_pp - r.g_ep**2
+    assert det - (r.f_ep / 2.0) ** 2 >= -1e-12 * r.g_ee * r.g_pp, (det, r.f_ep)
 
 
 def test_gap_floor_raises_named_error(monkeypatch):
@@ -180,5 +194,5 @@ def test_hot_paths_never_decompose_fully(monkeypatch):
     qgt_fd(p)
     assert calls and set(calls) == {"i"}
     # the spy sees a full decomposition when one is made
-    full_spectrum(sector_block([p], "even"))
+    full_spectrum(sector_block([p]))
     assert "a" in calls

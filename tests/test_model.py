@@ -1,17 +1,18 @@
 """Hamiltonian assembly, parity blocks, gauge phases, basic observables.
 
-The gauge-phase and photon-moment checks cover the Fock-basis helpers of
-reference.py, which the other test modules use as slow paths.
+The gauge-phase, photon-moment and tail-weight checks cover the Fock-basis
+helpers of reference.py, and the odd-block checks its odd_block, which the
+other test modules use as slow paths.
 """
 
 import numpy as np
 import pytest
 
 import kerrqgt
-from kerrqgt import InputError, ModelParams, TridiagonalBlock, sector_block, tail_weight
+from kerrqgt import InputError, ModelParams, TridiagonalBlock, sector_block
 from kerrqgt.eigensolver import _tridiagonal_multiply, ground_state
-from reference import (dense_hamiltonian, fock_vector, gauge_phases, mean_photon,
-                       photon_variance)
+from reference import (dense_hamiltonian, fock_vector, gauge_phases, mean_photon, odd_block,
+                       photon_variance, tail_weight)
 
 
 def test_params_validation():
@@ -65,15 +66,15 @@ def test_dense_hermitian_exactly():
 
 
 def test_banded_apply_matches_dense():
-    # The package's one banded matvec, on both parity blocks, is the dense
-    # Hamiltonian at any phi once the gauge phases are undone and redone.
+    # The package's one banded matvec, on the package's even block and the
+    # reference odd block, is the dense Hamiltonian at any phi once the gauge
+    # phases are undone and redone.
     p = ModelParams(delta=1.1, kerr=0.03, eps=0.7, phi=1.1, n_cut=20)
     rng = np.random.default_rng(7)
     v = rng.normal(size=p.dim) + 1j * rng.normal(size=p.dim)
     rotated = gauge_phases(p.dim, -p.phi) * v
     out = np.zeros(p.dim, dtype=complex)
-    for parity in ("even", "odd"):
-        block = sector_block([p], parity)
+    for block in (sector_block([p]), odd_block(p)):
         sector = rotated[block.index_map]
         out[block.index_map] = _tridiagonal_multiply(block.diag, block.offdiag[0], sector)
     np.testing.assert_allclose(gauge_phases(p.dim, p.phi) * out, dense_hamiltonian(p) @ v,
@@ -82,7 +83,7 @@ def test_banded_apply_matches_dense():
 
 def test_parity_blocks_small():
     p = ModelParams(delta=1.0, kerr=0.0, eps=1.0, n_cut=4)
-    even, odd = sector_block([p], "even"), sector_block([p], "odd")
+    even, odd = sector_block([p]), odd_block(p)
     assert even.size == 3 and odd.size == 2
     np.testing.assert_allclose(even.diag, [0.0, 2.0, 4.0])
     np.testing.assert_allclose(even.offdiag, [[-np.sqrt(2.0) / 2.0, -np.sqrt(3.0)]])
@@ -92,7 +93,7 @@ def test_parity_blocks_small():
 
 def test_parity_blocks_no_drive_diagonal():
     p = ModelParams(delta=1.0, kerr=0.05, eps=0.0, n_cut=12)
-    even, odd = sector_block([p], "even"), sector_block([p], "odd")
+    even, odd = sector_block([p]), odd_block(p)
     assert np.all(even.offdiag == 0.0)
     assert np.all(odd.offdiag == 0.0)
 
@@ -100,11 +101,15 @@ def test_parity_blocks_no_drive_diagonal():
 def test_blocks_independent_of_phi():
     base = ModelParams(delta=1.0, kerr=0.01, eps=0.9, n_cut=30)
     for phi in (np.pi / 4, np.pi):
-        for parity in ("even", "odd"):
-            a = sector_block([base], parity)
-            b = sector_block([base.replace(phi=phi)], parity)
-            np.testing.assert_array_equal(a.diag, b.diag)
-            np.testing.assert_array_equal(a.offdiag, b.offdiag)
+        a = sector_block([base])
+        b = sector_block([base.replace(phi=phi)])
+        np.testing.assert_array_equal(a.diag, b.diag)
+        np.testing.assert_array_equal(a.offdiag, b.offdiag)
+        # the reference odd block undoes the gauge phases in complex
+        # arithmetic, so it is phi-independent up to rounding
+        a, b = odd_block(base), odd_block(base.replace(phi=phi))
+        np.testing.assert_allclose(a.diag, b.diag, rtol=1e-15, atol=0)
+        np.testing.assert_allclose(a.offdiag, b.offdiag, rtol=1e-15, atol=0)
 
 
 def test_spectrum_independent_of_phi():
@@ -120,7 +125,7 @@ def test_spectrum_independent_of_phi():
 
 def test_block_spectra_match_dense():
     p = ModelParams(delta=1.0, kerr=0.02, eps=0.8, phi=0.7, n_cut=40)
-    even, odd = sector_block([p], "even"), sector_block([p], "odd")
+    even, odd = sector_block([p]), odd_block(p)
     import scipy.linalg
     ev_blocks = np.sort(np.concatenate([
         scipy.linalg.eigvalsh_tridiagonal(even.diag, even.offdiag[0]),
@@ -200,7 +205,7 @@ def test_tail_weight():
 def test_block_rejects_one_dimensional_offdiag():
     diag = np.array([0.0, 2.0, 4.0])
     with pytest.raises(ValueError, match="inconsistent block shapes"):
-        TridiagonalBlock(parity="even", size=3, diag=diag, offdiag=np.array([-1.0, -1.0]),
+        TridiagonalBlock(size=3, diag=diag, offdiag=np.array([-1.0, -1.0]),
                          index_map=np.array([0, 2, 4]))
 
 

@@ -1,4 +1,5 @@
-"""Closed-form phase solutions and their Fock realizations as oracles."""
+"""Closed-form phase solutions and tensor limits, and their Fock realizations
+(the slow paths of reference.py) as oracles."""
 
 import numpy as np
 import pytest
@@ -6,17 +7,18 @@ import pytest
 from kerrqgt import (
     CutoffError,
     ModelParams,
-    displaced_squeezed_cat,
-    displaced_squeezed_fock,
     eig_tridiagonal,
     ground_state,
     normal_phase,
     normal_phase_qgt_limit,
+    qgt_spectral,
     sector_block,
-    squeezed_vacuum_fock,
     superradiant_phase,
+    superradiant_qgt_limit,
 )
-from reference import fock_vector, gauge_phases, mean_photon
+from reference import (displaced_squeezed_cat, displaced_squeezed_fock, fock_vector,
+                       gauge_phases, mean_photon, odd_block, squeezed_vacuum_fock,
+                       squeezed_vacuum_qgt_fd)
 
 
 def test_normal_phase_values():
@@ -112,32 +114,69 @@ def test_displaced_squeezed_cutoff_guard():
 
 
 def test_qgt_limit_at_zero_drive():
-    q = normal_phase_qgt_limit(0.0)
-    assert q[0, 0].real == pytest.approx(0.125, abs=1e-6)
-    assert abs(q[1, 1]) < 1e-10
-    assert abs(q[0, 1]) < 1e-10
+    for q in (normal_phase_qgt_limit(0.0), squeezed_vacuum_qgt_fd(0.0)):
+        assert q[0, 0].real == pytest.approx(0.125, abs=1e-6)
+        assert abs(q[1, 1]) < 1e-10
+        assert abs(q[0, 1]) < 1e-10
 
 
 def test_qgt_limit_against_closed_forms():
-    # Candidate closed forms, validated against the finite-difference oracle:
-    #   g_ee = 1 / (8 (1-eps^2)^2),  g_pp = sinh^2(2|r|) / 8,
-    #   F_ep = eps / (4 (1-eps^2)^{3/2})  (positive for this family).
-    for eps in (0.3, 0.6, 0.8):
-        q = normal_phase_qgt_limit(eps, phi=0.4)
+    # The closed forms against finite differences on the squeezed-vacuum Fock
+    # states at phi = 0.4; g_pp is also sinh^2(2|r|) / 8.
+    for eps in (0.0, 0.3, 0.6, 0.8):
+        q, slow = normal_phase_qgt_limit(eps), squeezed_vacuum_qgt_fd(eps, phi=0.4)
         r = abs(normal_phase(1.0, eps).r)
-        g_ee = 1.0 / (8.0 * (1.0 - eps**2) ** 2)
-        g_pp = np.sinh(2.0 * r) ** 2 / 8.0
-        f_ep = eps / (4.0 * (1.0 - eps**2) ** 1.5)
-        assert q[0, 0].real == pytest.approx(g_ee, rel=2e-6)
-        assert q[1, 1].real == pytest.approx(g_pp, rel=2e-6)
-        assert -2.0 * q[0, 1].imag == pytest.approx(f_ep, rel=2e-6)
-        assert abs(q[0, 1].real) < 1e-8
+        assert q[1, 1].real == pytest.approx(np.sinh(2.0 * r) ** 2 / 8.0, rel=1e-12)
+        assert slow[0, 0].real == pytest.approx(q[0, 0].real, rel=2e-6)
+        assert slow[1, 1].real == pytest.approx(q[1, 1].real, rel=2e-6, abs=1e-10)
+        assert -2.0 * slow[0, 1].imag == pytest.approx(-2.0 * q[0, 1].imag, rel=2e-6,
+                                                       abs=1e-10)
+        assert abs(slow[0, 1].real) < 1e-8
+        assert q[0, 1].real == 0.0
+        assert q[0, 0].imag == q[1, 1].imag == 0.0
+        assert q[1, 0] == np.conj(q[0, 1])
 
 
 def test_qgt_limit_reference_values():
-    q = normal_phase_qgt_limit(0.6)
-    assert q[0, 0].real == pytest.approx(0.30518, abs=1e-5)
-    assert q[1, 1].real == pytest.approx(0.07031, abs=1e-5)
+    for q in (normal_phase_qgt_limit(0.6), squeezed_vacuum_qgt_fd(0.6)):
+        assert q[0, 0].real == pytest.approx(0.30518, abs=1e-5)
+        assert q[1, 1].real == pytest.approx(0.07031, abs=1e-5)
+
+
+def test_qgt_limits_domain_and_layout():
+    with pytest.raises(ValueError):
+        normal_phase_qgt_limit(1.0)
+    with pytest.raises(ValueError):
+        superradiant_qgt_limit(1.0, 100.0)
+    with pytest.raises(ValueError):
+        superradiant_qgt_limit(1.5, 0.0)
+    q = superradiant_qgt_limit(2.0, 800.0)
+    root = np.sqrt(2.0)
+    assert q[0, 0] == pytest.approx(800.0 / (8.0 * root))
+    assert q[1, 1] == pytest.approx(800.0 * root / 8.0)
+    assert -2.0 * q[0, 1].imag == pytest.approx(200.0)
+    assert q[0, 1].real == 0.0 and q[1, 0] == np.conj(q[0, 1])
+
+
+@pytest.mark.parametrize("eps", [0.3, 0.6, 1.2, 1.5])
+def test_spectral_tensor_approaches_closed_forms_as_one_over_L(eps):
+    # Relative deviations from the closed forms are O(1/L) in both phases:
+    # each shrinks at least 3x per 4x step in L, at an unflagged cutoff.
+    sizes = (2000, 8000, 32000)
+    devs = []
+    for L in sizes:
+        if eps < 1.0:
+            limit, n_cut = normal_phase_qgt_limit(eps), 200
+        else:
+            limit = superradiant_qgt_limit(eps, L)
+            # the phase diagram's cutoff screen with a wider margin
+            n_cut = int(L * (eps - 1.0) / 2.0 * 1.3 + 800)
+        r = qgt_spectral(ModelParams.from_size(L, eps, n_cut=n_cut))
+        assert not r.cutoff_warning, (L, n_cut)
+        devs.append([r.g_ee / limit[0, 0].real - 1.0, r.g_pp / limit[1, 1].real - 1.0,
+                     r.f_ep / (-2.0 * limit[0, 1].imag) - 1.0])
+    devs = np.abs(devs)
+    assert np.all(devs[:-1] >= 3.0 * devs[1:]), devs
 
 
 def test_continuity_handoff_fidelity():
@@ -162,8 +201,7 @@ def test_gap_oracles():
     # broken phase: the even-sector internal gap approaches omega_e as well.
     for eps in (0.3, 0.6, 0.8):
         p = ModelParams.from_size(500, eps, n_cut=800)
-        even, odd = (eig_tridiagonal(sector_block([p], parity))
-                     for parity in ("even", "odd"))
+        even, odd = eig_tridiagonal(sector_block([p])), eig_tridiagonal(odd_block(p))
         cross_gap = odd.eigenvalues[0, 0] - even.eigenvalues[0, 0]
         assert cross_gap == pytest.approx(normal_phase(1.0, eps).omega_e, rel=0.05)
     for eps in (1.3, 1.6, 2.0):

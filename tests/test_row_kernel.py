@@ -44,15 +44,14 @@ def _label(row):
 @pytest.mark.parametrize("row", ROWS, ids=_label)
 def test_stacked_blocks_are_the_single_blocks(row):
     points = _row(*row)
-    for parity in ("even", "odd"):
-        stack = sector_block(points, parity)
-        assert stack.offdiag.shape == (len(points), stack.size - 1)
-        for m, p in enumerate(points):
-            single = sector_block([p], parity)
-            assert single.offdiag.shape == (1, stack.size - 1)
-            assert np.array_equal(stack.diag, single.diag)
-            assert np.array_equal(stack.offdiag[m], single.offdiag[0])
-            assert np.array_equal(stack.index_map, single.index_map)
+    stack = sector_block(points)
+    assert stack.offdiag.shape == (len(points), stack.size - 1)
+    for m, p in enumerate(points):
+        single = sector_block([p])
+        assert single.offdiag.shape == (1, stack.size - 1)
+        assert np.array_equal(stack.diag, single.diag)
+        assert np.array_equal(stack.offdiag[m], single.offdiag[0])
+        assert np.array_equal(stack.index_map, single.index_map)
 
 
 @pytest.mark.parametrize("row", ROWS, ids=_label)
@@ -84,7 +83,7 @@ def test_ground_state_row_equals_single_calls(row):
 
 def test_stacked_spectrum_shapes():
     points = _row(150, 400, [0.5, 0.9, 1.1])
-    block = sector_block(points, "even")
+    block = sector_block(points)
     spec = eig_tridiagonal(block)
     assert spec.eigenvalues.shape == (3, 2)
     assert spec.eigenvectors.shape == (3, block.size, 2)
@@ -98,7 +97,7 @@ def test_gap_floor_names_the_point_of_the_row(monkeypatch):
     points = _row(150, 400, np.linspace(0.8, 1.2, 9))
     ratios = []
     for p in points:
-        spec = eig_tridiagonal(sector_block([p], "even"))
+        spec = eig_tridiagonal(sector_block([p]))
         ratios.append((spec.eigenvalues[0, 1] - spec.eigenvalues[0, 0]) / spec.scale[0])
     worst, runner_up = np.sort(ratios)[:2]
     m = int(np.argmin(ratios))

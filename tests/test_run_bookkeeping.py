@@ -98,7 +98,7 @@ def test_nan_solve_drops_only_its_point(tmp_path, monkeypatch):
     config = SweepConfig(mode="qgt", out_dir=str(tmp_path / "plain"), sizes=(60, 80),
                          eps_range=(0.5, 0.9, 3), method="both", n_cut=160)
     plain = run(config)[0].read_text().splitlines()
-    target = sector_block([ModelParams.from_size(80, 0.7, n_cut=160)], "even")
+    target = sector_block([ModelParams.from_size(80, 0.7, n_cut=160)])
     eigensolve = scipy.linalg.eigh_tridiagonal
 
     def nan_at_target(diag, off, **kwargs):
@@ -128,7 +128,7 @@ def test_nan_stencil_state_drops_only_its_fd_row(tmp_path, monkeypatch):
     eps = float(np.linspace(0.5, 0.9, 3)[1])
     stencil = max(stencil_eps(eps, DEFAULT_STEP_EPS))
     assert stencil != eps
-    target = sector_block([ModelParams.from_size(80, stencil, n_cut=160)], "even")
+    target = sector_block([ModelParams.from_size(80, stencil, n_cut=160)])
     eigensolve = scipy.linalg.eigh_tridiagonal
 
     def nan_at_target(diag, off, **kwargs):

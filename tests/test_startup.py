@@ -1,11 +1,14 @@
-"""A CLI run imports scipy.optimize and scipy.sparse only when it uses them.
+"""A CLI run imports scipy.optimize only when it uses it, and never scipy.sparse.
 
-scipy.optimize serves the peak search and the collapse polish, and
-scipy.sparse the displaced-state oracle; none of the runs below calls them.
-Each case runs in a fresh interpreter, because sys.modules of the test
-process already holds both.  The sizes are the bench's ``tiny`` scale.
+scipy.optimize serves the peak search and the collapse polish; none of the
+runs below calls them.  No module of the package imports scipy.sparse (the
+Fock-state oracles that used it live in tests/reference.py), and the runs
+must not load it through a dependency either.  Each case runs in a fresh
+interpreter, because sys.modules of the test process already holds both.
+The sizes are the bench's ``tiny`` scale.
 """
 
+import ast
 import json
 import os
 import shutil
@@ -69,3 +72,22 @@ def test_cli_run_leaves_optimize_and_sparse_unloaded(case, tmp_path, scaling_dir
     assert _run(argv, tmp_path) == [0, []]
     if output:
         assert (tmp_path / output).is_file()
+
+
+def _imported_modules(path):
+    """Every module an import statement of the source file names."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            yield node.module
+            yield from (f"{node.module}.{alias.name}" for alias in node.names)
+
+
+def test_no_package_module_imports_sparse():
+    sources = sorted((ROOT / "src").rglob("*.py"))
+    assert sources
+    offenders = [f"{path.relative_to(ROOT)}: {name}" for path in sources
+                 for name in _imported_modules(path)
+                 if name == "scipy.sparse" or name.startswith("scipy.sparse.")]
+    assert offenders == []

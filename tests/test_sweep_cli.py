@@ -104,7 +104,7 @@ def test_phase_diagram_solves_once_per_eps(tmp_path, monkeypatch):
     # one row of points at phi = 0, and one even-sector lowest-pair solve per eps
     assert len(rows_solved) == 1 and all(p.phi == 0.0 for p in rows_solved[0])
     assert [p.eps for p in rows_solved[0]] == list(eps_grid)
-    expected = [sector_block([ModelParams.from_size(size, eps, n_cut=n_cut)], "even")
+    expected = [sector_block([ModelParams.from_size(size, eps, n_cut=n_cut)])
                 for eps in eps_grid]
     assert len(pairs) == len(expected) == 7
     for (size_solved, off, select), block in zip(pairs, expected):
