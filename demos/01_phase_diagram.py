@@ -19,9 +19,9 @@ print(f"effective size L = {L:g}, cutoff {n_cut}")
 print("eps     " + "".join(f"phi={p:5.2f}  " for p in phi_values))
 # one stacked even-sector solve at phi = 0 fills every phase column: the drive
 # phase is a gauge, so the photon distribution does not depend on it
-rho = [gs.mean_n / L for gs in ground_state_row(
-    [ModelParams.from_size(L, eps, n_cut=n_cut) for eps in eps_values])]
-grid = np.repeat(np.array(rho)[:, None], len(phi_values), axis=1)
+ground = ground_state_row([ModelParams.from_size(L, eps, n_cut=n_cut) for eps in eps_values])
+rho = ground.mean_n / L
+grid = np.repeat(rho[:, None], len(phi_values), axis=1)
 for eps, row in zip(eps_values, grid):
     cells = "".join(f"{v:9.5f}" for v in row)
     print(f"{eps:5.2f} {cells}")

@@ -17,18 +17,16 @@ from kerrqgt import (
 )
 
 point = ModelParams.from_size(300, 0.85, phi=0.6, n_cut=600)
-spectral = qgt_spectral(point)
-g_fd, f_fd = qgt_fd(point)
+spectral, fd = qgt_spectral(point), qgt_fd(point)
 
 print(f"point: L = {point.effective_size:g}, eps = {point.eps}, phi = {point.phi}")
 print(f"{'':14}{'spectral':>14}{'finite diff':>14}{'rel dev':>12}")
-rows = [
-    ("g_ee", spectral.g_ee, g_fd[0, 0]),
-    ("g_pp", spectral.g_pp, g_fd[1, 1]),
-    ("F_ep", spectral.f_ep, f_fd),
-]
-for name, a, b in rows:
+for name in ("g_ee", "g_pp", "f_ep"):
+    a, b = getattr(spectral, name), getattr(fd, name)
     print(f"{name:14}{a:14.8f}{b:14.8f}{abs(b / a - 1):12.2e}")
+print(f"{'g_ep':14}{spectral.g_ep:14.8f}{fd.g_ep:14.8f}")
+print(f"both read the same ground state: gap {spectral.gap:.10f} = {fd.gap:.10f}, "
+      f"<n> {spectral.mean_n:.10f} = {fd.mean_n:.10f}")
 
 
 def components(q):

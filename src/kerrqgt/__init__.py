@@ -30,7 +30,6 @@ from .eigensolver import (
     GroundState,
     Spectrum,
     eig_tridiagonal,
-    ground_state,
     ground_state_row,
 )
 from .oracle import (
@@ -71,8 +70,7 @@ from .scaling import (
 __all__ = [
     "__version__",
     "ModelParams", "TridiagonalBlock", "pair_coupling", "sector_block",
-    "GroundState", "Spectrum", "eig_tridiagonal",
-    "ground_state", "ground_state_row",
+    "GroundState", "Spectrum", "eig_tridiagonal", "ground_state_row",
     "NormalPhaseSolution", "SuperradiantSolution", "normal_phase",
     "normal_phase_qgt_limit", "superradiant_phase", "superradiant_qgt_limit",
     "QGTResult", "g_ee_slope", "qgt_fd", "qgt_fd_row",

@@ -16,12 +16,12 @@ Every block stacks the M blocks of a row of points (one point is a row of
 one).  Each gets its own selective solve; the sign convention, the gate units
 and the certificates are then taken on the whole stack at once.
 
-A ground state (GroundState) is the real ground vector of the even parity
-sector on that sector's Fock levels.  The drive conserves parity, and the
-nodeless ground state of the normal phase is even, as is its continuation
-above the transition, where the odd minimum is degenerate with it.  The drive
-phase is a gauge, so it is the same vector at every phi, and <n> and the tail
-weight are read off it.
+A ground state is the real ground vector of the even parity sector on that
+sector's Fock levels (ground_state_row stacks a row of them).  The drive
+conserves parity, and the nodeless ground state of the normal phase is even,
+as is its continuation above the transition, where the odd minimum is
+degenerate with it.  The drive phase is a gauge, so it is the same vector at
+every phi, and <n>, Var(n) and the tail weight are read off it.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ import scipy.linalg
 
 from .errors import EigenConvergenceError
 from .model import (
-    ModelParams,
     TridiagonalBlock,
     sector_block,
     TAIL_LEVELS,
@@ -72,22 +71,26 @@ class Spectrum:
 
 @dataclass(frozen=True)
 class GroundState:
-    """Lowest eigenstate of the even parity sector.
+    """Lowest eigenstates of the even parity sector over a row of M points.
 
-    vector is the real even-sector ground vector, on the Fock levels listed
-    in levels, at phi = 0: the state at params.phi differs only by the gauge
-    phases e^{-i n phi / 2}, which change no observable.  gap is measured
-    within the sector; mean_n and tail_weight are read off the sector vector.
+    Fields carry the row axis, as in Spectrum: energy, gap (within the
+    sector), mean_n, var_n, tail_weight and cutoff_warning are (M,), and
+    vectors[m] (M, N) is the real ground vector of point m on the Fock levels
+    listed in levels, at phi = 0 (a point's phi only multiplies it by the
+    gauge phases e^{-i n phi / 2}).  block and spectrum are the stacked block
+    and the solve that the row was read from.
     """
 
-    params: ModelParams
-    energy: float
-    vector: np.ndarray
+    energy: np.ndarray
+    gap: np.ndarray
+    vectors: np.ndarray
     levels: np.ndarray
-    gap: float
-    mean_n: float
-    tail_weight: float
-    cutoff_warning: bool
+    mean_n: np.ndarray
+    var_n: np.ndarray
+    tail_weight: np.ndarray
+    cutoff_warning: np.ndarray
+    block: TridiagonalBlock
+    spectrum: Spectrum
 
 
 def _certify(ok: np.ndarray, block: TridiagonalBlock, message,
@@ -158,28 +161,17 @@ def eig_tridiagonal(block: TridiagonalBlock) -> Spectrum:
                     scale=scale, residual_unit=residual_unit)
 
 
-def _photon_moments(block: TridiagonalBlock, u0: np.ndarray, n_cut: int):
-    """<n>, the tail weight and the cutoff flag (tail weight not within
-    TAIL_TOLERANCE) of each row of sector vectors u0 (M, size)."""
-    weights = u0**2
-    tail = np.sum(weights[:, block.index_map > n_cut - TAIL_LEVELS], axis=1)
-    return np.sum(block.index_map * weights, axis=1), tail, ~(tail <= TAIL_TOLERANCE)
-
-
-def ground_state_row(points) -> list[GroundState]:
+def ground_state_row(points) -> GroundState:
     """Ground states of a row of points that share delta, kerr and n_cut: one
-    stacked even-sector solve over the row's eps."""
+    stacked even-sector solve over the row's eps (a point is a row of one)."""
     block = sector_block(points)
     spec = eig_tridiagonal(block)
     lam, u0 = spec.eigenvalues, spec.eigenvectors[..., 0]
-    mean_n, tail, cutoff = _photon_moments(block, u0, points[0].n_cut)
-    return [GroundState(params=p, energy=float(lam[m, 0]), vector=u0[m],
-                        levels=block.index_map, gap=float(lam[m, 1] - lam[m, 0]),
-                        mean_n=float(mean_n[m]), tail_weight=float(tail[m]),
-                        cutoff_warning=bool(cutoff[m]))
-            for m, p in enumerate(points)]
-
-
-def ground_state(params: ModelParams) -> GroundState:
-    """Even-sector ground state: the row of one point."""
-    return ground_state_row([params])[0]
+    levels, weights = block.index_map, u0**2
+    mean_n = np.sum(levels * weights, axis=1)
+    tail = np.sum(weights[:, levels > points[0].n_cut - TAIL_LEVELS], axis=1)
+    return GroundState(energy=lam[:, 0], gap=lam[:, 1] - lam[:, 0], vectors=u0,
+                       levels=levels, mean_n=mean_n,
+                       var_n=np.sum(levels.astype(float) ** 2 * weights, axis=1) - mean_n**2,
+                       tail_weight=tail, cutoff_warning=~(tail <= TAIL_TOLERANCE),
+                       block=block, spectrum=spec)

@@ -25,13 +25,13 @@ from ._fd import curvature_fd, metric_fd, stencil_eps
 from .eigensolver import (
     ORTHOGONALITY_BOUND,
     RESIDUAL_BOUND,
+    GroundState,
     _certify,
-    _photon_moments,
     _tridiagonal_multiply,
-    eig_tridiagonal,
+    ground_state_row,
 )
 from .errors import GapError
-from .model import ModelParams, pair_coupling, sector_block
+from .model import ModelParams, pair_coupling
 
 GAP_FLOOR = 1e-12
 PSD_TOLERANCE = 1e-9
@@ -39,16 +39,24 @@ PSD_TOLERANCE = 1e-9
 DEFAULT_STEP_EPS = 1e-4
 DEFAULT_STEP_PHI = 1e-3
 
+# The fields of a QGTResult read off its point's row of the GroundState.
+CONTEXT = ("gap", "mean_n", "var_n", "tail_weight", "cutoff_warning")
+
 
 @dataclass(frozen=True)
 class QGTResult:
-    """2x2 geometric tensor over ordered coordinates (eps, phi) plus context.
+    """Geometric tensor over ordered coordinates (eps, phi) plus context.
 
-    g (metric) is the real part, berry_f the -2 Im view; both diagonals of
-    berry_f vanish identically because q has an exactly real diagonal.
+    The tensor Q = g - (i/2) F is fixed by four real numbers: the metric
+    entries g_ee, g_pp and g_ep, and the Berry curvature f_ep = -2 Im Q_{eps,phi}.
+    gap, mean_n, var_n, tail_weight and cutoff_warning describe the even ground
+    state at the point, whichever route (method) gave the tensor.
     """
 
-    q: np.ndarray
+    g_ee: float
+    g_pp: float
+    g_ep: float
+    f_ep: float
     gap: float
     method: str
     params: ModelParams
@@ -58,43 +66,35 @@ class QGTResult:
     cutoff_warning: bool
 
     def __post_init__(self):
-        if self.q.shape != (2, 2):
-            raise ValueError("q must be 2x2")
-        if not np.isfinite(self.q).all():
-            raise ValueError("q has a non-finite entry")
-        if not np.array_equal(self.q, self.q.conj().T):
-            raise ValueError("q is not Hermitian")
-        if self.q[0, 0].imag != 0.0 or self.q[1, 1].imag != 0.0:
-            raise ValueError("diagonal of q must be exactly real")
+        a, c, b = self.g_ee, self.g_pp, self.g_ep
+        if not np.isfinite([a, c, b, self.f_ep]).all():
+            raise ValueError("tensor has a non-finite entry")
         # smallest eigenvalue of the real symmetric 2x2 metric, in closed form
-        (a, b), (_, c) = self.q.real
         eigmin = 0.5 * (a + c) - float(np.hypot(0.5 * (a - c), b))
         if eigmin < -PSD_TOLERANCE * max(1.0, a + c):
             raise ValueError(f"metric is not positive semidefinite: eigmin = {eigmin:.3e}")
 
-    @property
-    def g(self) -> np.ndarray:
-        return self.q.real.copy()
 
-    @property
-    def berry_f(self) -> np.ndarray:
-        return -2.0 * self.q.imag
+def _ground_row(points) -> GroundState:
+    """The even ground states of a row of points (ground_state_row), each gap
+    certified above GAP_FLOOR x its Gershgorin bound (GapError otherwise)."""
+    ground = ground_state_row(points)
+    gap, scale = ground.gap, ground.spectrum.scale
+    _certify(gap > GAP_FLOOR * scale, ground.block,
+             lambda m: f"sector gap {gap[m]:.3e} is below the floor {GAP_FLOOR:g} x "
+                       f"Gershgorin bound {scale[m]:.3e} at eps={points[m].eps:g}, "
+                       f"kerr={points[m].kerr:g}, n_cut={points[m].n_cut}",
+             GapError)
+    return ground
 
-    @property
-    def g_ee(self) -> float:
-        return float(self.q[0, 0].real)
 
-    @property
-    def g_pp(self) -> float:
-        return float(self.q[1, 1].real)
-
-    @property
-    def g_ep(self) -> float:
-        return float(self.q[0, 1].real)
-
-    @property
-    def f_ep(self) -> float:
-        return float(-2.0 * self.q[0, 1].imag)
+def _result(ground: GroundState, m: int, params: ModelParams, method: str,
+            *tensor) -> QGTResult:
+    """The tensor (g_ee, g_pp, g_ep, f_ep) of params with the CONTEXT of row m
+    of ground.  Adding 0.0 writes a zero of either sign as +0 and leaves every
+    other value as it is."""
+    return QGTResult(*(float(x) + 0.0 for x in tensor), method=method, params=params,
+                     **{name: getattr(ground, name)[m].item() for name in CONTEXT})
 
 
 def _sternheimer(block, e0: np.ndarray, u0: np.ndarray, rhs: np.ndarray,
@@ -146,29 +146,22 @@ def _sternheimer(block, e0: np.ndarray, u0: np.ndarray, rhs: np.ndarray,
 
 
 def _response(points, powers: int):
-    """Gap-gated even ground pairs of a row and the eps response on them.
+    """Gap-gated even ground states of a row and the eps response on them.
 
-    points share delta, kerr and n_cut.  Returns the stacked even block, u0
-    (M, N), the gaps, C = dT/deps (its off-diagonal band, the same for every
+    points share delta, kerr and n_cut.  Returns the GroundState of the row
+    (_ground_row), C = dT/deps (its off-diagonal band, the same for every
     eps), dE0 = u0.C u0 (Hellmann-Feynman) and the Sternheimer solutions
     [y, R y, ...] for y = R (C u0 - dE0 u0), each (M, N).
     """
-    block = sector_block(points)
-    spec = eig_tridiagonal(block)
-    lam, u0 = spec.eigenvalues, spec.eigenvectors[..., 0]
-    e0, gap = lam[:, 0], lam[:, 1] - lam[:, 0]
-    _certify(gap > GAP_FLOOR * spec.scale, block,
-             lambda m: f"sector gap {gap[m]:.3e} is below the floor {GAP_FLOOR:g} x "
-                       f"Gershgorin bound {spec.scale[m]:.3e} at eps={points[m].eps:g}, "
-                       f"kerr={points[m].kerr:g}, n_cut={points[m].n_cut}",
-             GapError)
-
-    band = -(points[0].delta / 2.0) * pair_coupling(block.index_map[:-1])
+    ground = _ground_row(points)
+    u0 = ground.vectors
+    band = -(points[0].delta / 2.0) * pair_coupling(ground.levels[:-1])
     rhs = _tridiagonal_multiply(0.0, band, u0)
     de0 = np.array([u @ r for u, r in zip(u0, rhs)])
     rhs -= de0[:, None] * u0
-    solutions = _sternheimer(block, e0, u0, rhs, spec.residual_unit, powers)
-    return block, u0, gap, band, de0, solutions
+    solutions = _sternheimer(ground.block, ground.energy, u0, rhs,
+                             ground.spectrum.residual_unit, powers)
+    return ground, band, de0, solutions
 
 
 def qgt_spectral_row(points) -> list[QGTResult]:
@@ -177,20 +170,11 @@ def qgt_spectral_row(points) -> list[QGTResult]:
     One stacked even-block solve and one Sternheimer solve per row give every
     point's tensor exactly as qgt_spectral gives it alone.
     """
-    block, u0, gap, _, _, (y,) = _response(points, powers=1)
-    levels = block.index_map
-    mean_n, tail, cutoff = _photon_moments(block, u0, points[0].n_cut)
-    var_n = np.sum(levels.astype(float) ** 2 * u0**2, axis=1) - mean_n**2
-    n_u0 = levels * u0
-    results = []
-    for m, params in enumerate(points):
-        q_ep = 0.5j * float(y[m] @ n_u0[m])
-        q = np.array([[float(y[m] @ y[m]), q_ep], [np.conj(q_ep), var_n[m] / 4.0]])
-        results.append(QGTResult(q=q, gap=float(gap[m]), method="spectral", params=params,
-                                 mean_n=float(mean_n[m]), var_n=float(var_n[m]),
-                                 tail_weight=float(tail[m]),
-                                 cutoff_warning=bool(cutoff[m])))
-    return results
+    ground, _, _, (y,) = _response(points, powers=1)
+    n_u0 = ground.levels * ground.vectors
+    return [_result(ground, m, params, "spectral", y[m] @ y[m], ground.var_n[m] / 4.0,
+                    0.0, -(y[m] @ n_u0[m]))
+            for m, params in enumerate(points)]
 
 
 def qgt_spectral(params: ModelParams) -> QGTResult:
@@ -223,49 +207,50 @@ def g_ee_slope(params: ModelParams) -> float:
     (eps -> -eps is the gauge shift phi -> phi + pi), so the slope is 0 at
     eps = 0.
     """
-    _, _, _, band, (de0,), (y, z) = _response([params], powers=2)
+    _, band, (de0,), (y, z) = _response([params], powers=2)
     return float(-4.0 * (z[0] @ (_tridiagonal_multiply(0.0, band, y[0]) - de0 * y[0])))
 
 
 def _even_ground_family(params: ModelParams, eps_values):
-    """State map (eps, phi) -> gauge-phased even ground vector at the delta, kerr
-    and n_cut of params, for every eps in eps_values.
-
-    The distinct eps values are solved up front as one stacked row; the map
-    only looks their vectors up (any other eps raises KeyError) and caches
-    the gauge phases of each phi.
-    """
+    """(state, ground, row): ground is one gap-gated stacked solve (_ground_row)
+    of the distinct eps in eps_values at the delta, kerr and n_cut of params,
+    row maps each eps to its index in it, and state maps (eps, phi) to the
+    gauge-phased ground vector: it only looks vectors up (any other eps raises
+    KeyError) and caches the gauge phases of each phi."""
     keys = sorted({float(eps) for eps in eps_values})
-    spec = eig_tridiagonal(sector_block([params.replace(eps=eps) for eps in keys]))
-    vectors = dict(zip(keys, spec.eigenvectors[..., 0]))
-    levels = np.arange(0, params.n_cut + 1, 2)
+    ground = _ground_row([params.replace(eps=eps) for eps in keys])
+    row = {eps: m for m, eps in enumerate(keys)}
     phases: dict[float, np.ndarray] = {}
 
     def state(eps: float, phi: float) -> np.ndarray:
         if phi not in phases:
-            phases[phi] = np.exp(-0.5j * levels * phi)
-        return vectors[float(eps)] * phases[phi]
+            phases[phi] = np.exp(-0.5j * ground.levels * phi)
+        return ground.vectors[row[float(eps)]] * phases[phi]
 
-    return state
+    return state, ground, row
 
 
 def qgt_fd_row(points, step_eps: float = DEFAULT_STEP_EPS,
-               step_phi: float = DEFAULT_STEP_PHI) -> list[tuple[np.ndarray, float]]:
-    """(2x2 metric, Berry curvature F_{eps,phi}) of each point of a row that
-    shares delta, kerr and n_cut, by gauge-invariant overlap finite
-    differences (metric_fd first, so a step it rejects raises there, then
-    curvature_fd).
+               step_phi: float = DEFAULT_STEP_PHI) -> list[QGTResult]:
+    """Geometric tensors of a row of points that share delta, kerr and n_cut,
+    by gauge-invariant overlap finite differences (metric_fd first, so a step
+    it rejects raises there, then curvature_fd).
 
-    One stacked solve of the union of the points' stencil eps gives every
-    pair exactly as qgt_fd gives it alone.
+    One gap-gated stacked solve of the union of the points' stencil eps gives
+    every tensor exactly as qgt_fd gives it alone; each point's context is
+    read off its own eps in that row.
     """
-    family = _even_ground_family(points[0], set().union(
+    state, ground, row = _even_ground_family(points[0], set().union(
         *(stencil_eps(p.eps, step_eps) for p in points)))
-    return [(metric_fd(family, p.eps, p.phi, step_eps, step_phi),
-             curvature_fd(family, p.eps, p.phi, step_eps, step_phi)) for p in points]
+    results = []
+    for p in points:
+        (g_ee, g_ep), (_, g_pp) = metric_fd(state, p.eps, p.phi, step_eps, step_phi)
+        results.append(_result(ground, row[float(p.eps)], p, "fd", g_ee, g_pp, g_ep,
+                               curvature_fd(state, p.eps, p.phi, step_eps, step_phi)))
+    return results
 
 
 def qgt_fd(params: ModelParams, step_eps: float = DEFAULT_STEP_EPS,
-           step_phi: float = DEFAULT_STEP_PHI) -> tuple[np.ndarray, float]:
-    """(2x2 metric, Berry curvature) at one point: the row of one of qgt_fd_row."""
+           step_phi: float = DEFAULT_STEP_PHI) -> QGTResult:
+    """Finite-difference tensor at one point: the row of one of qgt_fd_row."""
     return qgt_fd_row([params], step_eps, step_phi)[0]

@@ -231,19 +231,18 @@ def _write_manifest(out: Path, config: SweepConfig, started: str,
 
 def manifest_is_current(out: Path, config: SweepConfig) -> bool:
     """True when a completed manifest of this version matches this config (up
-    to RUN_ONLY_FIELDS) and its files verify."""
-    path = _manifest_path(out, config)
-    if not path.exists():
-        return False
+    to RUN_ONLY_FIELDS) and its files verify.  A manifest that is not a JSON
+    object, or whose outputs are not one, is not current: the run recomputes."""
     try:
-        manifest = json.loads(path.read_text())
-    except json.JSONDecodeError:
+        manifest = read_json(_manifest_path(out, config), "manifest")
+    except SchemaError:  # missing, unreadable, not JSON or not an object
         return False
-    echo = manifest.get("config")
+    echo, outputs = manifest.get("config"), manifest.get("outputs", {})
     if (manifest.get("version") != __version__ or not isinstance(echo, dict)
+            or not isinstance(outputs, dict)
             or _identity(echo) != _identity(config.echo())):
         return False
-    for name, digest in manifest.get("outputs", {}).items():
+    for name, digest in outputs.items():
         target = out / name
         if not target.exists() or sha256_file(target) != digest:
             return False
@@ -297,12 +296,12 @@ def _phase_diagram(config: SweepConfig, out: Path) -> ModeResult:
     # hence mean_n, rho and the cutoff gate, is exactly phi-independent: one
     # row solve at phi = 0 (one stacked even-sector solve) fills every phi
     # column of every eps row.
-    states = ground_state_row([ModelParams.from_size(config.size, eps, n_cut=config.n_cut,
+    ground = ground_state_row([ModelParams.from_size(config.size, eps, n_cut=config.n_cut,
                                                      delta=config.delta)
                                for eps in eps_grid])
-    solved = [(gs.mean_n, "cutoff" if gs.cutoff_warning else "") for gs in states]
-    rows = [(eps, phi, config.size, config.n_cut, n_mean, n_mean / config.size, warn)
-            for eps, (n_mean, warn) in zip(eps_grid, solved) for phi in phi_grid]
+    rows = [(eps, phi, config.size, config.n_cut, n, n / config.size, "cutoff" if flag else "")
+            for eps, n, flag in zip(eps_grid, ground.mean_n.tolist(), ground.cutoff_warning)
+            for phi in phi_grid]
     warnings = [f"cutoff-inadequate point: eps={r[0]:g} phi={r[1]:g}"
                 for r in rows if r[6]]
     return {"phase_diagram.csv": csv_text(PHASE_DIAGRAM_COLUMNS, rows)}, warnings
@@ -326,31 +325,25 @@ def _row_or_points(solve_row, items) -> list:
 
 def _qgt(config: SweepConfig, out: Path) -> ModeResult:
     """Tensor components on a (size, eps) grid at fixed phi.  Each size is one
-    row: one qgt_spectral_row call and, for the fd rows, one qgt_fd_row call."""
+    row: one call of each selected row kernel, qgt_spectral_row and/or
+    qgt_fd_row; each eps gets its spectral row first, then its fd row."""
     eps_grid = np.linspace(*config.eps_range[:2], int(config.eps_range[2]))
+    kernels = {"spectral": qgt_spectral_row, "fd": qgt_fd_row}
+    methods = ["spectral", "fd"] if config.method == "both" else [config.method]
     rows, warnings = [], []
     for size in config.sizes:
         points = [ModelParams.from_size(size, eps, phi=config.phi, n_cut=config.n_cut,
                                         delta=config.delta) for eps in eps_grid]
-        results = _row_or_points(qgt_spectral_row, points)
-        fd_rows = [None] * len(points)
-        if config.method != "spectral":
-            fd_rows = _row_or_points(qgt_fd_row, points)
-        for eps, spectral, fd in zip(eps_grid, results, fd_rows):
-            if isinstance(spectral, Exception):
-                warnings.append(f"L={size:g} eps={eps:g}: {spectral}")
-                continue
-            head = (size, eps, config.phi, config.n_cut)
-            tail = (spectral.gap, spectral.mean_n, "cutoff" if spectral.cutoff_warning else "")
-            if config.method != "fd":
-                rows.append((*head, "spectral", spectral.g_ee, spectral.g_pp,
-                             spectral.g_ep, spectral.f_ep, *tail))
-            if isinstance(fd, Exception):
-                warnings.append(f"L={size:g} eps={eps:g} (fd): {fd}")
-            elif fd is not None:
-                g, f = fd
-                rows.append((*head, "fd", float(g[0, 0]), float(g[1, 1]), float(g[0, 1]),
-                             f, *tail))
+        solved = [_row_or_points(kernels[method], points) for method in methods]
+        for eps, results in zip(eps_grid, zip(*solved)):
+            for method, r in zip(methods, results):
+                if isinstance(r, Exception):
+                    label = " (fd)" if method == "fd" else ""
+                    warnings.append(f"L={size:g} eps={eps:g}{label}: {r}")
+                    continue
+                rows.append((size, eps, config.phi, config.n_cut, r.method, r.g_ee,
+                             r.g_pp, r.g_ep, r.f_ep, r.gap, r.mean_n,
+                             "cutoff" if r.cutoff_warning else ""))
     # one warning per flagged point, though --method both gives it two rows
     flagged = dict.fromkeys((r[0], r[1]) for r in rows if r[11])
     warnings += [f"cutoff-inadequate point: L={size:g} eps={eps:g}" for size, eps in flagged]

@@ -136,9 +136,11 @@ def odd_block(params) -> TridiagonalBlock:
                             offdiag=sector.diagonal(1)[None], index_map=levels)
 
 
-def fock_vector(gs) -> np.ndarray:
-    """A GroundState on the full Fock basis at its own phi."""
-    return lift(gs.vector, gs.levels, gs.params)
+def fock_vector(ground, params) -> np.ndarray:
+    """The ground vector of a GroundState row of one, params, on the full Fock
+    basis at params.phi."""
+    (vector,) = ground.vectors
+    return lift(vector, ground.levels, params)
 
 
 def _photon_weights(state) -> np.ndarray:
@@ -242,10 +244,10 @@ def qgt_sum_over_states(params) -> QGTResult:
     q_ee = float(np.sum(np.abs(m_eps[1:]) ** 2 / de2))
     q_pp = float(np.sum(np.abs(m_phi[1:]) ** 2 / de2))
     q_ep = complex(np.sum(np.conj(m_eps[1:]) * m_phi[1:] / de2))
-    q = np.array([[q_ee, q_ep], [np.conj(q_ep), q_pp]])
 
     tail = tail_weight(u0)
-    return QGTResult(q=q, gap=gap, method="sum-over-states", params=params,
+    return QGTResult(g_ee=q_ee, g_pp=q_pp, g_ep=q_ep.real, f_ep=-2.0 * q_ep.imag,
+                     gap=gap, method="sum-over-states", params=params,
                      mean_n=mean_photon(u0), var_n=photon_variance(u0), tail_weight=tail,
                      cutoff_warning=bool(tail > TAIL_TOLERANCE))
 

@@ -14,7 +14,7 @@ from kerrqgt import (
     ModelParams,
     collapse_objective,
     eig_tridiagonal,
-    ground_state,
+    ground_state_row,
     k0_pipeline,
     normal_phase,
     qgt_fd,
@@ -170,11 +170,11 @@ def test_criterion_6_property_suite():
         p = ModelParams.from_size(size, eps, phi=float(rng.uniform(0, 2 * np.pi)),
                                   n_cut=400)
         spectral = qgt_spectral(p)
-        g, f = qgt_fd(p)
+        fd = qgt_fd(p)
         worst = max(worst,
-                    abs(g[0, 0] / spectral.g_ee - 1.0),
-                    abs(g[1, 1] / spectral.g_pp - 1.0),
-                    abs(f / spectral.f_ep - 1.0))
+                    abs(fd.g_ee / spectral.g_ee - 1.0),
+                    abs(fd.g_pp / spectral.g_pp - 1.0),
+                    abs(fd.f_ep / spectral.f_ep - 1.0))
     checks.append(("method triangle <= 1e-4 (10 points)", worst <= 1e-4,
                    f"worst {worst:.2e}"))
 
@@ -204,19 +204,18 @@ def test_criterion_6_property_suite():
     fid_n, fid_s, gap_dev = 1.0, 1.0, 0.0
     for eps in (0.3, 0.6, 0.8):
         p = ModelParams.from_size(500, eps, n_cut=800)
-        gs = ground_state(p)
         target = squeezed_vacuum_fock(normal_phase(1.0, eps).r, 800)
-        fid_n = min(fid_n, abs(np.vdot(target, fock_vector(gs))))
+        fid_n = min(fid_n, abs(np.vdot(target, fock_vector(ground_state_row([p]), p))))
         even, odd = eig_tridiagonal(sector_block([p])), eig_tridiagonal(odd_block(p))
         cross = odd.eigenvalues[0, 0] - even.eigenvalues[0, 0]
         gap_dev = max(gap_dev, abs(cross / normal_phase(1.0, eps).omega_e - 1.0))
     for eps in (1.3, 2.0):
         p = ModelParams.from_size(500, eps, n_cut=800)
-        gs = ground_state(p)
+        gs = ground_state_row([p])
         sol = superradiant_phase(1.0, eps, size=500.0)
         cat = displaced_squeezed_cat(sol.alpha, sol.r, 800)
-        fid_s = min(fid_s, abs(np.vdot(cat, fock_vector(gs))))
-        gap_dev = max(gap_dev, abs(gs.gap / sol.omega_e - 1.0))
+        fid_s = min(fid_s, abs(np.vdot(cat, fock_vector(gs, p))))
+        gap_dev = max(gap_dev, abs(gs.gap[0] / sol.omega_e - 1.0))
     checks.append(("normal-phase handoff fidelity > 0.999", fid_n > 0.999,
                    f"min {fid_n:.6f}"))
     checks.append(("broken-phase handoff fidelity > 0.99", fid_s > 0.99,
@@ -234,10 +233,10 @@ def test_criterion_6_property_suite():
 
     # order parameter at L = 2000
     p = ModelParams.from_size(2000, 1.3, n_cut=800)
-    value = mean_photon(fock_vector(ground_state(p))) / 2000.0
+    value = mean_photon(fock_vector(ground_state_row([p]), p)) / 2000.0
     ok_condensate = abs(value / 0.15 - 1.0) <= 0.05
-    dark = max(mean_photon(fock_vector(ground_state(ModelParams.from_size(
-        2000, eps, n_cut=800)))) / 2000.0 for eps in (0.5, 0.9))
+    dark = max(mean_photon(fock_vector(ground_state_row([q]), q)) / 2000.0
+               for q in (ModelParams.from_size(2000, eps, n_cut=800) for eps in (0.5, 0.9)))
     checks.append(("rho(eps=1.3, L=2000) = 0.15 within 5%", ok_condensate,
                    f"{value:.5f}"))
     checks.append(("rho < 1e-3 for eps <= 0.9 at L=2000", dark < 1e-3, f"max {dark:.2e}"))

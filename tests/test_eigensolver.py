@@ -6,7 +6,7 @@ import pytest
 from kerrqgt import (
     ModelParams,
     eig_tridiagonal,
-    ground_state,
+    ground_state_row,
     sector_block,
 )
 from kerrqgt.model import TridiagonalBlock
@@ -79,7 +79,7 @@ def test_blocks_match_dense_debug_path():
 def test_variational_bound():
     p = ModelParams(delta=1.0, kerr=0.02, eps=0.9, phi=0.3, n_cut=48)
     h = dense_hamiltonian(p)
-    e0 = ground_state(p).energy
+    (e0,) = ground_state_row([p]).energy
     rng = np.random.default_rng(5)
     for _ in range(100):
         v = rng.normal(size=p.dim) + 1j * rng.normal(size=p.dim)
@@ -89,11 +89,11 @@ def test_variational_bound():
 
 def test_ground_state_vacuum():
     p = ModelParams(delta=1.0, kerr=0.01, eps=0.0, n_cut=24)
-    gs = ground_state(p)
-    assert gs.energy == pytest.approx(0.0, abs=1e-14)
+    gs = ground_state_row([p])
+    assert gs.energy[0] == pytest.approx(0.0, abs=1e-14)
     assert two_sector_race(p)[0] == "even"
-    assert abs(fock_vector(gs)[0]) == pytest.approx(1.0)
-    assert gs.gap == pytest.approx(2.0 + 2 * 0.01)  # 2 delta + 2 K within the even sector
+    assert abs(fock_vector(gs, p)[0]) == pytest.approx(1.0)
+    assert gs.gap[0] == pytest.approx(2.0 + 2 * 0.01)  # 2 delta + 2 K within the even sector
 
 
 def test_ground_state_normal_phase_is_even():
@@ -106,9 +106,8 @@ def test_ground_state_normal_phase_is_even():
 
 def test_normal_phase_matches_squeezed_vacuum():
     p = ModelParams.from_size(500, 0.6, n_cut=800)
-    gs = ground_state(p)
     target = squeezed_vacuum_fock(0.25 * np.log(0.4 / 1.6), 800)
-    assert abs(np.vdot(target, fock_vector(gs))) > 0.999
+    assert abs(np.vdot(target, fock_vector(ground_state_row([p]), p))) > 0.999
 
 
 def test_degenerate_sectors_above_transition():
@@ -131,11 +130,11 @@ def test_degenerate_sectors_above_transition():
 def test_ground_state_gauge_phase():
     p0 = ModelParams.from_size(300, 0.8, n_cut=400)
     p1 = p0.replace(phi=1.1)
-    g0, g1 = ground_state(p0), ground_state(p1)
-    mapped = fock_vector(g0) * gauge_phases(p0.dim, 1.1)
-    assert abs(np.vdot(mapped, fock_vector(g1))) == pytest.approx(1.0, abs=1e-12)
+    g0, g1 = ground_state_row([p0]), ground_state_row([p1])
+    mapped = fock_vector(g0, p0) * gauge_phases(p0.dim, 1.1)
+    assert abs(np.vdot(mapped, fock_vector(g1, p1))) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_cutoff_warning_fires_when_truncated():
-    gs = ground_state(ModelParams.from_size(200, 1.8, n_cut=60))
-    assert gs.cutoff_warning
+    (flagged,) = ground_state_row([ModelParams.from_size(200, 1.8, n_cut=60)]).cutoff_warning
+    assert flagged

@@ -9,7 +9,7 @@ from kerrqgt import (
     GapError,
     ModelParams,
     eig_tridiagonal,
-    ground_state,
+    ground_state_row,
     qgt_fd,
     qgt_spectral,
     sector_block,
@@ -66,15 +66,15 @@ def test_linear_response_matches_sum_over_states(p):
 @pytest.mark.parametrize("p", GRID, ids=_label)
 def test_ground_state_matches_full_spectrum(p):
     p = p.replace(phi=0.7)
-    gs = ground_state(p)
+    gs = ground_state_row([p])
     parity, _, scale = two_sector_race(p)
     assert parity == "even"
     block = sector_block([p])
     spec = full_spectrum(block)
     vector = lift(spec.eigenvectors[0, :, 0], block.index_map, p)
-    assert abs(gs.energy - spec.eigenvalues[0, 0]) <= 1e-12 * scale
-    assert _close(gs.gap, spec.eigenvalues[0, 1] - spec.eigenvalues[0, 0])
-    assert abs(abs(np.vdot(vector, fock_vector(gs))) - 1.0) <= 1e-12
+    assert abs(gs.energy[0] - spec.eigenvalues[0, 0]) <= 1e-12 * scale
+    assert _close(gs.gap[0], spec.eigenvalues[0, 1] - spec.eigenvalues[0, 0])
+    assert abs(abs(np.vdot(vector, fock_vector(gs, p))) - 1.0) <= 1e-12
 
 
 @pytest.mark.parametrize("p", [
@@ -86,10 +86,10 @@ def test_ground_state_matches_full_spectrum(p):
     ModelParams.from_size(2000, 1.3, phi=0.4, n_cut=400),
 ], ids=_label)
 def test_kernel_tail_weight_matches_ground_state(p):
-    tensor, gs = qgt_spectral(p), ground_state(p)
+    tensor, gs = qgt_spectral(p), ground_state_row([p])
     assert np.array_equal(gs.levels, np.arange(0, p.n_cut + 1, 2))
-    assert tensor.tail_weight == pytest.approx(gs.tail_weight, rel=1e-14, abs=0.0)
-    assert tensor.cutoff_warning == gs.cutoff_warning
+    assert tensor.tail_weight == pytest.approx(gs.tail_weight[0], rel=1e-14, abs=0.0)
+    assert tensor.cutoff_warning == gs.cutoff_warning[0]
 
 
 def _bracket_holds(low, norm):
@@ -190,7 +190,7 @@ def test_hot_paths_never_decompose_fully(monkeypatch):
     monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", spy)
     p = ModelParams.from_size(150, 0.95, phi=0.4, n_cut=400)
     qgt_spectral(p)
-    ground_state(p)
+    ground_state_row([p])
     qgt_fd(p)
     assert calls and set(calls) == {"i"}
     # the spy sees a full decomposition when one is made

@@ -52,10 +52,11 @@ def test_spectral_no_drive_closed_form():
 
 def test_result_views_and_invariants():
     r = qgt_spectral(ModelParams.from_size(200, 0.9, phi=0.7, n_cut=400))
-    assert np.allclose(r.q, r.q.conj().T, rtol=0, atol=0)
-    assert r.berry_f[0, 0] == 0.0 and r.berry_f[1, 1] == 0.0
-    assert r.berry_f[0, 1] == -r.berry_f[1, 0]
-    assert min(np.linalg.eigvalsh(r.g)) >= -1e-9 * max(1.0, np.trace(r.g))
+    assert all(type(x) is float for x in (r.g_ee, r.g_pp, r.g_ep, r.f_ep))
+    # the linear-response metric has an exactly zero off-diagonal, never -0
+    assert r.g_ep == 0.0 and not np.signbit(r.g_ep)
+    g = np.array([[r.g_ee, r.g_ep], [r.g_ep, r.g_pp]])
+    assert min(np.linalg.eigvalsh(g)) >= -1e-9 * max(1.0, np.trace(g))
     assert r.gap > 0
 
 
@@ -84,37 +85,38 @@ def test_phi_independence_of_tensor():
 
 
 def test_fd_metric_at_zero_drive():
-    g, _ = qgt_fd(ModelParams(delta=1.0, kerr=0.0, eps=0.0, n_cut=64),
-                  step_eps=1e-3, step_phi=1e-3)
-    assert g[0, 0] == pytest.approx(0.125, abs=1e-4)
-    assert abs(g[1, 1]) <= 1e-10
-    assert abs(g[0, 1]) <= 1e-10
+    fd = qgt_fd(ModelParams(delta=1.0, kerr=0.0, eps=0.0, n_cut=64),
+                step_eps=1e-3, step_phi=1e-3)
+    assert fd.method == "fd"
+    assert fd.g_ee == pytest.approx(0.125, abs=1e-4)
+    assert abs(fd.g_pp) <= 1e-10
+    assert abs(fd.g_ep) <= 1e-10
 
 
 def test_method_triangle_reference_point():
     p = ModelParams.from_size(300, 0.9, n_cut=800)
     spectral = qgt_spectral(p)
-    g, f = qgt_fd(p)
-    assert g[0, 0] == pytest.approx(spectral.g_ee, rel=1e-5)
-    assert g[1, 1] == pytest.approx(spectral.g_pp, rel=1e-5)
-    assert f == pytest.approx(spectral.f_ep, rel=1e-4)
+    fd = qgt_fd(p)
+    assert fd.g_ee == pytest.approx(spectral.g_ee, rel=1e-5)
+    assert fd.g_pp == pytest.approx(spectral.g_pp, rel=1e-5)
+    assert fd.f_ep == pytest.approx(spectral.f_ep, rel=1e-4)
 
 
 def test_plaquette_orientation_antisymmetry():
     # Mirroring phi reverses the loop orientation, so the measured phase
     # (hence the curvature estimate) must flip sign exactly.
     p = ModelParams.from_size(200, 0.8, phi=0.4, n_cut=400)
-    fam = _even_ground_family(p, stencil_eps(p.eps, 1e-4))
+    fam, *_ = _even_ground_family(p, stencil_eps(p.eps, 1e-4))
     plain = curvature_fd(fam, p.eps, p.phi, 1e-4, 1e-3)
     mirrored = curvature_fd(lambda e, ph: fam(e, -ph), p.eps, -p.phi, 1e-4, 1e-3)
     assert mirrored == pytest.approx(-plain, rel=1e-10)
-    assert qgt_fd(p, 1e-4, 1e-3)[1] == pytest.approx(plain)
+    assert qgt_fd(p, 1e-4, 1e-3).f_ep == pytest.approx(plain)
 
 
 def test_plaquette_vanishes_at_zero_drive():
-    _, f = qgt_fd(ModelParams(delta=1.0, kerr=0.0, eps=0.0, n_cut=64),
-                  step_eps=1e-3, step_phi=1e-3)
-    assert abs(f) <= 1e-8
+    fd = qgt_fd(ModelParams(delta=1.0, kerr=0.0, eps=0.0, n_cut=64),
+                step_eps=1e-3, step_phi=1e-3)
+    assert abs(fd.f_ep) <= 1e-8
 
 
 def test_fidelity_susceptibility_values():
@@ -126,7 +128,7 @@ def test_fidelity_susceptibility_values():
 
 
 def test_fidelity_far_from_criticality():
-    fam = _even_ground_family(ModelParams.from_size(200, 0.5, n_cut=400), (0.5, 0.501))
+    fam, *_ = _even_ground_family(ModelParams.from_size(200, 0.5, n_cut=400), (0.5, 0.501))
     overlap = abs(np.vdot(fam(0.5, 0.0), fam(0.501, 0.0)))
     assert overlap > 0.999999
 
@@ -173,17 +175,21 @@ def test_stacked_family_equals_lazy_reference(eps):
     p = ModelParams.from_size(150, eps, phi=0.4, n_cut=300)
     lazy = lazy_even_ground_family(p)
     own = stencil_eps(eps, H_EPS)
-    for stacked in (_even_ground_family(p, own),
-                    _even_ground_family(p, own | stencil_eps(eps + 0.01, H_EPS))):
+    for stacked, *_ in (_even_ground_family(p, own),
+                        _even_ground_family(p, own | stencil_eps(eps + 0.01, H_EPS))):
         assert np.array_equal(metric_fd(stacked, eps, p.phi, H_EPS, H_PHI),
                               metric_fd(lazy, eps, p.phi, H_EPS, H_PHI))
         assert (curvature_fd(stacked, eps, p.phi, H_EPS, H_PHI)
                 == curvature_fd(lazy, eps, p.phi, H_EPS, H_PHI))
-    g, f = qgt_fd(p)
-    assert g.tolist() == metric_fd(lazy, eps, p.phi, H_EPS, H_PHI).tolist()
-    assert f == curvature_fd(lazy, eps, p.phi, H_EPS, H_PHI)
+    fd = qgt_fd(p)
+    assert ([[fd.g_ee, fd.g_ep], [fd.g_ep, fd.g_pp]]
+            == metric_fd(lazy, eps, p.phi, H_EPS, H_PHI).tolist())
+    assert fd.f_ep == curvature_fd(lazy, eps, p.phi, H_EPS, H_PHI)
+    state, ground, row = _even_ground_family(p, own)
+    assert sorted(row) == sorted(own) and list(row.values()) == list(range(len(own)))
+    assert ground.vectors.shape == (len(own), ground.block.size)
     with pytest.raises(KeyError):
-        _even_ground_family(p, own)(eps + 1e-3, p.phi)
+        state(eps + 1e-3, p.phi)
 
 
 def test_fd_row_equals_points_alone():
@@ -191,9 +197,14 @@ def test_fd_row_equals_points_alone():
     points = [ModelParams.from_size(150, eps, phi=0.4, n_cut=300) for eps in STENCIL_EPS]
     row = qgt_fd_row(points)
     assert len(row) == len(points)
-    for (g_row, f_row), p in zip(row, points):
-        g, f = qgt_fd(p)
-        assert np.array_equal(g_row, g) and f_row == f
+    for r, p in zip(row, points):
+        single = qgt_fd(p)
+        assert r.params is p and r.method == single.method == "fd"
+        assert (r.g_ee, r.g_pp, r.g_ep, r.f_ep) == (
+            single.g_ee, single.g_pp, single.g_ep, single.f_ep)
+        assert (r.gap, r.mean_n, r.var_n, r.tail_weight, r.cutoff_warning) == (
+            single.gap, single.mean_n, single.var_n, single.tail_weight,
+            single.cutoff_warning)
 
 
 @pytest.mark.parametrize("steps", [(np.nan, H_PHI), (H_EPS, np.nan), (np.inf, H_PHI),

@@ -14,8 +14,8 @@ from kerrqgt import (
     ModelParams,
     QGTResult,
     eig_tridiagonal,
-    ground_state,
     ground_state_row,
+    qgt_fd_row,
     qgt_spectral,
     qgt_spectral_row,
     sector_block,
@@ -62,7 +62,8 @@ def test_tensor_row_equals_single_calls(row):
     for p, r in zip(points, results):
         single = qgt_spectral(p)
         assert r.params is p
-        assert np.array_equal(r.q, single.q)
+        assert (r.g_ee, r.g_pp, r.g_ep, r.f_ep) == (
+            single.g_ee, single.g_pp, single.g_ep, single.f_ep)
         assert (r.gap, r.mean_n, r.var_n, r.tail_weight, r.cutoff_warning) == (
             single.gap, single.mean_n, single.var_n, single.tail_weight,
             single.cutoff_warning)
@@ -71,14 +72,27 @@ def test_tensor_row_equals_single_calls(row):
 @pytest.mark.parametrize("row", ROWS, ids=_label)
 def test_ground_state_row_equals_single_calls(row):
     points = _row(*row, phi=1.1)
-    for p, gs in zip(points, ground_state_row(points)):
-        single = ground_state(p)
-        assert gs.params is p
-        assert np.array_equal(gs.vector, single.vector)
-        assert np.array_equal(gs.levels, single.levels)
-        assert (gs.energy, gs.gap, gs.mean_n, gs.tail_weight, gs.cutoff_warning) == (
-            single.energy, single.gap, single.mean_n, single.tail_weight,
-            single.cutoff_warning)
+    ground = ground_state_row(points)
+    fields = ("energy", "gap", "mean_n", "var_n", "tail_weight", "cutoff_warning")
+    assert ground.vectors.shape == (len(points), ground.block.size)
+    assert all(getattr(ground, name).shape == (len(points),) for name in fields)
+    for m, p in enumerate(points):
+        single = ground_state_row([p])
+        assert np.array_equal(ground.vectors[m], single.vectors[0])
+        assert np.array_equal(ground.levels, single.levels)
+        assert ([getattr(ground, name)[m] for name in fields]
+                == [getattr(single, name)[0] for name in fields])
+
+
+def test_fd_and_spectral_rows_share_the_context():
+    # eps = 0 takes the boundary stencil; 1.3 is in the symmetry-broken regime
+    points = _row(150, 400, [0.0, 0.5, 0.97, 1.3], phi=0.4)
+    fields = ("gap", "mean_n", "var_n", "tail_weight", "cutoff_warning")
+    for fd, spectral in zip(qgt_fd_row(points), qgt_spectral_row(points)):
+        assert (fd.method, spectral.method) == ("fd", "spectral")
+        assert fd.params is spectral.params
+        assert ([getattr(fd, name) for name in fields]
+                == [getattr(spectral, name) for name in fields])
 
 
 def test_stacked_spectrum_shapes():
@@ -119,7 +133,7 @@ def test_row_points_must_share_everything_but_eps_and_phi():
 
 
 # ---------------------------------------------------------------------------
-# QGTResult gates: exact Hermiticity and a closed-form PSD test
+# QGTResult gates: finite entries and a closed-form PSD test on the real record
 
 def _old_gates(q):
     """The gates as they were: allclose at zero tolerance and eigvalsh."""
@@ -142,8 +156,11 @@ def _accepts(gate, q) -> bool:
 
 
 def _new_gate(q):
-    QGTResult(q=q, gap=1.0, method="spectral", params=ModelParams.from_size(150, 0.9),
-              mean_n=0.0, var_n=0.0, tail_weight=0.0, cutoff_warning=False)
+    """The record of the Hermitian q = g - (i/2) F."""
+    QGTResult(g_ee=q[0, 0].real, g_pp=q[1, 1].real, g_ep=q[0, 1].real,
+              f_ep=-2.0 * q[0, 1].imag, gap=1.0, method="spectral",
+              params=ModelParams.from_size(150, 0.9), mean_n=0.0, var_n=0.0,
+              tail_weight=0.0, cutoff_warning=False)
 
 
 GATE_CASES = {
@@ -151,9 +168,6 @@ GATE_CASES = {
     "rank one": ([[1.0, 1.0], [1.0, 1.0]], True),
     "nan diagonal": ([[np.nan, 0.0], [0.0, 1.0]], False),
     "nan off-diagonal": ([[1.0, np.nan], [np.nan, 1.0]], False),
-    "non-hermitian": ([[1.0, 0.1], [0.2, 1.0]], False),
-    "non-hermitian phase": ([[1.0, 0.1j], [0.1j, 1.0]], False),
-    "imaginary diagonal": ([[1.0 + 1e-20j, 0.0], [0.0, 1.0]], False),
     "indefinite": ([[1.0, 2.0], [2.0, 1.0]], False),
     "negative diagonal": ([[-1.0, 0.0], [0.0, 1.0]], False),
     # PSD_TOLERANCE x max(1, trace): unit 1 on a diagonal metric, unit ~2

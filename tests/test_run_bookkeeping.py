@@ -87,8 +87,9 @@ def test_row_gap_error_retries_point_by_point(tmp_path, monkeypatch):
     monkeypatch.setattr(sweep, "qgt_spectral_row", gap_at_one_point)
     patched = dataclasses.replace(config, out_dir=str(tmp_path / "patched"))
     rows = read_csv(run(patched)[0])[1]
-    dropped = [r for r in plain if r[0] == "80" and float(r[1]) == 0.7]
-    assert [r[4] for r in dropped] == ["spectral", "fd"]
+    # the fd row of the point has its own solve and survives
+    dropped = [r for r in plain if r[0] == "80" and float(r[1]) == 0.7 and r[4] == "spectral"]
+    assert len(dropped) == 1
     assert rows == [r for r in plain if r not in dropped]
     assert _manifest_warnings(tmp_path / "patched", "qgt") == [
         "L=80 eps=0.7: sector gap below the floor"]
@@ -114,9 +115,13 @@ def test_nan_solve_drops_only_its_point(tmp_path, monkeypatch):
     dropped = [line for line in plain if line.startswith("80,0.69999999999999996,")]
     assert [line.split(",")[4] for line in dropped] == ["spectral", "fd"]
     assert lines == [line for line in plain if line not in dropped]
+    # both routes solve the point's own eps: the tensor row as row 0 of one,
+    # the fd row as row 2 of its 5 stencil eps
     warnings = _manifest_warnings(tmp_path / "patched", "qgt")
-    assert len(warnings) == 1
+    assert len(warnings) == 2
     assert warnings[0].startswith("L=80 eps=0.7: even block of size 81, row 0: residual nan")
+    assert warnings[1].startswith("L=80 eps=0.7 (fd): even block of size 81, row 2: "
+                                  "residual nan")
 
 
 def test_nan_stencil_state_drops_only_its_fd_row(tmp_path, monkeypatch):
@@ -272,6 +277,33 @@ def test_manifest_identity_ignores_out_dir_but_not_physics(tmp_path):
     manifest = json.loads(manifest_path.read_text())
     manifest_path.write_text(json.dumps({**manifest, "version": "0.0.0"}))
     assert not manifest_is_current(first, cfg)
+
+
+def _damage_manifest(path, damage):
+    if damage == "array":
+        path.write_text("[1, 2]")
+    elif damage == "outputs list":
+        manifest = json.loads(path.read_text())
+        path.write_text(json.dumps({**manifest, "outputs": list(manifest["outputs"])}))
+    else:
+        path.write_bytes(b"\xff\xfe not utf-8")
+
+
+@pytest.mark.parametrize("damage", ["array", "outputs list", "not utf-8"])
+def test_damaged_manifest_reruns_the_mode(tmp_path, capsys, damage):
+    argv = ["qgt", "--out", str(tmp_path), "--L-list", "60", "--eps", "0.5:0.9:2",
+            "--ncut", "160"]
+    assert main(argv) == 0
+    csv_path, manifest_path = tmp_path / "qgt.csv", tmp_path / "manifest_qgt.json"
+    expected = csv_path.read_bytes()
+    csv_path.unlink()
+    _damage_manifest(manifest_path, damage)
+    assert main(argv) == 0
+    assert csv_path.read_bytes() == expected
+    manifest = json.loads(manifest_path.read_text())
+    assert manifest["outputs"] == {"qgt.csv": sweep.sha256_file(csv_path)}
+    assert main(argv) == 0
+    assert capsys.readouterr().out.count("wrote") == 2
 
 
 def _write_report(out, **diag_overrides):

@@ -13,7 +13,7 @@ import scipy.linalg
 
 import kerrqgt.cli
 import kerrqgt.sweep as sweep
-from kerrqgt import ModelParams, ground_state, ground_state_row, sector_block
+from kerrqgt import ModelParams, ground_state_row, sector_block
 from kerrqgt.cli import (
     assemble_config,
     build_parser,
@@ -118,12 +118,12 @@ def test_phase_diagram_solves_once_per_eps(tmp_path, monkeypatch):
         assert all(r[:1] + r[2:] == row_set[0][:1] + row_set[0][2:] for r in row_set)
         # and agrees with a separate ground-state solve at its own phi
         for r in row_set:
-            gs = ground_state(ModelParams.from_size(size, float(r[0]), phi=float(r[1]),
-                                                    n_cut=n_cut))
-            n_mean = mean_photon(fock_vector(gs))
+            p = ModelParams.from_size(size, float(r[0]), phi=float(r[1]), n_cut=n_cut)
+            gs = ground_state_row([p])
+            n_mean = mean_photon(fock_vector(gs, p))
             assert abs(float(r[4]) - n_mean) <= 1e-12 * n_mean
             assert abs(float(r[5]) - n_mean / size) <= 1e-12 * n_mean / size
-            assert r[6] == ("cutoff" if gs.cutoff_warning else "")
+            assert r[6] == ("cutoff" if gs.cutoff_warning[0] else "")
 
 
 def test_phase_diagram_cutoff_precheck(tmp_path):
@@ -175,6 +175,19 @@ def test_qgt_sweep_rows_and_methods(tmp_path):
         for col in (5, 6, 8):  # g_ee, g_pp, f_ep
             a, b = float(s[col]), float(f[col])
             assert abs(a - b) <= 1e-4 * max(abs(a), abs(b), 1e-9)
+
+
+def test_qgt_csv_has_no_negative_zero(tmp_path):
+    # the spectral g_ep is an exact zero, and so is its f_ep at eps = 0; each
+    # is written 0, never -0, whatever the sign of the f_ep beside it
+    cfg = SweepConfig(mode="qgt", out_dir=str(tmp_path), sizes=(60, 80),
+                      eps_range=(0.0, 1.2, 4), phi=0.3, method="both", n_cut=160)
+    rows = read_csv(run(cfg)[0])[1]
+    assert [cell for r in rows for cell in r if cell == "-0"] == []
+    spectral = [r for r in rows if r[4] == "spectral"]
+    assert [r[7] for r in spectral] == ["0"] * len(spectral)
+    assert [r[8] for r in spectral if r[1] == "0"] == ["0", "0"]
+    assert sum(float(r[8]) > 0 for r in spectral) == 6
 
 
 def test_qgt_sweep_thread_determinism(tmp_path):
