@@ -1,10 +1,12 @@
 """Lowest eigenpairs of the even block and ground-state extraction.
 
 Ground-state work needs only the lowest pair of a block: one bisection plus
-inverse iteration (dstebz/dstein via scipy.linalg.eigh_tridiagonal with
-select='i') gets it in O(N).  The gates take their units from two O(N) bounds
-on the block norm (see Spectrum), not from a second bisection for the top
-eigenvalue.
+inverse iteration gets it in O(N).  _lowest_pair calls LAPACK dstebz and
+dstein directly, as scipy.linalg.eigh_tridiagonal(select='i') calls them,
+without its per-call argument checks; eig_tridiagonal checks that the block
+is finite once for the whole stack.  The gates take their units from two
+O(N) bounds on the block norm (see Spectrum), not from a second bisection for
+the top eigenvalue.
 
 Every kernel certificate (the eigen residual and orthogonality here; the
 Sternheimer factorisation, residual and overlap and the gap floor in qgt) is
@@ -14,7 +16,7 @@ EigenConvergenceError (GapError for the gap floor) naming the block and row.
 
 Every block stacks the M blocks of a row of points (one point is a row of
 one).  Each gets its own selective solve; the sign convention, the gate units
-and the certificates are then taken on the whole stack at once.
+and the certificates are then taken on GATE_CHUNK rows at a time.
 
 A ground state is the real ground vector of the even parity sector on that
 sector's Fock levels (ground_state_row stacks a row of them).  The drive
@@ -41,6 +43,8 @@ from .model import (
 
 RESIDUAL_BOUND = 1e-10
 ORTHOGONALITY_BOUND = 1e-10
+# rows per pass of eig_tridiagonal's sign convention, units and certificates
+GATE_CHUNK = 8
 
 
 @dataclass(frozen=True)
@@ -111,44 +115,68 @@ def _tridiagonal_multiply(diag, off, vectors):
     return out
 
 
+def _lowest_pair(diag, off):
+    """Lowest two eigenpairs (ascending values, (N, 2) vectors) of one real
+    symmetric tridiagonal matrix, as scipy.linalg.eigh_tridiagonal(select='i',
+    select_range=(0, 1)) computes them, without its argument handling: dstebz
+    bisection in block order, dstein inverse iteration, then the reorder by
+    value (at eps = 0 the matrix splits into 1x1 blocks, listed by block).
+    Raises LinAlgError on a nonzero info or when dstebz returns no pair."""
+    m, w, iblock, isplit, info = scipy.linalg.lapack.dstebz(
+        diag, off, 2, 0.0, 0.0, 1, 2, 0.0, "B")
+    if info != 0 or m != 2:
+        raise np.linalg.LinAlgError(f"dstebz returned {m} eigenvalues, info {info}")
+    w = w[:2]
+    vectors, info = scipy.linalg.lapack.dstein(diag, off, w, iblock, isplit)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dstein info {info}")
+    order = np.argsort(w)
+    return w[order], vectors[:, order]
+
+
 def eig_tridiagonal(block: TridiagonalBlock) -> Spectrum:
     """Lowest two eigenpairs of each row of a real symmetric tridiagonal block.
 
     One bisection and inverse iteration per row give the pair in O(N); the
     two units of Spectrum are O(N) bounds read off the block, with no further
-    solve.
+    solve.  The sign convention, the units and the certificates are taken on
+    GATE_CHUNK rows at a time, so their temporaries do not grow with the row.
     """
     offdiag = block.offdiag
-    lam = np.empty((len(offdiag), 2))
+    rows = len(offdiag)
+    if not (np.isfinite(block.diag).all() and np.isfinite(offdiag).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    lam = np.empty((rows, 2))
     # (M, 2, N): each eigenvector is one contiguous row
-    vec = np.empty((len(offdiag), 2, block.size))
+    vec = np.empty((rows, 2, block.size))
     for m, off in enumerate(offdiag):
         try:
-            lam[m], pair = scipy.linalg.eigh_tridiagonal(
-                block.diag, off, select="i", select_range=(0, 1))
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure path
-            raise EigenConvergenceError(
-                f"tridiagonal eigensolve failed on even block of size "
-                f"{block.size}, row {m}: {exc}") from exc
+            lam[m], pair = _lowest_pair(block.diag, off)
+        except np.linalg.LinAlgError as exc:
+            raise EigenConvergenceError(f"even block of size {block.size}, row {m}: "
+                                        f"tridiagonal eigensolve failed: {exc}") from exc
         vec[m] = pair.T
 
-    # Canonical sign: largest-magnitude component of each vector positive
-    # (never zero for a unit vector).
-    rows = np.arange(len(offdiag))[:, None]
-    vec *= np.sign(vec[rows, [0, 1], np.argmax(np.abs(vec), axis=-1)])[..., None]
-
-    # The largest absolute row sum (Gershgorin) bounds ||T||_2 above; |E0|
-    # and every |d_i| bound it below.
-    abs_diag, abs_off = np.abs(block.diag), np.abs(offdiag)
-    row_sums = np.repeat(abs_diag[None], len(offdiag), axis=0)
-    row_sums[:, :-1] += abs_off
-    row_sums[:, 1:] += abs_off
-    scale = np.maximum(1.0, row_sums.max(axis=1))
+    abs_diag = np.abs(block.diag)
+    scale, resid_norms, defects = np.empty(rows), np.empty((rows, 2)), np.empty(rows)
+    for start in range(0, rows, GATE_CHUNK):
+        chunk = slice(start, start + GATE_CHUNK)
+        v, off = vec[chunk], offdiag[chunk]
+        # Canonical sign: largest-magnitude component of each vector positive
+        # (never zero for a unit vector).
+        picked = np.arange(len(v))[:, None], [0, 1], np.argmax(np.abs(v), axis=-1)
+        v *= np.sign(v[picked])[..., None]
+        # The largest absolute row sum (Gershgorin) bounds ||T||_2 above; |E0|
+        # and every |d_i| bound it below.
+        abs_off = np.abs(off)
+        row_sums = np.repeat(abs_diag[None], len(v), axis=0)
+        row_sums[:, :-1] += abs_off
+        row_sums[:, 1:] += abs_off
+        scale[chunk] = np.maximum(1.0, row_sums.max(axis=1))
+        resid = _tridiagonal_multiply(block.diag, off[:, None], v) - v * lam[chunk, :, None]
+        resid_norms[chunk] = np.sqrt(np.einsum("mkn,mkn->mk", resid, resid))
+        defects[chunk] = np.abs(np.einsum("mn,mn->m", v[:, 0], v[:, 1]))
     residual_unit = np.maximum(np.abs(lam[:, 0]), max(1.0, float(abs_diag.max())))
-    resid = (_tridiagonal_multiply(block.diag, offdiag[:, None], vec)
-             - vec * lam[:, :, None])
-    resid_norms = np.sqrt(np.einsum("mkn,mkn->mk", resid, resid))
-    defects = np.abs(np.einsum("mn,mn->m", vec[:, 0], vec[:, 1]))
     _certify((resid_norms <= RESIDUAL_BOUND * residual_unit[:, None]).all(axis=1), block,
              lambda m: f"residual {resid_norms[m].max():.3e} exceeds bound "
                        f"(worst eigenpair {int(np.argmax(resid_norms[m]))})")

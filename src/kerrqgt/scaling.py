@@ -6,7 +6,9 @@ All fitters are deterministic, closed-form least squares combined with scanned
 and golden-section 1D searches; no stochastic optimization is used anywhere.
 The end-to-end pipelines assemble the critical point, the correlation-length
 exponent, the scaling dimensions of the geometric tensor, the data-collapse
-qualities, and the cutoff-scaling study without Kerr nonlinearity.
+qualities, and the cutoff-scaling study without Kerr nonlinearity.  The
+finite-Kerr pipeline solves each size at the smallest Fock cutoff of a fixed
+ladder that the tail gate certifies, up to the cap it is given.
 scipy.optimize is imported inside locate_peak and optimize_collapse, its only
 users, so that a run which calls neither does not load it.
 """
@@ -18,6 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .eigensolver import ground_state_row
 from .errors import BracketError, FitError, InputError, WindowError
 from .model import ModelParams, TAIL_TOLERANCE
 from .qgt import g_ee_slope, qgt_spectral, qgt_spectral_row, QGTResult
@@ -35,6 +38,13 @@ DRIFT_EXPONENT_SCAN = 61
 PEAK_SCAN_POINTS = 8
 PEAK_XTOL = 1e-12
 COLLAPSE_SEED_GRID = (15, 9)  # (nu, eps_c*) points seeding the polish
+# Fock cutoffs that scaling_pipeline may solve a row at below its cap n_cut:
+# even rungs about 1.25x apart.  The cap itself is always the last rung.
+CUTOFF_RUNGS = (40, 50, 64, 80, 100, 126, 158, 198, 248, 310, 388, 486, 608, 760,
+                950, 1188, 1486, 1858)
+# A rung passes a stage's probe when the tail weight there is at most
+# CUTOFF_MARGIN x TAIL_TOLERANCE.
+CUTOFF_MARGIN = 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +373,33 @@ def sweep_family(sizes: Sequence[float], eps_grid: np.ndarray, n_cut: int,
                               for e in eps_grid]) for L in sizes]
 
 
+def _cutoff_ladder(cap: int) -> list[int]:
+    """The rungs of CUTOFF_RUNGS below cap, then cap."""
+    return [n for n in CUTOFF_RUNGS if n < cap] + [int(cap)]
+
+
+def _solve_adaptive(ladder: list[int], start: int, probe: ModelParams,
+                    solve: Callable[[int], object], tripped: Callable[[object], bool]):
+    """(rung, result) of one stage of one size.
+
+    From rung start, the first rung below the cap at which the ground state of
+    probe has tail weight at most CUTOFF_MARGIN x TAIL_TOLERANCE is solved
+    (the cap if none is); while tripped(result), the stage moves up a rung and
+    is solved again, up to the cap.
+    """
+    top = len(ladder) - 1
+    rung = start
+    while rung < top and not (
+            ground_state_row([probe.replace(n_cut=ladder[rung])]).tail_weight[0]
+            <= CUTOFF_MARGIN * TAIL_TOLERANCE):
+        rung += 1
+    result = solve(ladder[rung])
+    while rung < top and tripped(result):
+        rung += 1
+        result = solve(ladder[rung])
+    return rung, result
+
+
 def scaling_pipeline(sizes: Sequence[float] = DEFAULT_SIZES,
                      n_cut: int = DEFAULT_N_CUT,
                      delta: float = 1.0,
@@ -376,6 +413,11 @@ def scaling_pipeline(sizes: Sequence[float] = DEFAULT_SIZES,
     for delta_pp and delta_ep at the pseudo-critical points), the data-collapse
     qualities on a shared eps window, and the curvature-collapse optimum.
     An invalid collapse grid raises InputError before any point is computed.
+
+    n_cut is a cap.  Each size's peak search and family row run at the
+    cutoff _solve_adaptive picks from _cutoff_ladder(n_cut), probed at the
+    top of the peak bracket and of the family grid and searched from the
+    previous size's rung; diagnostics["cutoffs"] records them per kept size.
     """
     lo, hi = collapse_window
     if not (np.isfinite(collapse_step) and collapse_step > 0):
@@ -388,16 +430,24 @@ def scaling_pipeline(sizes: Sequence[float] = DEFAULT_SIZES,
     if np.any(np.diff(sizes) == 0):
         raise FitError(f"the scaling pipeline needs distinct sizes, got {sizes.tolist()}")
 
+    ladder = _cutoff_ladder(n_cut)
     warnings: list[str] = []
-    peak_eps, peak_results = [], []
+    peak_eps, peak_results, peak_cuts = [], [], []
+    rung = 0
     for L in sizes:
-        ec = locate_peak(lambda e: g_ee_slope(ModelParams.from_size(
-            L, e, n_cut=n_cut, delta=delta)), peak_bracket)
-        res = qgt_spectral(ModelParams.from_size(L, ec, n_cut=n_cut, delta=delta))
+        def peak(n):
+            ec = locate_peak(lambda e: g_ee_slope(ModelParams.from_size(
+                L, e, n_cut=n, delta=delta)), peak_bracket)
+            return ec, qgt_spectral(ModelParams.from_size(L, ec, n_cut=n, delta=delta))
+
+        rung, (ec, res) = _solve_adaptive(
+            ladder, rung, ModelParams.from_size(L, peak_bracket[1], delta=delta),
+            peak, lambda found: found[1].cutoff_warning)
         if res.cutoff_warning:
             warnings.append(f"cutoff-inadequate point excluded: L={L:g} eps={ec:.6f}")
         peak_eps.append(ec)
         peak_results.append(res)
+        peak_cuts.append(ladder[rung])
 
     keep = np.array([not r.cutoff_warning for r in peak_results])
     degraded = bool(np.any(~keep))
@@ -427,7 +477,15 @@ def scaling_pipeline(sizes: Sequence[float] = DEFAULT_SIZES,
 
     eps_grid = np.arange(collapse_window[0], collapse_window[1] + collapse_step / 2,
                          collapse_step)
-    grid_results = sweep_family(sizes_kept, eps_grid, n_cut, delta)
+    grid_results, family_cuts = [], []
+    rung = 0
+    for L in sizes_kept:
+        rung, row = _solve_adaptive(
+            ladder, rung, ModelParams.from_size(L, eps_grid[-1], delta=delta),
+            lambda n: sweep_family([L], eps_grid, n, delta)[0],
+            lambda row: any(r.cutoff_warning for r in row))
+        grid_results.append(row)
+        family_cuts.append(ladder[rung])
     flagged = [(L, e) for L, row in zip(sizes_kept, grid_results)
                for e, r in zip(eps_grid, row) if r.cutoff_warning]
     if flagged:
@@ -453,6 +511,8 @@ def scaling_pipeline(sizes: Sequence[float] = DEFAULT_SIZES,
     diagnostics = {
         "sizes": [float(s) for s in sizes_kept],
         "n_cut": int(n_cut),
+        "cutoffs": {"peak": [n for n, k in zip(peak_cuts, keep) if k],
+                    "family": family_cuts},
         "delta": float(delta),
         "peak_bracket": [float(peak_bracket[0]), float(peak_bracket[1])],
         "collapse_window": [float(collapse_window[0]), float(collapse_window[1])],

@@ -28,6 +28,10 @@ decomposition, never from the kernels it checks:
   masks the points inside their range;
 * lazy_even_ground_family is the fd state family solved one eps at a time,
   on first request, as a row of one;
+* fixed_cutoff_scaling is scaling_pipeline with every peak search and family
+  row solved at the cap n_cut, as before the cutoff ladder: with
+  CUTOFF_RUNGS empty the cap is the only rung, so no probe is made and no row
+  moves;
 * squeezed_vacuum_fock, displaced_squeezed_fock and displaced_squeezed_cat
   are the closed-form phases' states on the Fock basis (the displacement by
   scipy.sparse expm_multiply), gated by tail_weight, and
@@ -41,16 +45,21 @@ lazy_even_ground_family the eigensolver eig_tridiagonal, because that path
 checks the stacking and lookup of the package's family, whose vectors it
 must match bit for bit, not the eigensolver; and for squeezed_vacuum_qgt_fd
 the overlap stencils metric_fd and curvature_fd, applied to Fock-basis
-states that owe nothing to the eigensolver.
+states that owe nothing to the eigensolver; and for fixed_cutoff_scaling the
+scaling pipeline itself, because that path checks the choice of cutoff, not
+the fits.
 """
 
 from __future__ import annotations
+
+from unittest import mock
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
+import kerrqgt.scaling
 from kerrqgt.eigensolver import (
     ORTHOGONALITY_BOUND,
     RESIDUAL_BOUND,
@@ -269,6 +278,12 @@ def lazy_even_ground_family(params):
         return vectors[key] * phases[phi]
 
     return state
+
+
+def fixed_cutoff_scaling(**kwargs):
+    """scaling_pipeline(**kwargs) with every row solved at the cap n_cut."""
+    with mock.patch.object(kerrqgt.scaling, "CUTOFF_RUNGS", ()):
+        return kerrqgt.scaling.scaling_pipeline(**kwargs)
 
 
 def fidelity_susceptibility(params, step_eps: float = 1e-4) -> float:

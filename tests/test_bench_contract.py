@@ -29,13 +29,13 @@ def test_eig_tridiagonal_returns_what_the_tracer_reads():
 
 @pytest.fixture
 def eig_calls(monkeypatch):
-    """The rows each eig_tridiagonal call solves, counted through every module
-    binding, as the tracer counts the calls."""
+    """(rows, block size) of each eig_tridiagonal call, counted through every
+    module binding, as the tracer counts the calls."""
     original = kerrqgt.eigensolver.eig_tridiagonal
     calls = []
 
     def counted(block, *args, **kwargs):
-        calls.append(len(block.offdiag))
+        calls.append((len(block.offdiag), block.size))
         return original(block, *args, **kwargs)
 
     for name, module in list(sys.modules.items()):
@@ -62,7 +62,31 @@ def test_qgt_point_eigensolve_count(tmp_path, eig_calls, method, calls, rows):
     kerrqgt.sweep.run(kerrqgt.sweep.SweepConfig(
         mode="qgt", out_dir=str(tmp_path), sizes=(150,), eps_range=(0.95, 1.06, 8),
         phi=0.3, n_cut=200, method=method))
-    assert (len(eig_calls), sum(eig_calls)) == (calls, rows)
+    assert (len(eig_calls), sum(m for m, _ in eig_calls)) == (calls, rows)
+
+
+def test_scaling_rows_solve_at_most_half_the_fixed_cutoff_work(monkeypatch, eig_calls):
+    # Every cutoff probe is a one-point ground_state_row, so it goes through
+    # eig_tridiagonal and the bench's residual gate sees it.
+    probes = []
+
+    def probe(points):
+        before = len(eig_calls)
+        ground = kerrqgt.eigensolver.ground_state_row(points)
+        probes.append((eig_calls[before:], (1, points[0].n_cut // 2 + 1)))
+        return ground
+
+    monkeypatch.setattr(kerrqgt.scaling, "ground_state_row", probe)
+    config = dict(sizes=(60, 80, 100, 120), n_cut=240, peak_bracket=(0.99, 1.40),
+                  collapse_window=(0.95, 1.06), collapse_step=0.01)
+    kerrqgt.scaling.scaling_pipeline(**config)
+    adaptive = list(eig_calls)
+    assert probes and all(seen == [expected] for seen, expected in probes)
+    eig_calls.clear()
+    reference.fixed_cutoff_scaling(**config)
+    assert all(size == 121 for _, size in eig_calls)
+    work = [sum(m * size for m, size in calls) for calls in (adaptive, eig_calls)]
+    assert work[0] <= 0.5 * work[1]
 
 
 def test_pipeline_and_gate_names_exist():

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import kerrqgt.eigensolver as eigensolver
 import kerrqgt.qgt as qgt
 import reference
 from kerrqgt import (
@@ -60,7 +61,7 @@ def _non_orthogonal_pair(result):
 
 
 def _eigensolve(alter):
-    return lambda mp: _alter_call(mp, scipy.linalg, "eigh_tridiagonal", 1, alter)
+    return lambda mp: _alter_call(mp, eigensolver, "_lowest_pair", 1, alter)
 
 
 def _solve(alter):
@@ -86,6 +87,20 @@ CASES = {
                        EigenConvergenceError, "row 1: residual .* exceeds bound"),
     "orthogonality": (_eigensolve(_non_orthogonal_pair), qgt_spectral_row,
                       EigenConvergenceError, "row 1: orthogonality defect 1.000e"),
+    "bisection-info": (lambda mp: _alter_call(mp, scipy.linalg.lapack, "dstebz", 1,
+                                              lambda r: (*r[:4], 3)),
+                       qgt_spectral_row, EigenConvergenceError,
+                       "row 1: tridiagonal eigensolve failed: dstebz returned 2 "
+                       "eigenvalues, info 3"),
+    "bisection-count": (lambda mp: _alter_call(mp, scipy.linalg.lapack, "dstebz", 1,
+                                               lambda r: (1, *r[1:])),
+                        qgt_spectral_row, EigenConvergenceError,
+                        "row 1: tridiagonal eigensolve failed: dstebz returned 1 "
+                        "eigenvalues, info 0"),
+    "inverse-iteration-info": (lambda mp: _alter_call(mp, scipy.linalg.lapack, "dstein", 1,
+                                                      lambda r: (r[0], 1)),
+                               qgt_spectral_row, EigenConvergenceError,
+                               "row 1: tridiagonal eigensolve failed: dstein info 1"),
     "factorisation": (lambda mp: _alter_call(mp, scipy.linalg.lapack, "dpttrf", 1,
                                              lambda r: (r[0], r[1], 1)),
                       qgt_spectral_row, EigenConvergenceError,

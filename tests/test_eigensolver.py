@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from kerrqgt import (
     ModelParams,
@@ -9,6 +10,7 @@ from kerrqgt import (
     ground_state_row,
     sector_block,
 )
+from kerrqgt.eigensolver import _lowest_pair
 from kerrqgt.model import TridiagonalBlock
 from reference import (dense_eigenvalues, dense_hamiltonian, fock_vector, full_spectrum,
                        gauge_phases, odd_block, squeezed_vacuum_fock, two_sector_race)
@@ -30,6 +32,22 @@ def test_diagonal_case():
     full = full_spectrum(block)
     np.testing.assert_allclose(full.eigenvalues[0], [0.0, 2.0, 4.0])
     np.testing.assert_allclose(np.abs(full.eigenvectors[0]), np.eye(3), atol=1e-14)
+
+
+@pytest.mark.parametrize("diag, off", [
+    # split blocks listed out of value order: the bisection returns the pair
+    # by block, [2, 1], and the reorder puts it in value order
+    ([2.0, 1.0, 5.0], [0.0, 0.0]),
+    ([3.0, -1.0, 0.5, 4.0], [0.7, 0.0, -0.2]),
+    *[(sector_block([p]).diag, sector_block([p]).offdiag[0])
+      for p in (ModelParams.from_size(150, eps, n_cut=120) for eps in (0.0, 0.5, 1.3))],
+])
+def test_lowest_pair_is_scipys_selective_solve(diag, off):
+    diag, off = np.asarray(diag), np.asarray(off)
+    values, vectors = _lowest_pair(diag, off)
+    expected = scipy.linalg.eigh_tridiagonal(diag, off, select="i", select_range=(0, 1))
+    assert np.array_equal(values, expected[0]) and np.array_equal(vectors, expected[1])
+    assert values[0] <= values[1]
 
 
 def test_two_by_two_closed_form():

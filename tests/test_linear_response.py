@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import kerrqgt.eigensolver as eigensolver
 from kerrqgt import (
     GapError,
     ModelParams,
@@ -180,13 +181,20 @@ def test_gap_floor_raises_named_error(monkeypatch):
 
 
 def test_hot_paths_never_decompose_fully(monkeypatch):
+    # the package solves through the lowest-pair seam; the reference's full
+    # decomposition calls scipy
     calls = []
-    original = scipy.linalg.eigh_tridiagonal
+    pair, original = eigensolver._lowest_pair, scipy.linalg.eigh_tridiagonal
+
+    def pair_spy(diag, off):
+        calls.append("i")
+        return pair(diag, off)
 
     def spy(*args, **kwargs):
         calls.append(kwargs.get("select", "a"))
         return original(*args, **kwargs)
 
+    monkeypatch.setattr(eigensolver, "_lowest_pair", pair_spy)
     monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", spy)
     p = ModelParams.from_size(150, 0.95, phi=0.4, n_cut=400)
     qgt_spectral(p)

@@ -9,8 +9,8 @@ import threading
 
 import numpy as np
 import pytest
-import scipy.linalg
 
+import kerrqgt.eigensolver as eigensolver
 import kerrqgt.qgt
 import kerrqgt.scaling
 import kerrqgt.sweep as sweep
@@ -100,16 +100,16 @@ def test_nan_solve_drops_only_its_point(tmp_path, monkeypatch):
                          eps_range=(0.5, 0.9, 3), method="both", n_cut=160)
     plain = run(config)[0].read_text().splitlines()
     target = sector_block([ModelParams.from_size(80, 0.7, n_cut=160)])
-    eigensolve = scipy.linalg.eigh_tridiagonal
+    eigensolve = eigensolver._lowest_pair
 
-    def nan_at_target(diag, off, **kwargs):
-        lam, vec = eigensolve(diag, off, **kwargs)
+    def nan_at_target(diag, off):
+        lam, vec = eigensolve(diag, off)
         if np.array_equal(diag, target.diag) and np.allclose(off, target.offdiag[0]):
             vec = vec.copy()
             vec[3, 0] = np.nan
         return lam, vec
 
-    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", nan_at_target)
+    monkeypatch.setattr(eigensolver, "_lowest_pair", nan_at_target)
     patched = dataclasses.replace(config, out_dir=str(tmp_path / "patched"))
     lines = run(patched)[0].read_text().splitlines()
     dropped = [line for line in plain if line.startswith("80,0.69999999999999996,")]
@@ -134,16 +134,16 @@ def test_nan_stencil_state_drops_only_its_fd_row(tmp_path, monkeypatch):
     stencil = max(stencil_eps(eps, DEFAULT_STEP_EPS))
     assert stencil != eps
     target = sector_block([ModelParams.from_size(80, stencil, n_cut=160)])
-    eigensolve = scipy.linalg.eigh_tridiagonal
+    eigensolve = eigensolver._lowest_pair
 
-    def nan_at_target(diag, off, **kwargs):
-        lam, vec = eigensolve(diag, off, **kwargs)
+    def nan_at_target(diag, off):
+        lam, vec = eigensolve(diag, off)
         if np.array_equal(diag, target.diag) and np.array_equal(off, target.offdiag[0]):
             vec = vec.copy()
             vec[3, 0] = np.nan
         return lam, vec
 
-    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", nan_at_target)
+    monkeypatch.setattr(eigensolver, "_lowest_pair", nan_at_target)
     patched = dataclasses.replace(config, out_dir=str(tmp_path / "patched"))
     lines = run(patched)[0].read_text().splitlines()
     dropped = [line for line in plain if line.startswith("80,0.69999999999999996,")
@@ -368,11 +368,11 @@ def test_k0_reuses_report_for_unsorted_sizes(tmp_path, k0_spies):
 
 @pytest.fixture
 def no_eigensolve(monkeypatch):
-    """Fail the test at the first tridiagonal eigensolve."""
+    """Fail the test at the first tridiagonal eigensolve of the package."""
     def solve(*args, **kwargs):
         raise AssertionError("a tridiagonal eigensolve was made")
 
-    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", solve)
+    monkeypatch.setattr(eigensolver, "_lowest_pair", solve)
 
 
 def test_repeated_sizes_fail_before_any_solve(tmp_path, capsys, no_eigensolve):
@@ -441,3 +441,26 @@ def test_collapse_manifests_are_kept_per_observable(tmp_path, capsys):
     for observable in ("g_ee", "f_ep"):
         manifest = json.loads((tmp_path / f"manifest_collapse_{observable}.json").read_text())
         assert list(manifest["outputs"]) == [f"collapse_{observable}.json"]
+
+
+def test_report_without_cutoffs_serves_k0_collapse_and_plots(tmp_path, monkeypatch):
+    # A report written before the cutoff ladder has no diagnostics["cutoffs"];
+    # the k0 study still reuses it, and collapse and plots still read it.
+    files = run(SweepConfig(mode="scaling", out_dir=str(tmp_path),
+                            **{k: v for k, v in K0_BASE.items() if k != "ncut_list"}))
+    report = json.loads(files[0].read_text())
+    assert set(report["diagnostics"].pop("cutoffs")) == {"peak", "family"}
+    files[0].write_text(sweep.dumps_json(report))
+
+    def rebuilt(**kwargs):
+        raise AssertionError("the scaling report was rebuilt")
+
+    monkeypatch.setattr(sweep, "scaling_pipeline", rebuilt)
+    assert run(SweepConfig(mode="k0", out_dir=str(tmp_path), **K0_BASE))
+    k0 = json.loads((tmp_path / sweep.K0_REPORT_NAME).read_text())
+    assert k0["diagnostics"]["scaling_eps_c_star"] == report["eps_c_star"]
+    for observable in ("g_ee", "f_ep"):
+        assert run(SweepConfig(mode="collapse", out_dir=str(tmp_path),
+                               observable=observable))
+    assert sorted(p.name for p in emit_plots(tmp_path)) == [
+        "plot_curvature.py", "plot_k0.py", "plot_qgt_peaks.py", "plot_scaling_fits.py"]

@@ -292,8 +292,10 @@ def test_family_validation():
 def test_gap_error_in_pipeline_names_the_point(monkeypatch):
     import kerrqgt.qgt
     monkeypatch.setattr(kerrqgt.qgt, "GAP_FLOOR", 1.0)
-    with pytest.raises(GapError, match=r"sector gap .* at eps=[0-9.]+, kerr=[0-9.e-]+, "
-                                       r"n_cut=200$"):
+    # the first gated solve is the peak search of L = 40, on its cutoff rung
+    # 80 below the cap 200 (diagnostics["cutoffs"]["peak"][0])
+    with pytest.raises(GapError, match=r"sector gap .* at eps=[0-9.]+, kerr=0.025, "
+                                       r"n_cut=80$"):
         scaling_pipeline(sizes=(40, 50, 60, 70, 85), n_cut=200,
                          peak_bracket=(1.05, 1.45), collapse_window=(1.05, 1.40),
                          collapse_step=2e-3)

@@ -9,9 +9,9 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 import kerrqgt.cli
+import kerrqgt.eigensolver as eigensolver
 import kerrqgt.sweep as sweep
 from kerrqgt import ModelParams, ground_state_row, sector_block
 from kerrqgt.cli import (
@@ -88,13 +88,13 @@ def test_phase_diagram_solves_once_per_eps(tmp_path, monkeypatch):
     rows_solved, pairs = [], []
     monkeypatch.setattr(sweep, "ground_state_row",
                         lambda row: rows_solved.append(row) or ground_state_row(row))
-    original = scipy.linalg.eigh_tridiagonal
+    original = eigensolver._lowest_pair
 
-    def pair_solve(diag, off, **kwargs):
-        pairs.append((len(diag), off.copy(), kwargs.get("select")))
-        return original(diag, off, **kwargs)
+    def pair_solve(diag, off):
+        pairs.append((len(diag), off.copy()))
+        return original(diag, off)
 
-    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", pair_solve)
+    monkeypatch.setattr(eigensolver, "_lowest_pair", pair_solve)
     size, n_cut = 200.0, 160
     eps_grid = np.linspace(0.0, 1.2, 7)
     cfg = SweepConfig(mode="phase-diagram", out_dir=str(tmp_path),
@@ -107,8 +107,8 @@ def test_phase_diagram_solves_once_per_eps(tmp_path, monkeypatch):
     expected = [sector_block([ModelParams.from_size(size, eps, n_cut=n_cut)])
                 for eps in eps_grid]
     assert len(pairs) == len(expected) == 7
-    for (size_solved, off, select), block in zip(pairs, expected):
-        assert size_solved == block.size and select == "i"
+    for (size_solved, off), block in zip(pairs, expected):
+        assert size_solved == block.size
         assert np.array_equal(off, block.offdiag[0])
     phis = [fmt_float(phi) for phi in np.linspace(0.0, 2.0 * np.pi, 5)]
     for i in range(7):
@@ -231,6 +231,9 @@ def test_scaling_run_manifest_and_idempotence(tmp_path):
                 "delta_ep", "delta_eps", "delta_phi", "collapse_quality_gee",
                 "collapse_quality_fep", "diagnostics"]:
         assert key in report
+    cutoffs = report["diagnostics"]["cutoffs"]
+    assert report["diagnostics"]["n_cut"] == SMALL_SCALING["n_cut"]
+    assert [len(cutoffs[stage]) for stage in ("peak", "family")] == [5, 5]
 
     manifest_path = tmp_path / "manifest_scaling.json"
     assert manifest_path.exists()
@@ -264,7 +267,7 @@ def test_cli_end_to_end(tmp_path, monkeypatch):
                "--eps-window", "1.05:1.40", "--eps-step", "0.002",
                "--threads", "2"])
     assert rc == 0
-    assert (out / "scaling_report.json").exists()
+    assert "cutoffs" in json.loads((out / "scaling_report.json").read_text())["diagnostics"]
 
     # k0 at the same sizes, cutoff and peak bracket reuses the scaling report
     rebuilt = []
