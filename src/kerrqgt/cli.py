@@ -6,12 +6,14 @@ hands it to ``sweep.run``.  Options may also come from a JSON config file
 (--config); explicit command-line flags take precedence over file entries,
 which take precedence over built-in defaults.  A file whose ``mode`` names
 another subcommand is rejected, and so is a file holding anything but an
-object of SweepConfig fields (an old ``threads`` entry is ignored).
+object of SweepConfig fields (an old ``threads`` entry is ignored) or a value
+of the wrong JSON type for its field (numbers must be finite).
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .errors import InputError, SchemaError
@@ -20,6 +22,23 @@ from .sweep import SweepConfig, read_json, run
 
 # Built-in defaults that differ from SweepConfig's own.
 MODE_DEFAULTS = {"qgt": dict(eps_range=(0.95, 1.06, 23))}
+
+
+def _is_number(value) -> bool:
+    """A finite JSON number (json reads 1e999 as inf and accepts NaN)."""
+    return (isinstance(value, int) and not isinstance(value, bool)
+            or isinstance(value, float) and math.isfinite(value))
+
+
+# The JSON value each SweepConfig field type takes in a config file.
+FILE_VALUES = {
+    "float": ("a finite number", _is_number),
+    "int": ("a finite number", _is_number),
+    "bool": ("true or false", lambda value: isinstance(value, bool)),
+    "str": ("a string", lambda value: isinstance(value, str)),
+    "tuple": ("a list of finite numbers",
+              lambda value: isinstance(value, list) and all(map(_is_number, value))),
+}
 
 
 def parse_range(text: str) -> tuple:
@@ -139,6 +158,11 @@ def _file_settings(path: str, mode: str) -> dict:
         named = [f"{key!r} (the --{key} flag; its field is {flags[key]!r})"
                  if flags.get(key) in fields else repr(key) for key in unknown]
         raise SchemaError(f"config file {path} has unknown keys: {', '.join(named)}")
+    for key, value in loaded.items():
+        kind, _, optional = SweepConfig.__dataclass_fields__[key].type.partition(" | ")
+        what, valid = FILE_VALUES[kind]
+        if not (valid(value) or (optional and value is None)):
+            raise SchemaError(f"config file {path}: {key!r} must be {what}, got {value!r}")
     return {key: tuple(value) if isinstance(value, list) else value
             for key, value in loaded.items()}
 

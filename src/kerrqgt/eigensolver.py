@@ -15,8 +15,14 @@ checked exactly on every row by _certify, as the condition that holds (value
 EigenConvergenceError (GapError for the gap floor) naming the block and row.
 
 Every block stacks the M blocks of a row of points (one point is a row of
-one).  Each gets its own selective solve; the sign convention, the gate units
-and the certificates are then taken on GATE_CHUNK rows at a time.
+one, on the same path).  Each gets its own selective solve; the sign
+convention, the gate units and the certificates are then taken on GATE_CHUNK
+rows at a time, and each certificate tests the whole row at once before it
+builds any per-row message.  The diagonal and level map of a block that
+sector_block builds are the read-only arrays of the model.sector_arrays
+cache, shared by every block at the same (delta, kerr, n_cut); nothing here
+writes to a block, and the tests solve blocks built from writable copies to
+the same bits.
 
 A ground state is the real ground vector of the even parity sector on that
 sector's Fock levels (ground_state_row stacks a row of them).  The drive
@@ -45,6 +51,9 @@ RESIDUAL_BOUND = 1e-10
 ORTHOGONALITY_BOUND = 1e-10
 # rows per pass of eig_tridiagonal's sign convention, units and certificates
 GATE_CHUNK = 8
+# row and pair indices of a chunk, for picking each vector's largest component
+_CHUNK_ROWS = np.arange(GATE_CHUNK)[:, None]
+_PAIR = np.arange(2)
 
 
 @dataclass(frozen=True)
@@ -120,7 +129,8 @@ def _lowest_pair(diag, off):
     symmetric tridiagonal matrix, as scipy.linalg.eigh_tridiagonal(select='i',
     select_range=(0, 1)) computes them, without its argument handling: dstebz
     bisection in block order, dstein inverse iteration, then the reorder by
-    value (at eps = 0 the matrix splits into 1x1 blocks, listed by block).
+    value, one comparison (at eps = 0 the matrix splits into 1x1 blocks,
+    listed by block).
     Raises LinAlgError on a nonzero info or when dstebz returns no pair."""
     m, w, iblock, isplit, info = scipy.linalg.lapack.dstebz(
         diag, off, 2, 0.0, 0.0, 1, 2, 0.0, "B")
@@ -130,8 +140,9 @@ def _lowest_pair(diag, off):
     vectors, info = scipy.linalg.lapack.dstein(diag, off, w, iblock, isplit)
     if info != 0:
         raise np.linalg.LinAlgError(f"dstein info {info}")
-    order = np.argsort(w)
-    return w[order], vectors[:, order]
+    if w[1] < w[0]:
+        return w[::-1], vectors[:, ::-1]
+    return w, vectors
 
 
 def eig_tridiagonal(block: TridiagonalBlock) -> Spectrum:
@@ -140,52 +151,56 @@ def eig_tridiagonal(block: TridiagonalBlock) -> Spectrum:
     One bisection and inverse iteration per row give the pair in O(N); the
     two units of Spectrum are O(N) bounds read off the block, with no further
     solve.  The sign convention, the units and the certificates are taken on
-    GATE_CHUNK rows at a time, so their temporaries do not grow with the row.
+    GATE_CHUNK rows at a time, so their temporaries do not grow with the row;
+    a row of one takes the same path as any other row.
     """
-    offdiag = block.offdiag
+    diag, offdiag = block.diag, block.offdiag
     rows = len(offdiag)
-    if not (np.isfinite(block.diag).all() and np.isfinite(offdiag).all()):
+    if not (np.isfinite(diag).all() and np.isfinite(offdiag).all()):
         raise ValueError("array must not contain infs or NaNs")
     lam = np.empty((rows, 2))
     # (M, 2, N): each eigenvector is one contiguous row
     vec = np.empty((rows, 2, block.size))
     for m, off in enumerate(offdiag):
         try:
-            lam[m], pair = _lowest_pair(block.diag, off)
+            lam[m], pair = _lowest_pair(diag, off)
         except np.linalg.LinAlgError as exc:
             raise EigenConvergenceError(f"even block of size {block.size}, row {m}: "
                                         f"tridiagonal eigensolve failed: {exc}") from exc
         vec[m] = pair.T
 
-    abs_diag = np.abs(block.diag)
+    abs_diag = np.abs(diag)
     scale, resid_norms, defects = np.empty(rows), np.empty((rows, 2)), np.empty(rows)
     for start in range(0, rows, GATE_CHUNK):
         chunk = slice(start, start + GATE_CHUNK)
-        v, off = vec[chunk], offdiag[chunk]
+        v, off, values = vec[chunk], offdiag[chunk], lam[chunk, :, None]
         # Canonical sign: largest-magnitude component of each vector positive
         # (never zero for a unit vector).
-        picked = np.arange(len(v))[:, None], [0, 1], np.argmax(np.abs(v), axis=-1)
-        v *= np.sign(v[picked])[..., None]
+        v *= np.sign(v[_CHUNK_ROWS[:len(v)], _PAIR, np.abs(v).argmax(axis=-1)])[..., None]
         # The largest absolute row sum (Gershgorin) bounds ||T||_2 above; |E0|
         # and every |d_i| bound it below.
         abs_off = np.abs(off)
         row_sums = np.repeat(abs_diag[None], len(v), axis=0)
         row_sums[:, :-1] += abs_off
         row_sums[:, 1:] += abs_off
-        scale[chunk] = np.maximum(1.0, row_sums.max(axis=1))
-        resid = _tridiagonal_multiply(block.diag, off[:, None], v) - v * lam[chunk, :, None]
+        scale[chunk] = np.maximum(row_sums.max(axis=1), 1.0)
+        resid = _tridiagonal_multiply(diag, off[:, None], v)
+        resid -= v * values
         resid_norms[chunk] = np.sqrt(np.einsum("mkn,mkn->mk", resid, resid))
         defects[chunk] = np.abs(np.einsum("mn,mn->m", v[:, 0], v[:, 1]))
     residual_unit = np.maximum(np.abs(lam[:, 0]), max(1.0, float(abs_diag.max())))
-    _certify((resid_norms <= RESIDUAL_BOUND * residual_unit[:, None]).all(axis=1), block,
-             lambda m: f"residual {resid_norms[m].max():.3e} exceeds bound "
-                       f"(worst eigenpair {int(np.argmax(resid_norms[m]))})")
-    _certify(defects <= ORTHOGONALITY_BOUND, block,
-             lambda m: f"orthogonality defect {defects[m]:.3e} exceeds bound")
+    worst, worst_defect = float(resid_norms.max()), float(defects.max())
+    # the worst residual within the smallest unit's bound passes every row
+    if not worst <= RESIDUAL_BOUND * float(residual_unit.min()):
+        _certify((resid_norms <= RESIDUAL_BOUND * residual_unit[:, None]).all(axis=1),
+                 block, lambda m: f"residual {resid_norms[m].max():.3e} exceeds bound "
+                                  f"(worst eigenpair {int(np.argmax(resid_norms[m]))})")
+    if not worst_defect <= ORTHOGONALITY_BOUND:
+        _certify(defects <= ORTHOGONALITY_BOUND, block,
+                 lambda m: f"orthogonality defect {defects[m]:.3e} exceeds bound")
 
     return Spectrum(eigenvalues=lam, eigenvectors=vec.swapaxes(1, 2),
-                    max_residual=float(resid_norms.max()),
-                    max_orthogonality_defect=float(defects.max()),
+                    max_residual=worst, max_orthogonality_defect=worst_defect,
                     scale=scale, residual_unit=residual_unit)
 
 
@@ -196,10 +211,11 @@ def ground_state_row(points) -> GroundState:
     spec = eig_tridiagonal(block)
     lam, u0 = spec.eigenvalues, spec.eigenvectors[..., 0]
     levels, weights = block.index_map, u0**2
-    mean_n = np.sum(levels * weights, axis=1)
-    tail = np.sum(weights[:, levels > points[0].n_cut - TAIL_LEVELS], axis=1)
+    mean_n = (levels * weights).sum(axis=1)
+    # the levels above n_cut - TAIL_LEVELS are the last ones of the sector
+    tail = weights[:, levels.searchsorted(points[0].n_cut - TAIL_LEVELS, "right"):].sum(axis=1)
     return GroundState(energy=lam[:, 0], gap=lam[:, 1] - lam[:, 0], vectors=u0,
                        levels=levels, mean_n=mean_n,
-                       var_n=np.sum(levels.astype(float) ** 2 * weights, axis=1) - mean_n**2,
+                       var_n=(levels**2 * weights).sum(axis=1) - mean_n**2,
                        tail_weight=tail, cutoff_warning=~(tail <= TAIL_TOLERANCE),
                        block=block, spectrum=spec)

@@ -12,6 +12,8 @@ symmetric tridiagonal blocks whose off-diagonal entries are non-positive.
 sector_block builds the even block, the ground state's (see eigensolver) and
 the only one the package needs, for a row of M points that share delta, kerr
 and n_cut (a point is a row of one): one diagonal under (M, N-1) off-diagonals.
+The eps-independent arrays of a block (sector_arrays) are built once per
+(delta, kerr, n_cut) and shared read-only.
 
 The phase only relabels states, so the package never forms a complex
 full-Fock vector: a ground state is a real sector vector on its Fock levels
@@ -21,6 +23,8 @@ full-Fock vector: a ground state is a real sector vector on its Fock levels
 from __future__ import annotations
 
 import dataclasses
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,15 +55,15 @@ class ModelParams:
     n_cut: int = 800
 
     def __post_init__(self):
-        if not np.isfinite(self.delta) or self.delta <= 0:
+        if not math.isfinite(self.delta) or self.delta <= 0:
             raise InputError(f"delta must be positive, got {self.delta}")
-        if not np.isfinite(self.kerr) or self.kerr < 0:
+        if not math.isfinite(self.kerr) or self.kerr < 0:
             raise InputError(f"kerr must be >= 0, got {self.kerr}")
-        if not np.isfinite(self.eps) or self.eps < 0:
+        if not math.isfinite(self.eps) or self.eps < 0:
             raise InputError(f"eps must be >= 0, got {self.eps}")
-        if not np.isfinite(self.phi):
+        if not math.isfinite(self.phi):
             raise InputError("phi must be finite")
-        if int(self.n_cut) != self.n_cut or self.n_cut < 4:
+        if not math.isfinite(self.n_cut) or int(self.n_cut) != self.n_cut or self.n_cut < 4:
             raise InputError(f"n_cut must be an integer >= 4, got {self.n_cut}")
 
     @property
@@ -112,6 +116,20 @@ class TridiagonalBlock:
             raise ValueError(f"inconsistent block shapes {self.diag.shape}, {self.offdiag.shape}")
 
 
+@functools.lru_cache(maxsize=64)
+def sector_arrays(delta: float, kerr: float, n_cut: int):
+    """(diag, coupling, index_map) of the even sector at (delta, kerr, n_cut),
+    cached and read-only: the diagonal K n(n-1) + delta n on the Fock levels
+    n = 0, 2, ..., the two-photon elements pair_coupling(n) between them, and
+    the levels themselves (ints)."""
+    levels = np.arange(0, n_cut + 1, 2, dtype=float)
+    arrays = (kerr * levels * (levels - 1.0) + delta * levels,
+              pair_coupling(levels[:-1]), levels.astype(int))
+    for array in arrays:
+        array.setflags(write=False)
+    return arrays
+
+
 def sector_block(points) -> TridiagonalBlock:
     """The gauge-rotated even sector over a row of points.
 
@@ -128,9 +146,7 @@ def sector_block(points) -> TridiagonalBlock:
         if (p.delta, p.kerr, p.n_cut) != (first.delta, first.kerr, first.n_cut):
             raise ValueError(f"row points differ in more than eps and phi: {first} "
                              f"and {p}")
+    diag, coupling, index_map = sector_arrays(first.delta, first.kerr, first.n_cut)
     eps = np.array([p.eps for p in points], dtype=float)
-    levels = np.arange(0, first.n_cut + 1, 2, dtype=float)
-    diag = first.kerr * levels * (levels - 1.0) + first.delta * levels
-    off = -(first.delta * eps[:, None] / 2.0) * pair_coupling(levels[:-1])
-    return TridiagonalBlock(size=len(levels), diag=diag, offdiag=off,
-                            index_map=levels.astype(int))
+    off = -(first.delta * eps[:, None] / 2.0) * coupling
+    return TridiagonalBlock(size=len(diag), diag=diag, offdiag=off, index_map=index_map)

@@ -8,7 +8,12 @@ Two independent routes are provided and must agree:
 
 The linear-response route also gives d g_ee / d eps analytically (third-order
 response: a second back-substitution on the factorisation of the first
-solve), whose root locates the pseudo-critical peak of g_ee.
+solve), whose root locates the pseudo-critical peak of g_ee.  Each step of
+that search is g_ee_slope_step, which keeps the step's response, so the
+tensor at the root is read off the last step instead of a fresh solve; the
+tests check it against a fresh qgt_spectral at the recorded peak, bit for
+bit.  The drive derivative C is scaled from the two-photon couplings that
+model.sector_arrays caches.
 
 The ground state is the even sector's (see eigensolver), and both drive
 derivatives conserve parity, so everything stays inside that sector.
@@ -16,7 +21,9 @@ derivatives conserve parity, so everything stays inside that sector.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import scipy.linalg
@@ -31,7 +38,7 @@ from .eigensolver import (
     ground_state_row,
 )
 from .errors import GapError
-from .model import ModelParams, pair_coupling
+from .model import ModelParams, sector_arrays
 
 GAP_FLOOR = 1e-12
 PSD_TOLERANCE = 1e-9
@@ -67,10 +74,10 @@ class QGTResult:
 
     def __post_init__(self):
         a, c, b = self.g_ee, self.g_pp, self.g_ep
-        if not np.isfinite([a, c, b, self.f_ep]).all():
+        if not all(map(math.isfinite, (a, c, b, self.f_ep))):
             raise ValueError("tensor has a non-finite entry")
         # smallest eigenvalue of the real symmetric 2x2 metric, in closed form
-        eigmin = 0.5 * (a + c) - float(np.hypot(0.5 * (a - c), b))
+        eigmin = 0.5 * (a + c) - math.hypot(0.5 * (a - c), b)
         if eigmin < -PSD_TOLERANCE * max(1.0, a + c):
             raise ValueError(f"metric is not positive semidefinite: eigmin = {eigmin:.3e}")
 
@@ -113,35 +120,40 @@ def _sternheimer(block, e0: np.ndarray, u0: np.ndarray, rhs: np.ndarray,
     rows, size = u0.shape
     # keep[m] lists the indices that survive deflation of row m, in order;
     # a reduced off-diagonal entry that straddles the dropped index is zero.
-    k = np.argmax(np.abs(u0), axis=1)
+    k = np.abs(u0).argmax(axis=1)
     kept = np.arange(size - 1)
     keep = kept + (kept >= k[:, None])
     diag = block.diag[keep] - e0[:, None]
     off = block.offdiag[np.arange(rows)[:, None], keep[:, :-1]]
     off[keep[:, 1:] != keep[:, :-1] + 1] = 0.0
     factors = [scipy.linalg.lapack.dpttrf(d, e) for d, e in zip(diag, off)]
-    _certify(np.array([info == 0 for *_, info in factors]), block,
-             lambda m: f"shifted block is not positive definite after deflation "
-                       f"(dpttrf info {factors[m][2]})")
+    if any(info for *_, info in factors):
+        _certify(np.array([info == 0 for *_, info in factors]), block,
+                 lambda m: f"shifted block is not positive definite after deflation "
+                           f"(dpttrf info {factors[m][2]})")
     solutions = np.zeros((powers, rows, size))
     for m, (d, e, _) in enumerate(factors):
-        source = rhs[m]
+        source, u, index = rhs[m], u0[m], keep[m]
         for y in solutions[:, m]:
-            y[keep[m]], _ = scipy.linalg.lapack.dpttrs(d, e, source[keep[m]])
-            y -= (u0[m] @ y) * u0[m]
+            y[index], _ = scipy.linalg.lapack.dpttrs(d, e, source[index])
+            y -= (u @ y) * u
             source = y
 
-    shifted_diag = block.diag - e0[:, None]
-    for source, y in zip([rhs, *solutions[:-1]], solutions):
-        resid = _tridiagonal_multiply(shifted_diag, block.offdiag, y) - source
-        residual = np.sqrt(np.einsum("mn,mn->m", resid, resid))
-        overlap = np.abs(np.einsum("mn,mn->m", u0, y))
-        norm_y = np.maximum(1.0, np.sqrt(np.einsum("mn,mn->m", y, y)))
-        _certify(residual <= RESIDUAL_BOUND * residual_unit * norm_y, block,
-                 lambda m: f"linear-response residual {residual[m]:.3e} exceeds bound")
-        _certify(overlap <= ORTHOGONALITY_BOUND * norm_y, block,
-                 lambda m: f"linear response keeps overlap {overlap[m]:.3e} with the "
-                           f"ground vector")
+    # every power's certificates in one pass over the (powers, M, N) stack
+    resid = _tridiagonal_multiply(block.diag - e0[:, None], block.offdiag, solutions)
+    resid[0] -= rhs
+    resid[1:] -= solutions[:-1]
+    residual = np.sqrt(np.einsum("pmn,pmn->pm", resid, resid))
+    overlap = np.abs(np.einsum("mn,pmn->pm", u0, solutions))
+    norm_y = np.maximum(1.0, np.sqrt(np.einsum("pmn,pmn->pm", solutions, solutions)))
+    limit = RESIDUAL_BOUND * residual_unit * norm_y
+    if not ((residual <= limit).all() and (overlap <= ORTHOGONALITY_BOUND * norm_y).all()):
+        for p in range(powers):
+            _certify(residual[p] <= limit[p], block,
+                     lambda m: f"linear-response residual {residual[p, m]:.3e} exceeds bound")
+            _certify(overlap[p] <= ORTHOGONALITY_BOUND * norm_y[p], block,
+                     lambda m: f"linear response keeps overlap {overlap[p, m]:.3e} with the "
+                               f"ground vector")
     return list(solutions)
 
 
@@ -154,14 +166,23 @@ def _response(points, powers: int):
     [y, R y, ...] for y = R (C u0 - dE0 u0), each (M, N).
     """
     ground = _ground_row(points)
-    u0 = ground.vectors
-    band = -(points[0].delta / 2.0) * pair_coupling(ground.levels[:-1])
+    u0, first = ground.vectors, points[0]
+    band = -(first.delta / 2.0) * sector_arrays(first.delta, first.kerr, first.n_cut)[1]
     rhs = _tridiagonal_multiply(0.0, band, u0)
     de0 = np.array([u @ r for u, r in zip(u0, rhs)])
     rhs -= de0[:, None] * u0
     solutions = _sternheimer(ground.block, ground.energy, u0, rhs,
                              ground.spectrum.residual_unit, powers)
     return ground, band, de0, solutions
+
+
+def _spectral_results(points, ground: GroundState, y: np.ndarray) -> list[QGTResult]:
+    """The spectral tensors of a row of points from its ground row and the
+    first Sternheimer solution y of _response."""
+    n_u0 = ground.levels * ground.vectors
+    return [_result(ground, m, params, "spectral", y[m] @ y[m], ground.var_n[m] / 4.0,
+                    0.0, -(y[m] @ n_u0[m]))
+            for m, params in enumerate(points)]
 
 
 def qgt_spectral_row(points) -> list[QGTResult]:
@@ -171,10 +192,7 @@ def qgt_spectral_row(points) -> list[QGTResult]:
     point's tensor exactly as qgt_spectral gives it alone.
     """
     ground, _, _, (y,) = _response(points, powers=1)
-    n_u0 = ground.levels * ground.vectors
-    return [_result(ground, m, params, "spectral", y[m] @ y[m], ground.var_n[m] / 4.0,
-                    0.0, -(y[m] @ n_u0[m]))
-            for m, params in enumerate(points)]
+    return _spectral_results(points, ground, y)
 
 
 def qgt_spectral(params: ModelParams) -> QGTResult:
@@ -195,6 +213,19 @@ def qgt_spectral(params: ModelParams) -> QGTResult:
     return qgt_spectral_row([params])[0]
 
 
+def g_ee_slope_step(params: ModelParams) -> tuple[float, Callable[[], QGTResult]]:
+    """(g_ee_slope(params), tensor): tensor() returns qgt_spectral(params), bit
+    for bit, from the same response.
+
+    The first Sternheimer solution y and the ground row that the slope needs
+    are the ones qgt_spectral reads its tensor off, so a search that steps on
+    the slope gets the tensor at its final step without a further solve.
+    """
+    ground, band, (de0,), (y, z) = _response([params], powers=2)
+    slope = float(-4.0 * (z[0] @ (_tridiagonal_multiply(0.0, band, y[0]) - de0 * y[0])))
+    return slope, lambda: _spectral_results([params], ground, y)[0]
+
+
 def g_ee_slope(params: ModelParams) -> float:
     """d g_ee / d eps by third-order response: one more back-substitution.
 
@@ -205,10 +236,9 @@ def g_ee_slope(params: ModelParams) -> float:
 
     where z reuses the factorisation that gave y.  g_ee is even in eps
     (eps -> -eps is the gauge shift phi -> phi + pi), so the slope is 0 at
-    eps = 0.
+    eps = 0.  It is the slope half of g_ee_slope_step.
     """
-    _, band, (de0,), (y, z) = _response([params], powers=2)
-    return float(-4.0 * (z[0] @ (_tridiagonal_multiply(0.0, band, y[0]) - de0 * y[0])))
+    return g_ee_slope_step(params)[0]
 
 
 def _even_ground_family(params: ModelParams, eps_values):

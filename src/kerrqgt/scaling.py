@@ -11,6 +11,20 @@ finite-Kerr pipeline solves each size at the smallest Fock cutoff of a fixed
 ladder that the tail gate certifies, up to the cap it is given.
 scipy.optimize is imported inside locate_peak and optimize_collapse, its only
 users, so that a run which calls neither does not load it.
+
+Three shortcuts skip work that cannot change a result, each checked in the
+tests against the slow path it replaces:
+
+* the peak search keeps each slope step's response (qgt.g_ee_slope_step) and
+  reads the peak tensor off the step at Brent's root, which is always an
+  abscissa it evaluated (against a fresh qgt_spectral at the peak);
+* fit_shifted_power screens its grid exponents in closed form and computes
+  the exact lstsq residual only for those within a rounding bound of the
+  screened minimum (_scan_exponent; against the full exact scan,
+  reference.scan_exponent and reference.fit_shifted_power);
+* optimize_collapse passes the best seed value so far to collapse_objective,
+  which stops a seed once a lower bound of its value exceeds it (against
+  the unbounded reference.collapse_objective).
 """
 
 from __future__ import annotations
@@ -23,7 +37,7 @@ import numpy as np
 from .eigensolver import ground_state_row
 from .errors import BracketError, FitError, InputError, WindowError
 from .model import ModelParams, TAIL_TOLERANCE
-from .qgt import g_ee_slope, qgt_spectral, qgt_spectral_row, QGTResult
+from .qgt import g_ee_slope_step, qgt_spectral, qgt_spectral_row, QGTResult
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -35,6 +49,11 @@ DEFAULT_COLLAPSE_STEP = 1e-3
 DEFAULT_K0_CUTOFFS = (200, 283, 400, 566, 800, 1131, 1600)
 DRIFT_EXPONENT_RANGE = (0.1, 3.0)
 DRIFT_EXPONENT_SCAN = 61
+# Rounding bound of fit_shifted_power's exponent screen, in units of
+# eps x sum(y^2): the screened and the lstsq residual of a grid exponent each
+# differ from the exact one by a few such units (at most 3.4 of them between
+# the two, over 6000 random fits of 3 to 7 points).
+SCREEN_ROUNDING = 1024
 PEAK_SCAN_POINTS = 8
 PEAK_XTOL = 1e-12
 COLLAPSE_SEED_GRID = (15, 9)  # (nu, eps_c*) points seeding the polish
@@ -111,26 +130,56 @@ class ShiftedPowerFit:
     boundary_warning: bool
 
 
+def _profile_residual(x: np.ndarray, y: np.ndarray, b: float) -> float:
+    """Least residual sum of squares of y = limit + amplitude * x^b at fixed b (lstsq)."""
+    basis = np.column_stack([np.ones_like(x), x**b])
+    coef, *_ = np.linalg.lstsq(basis, y, rcond=None)
+    return float(np.sum((basis @ coef - y) ** 2))
+
+
+def _scan_exponent(x: np.ndarray, y: np.ndarray) -> int:
+    """Index of the DRIFT_EXPONENT_SCAN grid exponent of least _profile_residual
+    (the first, on a tie), as the full scan picks it.
+
+    A closed-form screen, the centred residual Syy - Suy^2 / Suu of every grid
+    exponent in one array pass, rules out each exponent whose screened residual
+    exceeds the screened minimum by more than twice SCREEN_ROUNDING x eps x
+    sum(y^2), a bound on the rounding error of either residual; the exact
+    residual is computed for the rest only.  A NaN screen rules out nothing.
+    """
+    grid = np.linspace(*DRIFT_EXPONENT_RANGE, DRIFT_EXPONENT_SCAN)
+    du = x ** grid[:, None]
+    du -= du.mean(axis=1, keepdims=True)
+    dy = y - y.mean()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        screened = dy @ dy - (du @ dy) ** 2 / np.einsum("gn,gn->g", du, du)
+    bound = 2.0 * SCREEN_ROUNDING * np.finfo(float).eps * (y @ y)
+    near = np.flatnonzero(~(screened > screened.min() + bound))
+    return int(near[int(np.argmin([_profile_residual(x, y, b) for b in grid[near]]))])
+
+
 def fit_shifted_power(x: np.ndarray, y: np.ndarray) -> ShiftedPowerFit:
-    """Profiled linear least squares over (limit, amplitude) with a scanned and
-    golden-refined search over the exponent in DRIFT_EXPONENT_RANGE."""
+    """Profiled linear least squares over (limit, amplitude) with a scanned
+    (_scan_exponent) and golden-refined search over the exponent in
+    DRIFT_EXPONENT_RANGE.  Non-finite data raise FitError."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if len(x) < 3:
         raise FitError("shifted power fit needs at least 3 points")
+    bad = ~(np.isfinite(x) & np.isfinite(y))
+    if bad.any():
+        raise FitError(f"non-finite fit data at points {np.flatnonzero(bad).tolist()}: "
+                       f"x = {x[bad].tolist()}, y = {y[bad].tolist()}")
     if np.ptp(y) == 0.0:
         raise FitError(f"constant data y = {y[0]:.17g} at x = {x.tolist()} leaves "
                        f"the exponent unidentifiable")
 
     def residual(b):
-        basis = np.column_stack([np.ones_like(x), x**b])
-        coef, *_ = np.linalg.lstsq(basis, y, rcond=None)
-        return float(np.sum((basis @ coef - y) ** 2))
+        return _profile_residual(x, y, b)
 
     n_scan = DRIFT_EXPONENT_SCAN
     grid = np.linspace(*DRIFT_EXPONENT_RANGE, n_scan)
-    values = np.array([residual(b) for b in grid])
-    i = int(np.argmin(values))
+    i = _scan_exponent(x, y)
     b, _ = golden_section_min(residual, grid[max(i - 1, 0)], grid[min(i + 1, n_scan - 1)],
                               tol=1e-10)
     basis = np.column_stack([np.ones_like(x), x**b])
@@ -249,7 +298,7 @@ class CurveFamily:
 
 
 def collapse_objective(family: CurveFamily, delta_jk: float, nu: float,
-                       eps_c_star: float) -> float:
+                       eps_c_star: float, *, above: float | None = None) -> float:
     """Spread of the rescaled curves around their pooled master curve.
 
     Curves are rescaled to y L^{-delta_jk} against x = (eps - eps_c*) L^{1/nu};
@@ -263,10 +312,18 @@ def collapse_objective(family: CurveFamily, delta_jk: float, nu: float,
     order, so dropping curve i from it gives the stable sort of the other
     curves.  Each curve's x is non-decreasing, so the points of curve i
     inside the others' range form one slice.
+
+    With above given, the return is inf as soon as the value is certain to
+    exceed above: after each curve, total / (C G) / scale is a lower bound
+    of the value (C curves of G points; total only grows and at most C G
+    points are counted), and rounding is monotone, so the bound holds in
+    floating point too.  Any value at most above is returned exactly.
     """
     powers = np.array([(L ** (1.0 / nu), L ** (-delta_jk)) for L in family.sizes])
     xs = (family.eps_grid - eps_c_star) * powers[:, :1]
     ys = family.values * powers[:, 1:]
+    scale = float((ys.ravel() ** 2).mean())
+    bounded = above is not None and scale > 0.0
     order = np.argsort(xs.ravel(), kind="stable")
     sorted_x, sorted_y, labels = xs.ravel()[order], ys.ravel()[order], order // xs.shape[1]
     total, count = 0.0, 0
@@ -282,9 +339,10 @@ def collapse_objective(family: CurveFamily, delta_jk: float, nu: float,
         interp = np.interp(x[lo:hi], other_x, other_y)
         total += float(((y[lo:hi] - interp) ** 2).sum())
         count += hi - lo
+        if bounded and total / xs.size / scale > above:
+            return np.inf
     if count == 0:
         raise WindowError("rescaled curves share no abscissa overlap")
-    scale = float((ys.ravel() ** 2).mean())
     if scale == 0.0:
         raise WindowError("rescaled family is identically zero")
     return (total / count) / scale
@@ -305,23 +363,30 @@ def optimize_collapse(family: CurveFamily, delta_jk: float | None,
 
     delta_jk is held fixed when given; delta_jk=None ties it to 2/nu during
     the search.  A coarse grid seeds a Nelder-Mead polish with a fixed initial
-    simplex, so the result is deterministic.
+    simplex, so the result is deterministic.  Each seed is evaluated with the
+    best value so far as collapse_objective's bound, so a seed that cannot
+    win stops early; the seed kept is the first smallest value, as without
+    the bound.
     """
 
-    def objective(point):
+    def objective(point, above=None):
         nu, ec = float(point[0]), float(point[1])
         if not (nu_range[0] <= nu <= nu_range[1] and ec_range[0] <= ec <= ec_range[1]):
             return np.inf
         d = 2.0 / nu if delta_jk is None else delta_jk
         try:
-            return collapse_objective(family, d, nu, ec)
+            return collapse_objective(family, d, nu, ec, above=above)
         except WindowError:
             return np.inf
 
     nus = np.linspace(nu_range[0], nu_range[1], COLLAPSE_SEED_GRID[0])
     ecs = np.linspace(ec_range[0], ec_range[1], COLLAPSE_SEED_GRID[1])
-    best = min(((objective((n, e)), n, e) for n in nus for e in ecs),
-               key=lambda t: t[0])
+    best = None
+    for n in nus:
+        for e in ecs:
+            value = objective((n, e), above=None if best is None else best[0])
+            if best is None or value < best[0]:
+                best = (value, n, e)
     if not np.isfinite(best[0]):
         raise WindowError("collapse objective is undefined everywhere on the seed grid")
     from scipy.optimize import minimize
@@ -429,6 +494,8 @@ def scaling_pipeline(sizes: Sequence[float] = DEFAULT_SIZES,
         raise FitError("the scaling pipeline needs at least 4 sizes")
     if np.any(np.diff(sizes) == 0):
         raise FitError(f"the scaling pipeline needs distinct sizes, got {sizes.tolist()}")
+    # a bad delta or cap raises ModelParams' InputError before any solve
+    ModelParams(delta=delta, kerr=0.0, eps=0.0, n_cut=n_cut)
 
     ladder = _cutoff_ladder(n_cut)
     warnings: list[str] = []
@@ -436,9 +503,16 @@ def scaling_pipeline(sizes: Sequence[float] = DEFAULT_SIZES,
     rung = 0
     for L in sizes:
         def peak(n):
-            ec = locate_peak(lambda e: g_ee_slope(ModelParams.from_size(
-                L, e, n_cut=n, delta=delta)), peak_bracket)
-            return ec, qgt_spectral(ModelParams.from_size(L, ec, n_cut=n, delta=delta))
+            # each step keeps its tensor; Brent's root is always a step taken
+            tensors = {}
+
+            def slope(e):
+                value, tensors[e] = g_ee_slope_step(ModelParams.from_size(
+                    L, e, n_cut=n, delta=delta))
+                return value
+
+            ec = locate_peak(slope, peak_bracket)
+            return ec, tensors[ec]()
 
         rung, (ec, res) = _solve_adaptive(
             ladder, rung, ModelParams.from_size(L, peak_bracket[1], delta=delta),

@@ -25,7 +25,10 @@ decomposition, never from the kernels it checks:
   shift, on full_spectrum ground vectors;
 * collapse_objective is the data-collapse spread computed curve by curve:
   it concatenates and re-sorts the other curves' points for every curve and
-  masks the points inside their range;
+  masks the points inside their range, with no early exit;
+* scan_exponent and fit_shifted_power are the shifted-power fit with the full
+  exact exponent scan: an lstsq residual at every one of the
+  DRIFT_EXPONENT_SCAN grid exponents, no screen;
 * lazy_even_ground_family is the fd state family solved one eps at a time,
   on first request, as a row of one;
 * fixed_cutoff_scaling is scaling_pipeline with every peak search and family
@@ -47,7 +50,8 @@ must match bit for bit, not the eigensolver; and for squeezed_vacuum_qgt_fd
 the overlap stencils metric_fd and curvature_fd, applied to Fock-basis
 states that owe nothing to the eigensolver; and for fixed_cutoff_scaling the
 scaling pipeline itself, because that path checks the choice of cutoff, not
-the fits.
+the fits; and for fit_shifted_power the golden-section search and the grid
+constants, because that path checks the exponent scan, not the polish.
 """
 
 from __future__ import annotations
@@ -70,6 +74,12 @@ from kerrqgt._fd import curvature_fd, metric_fd
 from kerrqgt.errors import CutoffError, EigenConvergenceError, GapError, WindowError
 from kerrqgt.model import TAIL_LEVELS, TAIL_TOLERANCE, TridiagonalBlock, sector_block
 from kerrqgt.qgt import GAP_FLOOR, QGTResult
+from kerrqgt.scaling import (
+    DRIFT_EXPONENT_RANGE,
+    DRIFT_EXPONENT_SCAN,
+    ShiftedPowerFit,
+    golden_section_min,
+)
 
 
 NORM_TOLERANCE = 1e-10
@@ -303,6 +313,35 @@ def fidelity_susceptibility(params, step_eps: float = 1e-4) -> float:
         return -2.0 * np.log(abs(u0 @ ground(params.eps + h))) / h**2
 
     return 2.0 * chi(step_eps / 2.0) - chi(step_eps)
+
+
+def _profile_residual(x, y, b) -> float:
+    basis = np.column_stack([np.ones_like(x), x**b])
+    coef, *_ = np.linalg.lstsq(basis, y, rcond=None)
+    return float(np.sum((basis @ coef - y) ** 2))
+
+
+def scan_exponent(x, y) -> int:
+    """Index of the grid exponent of least lstsq residual over the whole grid."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    grid = np.linspace(*DRIFT_EXPONENT_RANGE, DRIFT_EXPONENT_SCAN)
+    return int(np.argmin([_profile_residual(x, y, b) for b in grid]))
+
+
+def fit_shifted_power(x, y) -> ShiftedPowerFit:
+    """kerrqgt.scaling.fit_shifted_power with the full exact scan (scan_exponent)
+    in place of the screened one; the golden-section polish is the package's."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    grid = np.linspace(*DRIFT_EXPONENT_RANGE, DRIFT_EXPONENT_SCAN)
+    i = scan_exponent(x, y)
+    b, _ = golden_section_min(lambda b: _profile_residual(x, y, b),
+                              grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)],
+                              tol=1e-10)
+    basis = np.column_stack([np.ones_like(x), x**b])
+    coef, *_ = np.linalg.lstsq(basis, y, rcond=None)
+    return ShiftedPowerFit(limit=float(coef[0]), amplitude=float(coef[1]),
+                           exponent=float(b), residual=_profile_residual(x, y, b),
+                           boundary_warning=bool(i == 0 or i == len(grid) - 1))
 
 
 def collapse_objective(family, delta_jk: float, nu: float, eps_c_star: float) -> float:

@@ -5,7 +5,11 @@ individual checks behind it).  The finite-size pipeline at the default sizes
 runs once per session and is shared across criteria.
 """
 
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -246,17 +250,31 @@ def test_criterion_6_property_suite():
     _report("6 property suite", checks)
 
 
+CRITERION_7_ARGS = ["scaling", "--L-list", "40,50,60,70,85", "--ncut", "200",
+                    "--bracket", "1.05:1.45", "--eps-window", "1.05:1.40",
+                    "--eps-step", "0.002", "--threads", "2"]
+
+
 def test_criterion_7_determinism(tmp_path):
+    # Two fresh processes that differ only in their BLAS/OpenMP thread count,
+    # and a run in this process after a first one has filled the sector cache
+    # (a kernel that wrote into a cached array would change it).
+    root = Path(__file__).resolve().parents[1]
     outputs = {}
-    for threads in (1, 4):
-        out = tmp_path / f"threads{threads}"
-        assert main(["scaling", "--out", str(out), "--L-list", "40,50,60,70,85",
-                     "--ncut", "200", "--bracket", "1.05:1.45",
-                     "--eps-window", "1.05:1.40", "--eps-step", "0.002",
-                     "--threads", str(threads)]) == 0
-        outputs[threads] = (out / "scaling_report.json").read_bytes()
-    identical = outputs[1] == outputs[4]
+    for threads in ("1", "2"):
+        out = tmp_path / f"blas{threads}"
+        env = {**os.environ, "PYTHONPATH": str(root / "src"),
+               "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        proc = subprocess.run([sys.executable, "-m", "kerrqgt.cli", *CRITERION_7_ARGS,
+                               "--out", str(out)], env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outputs[f"{threads} BLAS thread(s)"] = (out / "scaling_report.json").read_bytes()
+    assert main([*CRITERION_7_ARGS, "--out", str(tmp_path / "warm-up")]) == 0
+    assert main([*CRITERION_7_ARGS, "--out", str(tmp_path / "warm")]) == 0
+    outputs["warm cache"] = (tmp_path / "warm" / "scaling_report.json").read_bytes()
+    first, *others = outputs.values()
     _report("7 determinism", [
-        ("scaling_report.json byte-identical for 1 vs 4 threads", identical,
-         f"{len(outputs[1])} bytes"),
+        (f"scaling_report.json byte-identical for {' vs '.join(outputs)}",
+         all(other == first for other in others), f"{len(first)} bytes"),
     ])

@@ -93,8 +93,12 @@ def test_pipeline_and_gate_names_exist():
     # bench/checks.py imports these to gate the paper and phase-diagram runs.
     assert callable(kerrqgt.scaling.scaling_pipeline)
     assert callable(kerrqgt.scaling.CurveFamily)
-    assert list(inspect.signature(kerrqgt.scaling.collapse_objective).parameters) == [
-        "family", "delta_jk", "nu", "eps_c_star"]
+    # checks.py passes the first four positionally; optimize_collapse adds the
+    # keyword-only seed bound
+    parameters = inspect.signature(kerrqgt.scaling.collapse_objective).parameters
+    assert list(parameters) == ["family", "delta_jk", "nu", "eps_c_star", "above"]
+    assert parameters["above"].kind is inspect.Parameter.KEYWORD_ONLY
+    assert parameters["above"].default is None
     assert abs(kerrqgt.oracle.superradiant_phase(1.0, 1.2, size=800.0).alpha) > 0.0
 
 
@@ -102,7 +106,8 @@ def test_collapse_objective_counter_sees_every_optimize_collapse_call(monkeypatc
     # The bench counts scaling.collapse_objective.calls by wrapping this module
     # global.  optimize_collapse must call through it, so that a wrapper sees
     # the seed grid and every in-range polish step, and the reference objective
-    # patched in the same way is called exactly as often.
+    # patched in the same way is called exactly as often.  The package objective
+    # gets the seed bound; the reference has none, so its wrapper drops it.
     sizes = np.array([40.0, 50.0, 60.0, 70.0])
     grid = np.linspace(0.95, 1.10, 16)
     values = np.array([L / (1.0 + ((grid - 1.0) * L ** (2.0 / 3.0)) ** 2) for L in sizes])
@@ -112,9 +117,11 @@ def test_collapse_objective_counter_sees_every_optimize_collapse_call(monkeypatc
     for objective in (kerrqgt.scaling.collapse_objective, reference.collapse_objective):
         calls = []
 
-        def counted(*args, objective=objective):
+        def counted(*args, above=None, objective=objective):
             calls.append(args)
-            return objective(*args)
+            if objective is reference.collapse_objective:
+                return objective(*args)
+            return objective(*args, above=above)
 
         monkeypatch.setattr(kerrqgt.scaling, "collapse_objective", counted)
         optima.append(kerrqgt.scaling.optimize_collapse(family, 1.0, (1.2, 1.9),

@@ -89,20 +89,24 @@ def test_tail_is_monotone_and_rungs_grow_with_size(bench_report):
 
 @pytest.fixture
 def solved_cutoffs(monkeypatch):
-    """(stage, size, n_cut) of every peak and family solve the pipeline makes."""
+    """(stage, size, n_cut) of every peak and family solve the pipeline makes.
+
+    A peak solve is a run of slope steps at one size and cutoff, recorded once."""
     solved = []
-    sweep_family, qgt_spectral = scaling.sweep_family, scaling.qgt_spectral
+    sweep_family, step = scaling.sweep_family, scaling.g_ee_slope_step
 
     def family(sizes, eps_grid, n_cut, delta=1.0):
         solved.append(("family", float(sizes[0]), n_cut))
         return sweep_family(sizes, eps_grid, n_cut, delta)
 
     def peak(params):
-        solved.append(("peak", params.delta / params.kerr, params.n_cut))
-        return qgt_spectral(params)
+        solve = ("peak", params.delta / params.kerr, params.n_cut)
+        if solved[-1:] != [solve]:
+            solved.append(solve)
+        return step(params)
 
     monkeypatch.setattr(scaling, "sweep_family", family)
-    monkeypatch.setattr(scaling, "qgt_spectral", peak)
+    monkeypatch.setattr(scaling, "g_ee_slope_step", peak)
     return solved
 
 

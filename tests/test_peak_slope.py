@@ -53,14 +53,16 @@ def test_slope_vanishes_at_zero_drive(p):
 
 @pytest.fixture(scope="module")
 def counted_pipeline():
+    # the peak search steps on g_ee_slope_step, the slope with its tensor
     calls = []
+    step = scaling.g_ee_slope_step
 
     def spy(params):
         calls.append(params.kerr)
-        return g_ee_slope(params)
+        return step(params)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(scaling, "g_ee_slope", spy)
+        mp.setattr(scaling, "g_ee_slope_step", spy)
         report = scaling_pipeline(**PIPELINE)
     return report, calls
 

@@ -267,8 +267,9 @@ def test_pipeline_and_stored_family_collapse_equal_with_reference(tmp_path, monk
     fast_optima = [optimize_collapse(f, d, (1.2, 1.9), (1.0, 1.3))
                    for f in stored for d in (None, 1.0)]
 
+    # the reference objective has no early exit, so the seed bound is dropped
     monkeypatch.setattr(kerrqgt.scaling, "collapse_objective",
-                        reference.collapse_objective)
+                        lambda *args, above=None: reference.collapse_objective(*args))
     assert asdict(fast) == asdict(scaling_pipeline(**tiny))
     assert fast_optima == [optimize_collapse(f, d, (1.2, 1.9), (1.0, 1.3))
                            for f in stored for d in (None, 1.0)]
@@ -326,8 +327,8 @@ def test_pipeline_names_the_sizes_the_cutoff_gate_drops():
 def test_invalid_collapse_grid_fails_before_the_peak_search(monkeypatch, grid, named):
     import kerrqgt.scaling
     slopes = []
-    monkeypatch.setattr(kerrqgt.scaling, "g_ee_slope",
-                        lambda params: slopes.append(params) or 1.0)
+    monkeypatch.setattr(kerrqgt.scaling, "g_ee_slope_step",
+                        lambda params: slopes.append(params) or (1.0, None))
     with pytest.raises(ValueError, match=rf"collapse_(step|window) .* {named}"):
         scaling_pipeline(**{"sizes": (40, 50, 60, 70, 85), "n_cut": 200, **grid})
     assert slopes == []

@@ -348,6 +348,27 @@ def test_config_file_unknown_keys_schema_error(tmp_path, entries, message):
         assemble_config(args)
 
 
+@pytest.mark.parametrize("mode, text, message", [
+    ("phase-diagram", '{"n_cut": 1e999}', "'n_cut' must be a finite number, got inf"),
+    ("qgt", '{"sizes": [40, "x"]}', r"'sizes' must be a list of finite numbers, got \[40, 'x'\]"),
+    ("k0", '{"ncut_list": [200, NaN]}',
+     r"'ncut_list' must be a list of finite numbers, got \[200, nan\]"),
+], ids=["infinite-n_cut", "sizes-with-a-string", "nan-in-ncut_list"])
+def test_config_file_bad_value_exits_2_naming_the_key(tmp_path, capsys, mode, text, message):
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(text)
+    out = tmp_path / "out"
+    assert main([mode, "--config", str(config_path), "--out", str(out)]) == 2
+    assert re.fullmatch(rf"kerrqgt {mode}: error: config file \S+: {message}\n",
+                        capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_every_config_field_has_a_file_value_check():
+    for field in fields(SweepConfig):
+        assert field.type.partition(" | ")[0] in kerrqgt.cli.FILE_VALUES, field.name
+
+
 def test_config_file_must_hold_an_object(tmp_path):
     config_path = tmp_path / "cfg.json"
     config_path.write_text(json.dumps([["n_cut", 100]]))
