@@ -8,6 +8,13 @@ is finite once for the whole stack.  The gates take their units from two
 O(N) bounds on the block norm (see Spectrum), not from a second bisection for
 the top eigenvalue.
 
+A row whose block lies near one already solved, such as a finite-difference
+stencil state next to its grid point, can be seeded with that certified
+pair instead (_seeded_pairs): one inverse iteration at the pair's Rayleigh
+quotients on the row's own block, kept only if its residuals, orthogonality
+and a Sturm count certify it as the lowest pair, and bisected otherwise.
+Seeded or bisected, every row then passes the same gates.
+
 Every kernel certificate (the eigen residual and orthogonality here; the
 Sternheimer factorisation, residual and overlap and the gap floor in qgt) is
 checked exactly on every row by _certify, as the condition that holds (value
@@ -49,6 +56,8 @@ from .model import (
 
 RESIDUAL_BOUND = 1e-10
 ORTHOGONALITY_BOUND = 1e-10
+# a bisection tolerance wider than any spectrum: dstebz stops at the counts
+COUNT_ONLY_ABSTOL = 1e300
 # rows per pass of eig_tridiagonal's sign convention, units and certificates
 GATE_CHUNK = 8
 # row and pair indices of a chunk, for picking each vector's largest component
@@ -145,14 +154,66 @@ def _lowest_pair(diag, off):
     return w, vectors
 
 
-def eig_tridiagonal(block: TridiagonalBlock) -> Spectrum:
+def _seeded_pairs(diag, offdiag, seed, lam, vec) -> np.ndarray:
+    """Fill lam[m] and vec[m] (ascending values, (2, N) vectors) for each row m
+    of the block that its seed pair certifies; return the mask of those rows.
+
+    The shifts are the Rayleigh quotients of the two seed vectors seed[m]
+    ((N, 2), a certified pair of a nearby block) on row m's own block; one
+    dstein call on that unsplit block at those shifts gives the pair, whose
+    values are the Rayleigh quotients of the returned vectors.  The pair is
+    kept only when the shifts and values ascend strictly, dstein reports info
+    0, both residuals and the orthogonality defect are within the bounds of
+    eig_tridiagonal's gates, and a Sturm count (dstebz over (vl, vu] with an
+    abstol so large that it only counts) finds exactly two eigenvalues up to
+    E1 + RESIDUAL_BOUND x the residual unit: with those residuals the two
+    values then lie next to E0 and E1.  Any other row is left to bisection.
+    """
+    size = len(diag)
+    seed = seed.swapaxes(1, 2)
+    shifts = (np.einsum("mkn,mkn->mk", seed, _tridiagonal_multiply(diag, offdiag[:, None], seed))
+              / np.einsum("mkn,mkn->mk", seed, seed))
+    # dstein reads the block as one split-off block of all N rows
+    iblock, isplit = np.ones(size, np.int32), np.full(size, size, np.int32)
+    ok = shifts[:, 0] < shifts[:, 1]  # False for a swapped, degenerate or NaN seed
+    for m in np.flatnonzero(ok):
+        pair, info = scipy.linalg.lapack.dstein(diag, offdiag[m], shifts[m], iblock, isplit)
+        ok[m] = info == 0
+        vec[m] = pair.T
+    rows = np.flatnonzero(ok)
+    v = vec[rows]
+    tv = _tridiagonal_multiply(diag, offdiag[rows, None], v)
+    values = lam[rows] = np.einsum("mkn,mkn->mk", v, tv)
+    tv -= v * values[..., None]
+    max_diag = float(np.abs(diag).max())
+    unit = np.maximum(np.abs(values[:, 0]), max(1.0, max_diag))
+    ok[rows] = ((values[:, 0] < values[:, 1])
+                & (np.sqrt(np.einsum("mkn,mkn->mk", tv, tv))
+                   <= RESIDUAL_BOUND * unit[:, None]).all(axis=1)
+                & (np.abs(np.einsum("mn,mn->m", v[:, 0], v[:, 1])) <= ORTHOGONALITY_BOUND))
+    # (vl, vu] runs from below the Gershgorin bound to E1 + the residual bound
+    below = -(max_diag + 2.0 * np.abs(offdiag[rows]).max(axis=1, initial=0.0) + 1.0)
+    for m, vl, vu in zip(rows, below, values[:, 1] + RESIDUAL_BOUND * unit):
+        if not ok[m]:
+            continue
+        count, *_, info = scipy.linalg.lapack.dstebz(
+            diag, offdiag[m], 1, vl, vu, 0, 0, COUNT_ONLY_ABSTOL, "B")
+        ok[m] = info == 0 and count == 2
+    return ok
+
+
+def eig_tridiagonal(block: TridiagonalBlock, seed: np.ndarray | None = None) -> Spectrum:
     """Lowest two eigenpairs of each row of a real symmetric tridiagonal block.
 
     One bisection and inverse iteration per row give the pair in O(N); the
     two units of Spectrum are O(N) bounds read off the block, with no further
-    solve.  The sign convention, the units and the certificates are taken on
-    GATE_CHUNK rows at a time, so their temporaries do not grow with the row;
-    a row of one takes the same path as any other row.
+    solve.  With a seed ((M, N, 2): a certified pair per row, as a nearby
+    block's Spectrum.eigenvectors gives it), each row is first solved from its
+    seed pair by one inverse iteration (_seeded_pairs); a row whose pair fails
+    that certificate is bisected, to the same bits as an unseeded solve.
+    The sign convention, the units and the certificates are taken on
+    GATE_CHUNK rows at a time, seeded or not, so their temporaries do not
+    grow with the row; a row of one takes the same path as any other row.
     """
     diag, offdiag = block.diag, block.offdiag
     rows = len(offdiag)
@@ -161,9 +222,11 @@ def eig_tridiagonal(block: TridiagonalBlock) -> Spectrum:
     lam = np.empty((rows, 2))
     # (M, 2, N): each eigenvector is one contiguous row
     vec = np.empty((rows, 2, block.size))
-    for m, off in enumerate(offdiag):
+    bisect = (range(rows) if seed is None
+              else np.flatnonzero(~_seeded_pairs(diag, offdiag, seed, lam, vec)))
+    for m in bisect:
         try:
-            lam[m], pair = _lowest_pair(diag, off)
+            lam[m], pair = _lowest_pair(diag, offdiag[m])
         except np.linalg.LinAlgError as exc:
             raise EigenConvergenceError(f"even block of size {block.size}, row {m}: "
                                         f"tridiagonal eigensolve failed: {exc}") from exc
@@ -204,11 +267,12 @@ def eig_tridiagonal(block: TridiagonalBlock) -> Spectrum:
                     scale=scale, residual_unit=residual_unit)
 
 
-def ground_state_row(points) -> GroundState:
+def ground_state_row(points, seed: np.ndarray | None = None) -> GroundState:
     """Ground states of a row of points that share delta, kerr and n_cut: one
-    stacked even-sector solve over the row's eps (a point is a row of one)."""
+    stacked even-sector solve over the row's eps (a point is a row of one),
+    seeded per row if seed is given (eig_tridiagonal)."""
     block = sector_block(points)
-    spec = eig_tridiagonal(block)
+    spec = eig_tridiagonal(block, seed)
     lam, u0 = spec.eigenvalues, spec.eigenvectors[..., 0]
     levels, weights = block.index_map, u0**2
     mean_n = (levels * weights).sum(axis=1)

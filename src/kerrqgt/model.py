@@ -81,8 +81,10 @@ class ModelParams:
     def from_size(cls, size: float, eps: float, phi: float = 0.0,
                   n_cut: int = 800, delta: float = 1.0) -> "ModelParams":
         """Build parameters at a given effective size L = delta / K."""
-        if size <= 0:
+        if not size > 0:
             raise InputError(f"size must be positive, got {size}")
+        if not math.isfinite(size):
+            raise InputError(f"size must be finite, got {size}")
         return cls(delta=delta, kerr=delta / size, eps=eps, phi=phi, n_cut=n_cut)
 
     def replace(self, **kw) -> "ModelParams":

@@ -6,6 +6,10 @@ Two independent routes are provided and must agree:
 * overlap finite differences for the metric (with Richardson refinement) and
   a plaquette overlap product for the Berry curvature (qgt_fd_row).
 
+Both read the same centre row, gated_ground_row of the grid points, which a
+sweep solves once for both routes; the stencil states around each point are
+seeded from its certified pair (eigensolver), not bisected.
+
 The linear-response route also gives d g_ee / d eps analytically (third-order
 response: a second back-substitution on the factorisation of the first
 solve), whose root locates the pseudo-critical peak of g_ee.  Each step of
@@ -82,10 +86,12 @@ class QGTResult:
             raise ValueError(f"metric is not positive semidefinite: eigmin = {eigmin:.3e}")
 
 
-def _ground_row(points) -> GroundState:
-    """The even ground states of a row of points (ground_state_row), each gap
-    certified above GAP_FLOOR x its Gershgorin bound (GapError otherwise)."""
-    ground = ground_state_row(points)
+def gated_ground_row(points, seed: np.ndarray | None = None) -> GroundState:
+    """The even ground states of a row of points (ground_state_row, seeded
+    rows as eig_tridiagonal takes them), each gap certified above GAP_FLOOR x
+    its Gershgorin bound (GapError otherwise).  On a row of grid points this
+    is the centre row that both tensor routes read."""
+    ground = ground_state_row(points, seed)
     gap, scale = ground.gap, ground.spectrum.scale
     _certify(gap > GAP_FLOOR * scale, ground.block,
              lambda m: f"sector gap {gap[m]:.3e} is below the floor {GAP_FLOOR:g} x "
@@ -157,15 +163,17 @@ def _sternheimer(block, e0: np.ndarray, u0: np.ndarray, rhs: np.ndarray,
     return list(solutions)
 
 
-def _response(points, powers: int):
+def _response(points, powers: int, ground: GroundState | None = None):
     """Gap-gated even ground states of a row and the eps response on them.
 
     points share delta, kerr and n_cut.  Returns the GroundState of the row
-    (_ground_row), C = dT/deps (its off-diagonal band, the same for every
-    eps), dE0 = u0.C u0 (Hellmann-Feynman) and the Sternheimer solutions
-    [y, R y, ...] for y = R (C u0 - dE0 u0), each (M, N).
+    (ground if given, else gated_ground_row(points)), C = dT/deps (its
+    off-diagonal band, the same for every eps), dE0 = u0.C u0
+    (Hellmann-Feynman) and the Sternheimer solutions [y, R y, ...] for
+    y = R (C u0 - dE0 u0), each (M, N).
     """
-    ground = _ground_row(points)
+    if ground is None:
+        ground = gated_ground_row(points)
     u0, first = ground.vectors, points[0]
     band = -(first.delta / 2.0) * sector_arrays(first.delta, first.kerr, first.n_cut)[1]
     rhs = _tridiagonal_multiply(0.0, band, u0)
@@ -185,13 +193,14 @@ def _spectral_results(points, ground: GroundState, y: np.ndarray) -> list[QGTRes
             for m, params in enumerate(points)]
 
 
-def qgt_spectral_row(points) -> list[QGTResult]:
+def qgt_spectral_row(points, ground: GroundState | None = None) -> list[QGTResult]:
     """Geometric tensors of a row of points that share delta, kerr and n_cut.
 
-    One stacked even-block solve and one Sternheimer solve per row give every
-    point's tensor exactly as qgt_spectral gives it alone.
+    One stacked even-block solve (the centre row gated_ground_row(points), or
+    ground, which must be that row) and one Sternheimer solve per row give
+    every point's tensor exactly as qgt_spectral gives it alone.
     """
-    ground, _, _, (y,) = _response(points, powers=1)
+    ground, _, _, (y,) = _response(points, powers=1, ground=ground)
     return _spectral_results(points, ground, y)
 
 
@@ -241,41 +250,62 @@ def g_ee_slope(params: ModelParams) -> float:
     return g_ee_slope_step(params)[0]
 
 
-def _even_ground_family(params: ModelParams, eps_values):
-    """(state, ground, row): ground is one gap-gated stacked solve (_ground_row)
-    of the distinct eps in eps_values at the delta, kerr and n_cut of params,
-    row maps each eps to its index in it, and state maps (eps, phi) to the
-    gauge-phased ground vector: it only looks vectors up (any other eps raises
-    KeyError) and caches the gauge phases of each phi."""
-    keys = sorted({float(eps) for eps in eps_values})
-    ground = _ground_row([params.replace(eps=eps) for eps in keys])
-    row = {eps: m for m, eps in enumerate(keys)}
+def _even_ground_family(points, step_eps: float, ground: GroundState | None = None):
+    """(ground, states): the stencil state families of a row of points that
+    share delta, kerr and n_cut.
+
+    ground is the centre row of the points (gated_ground_row(points), or
+    ground if given, which must be that row).  Every other eps of a point's
+    stencils (stencil_eps) is a satellite of that point: one gap-gated
+    stacked solve of all the row's satellites, each row seeded by its own
+    point's certified pair (eig_tridiagonal), gives their ground vectors.
+    states[i] maps (eps, phi) to the gauge-phased ground vector of points[i]'s
+    family: its own eps from the centre row, its satellites from theirs.  It
+    only looks vectors up (any other eps raises KeyError), so a point's family
+    owes nothing to its neighbours, and the states cache the gauge phases of
+    each phi.
+    """
+    stencils = [stencil_eps(p.eps, step_eps) - {float(p.eps)} for p in points]
+    if ground is None:
+        ground = gated_ground_row(points)
+    owners, satellites = [], []
+    for i, (p, stencil) in enumerate(zip(points, stencils)):
+        owners += [i] * len(stencil)
+        satellites += [p.replace(eps=eps) for eps in sorted(stencil)]
+    tables = [{float(p.eps): u} for p, u in zip(points, ground.vectors)]
+    if satellites:
+        solved = gated_ground_row(satellites, seed=ground.spectrum.eigenvectors[owners])
+        for i, p, u in zip(owners, satellites, solved.vectors):
+            tables[i][p.eps] = u
     phases: dict[float, np.ndarray] = {}
 
-    def state(eps: float, phi: float) -> np.ndarray:
-        if phi not in phases:
-            phases[phi] = np.exp(-0.5j * ground.levels * phi)
-        return ground.vectors[row[float(eps)]] * phases[phi]
+    def family(table):
+        def state(eps: float, phi: float) -> np.ndarray:
+            if phi not in phases:
+                phases[phi] = np.exp(-0.5j * ground.levels * phi)
+            return table[float(eps)] * phases[phi]
+        return state
 
-    return state, ground, row
+    return ground, [family(table) for table in tables]
 
 
 def qgt_fd_row(points, step_eps: float = DEFAULT_STEP_EPS,
-               step_phi: float = DEFAULT_STEP_PHI) -> list[QGTResult]:
+               step_phi: float = DEFAULT_STEP_PHI,
+               ground: GroundState | None = None) -> list[QGTResult]:
     """Geometric tensors of a row of points that share delta, kerr and n_cut,
     by gauge-invariant overlap finite differences (metric_fd first, so a step
     it rejects raises there, then curvature_fd).
 
-    One gap-gated stacked solve of the union of the points' stencil eps gives
+    The centre row (ground, as qgt_spectral_row takes it) and one seeded
+    solve of every point's stencil satellites (_even_ground_family) give
     every tensor exactly as qgt_fd gives it alone; each point's context is
-    read off its own eps in that row.
+    read off its centre, as the spectral route reads it.
     """
-    state, ground, row = _even_ground_family(points[0], set().union(
-        *(stencil_eps(p.eps, step_eps) for p in points)))
+    ground, states = _even_ground_family(points, step_eps, ground)
     results = []
-    for p in points:
+    for m, (p, state) in enumerate(zip(points, states)):
         (g_ee, g_ep), (_, g_pp) = metric_fd(state, p.eps, p.phi, step_eps, step_phi)
-        results.append(_result(ground, row[float(p.eps)], p, "fd", g_ee, g_pp, g_ep,
+        results.append(_result(ground, m, p, "fd", g_ee, g_pp, g_ep,
                                curvature_fd(state, p.eps, p.phi, step_eps, step_phi)))
     return results
 

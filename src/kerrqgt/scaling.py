@@ -46,6 +46,8 @@ DEFAULT_N_CUT = 800
 DEFAULT_PEAK_BRACKET = (0.99, 1.40)
 DEFAULT_COLLAPSE_WINDOW = (0.95, 1.06)
 DEFAULT_COLLAPSE_STEP = 1e-3
+# the most eps points a collapse grid may have (the default grid has 111)
+MAX_COLLAPSE_POINTS = 100_000
 DEFAULT_K0_CUTOFFS = (200, 283, 400, 566, 800, 1131, 1600)
 DRIFT_EXPONENT_RANGE = (0.1, 3.0)
 DRIFT_EXPONENT_SCAN = 61
@@ -489,6 +491,10 @@ def scaling_pipeline(sizes: Sequence[float] = DEFAULT_SIZES,
         raise InputError(f"collapse_step must be positive and finite, got {collapse_step}")
     if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
         raise InputError(f"collapse_window must be finite with lo < hi, got {(lo, hi)}")
+    if not (hi - lo) / collapse_step < MAX_COLLAPSE_POINTS:
+        raise InputError(f"collapse grid of {(hi - lo) / collapse_step + 1:.3g} points exceeds "
+                         f"{MAX_COLLAPSE_POINTS}; raise collapse_step or narrow "
+                         f"collapse_window")
     sizes = np.asarray(sorted(sizes), dtype=float)
     if len(sizes) < 4:
         raise FitError("the scaling pipeline needs at least 4 sizes")

@@ -13,6 +13,7 @@ from __future__ import annotations
 import datetime
 import hashlib
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass, asdict, fields
@@ -26,7 +27,7 @@ from .eigensolver import ground_state_row
 from .errors import (CutoffError, EigenConvergenceError, GapError, InputError, SchemaError,
                      StepSizeError)
 from .model import ModelParams
-from .qgt import qgt_fd_row, qgt_spectral_row
+from .qgt import gated_ground_row, qgt_fd_row, qgt_spectral_row
 from .scaling import (
     CurveFamily,
     ScalingReport,
@@ -191,6 +192,8 @@ class SweepConfig:
         for rng in (self.eps_range, self.phi_range):
             if len(rng) != 3 or rng[1] < rng[0] or int(rng[2]) < 1:
                 raise InputError(f"malformed grid range {rng}")
+            if not (math.isfinite(rng[0]) and math.isfinite(rng[1])):
+                raise InputError(f"grid range {rng} has a non-finite bound")
 
     def echo(self) -> dict:
         raw = asdict(self)
@@ -279,6 +282,9 @@ def _phase_diagram(config: SweepConfig, out: Path) -> ModeResult:
     """Order-parameter grid rho(eps, phi) at fixed effective size."""
     eps_grid = np.linspace(*config.eps_range[:2], int(config.eps_range[2]))
     phi_grid = np.linspace(*config.phi_range[:2], int(config.phi_range[2]))
+    # ModelParams checks the size, delta, cutoff and eps before the screen
+    points = [ModelParams.from_size(config.size, eps, n_cut=config.n_cut, delta=config.delta)
+              for eps in eps_grid]
     eps_max = float(np.max(eps_grid))
     # A screen that rejects hopeless grids (1.3 x the condensate's <n> ~
     # L(eps - 1)/2, plus 50 levels), not a guarantee: it can pass a grid whose
@@ -296,9 +302,7 @@ def _phase_diagram(config: SweepConfig, out: Path) -> ModeResult:
     # hence mean_n, rho and the cutoff gate, is exactly phi-independent: one
     # row solve at phi = 0 (one stacked even-sector solve) fills every phi
     # column of every eps row.
-    ground = ground_state_row([ModelParams.from_size(config.size, eps, n_cut=config.n_cut,
-                                                     delta=config.delta)
-                               for eps in eps_grid])
+    ground = ground_state_row(points)
     rows = [(eps, phi, config.size, config.n_cut, n, n / config.size, "cutoff" if flag else "")
             for eps, n, flag in zip(eps_grid, ground.mean_n.tolist(), ground.cutoff_warning)
             for phi in phi_grid]
@@ -307,26 +311,32 @@ def _phase_diagram(config: SweepConfig, out: Path) -> ModeResult:
     return {"phase_diagram.csv": csv_text(PHASE_DIAGRAM_COLUMNS, rows)}, warnings
 
 
-def _row_or_points(solve_row, items) -> list:
-    """solve_row(items), one result per item.  If the row fails with one of
-    POINT_ERRORS, each item is solved as a row of its own and a failing item
-    gets its exception in place of a result, so only that item is dropped."""
-    try:
-        return solve_row(items)
-    except POINT_ERRORS:
-        results = []
-        for item in items:
-            try:
-                results += solve_row([item])
-            except POINT_ERRORS as exc:
-                results.append(exc)
-        return results
+def _row_or_points(solve_row, items, ground) -> list:
+    """solve_row(items, ground=ground), one result per item, where ground is
+    the centre row of items or None if it failed.  If it is None or the row
+    fails with one of POINT_ERRORS, each item is solved as a row of its own
+    (solving its own centre) and a failing item gets its exception in place
+    of a result, so only that item is dropped."""
+    if ground is not None:
+        try:
+            return solve_row(items, ground=ground)
+        except POINT_ERRORS:
+            pass
+    results = []
+    for item in items:
+        try:
+            results += solve_row([item])
+        except POINT_ERRORS as exc:
+            results.append(exc)
+    return results
 
 
 def _qgt(config: SweepConfig, out: Path) -> ModeResult:
     """Tensor components on a (size, eps) grid at fixed phi.  Each size is one
-    row: one call of each selected row kernel, qgt_spectral_row and/or
-    qgt_fd_row; each eps gets its spectral row first, then its fd row."""
+    row: one centre row (gated_ground_row) of its grid points, which each
+    selected row kernel, qgt_spectral_row and/or qgt_fd_row, reads; each eps
+    gets its spectral row first, then its fd row.  A point whose centre fails
+    loses both rows."""
     eps_grid = np.linspace(*config.eps_range[:2], int(config.eps_range[2]))
     kernels = {"spectral": qgt_spectral_row, "fd": qgt_fd_row}
     methods = ["spectral", "fd"] if config.method == "both" else [config.method]
@@ -334,7 +344,11 @@ def _qgt(config: SweepConfig, out: Path) -> ModeResult:
     for size in config.sizes:
         points = [ModelParams.from_size(size, eps, phi=config.phi, n_cut=config.n_cut,
                                         delta=config.delta) for eps in eps_grid]
-        solved = [_row_or_points(kernels[method], points) for method in methods]
+        try:
+            centres = gated_ground_row(points)
+        except POINT_ERRORS:
+            centres = None
+        solved = [_row_or_points(kernels[method], points, centres) for method in methods]
         for eps, results in zip(eps_grid, zip(*solved)):
             for method, r in zip(methods, results):
                 if isinstance(r, Exception):

@@ -30,7 +30,8 @@ decomposition, never from the kernels it checks:
   exact exponent scan: an lstsq residual at every one of the
   DRIFT_EXPONENT_SCAN grid exponents, no screen;
 * lazy_even_ground_family is the fd state family solved one eps at a time,
-  on first request, as a row of one;
+  on first request, as a row of one, and bisected_qgt_fd is the fd tensor
+  on it: every stencil state bisected, none seeded;
 * fixed_cutoff_scaling is scaling_pipeline with every peak search and family
   row solved at the cap n_cut, as before the cutoff ladder: with
   CUTOFF_RUNGS empty the cap is the only rung, so no probe is made and no row
@@ -44,11 +45,13 @@ decomposition, never from the kernels it checks:
 
 From the package it takes only data containers, the block builder
 sector_block, the gate constants and the error classes; for
-lazy_even_ground_family the eigensolver eig_tridiagonal, because that path
-checks the stacking and lookup of the package's family, whose vectors it
-must match bit for bit, not the eigensolver; and for squeezed_vacuum_qgt_fd
-the overlap stencils metric_fd and curvature_fd, applied to Fock-basis
-states that owe nothing to the eigensolver; and for fixed_cutoff_scaling the
+lazy_even_ground_family the eigensolver eig_tridiagonal without a seed,
+because that path checks the stacking, seeding and lookup of the package's
+family, whose centre vectors it must match bit for bit, not the bisection;
+for bisected_qgt_fd and squeezed_vacuum_qgt_fd the overlap stencils
+metric_fd and curvature_fd, applied to states that owe nothing to the
+seeded solve (bisected_qgt_fd) or to the eigensolver at all
+(squeezed_vacuum_qgt_fd); and for fixed_cutoff_scaling the
 scaling pipeline itself, because that path checks the choice of cutoff, not
 the fits; and for fit_shifted_power the golden-section search and the grid
 constants, because that path checks the exponent scan, not the polish.
@@ -288,6 +291,14 @@ def lazy_even_ground_family(params):
         return vectors[key] * phases[phi]
 
     return state
+
+
+def bisected_qgt_fd(params, step_eps: float = 1e-4, step_phi: float = 1e-3):
+    """(g_ee, g_pp, g_ep, f_ep) of params by metric_fd and curvature_fd on
+    lazy_even_ground_family, which bisects every stencil state."""
+    family = lazy_even_ground_family(params)
+    (g_ee, g_ep), (_, g_pp) = metric_fd(family, params.eps, params.phi, step_eps, step_phi)
+    return g_ee, g_pp, g_ep, curvature_fd(family, params.eps, params.phi, step_eps, step_phi)
 
 
 def fixed_cutoff_scaling(**kwargs):

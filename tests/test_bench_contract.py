@@ -29,14 +29,14 @@ def test_eig_tridiagonal_returns_what_the_tracer_reads():
 
 @pytest.fixture
 def eig_calls(monkeypatch):
-    """(rows, block size) of each eig_tridiagonal call, counted through every
-    module binding, as the tracer counts the calls."""
+    """(rows, block size, seeded) of each eig_tridiagonal call, counted through
+    every module binding, as the tracer counts the calls."""
     original = kerrqgt.eigensolver.eig_tridiagonal
     calls = []
 
-    def counted(block, *args, **kwargs):
-        calls.append((len(block.offdiag), block.size))
-        return original(block, *args, **kwargs)
+    def counted(block, seed=None):
+        calls.append((len(block.offdiag), block.size, seed is not None))
+        return original(block, seed)
 
     for name, module in list(sys.modules.items()):
         if name.startswith("kerrqgt") and getattr(module, "eig_tridiagonal", None) is original:
@@ -52,17 +52,19 @@ def test_traced_kernels_call_eig_tridiagonal(eig_calls, kernel):
     assert eig_calls
 
 
-@pytest.mark.parametrize("method, calls, rows", [("spectral", 1, 8), ("fd", 1, 40),
-                                                 ("both", 2, 48)])
+@pytest.mark.parametrize("method, calls, rows", [("spectral", 1, 8), ("fd", 2, 40),
+                                                 ("both", 2, 40)])
 def test_qgt_point_eigensolve_count(tmp_path, eig_calls, method, calls, rows):
-    # One size of 8 points is one row: for the spectral rows one tensor solve
-    # of its 8 points, for the fd rows one stacked solve of the stencil states
-    # of every point, 5 eps values each (the point's own among them), from
-    # which the plaquette reuses two.
+    # One size of 8 points is one row: one bisected centre row of its 8 points,
+    # which every method reads, and for the fd rows one seeded solve of the
+    # stencil satellites of every point, the 4 eps values of each besides its
+    # own, from which the plaquette reuses two.
     kerrqgt.sweep.run(kerrqgt.sweep.SweepConfig(
         mode="qgt", out_dir=str(tmp_path), sizes=(150,), eps_range=(0.95, 1.06, 8),
         phi=0.3, n_cut=200, method=method))
-    assert (len(eig_calls), sum(m for m, _ in eig_calls)) == (calls, rows)
+    assert (len(eig_calls), sum(m for m, *_ in eig_calls)) == (calls, rows)
+    assert eig_calls[0] == (8, 101, False)
+    assert eig_calls[1:] == ([] if method == "spectral" else [(32, 101, True)])
 
 
 def test_scaling_rows_solve_at_most_half_the_fixed_cutoff_work(monkeypatch, eig_calls):
@@ -73,7 +75,7 @@ def test_scaling_rows_solve_at_most_half_the_fixed_cutoff_work(monkeypatch, eig_
     def probe(points):
         before = len(eig_calls)
         ground = kerrqgt.eigensolver.ground_state_row(points)
-        probes.append((eig_calls[before:], (1, points[0].n_cut // 2 + 1)))
+        probes.append((eig_calls[before:], (1, points[0].n_cut // 2 + 1, False)))
         return ground
 
     monkeypatch.setattr(kerrqgt.scaling, "ground_state_row", probe)
@@ -84,8 +86,8 @@ def test_scaling_rows_solve_at_most_half_the_fixed_cutoff_work(monkeypatch, eig_
     assert probes and all(seen == [expected] for seen, expected in probes)
     eig_calls.clear()
     reference.fixed_cutoff_scaling(**config)
-    assert all(size == 121 for _, size in eig_calls)
-    work = [sum(m * size for m, size in calls) for calls in (adaptive, eig_calls)]
+    assert all(size == 121 for _, size, _ in eig_calls)
+    work = [sum(m * size for m, size, _ in calls) for calls in (adaptive, eig_calls)]
     assert work[0] <= 0.5 * work[1]
 
 

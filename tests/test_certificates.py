@@ -155,3 +155,93 @@ def test_reference_gates_reject_nan(monkeypatch, case):
     setup(monkeypatch)
     with pytest.raises(error, match=f"^{message}"):
         kernel(ROW[1])
+
+
+# Seeded rows: the satellites 5e-5 above ROW, each seeded by its point's pair.
+SATELLITES = [p.replace(eps=p.eps + 5e-5) for p in ROW]
+
+
+def _seed_of_row_1(replace):
+    """Seeds of SATELLITES (the certified pairs of ROW) with row 1's replaced by
+    replace(pair)."""
+    seed = eigensolver.eig_tridiagonal(sector_block(ROW)).eigenvectors.copy()
+    seed[1] = replace(seed[1])
+    return seed
+
+
+def _far_seed(pair):
+    # the pair of the undriven block: its Rayleigh quotients lie far above E1
+    return eigensolver.eig_tridiagonal(sector_block([ROW[1].replace(eps=0.0)])).eigenvectors[0]
+
+
+def _nan_vector(result):
+    vectors, info = result
+    vectors = vectors.copy()
+    vectors[3, 0] = np.nan
+    return vectors, info
+
+
+def _bisections(monkeypatch) -> list:
+    """The off-diagonal of each row that eigensolver._lowest_pair solves from now on."""
+    calls, lowest_pair = [], eigensolver._lowest_pair
+
+    def counted(diag, off):
+        calls.append(off)
+        return lowest_pair(diag, off)
+
+    monkeypatch.setattr(eigensolver, "_lowest_pair", counted)
+    return calls
+
+
+def _mixed_vector(result):
+    vectors, info = result
+    vectors = vectors.copy()
+    vectors[:, 0] += 1e-4 * vectors[:, 1]
+    return vectors, info
+
+
+FALLBACK_CASES = {
+    "far-seed": (lambda mp: None, _far_seed),
+    "swapped-pair": (lambda mp: None, lambda pair: pair[:, ::-1]),
+    "inverse-iteration-info": (
+        lambda mp: _alter_call(mp, scipy.linalg.lapack, "dstein", 1, lambda r: (r[0], 1)),
+        lambda pair: pair),
+    "inverse-iteration-nan": (
+        lambda mp: _alter_call(mp, scipy.linalg.lapack, "dstein", 1, _nan_vector),
+        lambda pair: pair),
+    # values still ascend and E1 is untouched, so only the residual and
+    # orthogonality bounds see it
+    "inverse-iteration-residual": (
+        lambda mp: _alter_call(mp, scipy.linalg.lapack, "dstein", 1, _mixed_vector),
+        lambda pair: pair),
+    "sturm-count": (
+        lambda mp: _alter_call(mp, scipy.linalg.lapack, "dstebz", 1, lambda r: (3, *r[1:])),
+        lambda pair: pair),
+}
+
+
+@pytest.mark.parametrize("case", FALLBACK_CASES)
+def test_failing_seeded_row_falls_back_to_bisection(monkeypatch, case):
+    # row 1 fails its seeded certificate and is bisected, to the same bits as
+    # an unseeded solve; rows 0 and 2 stay seeded
+    setup, replace = FALLBACK_CASES[case]
+    block = sector_block(SATELLITES)
+    seed = _seed_of_row_1(replace)
+    bisected = eigensolver.eig_tridiagonal(block)
+    setup(monkeypatch)
+    calls = _bisections(monkeypatch)
+    seeded = eigensolver.eig_tridiagonal(block, seed)
+    assert len(calls) == 1 and np.array_equal(calls[0], block.offdiag[1])
+    assert np.array_equal(seeded.eigenvalues[1], bisected.eigenvalues[1])
+    assert np.array_equal(seeded.eigenvectors[1], bisected.eigenvectors[1])
+    for m in (0, 2):
+        assert not np.array_equal(seeded.eigenvalues[m], bisected.eigenvalues[m])
+        assert np.abs(seeded.eigenvectors[m] - bisected.eigenvectors[m]).max() <= 1e-13
+    assert seeded.max_residual <= bisected.max_residual
+
+
+def test_seeded_rows_need_no_bisection(monkeypatch):
+    seed = _seed_of_row_1(lambda pair: pair)
+    calls = _bisections(monkeypatch)
+    spec = eigensolver.eig_tridiagonal(sector_block(SATELLITES), seed)
+    assert calls == [] and spec.eigenvalues.shape == (3, 2)

@@ -11,12 +11,29 @@ from kerrqgt import (
     qgt_fd_row,
     qgt_spectral,
 )
-from kerrqgt._fd import curvature_fd, metric_fd, stencil_eps
+from kerrqgt._fd import DIST_ZERO, curvature_fd, metric_fd, stencil_eps
 from kerrqgt.qgt import _even_ground_family
-from reference import (dense_drive_derivatives, dense_hamiltonian, fidelity_susceptibility,
-                       lazy_even_ground_family, qgt_sum_over_states)
+from reference import (bisected_qgt_fd, dense_drive_derivatives, dense_hamiltonian,
+                       fidelity_susceptibility, lazy_even_ground_family, qgt_sum_over_states)
 
 H_EPS, H_PHI = 1e-4, 1e-3
+# A seeded stencil state differs from its bisected solve in the last bits, and
+# the stencils read each distance 2 (1 - |<u1|u2>|) ~ g h^2 off the rounding
+# of an overlap near 1, to about DIST_ZERO: a last-bit change of a state moves
+# an entry by a few DIST_ZERO / (h_a h_b), some 1e-6 of g_ee.  The fd entries
+# must agree with the all-bisection slow path to 1e-9 relative or to
+# FD_ROUNDING such units.
+FD_RELATIVE, FD_ROUNDING = 1e-9, 32.0
+
+
+def assert_fd_matches_bisected(fd, step_eps=H_EPS, step_phi=H_PHI):
+    """fd's tensor against bisected_qgt_fd, entry by entry (g_ee, g_pp, g_ep, f_ep)."""
+    slow = bisected_qgt_fd(fd.params, step_eps, step_phi)
+    areas = (step_eps**2, step_phi**2, step_eps * step_phi, step_eps * step_phi)
+    for name, value, ref, area in zip(("g_ee", "g_pp", "g_ep", "f_ep"),
+                                      (fd.g_ee, fd.g_pp, fd.g_ep, fd.f_ep), slow, areas):
+        assert abs(value - ref) <= max(FD_RELATIVE * abs(ref),
+                                       FD_ROUNDING * DIST_ZERO / area), (name, value, ref)
 
 
 def test_perturbation_ops_hermitian_and_parity_conserving():
@@ -106,7 +123,7 @@ def test_plaquette_orientation_antisymmetry():
     # Mirroring phi reverses the loop orientation, so the measured phase
     # (hence the curvature estimate) must flip sign exactly.
     p = ModelParams.from_size(200, 0.8, phi=0.4, n_cut=400)
-    fam, *_ = _even_ground_family(p, stencil_eps(p.eps, 1e-4))
+    _, (fam,) = _even_ground_family([p], 1e-4)
     plain = curvature_fd(fam, p.eps, p.phi, 1e-4, 1e-3)
     mirrored = curvature_fd(lambda e, ph: fam(e, -ph), p.eps, -p.phi, 1e-4, 1e-3)
     assert mirrored == pytest.approx(-plain, rel=1e-10)
@@ -128,7 +145,8 @@ def test_fidelity_susceptibility_values():
 
 
 def test_fidelity_far_from_criticality():
-    fam, *_ = _even_ground_family(ModelParams.from_size(200, 0.5, n_cut=400), (0.5, 0.501))
+    # 0.501 is a stencil satellite of 0.5 at step 2e-3, seeded from it
+    _, (fam,) = _even_ground_family([ModelParams.from_size(200, 0.5, n_cut=400)], 2e-3)
     overlap = abs(np.vdot(fam(0.5, 0.0), fam(0.501, 0.0)))
     assert overlap > 0.999999
 
@@ -170,26 +188,37 @@ def test_stencils_request_exactly_stencil_eps(eps):
 
 @pytest.mark.parametrize("eps", STENCIL_EPS)
 def test_stacked_family_equals_lazy_reference(eps):
-    # the stacked family, alone and shared with a neighbour's stencil as the
-    # qgt sweep shares it, gives the row-of-one solves bit for bit
+    # the stacked family, alone and in a row with a neighbour as the qgt sweep
+    # builds it, gives the same bits: its centre is the row-of-one bisected
+    # solve bit for bit, and each seeded satellite agrees with it to rounding
     p = ModelParams.from_size(150, eps, phi=0.4, n_cut=300)
     lazy = lazy_even_ground_family(p)
-    own = stencil_eps(eps, H_EPS)
-    for stacked, *_ in (_even_ground_family(p, own),
-                        _even_ground_family(p, own | stencil_eps(eps + 0.01, H_EPS))):
-        assert np.array_equal(metric_fd(stacked, eps, p.phi, H_EPS, H_PHI),
-                              metric_fd(lazy, eps, p.phi, H_EPS, H_PHI))
-        assert (curvature_fd(stacked, eps, p.phi, H_EPS, H_PHI)
-                == curvature_fd(lazy, eps, p.phi, H_EPS, H_PHI))
+    ground, (alone,) = _even_ground_family([p], H_EPS)
+    _, (shared, _) = _even_ground_family([p, p.replace(eps=eps + 0.01)], H_EPS)
+    for e in stencil_eps(eps, H_EPS):
+        u = alone(e, p.phi)
+        assert np.array_equal(shared(e, p.phi), u)
+        if e == eps:
+            assert np.array_equal(u, lazy(e, p.phi))
+        else:
+            assert np.abs(u - lazy(e, p.phi)).max() <= 1e-13
+    assert ground.vectors.shape == (1, ground.block.size)
+    with pytest.raises(KeyError):
+        alone(eps + 1e-3, p.phi)
     fd = qgt_fd(p)
     assert ([[fd.g_ee, fd.g_ep], [fd.g_ep, fd.g_pp]]
-            == metric_fd(lazy, eps, p.phi, H_EPS, H_PHI).tolist())
-    assert fd.f_ep == curvature_fd(lazy, eps, p.phi, H_EPS, H_PHI)
-    state, ground, row = _even_ground_family(p, own)
-    assert sorted(row) == sorted(own) and list(row.values()) == list(range(len(own)))
-    assert ground.vectors.shape == (len(own), ground.block.size)
-    with pytest.raises(KeyError):
-        state(eps + 1e-3, p.phi)
+            == metric_fd(alone, eps, p.phi, H_EPS, H_PHI).tolist())
+    assert fd.f_ep == curvature_fd(alone, eps, p.phi, H_EPS, H_PHI)
+    assert_fd_matches_bisected(fd)
+
+
+@pytest.mark.parametrize("size", [60, 300])
+def test_fd_row_matches_bisected_slow_path(size):
+    # boundary stencils at eps = 0 and h/4, the transition, and both phases
+    eps_grid = [0.0, H_EPS / 4.0, 0.5, 0.97, 1.0, 1.03, 1.2, 1.4]
+    points = [ModelParams.from_size(size, eps, phi=0.4, n_cut=400) for eps in eps_grid]
+    for fd in qgt_fd_row(points):
+        assert_fd_matches_bisected(fd)
 
 
 def test_fd_row_equals_points_alone():

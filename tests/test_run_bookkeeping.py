@@ -79,15 +79,16 @@ def test_row_gap_error_retries_point_by_point(tmp_path, monkeypatch):
     plain = read_csv(run(config)[0])[1]
     row_kernel = sweep.qgt_spectral_row
 
-    def gap_at_one_point(points):
+    def gap_at_one_point(points, ground=None):
         if any(p.eps == 0.7 and p.kerr == 1.0 / 80 for p in points):
             raise GapError("sector gap below the floor")
-        return row_kernel(points)
+        return row_kernel(points, ground=ground)
 
     monkeypatch.setattr(sweep, "qgt_spectral_row", gap_at_one_point)
     patched = dataclasses.replace(config, out_dir=str(tmp_path / "patched"))
     rows = read_csv(run(patched)[0])[1]
-    # the fd row of the point has its own solve and survives
+    # the failure is in the spectral kernel, not in the centre row that both
+    # routes read, so the fd row of the point survives
     dropped = [r for r in plain if r[0] == "80" and float(r[1]) == 0.7 and r[4] == "spectral"]
     assert len(dropped) == 1
     assert rows == [r for r in plain if r not in dropped]
@@ -115,18 +116,19 @@ def test_nan_solve_drops_only_its_point(tmp_path, monkeypatch):
     dropped = [line for line in plain if line.startswith("80,0.69999999999999996,")]
     assert [line.split(",")[4] for line in dropped] == ["spectral", "fd"]
     assert lines == [line for line in plain if line not in dropped]
-    # both routes solve the point's own eps: the tensor row as row 0 of one,
-    # the fd row as row 2 of its 5 stencil eps
+    # the failing centre row of the size is redone point by point, and each
+    # route solves the point's own centre as a row of one
     warnings = _manifest_warnings(tmp_path / "patched", "qgt")
     assert len(warnings) == 2
     assert warnings[0].startswith("L=80 eps=0.7: even block of size 81, row 0: residual nan")
-    assert warnings[1].startswith("L=80 eps=0.7 (fd): even block of size 81, row 2: "
+    assert warnings[1].startswith("L=80 eps=0.7 (fd): even block of size 81, row 0: "
                                   "residual nan")
 
 
 def test_nan_stencil_state_drops_only_its_fd_row(tmp_path, monkeypatch):
-    # a NaN vector at one stencil eps off the grid fails the size's stacked
-    # family; the point-by-point retry then drops that point's fd row alone
+    # a NaN vector at one stencil eps off the grid, after its seeded pair was
+    # certified, fails the size's stacked satellite solve; the point-by-point
+    # retry then drops that point's fd row alone
     config = SweepConfig(mode="qgt", out_dir=str(tmp_path / "plain"), sizes=(60, 80),
                          eps_range=(0.5, 0.9, 3), method="both", n_cut=160)
     plain = run(config)[0].read_text().splitlines()
@@ -134,16 +136,17 @@ def test_nan_stencil_state_drops_only_its_fd_row(tmp_path, monkeypatch):
     stencil = max(stencil_eps(eps, DEFAULT_STEP_EPS))
     assert stencil != eps
     target = sector_block([ModelParams.from_size(80, stencil, n_cut=160)])
-    eigensolve = eigensolver._lowest_pair
+    seeded_pairs = eigensolver._seeded_pairs
 
-    def nan_at_target(diag, off):
-        lam, vec = eigensolve(diag, off)
-        if np.array_equal(diag, target.diag) and np.array_equal(off, target.offdiag[0]):
-            vec = vec.copy()
-            vec[3, 0] = np.nan
-        return lam, vec
+    def nan_at_target(diag, offdiag, seed, lam, vec):
+        ok = seeded_pairs(diag, offdiag, seed, lam, vec)
+        for m, off in enumerate(offdiag):
+            if np.array_equal(diag, target.diag) and np.array_equal(off, target.offdiag[0]):
+                assert ok[m]
+                vec[m, 0, 3] = np.nan
+        return ok
 
-    monkeypatch.setattr(eigensolver, "_lowest_pair", nan_at_target)
+    monkeypatch.setattr(eigensolver, "_seeded_pairs", nan_at_target)
     patched = dataclasses.replace(config, out_dir=str(tmp_path / "patched"))
     lines = run(patched)[0].read_text().splitlines()
     dropped = [line for line in plain if line.startswith("80,0.69999999999999996,")
@@ -152,7 +155,8 @@ def test_nan_stencil_state_drops_only_its_fd_row(tmp_path, monkeypatch):
     assert lines == [line for line in plain if line not in dropped]
     warnings = _manifest_warnings(tmp_path / "patched", "qgt")
     assert len(warnings) == 1
-    assert warnings[0].startswith("L=80 eps=0.7 (fd): even block of size 81, row 4: "
+    # the point's satellites are its 4 stencil eps besides its own, ascending
+    assert warnings[0].startswith("L=80 eps=0.7 (fd): even block of size 81, row 3: "
                                   "residual nan")
 
 
@@ -368,11 +372,13 @@ def test_k0_reuses_report_for_unsorted_sizes(tmp_path, k0_spies):
 
 @pytest.fixture
 def no_eigensolve(monkeypatch):
-    """Fail the test at the first tridiagonal eigensolve of the package."""
+    """Fail the test at the first tridiagonal eigensolve of the package,
+    bisected or seeded."""
     def solve(*args, **kwargs):
         raise AssertionError("a tridiagonal eigensolve was made")
 
     monkeypatch.setattr(eigensolver, "_lowest_pair", solve)
+    monkeypatch.setattr(eigensolver, "_seeded_pairs", solve)
 
 
 def test_repeated_sizes_fail_before_any_solve(tmp_path, capsys, no_eigensolve):

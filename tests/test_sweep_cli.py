@@ -177,6 +177,24 @@ def test_qgt_sweep_rows_and_methods(tmp_path):
             assert abs(a - b) <= 1e-4 * max(abs(a), abs(b), 1e-9)
 
 
+def test_qgt_both_interleaves_the_single_method_rows(tmp_path):
+    # --method both reads one centre row per size for both routes, yet writes
+    # the rows of --method spectral and --method fd byte for byte, spectral
+    # first at each eps; the grid has the eps = 0 boundary stencil and the
+    # symmetry-broken phase
+    lines = {}
+    for method in ("spectral", "fd", "both"):
+        cfg = SweepConfig(mode="qgt", out_dir=str(tmp_path / method), sizes=(60, 150),
+                          eps_range=(0.0, 1.4, 8), phi=0.3, method=method, n_cut=400)
+        lines[method] = run(cfg)[0].read_text().splitlines()
+    header, *spectral = lines["spectral"]
+    assert [float(line.split(",")[1]) for line in spectral[:8]][::7] == [0.0, 1.4]
+    assert lines["fd"][0] == lines["both"][0] == header
+    assert len(spectral) == len(lines["fd"]) - 1 == 16
+    assert lines["both"][1:] == [line for pair in zip(spectral, lines["fd"][1:])
+                                 for line in pair]
+
+
 def test_qgt_csv_has_no_negative_zero(tmp_path):
     # the spectral g_ep is an exact zero, and so is its f_ep at eps = 0; each
     # is written 0, never -0, whatever the sign of the f_ep beside it
@@ -422,6 +440,23 @@ def test_emit_plots_names_missing_report_key(tmp_path, name, report, key):
         emit_plots(tmp_path)
 
 
+# Inputs that used to end in a traceback, or in rows no solve had checked;
+# each fails before any eigensolve.
+UNTRUSTED_INPUTS = {
+    "infinite-size": (["phase-diagram", "--L", "inf", "--eps", "0:1.5:3"],
+                      "size must be finite, got inf"),
+    "nan-size": (["phase-diagram", "--L", "nan", "--eps", "0:1.5:3"],
+                 "size must be positive, got nan"),
+    "infinite-phi-bound": (["phase-diagram", "--L", "40", "--eps", "0:1:2", "--phi", "0:inf:3",
+                            "--ncut", "100"], "grid range (0.0, inf, 3) has a non-finite bound"),
+    "nan-eps-bound": (["phase-diagram", "--L", "40", "--eps", "nan:1:2", "--ncut", "100"],
+                      "grid range (nan, 1.0, 2) has a non-finite bound"),
+    "collapse-grid-too-fine": (["scaling", "--eps-step", "1e-300"],
+                               "collapse grid of 1.1e+299 points exceeds 100000; raise "
+                               "collapse_step or narrow collapse_window"),
+}
+
+
 @pytest.mark.parametrize("argv, message", [
     (["scaling", "--eps-step", "0"], "collapse_step must be positive and finite, got 0.0"),
     (["phase-diagram", "--L", "2000", "--eps", "0:1.5:3", "--ncut", "100"],
@@ -438,8 +473,10 @@ def test_emit_plots_names_missing_report_key(tmp_path, name, report, key):
                    "No such file or directory"),
     (["collapse", "--input", "{dir}/text.json"],
      "report {dir}/text.json is not JSON: Expecting value: line 1 column 1 (char 0)"),
+    *[(argv, message) for argv, message in UNTRUSTED_INPUTS.values()],
 ], ids=["collapse-step", "cutoff", "config-method", "config-not-json", "config-missing",
-        "negative-size", "zero-size", "collapse-no-report", "collapse-input-not-json"])
+        "negative-size", "zero-size", "collapse-no-report", "collapse-input-not-json",
+        *UNTRUSTED_INPUTS])
 def test_cli_input_error_is_one_line_with_status_2(tmp_path, capsys, argv, message):
     (tmp_path / "method.json").write_text('{"method": "xyz"}')
     (tmp_path / "text.json").write_text("not json")
@@ -450,6 +487,16 @@ def test_cli_input_error_is_one_line_with_status_2(tmp_path, capsys, argv, messa
     assert captured.err == f"kerrqgt {argv[0]}: error: {message.format(dir=tmp_path)}\n"
     assert captured.out == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize("case", UNTRUSTED_INPUTS)
+def test_untrusted_inputs_fail_before_any_solve(tmp_path, monkeypatch, case):
+    def solve(*args, **kwargs):
+        raise AssertionError("a tridiagonal eigensolve was made")
+
+    monkeypatch.setattr(eigensolver, "_lowest_pair", solve)
+    monkeypatch.setattr(eigensolver, "_seeded_pairs", solve)
+    assert main(UNTRUSTED_INPUTS[case][0] + ["--out", str(tmp_path / "out")]) == 2
 
 
 @pytest.mark.parametrize("mode", ["k0", "plots"])
