@@ -1,9 +1,9 @@
-"""Gauge-invariant finite-difference stencils on an arbitrary state family.
+"""Gauge-invariant finite-difference geometric tensor on an arbitrary state family.
 
-Every routine takes a callable state(eps, phi) -> normalized complex vector
-and works only with overlap magnitudes or closed-loop overlap products, so the
-results are insensitive to the phase convention of the family.  stencil_eps
-lists the eps values the stencils evaluate the family at, so that a family
+tensor_fd takes a callable state(eps, phi) -> normalized complex vector and
+works only with phase-aligned distances and closed-loop overlap products, so
+the result is insensitive to the phase convention of the family.
+stencil_eps lists the eps values it evaluates the family at, so that a family
 can solve them all up front.  Steps must be positive and finite
 (ValueError); a distance or edge overlap that is not finite, as from a NaN
 state vector, raises StepSizeError.
@@ -11,12 +11,17 @@ state vector, raises StepSizeError.
 
 from __future__ import annotations
 
+import cmath
+import math
+
 import numpy as np
 
 from .errors import StepSizeError
 
-# Distances below this are pure rounding noise; between this and DIST_FLOOR
-# the measurement has lost too many digits to be trusted.
+# Rounding leaves about 1e-30 on a distance; the ones below DIST_ZERO (g_pp's
+# next to eps = 0) count as zero.  Below DIST_FLOOR the steps are too small:
+# the distances keep 8 digits, but the plaquette on the same steps, whose
+# overlap phases round to about eps_mach, keeps only 4-6.
 DIST_ZERO = 5e-16
 DIST_FLOOR = 1e-13
 DIST_CEIL = 1e-3
@@ -30,32 +35,33 @@ def _check_steps(*steps) -> None:
 
 
 def _edges(eps: float, step_eps: float):
-    """(forward, metric, plaquettes): whether eps is at the eps >= 0 boundary,
-    where the stencils difference forward, and the (e_lo, e_hi) eps edges of
-    metric_fd's two scales (widths h, h/2) and of curvature_fd's plaquettes.
-    Inside the domain the plaquette shares the first metric edge."""
-    if eps - step_eps / 2.0 >= 0.0:
-        metric = [(eps - he / 2.0, eps - he / 2.0 + he) for he in (step_eps, step_eps / 2.0)]
-        return False, metric, metric[:1]
-    return (True, [(eps, eps + step_eps), (eps, eps + step_eps / 2.0)],
-            [(0.0, step_eps), (0.0, step_eps / 2.0)])
+    """(forward, edges): whether eps is at the eps >= 0 boundary, and the
+    (e_lo, e_hi) eps edge of each of tensor_fd's scales (widths h, h/2),
+    centred on eps inside the domain and starting at eps at the boundary."""
+    forward = eps - step_eps / 2.0 < 0.0
+    edges = []
+    for he in (step_eps, step_eps / 2.0):
+        lo = eps if forward else eps - he / 2.0
+        edges.append((lo, lo + he))
+    return forward, edges
 
 
 def stencil_eps(eps: float, step_eps: float) -> set[float]:
-    """Every eps at which metric_fd and curvature_fd evaluate the state family
-    around eps, as the exact floats they ask for: eps, and lo = eps - he/2 and
-    lo + he for he in (h, h/2); at the eps >= 0 boundary eps, eps + h,
-    eps + h/2, 0, h and h/2."""
+    """Every eps at which tensor_fd evaluates the state family around eps, as
+    the exact floats it asks for: eps, and lo = eps - he/2 and lo + he for he
+    in (h, h/2); at the eps >= 0 boundary eps, eps + h and eps + h/2."""
     _check_steps(step_eps)
-    _, metric, plaquettes = _edges(eps, step_eps)
-    return {float(eps)} | {float(e) for edge in metric + plaquettes for e in edge}
+    return {float(eps)} | {float(e) for edge in _edges(eps, step_eps)[1] for e in edge}
 
 
-def _distance(state, p1, p2) -> float:
-    """2 (1 - |<u1|u2>|), the leading squared line element between two points."""
-    ov = abs(np.vdot(state(*p1), state(*p2)))
-    d = 2.0 * (1.0 - ov)
-    if not np.isfinite(d):
+def _distance(u1: np.ndarray, u2: np.ndarray) -> float:
+    """|| u1 - e^{i theta} u2 ||^2, with e^{i theta} the phase that aligns u2
+    with u1 (1 if <u1|u2> = 0): the leading squared line element
+    2 (1 - |<u1|u2>|) between two points, without the cancellation of
+    1 - |<u1|u2>|."""
+    diff = u1 - cmath.rect(1.0, -cmath.phase(np.vdot(u1, u2))) * u2
+    d = float(np.vdot(diff, diff).real)
+    if not math.isfinite(d):
         raise StepSizeError(f"overlap distance {d} is not finite")
     if d <= DIST_ZERO:
         return 0.0
@@ -70,64 +76,47 @@ def _distance(state, p1, p2) -> float:
     return d
 
 
-def metric_fd(state, eps: float, phi: float, step_eps: float, step_phi: float) -> np.ndarray:
-    """2x2 quantum metric over (eps, phi) by overlap distances.
-
-    Diagonals come from same-direction distances, the off-diagonal from the
-    polarization of the two mixed directions.  Two step scales are combined by
-    Richardson extrapolation; at the eps >= 0 boundary the eps stencils fall
-    back to forward differences with the matching linear combination.
-    """
-    _check_steps(step_eps, step_phi)
-    forward, edges, _ = _edges(eps, step_eps)
-
-    def entries(he, hp, e_lo, e_hi):
-        d_e = _distance(state, (e_lo, phi), (e_hi, phi))
-        d_p = _distance(state, (eps, phi - hp / 2.0), (eps, phi + hp / 2.0))
-        d_pp = _distance(state, (e_lo, phi - hp / 2.0), (e_hi, phi + hp / 2.0))
-        d_pm = _distance(state, (e_lo, phi + hp / 2.0), (e_hi, phi - hp / 2.0))
-        return np.array([d_e / he**2, d_p / hp**2, (d_pp - d_pm) / (4.0 * he * hp)])
-
-    g1 = entries(step_eps, step_phi, *edges[0])
-    g2 = entries(step_eps / 2.0, step_phi / 2.0, *edges[1])
-    g = 2.0 * g2 - g1 if forward else (4.0 * g2 - g1) / 3.0
-    return np.array([[g[0], g[2]], [g[2], g[1]]])
-
-
-def _plaquette(state, e_lo, e_hi, phi, step_phi) -> float:
-    corners = [
-        state(e_lo, phi - step_phi / 2.0),
-        state(e_hi, phi - step_phi / 2.0),
-        state(e_hi, phi + step_phi / 2.0),
-        state(e_lo, phi + step_phi / 2.0),
-    ]
+def _loop_phase(corners) -> float:
+    """-arg of the overlap product around the corners, in order."""
     product = 1.0 + 0.0j
-    for i in range(4):
-        ov = np.vdot(corners[i], corners[(i + 1) % 4])
-        if not np.isfinite(ov):
+    for a, b in zip(corners, corners[1:] + corners[:1]):
+        ov = complex(np.vdot(a, b))
+        if not cmath.isfinite(ov):
             raise StepSizeError(f"plaquette edge overlap {ov} is not finite")
         if abs(ov) < EDGE_OVERLAP_FLOOR:
             raise StepSizeError(
                 f"plaquette edge overlap {abs(ov):.1e} is near zero; decrease the step")
         product *= ov
-    return float(-np.angle(product) / ((e_hi - e_lo) * step_phi))
+    return -cmath.phase(product)
 
 
-def curvature_fd(state, eps: float, phi: float, step_eps: float, step_phi: float) -> float:
-    """Berry curvature from the phase of the overlap product around one plaquette.
+def tensor_fd(state, eps: float, phi: float, step_eps: float,
+              step_phi: float) -> tuple[float, float, float, float]:
+    """(g_ee, g_pp, g_ep, f_ep) at (eps, phi) by one two-scale overlap stencil.
 
-    Corners are ordered counterclockwise in the (eps, phi) plane; the result is
-    gauge invariant and converges to the curvature as the steps shrink.  When
-    the plaquette would cross eps < 0 it is pushed to the boundary and two
-    scales are combined to extrapolate back to the requested point.
+    At the scales (h, h_phi) and (h/2, h_phi/2) the stencil reads one eps edge
+    (e_lo, e_hi) and its four corners (e_lo or e_hi, phi -+ h_phi/2).  g_ee is
+    the distance along the edge at phi, g_pp the distance across phi at eps,
+    g_ep the polarization of the two mixed distances between corners, and
+    f_ep the phase of the overlap product around the corners, counterclockwise
+    in (eps, phi), over the plaquette's area.  Each scale's entries are
+    second order about the edge's centre, and one rule combines them:
+    (4 T(h/2) - T(h)) / 3 inside the domain, where the edge is centred on eps;
+    2 T(h/2) - T(h) at the eps >= 0 boundary, where it starts at eps and the
+    combination cancels the first-order offset of its centre.
     """
     _check_steps(step_eps, step_phi)
-    forward, _, edges = _edges(eps, step_eps)
-    if not forward:
-        return _plaquette(state, *edges[0], phi, step_phi)
-    # boundary: plaquette centers sit at h/2 and h/4; extrapolate linearly to eps
-    full = _plaquette(state, *edges[0], phi, step_phi)
-    half = _plaquette(state, *edges[1], phi, step_phi / 2.0)
-    c_full, c_half = step_eps / 2.0, step_eps / 4.0
-    return half + (half - full) * (eps - c_half) / (c_half - c_full)
-
+    forward, edges = _edges(eps, step_eps)
+    scales = []
+    for he, hp, (e_lo, e_hi) in zip((step_eps, step_eps / 2.0),
+                                    (step_phi, step_phi / 2.0), edges):
+        lo_m, lo_p, hi_m, hi_p = (state(e, phi + s * hp / 2.0)
+                                  for e in (e_lo, e_hi) for s in (-1.0, 1.0))
+        d_e = _distance(state(e_lo, phi), state(e_hi, phi))
+        d_p = _distance(state(eps, phi - hp / 2.0), state(eps, phi + hp / 2.0))
+        loop = _loop_phase([lo_m, hi_m, hi_p, lo_p])
+        d_mixed = _distance(lo_m, hi_p) - _distance(lo_p, hi_m)
+        scales.append(np.array([d_e / he**2, d_p / hp**2, d_mixed / (4.0 * he * hp),
+                                loop / (he * hp)]))
+    t_h, t_half = scales
+    return tuple(map(float, 2.0 * t_half - t_h if forward else (4.0 * t_half - t_h) / 3.0))

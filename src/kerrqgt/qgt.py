@@ -3,8 +3,9 @@
 Two independent routes are provided and must agree:
 
 * linear response on the even-sector ground state (one Sternheimer solve),
-* overlap finite differences for the metric (with Richardson refinement) and
-  a plaquette overlap product for the Berry curvature (qgt_fd_row).
+* one overlap stencil on two step scales, combined by Richardson
+  extrapolation: distances for the metric and a plaquette overlap product
+  for the Berry curvature (_fd.tensor_fd, qgt_fd_row).
 
 Both read the same centre row, gated_ground_row of the grid points, which a
 sweep solves once for both routes; the stencil states around each point are
@@ -32,7 +33,7 @@ from typing import Callable
 import numpy as np
 import scipy.linalg
 
-from ._fd import curvature_fd, metric_fd, stencil_eps
+from ._fd import stencil_eps, tensor_fd
 from .eigensolver import (
     ORTHOGONALITY_BOUND,
     RESIDUAL_BOUND,
@@ -293,8 +294,7 @@ def qgt_fd_row(points, step_eps: float = DEFAULT_STEP_EPS,
                step_phi: float = DEFAULT_STEP_PHI,
                ground: GroundState | None = None) -> list[QGTResult]:
     """Geometric tensors of a row of points that share delta, kerr and n_cut,
-    by gauge-invariant overlap finite differences (metric_fd first, so a step
-    it rejects raises there, then curvature_fd).
+    by the gauge-invariant overlap stencil tensor_fd.
 
     The centre row (ground, as qgt_spectral_row takes it) and one seeded
     solve of every point's stencil satellites (_even_ground_family) give
@@ -302,12 +302,8 @@ def qgt_fd_row(points, step_eps: float = DEFAULT_STEP_EPS,
     read off its centre, as the spectral route reads it.
     """
     ground, states = _even_ground_family(points, step_eps, ground)
-    results = []
-    for m, (p, state) in enumerate(zip(points, states)):
-        (g_ee, g_ep), (_, g_pp) = metric_fd(state, p.eps, p.phi, step_eps, step_phi)
-        results.append(_result(ground, m, p, "fd", g_ee, g_pp, g_ep,
-                               curvature_fd(state, p.eps, p.phi, step_eps, step_phi)))
-    return results
+    return [_result(ground, m, p, "fd", *tensor_fd(state, p.eps, p.phi, step_eps, step_phi))
+            for m, (p, state) in enumerate(zip(points, states))]
 
 
 def qgt_fd(params: ModelParams, step_eps: float = DEFAULT_STEP_EPS,

@@ -48,8 +48,8 @@ sector_block, the gate constants and the error classes; for
 lazy_even_ground_family the eigensolver eig_tridiagonal without a seed,
 because that path checks the stacking, seeding and lookup of the package's
 family, whose centre vectors it must match bit for bit, not the bisection;
-for bisected_qgt_fd and squeezed_vacuum_qgt_fd the overlap stencils
-metric_fd and curvature_fd, applied to states that owe nothing to the
+for bisected_qgt_fd and squeezed_vacuum_qgt_fd the overlap stencil
+tensor_fd, applied to states that owe nothing to the
 seeded solve (bisected_qgt_fd) or to the eigensolver at all
 (squeezed_vacuum_qgt_fd); and for fixed_cutoff_scaling the
 scaling pipeline itself, because that path checks the choice of cutoff, not
@@ -73,7 +73,7 @@ from kerrqgt.eigensolver import (
     Spectrum,
     eig_tridiagonal,
 )
-from kerrqgt._fd import curvature_fd, metric_fd
+from kerrqgt._fd import tensor_fd
 from kerrqgt.errors import CutoffError, EigenConvergenceError, GapError, WindowError
 from kerrqgt.model import TAIL_LEVELS, TAIL_TOLERANCE, TridiagonalBlock, sector_block
 from kerrqgt.qgt import GAP_FLOOR, QGTResult
@@ -294,11 +294,10 @@ def lazy_even_ground_family(params):
 
 
 def bisected_qgt_fd(params, step_eps: float = 1e-4, step_phi: float = 1e-3):
-    """(g_ee, g_pp, g_ep, f_ep) of params by metric_fd and curvature_fd on
+    """(g_ee, g_pp, g_ep, f_ep) of params by tensor_fd on
     lazy_even_ground_family, which bisects every stencil state."""
-    family = lazy_even_ground_family(params)
-    (g_ee, g_ep), (_, g_pp) = metric_fd(family, params.eps, params.phi, step_eps, step_phi)
-    return g_ee, g_pp, g_ep, curvature_fd(family, params.eps, params.phi, step_eps, step_phi)
+    return tensor_fd(lazy_even_ground_family(params), params.eps, params.phi,
+                     step_eps, step_phi)
 
 
 def fixed_cutoff_scaling(**kwargs):
@@ -475,12 +474,8 @@ def squeezed_vacuum_qgt_fd(eps: float, phi: float = 0.0, *, n_cut: int | None = 
         r = 0.25 * np.log((1.0 - e) / (1.0 + e)) * np.exp(-1j * p)
         return squeezed_vacuum_fock(r, n_cut)
 
-    g = metric_fd(state, eps, phi, step_eps, step_phi)
-    if eps == 0.0:
-        curvature = 0.0
-    else:
-        curvature = curvature_fd(state, eps, phi, step_eps, step_phi)
+    g_ee, g_pp, g_ep, curvature = tensor_fd(state, eps, phi, step_eps, step_phi)
     return np.array([
-        [g[0, 0] + 0.0j, g[0, 1] - 0.5j * curvature],
-        [g[0, 1] + 0.5j * curvature, g[1, 1] + 0.0j],
+        [g_ee + 0.0j, g_ep - 0.5j * curvature],
+        [g_ep + 0.5j * curvature, g_pp + 0.0j],
     ])

@@ -57,8 +57,8 @@ def test_traced_kernels_call_eig_tridiagonal(eig_calls, kernel):
 def test_qgt_point_eigensolve_count(tmp_path, eig_calls, method, calls, rows):
     # One size of 8 points is one row: one bisected centre row of its 8 points,
     # which every method reads, and for the fd rows one seeded solve of the
-    # stencil satellites of every point, the 4 eps values of each besides its
-    # own, from which the plaquette reuses two.
+    # stencil satellites of every point, the 4 eps values of its two edges,
+    # which serve every fd entry.
     kerrqgt.sweep.run(kerrqgt.sweep.SweepConfig(
         mode="qgt", out_dir=str(tmp_path), sizes=(150,), eps_range=(0.95, 1.06, 8),
         phi=0.3, n_cut=200, method=method))

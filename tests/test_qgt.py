@@ -10,30 +10,44 @@ from kerrqgt import (
     qgt_fd,
     qgt_fd_row,
     qgt_spectral,
+    qgt_spectral_row,
 )
-from kerrqgt._fd import DIST_ZERO, curvature_fd, metric_fd, stencil_eps
+from kerrqgt._fd import stencil_eps, tensor_fd
 from kerrqgt.qgt import _even_ground_family
 from reference import (bisected_qgt_fd, dense_drive_derivatives, dense_hamiltonian,
                        fidelity_susceptibility, lazy_even_ground_family, qgt_sum_over_states)
+from test_linear_response import GRID
 
 H_EPS, H_PHI = 1e-4, 1e-3
-# A seeded stencil state differs from its bisected solve in the last bits, and
-# the stencils read each distance 2 (1 - |<u1|u2>|) ~ g h^2 off the rounding
-# of an overlap near 1, to about DIST_ZERO: a last-bit change of a state moves
-# an entry by a few DIST_ZERO / (h_a h_b), some 1e-6 of g_ee.  The fd entries
-# must agree with the all-bisection slow path to 1e-9 relative or to
-# FD_ROUNDING such units.
-FD_RELATIVE, FD_ROUNDING = 1e-9, 32.0
+# How closely an fd tensor agrees with another route to the same tensor: the
+# spectral route inside the domain, the all-bisection fd (bisected_qgt_fd)
+# anywhere, or the fd route itself at another drive phase.  Measured over the
+# points of the tests below, the phase-aligned distances keep about 11
+# digits: g_ee and g_pp agree within 1.4e-11 relative and g_ep within 5e-13
+# of g_ee.  f_ep is the phase of an overlap product around a plaquette of area
+# h h_phi / 4, and each overlap's phase rounds to about eps_mach, so f_ep
+# keeps 1e-9 relative above a floor of a few eps_mach / (h h_phi) (measured:
+# within 4.4e-9 absolute, 2.1e-9 relative).
+FD_RELATIVE = {"g_ee": 1e-10, "g_pp": 1e-10, "g_ep": 1e-11, "f_ep": 1e-9}
+FD_PHASE_ROUNDING = 8.0 * np.finfo(float).eps
 
 
-def assert_fd_matches_bisected(fd, step_eps=H_EPS, step_phi=H_PHI):
-    """fd's tensor against bisected_qgt_fd, entry by entry (g_ee, g_pp, g_ep, f_ep)."""
-    slow = bisected_qgt_fd(fd.params, step_eps, step_phi)
-    areas = (step_eps**2, step_phi**2, step_eps * step_phi, step_eps * step_phi)
-    for name, value, ref, area in zip(("g_ee", "g_pp", "g_ep", "f_ep"),
-                                      (fd.g_ee, fd.g_pp, fd.g_ep, fd.f_ep), slow, areas):
-        assert abs(value - ref) <= max(FD_RELATIVE * abs(ref),
-                                       FD_ROUNDING * DIST_ZERO / area), (name, value, ref)
+def tensor(result):
+    return result.g_ee, result.g_pp, result.g_ep, result.f_ep
+
+
+def assert_fd_close(fd, ref):
+    """fd's tensor against ref = (g_ee, g_pp, g_ep, f_ep), entry by entry within
+    the bounds above; g_ep, which vanishes, is measured against g_ee."""
+    scales = (ref[0], ref[1], ref[0], ref[3])
+    floors = (0.0, 0.0, 0.0, FD_PHASE_ROUNDING / (H_EPS * H_PHI))
+    for name, value, r, scale, floor in zip(FD_RELATIVE, tensor(fd), ref, scales, floors):
+        assert abs(value - r) <= FD_RELATIVE[name] * abs(scale) + floor, (name, value, r)
+
+
+def assert_fd_matches_bisected(fd):
+    """fd's tensor against the all-bisection slow path bisected_qgt_fd."""
+    assert_fd_close(fd, bisected_qgt_fd(fd.params, H_EPS, H_PHI))
 
 
 def test_perturbation_ops_hermitian_and_parity_conserving():
@@ -124,8 +138,8 @@ def test_plaquette_orientation_antisymmetry():
     # (hence the curvature estimate) must flip sign exactly.
     p = ModelParams.from_size(200, 0.8, phi=0.4, n_cut=400)
     _, (fam,) = _even_ground_family([p], 1e-4)
-    plain = curvature_fd(fam, p.eps, p.phi, 1e-4, 1e-3)
-    mirrored = curvature_fd(lambda e, ph: fam(e, -ph), p.eps, -p.phi, 1e-4, 1e-3)
+    plain = tensor_fd(fam, p.eps, p.phi, 1e-4, 1e-3)[3]
+    mirrored = tensor_fd(lambda e, ph: fam(e, -ph), p.eps, -p.phi, 1e-4, 1e-3)[3]
     assert mirrored == pytest.approx(-plain, rel=1e-10)
     assert qgt_fd(p, 1e-4, 1e-3).f_ep == pytest.approx(plain)
 
@@ -153,8 +167,9 @@ def test_fidelity_far_from_criticality():
 
 def test_step_guards():
     p = ModelParams.from_size(200, 0.5, n_cut=400)
-    # 3e-7 puts the overlap deficit around 1e-14, squarely in the
-    # unresolvable band between rounding noise and the precision floor
+    # 3e-7 puts the stencil's distances around 1e-14, in the band between
+    # rounding noise and the precision floor, where the plaquette on the same
+    # steps keeps only 4-5 digits
     with pytest.raises(StepSizeError):
         qgt_fd(p, step_eps=3e-7, step_phi=3e-7)
     with pytest.raises(StepSizeError):
@@ -175,11 +190,10 @@ def test_stencils_request_exactly_stencil_eps(eps):
         requested.add(e)
         return family(e, phi)
 
-    metric_fd(recording, eps, p.phi, H_EPS, H_PHI)
-    curvature_fd(recording, eps, p.phi, H_EPS, H_PHI)
+    tensor_fd(recording, eps, p.phi, H_EPS, H_PHI)
     assert requested == stencil_eps(eps, H_EPS)
     if eps < H_EPS / 2.0:
-        spelled = {eps, eps + H_EPS, eps + H_EPS / 2.0, 0.0, H_EPS, H_EPS / 2.0}
+        spelled = {eps, eps + H_EPS, eps + H_EPS / 2.0}
     else:
         lo, lo_half = eps - H_EPS / 2.0, eps - H_EPS / 4.0
         spelled = {eps, lo, lo + H_EPS, lo_half, lo_half + H_EPS / 2.0}
@@ -206,9 +220,7 @@ def test_stacked_family_equals_lazy_reference(eps):
     with pytest.raises(KeyError):
         alone(eps + 1e-3, p.phi)
     fd = qgt_fd(p)
-    assert ([[fd.g_ee, fd.g_ep], [fd.g_ep, fd.g_pp]]
-            == metric_fd(alone, eps, p.phi, H_EPS, H_PHI).tolist())
-    assert fd.f_ep == curvature_fd(alone, eps, p.phi, H_EPS, H_PHI)
+    assert tensor(fd) == tensor_fd(alone, eps, p.phi, H_EPS, H_PHI)
     assert_fd_matches_bisected(fd)
 
 
@@ -219,6 +231,51 @@ def test_fd_row_matches_bisected_slow_path(size):
     points = [ModelParams.from_size(size, eps, phi=0.4, n_cut=400) for eps in eps_grid]
     for fd in qgt_fd_row(points):
         assert_fd_matches_bisected(fd)
+
+
+# Rows shaped like the qgt-both bench rows: the bench grid 0.95-1.06 shifted
+# by up to +-0.005, at a drive phase per size.
+BENCH_ROWS = [(150, -0.003, 0.2), (250, 0.0, 1.3), (350, 0.004, 4.1)]
+
+
+def test_fd_matches_spectral_inside_the_domain():
+    # the interior points of the linear-response grid (its K = 0 points leave
+    # the quadratic regime at the default steps: g_ee reaches 1e5-1e9) and
+    # the bench rows; fails on the cancelling distance 2 (1 - |<u1|u2>|) and
+    # on a single-scale plaquette
+    rows = [[p.replace(phi=0.4)] for p in GRID if p.kerr > 0.0 and p.eps > 0.0]
+    rows += [[ModelParams.from_size(size, float(eps), phi=phi, n_cut=400)
+              for eps in np.linspace(0.95 + shift, 1.06 + shift, 8)]
+             for size, shift, phi in BENCH_ROWS]
+    for points in rows:
+        for fd, spectral in zip(qgt_fd_row(points), qgt_spectral_row(points)):
+            assert_fd_close(fd, tensor(spectral))
+
+
+@pytest.mark.parametrize("eps", [0.0, H_EPS / 4.0])
+def test_boundary_stencil_is_second_order(eps):
+    # at the eps >= 0 boundary, halving both steps cuts the deviation from
+    # the spectral route by 4 for g_ee (measured 4.00) and by more for f_ep,
+    # which is odd in eps (measured 7.0-8.0); a first-order rule gives 2
+    p = ModelParams.from_size(150, eps, phi=0.4, n_cut=300)
+    spectral = qgt_spectral(p)
+    coarse, fine = (qgt_fd(p, k * H_EPS, k * H_PHI) for k in (2.0, 1.0))
+    for name in ("g_ee", "f_ep"):
+        ref = getattr(spectral, name)
+        ratio = (getattr(coarse, name) - ref) / (getattr(fine, name) - ref)
+        assert 3.5 <= ratio <= 8.5, (name, ratio)
+    assert abs(fine.g_ee / spectral.g_ee - 1.0) <= 1e-8
+
+
+def test_fd_tensor_does_not_depend_on_phi():
+    # the drive phase is a gauge rotation, and the fd route sees it only
+    # through the gauge phases of its stencil states
+    for size in (60, 300):
+        at = {phi: qgt_fd_row([ModelParams.from_size(size, float(eps), phi=phi, n_cut=400)
+                               for eps in np.linspace(0.3, 1.4, 12)])
+              for phi in (0.4, 4.1)}
+        for fd, ref in zip(at[4.1], at[0.4]):
+            assert_fd_close(fd, tensor(ref))
 
 
 def test_fd_row_equals_points_alone():
@@ -242,27 +299,30 @@ def test_steps_must_be_positive_and_finite(steps):
     p = ModelParams.from_size(150, 0.8, phi=0.4, n_cut=300)
     family = lazy_even_ground_family(p)
     for call in (lambda: qgt_fd(p, *steps), lambda: qgt_fd_row([p], *steps),
-                 lambda: metric_fd(family, p.eps, p.phi, *steps),
-                 lambda: curvature_fd(family, p.eps, p.phi, *steps)):
+                 lambda: tensor_fd(family, p.eps, p.phi, *steps)):
         with pytest.raises(ValueError, match="steps must be positive and finite"):
             call()
 
 
-@pytest.mark.parametrize("stencil", [metric_fd, curvature_fd])
-def test_nan_state_vector_raises_step_size_error(stencil):
+@pytest.mark.parametrize("read, dphi", [("overlap distance", 0.0),
+                                        ("plaquette edge overlap", -H_PHI / 2.0)],
+                         ids=["distance", "plaquette"])
+def test_nan_state_vector_raises_step_size_error(read, dphi):
+    # a NaN at the low eps edge: read at phi by the first distance, or only at
+    # a plaquette corner
     p = ModelParams.from_size(150, 0.8, phi=0.4, n_cut=300)
     family = lazy_even_ground_family(p)
-    corrupt = p.eps - H_EPS / 2.0  # an edge of both stencils
+    corrupt = (p.eps - H_EPS / 2.0, p.phi + dphi)
 
     def state(eps, phi):
         vector = family(eps, phi)
-        if eps == corrupt:
+        if (eps, phi) == corrupt:
             vector = vector.copy()
             vector[3] = np.nan
         return vector
 
-    with pytest.raises(StepSizeError, match="not finite"):
-        stencil(state, p.eps, p.phi, H_EPS, H_PHI)
+    with pytest.raises(StepSizeError, match=f"{read} .* not finite"):
+        tensor_fd(state, p.eps, p.phi, H_EPS, H_PHI)
 
 
 def test_gphiphi_variance_identity():

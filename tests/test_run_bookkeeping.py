@@ -52,7 +52,7 @@ def test_step_size_error_drops_fd_row_only(tmp_path, monkeypatch):
     def too_small(*args, **kwargs):
         raise StepSizeError("overlap distance below the precision floor")
 
-    monkeypatch.setattr(kerrqgt.qgt, "metric_fd", too_small)
+    monkeypatch.setattr(kerrqgt.qgt, "tensor_fd", too_small)
     files = run(_qgt_config(tmp_path, method="both"))
     rows = read_csv(files[0])[1]
     assert [r[4] for r in rows] == ["spectral", "spectral"]
@@ -60,12 +60,12 @@ def test_step_size_error_drops_fd_row_only(tmp_path, monkeypatch):
     assert len(warnings) == 2 and all("(fd)" in w for w in warnings)
 
 
-@pytest.mark.parametrize("target", ["qgt_spectral_row", "metric_fd"])
+@pytest.mark.parametrize("target", ["qgt_spectral_row", "tensor_fd"])
 def test_programming_errors_propagate(tmp_path, monkeypatch, target):
     def broken(*args, **kwargs):
         raise TypeError("unsupported operand")
 
-    # the sweep binds the spectral row kernel; qgt_fd_row looks metric_fd up in qgt
+    # the sweep binds the spectral row kernel; qgt_fd_row looks tensor_fd up in qgt
     monkeypatch.setattr(sweep if target == "qgt_spectral_row" else kerrqgt.qgt, target, broken)
     with pytest.raises(TypeError, match="unsupported operand"):
         run(_qgt_config(tmp_path, method="both"))
