@@ -100,7 +100,9 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="MIN:MAX:STEPS")
     p.add_argument("--phi", dest="phi", type=float, default=None)
     p.add_argument("--method", choices=["spectral", "fd", "both"], default=None)
-    p.add_argument("--ncut", dest="n_cut", type=int, default=None)
+    p.add_argument("--ncut", dest="n_cut", type=int, default=None,
+                   help="Fock cutoff cap; each size's row runs at the smallest rung of "
+                        "the cutoff ladder that the tail gate certifies (its ncut column)")
 
     p = sub.add_parser("scaling", parents=[common], help="finite-size-scaling report")
     p.add_argument("--L-list", dest="sizes", type=parse_int_list, default=None)

@@ -5,11 +5,13 @@ Two independent routes are provided and must agree:
 * linear response on the even-sector ground state (one Sternheimer solve),
 * one overlap stencil on two step scales, combined by Richardson
   extrapolation: distances for the metric and a plaquette overlap product
-  for the Berry curvature (_fd.tensor_fd, qgt_fd_row).
+  for the Berry curvature, in real arithmetic on the even-sector vectors,
+  where the drive phase drops out (_fd.tensor_fd, qgt_fd_row).
 
 Both read the same centre row, gated_ground_row of the grid points, which a
-sweep solves once for both routes; the stencil states around each point are
-seeded from its certified pair (eigensolver), not bisected.
+sweep solves once for both routes (at the cutoff the sweep certifies for the
+row); the stencil vectors around each point are seeded from its certified
+pair (eigensolver), not bisected.
 
 The linear-response route also gives d g_ee / d eps analytically (third-order
 response: a second back-substitution on the factorisation of the first
@@ -252,19 +254,17 @@ def g_ee_slope(params: ModelParams) -> float:
 
 
 def _even_ground_family(points, step_eps: float, ground: GroundState | None = None):
-    """(ground, states): the stencil state families of a row of points that
-    share delta, kerr and n_cut.
+    """(ground, tables): the stencil vectors of a row of points that share
+    delta, kerr and n_cut.
 
     ground is the centre row of the points (gated_ground_row(points), or
     ground if given, which must be that row).  Every other eps of a point's
     stencils (stencil_eps) is a satellite of that point: one gap-gated
     stacked solve of all the row's satellites, each row seeded by its own
     point's certified pair (eig_tridiagonal), gives their ground vectors.
-    states[i] maps (eps, phi) to the gauge-phased ground vector of points[i]'s
-    family: its own eps from the centre row, its satellites from theirs.  It
-    only looks vectors up (any other eps raises KeyError), so a point's family
-    owes nothing to its neighbours, and the states cache the gauge phases of
-    each phi.
+    tables[i] maps exactly the stencil eps of points[i] to their real ground
+    vectors on ground.levels (its own eps read off the centre row), so a
+    point's stencil owes nothing to its neighbours.
     """
     stencils = [stencil_eps(p.eps, step_eps) - {float(p.eps)} for p in points]
     if ground is None:
@@ -278,32 +278,24 @@ def _even_ground_family(points, step_eps: float, ground: GroundState | None = No
         solved = gated_ground_row(satellites, seed=ground.spectrum.eigenvectors[owners])
         for i, p, u in zip(owners, satellites, solved.vectors):
             tables[i][p.eps] = u
-    phases: dict[float, np.ndarray] = {}
-
-    def family(table):
-        def state(eps: float, phi: float) -> np.ndarray:
-            if phi not in phases:
-                phases[phi] = np.exp(-0.5j * ground.levels * phi)
-            return table[float(eps)] * phases[phi]
-        return state
-
-    return ground, [family(table) for table in tables]
+    return ground, tables
 
 
 def qgt_fd_row(points, step_eps: float = DEFAULT_STEP_EPS,
                step_phi: float = DEFAULT_STEP_PHI,
                ground: GroundState | None = None) -> list[QGTResult]:
     """Geometric tensors of a row of points that share delta, kerr and n_cut,
-    by the gauge-invariant overlap stencil tensor_fd.
+    by the gauge-invariant overlap stencil tensor_fd on real vectors.
 
     The centre row (ground, as qgt_spectral_row takes it) and one seeded
     solve of every point's stencil satellites (_even_ground_family) give
     every tensor exactly as qgt_fd gives it alone; each point's context is
     read off its centre, as the spectral route reads it.
     """
-    ground, states = _even_ground_family(points, step_eps, ground)
-    return [_result(ground, m, p, "fd", *tensor_fd(state, p.eps, p.phi, step_eps, step_phi))
-            for m, (p, state) in enumerate(zip(points, states))]
+    ground, tables = _even_ground_family(points, step_eps, ground)
+    return [_result(ground, m, p, "fd",
+                    *tensor_fd(table, ground.levels, p.eps, step_eps, step_phi))
+            for m, (p, table) in enumerate(zip(points, tables))]
 
 
 def qgt_fd(params: ModelParams, step_eps: float = DEFAULT_STEP_EPS,

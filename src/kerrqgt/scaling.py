@@ -447,7 +447,7 @@ def _cutoff_ladder(cap: int) -> list[int]:
 
 def _solve_adaptive(ladder: list[int], start: int, probe: ModelParams,
                     solve: Callable[[int], object], tripped: Callable[[object], bool]):
-    """(rung, result) of one stage of one size.
+    """(rung, result) of one stage of one size (a scaling stage or a qgt row).
 
     From rung start, the first rung below the cap at which the ground state of
     probe has tail weight at most CUTOFF_MARGIN x TAIL_TOLERANCE is solved

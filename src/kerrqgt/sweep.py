@@ -37,6 +37,8 @@ from .scaling import (
     DEFAULT_N_CUT,
     DEFAULT_PEAK_BRACKET,
     DEFAULT_SIZES,
+    _cutoff_ladder,
+    _solve_adaptive,
     k0_pipeline,
     optimize_collapse,
     scaling_pipeline,
@@ -333,29 +335,39 @@ def _row_or_points(solve_row, items, ground) -> list:
 
 def _qgt(config: SweepConfig, out: Path) -> ModeResult:
     """Tensor components on a (size, eps) grid at fixed phi.  Each size is one
-    row: one centre row (gated_ground_row) of its grid points, which each
-    selected row kernel, qgt_spectral_row and/or qgt_fd_row, reads; each eps
-    gets its spectral row first, then its fd row.  A point whose centre fails
-    loses both rows."""
+    row at the cutoff _solve_adaptive picks from _cutoff_ladder(n_cut), probed
+    at its top eps from the lowest rung: one centre row (gated_ground_row) of
+    its grid points, which each selected row kernel, qgt_spectral_row and/or
+    qgt_fd_row, reads; each eps gets its spectral row first, then its fd row.
+    A point whose centre fails loses both rows."""
     eps_grid = np.linspace(*config.eps_range[:2], int(config.eps_range[2]))
     kernels = {"spectral": qgt_spectral_row, "fd": qgt_fd_row}
     methods = ["spectral", "fd"] if config.method == "both" else [config.method]
+    ladder = _cutoff_ladder(config.n_cut)
     rows, warnings = [], []
     for size in config.sizes:
         points = [ModelParams.from_size(size, eps, phi=config.phi, n_cut=config.n_cut,
                                         delta=config.delta) for eps in eps_grid]
-        try:
-            centres = gated_ground_row(points)
-        except POINT_ERRORS:
-            centres = None
-        solved = [_row_or_points(kernels[method], points, centres) for method in methods]
+
+        def solve(n_cut):
+            row = [p.replace(n_cut=n_cut) for p in points]
+            try:
+                centres = gated_ground_row(row)
+            except POINT_ERRORS:
+                centres = None
+            return [_row_or_points(kernels[method], row, centres) for method in methods]
+
+        rung, solved = _solve_adaptive(
+            ladder, 0, points[-1], solve,
+            lambda rows_by_method: any(not isinstance(r, Exception) and r.cutoff_warning
+                                       for results in rows_by_method for r in results))
         for eps, results in zip(eps_grid, zip(*solved)):
             for method, r in zip(methods, results):
                 if isinstance(r, Exception):
                     label = " (fd)" if method == "fd" else ""
                     warnings.append(f"L={size:g} eps={eps:g}{label}: {r}")
                     continue
-                rows.append((size, eps, config.phi, config.n_cut, r.method, r.g_ee,
+                rows.append((size, eps, config.phi, ladder[rung], r.method, r.g_ee,
                              r.g_pp, r.g_ep, r.f_ep, r.gap, r.mean_n,
                              "cutoff" if r.cutoff_warning else ""))
     # one warning per flagged point, though --method both gives it two rows

@@ -29,36 +29,44 @@ decomposition, never from the kernels it checks:
 * scan_exponent and fit_shifted_power are the shifted-power fit with the full
   exact exponent scan: an lstsq residual at every one of the
   DRIFT_EXPONENT_SCAN grid exponents, no screen;
-* lazy_even_ground_family is the fd state family solved one eps at a time,
-  on first request, as a row of one, and bisected_qgt_fd is the fd tensor
-  on it: every stencil state bisected, none seeded;
-* fixed_cutoff_scaling is scaling_pipeline with every peak search and family
-  row solved at the cap n_cut, as before the cutoff ladder: with
-  CUTOFF_RUNGS empty the cap is the only rung, so no probe is made and no row
-  moves;
+* lazy_even_ground_vectors is the fd family's real vectors solved one eps
+  at a time, on first request, as a row of one, and bisected_qgt_fd is the
+  fd tensor on them: every stencil state bisected, none seeded;
+* complex_tensor_fd is the overlap stencil on complex gauge-phased states
+  (gauge_family puts real vectors on them): four complex corners per scale,
+  phase-aligned complex distances, the polarization of the two mixed
+  distances for g_ep and a complex overlap product for f_ep, each formed
+  from the states as they are, with none of tensor_fd's real reductions;
+* fixed_cutoff_scaling and fixed_cutoff_run are scaling_pipeline and
+  sweep.run with every row solved at the cap n_cut, as before the cutoff
+  ladder: with CUTOFF_RUNGS empty the cap is the only rung, so no probe is
+  made and no row moves;
 * squeezed_vacuum_fock, displaced_squeezed_fock and displaced_squeezed_cat
   are the closed-form phases' states on the Fock basis (the displacement by
   scipy.sparse expm_multiply), gated by tail_weight, and
   squeezed_vacuum_qgt_fd is the geometric tensor of the squeezed-vacuum
-  family by finite differences on those states: the slow path behind the
+  family by complex_tensor_fd on those states: the slow path behind the
   package's closed-form normal_phase_qgt_limit.
 
 From the package it takes only data containers, the block builder
 sector_block, the gate constants and the error classes; for
-lazy_even_ground_family the eigensolver eig_tridiagonal without a seed,
+lazy_even_ground_vectors the eigensolver eig_tridiagonal without a seed,
 because that path checks the stacking, seeding and lookup of the package's
 family, whose centre vectors it must match bit for bit, not the bisection;
-for bisected_qgt_fd and squeezed_vacuum_qgt_fd the overlap stencil
-tensor_fd, applied to states that owe nothing to the
-seeded solve (bisected_qgt_fd) or to the eigensolver at all
-(squeezed_vacuum_qgt_fd); and for fixed_cutoff_scaling the
-scaling pipeline itself, because that path checks the choice of cutoff, not
-the fits; and for fit_shifted_power the golden-section search and the grid
-constants, because that path checks the exponent scan, not the polish.
+for bisected_qgt_fd the real stencil tensor_fd, applied to vectors that owe
+nothing to the seeded solve; for complex_tensor_fd the stencil's edge list
+and step check, because it checks the arithmetic on the edges, not their
+choice; for fixed_cutoff_scaling and fixed_cutoff_run the scaling pipeline
+and the sweep themselves, because those paths check the choice of cutoff,
+not the fits or the kernels; and for fit_shifted_power the golden-section
+search and the grid constants, because that path checks the exponent scan,
+not the polish.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 from unittest import mock
 
 import numpy as np
@@ -67,14 +75,16 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 import kerrqgt.scaling
+import kerrqgt.sweep
 from kerrqgt.eigensolver import (
     ORTHOGONALITY_BOUND,
     RESIDUAL_BOUND,
     Spectrum,
     eig_tridiagonal,
 )
-from kerrqgt._fd import tensor_fd
-from kerrqgt.errors import CutoffError, EigenConvergenceError, GapError, WindowError
+from kerrqgt._fd import DIST_CEIL, EDGE_OVERLAP_FLOOR, _check_steps, _edges, tensor_fd
+from kerrqgt.errors import (CutoffError, EigenConvergenceError, GapError, StepSizeError,
+                            WindowError)
 from kerrqgt.model import TAIL_LEVELS, TAIL_TOLERANCE, TridiagonalBlock, sector_block
 from kerrqgt.qgt import GAP_FLOOR, QGTResult
 from kerrqgt.scaling import (
@@ -274,36 +284,114 @@ def qgt_sum_over_states(params) -> QGTResult:
                      cutoff_warning=bool(tail > TAIL_TOLERANCE))
 
 
-def lazy_even_ground_family(params):
-    """State map (eps, phi) -> gauge-phased even ground vector at the delta,
-    kerr and n_cut of params, solving each eps as a row of one when first
-    asked for it and caching the vectors and the gauge phases of each phi."""
-    levels = np.arange(0, params.n_cut + 1, 2)
-    vectors, phases = {}, {}
+class _LazyVectors(dict):
+    def __init__(self, params):
+        super().__init__()
+        self.params = params
 
+    def __missing__(self, eps):
+        block = sector_block([self.params.replace(eps=float(eps))])
+        vector = self[float(eps)] = eig_tridiagonal(block).eigenvectors[0, :, 0]
+        return vector
+
+
+def lazy_even_ground_vectors(params) -> dict:
+    """Map eps -> real even ground vector at the delta, kerr and n_cut of
+    params, solving each eps as a row of one when first asked for it; it
+    holds exactly the eps asked for."""
+    return _LazyVectors(params)
+
+
+def even_levels(params) -> np.ndarray:
+    """The Fock levels 0, 2, ..., n_cut of the even sector of params."""
+    return np.arange(0, params.n_cut + 1, 2)
+
+
+def gauge_family(vectors, levels):
+    """State map (eps, phi) -> vectors[eps] e^{-i n phi / 2} on the Fock levels
+    n = levels: the complex family that complex_tensor_fd reads."""
     def state(eps, phi):
-        key = float(eps)
-        if key not in vectors:
-            block = sector_block([params.replace(eps=key)])
-            vectors[key] = eig_tridiagonal(block).eigenvectors[0, :, 0]
-        if phi not in phases:
-            phases[phi] = np.exp(-0.5j * levels * phi)
-        return vectors[key] * phases[phi]
+        return vectors[eps] * np.exp(-0.5j * levels * phi)
 
     return state
 
 
 def bisected_qgt_fd(params, step_eps: float = 1e-4, step_phi: float = 1e-3):
     """(g_ee, g_pp, g_ep, f_ep) of params by tensor_fd on
-    lazy_even_ground_family, which bisects every stencil state."""
-    return tensor_fd(lazy_even_ground_family(params), params.eps, params.phi,
+    lazy_even_ground_vectors, which bisects every stencil state."""
+    return tensor_fd(lazy_even_ground_vectors(params), even_levels(params), params.eps,
                      step_eps, step_phi)
+
+
+# complex_tensor_fd's bounds: its distances below COMPLEX_DIST_ZERO count as
+# zero, and below COMPLEX_DIST_FLOOR its plaquette keeps only 4-6 digits
+COMPLEX_DIST_ZERO = 5e-16
+COMPLEX_DIST_FLOOR = 1e-13
+
+
+def _complex_distance(u1, u2) -> float:
+    """|| u1 - e^{i theta} u2 ||^2, with e^{i theta} the phase that aligns u2
+    with u1 (1 if <u1|u2> = 0), under complex_tensor_fd's bounds."""
+    diff = u1 - cmath.rect(1.0, -cmath.phase(np.vdot(u1, u2))) * u2
+    d = float(np.vdot(diff, diff).real)
+    if not math.isfinite(d):
+        raise StepSizeError(f"overlap distance {d} is not finite")
+    if d <= COMPLEX_DIST_ZERO:
+        return 0.0
+    if d < COMPLEX_DIST_FLOOR:
+        raise StepSizeError(f"overlap distance {d:.1e} is below the precision floor")
+    if d / 2.0 > DIST_CEIL:
+        raise StepSizeError(f"overlap distance {d:.1e} is too large")
+    return d
+
+
+def _complex_loop_phase(corners) -> float:
+    """-arg of the overlap product around the corners, in order."""
+    product = 1.0 + 0.0j
+    for a, b in zip(corners, corners[1:] + corners[:1]):
+        ov = complex(np.vdot(a, b))
+        if not cmath.isfinite(ov) or abs(ov) < EDGE_OVERLAP_FLOOR:
+            raise StepSizeError(f"plaquette edge overlap {ov} is not finite or near zero")
+        product *= ov
+    return -cmath.phase(product)
+
+
+def complex_tensor_fd(state, eps: float, phi: float, step_eps: float,
+                      step_phi: float) -> tuple[float, float, float, float]:
+    """(g_ee, g_pp, g_ep, f_ep) at (eps, phi) by the overlap stencil on a
+    complex state family state(eps, phi).  On the edges and scales of
+    tensor_fd it reads the four corners (e_lo or e_hi, phi -+ h_phi/2) as
+    complex vectors: g_ee is the distance along the edge at phi, g_pp across
+    phi at eps, g_ep the polarization of the two mixed distances between
+    corners, and f_ep the phase of the overlap product around the corners
+    over the plaquette's area, combined by tensor_fd's Richardson rule."""
+    _check_steps(step_eps, step_phi)
+    forward, edges = _edges(eps, step_eps)
+    scales = []
+    for he, hp, (e_lo, e_hi) in zip((step_eps, step_eps / 2.0),
+                                    (step_phi, step_phi / 2.0), edges):
+        lo_m, lo_p, hi_m, hi_p = (state(e, phi + s * hp / 2.0)
+                                  for e in (e_lo, e_hi) for s in (-1.0, 1.0))
+        d_e = _complex_distance(state(e_lo, phi), state(e_hi, phi))
+        d_p = _complex_distance(state(eps, phi - hp / 2.0), state(eps, phi + hp / 2.0))
+        loop = _complex_loop_phase([lo_m, hi_m, hi_p, lo_p])
+        d_mixed = _complex_distance(lo_m, hi_p) - _complex_distance(lo_p, hi_m)
+        scales.append(np.array([d_e / he**2, d_p / hp**2, d_mixed / (4.0 * he * hp),
+                                loop / (he * hp)]))
+    t_h, t_half = scales
+    return tuple(map(float, 2.0 * t_half - t_h if forward else (4.0 * t_half - t_h) / 3.0))
 
 
 def fixed_cutoff_scaling(**kwargs):
     """scaling_pipeline(**kwargs) with every row solved at the cap n_cut."""
     with mock.patch.object(kerrqgt.scaling, "CUTOFF_RUNGS", ()):
         return kerrqgt.scaling.scaling_pipeline(**kwargs)
+
+
+def fixed_cutoff_run(config):
+    """sweep.run(config) with every qgt row solved at the cap n_cut."""
+    with mock.patch.object(kerrqgt.scaling, "CUTOFF_RUNGS", ()):
+        return kerrqgt.sweep.run(config)
 
 
 def fidelity_susceptibility(params, step_eps: float = 1e-4) -> float:
@@ -474,7 +562,7 @@ def squeezed_vacuum_qgt_fd(eps: float, phi: float = 0.0, *, n_cut: int | None = 
         r = 0.25 * np.log((1.0 - e) / (1.0 + e)) * np.exp(-1j * p)
         return squeezed_vacuum_fock(r, n_cut)
 
-    g_ee, g_pp, g_ep, curvature = tensor_fd(state, eps, phi, step_eps, step_phi)
+    g_ee, g_pp, g_ep, curvature = complex_tensor_fd(state, eps, phi, step_eps, step_phi)
     return np.array([
         [g_ee + 0.0j, g_ep - 0.5j * curvature],
         [g_ep + 0.5j * curvature, g_pp + 0.0j],

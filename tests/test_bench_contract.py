@@ -55,16 +55,20 @@ def test_traced_kernels_call_eig_tridiagonal(eig_calls, kernel):
 @pytest.mark.parametrize("method, calls, rows", [("spectral", 1, 8), ("fd", 2, 40),
                                                  ("both", 2, 40)])
 def test_qgt_point_eigensolve_count(tmp_path, eig_calls, method, calls, rows):
-    # One size of 8 points is one row: one bisected centre row of its 8 points,
-    # which every method reads, and for the fd rows one seeded solve of the
-    # stencil satellites of every point, the 4 eps values of its two edges,
-    # which serve every fd entry.
+    # One size of 8 points is one row.  The cutoff probes come first: the top
+    # eps as a row of one on the rungs 40, 50, 64 and 80 of the cap 200, up to
+    # the first whose tail passes.  At that rung come one bisected centre row
+    # of its 8 points, which every method reads, and for the fd rows one
+    # seeded solve of the stencil satellites of every point, the 4 eps values
+    # of its two edges, which serve every fd entry.
     kerrqgt.sweep.run(kerrqgt.sweep.SweepConfig(
         mode="qgt", out_dir=str(tmp_path), sizes=(150,), eps_range=(0.95, 1.06, 8),
         phi=0.3, n_cut=200, method=method))
-    assert (len(eig_calls), sum(m for m, *_ in eig_calls)) == (calls, rows)
-    assert eig_calls[0] == (8, 101, False)
-    assert eig_calls[1:] == ([] if method == "spectral" else [(32, 101, True)])
+    probes, solves = eig_calls[:4], eig_calls[4:]
+    assert probes == [(1, n // 2 + 1, False) for n in (40, 50, 64, 80)]
+    assert (len(solves), sum(m for m, *_ in solves)) == (calls, rows)
+    assert solves[0] == (8, 41, False)
+    assert solves[1:] == ([] if method == "spectral" else [(32, 41, True)])
 
 
 def test_scaling_rows_solve_at_most_half_the_fixed_cutoff_work(monkeypatch, eig_calls):

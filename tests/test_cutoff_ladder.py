@@ -1,11 +1,16 @@
-"""The scaling pipeline's per-row Fock cutoffs against the fixed-cutoff path.
+"""The per-row Fock cutoffs of the scaling pipeline and the qgt sweep against
+the fixed-cutoff path.
 
-scaling_pipeline solves each size's peak search and family row at the
-smallest rung of its cutoff ladder whose probe, the ground state at the
-stage's largest eps, has tail weight at most CUTOFF_MARGIN x TAIL_TOLERANCE,
-and moves a row up a rung while any of its points trips the plain tail gate.
-The slow path, reference.fixed_cutoff_scaling, solves every row at the cap.
+scaling_pipeline solves each size's peak search and family row, and the qgt
+sweep each size's row, at the smallest rung of its cutoff ladder whose probe,
+the ground state at the stage's largest eps, has tail weight at most
+CUTOFF_MARGIN x TAIL_TOLERANCE, and moves a row up a rung while any of its
+points trips the plain tail gate.  The slow paths,
+reference.fixed_cutoff_scaling and reference.fixed_cutoff_run, solve every row
+at the cap.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -14,6 +19,7 @@ import kerrqgt.scaling as scaling
 import reference
 from kerrqgt import ModelParams, ground_state_row
 from kerrqgt.model import TAIL_TOLERANCE
+from kerrqgt.sweep import SweepConfig, read_csv, run
 
 BENCH = dict(sizes=(150, 200, 250, 300, 350), n_cut=400, peak_bracket=(0.99, 1.40),
              collapse_window=(0.95, 1.06), collapse_step=0.004)
@@ -144,3 +150,85 @@ def test_a_point_that_trips_at_the_cap_is_flagged():
                                 "cutoff-inadequate family point: L=85 eps=1.400000"]
     assert diag["cutoffs"]["family"][-1] == 76
     _assert_matches_fixed_cutoff(report, config)
+
+
+# The qgt-both bench grids at seeds 1 and 901 (bench/workloads.py): the eps
+# grid 0.95-1.06 shifted by the seed's offset, at the seed's drive phase.
+QGT_BENCH = [((0.947438, 1.057438, 8), 3.537288), ((0.945955, 1.055955, 8), 5.581933)]
+# At those grids the rows of the rungs 80, 100 and 126 agree with the cap's
+# within 8.2e-13 (spectral) and 6.3e-12 (fd) relative in g_ee, g_pp and f_ep,
+# and within 3.2e-13 in the gap and mean_n.
+QGT_RELATIVE = {"spectral": 3e-12, "fd": 2e-11}
+QGT_CONTEXT_RELATIVE = 1e-12
+QGT_TENSOR_COLUMNS = {"g_ee": 5, "g_pp": 6, "f_ep": 8}
+QGT_CONTEXT_COLUMNS = {"gap": 9, "mean_n": 10}
+
+
+def _qgt_lines(config, fixed=False):
+    solve = reference.fixed_cutoff_run if fixed else run
+    path = solve(dataclasses.replace(config, out_dir=config.out_dir + ("-fixed" if fixed
+                                                                        else "")))[0]
+    return path.read_text().splitlines()
+
+
+@pytest.mark.parametrize("eps_range, phi", QGT_BENCH, ids=["seed-1", "seed-901"])
+def test_qgt_rows_match_fixed_cutoff_path(tmp_path, eps_range, phi):
+    config = SweepConfig(mode="qgt", out_dir=str(tmp_path / "qgt"), sizes=(150, 250, 350),
+                         eps_range=eps_range, phi=phi, method="both", n_cut=400)
+    adaptive, fixed = _qgt_lines(config), _qgt_lines(config, fixed=True)
+    assert adaptive[0] == fixed[0] and len(adaptive) == len(fixed) == 1 + 3 * 8 * 2
+    rungs = {"150": "80", "250": "100", "350": "126"}
+    for line, slow in zip(adaptive[1:], fixed[1:]):
+        row, ref = line.split(","), slow.split(",")
+        # L, eps, phi, method, g_ep and warn are equal; ncut is the rung
+        for column in (0, 1, 2, 4, 7, 11):
+            assert row[column] == ref[column]
+        assert (row[3], ref[3]) == (rungs[row[0]], "400")
+        bounds = [(column, QGT_RELATIVE[row[4]]) for column in QGT_TENSOR_COLUMNS.values()]
+        bounds += [(column, QGT_CONTEXT_RELATIVE) for column in QGT_CONTEXT_COLUMNS.values()]
+        for column, bound in bounds:
+            value, slow_value = float(row[column]), float(ref[column])
+            assert abs(value - slow_value) <= bound * abs(slow_value), (column, row, ref)
+
+
+def test_qgt_grid_that_needs_the_cap_is_byte_identical(tmp_path):
+    # the grid of test_phase_diagram_agrees_with_qgt_sweep: its top eps fails
+    # every probe below the cap 149, so the row is the fixed-cutoff row, with
+    # the same flagged points
+    config = SweepConfig(mode="qgt", out_dir=str(tmp_path / "qgt"), sizes=(300,),
+                         eps_range=(0.0, 1.5, 41), phi=0.0, method="both", n_cut=149)
+    adaptive = _qgt_lines(config)
+    assert adaptive == _qgt_lines(config, fixed=True)
+    assert any(line.endswith(",cutoff") for line in adaptive)
+
+
+def test_qgt_row_that_trips_the_gate_moves_up_a_rung(tmp_path, monkeypatch):
+    # with every probe passing, the row starts at the lowest rung and only the
+    # plain gate lifts it, to the first rung at which no point trips
+    monkeypatch.setattr(scaling, "CUTOFF_MARGIN", np.inf)
+    config = SweepConfig(mode="qgt", out_dir=str(tmp_path / "qgt"), sizes=(60,),
+                         eps_range=(1.2, 1.4, 3), phi=0.0, method="spectral", n_cut=400)
+    lines = _qgt_lines(config)
+    ladder = scaling._cutoff_ladder(400)
+    tripped = [ground_state_row([ModelParams.from_size(60, eps, n_cut=n)
+                                 for eps in (1.2, 1.3, 1.4)]).cutoff_warning.any()
+               for n in ladder]
+    rung = ladder[tripped.index(False)]
+    assert rung > ladder[0]
+    assert {line.split(",")[3] for line in lines[1:]} == {str(rung)}
+    fixed = _qgt_lines(config, fixed=True)
+    assert [line.split(",")[11] for line in lines] == [line.split(",")[11] for line in fixed]
+
+
+def test_qgt_sizes_do_not_depend_on_each_other(tmp_path):
+    # each size probes from the lowest rung, so its rows are the same in any
+    # order and company of sizes
+    by_size = []
+    for sizes in ((150, 350), (350, 150)):
+        config = SweepConfig(mode="qgt", out_dir=str(tmp_path / "_".join(map(str, sizes))),
+                             sizes=sizes, eps_range=(0.95, 1.06, 4), phi=0.3,
+                             method="both", n_cut=400)
+        rows = read_csv(run(config)[0])[1]
+        by_size.append({size: [r for r in rows if r[0] == size] for size in ("150", "350")})
+    assert by_size[0] == by_size[1]
+    assert {r[3] for r in by_size[0]["150"]} != {r[3] for r in by_size[0]["350"]}

@@ -14,22 +14,27 @@ from kerrqgt import (
 )
 from kerrqgt._fd import stencil_eps, tensor_fd
 from kerrqgt.qgt import _even_ground_family
-from reference import (bisected_qgt_fd, dense_drive_derivatives, dense_hamiltonian,
-                       fidelity_susceptibility, lazy_even_ground_family, qgt_sum_over_states)
+from reference import (bisected_qgt_fd, complex_tensor_fd, dense_drive_derivatives,
+                       dense_hamiltonian, even_levels, fidelity_susceptibility, gauge_family,
+                       lazy_even_ground_vectors, qgt_sum_over_states)
 from test_linear_response import GRID
 
 H_EPS, H_PHI = 1e-4, 1e-3
 # How closely an fd tensor agrees with another route to the same tensor: the
-# spectral route inside the domain, the all-bisection fd (bisected_qgt_fd)
-# anywhere, or the fd route itself at another drive phase.  Measured over the
-# points of the tests below, the phase-aligned distances keep about 11
-# digits: g_ee and g_pp agree within 1.4e-11 relative and g_ep within 5e-13
-# of g_ee.  f_ep is the phase of an overlap product around a plaquette of area
-# h h_phi / 4, and each overlap's phase rounds to about eps_mach, so f_ep
-# keeps 1e-9 relative above a floor of a few eps_mach / (h h_phi) (measured:
-# within 4.4e-9 absolute, 2.1e-9 relative).
-FD_RELATIVE = {"g_ee": 1e-10, "g_pp": 1e-10, "g_ep": 1e-11, "f_ep": 1e-9}
-FD_PHASE_ROUNDING = 8.0 * np.finfo(float).eps
+# spectral route inside the domain, or the all-bisection fd (bisected_qgt_fd)
+# anywhere.  Measured over the points of the tests below, g_ee agrees within
+# 1.4e-11 relative, g_pp within 7.4e-12 and f_ep within 6.1e-12, the
+# stencil's truncation; g_ep is exactly 0 on every route.  Where f_ep vanishes
+# (eps = 0) the fd value is a second-order remainder of about 1.5e-12, which
+# both fd routes share to 1e-20, so f_ep also gets an absolute floor.
+FD_RELATIVE = {"g_ee": 3e-11, "g_pp": 2e-11, "g_ep": 0.0, "f_ep": 2e-11}
+FD_FLOOR = np.finfo(float).eps
+# The complex slow path on the same vectors: its gauge-phase products round
+# each component to eps_mach, so its distances keep about 12 digits (measured
+# within 1.6e-12 relative, g_ep within 2.3e-13 of g_ee), and each overlap
+# phase of its plaquette rounds to about eps_mach.
+COMPLEX_RELATIVE = 5e-12
+COMPLEX_PHASE_ROUNDING = 8.0 * np.finfo(float).eps
 
 
 def tensor(result):
@@ -40,7 +45,7 @@ def assert_fd_close(fd, ref):
     """fd's tensor against ref = (g_ee, g_pp, g_ep, f_ep), entry by entry within
     the bounds above; g_ep, which vanishes, is measured against g_ee."""
     scales = (ref[0], ref[1], ref[0], ref[3])
-    floors = (0.0, 0.0, 0.0, FD_PHASE_ROUNDING / (H_EPS * H_PHI))
+    floors = (0.0, 0.0, 0.0, FD_FLOOR)
     for name, value, r, scale, floor in zip(FD_RELATIVE, tensor(fd), ref, scales, floors):
         assert abs(value - r) <= FD_RELATIVE[name] * abs(scale) + floor, (name, value, r)
 
@@ -135,11 +140,13 @@ def test_method_triangle_reference_point():
 
 def test_plaquette_orientation_antisymmetry():
     # Mirroring phi reverses the loop orientation, so the measured phase
-    # (hence the curvature estimate) must flip sign exactly.
+    # (hence the curvature estimate) of the complex slow path must flip sign
+    # exactly; the real stencil's loop phase runs the same way round.
     p = ModelParams.from_size(200, 0.8, phi=0.4, n_cut=400)
-    _, (fam,) = _even_ground_family([p], 1e-4)
-    plain = tensor_fd(fam, p.eps, p.phi, 1e-4, 1e-3)[3]
-    mirrored = tensor_fd(lambda e, ph: fam(e, -ph), p.eps, -p.phi, 1e-4, 1e-3)[3]
+    ground, (table,) = _even_ground_family([p], 1e-4)
+    fam = gauge_family(table, ground.levels)
+    plain = complex_tensor_fd(fam, p.eps, p.phi, 1e-4, 1e-3)[3]
+    mirrored = complex_tensor_fd(lambda e, ph: fam(e, -ph), p.eps, -p.phi, 1e-4, 1e-3)[3]
     assert mirrored == pytest.approx(-plain, rel=1e-10)
     assert qgt_fd(p, 1e-4, 1e-3).f_ep == pytest.approx(plain)
 
@@ -160,18 +167,17 @@ def test_fidelity_susceptibility_values():
 
 def test_fidelity_far_from_criticality():
     # 0.501 is a stencil satellite of 0.5 at step 2e-3, seeded from it
-    _, (fam,) = _even_ground_family([ModelParams.from_size(200, 0.5, n_cut=400)], 2e-3)
-    overlap = abs(np.vdot(fam(0.5, 0.0), fam(0.501, 0.0)))
+    _, (table,) = _even_ground_family([ModelParams.from_size(200, 0.5, n_cut=400)], 2e-3)
+    overlap = abs(table[0.5] @ table[0.501])
     assert overlap > 0.999999
 
 
 def test_step_guards():
     p = ModelParams.from_size(200, 0.5, n_cut=400)
-    # 3e-7 puts the stencil's distances around 1e-14, in the band between
-    # rounding noise and the precision floor, where the plaquette on the same
-    # steps keeps only 4-5 digits
-    with pytest.raises(StepSizeError):
-        qgt_fd(p, step_eps=3e-7, step_phi=3e-7)
+    # 3e-9 puts the eps-edge distances at 1.9e-18 and 4.8e-19, below the
+    # precision floor, where the entries keep fewer than 6 digits
+    with pytest.raises(StepSizeError, match="below the precision floor"):
+        qgt_fd(p, step_eps=3e-9, step_phi=3e-9)
     with pytest.raises(StepSizeError):
         qgt_fd(p, step_eps=0.5, step_phi=0.5)  # quadratic regime left
 
@@ -183,15 +189,9 @@ STENCIL_EPS = [0.0, H_EPS / 4.0, H_EPS / 2.0, 0.55, 0.97]
 @pytest.mark.parametrize("eps", STENCIL_EPS)
 def test_stencils_request_exactly_stencil_eps(eps):
     p = ModelParams.from_size(150, eps, phi=0.4, n_cut=300)
-    family = lazy_even_ground_family(p)
-    requested = set()
-
-    def recording(e, phi):
-        requested.add(e)
-        return family(e, phi)
-
-    tensor_fd(recording, eps, p.phi, H_EPS, H_PHI)
-    assert requested == stencil_eps(eps, H_EPS)
+    vectors = lazy_even_ground_vectors(p)
+    tensor_fd(vectors, even_levels(p), eps, H_EPS, H_PHI)
+    assert vectors.keys() == stencil_eps(eps, H_EPS)
     if eps < H_EPS / 2.0:
         spelled = {eps, eps + H_EPS, eps + H_EPS / 2.0}
     else:
@@ -206,21 +206,20 @@ def test_stacked_family_equals_lazy_reference(eps):
     # builds it, gives the same bits: its centre is the row-of-one bisected
     # solve bit for bit, and each seeded satellite agrees with it to rounding
     p = ModelParams.from_size(150, eps, phi=0.4, n_cut=300)
-    lazy = lazy_even_ground_family(p)
+    lazy = lazy_even_ground_vectors(p)
     ground, (alone,) = _even_ground_family([p], H_EPS)
     _, (shared, _) = _even_ground_family([p, p.replace(eps=eps + 0.01)], H_EPS)
-    for e in stencil_eps(eps, H_EPS):
-        u = alone(e, p.phi)
-        assert np.array_equal(shared(e, p.phi), u)
+    assert alone.keys() == shared.keys() == stencil_eps(eps, H_EPS)
+    for e, u in alone.items():
+        assert np.array_equal(shared[e], u)
         if e == eps:
-            assert np.array_equal(u, lazy(e, p.phi))
+            assert np.array_equal(u, lazy[e])
         else:
-            assert np.abs(u - lazy(e, p.phi)).max() <= 1e-13
+            assert np.abs(u - lazy[e]).max() <= 1e-13
     assert ground.vectors.shape == (1, ground.block.size)
-    with pytest.raises(KeyError):
-        alone(eps + 1e-3, p.phi)
+    assert np.array_equal(ground.levels, even_levels(p))
     fd = qgt_fd(p)
-    assert tensor(fd) == tensor_fd(alone, eps, p.phi, H_EPS, H_PHI)
+    assert tensor(fd) == tensor_fd(alone, ground.levels, eps, H_EPS, H_PHI)
     assert_fd_matches_bisected(fd)
 
 
@@ -241,8 +240,7 @@ BENCH_ROWS = [(150, -0.003, 0.2), (250, 0.0, 1.3), (350, 0.004, 4.1)]
 def test_fd_matches_spectral_inside_the_domain():
     # the interior points of the linear-response grid (its K = 0 points leave
     # the quadratic regime at the default steps: g_ee reaches 1e5-1e9) and
-    # the bench rows; fails on the cancelling distance 2 (1 - |<u1|u2>|) and
-    # on a single-scale plaquette
+    # the bench rows
     rows = [[p.replace(phi=0.4)] for p in GRID if p.kerr > 0.0 and p.eps > 0.0]
     rows += [[ModelParams.from_size(size, float(eps), phi=phi, n_cut=400)
               for eps in np.linspace(0.95 + shift, 1.06 + shift, 8)]
@@ -267,15 +265,48 @@ def test_boundary_stencil_is_second_order(eps):
     assert abs(fine.g_ee / spectral.g_ee - 1.0) <= 1e-8
 
 
+@pytest.mark.parametrize("eps", [H_EPS / 4.0, H_EPS / 2.0, 1e-4, 3e-4, 1e-3, 3e-3])
+def test_fd_next_to_zero_drive_matches_spectral(eps):
+    # g_pp ~ eps^2 is tiny here, so its phi distance falls far below the
+    # eps-edge precision floor, yet it reads one vector and is exact.
+    # Measured: within 5e-14 relative on the centred stencil, and within
+    # 3.2e-7 (f_ep) on the boundary stencil at h/4, whose rule is second
+    # order (an absolute 2e-12).
+    p = ModelParams.from_size(150, eps, phi=0.4, n_cut=300)
+    fd, spectral = qgt_fd(p), qgt_spectral(p)
+    bound = 1e-6 if eps < H_EPS / 2.0 else 1e-13
+    for name in ("g_ee", "g_pp", "f_ep"):
+        assert abs(getattr(fd, name) / getattr(spectral, name) - 1.0) <= bound, name
+
+
 def test_fd_tensor_does_not_depend_on_phi():
-    # the drive phase is a gauge rotation, and the fd route sees it only
-    # through the gauge phases of its stencil states
+    # the drive phase is a gauge rotation: the stencil's states differ only by
+    # their gauge phases, which its real arithmetic never forms
     for size in (60, 300):
         at = {phi: qgt_fd_row([ModelParams.from_size(size, float(eps), phi=phi, n_cut=400)
                                for eps in np.linspace(0.3, 1.4, 12)])
               for phi in (0.4, 4.1)}
         for fd, ref in zip(at[4.1], at[0.4]):
-            assert_fd_close(fd, tensor(ref))
+            assert tensor(fd) == tensor(ref)
+
+
+@pytest.mark.parametrize("size", [60, 150, 300])
+def test_real_stencil_matches_complex_slow_path(size):
+    # tensor_fd against the complex stencil on the same seeded vectors, put on
+    # gauge phases at phi = 0.4; the complex path reads g_pp as 0 or rejects
+    # its step below eps ~ 1e-3, so the grid starts at 0.3 (the eps = 0
+    # boundary is checked against the bisected fd route above)
+    points = [ModelParams.from_size(size, eps, phi=0.4, n_cut=400)
+              for eps in (0.3, 0.55, 0.97, 1.0, 1.03, 1.2, 1.4)]
+    ground, tables = _even_ground_family(points, H_EPS)
+    for p, table in zip(points, tables):
+        real = tensor_fd(table, ground.levels, p.eps, H_EPS, H_PHI)
+        slow = complex_tensor_fd(gauge_family(table, ground.levels), p.eps, p.phi,
+                                 H_EPS, H_PHI)
+        assert real[2] == 0.0
+        for value, ref, scale in zip(real[:3], slow[:3], (slow[0], slow[1], slow[0])):
+            assert abs(value - ref) <= COMPLEX_RELATIVE * scale, (value, ref)
+        assert abs(real[3] - slow[3]) <= COMPLEX_PHASE_ROUNDING / (H_EPS * H_PHI)
 
 
 def test_fd_row_equals_points_alone():
@@ -297,32 +328,25 @@ def test_fd_row_equals_points_alone():
                                    (H_EPS, np.inf), (0.0, H_PHI), (H_EPS, -H_PHI)])
 def test_steps_must_be_positive_and_finite(steps):
     p = ModelParams.from_size(150, 0.8, phi=0.4, n_cut=300)
-    family = lazy_even_ground_family(p)
+    vectors = lazy_even_ground_vectors(p)
     for call in (lambda: qgt_fd(p, *steps), lambda: qgt_fd_row([p], *steps),
-                 lambda: tensor_fd(family, p.eps, p.phi, *steps)):
+                 lambda: tensor_fd(vectors, even_levels(p), p.eps, *steps)):
         with pytest.raises(ValueError, match="steps must be positive and finite"):
             call()
 
 
-@pytest.mark.parametrize("read, dphi", [("overlap distance", 0.0),
-                                        ("plaquette edge overlap", -H_PHI / 2.0)],
+@pytest.mark.parametrize("read, deps", [("overlap distance", 0.0),
+                                        ("plaquette edge overlap", -H_EPS / 2.0)],
                          ids=["distance", "plaquette"])
-def test_nan_state_vector_raises_step_size_error(read, dphi):
-    # a NaN at the low eps edge: read at phi by the first distance, or only at
-    # a plaquette corner
+def test_nan_state_vector_raises_step_size_error(read, deps):
+    # a NaN in the centre vector, read first by the phi distance, or at the
+    # low eps edge, read first by the plaquette's edge overlap
     p = ModelParams.from_size(150, 0.8, phi=0.4, n_cut=300)
-    family = lazy_even_ground_family(p)
-    corrupt = (p.eps - H_EPS / 2.0, p.phi + dphi)
-
-    def state(eps, phi):
-        vector = family(eps, phi)
-        if (eps, phi) == corrupt:
-            vector = vector.copy()
-            vector[3] = np.nan
-        return vector
-
+    vectors = lazy_even_ground_vectors(p)
+    corrupt = vectors[p.eps + deps] = vectors[p.eps + deps].copy()
+    corrupt[3] = np.nan
     with pytest.raises(StepSizeError, match=f"{read} .* not finite"):
-        tensor_fd(state, p.eps, p.phi, H_EPS, H_PHI)
+        tensor_fd(vectors, even_levels(p), p.eps, H_EPS, H_PHI)
 
 
 def test_gphiphi_variance_identity():

@@ -100,7 +100,8 @@ def test_nan_solve_drops_only_its_point(tmp_path, monkeypatch):
     config = SweepConfig(mode="qgt", out_dir=str(tmp_path / "plain"), sizes=(60, 80),
                          eps_range=(0.5, 0.9, 3), method="both", n_cut=160)
     plain = run(config)[0].read_text().splitlines()
-    target = sector_block([ModelParams.from_size(80, 0.7, n_cut=160)])
+    # L = 80 is solved at the rung 50 of its cutoff ladder, below the cap 160
+    target = sector_block([ModelParams.from_size(80, 0.7, n_cut=50)])
     eigensolve = eigensolver._lowest_pair
 
     def nan_at_target(diag, off):
@@ -115,13 +116,14 @@ def test_nan_solve_drops_only_its_point(tmp_path, monkeypatch):
     lines = run(patched)[0].read_text().splitlines()
     dropped = [line for line in plain if line.startswith("80,0.69999999999999996,")]
     assert [line.split(",")[4] for line in dropped] == ["spectral", "fd"]
+    assert [line.split(",")[3] for line in dropped] == ["50", "50"]
     assert lines == [line for line in plain if line not in dropped]
     # the failing centre row of the size is redone point by point, and each
     # route solves the point's own centre as a row of one
     warnings = _manifest_warnings(tmp_path / "patched", "qgt")
     assert len(warnings) == 2
-    assert warnings[0].startswith("L=80 eps=0.7: even block of size 81, row 0: residual nan")
-    assert warnings[1].startswith("L=80 eps=0.7 (fd): even block of size 81, row 0: "
+    assert warnings[0].startswith("L=80 eps=0.7: even block of size 26, row 0: residual nan")
+    assert warnings[1].startswith("L=80 eps=0.7 (fd): even block of size 26, row 0: "
                                   "residual nan")
 
 
@@ -135,7 +137,8 @@ def test_nan_stencil_state_drops_only_its_fd_row(tmp_path, monkeypatch):
     eps = float(np.linspace(0.5, 0.9, 3)[1])
     stencil = max(stencil_eps(eps, DEFAULT_STEP_EPS))
     assert stencil != eps
-    target = sector_block([ModelParams.from_size(80, stencil, n_cut=160)])
+    # at the rung 50 that L = 80 is solved at
+    target = sector_block([ModelParams.from_size(80, stencil, n_cut=50)])
     seeded_pairs = eigensolver._seeded_pairs
 
     def nan_at_target(diag, offdiag, seed, lam, vec):
@@ -156,7 +159,7 @@ def test_nan_stencil_state_drops_only_its_fd_row(tmp_path, monkeypatch):
     warnings = _manifest_warnings(tmp_path / "patched", "qgt")
     assert len(warnings) == 1
     # the point's satellites are its 4 stencil eps besides its own, ascending
-    assert warnings[0].startswith("L=80 eps=0.7 (fd): even block of size 81, row 3: "
+    assert warnings[0].startswith("L=80 eps=0.7 (fd): even block of size 26, row 3: "
                                   "residual nan")
 
 
