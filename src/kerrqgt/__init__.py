@@ -42,8 +42,7 @@ from .oracle import (
 )
 from .qgt import (
     QGTResult,
-    g_ee_slope,
-    qgt_fd,
+    gated_ground_row,
     qgt_fd_row,
     qgt_spectral,
     qgt_spectral_row,
@@ -73,7 +72,7 @@ __all__ = [
     "GroundState", "Spectrum", "eig_tridiagonal", "ground_state_row",
     "NormalPhaseSolution", "SuperradiantSolution", "normal_phase",
     "normal_phase_qgt_limit", "superradiant_phase", "superradiant_qgt_limit",
-    "QGTResult", "g_ee_slope", "qgt_fd", "qgt_fd_row",
+    "QGTResult", "gated_ground_row", "qgt_fd_row",
     "qgt_spectral", "qgt_spectral_row",
     "CollapseOptimum", "CurveFamily", "K0Report", "PowerLawFit", "ScalingReport",
     "ShiftedPowerFit", "collapse_objective", "extrapolate_critical_point",

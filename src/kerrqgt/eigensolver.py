@@ -23,9 +23,8 @@ EigenConvergenceError (GapError for the gap floor) naming the block and row.
 
 Every block stacks the M blocks of a row of points (one point is a row of
 one, on the same path).  Each gets its own selective solve; the sign
-convention, the gate units and the certificates are then taken on GATE_CHUNK
-rows at a time, and each certificate tests the whole row at once before it
-builds any per-row message.  The diagonal and level map of a block that
+convention, the gate units and the certificates are then taken on the whole
+row in one pass.  The diagonal and level map of a block that
 sector_block builds are the read-only arrays of the model.sector_arrays
 cache, shared by every block at the same (delta, kerr, n_cut); nothing here
 writes to a block, and the tests solve blocks built from writable copies to
@@ -58,11 +57,6 @@ RESIDUAL_BOUND = 1e-10
 ORTHOGONALITY_BOUND = 1e-10
 # a bisection tolerance wider than any spectrum: dstebz stops at the counts
 COUNT_ONLY_ABSTOL = 1e300
-# rows per pass of eig_tridiagonal's sign convention, units and certificates
-GATE_CHUNK = 8
-# row and pair indices of a chunk, for picking each vector's largest component
-_CHUNK_ROWS = np.arange(GATE_CHUNK)[:, None]
-_PAIR = np.arange(2)
 
 
 @dataclass(frozen=True)
@@ -95,14 +89,16 @@ class Spectrum:
 class GroundState:
     """Lowest eigenstates of the even parity sector over a row of M points.
 
-    Fields carry the row axis, as in Spectrum: energy, gap (within the
-    sector), mean_n, var_n, tail_weight and cutoff_warning are (M,), and
-    vectors[m] (M, N) is the real ground vector of point m on the Fock levels
-    listed in levels, at phi = 0 (a point's phi only multiplies it by the
-    gauge phases e^{-i n phi / 2}).  block and spectrum are the stacked block
-    and the solve that the row was read from.
+    points is the row of ModelParams the states were solved for, in order.
+    The other fields carry the row axis, as in Spectrum: energy, gap (within
+    the sector), mean_n, var_n, tail_weight and cutoff_warning are (M,), and
+    vectors is (M, N), its row m the real ground vector of point m on the
+    Fock levels listed in levels, at phi = 0 (a point's phi only multiplies it
+    by the gauge phases e^{-i n phi / 2}).  block and spectrum are the
+    stacked block and the solve that the row was read from.
     """
 
+    points: tuple
     energy: np.ndarray
     gap: np.ndarray
     vectors: np.ndarray
@@ -211,9 +207,8 @@ def eig_tridiagonal(block: TridiagonalBlock, seed: np.ndarray | None = None) -> 
     block's Spectrum.eigenvectors gives it), each row is first solved from its
     seed pair by one inverse iteration (_seeded_pairs); a row whose pair fails
     that certificate is bisected, to the same bits as an unseeded solve.
-    The sign convention, the units and the certificates are taken on
-    GATE_CHUNK rows at a time, seeded or not, so their temporaries do not
-    grow with the row; a row of one takes the same path as any other row.
+    The sign convention, the units and the certificates are then taken on
+    the whole row at once, seeded or not; a row of one takes the same path.
     """
     diag, offdiag = block.diag, block.offdiag
     rows = len(offdiag)
@@ -232,38 +227,30 @@ def eig_tridiagonal(block: TridiagonalBlock, seed: np.ndarray | None = None) -> 
                                         f"tridiagonal eigensolve failed: {exc}") from exc
         vec[m] = pair.T
 
-    abs_diag = np.abs(diag)
-    scale, resid_norms, defects = np.empty(rows), np.empty((rows, 2)), np.empty(rows)
-    for start in range(0, rows, GATE_CHUNK):
-        chunk = slice(start, start + GATE_CHUNK)
-        v, off, values = vec[chunk], offdiag[chunk], lam[chunk, :, None]
-        # Canonical sign: largest-magnitude component of each vector positive
-        # (never zero for a unit vector).
-        v *= np.sign(v[_CHUNK_ROWS[:len(v)], _PAIR, np.abs(v).argmax(axis=-1)])[..., None]
-        # The largest absolute row sum (Gershgorin) bounds ||T||_2 above; |E0|
-        # and every |d_i| bound it below.
-        abs_off = np.abs(off)
-        row_sums = np.repeat(abs_diag[None], len(v), axis=0)
-        row_sums[:, :-1] += abs_off
-        row_sums[:, 1:] += abs_off
-        scale[chunk] = np.maximum(row_sums.max(axis=1), 1.0)
-        resid = _tridiagonal_multiply(diag, off[:, None], v)
-        resid -= v * values
-        resid_norms[chunk] = np.sqrt(np.einsum("mkn,mkn->mk", resid, resid))
-        defects[chunk] = np.abs(np.einsum("mn,mn->m", v[:, 0], v[:, 1]))
+    # Canonical sign: largest-magnitude component of each vector positive
+    # (never zero for a unit vector).
+    vec *= np.sign(vec[np.arange(rows)[:, None], np.arange(2), np.abs(vec).argmax(-1)])[..., None]
+    # The largest absolute row sum (Gershgorin) bounds ||T||_2 above; |E0|
+    # and every |d_i| bound it below.
+    abs_diag, abs_off = np.abs(diag), np.abs(offdiag)
+    row_sums = np.repeat(abs_diag[None], rows, axis=0)
+    row_sums[:, :-1] += abs_off
+    row_sums[:, 1:] += abs_off
+    scale = np.maximum(row_sums.max(axis=1), 1.0)
+    resid = _tridiagonal_multiply(diag, offdiag[:, None], vec)
+    resid -= vec * lam[..., None]
+    resid_norms = np.sqrt(np.einsum("mkn,mkn->mk", resid, resid))
+    defects = np.abs(np.einsum("mn,mn->m", vec[:, 0], vec[:, 1]))
     residual_unit = np.maximum(np.abs(lam[:, 0]), max(1.0, float(abs_diag.max())))
-    worst, worst_defect = float(resid_norms.max()), float(defects.max())
-    # the worst residual within the smallest unit's bound passes every row
-    if not worst <= RESIDUAL_BOUND * float(residual_unit.min()):
-        _certify((resid_norms <= RESIDUAL_BOUND * residual_unit[:, None]).all(axis=1),
-                 block, lambda m: f"residual {resid_norms[m].max():.3e} exceeds bound "
-                                  f"(worst eigenpair {int(np.argmax(resid_norms[m]))})")
-    if not worst_defect <= ORTHOGONALITY_BOUND:
-        _certify(defects <= ORTHOGONALITY_BOUND, block,
-                 lambda m: f"orthogonality defect {defects[m]:.3e} exceeds bound")
+    _certify((resid_norms <= RESIDUAL_BOUND * residual_unit[:, None]).all(axis=1),
+             block, lambda m: f"residual {resid_norms[m].max():.3e} exceeds bound "
+                              f"(worst eigenpair {int(np.argmax(resid_norms[m]))})")
+    _certify(defects <= ORTHOGONALITY_BOUND, block,
+             lambda m: f"orthogonality defect {defects[m]:.3e} exceeds bound")
 
     return Spectrum(eigenvalues=lam, eigenvectors=vec.swapaxes(1, 2),
-                    max_residual=worst, max_orthogonality_defect=worst_defect,
+                    max_residual=float(resid_norms.max()),
+                    max_orthogonality_defect=float(defects.max()),
                     scale=scale, residual_unit=residual_unit)
 
 
@@ -278,8 +265,8 @@ def ground_state_row(points, seed: np.ndarray | None = None) -> GroundState:
     mean_n = (levels * weights).sum(axis=1)
     # the levels above n_cut - TAIL_LEVELS are the last ones of the sector
     tail = weights[:, levels.searchsorted(points[0].n_cut - TAIL_LEVELS, "right"):].sum(axis=1)
-    return GroundState(energy=lam[:, 0], gap=lam[:, 1] - lam[:, 0], vectors=u0,
-                       levels=levels, mean_n=mean_n,
+    return GroundState(points=tuple(points), energy=lam[:, 0], gap=lam[:, 1] - lam[:, 0],
+                       vectors=u0, levels=levels, mean_n=mean_n,
                        var_n=(levels**2 * weights).sum(axis=1) - mean_n**2,
                        tail_weight=tail, cutoff_warning=~(tail <= TAIL_TOLERANCE),
                        block=block, spectrum=spec)

@@ -8,10 +8,11 @@ Two independent routes are provided and must agree:
   for the Berry curvature, in real arithmetic on the even-sector vectors,
   where the drive phase drops out (_fd.tensor_fd, qgt_fd_row).
 
-Both read the same centre row, gated_ground_row of the grid points, which a
-sweep solves once for both routes (at the cutoff the sweep certifies for the
-row); the stencil vectors around each point are seeded from its certified
-pair (eigensolver), not bisected.
+Both row kernels take one argument, the centre row: gated_ground_row of the
+grid points, a GroundState that records the points it was solved for.  A
+sweep solves it once for both routes (at the cutoff the sweep certifies for
+the row); the stencil vectors around each point are seeded from its
+certified pair (eigensolver), not bisected.
 
 The linear-response route also gives d g_ee / d eps analytically (third-order
 response: a second back-substitution on the factorisation of the first
@@ -104,12 +105,12 @@ def gated_ground_row(points, seed: np.ndarray | None = None) -> GroundState:
     return ground
 
 
-def _result(ground: GroundState, m: int, params: ModelParams, method: str,
-            *tensor) -> QGTResult:
-    """The tensor (g_ee, g_pp, g_ep, f_ep) of params with the CONTEXT of row m
-    of ground.  Adding 0.0 writes a zero of either sign as +0 and leaves every
-    other value as it is."""
-    return QGTResult(*(float(x) + 0.0 for x in tensor), method=method, params=params,
+def _result(ground: GroundState, m: int, method: str, *tensor) -> QGTResult:
+    """The tensor (g_ee, g_pp, g_ep, f_ep) of point m of ground with the
+    CONTEXT of its row.  Adding 0.0 writes a zero of either sign as +0 and
+    leaves every other value as it is."""
+    return QGTResult(*(float(x) + 0.0 for x in tensor), method=method,
+                     params=ground.points[m],
                      **{name: getattr(ground, name)[m].item() for name in CONTEXT})
 
 
@@ -136,10 +137,9 @@ def _sternheimer(block, e0: np.ndarray, u0: np.ndarray, rhs: np.ndarray,
     off = block.offdiag[np.arange(rows)[:, None], keep[:, :-1]]
     off[keep[:, 1:] != keep[:, :-1] + 1] = 0.0
     factors = [scipy.linalg.lapack.dpttrf(d, e) for d, e in zip(diag, off)]
-    if any(info for *_, info in factors):
-        _certify(np.array([info == 0 for *_, info in factors]), block,
-                 lambda m: f"shifted block is not positive definite after deflation "
-                           f"(dpttrf info {factors[m][2]})")
+    _certify(np.array([info == 0 for *_, info in factors]), block,
+             lambda m: f"shifted block is not positive definite after deflation "
+                       f"(dpttrf info {factors[m][2]})")
     solutions = np.zeros((powers, rows, size))
     for m, (d, e, _) in enumerate(factors):
         source, u, index = rhs[m], u0[m], keep[m]
@@ -156,55 +156,51 @@ def _sternheimer(block, e0: np.ndarray, u0: np.ndarray, rhs: np.ndarray,
     overlap = np.abs(np.einsum("mn,pmn->pm", u0, solutions))
     norm_y = np.maximum(1.0, np.sqrt(np.einsum("pmn,pmn->pm", solutions, solutions)))
     limit = RESIDUAL_BOUND * residual_unit * norm_y
-    if not ((residual <= limit).all() and (overlap <= ORTHOGONALITY_BOUND * norm_y).all()):
-        for p in range(powers):
-            _certify(residual[p] <= limit[p], block,
-                     lambda m: f"linear-response residual {residual[p, m]:.3e} exceeds bound")
-            _certify(overlap[p] <= ORTHOGONALITY_BOUND * norm_y[p], block,
-                     lambda m: f"linear response keeps overlap {overlap[p, m]:.3e} with the "
-                               f"ground vector")
+    for p in range(powers):
+        _certify(residual[p] <= limit[p], block,
+                 lambda m: f"linear-response residual {residual[p, m]:.3e} exceeds bound")
+        _certify(overlap[p] <= ORTHOGONALITY_BOUND * norm_y[p], block,
+                 lambda m: f"linear response keeps overlap {overlap[p, m]:.3e} with the "
+                           f"ground vector")
     return list(solutions)
 
 
-def _response(points, powers: int, ground: GroundState | None = None):
-    """Gap-gated even ground states of a row and the eps response on them.
+def _response(ground: GroundState, powers: int):
+    """The eps response on ground, a gap-gated row of even ground states
+    (gated_ground_row) of points that share delta, kerr and n_cut.
 
-    points share delta, kerr and n_cut.  Returns the GroundState of the row
-    (ground if given, else gated_ground_row(points)), C = dT/deps (its
-    off-diagonal band, the same for every eps), dE0 = u0.C u0
-    (Hellmann-Feynman) and the Sternheimer solutions [y, R y, ...] for
-    y = R (C u0 - dE0 u0), each (M, N).
+    Returns C = dT/deps (its off-diagonal band, the same for every eps),
+    dE0 = u0.C u0 (Hellmann-Feynman) and the Sternheimer solutions
+    [y, R y, ...] for y = R (C u0 - dE0 u0), each (M, N).
     """
-    if ground is None:
-        ground = gated_ground_row(points)
-    u0, first = ground.vectors, points[0]
+    u0, first = ground.vectors, ground.points[0]
     band = -(first.delta / 2.0) * sector_arrays(first.delta, first.kerr, first.n_cut)[1]
     rhs = _tridiagonal_multiply(0.0, band, u0)
     de0 = np.array([u @ r for u, r in zip(u0, rhs)])
     rhs -= de0[:, None] * u0
     solutions = _sternheimer(ground.block, ground.energy, u0, rhs,
                              ground.spectrum.residual_unit, powers)
-    return ground, band, de0, solutions
+    return band, de0, solutions
 
 
-def _spectral_results(points, ground: GroundState, y: np.ndarray) -> list[QGTResult]:
-    """The spectral tensors of a row of points from its ground row and the
-    first Sternheimer solution y of _response."""
+def _spectral_results(ground: GroundState, y: np.ndarray) -> list[QGTResult]:
+    """The spectral tensors of the points of ground from the first
+    Sternheimer solution y of _response."""
     n_u0 = ground.levels * ground.vectors
-    return [_result(ground, m, params, "spectral", y[m] @ y[m], ground.var_n[m] / 4.0,
+    return [_result(ground, m, "spectral", y[m] @ y[m], ground.var_n[m] / 4.0,
                     0.0, -(y[m] @ n_u0[m]))
-            for m, params in enumerate(points)]
+            for m in range(len(ground.points))]
 
 
-def qgt_spectral_row(points, ground: GroundState | None = None) -> list[QGTResult]:
-    """Geometric tensors of a row of points that share delta, kerr and n_cut.
+def qgt_spectral_row(ground: GroundState) -> list[QGTResult]:
+    """Geometric tensors of the points of a centre row ground =
+    gated_ground_row(points), points that share delta, kerr and n_cut.
 
-    One stacked even-block solve (the centre row gated_ground_row(points), or
-    ground, which must be that row) and one Sternheimer solve per row give
-    every point's tensor exactly as qgt_spectral gives it alone.
+    One Sternheimer solve per row gives every point's tensor exactly as
+    qgt_spectral gives it alone.
     """
-    ground, _, _, (y,) = _response(points, powers=1, ground=ground)
-    return _spectral_results(points, ground, y)
+    _, _, (y,) = _response(ground, powers=1)
+    return _spectral_results(ground, y)
 
 
 def qgt_spectral(params: ModelParams) -> QGTResult:
@@ -222,25 +218,14 @@ def qgt_spectral(params: ModelParams) -> QGTResult:
     even-sector eigenbasis, evaluated without the eigenbasis.  It is the row
     of one point (qgt_spectral_row).
     """
-    return qgt_spectral_row([params])[0]
+    return qgt_spectral_row(gated_ground_row([params]))[0]
 
 
 def g_ee_slope_step(params: ModelParams) -> tuple[float, Callable[[], QGTResult]]:
-    """(g_ee_slope(params), tensor): tensor() returns qgt_spectral(params), bit
-    for bit, from the same response.
+    """(d g_ee / d eps, tensor) at params: tensor() returns qgt_spectral(params),
+    bit for bit, from the same response.
 
-    The first Sternheimer solution y and the ground row that the slope needs
-    are the ones qgt_spectral reads its tensor off, so a search that steps on
-    the slope gets the tensor at its final step without a further solve.
-    """
-    ground, band, (de0,), (y, z) = _response([params], powers=2)
-    slope = float(-4.0 * (z[0] @ (_tridiagonal_multiply(0.0, band, y[0]) - de0 * y[0])))
-    return slope, lambda: _spectral_results([params], ground, y)[0]
-
-
-def g_ee_slope(params: ModelParams) -> float:
-    """d g_ee / d eps by third-order response: one more back-substitution.
-
+    The slope is third-order response, one more back-substitution.
     Differentiating the Sternheimer equation (T - E0) y = (C - dE0) u0, with
     du0/deps = -y and d(dE0)/deps = -2 y.C u0, gives (the 2n+1 theorem)
 
@@ -248,57 +233,51 @@ def g_ee_slope(params: ModelParams) -> float:
 
     where z reuses the factorisation that gave y.  g_ee is even in eps
     (eps -> -eps is the gauge shift phi -> phi + pi), so the slope is 0 at
-    eps = 0.  It is the slope half of g_ee_slope_step.
+    eps = 0.  y and the ground row are the ones qgt_spectral reads its tensor
+    off, so a search that steps on the slope gets the tensor at its final
+    step without a further solve.
     """
-    return g_ee_slope_step(params)[0]
+    ground = gated_ground_row([params])
+    band, (de0,), (y, z) = _response(ground, powers=2)
+    slope = float(-4.0 * (z[0] @ (_tridiagonal_multiply(0.0, band, y[0]) - de0 * y[0])))
+    return slope, lambda: _spectral_results(ground, y)[0]
 
 
-def _even_ground_family(points, step_eps: float, ground: GroundState | None = None):
-    """(ground, tables): the stencil vectors of a row of points that share
-    delta, kerr and n_cut.
+def _even_ground_family(ground: GroundState, step_eps: float) -> list[dict]:
+    """The stencil vectors of the points of a centre row ground =
+    gated_ground_row(points), points that share delta, kerr and n_cut.
 
-    ground is the centre row of the points (gated_ground_row(points), or
-    ground if given, which must be that row).  Every other eps of a point's
-    stencils (stencil_eps) is a satellite of that point: one gap-gated
-    stacked solve of all the row's satellites, each row seeded by its own
-    point's certified pair (eig_tridiagonal), gives their ground vectors.
-    tables[i] maps exactly the stencil eps of points[i] to their real ground
-    vectors on ground.levels (its own eps read off the centre row), so a
-    point's stencil owes nothing to its neighbours.
+    Every other eps of a point's stencils (stencil_eps) is a satellite of
+    that point: one gap-gated stacked solve of all the row's satellites, each
+    row seeded by its own point's certified pair (eig_tridiagonal), gives
+    their ground vectors.  Entry i maps exactly the stencil eps of point i to
+    their real ground vectors on ground.levels (its own eps read off the
+    centre row), so a point's stencil owes nothing to its neighbours.
     """
-    stencils = [stencil_eps(p.eps, step_eps) - {float(p.eps)} for p in points]
-    if ground is None:
-        ground = gated_ground_row(points)
     owners, satellites = [], []
-    for i, (p, stencil) in enumerate(zip(points, stencils)):
+    for i, p in enumerate(ground.points):
+        stencil = stencil_eps(p.eps, step_eps) - {float(p.eps)}
         owners += [i] * len(stencil)
         satellites += [p.replace(eps=eps) for eps in sorted(stencil)]
-    tables = [{float(p.eps): u} for p, u in zip(points, ground.vectors)]
+    tables = [{float(p.eps): u} for p, u in zip(ground.points, ground.vectors)]
     if satellites:
         solved = gated_ground_row(satellites, seed=ground.spectrum.eigenvectors[owners])
         for i, p, u in zip(owners, satellites, solved.vectors):
             tables[i][p.eps] = u
-    return ground, tables
+    return tables
 
 
-def qgt_fd_row(points, step_eps: float = DEFAULT_STEP_EPS,
-               step_phi: float = DEFAULT_STEP_PHI,
-               ground: GroundState | None = None) -> list[QGTResult]:
-    """Geometric tensors of a row of points that share delta, kerr and n_cut,
-    by the gauge-invariant overlap stencil tensor_fd on real vectors.
+def qgt_fd_row(ground: GroundState, step_eps: float = DEFAULT_STEP_EPS,
+               step_phi: float = DEFAULT_STEP_PHI) -> list[QGTResult]:
+    """Geometric tensors of the points of a centre row ground =
+    gated_ground_row(points), points that share delta, kerr and n_cut, by
+    the gauge-invariant overlap stencil tensor_fd on real vectors.
 
-    The centre row (ground, as qgt_spectral_row takes it) and one seeded
-    solve of every point's stencil satellites (_even_ground_family) give
-    every tensor exactly as qgt_fd gives it alone; each point's context is
-    read off its centre, as the spectral route reads it.
+    One seeded solve of every point's stencil satellites (_even_ground_family)
+    gives every tensor exactly as the row of that point alone gives it; each
+    point's context is read off its centre, as the spectral route reads it.
     """
-    ground, tables = _even_ground_family(points, step_eps, ground)
-    return [_result(ground, m, p, "fd",
+    tables = _even_ground_family(ground, step_eps)
+    return [_result(ground, m, "fd",
                     *tensor_fd(table, ground.levels, p.eps, step_eps, step_phi))
-            for m, (p, table) in enumerate(zip(points, tables))]
-
-
-def qgt_fd(params: ModelParams, step_eps: float = DEFAULT_STEP_EPS,
-           step_phi: float = DEFAULT_STEP_PHI) -> QGTResult:
-    """Finite-difference tensor at one point: the row of one of qgt_fd_row."""
-    return qgt_fd_row([params], step_eps, step_phi)[0]
+            for m, (p, table) in enumerate(zip(ground.points, tables))]

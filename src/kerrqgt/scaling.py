@@ -1,7 +1,7 @@
 """Finite-size-scaling toolkit: peaks, extrapolations, exponents, data collapse.
 
 Each pseudo-critical peak of g_ee is the root of its analytic slope
-(qgt.g_ee_slope), bracketed by a coarse sign scan and found by Brent's method.
+(qgt.g_ee_slope_step), bracketed by a coarse sign scan and found by Brent's method.
 All fitters are deterministic, closed-form least squares combined with scanned
 and golden-section 1D searches; no stochastic optimization is used anywhere.
 The end-to-end pipelines assemble the critical point, the correlation-length
@@ -37,7 +37,7 @@ import numpy as np
 from .eigensolver import ground_state_row
 from .errors import BracketError, FitError, InputError, WindowError
 from .model import ModelParams, TAIL_TOLERANCE
-from .qgt import g_ee_slope_step, qgt_spectral, qgt_spectral_row, QGTResult
+from .qgt import gated_ground_row, g_ee_slope_step, qgt_spectral, qgt_spectral_row, QGTResult
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -436,8 +436,9 @@ class ScalingReport:
 def sweep_family(sizes: Sequence[float], eps_grid: np.ndarray, n_cut: int,
                  delta: float = 1.0) -> list[list[QGTResult]]:
     """Spectral tensor on sizes x eps_grid, one row kernel call per size."""
-    return [qgt_spectral_row([ModelParams.from_size(L, e, n_cut=n_cut, delta=delta)
-                              for e in eps_grid]) for L in sizes]
+    rows = ([ModelParams.from_size(L, e, n_cut=n_cut, delta=delta) for e in eps_grid]
+            for L in sizes)
+    return [qgt_spectral_row(gated_ground_row(points)) for points in rows]
 
 
 def _cutoff_ladder(cap: int) -> list[int]:
@@ -648,6 +649,19 @@ class K0Report:
     diagnostics: dict = field(repr=False)
 
 
+def _k0_cutoffs(ncut_list: Sequence[float]) -> list[int]:
+    """The cutoffs of the K = 0 study as sorted ints; FitError unless they
+    are at least 5 distinct integral values (2.0 counts as 2)."""
+    if not all(n == int(n) for n in ncut_list):
+        raise FitError(f"ncut_list {list(ncut_list)} has a non-integral cutoff")
+    ncut_list = sorted(int(n) for n in ncut_list)
+    if len(ncut_list) < 5:
+        raise FitError("the cutoff study needs at least 5 cutoffs")
+    if len(set(ncut_list)) < len(ncut_list):
+        raise FitError(f"the cutoff study needs distinct cutoffs, got {ncut_list}")
+    return ncut_list
+
+
 def k0_pipeline(scaling: ScalingReport,
                 ncut_list: Sequence[int] = DEFAULT_K0_CUTOFFS,
                 delta: float = 1.0) -> K0Report:
@@ -659,12 +673,7 @@ def k0_pipeline(scaling: ScalingReport,
     photon-number dimension and the scaling dimensions entering beta-prime)
     is read off scaling, the report of scaling_pipeline.
     """
-    ncut_list = sorted(int(n) for n in ncut_list)
-    if len(ncut_list) < 5:
-        raise FitError("the cutoff study needs at least 5 cutoffs")
-    if len(set(ncut_list)) < len(ncut_list):
-        raise FitError(f"the cutoff study needs distinct cutoffs, got {ncut_list}")
-
+    ncut_list = _k0_cutoffs(ncut_list)
     points = [qgt_spectral(ModelParams(delta=delta, kerr=0.0, eps=1.0, n_cut=nc))
               for nc in ncut_list]
     g_fit = fit_power_law(ncut_list, [p.g_ee for p in points])

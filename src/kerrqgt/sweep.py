@@ -38,6 +38,7 @@ from .scaling import (
     DEFAULT_PEAK_BRACKET,
     DEFAULT_SIZES,
     _cutoff_ladder,
+    _k0_cutoffs,
     _solve_adaptive,
     k0_pipeline,
     optimize_collapse,
@@ -191,11 +192,13 @@ class SweepConfig:
     def __post_init__(self):
         if self.method not in ("spectral", "fd", "both"):
             raise InputError(f"unknown method {self.method!r}")
-        for rng in (self.eps_range, self.phi_range):
+        for name, rng in (("eps_range", self.eps_range), ("phi_range", self.phi_range)):
             if len(rng) != 3 or rng[1] < rng[0] or int(rng[2]) < 1:
                 raise InputError(f"malformed grid range {rng}")
             if not (math.isfinite(rng[0]) and math.isfinite(rng[1])):
                 raise InputError(f"grid range {rng} has a non-finite bound")
+            if rng[2] != int(rng[2]):
+                raise InputError(f"{name} {rng} has a non-integral step count")
 
     def echo(self) -> dict:
         raw = asdict(self)
@@ -313,21 +316,21 @@ def _phase_diagram(config: SweepConfig, out: Path) -> ModeResult:
     return {"phase_diagram.csv": csv_text(PHASE_DIAGRAM_COLUMNS, rows)}, warnings
 
 
-def _row_or_points(solve_row, items, ground) -> list:
-    """solve_row(items, ground=ground), one result per item, where ground is
-    the centre row of items or None if it failed.  If it is None or the row
-    fails with one of POINT_ERRORS, each item is solved as a row of its own
-    (solving its own centre) and a failing item gets its exception in place
-    of a result, so only that item is dropped."""
+def _row_or_points(kernel, items, ground) -> list:
+    """kernel(ground), one result per item, where ground is the centre row of
+    items or None if it failed.  If it is None or the row fails with one of
+    POINT_ERRORS, each item is solved as a row of its own,
+    kernel(gated_ground_row([item])), and a failing item gets its exception
+    in place of a result, so only that item is dropped."""
     if ground is not None:
         try:
-            return solve_row(items, ground=ground)
+            return kernel(ground)
         except POINT_ERRORS:
             pass
     results = []
     for item in items:
         try:
-            results += solve_row([item])
+            results += kernel(gated_ground_row([item]))
         except POINT_ERRORS as exc:
             results.append(exc)
     return results
@@ -413,7 +416,9 @@ def load_scaling_report(path: Path) -> ScalingReport:
 
 
 def _k0(config: SweepConfig, out: Path) -> ModeResult:
-    """Cutoff-scaling study; reuses a matching scaling report in ``out``."""
+    """Cutoff-scaling study, its cutoffs checked before any solve; reuses a
+    matching scaling report in ``out``."""
+    _k0_cutoffs(config.ncut_list)
     scaling = None
     existing = out / SCALING_REPORT_NAME
     if existing.exists():

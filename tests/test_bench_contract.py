@@ -47,8 +47,16 @@ def eig_calls(monkeypatch):
 @pytest.mark.parametrize("kernel", ["qgt_spectral", "ground_state_row", "qgt_fd",
                                     "qgt_fd_row"])
 def test_traced_kernels_call_eig_tridiagonal(eig_calls, kernel):
+    # qgt_fd is the fd tensor of one point, its centre row included;
+    # qgt_fd_row counts only the row kernel's own stencil solve
     params = ModelParams.from_size(150, 0.9, phi=0.3, n_cut=200)
-    getattr(kerrqgt, kernel)([params] if kernel.endswith("_row") else params)
+    if kernel.startswith("qgt_fd"):
+        ground = kerrqgt.gated_ground_row([params])
+        if kernel == "qgt_fd_row":
+            eig_calls.clear()
+        kerrqgt.qgt_fd_row(ground)
+    else:
+        getattr(kerrqgt, kernel)([params] if kernel.endswith("_row") else params)
     assert eig_calls
 
 

@@ -17,10 +17,11 @@ from kerrqgt import (
     EigenConvergenceError,
     GapError,
     ModelParams,
-    g_ee_slope,
+    gated_ground_row,
     qgt_spectral_row,
     sector_block,
 )
+from kerrqgt.qgt import g_ee_slope_step
 
 # even-gap / Gershgorin ratios 5.7e-4, 2.4e-4, 4.3e-4: a floor of 3e-4 fails row 1 only
 ROW = [ModelParams.from_size(150, eps, n_cut=400) for eps in (0.9, 1.1, 1.2)]
@@ -80,42 +81,46 @@ def _unprojected_overlap(monkeypatch):
     monkeypatch.setattr(qgt, "_sternheimer", doubled)
 
 
+def _spectral_row(points):
+    return qgt_spectral_row(gated_ground_row(points))
+
+
 CASES = {
-    "eigen-nan": (_eigensolve(_nan_component), qgt_spectral_row,
+    "eigen-nan": (_eigensolve(_nan_component), _spectral_row,
                   EigenConvergenceError, "row 1: residual nan exceeds bound"),
-    "eigen-residual": (_eigensolve(_perturbed_vector), qgt_spectral_row,
+    "eigen-residual": (_eigensolve(_perturbed_vector), _spectral_row,
                        EigenConvergenceError, "row 1: residual .* exceeds bound"),
-    "orthogonality": (_eigensolve(_non_orthogonal_pair), qgt_spectral_row,
+    "orthogonality": (_eigensolve(_non_orthogonal_pair), _spectral_row,
                       EigenConvergenceError, "row 1: orthogonality defect 1.000e"),
     "bisection-info": (lambda mp: _alter_call(mp, scipy.linalg.lapack, "dstebz", 1,
                                               lambda r: (*r[:4], 3)),
-                       qgt_spectral_row, EigenConvergenceError,
+                       _spectral_row, EigenConvergenceError,
                        "row 1: tridiagonal eigensolve failed: dstebz returned 2 "
                        "eigenvalues, info 3"),
     "bisection-count": (lambda mp: _alter_call(mp, scipy.linalg.lapack, "dstebz", 1,
                                                lambda r: (1, *r[1:])),
-                        qgt_spectral_row, EigenConvergenceError,
+                        _spectral_row, EigenConvergenceError,
                         "row 1: tridiagonal eigensolve failed: dstebz returned 1 "
                         "eigenvalues, info 0"),
     "inverse-iteration-info": (lambda mp: _alter_call(mp, scipy.linalg.lapack, "dstein", 1,
                                                       lambda r: (r[0], 1)),
-                               qgt_spectral_row, EigenConvergenceError,
+                               _spectral_row, EigenConvergenceError,
                                "row 1: tridiagonal eigensolve failed: dstein info 1"),
     "factorisation": (lambda mp: _alter_call(mp, scipy.linalg.lapack, "dpttrf", 1,
                                              lambda r: (r[0], r[1], 1)),
-                      qgt_spectral_row, EigenConvergenceError,
+                      _spectral_row, EigenConvergenceError,
                       r"row 1: shifted block is not positive definite .*\(dpttrf info 1\)"),
-    "solve-nan": (_solve(lambda r: (np.full_like(r[0], np.nan), r[1])), qgt_spectral_row,
+    "solve-nan": (_solve(lambda r: (np.full_like(r[0], np.nan), r[1])), _spectral_row,
                   EigenConvergenceError, "row 1: linear-response residual nan exceeds"),
-    "solve-wrong": (_solve(lambda r: (r[0] * (1.0 + 1e-3), r[1])), qgt_spectral_row,
+    "solve-wrong": (_solve(lambda r: (r[0] * (1.0 + 1e-3), r[1])), _spectral_row,
                     EigenConvergenceError, "row 1: linear-response residual .* exceeds"),
-    "overlap": (_unprojected_overlap, qgt_spectral_row, EigenConvergenceError,
+    "overlap": (_unprojected_overlap, _spectral_row, EigenConvergenceError,
                 "row 1: linear response keeps overlap"),
-    "gap-floor": (lambda mp: mp.setattr(qgt, "GAP_FLOOR", 3e-4), qgt_spectral_row,
+    "gap-floor": (lambda mp: mp.setattr(qgt, "GAP_FLOOR", 3e-4), _spectral_row,
                   GapError, "row 1: sector gap .* at eps=1.1, kerr=0.00666667, n_cut=400$"),
     # call 1 is the slope's second back-substitution on a row of one point
     "slope-nan": (_solve(lambda r: (np.full_like(r[0], np.nan), r[1])),
-                  lambda points: g_ee_slope(points[1]), EigenConvergenceError,
+                  lambda points: g_ee_slope_step(points[1])[0], EigenConvergenceError,
                   "row 0: linear-response residual nan exceeds"),
 }
 

@@ -14,6 +14,7 @@ from kerrqgt import (
     ModelParams,
     QGTResult,
     eig_tridiagonal,
+    gated_ground_row,
     ground_state_row,
     qgt_fd_row,
     qgt_spectral,
@@ -57,7 +58,7 @@ def test_stacked_blocks_are_the_single_blocks(row):
 @pytest.mark.parametrize("row", ROWS, ids=_label)
 def test_tensor_row_equals_single_calls(row):
     points = _row(*row, phi=0.4)
-    results = qgt_spectral_row(points)
+    results = qgt_spectral_row(gated_ground_row(points))
     assert len(results) == len(points)
     for p, r in zip(points, results):
         single = qgt_spectral(p)
@@ -76,6 +77,12 @@ def test_ground_state_row_equals_single_calls(row):
     fields = ("energy", "gap", "mean_n", "var_n", "tail_weight", "cutoff_warning")
     assert ground.vectors.shape == (len(points), ground.block.size)
     assert all(getattr(ground, name).shape == (len(points),) for name in fields)
+    # the row records its points, in order, and so does a seeded satellite row
+    assert ground.points == tuple(points)
+    assert all(a is b for a, b in zip(ground.points, points))
+    satellites = [p.replace(eps=p.eps + 1e-4) for p in points]
+    seeded = ground_state_row(satellites, seed=ground.spectrum.eigenvectors)
+    assert seeded.points == tuple(satellites)
     for m, p in enumerate(points):
         single = ground_state_row([p])
         assert np.array_equal(ground.vectors[m], single.vectors[0])
@@ -88,7 +95,8 @@ def test_fd_and_spectral_rows_share_the_context():
     # eps = 0 takes the boundary stencil; 1.3 is in the symmetry-broken regime
     points = _row(150, 400, [0.0, 0.5, 0.97, 1.3], phi=0.4)
     fields = ("gap", "mean_n", "var_n", "tail_weight", "cutoff_warning")
-    for fd, spectral in zip(qgt_fd_row(points), qgt_spectral_row(points)):
+    for fd, spectral in zip(qgt_fd_row(gated_ground_row(points)),
+                            qgt_spectral_row(gated_ground_row(points))):
         assert (fd.method, spectral.method) == ("fd", "spectral")
         assert fd.params is spectral.params
         assert ([getattr(fd, name) for name in fields]
@@ -120,14 +128,14 @@ def test_gap_floor_names_the_point_of_the_row(monkeypatch):
     monkeypatch.setattr(qgt, "GAP_FLOOR", 0.5 * (worst + runner_up))
     with pytest.raises(GapError, match=rf"sector gap .* at eps={points[m].eps:g}, "
                                        rf"kerr=0.00666667, n_cut=400$"):
-        qgt_spectral_row(points)
+        qgt_spectral_row(gated_ground_row(points))
 
 
 def test_row_points_must_share_everything_but_eps_and_phi():
     with pytest.raises(ValueError, match="differ in more than eps and phi"):
-        qgt_spectral_row([ModelParams.from_size(150, 0.9, n_cut=400),
-                          ModelParams.from_size(200, 0.9, n_cut=400)])
-    for kernel in (ground_state_row, qgt_spectral_row):
+        qgt_spectral_row(gated_ground_row([ModelParams.from_size(150, 0.9, n_cut=400),
+                                           ModelParams.from_size(200, 0.9, n_cut=400)]))
+    for kernel in (ground_state_row, lambda points: qgt_spectral_row(gated_ground_row(points))):
         with pytest.raises(ValueError, match="at least one point"):
             kernel([])
 

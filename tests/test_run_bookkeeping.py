@@ -79,10 +79,10 @@ def test_row_gap_error_retries_point_by_point(tmp_path, monkeypatch):
     plain = read_csv(run(config)[0])[1]
     row_kernel = sweep.qgt_spectral_row
 
-    def gap_at_one_point(points, ground=None):
-        if any(p.eps == 0.7 and p.kerr == 1.0 / 80 for p in points):
+    def gap_at_one_point(ground):
+        if any(p.eps == 0.7 and p.kerr == 1.0 / 80 for p in ground.points):
             raise GapError("sector gap below the floor")
-        return row_kernel(points, ground=ground)
+        return row_kernel(ground)
 
     monkeypatch.setattr(sweep, "qgt_spectral_row", gap_at_one_point)
     patched = dataclasses.replace(config, out_dir=str(tmp_path / "patched"))

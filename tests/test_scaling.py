@@ -18,7 +18,6 @@ from kerrqgt import (
     collapse_objective,
     extrapolate_critical_point,
     fit_power_law,
-    g_ee_slope,
     locate_peak,
     nu_convergence,
     optimize_collapse,
@@ -27,6 +26,7 @@ from kerrqgt import (
     qgt_spectral,
     scaling_pipeline,
 )
+from kerrqgt.qgt import g_ee_slope_step
 from kerrqgt.scaling import fit_shifted_power, sweep_family
 from kerrqgt.sweep import dumps_json, family_from_report, load_scaling_report
 
@@ -51,7 +51,7 @@ def test_locate_peak_matches_grid_scan():
         return ModelParams.from_size(300, e, n_cut=800)
 
     bracket = (1.06, 1.085)
-    x = locate_peak(lambda e: g_ee_slope(params(e)), bracket=bracket)
+    x = locate_peak(lambda e: g_ee_slope_step(params(e))[0], bracket=bracket)
     grid = np.arange(bracket[0], bracket[1] + 5e-5, 1e-4)
     values = [qgt_spectral(params(e)).g_ee for e in grid]
     x_grid = grid[int(np.argmax(values))]

@@ -367,19 +367,43 @@ def test_config_file_unknown_keys_schema_error(tmp_path, entries, message):
 
 
 @pytest.mark.parametrize("mode, text, message", [
-    ("phase-diagram", '{"n_cut": 1e999}', "'n_cut' must be a finite number, got inf"),
-    ("qgt", '{"sizes": [40, "x"]}', r"'sizes' must be a list of finite numbers, got \[40, 'x'\]"),
+    ("phase-diagram", '{"n_cut": 1e999}',
+     r"config file \S+: 'n_cut' must be a finite number, got inf"),
+    ("qgt", '{"sizes": [40, "x"]}',
+     r"config file \S+: 'sizes' must be a list of finite numbers, got \[40, 'x'\]"),
     ("k0", '{"ncut_list": [200, NaN]}',
-     r"'ncut_list' must be a list of finite numbers, got \[200, nan\]"),
-], ids=["infinite-n_cut", "sizes-with-a-string", "nan-in-ncut_list"])
-def test_config_file_bad_value_exits_2_naming_the_key(tmp_path, capsys, mode, text, message):
+     r"config file \S+: 'ncut_list' must be a list of finite numbers, got \[200, nan\]"),
+    # counts that used to be truncated: 2.7 ran a 2-point grid, 200.5 the cutoff 200
+    ("qgt", '{"eps_range": [0.9, 1.0, 2.7]}',
+     r"eps_range \(0.9, 1.0, 2.7\) has a non-integral step count"),
+    ("phase-diagram", '{"phi_range": [0.0, 1.0, 3.5]}',
+     r"phi_range \(0.0, 1.0, 3.5\) has a non-integral step count"),
+    ("k0", '{"ncut_list": [200.5, 283, 400, 566, 800]}',
+     r"ncut_list \[200.5, 283, 400, 566, 800\] has a non-integral cutoff"),
+], ids=["infinite-n_cut", "sizes-with-a-string", "nan-in-ncut_list", "fractional-eps-steps",
+        "fractional-phi-steps", "fractional-k0-cutoff"])
+def test_config_file_bad_value_exits_2_naming_the_key(tmp_path, capsys, monkeypatch, mode, text,
+                                                      message):
+    def solve(*args, **kwargs):
+        raise AssertionError("a tridiagonal eigensolve was made")
+
+    monkeypatch.setattr(eigensolver, "_lowest_pair", solve)
+    monkeypatch.setattr(eigensolver, "_seeded_pairs", solve)
     config_path = tmp_path / "cfg.json"
     config_path.write_text(text)
     out = tmp_path / "out"
     assert main([mode, "--config", str(config_path), "--out", str(out)]) == 2
-    assert re.fullmatch(rf"kerrqgt {mode}: error: config file \S+: {message}\n",
-                        capsys.readouterr().err)
+    assert re.fullmatch(rf"kerrqgt {mode}: error: {message}\n", capsys.readouterr().err)
     assert not out.exists()
+
+
+def test_config_file_integral_float_counts_are_accepted(tmp_path):
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps({"eps_range": [0.95, 1.05, 2.0], "sizes": [40],
+                                       "n_cut": 120}))
+    assert main(["qgt", "--config", str(config_path), "--out", str(tmp_path / "out")]) == 0
+    assert len(read_csv(tmp_path / "out" / "qgt.csv")[1]) == 2
+    assert kerrqgt.scaling._k0_cutoffs([240, 60.0, 84, 120, 170]) == [60, 84, 120, 170, 240]
 
 
 def test_every_config_field_has_a_file_value_check():
