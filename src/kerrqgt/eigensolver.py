@@ -4,9 +4,11 @@ Ground-state work needs only the lowest pair of a block: one bisection plus
 inverse iteration gets it in O(N).  _lowest_pair calls LAPACK dstebz and
 dstein directly, as scipy.linalg.eigh_tridiagonal(select='i') calls them,
 without its per-call argument checks; eig_tridiagonal checks that the block
-is finite once for the whole stack.  The gates take their units from two
-O(N) bounds on the block norm (see Spectrum), not from a second bisection for
-the top eigenvalue.
+is finite once for the whole stack.  scipy.linalg is imported at the first
+solve, inside _lowest_pair and _seeded_pairs, its only users here, so that a
+run which solves nothing does not load it.  The gates take their units from
+two O(N) bounds on the block norm (see Spectrum), not from a second bisection
+for the top eigenvalue.
 
 A row whose block lies near one already solved, such as a finite-difference
 stencil state next to its grid point, can be seeded with that certified
@@ -43,7 +45,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import EigenConvergenceError
 from .model import (
@@ -137,6 +138,7 @@ def _lowest_pair(diag, off):
     value, one comparison (at eps = 0 the matrix splits into 1x1 blocks,
     listed by block).
     Raises LinAlgError on a nonzero info or when dstebz returns no pair."""
+    import scipy.linalg
     m, w, iblock, isplit, info = scipy.linalg.lapack.dstebz(
         diag, off, 2, 0.0, 0.0, 1, 2, 0.0, "B")
     if info != 0 or m != 2:
@@ -165,6 +167,7 @@ def _seeded_pairs(diag, offdiag, seed, lam, vec) -> np.ndarray:
     E1 + RESIDUAL_BOUND x the residual unit: with those residuals the two
     values then lie next to E0 and E1.  Any other row is left to bisection.
     """
+    import scipy.linalg
     size = len(diag)
     seed = seed.swapaxes(1, 2)
     shifts = (np.einsum("mkn,mkn->mk", seed, _tridiagonal_multiply(diag, offdiag[:, None], seed))

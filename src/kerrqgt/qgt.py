@@ -25,6 +25,8 @@ model.sector_arrays caches.
 
 The ground state is the even sector's (see eigensolver), and both drive
 derivatives conserve parity, so everything stays inside that sector.
+scipy.linalg is imported at the first solve, inside _sternheimer (its dpttrf
+and dpttrs), so that a run which solves nothing does not load it.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 from ._fd import stencil_eps, tensor_fd
 from .eigensolver import (
@@ -127,6 +128,7 @@ def _sternheimer(block, e0: np.ndarray, u0: np.ndarray, rhs: np.ndarray,
     gives a solution with y_k = 0, from which u0 is projected out.  At eps = 0
     the block is diagonal, u0 is a unit vector and the same holds.
     """
+    import scipy.linalg
     rows, size = u0.shape
     # keep[m] lists the indices that survive deflation of row m, in order;
     # a reduced off-diagonal entry that straddles the dropped index is zero.

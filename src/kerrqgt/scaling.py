@@ -9,8 +9,9 @@ exponent, the scaling dimensions of the geometric tensor, the data-collapse
 qualities, and the cutoff-scaling study without Kerr nonlinearity.  The
 finite-Kerr pipeline solves each size at the smallest Fock cutoff of a fixed
 ladder that the tail gate certifies, up to the cap it is given.
-scipy.optimize is imported inside locate_peak and optimize_collapse, its only
-users, so that a run which calls neither does not load it.
+scipy.optimize is imported at the first call of locate_peak or
+optimize_collapse, its only users, so that a run which calls neither does not
+load it.
 
 Three shortcuts skip work that cannot change a result, each checked in the
 tests against the slow path it replaces:

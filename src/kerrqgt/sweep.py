@@ -193,6 +193,8 @@ class SweepConfig:
         if self.method not in ("spectral", "fd", "both"):
             raise InputError(f"unknown method {self.method!r}")
         for name, rng in (("eps_range", self.eps_range), ("phi_range", self.phi_range)):
+            if len(rng) == 3 and not math.isfinite(rng[2]):
+                raise InputError(f"{name} {rng} has a non-finite step count")
             if len(rng) != 3 or rng[1] < rng[0] or int(rng[2]) < 1:
                 raise InputError(f"malformed grid range {rng}")
             if not (math.isfinite(rng[0]) and math.isfinite(rng[1])):

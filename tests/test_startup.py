@@ -1,11 +1,18 @@
-"""A CLI run imports scipy.optimize only when it uses it, and never scipy.sparse.
+"""A CLI run loads scipy.linalg at its first solve, scipy.optimize only when it
+uses it, and never scipy.sparse.
 
-scipy.optimize serves the peak search and the collapse polish; none of the
-runs below calls them.  No module of the package imports scipy.sparse (the
-Fock-state oracles that used it live in tests/reference.py), and the runs
-must not load it through a dependency either.  Each case runs in a fresh
-interpreter, because sys.modules of the test process already holds both.
-The sizes are the bench's ``tiny`` scale.
+No module of the package imports scipy when it is itself imported: the
+eigensolver and the Sternheimer solve import scipy.linalg (for its LAPACK
+routines) inside the functions that call it, and scaling imports
+scipy.optimize inside the peak search and the collapse polish, none of which
+the runs below call.  So `import kerrqgt.cli`, --help, an input error, plots
+and a no-op rerun load none of the three, and a run that solves loads
+scipy.linalg alone; those runs show that the probe sees it.  No module of the
+package imports scipy.sparse (the Fock-state oracles that used it live in
+tests/reference.py), and the runs must not load it through a dependency
+either.  Each case runs in a fresh interpreter, because sys.modules of the
+test process already holds all three.  The sizes are the bench's ``tiny``
+scale.
 """
 
 import ast
@@ -19,35 +26,59 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-DEFERRED = ("scipy.optimize", "scipy.sparse")
+DEFERRED = ("scipy.linalg", "scipy.optimize", "scipy.sparse")
+SOLVED = ["scipy.linalg"]
 
 PROBE = f"""\
 import json, sys
 import kerrqgt.cli as cli
-status = cli.main(sys.argv[1:]) if sys.argv[1:] else 0
+try:
+    status = cli.main(sys.argv[1:]) if sys.argv[1:] else 0
+except SystemExit as exit:
+    status = exit.code
 print(json.dumps([status, [m for m in {DEFERRED!r} if m in sys.modules]]))
+"""
+
+# a grid step count that only a library caller can pass: the command line
+# parses counts with int() and a config file rejects non-finite numbers
+CONFIG_PROBE = f"""\
+import json, sys
+from kerrqgt.errors import InputError
+from kerrqgt.sweep import SweepConfig
+try:
+    SweepConfig(mode="qgt", out_dir="x", eps_range=(0.0, 1.0, float(sys.argv[1])))
+    error = None
+except InputError as exc:
+    error = str(exc)
+print(json.dumps([error, [m for m in {DEFERRED!r} if m in sys.modules]]))
 """
 
 SIZES = "40,50,60,70,85"
 SCALING = ["scaling", "--L-list", SIZES, "--ncut", "200", "--bracket", "1.05:1.45",
            "--eps-window", "1.05:1.40", "--eps-step", "0.01"]
+# case: (argv, a file the run writes, [exit status, deferred modules loaded])
 CASES = {
-    "import": ([], None),
+    "import": ([], None, [0, []]),
+    "help": (["--help"], None, [0, []]),
+    "input-error": (["phase-diagram", "--L", "nan", "--eps", "0:1.5:3"], None, [2, []]),
+    "plots": (["plots"], "plot_qgt_peaks.py", [0, []]),
+    # the scaling run of scaling_dir again: its manifest verifies, nothing is solved
+    "scaling-rerun": (SCALING, None, [0, []]),
     "phase-diagram": (["phase-diagram", "--L", "200", "--eps", "0:1.5:7",
-                       "--phi", "0:1.5:2", "--ncut", "160"], "phase_diagram.csv"),
+                       "--phi", "0:1.5:2", "--ncut", "160"], "phase_diagram.csv", [0, SOLVED]),
     "qgt-both": (["qgt", "--L-list", "40,60", "--eps", "0.95:1.06:3", "--phi", "0.3",
-                  "--method", "both", "--ncut", "120"], "qgt.csv"),
-    "plots": (["plots"], "plot_qgt_peaks.py"),
+                  "--method", "both", "--ncut", "120"], "qgt.csv", [0, SOLVED]),
     # the same sizes, cutoff and bracket as SCALING, so its report is reused
     "k0-reusing-report": (["k0", "--ncut-list", "60,84,120,170,240", "--L-list", SIZES,
-                           "--ncut", "200", "--bracket", "1.05:1.45"], "k0_report.json"),
+                           "--ncut", "200", "--bracket", "1.05:1.45"], "k0_report.json",
+                          [0, SOLVED]),
 }
 
 
-def _run(argv, cwd):
-    """cli.main(argv) in a fresh interpreter: [exit status, deferred modules loaded]."""
+def _run(argv, cwd, probe=PROBE):
+    """The probe in a fresh interpreter: the JSON list its last line prints."""
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    proc = subprocess.run([sys.executable, "-c", PROBE, *argv], cwd=cwd, env=env,
+    proc = subprocess.run([sys.executable, "-c", probe, *argv], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
@@ -55,7 +86,7 @@ def _run(argv, cwd):
 
 @pytest.fixture(scope="module")
 def scaling_dir(tmp_path_factory):
-    """A tiny scaling report, made in a process of its own."""
+    """A tiny scaling report and its manifest, made in a process of its own."""
     out = tmp_path_factory.mktemp("scaling")
     status, _ = _run([*SCALING, "--out", str(out)], out)
     assert status == 0
@@ -64,19 +95,28 @@ def scaling_dir(tmp_path_factory):
 
 @pytest.mark.parametrize("case", CASES)
 def test_cli_run_leaves_optimize_and_sparse_unloaded(case, tmp_path, scaling_dir):
-    argv, output = CASES[case]
+    argv, output, expected = CASES[case]
     if argv:
         # every run finds a scaling report in its output directory, as in the README flow
-        shutil.copy(scaling_dir / "scaling_report.json", tmp_path)
+        shutil.copytree(scaling_dir, tmp_path, dirs_exist_ok=True)
         argv = [*argv, "--out", str(tmp_path)]
-    assert _run(argv, tmp_path) == [0, []]
+    before = sorted(tmp_path.iterdir())
+    assert _run(argv, tmp_path) == expected
     if output:
         assert (tmp_path / output).is_file()
+    else:
+        assert sorted(tmp_path.iterdir()) == before
 
 
-def _imported_modules(path):
-    """Every module an import statement of the source file names."""
-    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+@pytest.mark.parametrize("steps", ["inf", "nan"])
+def test_non_finite_grid_step_count_is_an_input_error(steps, tmp_path):
+    assert _run([steps], tmp_path, CONFIG_PROBE) == [
+        f"eps_range (0.0, 1.0, {steps}) has a non-finite step count", []]
+
+
+def _imported_modules(nodes):
+    """Every module an import statement among the nodes names."""
+    for node in nodes:
         if isinstance(node, ast.Import):
             yield from (alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
@@ -84,10 +124,35 @@ def _imported_modules(path):
             yield from (f"{node.module}.{alias.name}" for alias in node.names)
 
 
-def test_no_package_module_imports_sparse():
+def _import_time_nodes(node):
+    """The nodes under node that run when its module is imported: all but
+    the bodies of functions."""
+    for child in ast.iter_child_nodes(node):
+        yield child
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield from _import_time_nodes(child)
+
+
+def _package_sources():
     sources = sorted((ROOT / "src").rglob("*.py"))
     assert sources
-    offenders = [f"{path.relative_to(ROOT)}: {name}" for path in sources
-                 for name in _imported_modules(path)
+    return [(path, ast.parse(path.read_text(), filename=str(path))) for path in sources]
+
+
+def test_no_package_module_imports_sparse():
+    offenders = [f"{path.relative_to(ROOT)}: {name}" for path, tree in _package_sources()
+                 for name in _imported_modules(ast.walk(tree))
                  if name == "scipy.sparse" or name.startswith("scipy.sparse.")]
     assert offenders == []
+
+
+def test_no_package_module_imports_scipy_at_import_time():
+    sources = _package_sources()
+    offenders = [f"{path.relative_to(ROOT)}: {name}" for path, tree in sources
+                 for name in _imported_modules(_import_time_nodes(tree))
+                 if name == "scipy" or name.startswith("scipy.")]
+    assert offenders == []
+    # the imports inside the solving functions are there, and the walk above skips them
+    inside = {path.name for path, tree in sources
+              if "scipy.linalg" in _imported_modules(ast.walk(tree))}
+    assert inside == {"eigensolver.py", "qgt.py"}
