@@ -10,7 +10,7 @@ import numpy as np
 
 from kerrqgt import (
     ModelParams,
-    gated_ground_row,
+    ground_state_row,
     normal_phase_qgt_limit,
     qgt_fd_row,
     qgt_spectral,
@@ -18,7 +18,7 @@ from kerrqgt import (
 )
 
 point = ModelParams.from_size(300, 0.85, phi=0.6, n_cut=600)
-spectral, (fd,) = qgt_spectral(point), qgt_fd_row(gated_ground_row([point]))
+spectral, (fd,) = qgt_spectral(point), qgt_fd_row(ground_state_row([point]))
 
 print(f"point: L = {point.effective_size:g}, eps = {point.eps}, phi = {point.phi}")
 print(f"{'':14}{'spectral':>14}{'finite diff':>14}{'rel dev':>12}")

@@ -42,7 +42,6 @@ from .oracle import (
 )
 from .qgt import (
     QGTResult,
-    gated_ground_row,
     qgt_fd_row,
     qgt_spectral,
     qgt_spectral_row,
@@ -72,8 +71,7 @@ __all__ = [
     "GroundState", "Spectrum", "eig_tridiagonal", "ground_state_row",
     "NormalPhaseSolution", "SuperradiantSolution", "normal_phase",
     "normal_phase_qgt_limit", "superradiant_phase", "superradiant_qgt_limit",
-    "QGTResult", "gated_ground_row", "qgt_fd_row",
-    "qgt_spectral", "qgt_spectral_row",
+    "QGTResult", "qgt_fd_row", "qgt_spectral", "qgt_spectral_row",
     "CollapseOptimum", "CurveFamily", "K0Report", "PowerLawFit", "ScalingReport",
     "ShiftedPowerFit", "collapse_objective", "extrapolate_critical_point",
     "fit_power_law", "k0_pipeline", "locate_peak", "nu_convergence",

@@ -18,7 +18,8 @@ class StepSizeError(ValueError):
 
 
 class GapError(ValueError):
-    """A sector gap is too small, relative to the spectral scale, for linear response."""
+    """A ground row's sector gap is too small, relative to its spectral scale, for
+    either tensor route: linear response or the overlap stencil."""
 
 
 class EigenConvergenceError(RuntimeError):

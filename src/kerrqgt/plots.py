@@ -1,10 +1,10 @@
 """Emission of self-contained matplotlib scripts for the standard figures.
 
 Each generated script reads only data files written by ``sweep.run`` (and
-listed in its manifests), revalidates its input schema, and saves a
-PNG next to the data.  Generation itself fails with SchemaError, before any
-script is written, when an input file cannot be read or lacks a required
-column or key.
+listed in its manifests) and saves a PNG next to the data; all are built from
+one template (_script).  Generation fails with SchemaError, before any script
+is written, when an input file cannot be read or lacks a required column or
+key; of the scripts, only the phase-diagram one checks its input again.
 """
 
 from __future__ import annotations
@@ -15,17 +15,25 @@ from .errors import SchemaError
 from .sweep import (PHASE_DIAGRAM_COLUMNS, QGT_COLUMNS, atomic_write_text, read_csv,
                     read_report)
 
-_PHASE_SCRIPT = '''"""Phase diagram: order parameter rho over the (eps, phi) grid."""
-import csv
-from pathlib import Path
 
-import matplotlib
-matplotlib.use("Agg")
-import matplotlib.pyplot as plt
-import numpy as np
+def _script(doc: str, data_file: str, body: str, png: str) -> str:
+    """A plot script with docstring doc: it reads data_file next to it (a CSV
+    as rows, a JSON report as report and its diagnostics as diag), runs body,
+    which draws on fig, and saves fig there as png."""
+    module, read = "csv", f'rows = list(csv.DictReader(open(here / "{data_file}")))\n'
+    if data_file.endswith(".json"):
+        module, read = "json", (f'report = json.loads((here / "{data_file}").read_text())\n'
+                                'diag = report["diagnostics"]\n')
+    return (f'"""{doc}"""\nimport {module}\nfrom pathlib import Path\n\n'
+            'import matplotlib\nmatplotlib.use("Agg")\nimport matplotlib.pyplot as plt\n'
+            'import numpy as np\n\nhere = Path(__file__).resolve().parent\n'
+            + read + body
+            + f'fig.tight_layout()\nfig.savefig(here / "{png}", dpi=160)\n'
+            f'print("wrote", here / "{png}")\n')
 
-here = Path(__file__).resolve().parent
-rows = list(csv.DictReader(open(here / "phase_diagram.csv")))
+
+_PHASE_SCRIPT = _script("Phase diagram: order parameter rho over the (eps, phi) grid.",
+                        "phase_diagram.csv", '''\
 required = ["eps", "phi", "L", "ncut", "mean_n", "rho", "warn"]
 missing = [c for c in required if c not in rows[0]]
 if missing:
@@ -49,23 +57,11 @@ for j in range(0, len(phi_ax), max(1, len(phi_ax) // 4)):
 ax1.set_xlabel(r"$\\varepsilon$")
 ax1.set_ylabel(r"$\\rho$")
 ax1.legend(fontsize=8)
-fig.tight_layout()
-fig.savefig(here / "phase_diagram.png", dpi=160)
-print("wrote", here / "phase_diagram.png")
-'''
+''', "phase_diagram.png")
 
-_PEAKS_SCRIPT = '''"""Rescaled metric curves with the extrapolated critical point, plus collapse."""
-import json
-from pathlib import Path
-
-import matplotlib
-matplotlib.use("Agg")
-import matplotlib.pyplot as plt
-import numpy as np
-
-here = Path(__file__).resolve().parent
-report = json.loads((here / "scaling_report.json").read_text())
-diag = report["diagnostics"]
+_PEAKS_SCRIPT = _script(
+    "Rescaled metric curves with the extrapolated critical point, plus collapse.",
+    "scaling_report.json", '''\
 sizes = np.array(diag["sizes"])
 grid = np.array(diag["family_eps_grid"])
 gee = np.array(diag["family_g_ee"])
@@ -92,23 +88,10 @@ ax1.set_xlabel(r"$L^{1/\\nu} (\\varepsilon - \\varepsilon_c^*)$")
 ax1.set_ylabel(r"$g_{\\varepsilon\\varepsilon} L^{-2/\\nu}$")
 ax1.set_title(f"collapse at nu = {nu:.3f}, eps_c* = {ec:.4f}")
 ax1.legend(fontsize=8)
-fig.tight_layout()
-fig.savefig(here / "qgt_peaks.png", dpi=160)
-print("wrote", here / "qgt_peaks.png")
-'''
+''', "qgt_peaks.png")
 
-_FITS_SCRIPT = '''"""Exponent fits: local correlation-length estimates and the g_pp dimension."""
-import json
-from pathlib import Path
-
-import matplotlib
-matplotlib.use("Agg")
-import matplotlib.pyplot as plt
-import numpy as np
-
-here = Path(__file__).resolve().parent
-report = json.loads((here / "scaling_report.json").read_text())
-diag = report["diagnostics"]
+_FITS_SCRIPT = _script("Exponent fits: local correlation-length estimates and the g_pp dimension.",
+                       "scaling_report.json", '''\
 sizes = np.array(diag["sizes"])
 pair_sizes = np.array(diag["pair_sizes"])
 nus = 2.0 / np.array(diag["pair_slopes_gee"])
@@ -131,23 +114,10 @@ ax1.plot(np.log(sizes), slope * np.log(sizes) + b, "-", label=f"slope {slope:.4f
 ax1.set_xlabel("ln L")
 ax1.set_ylabel(r"$\\ln g_{\\phi\\phi}$")
 ax1.legend(fontsize=8)
-fig.tight_layout()
-fig.savefig(here / "scaling_fits.png", dpi=160)
-print("wrote", here / "scaling_fits.png")
-'''
+''', "scaling_fits.png")
 
-_CURVATURE_SCRIPT = '''"""Berry curvature curves and their collapse at fixed dimension 1."""
-import json
-from pathlib import Path
-
-import matplotlib
-matplotlib.use("Agg")
-import matplotlib.pyplot as plt
-import numpy as np
-
-here = Path(__file__).resolve().parent
-report = json.loads((here / "scaling_report.json").read_text())
-diag = report["diagnostics"]
+_CURVATURE_SCRIPT = _script("Berry curvature curves and their collapse at fixed dimension 1.",
+                            "scaling_report.json", '''\
 sizes = np.array(diag["sizes"])
 grid = np.array(diag["family_eps_grid"])
 fep = np.array(diag["family_f_ep"])
@@ -167,23 +137,10 @@ ax1.set_xlabel(r"$L^{1/\\nu'} (\\varepsilon - \\varepsilon_c^*)$")
 ax1.set_ylabel(r"$|F_{\\varepsilon\\phi}| L^{-\\Delta_{\\varepsilon\\phi}}$")
 ax1.set_title(f"collapse at nu' = {opt['nu']:.3f}")
 ax1.legend(fontsize=8)
-fig.tight_layout()
-fig.savefig(here / "curvature.png", dpi=160)
-print("wrote", here / "curvature.png")
-'''
+''', "curvature.png")
 
-_K0_SCRIPT = '''"""Cutoff-scaling panels at zero Kerr nonlinearity (log-log fits)."""
-import json
-from pathlib import Path
-
-import matplotlib
-matplotlib.use("Agg")
-import matplotlib.pyplot as plt
-import numpy as np
-
-here = Path(__file__).resolve().parent
-report = json.loads((here / "k0_report.json").read_text())
-diag = report["diagnostics"]
+_K0_SCRIPT = _script("Cutoff-scaling panels at zero Kerr nonlinearity (log-log fits).",
+                     "k0_report.json", '''\
 nc = np.array(diag["ncut_list"], dtype=float)
 
 panels = [
@@ -208,10 +165,7 @@ ax.axhline(report["delta_nbar"], ls="--", label=f"limit {report['delta_nbar']:.4
 ax.set_xlabel("1/L")
 ax.set_ylabel("photon-number exponent")
 ax.legend(fontsize=8)
-fig.tight_layout()
-fig.savefig(here / "k0_scaling.png", dpi=160)
-print("wrote", here / "k0_scaling.png")
-'''
+''', "k0_scaling.png")
 
 
 def _check_csv_schema(path: Path, required: list[str]) -> None:

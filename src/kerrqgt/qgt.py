@@ -8,11 +8,12 @@ Two independent routes are provided and must agree:
   for the Berry curvature, in real arithmetic on the even-sector vectors,
   where the drive phase drops out (_fd.tensor_fd, qgt_fd_row).
 
-Both row kernels take one argument, the centre row: gated_ground_row of the
-grid points, a GroundState that records the points it was solved for.  A
-sweep solves it once for both routes (at the cutoff the sweep certifies for
-the row); the stencil vectors around each point are seeded from its
-certified pair (eigensolver), not bisected.
+Both row kernels take one argument, the centre row: ground_state_row of the
+grid points, a GroundState that records the points it was solved for.  Each
+gap-gates every row it reads, centre and stencil satellites alike (_gap_gate).
+A sweep solves the centre row once for both routes (at the cutoff the sweep
+certifies for the row); the stencil vectors around each point are seeded
+from its certified pair (eigensolver), not bisected.
 
 The linear-response route also gives d g_ee / d eps analytically (third-order
 response: a second back-substitution on the factorisation of the first
@@ -91,13 +92,11 @@ class QGTResult:
             raise ValueError(f"metric is not positive semidefinite: eigmin = {eigmin:.3e}")
 
 
-def gated_ground_row(points, seed: np.ndarray | None = None) -> GroundState:
-    """The even ground states of a row of points (ground_state_row, seeded
-    rows as eig_tridiagonal takes them), each gap certified above GAP_FLOOR x
-    its Gershgorin bound (GapError otherwise).  On a row of grid points this
-    is the centre row that both tensor routes read."""
-    ground = ground_state_row(points, seed)
-    gap, scale = ground.gap, ground.spectrum.scale
+def _gap_gate(ground: GroundState) -> GroundState:
+    """ground, each gap of its row certified above GAP_FLOOR x its Gershgorin
+    bound (GapError otherwise, naming the point): every row a tensor route
+    reads passes through here."""
+    gap, scale, points = ground.gap, ground.spectrum.scale, ground.points
     _certify(gap > GAP_FLOOR * scale, ground.block,
              lambda m: f"sector gap {gap[m]:.3e} is below the floor {GAP_FLOOR:g} x "
                        f"Gershgorin bound {scale[m]:.3e} at eps={points[m].eps:g}, "
@@ -168,13 +167,15 @@ def _sternheimer(block, e0: np.ndarray, u0: np.ndarray, rhs: np.ndarray,
 
 
 def _response(ground: GroundState, powers: int):
-    """The eps response on ground, a gap-gated row of even ground states
-    (gated_ground_row) of points that share delta, kerr and n_cut.
+    """The eps response on ground, a row of even ground states
+    (ground_state_row) of points that share delta, kerr and n_cut, whose gaps
+    it gates first (_gap_gate).
 
     Returns C = dT/deps (its off-diagonal band, the same for every eps),
     dE0 = u0.C u0 (Hellmann-Feynman) and the Sternheimer solutions
     [y, R y, ...] for y = R (C u0 - dE0 u0), each (M, N).
     """
+    _gap_gate(ground)
     u0, first = ground.vectors, ground.points[0]
     band = -(first.delta / 2.0) * sector_arrays(first.delta, first.kerr, first.n_cut)[1]
     rhs = _tridiagonal_multiply(0.0, band, u0)
@@ -196,7 +197,7 @@ def _spectral_results(ground: GroundState, y: np.ndarray) -> list[QGTResult]:
 
 def qgt_spectral_row(ground: GroundState) -> list[QGTResult]:
     """Geometric tensors of the points of a centre row ground =
-    gated_ground_row(points), points that share delta, kerr and n_cut.
+    ground_state_row(points), points that share delta, kerr and n_cut.
 
     One Sternheimer solve per row gives every point's tensor exactly as
     qgt_spectral gives it alone.
@@ -220,7 +221,7 @@ def qgt_spectral(params: ModelParams) -> QGTResult:
     even-sector eigenbasis, evaluated without the eigenbasis.  It is the row
     of one point (qgt_spectral_row).
     """
-    return qgt_spectral_row(gated_ground_row([params]))[0]
+    return qgt_spectral_row(ground_state_row([params]))[0]
 
 
 def g_ee_slope_step(params: ModelParams) -> tuple[float, Callable[[], QGTResult]]:
@@ -239,7 +240,7 @@ def g_ee_slope_step(params: ModelParams) -> tuple[float, Callable[[], QGTResult]
     off, so a search that steps on the slope gets the tensor at its final
     step without a further solve.
     """
-    ground = gated_ground_row([params])
+    ground = ground_state_row([params])
     band, (de0,), (y, z) = _response(ground, powers=2)
     slope = float(-4.0 * (z[0] @ (_tridiagonal_multiply(0.0, band, y[0]) - de0 * y[0])))
     return slope, lambda: _spectral_results(ground, y)[0]
@@ -247,7 +248,8 @@ def g_ee_slope_step(params: ModelParams) -> tuple[float, Callable[[], QGTResult]
 
 def _even_ground_family(ground: GroundState, step_eps: float) -> list[dict]:
     """The stencil vectors of the points of a centre row ground =
-    gated_ground_row(points), points that share delta, kerr and n_cut.
+    ground_state_row(points), points that share delta, kerr and n_cut, whose
+    gaps it gates first (_gap_gate).
 
     Every other eps of a point's stencils (stencil_eps) is a satellite of
     that point: one gap-gated stacked solve of all the row's satellites, each
@@ -256,6 +258,7 @@ def _even_ground_family(ground: GroundState, step_eps: float) -> list[dict]:
     their real ground vectors on ground.levels (its own eps read off the
     centre row), so a point's stencil owes nothing to its neighbours.
     """
+    _gap_gate(ground)
     owners, satellites = [], []
     for i, p in enumerate(ground.points):
         stencil = stencil_eps(p.eps, step_eps) - {float(p.eps)}
@@ -263,7 +266,7 @@ def _even_ground_family(ground: GroundState, step_eps: float) -> list[dict]:
         satellites += [p.replace(eps=eps) for eps in sorted(stencil)]
     tables = [{float(p.eps): u} for p, u in zip(ground.points, ground.vectors)]
     if satellites:
-        solved = gated_ground_row(satellites, seed=ground.spectrum.eigenvectors[owners])
+        solved = _gap_gate(ground_state_row(satellites, seed=ground.spectrum.eigenvectors[owners]))
         for i, p, u in zip(owners, satellites, solved.vectors):
             tables[i][p.eps] = u
     return tables
@@ -272,7 +275,7 @@ def _even_ground_family(ground: GroundState, step_eps: float) -> list[dict]:
 def qgt_fd_row(ground: GroundState, step_eps: float = DEFAULT_STEP_EPS,
                step_phi: float = DEFAULT_STEP_PHI) -> list[QGTResult]:
     """Geometric tensors of the points of a centre row ground =
-    gated_ground_row(points), points that share delta, kerr and n_cut, by
+    ground_state_row(points), points that share delta, kerr and n_cut, by
     the gauge-invariant overlap stencil tensor_fd on real vectors.
 
     One seeded solve of every point's stencil satellites (_even_ground_family)

@@ -8,7 +8,10 @@ The end-to-end pipelines assemble the critical point, the correlation-length
 exponent, the scaling dimensions of the geometric tensor, the data-collapse
 qualities, and the cutoff-scaling study without Kerr nonlinearity.  The
 finite-Kerr pipeline solves each size at the smallest Fock cutoff of a fixed
-ladder that the tail gate certifies, up to the cap it is given.
+ladder that the tail gate certifies, up to the cap it is given.  Its family
+rows and peak steps go through the tensor kernels, which gap-gate every row
+they read (qgt.GAP_FLOOR); a cutoff probe reads only the tail weight of an
+ungated ground_state_row.
 scipy.optimize is imported at the first call of locate_peak or
 optimize_collapse, its only users, so that a run which calls neither does not
 load it.
@@ -38,7 +41,7 @@ import numpy as np
 from .eigensolver import ground_state_row
 from .errors import BracketError, FitError, InputError, WindowError
 from .model import ModelParams, TAIL_TOLERANCE
-from .qgt import gated_ground_row, g_ee_slope_step, qgt_spectral, qgt_spectral_row, QGTResult
+from .qgt import g_ee_slope_step, qgt_spectral, qgt_spectral_row, QGTResult
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -359,13 +362,13 @@ class CollapseOptimum:
     boundary_warning: bool
 
 
-def optimize_collapse(family: CurveFamily, delta_jk: float | None,
+def optimize_collapse(family: CurveFamily, delta_jk: float,
                       nu_range: tuple[float, float],
                       ec_range: tuple[float, float]) -> CollapseOptimum:
-    """Minimize the collapse objective over (nu, eps_c*).
+    """Minimize the collapse objective over (nu, eps_c*) at the fixed ordinate
+    exponent delta_jk.
 
-    delta_jk is held fixed when given; delta_jk=None ties it to 2/nu during
-    the search.  A coarse grid seeds a Nelder-Mead polish with a fixed initial
+    A coarse grid seeds a Nelder-Mead polish with a fixed initial
     simplex, so the result is deterministic.  Each seed is evaluated with the
     best value so far as collapse_objective's bound, so a seed that cannot
     win stops early; the seed kept is the first smallest value, as without
@@ -376,9 +379,8 @@ def optimize_collapse(family: CurveFamily, delta_jk: float | None,
         nu, ec = float(point[0]), float(point[1])
         if not (nu_range[0] <= nu <= nu_range[1] and ec_range[0] <= ec <= ec_range[1]):
             return np.inf
-        d = 2.0 / nu if delta_jk is None else delta_jk
         try:
-            return collapse_objective(family, d, nu, ec, above=above)
+            return collapse_objective(family, delta_jk, nu, ec, above=above)
         except WindowError:
             return np.inf
 
@@ -439,7 +441,7 @@ def sweep_family(sizes: Sequence[float], eps_grid: np.ndarray, n_cut: int,
     """Spectral tensor on sizes x eps_grid, one row kernel call per size."""
     rows = ([ModelParams.from_size(L, e, n_cut=n_cut, delta=delta) for e in eps_grid]
             for L in sizes)
-    return [qgt_spectral_row(gated_ground_row(points)) for points in rows]
+    return [qgt_spectral_row(ground_state_row(points)) for points in rows]
 
 
 def _cutoff_ladder(cap: int) -> list[int]:

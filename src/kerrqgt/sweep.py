@@ -5,7 +5,11 @@ The mode function named by ``config.mode`` in ``MODES`` computes the output
 texts, evaluating its grid points in grid order; ``run`` then writes each text
 to a temporary name and renames it atomically, and writes the manifest last,
 so its presence certifies a completed run.  A rerun whose manifest is current
-computes and writes nothing.
+computes and writes nothing.  In the qgt mode a grid point whose solve or
+gap certificate fails (POINT_ERRORS; the tensor kernels gap-gate every row
+they read) is dropped with a manifest warning that names it.  The cutoff
+probes and the phase diagram, which read only the photon distribution, are
+not gap-gated.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from .eigensolver import ground_state_row
 from .errors import (CutoffError, EigenConvergenceError, GapError, InputError, SchemaError,
                      StepSizeError)
 from .model import ModelParams
-from .qgt import gated_ground_row, qgt_fd_row, qgt_spectral_row
+from .qgt import qgt_fd_row, qgt_spectral_row
 from .scaling import (
     CurveFamily,
     ScalingReport,
@@ -322,7 +326,7 @@ def _row_or_points(kernel, items, ground) -> list:
     """kernel(ground), one result per item, where ground is the centre row of
     items or None if it failed.  If it is None or the row fails with one of
     POINT_ERRORS, each item is solved as a row of its own,
-    kernel(gated_ground_row([item])), and a failing item gets its exception
+    kernel(ground_state_row([item])), and a failing item gets its exception
     in place of a result, so only that item is dropped."""
     if ground is not None:
         try:
@@ -332,7 +336,7 @@ def _row_or_points(kernel, items, ground) -> list:
     results = []
     for item in items:
         try:
-            results += kernel(gated_ground_row([item]))
+            results += kernel(ground_state_row([item]))
         except POINT_ERRORS as exc:
             results.append(exc)
     return results
@@ -341,10 +345,10 @@ def _row_or_points(kernel, items, ground) -> list:
 def _qgt(config: SweepConfig, out: Path) -> ModeResult:
     """Tensor components on a (size, eps) grid at fixed phi.  Each size is one
     row at the cutoff _solve_adaptive picks from _cutoff_ladder(n_cut), probed
-    at its top eps from the lowest rung: one centre row (gated_ground_row) of
+    at its top eps from the lowest rung: one centre row (ground_state_row) of
     its grid points, which each selected row kernel, qgt_spectral_row and/or
-    qgt_fd_row, reads; each eps gets its spectral row first, then its fd row.
-    A point whose centre fails loses both rows."""
+    qgt_fd_row, gap-gates and reads; each eps gets its spectral row first, then
+    its fd row.  A point whose centre fails loses both rows."""
     eps_grid = np.linspace(*config.eps_range[:2], int(config.eps_range[2]))
     kernels = {"spectral": qgt_spectral_row, "fd": qgt_fd_row}
     methods = ["spectral", "fd"] if config.method == "both" else [config.method]
@@ -357,7 +361,7 @@ def _qgt(config: SweepConfig, out: Path) -> ModeResult:
         def solve(n_cut):
             row = [p.replace(n_cut=n_cut) for p in points]
             try:
-                centres = gated_ground_row(row)
+                centres = ground_state_row(row)
             except POINT_ERRORS:
                 centres = None
             return [_row_or_points(kernels[method], row, centres) for method in methods]

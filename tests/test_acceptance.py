@@ -18,7 +18,6 @@ from kerrqgt import (
     ModelParams,
     collapse_objective,
     eig_tridiagonal,
-    gated_ground_row,
     ground_state_row,
     k0_pipeline,
     normal_phase,
@@ -175,7 +174,7 @@ def test_criterion_6_property_suite():
         p = ModelParams.from_size(size, eps, phi=float(rng.uniform(0, 2 * np.pi)),
                                   n_cut=400)
         spectral = qgt_spectral(p)
-        fd = qgt_fd_row(gated_ground_row([p]))[0]
+        fd = qgt_fd_row(ground_state_row([p]))[0]
         worst = max(worst,
                     abs(fd.g_ee / spectral.g_ee - 1.0),
                     abs(fd.g_pp / spectral.g_pp - 1.0),

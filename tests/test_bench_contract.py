@@ -51,7 +51,7 @@ def test_traced_kernels_call_eig_tridiagonal(eig_calls, kernel):
     # qgt_fd_row counts only the row kernel's own stencil solve
     params = ModelParams.from_size(150, 0.9, phi=0.3, n_cut=200)
     if kernel.startswith("qgt_fd"):
-        ground = kerrqgt.gated_ground_row([params])
+        ground = kerrqgt.ground_state_row([params])
         if kernel == "qgt_fd_row":
             eig_calls.clear()
         kerrqgt.qgt_fd_row(ground)
@@ -81,13 +81,16 @@ def test_qgt_point_eigensolve_count(tmp_path, eig_calls, method, calls, rows):
 
 def test_scaling_rows_solve_at_most_half_the_fixed_cutoff_work(monkeypatch, eig_calls):
     # Every cutoff probe is a one-point ground_state_row, so it goes through
-    # eig_tridiagonal and the bench's residual gate sees it.
+    # eig_tridiagonal and the bench's residual gate sees it.  The family rows
+    # are ground_state_row calls of many points; only the one-point calls are
+    # probes.
     probes = []
 
-    def probe(points):
+    def probe(points, seed=None):
         before = len(eig_calls)
-        ground = kerrqgt.eigensolver.ground_state_row(points)
-        probes.append((eig_calls[before:], (1, points[0].n_cut // 2 + 1, False)))
+        ground = kerrqgt.eigensolver.ground_state_row(points, seed)
+        if len(points) == 1:
+            probes.append((eig_calls[before:], (1, points[0].n_cut // 2 + 1, False)))
         return ground
 
     monkeypatch.setattr(kerrqgt.scaling, "ground_state_row", probe)

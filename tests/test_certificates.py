@@ -17,7 +17,7 @@ from kerrqgt import (
     EigenConvergenceError,
     GapError,
     ModelParams,
-    gated_ground_row,
+    ground_state_row,
     qgt_spectral_row,
     sector_block,
 )
@@ -82,7 +82,7 @@ def _unprojected_overlap(monkeypatch):
 
 
 def _spectral_row(points):
-    return qgt_spectral_row(gated_ground_row(points))
+    return qgt_spectral_row(ground_state_row(points))
 
 
 CASES = {

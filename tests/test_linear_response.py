@@ -10,7 +10,6 @@ from kerrqgt import (
     GapError,
     ModelParams,
     eig_tridiagonal,
-    gated_ground_row,
     ground_state_row,
     qgt_fd_row,
     qgt_spectral,
@@ -200,7 +199,7 @@ def test_hot_paths_never_decompose_fully(monkeypatch):
     p = ModelParams.from_size(150, 0.95, phi=0.4, n_cut=400)
     qgt_spectral(p)
     ground_state_row([p])
-    qgt_fd_row(gated_ground_row([p]))
+    qgt_fd_row(ground_state_row([p]))
     assert calls and set(calls) == {"i"}
     # the spy sees a full decomposition when one is made
     full_spectrum(sector_block([p]))

@@ -6,7 +6,7 @@ import pytest
 from kerrqgt import (
     ModelParams,
     StepSizeError,
-    gated_ground_row,
+    ground_state_row,
     normal_phase_qgt_limit,
     qgt_fd_row,
     qgt_spectral,
@@ -121,7 +121,7 @@ def test_phi_independence_of_tensor():
 
 
 def test_fd_metric_at_zero_drive():
-    (fd,) = qgt_fd_row(gated_ground_row([ModelParams(delta=1.0, kerr=0.0, eps=0.0, n_cut=64)]),
+    (fd,) = qgt_fd_row(ground_state_row([ModelParams(delta=1.0, kerr=0.0, eps=0.0, n_cut=64)]),
                        step_eps=1e-3, step_phi=1e-3)
     assert fd.method == "fd"
     assert fd.g_ee == pytest.approx(0.125, abs=1e-4)
@@ -132,7 +132,7 @@ def test_fd_metric_at_zero_drive():
 def test_method_triangle_reference_point():
     p = ModelParams.from_size(300, 0.9, n_cut=800)
     spectral = qgt_spectral(p)
-    fd = qgt_fd_row(gated_ground_row([p]))[0]
+    fd = qgt_fd_row(ground_state_row([p]))[0]
     assert fd.g_ee == pytest.approx(spectral.g_ee, rel=1e-5)
     assert fd.g_pp == pytest.approx(spectral.g_pp, rel=1e-5)
     assert fd.f_ep == pytest.approx(spectral.f_ep, rel=1e-4)
@@ -143,17 +143,17 @@ def test_plaquette_orientation_antisymmetry():
     # (hence the curvature estimate) of the complex slow path must flip sign
     # exactly; the real stencil's loop phase runs the same way round.
     p = ModelParams.from_size(200, 0.8, phi=0.4, n_cut=400)
-    ground = gated_ground_row([p])
+    ground = ground_state_row([p])
     (table,) = _even_ground_family(ground, 1e-4)
     fam = gauge_family(table, ground.levels)
     plain = complex_tensor_fd(fam, p.eps, p.phi, 1e-4, 1e-3)[3]
     mirrored = complex_tensor_fd(lambda e, ph: fam(e, -ph), p.eps, -p.phi, 1e-4, 1e-3)[3]
     assert mirrored == pytest.approx(-plain, rel=1e-10)
-    assert qgt_fd_row(gated_ground_row([p]), 1e-4, 1e-3)[0].f_ep == pytest.approx(plain)
+    assert qgt_fd_row(ground_state_row([p]), 1e-4, 1e-3)[0].f_ep == pytest.approx(plain)
 
 
 def test_plaquette_vanishes_at_zero_drive():
-    (fd,) = qgt_fd_row(gated_ground_row([ModelParams(delta=1.0, kerr=0.0, eps=0.0, n_cut=64)]),
+    (fd,) = qgt_fd_row(ground_state_row([ModelParams(delta=1.0, kerr=0.0, eps=0.0, n_cut=64)]),
                        step_eps=1e-3, step_phi=1e-3)
     assert abs(fd.f_ep) <= 1e-8
 
@@ -169,7 +169,7 @@ def test_fidelity_susceptibility_values():
 def test_fidelity_far_from_criticality():
     # 0.501 is a stencil satellite of 0.5 at step 2e-3, seeded from it
     (table,) = _even_ground_family(
-        gated_ground_row([ModelParams.from_size(200, 0.5, n_cut=400)]), 2e-3)
+        ground_state_row([ModelParams.from_size(200, 0.5, n_cut=400)]), 2e-3)
     overlap = abs(table[0.5] @ table[0.501])
     assert overlap > 0.999999
 
@@ -179,9 +179,9 @@ def test_step_guards():
     # 3e-9 puts the eps-edge distances at 1.9e-18 and 4.8e-19, below the
     # precision floor, where the entries keep fewer than 6 digits
     with pytest.raises(StepSizeError, match="below the precision floor"):
-        qgt_fd_row(gated_ground_row([p]), step_eps=3e-9, step_phi=3e-9)
+        qgt_fd_row(ground_state_row([p]), step_eps=3e-9, step_phi=3e-9)
     with pytest.raises(StepSizeError):
-        qgt_fd_row(gated_ground_row([p]), step_eps=0.5, step_phi=0.5)  # quadratic regime left
+        qgt_fd_row(ground_state_row([p]), step_eps=0.5, step_phi=0.5)  # quadratic regime left
 
 
 # eps = 0 and h/4 take the boundary stencils, the others the centred ones
@@ -209,9 +209,9 @@ def test_stacked_family_equals_lazy_reference(eps):
     # solve bit for bit, and each seeded satellite agrees with it to rounding
     p = ModelParams.from_size(150, eps, phi=0.4, n_cut=300)
     lazy = lazy_even_ground_vectors(p)
-    ground = gated_ground_row([p])
+    ground = ground_state_row([p])
     (alone,) = _even_ground_family(ground, H_EPS)
-    shared, _ = _even_ground_family(gated_ground_row([p, p.replace(eps=eps + 0.01)]), H_EPS)
+    shared, _ = _even_ground_family(ground_state_row([p, p.replace(eps=eps + 0.01)]), H_EPS)
     assert alone.keys() == shared.keys() == stencil_eps(eps, H_EPS)
     for e, u in alone.items():
         assert np.array_equal(shared[e], u)
@@ -221,7 +221,7 @@ def test_stacked_family_equals_lazy_reference(eps):
             assert np.abs(u - lazy[e]).max() <= 1e-13
     assert ground.vectors.shape == (1, ground.block.size)
     assert np.array_equal(ground.levels, even_levels(p))
-    fd = qgt_fd_row(gated_ground_row([p]))[0]
+    fd = qgt_fd_row(ground_state_row([p]))[0]
     assert tensor(fd) == tensor_fd(alone, ground.levels, eps, H_EPS, H_PHI)
     assert_fd_matches_bisected(fd)
 
@@ -231,7 +231,7 @@ def test_fd_row_matches_bisected_slow_path(size):
     # boundary stencils at eps = 0 and h/4, the transition, and both phases
     eps_grid = [0.0, H_EPS / 4.0, 0.5, 0.97, 1.0, 1.03, 1.2, 1.4]
     points = [ModelParams.from_size(size, eps, phi=0.4, n_cut=400) for eps in eps_grid]
-    for fd in qgt_fd_row(gated_ground_row(points)):
+    for fd in qgt_fd_row(ground_state_row(points)):
         assert_fd_matches_bisected(fd)
 
 
@@ -249,8 +249,8 @@ def test_fd_matches_spectral_inside_the_domain():
               for eps in np.linspace(0.95 + shift, 1.06 + shift, 8)]
              for size, shift, phi in BENCH_ROWS]
     for points in rows:
-        for fd, spectral in zip(qgt_fd_row(gated_ground_row(points)),
-                                qgt_spectral_row(gated_ground_row(points))):
+        for fd, spectral in zip(qgt_fd_row(ground_state_row(points)),
+                                qgt_spectral_row(ground_state_row(points))):
             assert_fd_close(fd, tensor(spectral))
 
 
@@ -261,7 +261,7 @@ def test_boundary_stencil_is_second_order(eps):
     # which is odd in eps (measured 7.0-8.0); a first-order rule gives 2
     p = ModelParams.from_size(150, eps, phi=0.4, n_cut=300)
     spectral = qgt_spectral(p)
-    coarse, fine = (qgt_fd_row(gated_ground_row([p]), k * H_EPS, k * H_PHI)[0]
+    coarse, fine = (qgt_fd_row(ground_state_row([p]), k * H_EPS, k * H_PHI)[0]
                     for k in (2.0, 1.0))
     for name in ("g_ee", "f_ep"):
         ref = getattr(spectral, name)
@@ -278,7 +278,7 @@ def test_fd_next_to_zero_drive_matches_spectral(eps):
     # 3.2e-7 (f_ep) on the boundary stencil at h/4, whose rule is second
     # order (an absolute 2e-12).
     p = ModelParams.from_size(150, eps, phi=0.4, n_cut=300)
-    fd, spectral = qgt_fd_row(gated_ground_row([p]))[0], qgt_spectral(p)
+    fd, spectral = qgt_fd_row(ground_state_row([p]))[0], qgt_spectral(p)
     bound = 1e-6 if eps < H_EPS / 2.0 else 1e-13
     for name in ("g_ee", "g_pp", "f_ep"):
         assert abs(getattr(fd, name) / getattr(spectral, name) - 1.0) <= bound, name
@@ -288,7 +288,7 @@ def test_fd_tensor_does_not_depend_on_phi():
     # the drive phase is a gauge rotation: the stencil's states differ only by
     # their gauge phases, which its real arithmetic never forms
     for size in (60, 300):
-        at = {phi: qgt_fd_row(gated_ground_row(
+        at = {phi: qgt_fd_row(ground_state_row(
                   [ModelParams.from_size(size, float(eps), phi=phi, n_cut=400)
                    for eps in np.linspace(0.3, 1.4, 12)]))
               for phi in (0.4, 4.1)}
@@ -304,7 +304,7 @@ def test_real_stencil_matches_complex_slow_path(size):
     # boundary is checked against the bisected fd route above)
     points = [ModelParams.from_size(size, eps, phi=0.4, n_cut=400)
               for eps in (0.3, 0.55, 0.97, 1.0, 1.03, 1.2, 1.4)]
-    ground = gated_ground_row(points)
+    ground = ground_state_row(points)
     tables = _even_ground_family(ground, H_EPS)
     for p, table in zip(points, tables):
         real = tensor_fd(table, ground.levels, p.eps, H_EPS, H_PHI)
@@ -319,10 +319,10 @@ def test_real_stencil_matches_complex_slow_path(size):
 def test_fd_row_equals_points_alone():
     # one stacked family over boundary (eps = 0, h/4) and centred stencils
     points = [ModelParams.from_size(150, eps, phi=0.4, n_cut=300) for eps in STENCIL_EPS]
-    row = qgt_fd_row(gated_ground_row(points))
+    row = qgt_fd_row(ground_state_row(points))
     assert len(row) == len(points)
     for r, p in zip(row, points):
-        single = qgt_fd_row(gated_ground_row([p]))[0]
+        single = qgt_fd_row(ground_state_row([p]))[0]
         assert r.params is p and r.method == single.method == "fd"
         assert (r.g_ee, r.g_pp, r.g_ep, r.f_ep) == (
             single.g_ee, single.g_pp, single.g_ep, single.f_ep)
@@ -336,7 +336,7 @@ def test_fd_row_equals_points_alone():
 def test_steps_must_be_positive_and_finite(steps):
     p = ModelParams.from_size(150, 0.8, phi=0.4, n_cut=300)
     vectors = lazy_even_ground_vectors(p)
-    for call in (lambda: qgt_fd_row(gated_ground_row([p]), *steps),
+    for call in (lambda: qgt_fd_row(ground_state_row([p]), *steps),
                  lambda: tensor_fd(vectors, even_levels(p), p.eps, *steps)):
         with pytest.raises(ValueError, match="steps must be positive and finite"):
             call()

@@ -14,7 +14,6 @@ from kerrqgt import (
     ModelParams,
     QGTResult,
     eig_tridiagonal,
-    gated_ground_row,
     ground_state_row,
     qgt_fd_row,
     qgt_spectral,
@@ -58,7 +57,7 @@ def test_stacked_blocks_are_the_single_blocks(row):
 @pytest.mark.parametrize("row", ROWS, ids=_label)
 def test_tensor_row_equals_single_calls(row):
     points = _row(*row, phi=0.4)
-    results = qgt_spectral_row(gated_ground_row(points))
+    results = qgt_spectral_row(ground_state_row(points))
     assert len(results) == len(points)
     for p, r in zip(points, results):
         single = qgt_spectral(p)
@@ -95,8 +94,8 @@ def test_fd_and_spectral_rows_share_the_context():
     # eps = 0 takes the boundary stencil; 1.3 is in the symmetry-broken regime
     points = _row(150, 400, [0.0, 0.5, 0.97, 1.3], phi=0.4)
     fields = ("gap", "mean_n", "var_n", "tail_weight", "cutoff_warning")
-    for fd, spectral in zip(qgt_fd_row(gated_ground_row(points)),
-                            qgt_spectral_row(gated_ground_row(points))):
+    for fd, spectral in zip(qgt_fd_row(ground_state_row(points)),
+                            qgt_spectral_row(ground_state_row(points))):
         assert (fd.method, spectral.method) == ("fd", "spectral")
         assert fd.params is spectral.params
         assert ([getattr(fd, name) for name in fields]
@@ -124,18 +123,20 @@ def test_gap_floor_names_the_point_of_the_row(monkeypatch):
     worst, runner_up = np.sort(ratios)[:2]
     m = int(np.argmin(ratios))
     assert 0 < m < len(points) - 1
-    # only the point with the smallest gap falls below the patched floor
+    # only the point with the smallest gap falls below the patched floor, and
+    # each route names that point of the centre row, not a stencil satellite
     monkeypatch.setattr(qgt, "GAP_FLOOR", 0.5 * (worst + runner_up))
-    with pytest.raises(GapError, match=rf"sector gap .* at eps={points[m].eps:g}, "
-                                       rf"kerr=0.00666667, n_cut=400$"):
-        qgt_spectral_row(gated_ground_row(points))
+    for kernel in (qgt_spectral_row, qgt_fd_row):
+        with pytest.raises(GapError, match=rf"row {m}: sector gap .* at eps={points[m].eps:g}, "
+                                           rf"kerr=0.00666667, n_cut=400$"):
+            kernel(ground_state_row(points))
 
 
 def test_row_points_must_share_everything_but_eps_and_phi():
     with pytest.raises(ValueError, match="differ in more than eps and phi"):
-        qgt_spectral_row(gated_ground_row([ModelParams.from_size(150, 0.9, n_cut=400),
+        qgt_spectral_row(ground_state_row([ModelParams.from_size(150, 0.9, n_cut=400),
                                            ModelParams.from_size(200, 0.9, n_cut=400)]))
-    for kernel in (ground_state_row, lambda points: qgt_spectral_row(gated_ground_row(points))):
+    for kernel in (ground_state_row, lambda points: qgt_spectral_row(ground_state_row(points))):
         with pytest.raises(ValueError, match="at least one point"):
             kernel([])
 

@@ -264,15 +264,16 @@ def test_pipeline_and_stored_family_collapse_equal_with_reference(tmp_path, monk
     path.write_text(dumps_json(asdict(fast)))
     stored = [family_from_report(load_scaling_report(path), name)
               for name in ("g_ee", "f_ep")]
+    # delta_ee is the ordinate exponent the collapse subcommand holds for g_ee
     fast_optima = [optimize_collapse(f, d, (1.2, 1.9), (1.0, 1.3))
-                   for f in stored for d in (None, 1.0)]
+                   for f in stored for d in (fast.delta_ee, 1.0)]
 
     # the reference objective has no early exit, so the seed bound is dropped
     monkeypatch.setattr(kerrqgt.scaling, "collapse_objective",
                         lambda *args, above=None: reference.collapse_objective(*args))
     assert asdict(fast) == asdict(scaling_pipeline(**tiny))
     assert fast_optima == [optimize_collapse(f, d, (1.2, 1.9), (1.0, 1.3))
-                           for f in stored for d in (None, 1.0)]
+                           for f in stored for d in (fast.delta_ee, 1.0)]
 
 
 def test_family_validation():

@@ -144,7 +144,7 @@ def test_bound_returns_the_value_or_inf_above_it(bench_families):
     assert stopped > 0
 
 
-@pytest.mark.parametrize("delta_jk", [None, 1.0])
+@pytest.mark.parametrize("delta_jk", [1.0])
 def test_seed_bound_keeps_the_optimum(bench_families, monkeypatch, delta_jk):
     ec_range = (0.97, 1.03)
     fast = [optimize_collapse(f, delta_jk, (1.2, 1.9), ec_range) for f in bench_families]

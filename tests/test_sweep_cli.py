@@ -646,6 +646,8 @@ def test_every_generated_plot_script_runs_on_stub_matplotlib(tmp_path):
         (stub / name).write_text(text)
     env = {**os.environ, "PYTHONPATH": str(stub.parent)}
     for script in scripts:
+        # a template error fails here with its line, before the script runs
+        compile(script.read_text(), script.name, "exec")
         proc = subprocess.run([sys.executable, str(script)], capture_output=True,
                               text=True, env=env)
         assert proc.returncode == 0, f"{script.name}: {proc.stderr}"
