@@ -12,9 +12,6 @@ ladder that the tail gate certifies, up to the cap it is given.  Its family
 rows and peak steps go through the tensor kernels, which gap-gate every row
 they read (qgt.GAP_FLOOR); a cutoff probe reads only the tail weight of an
 ungated ground_state_row.
-scipy.optimize is imported at the first call of locate_peak or
-optimize_collapse, its only users, so that a run which calls neither does not
-load it.
 
 Three shortcuts skip work that cannot change a result, each checked in the
 tests against the slow path it replaces:
@@ -62,6 +59,8 @@ DRIFT_EXPONENT_SCAN = 61
 SCREEN_ROUNDING = 1024
 PEAK_SCAN_POINTS = 8
 PEAK_XTOL = 1e-12
+BRENT_RTOL = 4 * float(np.finfo(float).eps)  # scipy brentq's defaults
+BRENT_MAXITER = 100
 COLLAPSE_SEED_GRID = (15, 9)  # (nu, eps_c*) points seeding the polish
 # Fock cutoffs that scaling_pipeline may solve a row at below its cap n_cut:
 # even rungs about 1.25x apart.  The cap itself is always the last rung.
@@ -92,6 +91,97 @@ def golden_section_min(f: Callable[[float], float], lo: float, hi: float,
     return (c, fc) if fc < fd else (d, fd)
 
 
+def brent_root(f: Callable[[float], float], xa: float, xb: float, xtol: float) -> float:
+    """Root of f in [xa, xb] by Brent's method, ported from scipy's brentq.c:
+    the same abscissae in the same order, so the root is always one that f was
+    evaluated at.  Raises BracketError on a same-sign bracket, ValueError on a
+    NaN value and RuntimeError after BRENT_MAXITER steps."""
+    def value(x):
+        if np.isnan(fx := float(f(x))):
+            raise ValueError(f"the function value at x={x} is NaN")
+        return fx
+
+    xpre, xcur = float(xa), float(xb)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0 or fcur == 0:
+        return xpre if fpre == 0 else xcur
+    if np.signbit(fpre) == np.signbit(fcur):
+        raise BracketError(f"f({xa:.6g}) = {fpre:.6g} and f({xb:.6g}) = {fcur:.6g} have one sign")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(BRENT_MAXITER):
+        if fpre != 0 and fcur != 0 and np.signbit(fpre) != np.signbit(fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        stry = np.inf  # an inf step bisects
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:  # C's step is then inf or NaN
+                pass
+        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, stry  # a good short step
+        else:
+            spre = scur = sbis  # bisect
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise RuntimeError(f"Brent's method did not converge in {BRENT_MAXITER} steps; last x={xcur}")
+
+
+def nelder_mead(f: Callable[[np.ndarray], float], x0: Sequence[float], xatol: float,
+                fatol: float, maxiter: int) -> tuple[np.ndarray, float]:
+    """Minimum (x, f(x)) near x0 by scipy's non-adaptive Nelder-Mead without
+    bounds, ported line for line (the same points in the same order); it stops
+    within xatol and fatol of the best vertex or after maxiter iterations."""
+    x0 = np.asarray(x0, dtype=float).ravel()
+    n = len(x0)
+    sim = np.tile(x0, (n + 1, 1))
+    for k in range(n):
+        sim[k + 1, k] = (1 + 0.05) * x0[k] if x0[k] != 0 else 0.00025
+    fsim = np.array([f(x) for x in sim], dtype=float)
+    # scipy sorts the first simplex twice: here and at the loop's top
+    ind = np.argsort(fsim)
+    sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    for k in range(maxiter):
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+        if k == maxiter - 1 or (np.max(np.abs(sim[1:] - sim[0])) <= xatol
+                                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+            break
+        # reflect, expand, contract and shrink by 1, 2, 1/2 and 1/2
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = 2 * xbar - sim[-1]
+        fxr = f(xr)
+        if fxr < fsim[0]:
+            xe = 3 * xbar - 2 * sim[-1]
+            fxe = f(xe)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            inside = not fxr < fsim[-1]
+            xc = 0.5 * xbar + 0.5 * sim[-1] if inside else 1.5 * xbar - 0.5 * sim[-1]
+            fxc = f(xc)
+            if fxc < fsim[-1] if inside else fxc <= fxr:
+                sim[-1], fsim[-1] = xc, fxc
+            else:
+                sim[1:] = sim[0] + 0.5 * (sim[1:] - sim[0])
+                fsim[1:] = [f(x) for x in sim[1:]]
+    return sim[0], float(np.min(fsim))
+
+
 def locate_peak(slope: Callable[[float], float], bracket: tuple[float, float]) -> float:
     """Maximum of a curve, found as the root of its slope.
 
@@ -115,9 +205,8 @@ def locate_peak(slope: Callable[[float], float], bracket: tuple[float, float]) -
     for a, b in zip(xs, xs[1:]):
         known[b] = slope(b)
         if known[b] <= 0.0:
-            from scipy.optimize import brentq
-            return brentq(lambda x: known[x] if x in known else slope(x), a, b,
-                          xtol=PEAK_XTOL)
+            return brent_root(lambda x: known[x] if x in known else slope(x), a, b,
+                              xtol=PEAK_XTOL)
     raise BracketError(f"slope stays positive across bracket {bracket}; "
                        f"no interior maximum")
 
@@ -394,17 +483,16 @@ def optimize_collapse(family: CurveFamily, delta_jk: float,
                 best = (value, n, e)
     if not np.isfinite(best[0]):
         raise WindowError("collapse objective is undefined everywhere on the seed grid")
-    from scipy.optimize import minimize
-    result = minimize(objective, [best[1], best[2]], method="Nelder-Mead",
-                      options=dict(xatol=1e-7, fatol=1e-16, maxiter=800))
-    nu, ec = float(result.x[0]), float(result.x[1])
+    x, quality = nelder_mead(objective, [best[1], best[2]], xatol=1e-7, fatol=1e-16,
+                             maxiter=800)
+    nu, ec = float(x[0]), float(x[1])
     margin = 1e-3
     boundary = bool(
         nu - nu_range[0] < margin * (nu_range[1] - nu_range[0])
         or nu_range[1] - nu < margin * (nu_range[1] - nu_range[0])
         or ec - ec_range[0] < margin * (ec_range[1] - ec_range[0])
         or ec_range[1] - ec < margin * (ec_range[1] - ec_range[0]))
-    return CollapseOptimum(nu=nu, eps_c_star=ec, quality=float(result.fun),
+    return CollapseOptimum(nu=nu, eps_c_star=ec, quality=quality,
                            boundary_warning=boundary)
 
 

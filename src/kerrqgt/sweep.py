@@ -322,24 +322,28 @@ def _phase_diagram(config: SweepConfig, out: Path) -> ModeResult:
     return {"phase_diagram.csv": csv_text(PHASE_DIAGRAM_COLUMNS, rows)}, warnings
 
 
-def _row_or_points(kernel, items, ground) -> list:
-    """kernel(ground), one result per item, where ground is the centre row of
-    items or None if it failed.  If it is None or the row fails with one of
-    POINT_ERRORS, each item is solved as a row of its own,
-    kernel(ground_state_row([item])), and a failing item gets its exception
-    in place of a result, so only that item is dropped."""
-    if ground is not None:
+def _rows_or_points(kernels, items) -> list[list]:
+    """[kernel(ground) for kernel in kernels], one result per item, where
+    ground is the centre row of items, ground_state_row(items).  If ground or
+    a kernel's row fails with one of POINT_ERRORS, that kernel reads each item
+    as a row of its own, ground_state_row([item]), solved once for all the
+    kernels; a failing item gets its exception in place of a result, so only
+    that item is dropped."""
+    def attempt(call, arg):  # call(arg), or [the POINT_ERRORS exception it raised]
         try:
-            return kernel(ground)
-        except POINT_ERRORS:
-            pass
-    results = []
-    for item in items:
-        try:
-            results += kernel(ground_state_row([item]))
+            return call(arg)
         except POINT_ERRORS as exc:
-            results.append(exc)
-    return results
+            return [exc]
+
+    ground, rows, singles = attempt(ground_state_row, items), [], None
+    for kernel in kernels:
+        row = ground if isinstance(ground, list) else attempt(kernel, ground)
+        if not row or isinstance(row[0], Exception):
+            if singles is None:
+                singles = [attempt(ground_state_row, [item]) for item in items]
+            row = [r for s in singles for r in (s if isinstance(s, list) else attempt(kernel, s))]
+        rows.append(row)
+    return rows
 
 
 def _qgt(config: SweepConfig, out: Path) -> ModeResult:
@@ -359,12 +363,8 @@ def _qgt(config: SweepConfig, out: Path) -> ModeResult:
                                         delta=config.delta) for eps in eps_grid]
 
         def solve(n_cut):
-            row = [p.replace(n_cut=n_cut) for p in points]
-            try:
-                centres = ground_state_row(row)
-            except POINT_ERRORS:
-                centres = None
-            return [_row_or_points(kernels[method], row, centres) for method in methods]
+            return _rows_or_points([kernels[method] for method in methods],
+                                   [p.replace(n_cut=n_cut) for p in points])
 
         rung, solved = _solve_adaptive(
             ladder, 0, points[-1], solve,

@@ -46,7 +46,10 @@ decomposition, never from the kernels it checks:
   scipy.sparse expm_multiply), gated by tail_weight, and
   squeezed_vacuum_qgt_fd is the geometric tensor of the squeezed-vacuum
   family by complex_tensor_fd on those states: the slow path behind the
-  package's closed-form normal_phase_qgt_limit.
+  package's closed-form normal_phase_qgt_limit;
+* brentq and nelder_mead are scipy.optimize's brentq and non-adaptive
+  minimize(method="Nelder-Mead"), the library routines behind the package's
+  ports scaling.brent_root and scaling.nelder_mead.
 
 From the package it takes only data containers, the block builder
 sector_block, the gate constants and the error classes; for
@@ -71,6 +74,7 @@ from unittest import mock
 
 import numpy as np
 import scipy.linalg
+import scipy.optimize
 import scipy.sparse
 import scipy.sparse.linalg
 
@@ -567,3 +571,15 @@ def squeezed_vacuum_qgt_fd(eps: float, phi: float = 0.0, *, n_cut: int | None = 
         [g_ee + 0.0j, g_ep - 0.5j * curvature],
         [g_ep + 0.5j * curvature, g_pp + 0.0j],
     ])
+
+
+def brentq(f, xa: float, xb: float, xtol: float, maxiter: int = 100) -> float:
+    """scipy's Brent root of f between xa and xb, at its default rtol."""
+    return scipy.optimize.brentq(f, xa, xb, xtol=xtol, maxiter=maxiter)
+
+
+def nelder_mead(f, x0, xatol: float, fatol: float, maxiter: int):
+    """(x, f(x)) of scipy's non-adaptive Nelder-Mead minimum of f from x0."""
+    result = scipy.optimize.minimize(f, x0, method="Nelder-Mead",
+                                     options=dict(xatol=xatol, fatol=fatol, maxiter=maxiter))
+    return result.x, result.fun

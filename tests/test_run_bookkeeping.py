@@ -118,8 +118,8 @@ def test_nan_solve_drops_only_its_point(tmp_path, monkeypatch):
     assert [line.split(",")[4] for line in dropped] == ["spectral", "fd"]
     assert [line.split(",")[3] for line in dropped] == ["50", "50"]
     assert lines == [line for line in plain if line not in dropped]
-    # the failing centre row of the size is redone point by point, and each
-    # route solves the point's own centre as a row of one
+    # the failing centre row of the size is redone point by point: the
+    # point's own centre is solved once as a row of one, and both routes fail on it
     warnings = _manifest_warnings(tmp_path / "patched", "qgt")
     assert len(warnings) == 2
     assert warnings[0].startswith("L=80 eps=0.7: even block of size 26, row 0: residual nan")

@@ -1,18 +1,20 @@
-"""A CLI run loads scipy.linalg at its first solve, scipy.optimize only when it
-uses it, and never scipy.sparse.
+"""A CLI run loads scipy.linalg at its first solve, and never scipy.optimize
+or scipy.sparse.
 
 No module of the package imports scipy when it is itself imported: the
 eigensolver and the Sternheimer solve import scipy.linalg (for its LAPACK
-routines) inside the functions that call it, and scaling imports
-scipy.optimize inside the peak search and the collapse polish, none of which
-the runs below call.  So `import kerrqgt.cli`, --help, an input error, plots
-and a no-op rerun load none of the three, and a run that solves loads
-scipy.linalg alone; those runs show that the probe sees it.  No module of the
-package imports scipy.sparse (the Fock-state oracles that used it live in
-tests/reference.py), and the runs must not load it through a dependency
-either.  Each case runs in a fresh interpreter, because sys.modules of the
-test process already holds all three.  The sizes are the bench's ``tiny``
-scale.
+routines) inside the functions that call it.  The peak search and the
+collapse polish are the package's own (scaling.brent_root and
+scaling.nelder_mead), so no run loads scipy.optimize, nor scipy.sparse,
+which it would bring in.  So `import kerrqgt.cli`, --help, an input error,
+plots, a no-op rerun and a collapse on a stored family load none of the
+three, and a run that solves (a fresh scaling, a k0 that cannot reuse its
+report, phase-diagram, qgt) loads scipy.linalg alone; those runs show that
+the probe sees it.  No module of the package imports scipy.sparse (the
+Fock-state oracles that used it live in tests/reference.py), and the runs
+must not load it through a dependency either.  Each case runs in a fresh
+interpreter, because sys.modules of the test process already holds all
+three.  The sizes are the bench's ``tiny`` scale.
 """
 
 import ast
@@ -64,6 +66,8 @@ CASES = {
     "plots": (["plots"], "plot_qgt_peaks.py", [0, []]),
     # the scaling run of scaling_dir again: its manifest verifies, nothing is solved
     "scaling-rerun": (SCALING, None, [0, []]),
+    # the polish on scaling_dir's stored g_ee family
+    "collapse": (["collapse"], "collapse_g_ee.json", [0, []]),
     "phase-diagram": (["phase-diagram", "--L", "200", "--eps", "0:1.5:7",
                        "--phi", "0:1.5:2", "--ncut", "160"], "phase_diagram.csv", [0, SOLVED]),
     "qgt-both": (["qgt", "--L-list", "40,60", "--eps", "0.95:1.06:3", "--phi", "0.3",
@@ -71,6 +75,10 @@ CASES = {
     # the same sizes, cutoff and bracket as SCALING, so its report is reused
     "k0-reusing-report": (["k0", "--ncut-list", "60,84,120,170,240", "--L-list", SIZES,
                            "--ncut", "200", "--bracket", "1.05:1.45"], "k0_report.json",
+                          [0, SOLVED]),
+    # another bracket: the report is solved again, with its peak searches
+    "k0-solving-report": (["k0", "--ncut-list", "60,84,120,170,240", "--L-list", SIZES,
+                           "--ncut", "200", "--bracket", "1.04:1.45"], "k0_report.json",
                           [0, SOLVED]),
 }
 
@@ -86,10 +94,10 @@ def _run(argv, cwd, probe=PROBE):
 
 @pytest.fixture(scope="module")
 def scaling_dir(tmp_path_factory):
-    """A tiny scaling report and its manifest, made in a process of its own."""
+    """A tiny scaling report and its manifest, made in a process of its own:
+    a fresh scaling, every solve and search, which loads scipy.linalg alone."""
     out = tmp_path_factory.mktemp("scaling")
-    status, _ = _run([*SCALING, "--out", str(out)], out)
-    assert status == 0
+    assert _run([*SCALING, "--out", str(out)], out) == [0, SOLVED]
     return out
 
 

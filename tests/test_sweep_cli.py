@@ -12,6 +12,7 @@ import pytest
 
 import kerrqgt.cli
 import kerrqgt.eigensolver as eigensolver
+import kerrqgt.qgt as qgt
 import kerrqgt.sweep as sweep
 from kerrqgt import ModelParams, ground_state_row, sector_block
 from kerrqgt.cli import (
@@ -22,7 +23,7 @@ from kerrqgt.cli import (
     parse_pair,
     parse_range,
 )
-from kerrqgt.errors import CutoffError, GapError, SchemaError
+from kerrqgt.errors import CutoffError, EigenConvergenceError, GapError, SchemaError
 from kerrqgt.plots import emit_plots
 from kerrqgt.scaling import ScalingReport
 from kerrqgt.sweep import (
@@ -193,6 +194,50 @@ def test_qgt_both_interleaves_the_single_method_rows(tmp_path):
     assert len(spectral) == len(lines["fd"]) - 1 == 16
     assert lines["both"][1:] == [line for pair in zip(spectral, lines["fd"][1:])
                                  for line in pair]
+
+
+@pytest.mark.parametrize("fail", ["gap-gate", "solve"])
+def test_both_solves_each_point_of_a_failing_row_once(tmp_path, monkeypatch, fail):
+    # When the centre row fails, each eps is read as a row of its own:
+    # --method both solves that row once for both kernels, so it makes as
+    # many one-point solves (and unseeded one-row eig_tridiagonal calls, the
+    # cutoff probes among them) as one method alone, and it gives the warnings of
+    # spectral and fd, spectral first at each eps.  The raised gap floor fails
+    # the centre row and 4 of the 8 points in both kernels; the solve error
+    # fails the centre row and the row of one at the third eps.
+    grid = np.linspace(0.95, 1.06, 8)
+    if fail == "gap-gate":
+        monkeypatch.setattr(qgt, "GAP_FLOOR", 3.56e-3)
+    solve, calls = sweep.ground_state_row, []
+    eig, bisections = eigensolver.eig_tridiagonal, []
+
+    def counted_eig(block, seed=None):
+        bisections.append(block.offdiag.shape[0] == 1 and seed is None)
+        return eig(block, seed)
+
+    def counted(points, seed=None):
+        calls.append(len(points))
+        if fail == "solve" and (len(points) > 1 or points[0].eps == grid[2]):
+            raise EigenConvergenceError("no certified pair")
+        return solve(points, seed)
+
+    monkeypatch.setattr(sweep, "ground_state_row", counted)
+    monkeypatch.setattr(eigensolver, "eig_tridiagonal", counted_eig)
+    singles, bisected, warnings = {}, {}, {}
+    for method in ("spectral", "fd", "both"):
+        calls.clear()
+        bisections.clear()
+        out = tmp_path / method
+        run(SweepConfig(mode="qgt", out_dir=str(out), sizes=(150,), eps_range=(0.95, 1.06, 8),
+                        phi=0.3, method=method, n_cut=200))
+        singles[method] = calls.count(1)
+        bisected[method] = sum(bisections)
+        warnings[method] = json.loads((out / "manifest_qgt.json").read_text())["warnings"]
+    assert singles == {"spectral": 8, "fd": 8, "both": 8}
+    assert bisected["both"] == bisected["spectral"] == bisected["fd"]
+    assert len(warnings["spectral"]) == len(warnings["fd"]) == (4 if fail == "gap-gate" else 1)
+    assert warnings["both"] == [w for pair in zip(warnings["spectral"], warnings["fd"])
+                                for w in pair]
 
 
 def test_qgt_csv_has_no_negative_zero(tmp_path):
