@@ -17,11 +17,8 @@ from its certified pair (eigensolver), not bisected.
 
 The linear-response route also gives d g_ee / d eps analytically (third-order
 response: a second back-substitution on the factorisation of the first
-solve), whose root locates the pseudo-critical peak of g_ee.  Each step of
-that search is g_ee_slope_step, which keeps the step's response, so the
-tensor at the root is read off the last step instead of a fresh solve; the
-tests check it against a fresh qgt_spectral at the recorded peak, bit for
-bit.  The drive derivative C is scaled from the two-photon couplings that
+solve, g_ee_slope), whose root locates the pseudo-critical peak of g_ee.
+The drive derivative C is scaled from the two-photon couplings that
 model.sector_arrays caches.
 
 The ground state is the even sector's (see eigensolver), and both drive
@@ -34,7 +31,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -186,15 +182,6 @@ def _response(ground: GroundState, powers: int):
     return band, de0, solutions
 
 
-def _spectral_results(ground: GroundState, y: np.ndarray) -> list[QGTResult]:
-    """The spectral tensors of the points of ground from the first
-    Sternheimer solution y of _response."""
-    n_u0 = ground.levels * ground.vectors
-    return [_result(ground, m, "spectral", y[m] @ y[m], ground.var_n[m] / 4.0,
-                    0.0, -(y[m] @ n_u0[m]))
-            for m in range(len(ground.points))]
-
-
 def qgt_spectral_row(ground: GroundState) -> list[QGTResult]:
     """Geometric tensors of the points of a centre row ground =
     ground_state_row(points), points that share delta, kerr and n_cut.
@@ -203,7 +190,10 @@ def qgt_spectral_row(ground: GroundState) -> list[QGTResult]:
     qgt_spectral gives it alone.
     """
     _, _, (y,) = _response(ground, powers=1)
-    return _spectral_results(ground, y)
+    n_u0 = ground.levels * ground.vectors
+    return [_result(ground, m, "spectral", y[m] @ y[m], ground.var_n[m] / 4.0,
+                    0.0, -(y[m] @ n_u0[m]))
+            for m in range(len(ground.points))]
 
 
 def qgt_spectral(params: ModelParams) -> QGTResult:
@@ -224,26 +214,20 @@ def qgt_spectral(params: ModelParams) -> QGTResult:
     return qgt_spectral_row(ground_state_row([params]))[0]
 
 
-def g_ee_slope_step(params: ModelParams) -> tuple[float, Callable[[], QGTResult]]:
-    """(d g_ee / d eps, tensor) at params: tensor() returns qgt_spectral(params),
-    bit for bit, from the same response.
-
-    The slope is third-order response, one more back-substitution.
-    Differentiating the Sternheimer equation (T - E0) y = (C - dE0) u0, with
-    du0/deps = -y and d(dE0)/deps = -2 y.C u0, gives (the 2n+1 theorem)
+def g_ee_slope(params: ModelParams) -> float:
+    """d g_ee / d eps at params, by third-order response: one more
+    back-substitution.  Differentiating the Sternheimer equation
+    (T - E0) y = (C - dE0) u0, with du0/deps = -y and d(dE0)/deps = -2 y.C u0,
+    gives (the 2n+1 theorem)
 
         d g_ee / d eps = -4 z.(C y - dE0 y),   z = (T - E0)^+ y,
 
     where z reuses the factorisation that gave y.  g_ee is even in eps
     (eps -> -eps is the gauge shift phi -> phi + pi), so the slope is 0 at
-    eps = 0.  y and the ground row are the ones qgt_spectral reads its tensor
-    off, so a search that steps on the slope gets the tensor at its final
-    step without a further solve.
+    eps = 0.
     """
-    ground = ground_state_row([params])
-    band, (de0,), (y, z) = _response(ground, powers=2)
-    slope = float(-4.0 * (z[0] @ (_tridiagonal_multiply(0.0, band, y[0]) - de0 * y[0])))
-    return slope, lambda: _spectral_results(ground, y)[0]
+    band, (de0,), (y, z) = _response(ground_state_row([params]), powers=2)
+    return float(-4.0 * (z[0] @ (_tridiagonal_multiply(0.0, band, y[0]) - de0 * y[0])))
 
 
 def _even_ground_family(ground: GroundState, step_eps: float) -> list[dict]:

@@ -205,6 +205,12 @@ class SweepConfig:
                 raise InputError(f"grid range {rng} has a non-finite bound")
             if rng[2] != int(rng[2]):
                 raise InputError(f"{name} {rng} has a non-integral step count")
+        for name in ("peak_bracket", "collapse_window", "nu_range", "ec_range"):
+            pair = getattr(self, name)
+            if name == "ec_range" and pair is None:  # read off the report
+                continue
+            if not (len(pair) == 2 and all(map(math.isfinite, pair)) and pair[0] < pair[1]):
+                raise InputError(f"{name} {pair} must be 2 finite numbers lo < hi")
 
     def echo(self) -> dict:
         raw = asdict(self)
@@ -442,6 +448,8 @@ def _k0(config: SweepConfig, out: Path) -> ModeResult:
         scaling = _scaling_report(config)
     report = k0_pipeline(scaling, ncut_list=config.ncut_list, delta=config.delta)
     warnings = ["a power-law fit has r^2 < 0.99"] if report.flagged else []
+    if report.diagnostics["delta_nbar_fit"]["boundary_warning"]:
+        warnings.append("delta_nbar drift exponent at search-range boundary")
     return {K0_REPORT_NAME: dumps_json(asdict(report))}, warnings
 
 

@@ -21,7 +21,7 @@ from kerrqgt import (
     qgt_spectral_row,
     sector_block,
 )
-from kerrqgt.qgt import g_ee_slope_step
+from kerrqgt.qgt import g_ee_slope
 
 # even-gap / Gershgorin ratios 5.7e-4, 2.4e-4, 4.3e-4: a floor of 3e-4 fails row 1 only
 ROW = [ModelParams.from_size(150, eps, n_cut=400) for eps in (0.9, 1.1, 1.2)]
@@ -120,7 +120,7 @@ CASES = {
                   GapError, "row 1: sector gap .* at eps=1.1, kerr=0.00666667, n_cut=400$"),
     # call 1 is the slope's second back-substitution on a row of one point
     "slope-nan": (_solve(lambda r: (np.full_like(r[0], np.nan), r[1])),
-                  lambda points: g_ee_slope_step(points[1])[0], EigenConvergenceError,
+                  lambda points: g_ee_slope(points[1]), EigenConvergenceError,
                   "row 0: linear-response residual nan exceeds"),
 }
 

@@ -99,7 +99,7 @@ def solved_cutoffs(monkeypatch):
 
     A peak solve is a run of slope steps at one size and cutoff, recorded once."""
     solved = []
-    sweep_family, step = scaling.sweep_family, scaling.g_ee_slope_step
+    sweep_family, step = scaling.sweep_family, scaling.g_ee_slope
 
     def family(sizes, eps_grid, n_cut, delta=1.0):
         solved.append(("family", float(sizes[0]), n_cut))
@@ -112,7 +112,7 @@ def solved_cutoffs(monkeypatch):
         return step(params)
 
     monkeypatch.setattr(scaling, "sweep_family", family)
-    monkeypatch.setattr(scaling, "g_ee_slope_step", peak)
+    monkeypatch.setattr(scaling, "g_ee_slope", peak)
     return solved
 
 

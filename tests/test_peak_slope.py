@@ -7,7 +7,7 @@ import pytest
 
 import kerrqgt.scaling as scaling
 from kerrqgt import GapError, ModelParams, qgt_spectral, scaling_pipeline
-from kerrqgt.qgt import g_ee_slope_step
+from kerrqgt.qgt import g_ee_slope
 from kerrqgt.scaling import golden_section_min
 
 SLOPE_GRID = (
@@ -40,7 +40,7 @@ def test_slope_matches_central_difference(p):
     e = p.eps
     fd = (_g_ee(p, e - 2 * h) - 8 * _g_ee(p, e - h)
           + 8 * _g_ee(p, e + h) - _g_ee(p, e + 2 * h)) / (12 * h)
-    slope = g_ee_slope_step(p)[0]
+    slope = g_ee_slope(p)
     assert abs(slope - fd) <= 1e-7 * abs(fd), (slope, fd)
 
 
@@ -49,21 +49,21 @@ def test_slope_matches_central_difference(p):
                          ids=_label)
 def test_slope_vanishes_at_zero_drive(p):
     # eps -> -eps is the gauge shift phi -> phi + pi, so g_ee is even in eps
-    assert g_ee_slope_step(p)[0] == 0.0
+    assert g_ee_slope(p) == 0.0
 
 
 @pytest.fixture(scope="module")
 def counted_pipeline():
-    # the peak search steps on g_ee_slope_step, the slope with its tensor
+    # the peak search steps on g_ee_slope
     calls = []
-    step = scaling.g_ee_slope_step
+    step = scaling.g_ee_slope
 
     def spy(params):
         calls.append(params.kerr)
         return step(params)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(scaling, "g_ee_slope_step", spy)
+        mp.setattr(scaling, "g_ee_slope", spy)
         report = scaling_pipeline(**PIPELINE)
     return report, calls
 
@@ -103,4 +103,4 @@ def test_slope_gap_floor_raises_named_error(monkeypatch):
     monkeypatch.setattr(qgt, "GAP_FLOOR", 1.0)
     with pytest.raises(GapError, match=r"sector gap .* at eps=0.9, kerr=0.00666667, "
                                        r"n_cut=400$"):
-        g_ee_slope_step(ModelParams.from_size(150, 0.9, n_cut=400))
+        g_ee_slope(ModelParams.from_size(150, 0.9, n_cut=400))

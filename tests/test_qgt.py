@@ -380,11 +380,11 @@ def test_gphiphi_against_limit():
 
 def test_peak_grows_with_size():
     from kerrqgt import locate_peak
-    from kerrqgt.qgt import g_ee_slope_step
+    from kerrqgt.qgt import g_ee_slope
     peaks = []
     for size in (100, 150, 200):
         peak_eps = locate_peak(
-            lambda e: g_ee_slope_step(ModelParams.from_size(size, e, n_cut=400))[0],
+            lambda e: g_ee_slope(ModelParams.from_size(size, e, n_cut=400)),
             bracket=(1.0, 1.35))
         peak = qgt_spectral(ModelParams.from_size(size, peak_eps, n_cut=400)).g_ee
         peaks.append(peak / size)

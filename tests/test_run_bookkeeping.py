@@ -343,7 +343,8 @@ def k0_spies(monkeypatch):
         seen["scaling"].append(scaling.diagnostics["source"])
         return K0Report(gamma1=4.0, gamma2=3.0, alpha_exp=1.0, delta_nbar=0.33,
                         beta1=1.3, beta2=1.0, beta1_prime=1.3, beta2_prime=1.0,
-                        flagged=False, diagnostics={})
+                        flagged=False,
+                        diagnostics={"delta_nbar_fit": {"boundary_warning": False}})
 
     monkeypatch.setattr(sweep, "scaling_pipeline", fake_scaling_pipeline)
     monkeypatch.setattr(sweep, "k0_pipeline", fake_k0_pipeline)

@@ -26,7 +26,7 @@ from kerrqgt import (
     qgt_spectral,
     scaling_pipeline,
 )
-from kerrqgt.qgt import g_ee_slope_step
+from kerrqgt.qgt import g_ee_slope
 from kerrqgt.scaling import fit_shifted_power, sweep_family
 from kerrqgt.sweep import dumps_json, family_from_report, load_scaling_report
 
@@ -51,7 +51,7 @@ def test_locate_peak_matches_grid_scan():
         return ModelParams.from_size(300, e, n_cut=800)
 
     bracket = (1.06, 1.085)
-    x = locate_peak(lambda e: g_ee_slope_step(params(e))[0], bracket=bracket)
+    x = locate_peak(lambda e: g_ee_slope(params(e)), bracket=bracket)
     grid = np.arange(bracket[0], bracket[1] + 5e-5, 1e-4)
     values = [qgt_spectral(params(e)).g_ee for e in grid]
     x_grid = grid[int(np.argmax(values))]
@@ -328,8 +328,8 @@ def test_pipeline_names_the_sizes_the_cutoff_gate_drops():
 def test_invalid_collapse_grid_fails_before_the_peak_search(monkeypatch, grid, named):
     import kerrqgt.scaling
     slopes = []
-    monkeypatch.setattr(kerrqgt.scaling, "g_ee_slope_step",
-                        lambda params: slopes.append(params) or (1.0, None))
+    monkeypatch.setattr(kerrqgt.scaling, "g_ee_slope",
+                        lambda params: slopes.append(params) or 1.0)
     with pytest.raises(ValueError, match=rf"collapse_(step|window) .* {named}"):
         scaling_pipeline(**{"sizes": (40, 50, 60, 70, 85), "n_cut": 200, **grid})
     assert slopes == []

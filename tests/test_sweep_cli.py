@@ -5,7 +5,7 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -462,6 +462,48 @@ def test_config_file_must_hold_an_object(tmp_path):
     args = build_parser().parse_args(["qgt", "--config", str(config_path)])
     with pytest.raises(SchemaError, match="holds a JSON list, not an object"):
         assemble_config(args)
+
+
+# Every pair field is checked when the config is built, before any mode reads
+# it or solves anything.
+@pytest.mark.parametrize("argv, entries, named", [
+    (["collapse"], {"ec_range": [1.0]}, "ec_range (1.0,)"),
+    (["scaling"], {"peak_bracket": [1.05, 1.2, 1.45]}, "peak_bracket (1.05, 1.2, 1.45)"),
+    (["scaling"], {"collapse_window": [1.05]}, "collapse_window (1.05,)"),
+    (["collapse"], {"nu_range": [1.2, 1.5, 1.9]}, "nu_range (1.2, 1.5, 1.9)"),
+    (["k0"], {"peak_bracket": [1.4, 0.99]}, "peak_bracket (1.4, 0.99)"),
+    (["collapse"], {"ec_range": [1.0, 1.0]}, "ec_range (1.0, 1.0)"),
+    (["scaling", "--bracket", "nan:1.4"], {}, "peak_bracket (nan, 1.4)"),
+], ids=["short-ec_range", "long-peak_bracket", "short-collapse_window", "long-nu_range",
+        "reversed-peak_bracket", "zero-width-ec_range", "nan-bracket-flag"])
+def test_pair_fields_hold_two_finite_numbers_lo_below_hi(tmp_path, capsys, monkeypatch, argv,
+                                                         entries, named):
+    for module in (qgt, kerrqgt.scaling, sweep):
+        monkeypatch.setattr(module, "ground_state_row", None)
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps(entries))
+    out = tmp_path / "out"
+    assert main(argv + ["--config", str(config_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (f"kerrqgt {argv[0]}: error: {named} must be 2 finite "
+                                       f"numbers lo < hi\n")
+    assert not out.exists()
+
+
+def test_boundary_flags_of_the_shifted_power_fits_are_warned(tmp_path, monkeypatch):
+    fit = kerrqgt.scaling.fit_shifted_power
+    monkeypatch.setattr(kerrqgt.scaling, "fit_shifted_power",
+                        lambda x, y: replace(fit(x, y), boundary_warning=True))
+    out = tmp_path / "out"
+    run(SweepConfig(mode="scaling", out_dir=str(out), **SMALL_SCALING))
+    run(SweepConfig(mode="k0", out_dir=str(out), ncut_list=(60, 84, 120, 170, 240),
+                    **SMALL_SCALING))
+    warnings = {mode: json.loads((out / f"manifest_{mode}.json").read_text())["warnings"]
+                for mode in ("scaling", "k0")}
+    assert warnings == {
+        "scaling": ["critical-point drift exponent at search-range boundary",
+                    "delta_ee drift exponent at search-range boundary",
+                    "nu drift exponent at search-range boundary"],
+        "k0": ["delta_nbar drift exponent at search-range boundary"]}
 
 
 def test_config_file_legacy_threads_key_is_dropped(tmp_path):
