@@ -54,14 +54,10 @@ from .scaling import (
     ScalingReport,
     ShiftedPowerFit,
     collapse_objective,
-    extrapolate_critical_point,
     fit_power_law,
     k0_pipeline,
     locate_peak,
-    nu_convergence,
     optimize_collapse,
-    pair_slopes,
-    perturbation_dimensions,
     scaling_pipeline,
 )
 
@@ -73,10 +69,8 @@ __all__ = [
     "normal_phase_qgt_limit", "superradiant_phase", "superradiant_qgt_limit",
     "QGTResult", "qgt_fd_row", "qgt_spectral", "qgt_spectral_row",
     "CollapseOptimum", "CurveFamily", "K0Report", "PowerLawFit", "ScalingReport",
-    "ShiftedPowerFit", "collapse_objective", "extrapolate_critical_point",
-    "fit_power_law", "k0_pipeline", "locate_peak", "nu_convergence",
-    "optimize_collapse", "pair_slopes", "perturbation_dimensions",
-    "scaling_pipeline",
+    "ShiftedPowerFit", "collapse_objective", "fit_power_law", "k0_pipeline",
+    "locate_peak", "optimize_collapse", "scaling_pipeline",
     "BracketError", "CutoffError", "EigenConvergenceError", "FitError",
     "GapError", "InputError", "SchemaError", "StepSizeError", "WindowError",
 ]

@@ -4,14 +4,18 @@ Each pseudo-critical peak of g_ee is the root of its analytic slope
 (qgt.g_ee_slope), bracketed by a coarse sign scan and found by Brent's method.
 All fitters are deterministic, closed-form least squares combined with scanned
 and golden-section 1D searches; no stochastic optimization is used anywhere.
-The end-to-end pipelines assemble the critical point, the correlation-length
-exponent, the scaling dimensions of the geometric tensor, the data-collapse
-qualities, and the cutoff-scaling study without Kerr nonlinearity.  The
-finite-Kerr pipeline solves each size at the smallest Fock cutoff of a fixed
-ladder that the tail gate certifies, up to the cap it is given.  Its family
-rows and peak steps go through the tensor kernels, which gap-gate every row
-they read (qgt.GAP_FLOOR); a cutoff probe reads only the tail weight of an
-ungated ground_state_row.
+
+scaling_pipeline runs in stages: _peaks (the tensor at each size's peak),
+fit_peaks (the critical point, the correlation-length exponent and the
+scaling dimensions of the geometric tensor, fitted to the peaks alone, so a
+refit on fewer sizes solves nothing), _family_rows (the tensor on the
+collapse window), then the data-collapse qualities.  k0_pipeline, the
+cutoff-scaling study without Kerr nonlinearity, takes delta_nbar from the
+same drift_fit as delta_ee.  The finite-Kerr stages solve each size at the
+smallest Fock cutoff of a fixed ladder that the tail gate certifies, up to
+the cap they are given.  The family rows and peak steps go through the
+tensor kernels, which gap-gate every row they read (qgt.GAP_FLOOR); a cutoff
+probe reads only the tail weight of an ungated ground_state_row.
 
 Two shortcuts skip work that cannot change a result, each checked in the
 tests against the slow path it replaces, and each kept because taking it
@@ -285,16 +289,6 @@ def fit_shifted_power(x: np.ndarray, y: np.ndarray) -> ShiftedPowerFit:
                            boundary_warning=boundary)
 
 
-def extrapolate_critical_point(sizes: Sequence[float],
-                               eps_c_of_size: Sequence[float]) -> ShiftedPowerFit:
-    """Fit eps_c(L) = eps_c* + a L^{-b}; the limit field is eps_c*."""
-    sizes = np.asarray(sizes, dtype=float)
-    eps_c = np.asarray(eps_c_of_size, dtype=float)
-    if len(sizes) < 4:
-        raise FitError("critical-point extrapolation needs at least 4 sizes")
-    return fit_shifted_power(1.0 / sizes, eps_c)
-
-
 @dataclass(frozen=True)
 class PowerLawFit:
     exponent: float
@@ -318,45 +312,19 @@ def fit_power_law(x: Sequence[float], y: Sequence[float]) -> PowerLawFit:
                        r_squared=float(r2))
 
 
-def nu_convergence(sizes: Sequence[float], values: Sequence[float]) -> ShiftedPowerFit:
-    """Extrapolate per-size estimates to the infinite-size limit.
+def drift_fit(sizes: Sequence[float],
+              values: Sequence[float]) -> tuple[np.ndarray, np.ndarray, ShiftedPowerFit]:
+    """(pair_sizes, slopes, fit) of the size-extrapolated log-log slope of values.
 
-    Fits values = a (1/size)^b + c and returns c in the limit field; used for
-    the correlation-length exponent and any other drifting local estimate.
-    Three points make the fit exactly determined (the minimum-length case of
-    secant slopes from four sizes); more points overdetermine it.
+    Each secant slope of consecutive sizes is a centred estimate of
+    d ln y / d ln L at the geometric mean of its pair, its pair size;
+    fit_shifted_power(1 / pair_sizes, slopes) carries the slope to infinite
+    size in its limit field; four sizes (three slopes) determine it exactly.
     """
     sizes = np.asarray(sizes, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if len(sizes) < 3:
-        raise FitError("convergence extrapolation needs at least 3 points")
-    return fit_shifted_power(1.0 / sizes, values)
-
-
-def pair_slopes(sizes: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Log-log secant slopes of consecutive size pairs.
-
-    Each secant is a centered estimate of d ln y / d ln L at the geometric
-    mean of its pair, which is returned as the effective size.
-    """
-    sizes = np.asarray(sizes, dtype=float)
-    values = np.asarray(values, dtype=float)
-    slopes = np.diff(np.log(values)) / np.diff(np.log(sizes))
-    effective = np.sqrt(sizes[1:] * sizes[:-1])
-    return effective, slopes
-
-
-def perturbation_dimensions(delta_ee: float, delta_pp: float,
-                            delta_ep: float) -> tuple[float, float, float]:
-    """Scaling dimensions of the two drive perturbations and a consistency gap.
-
-    delta_j = (2 - delta_jj) / 2 for j in (eps, phi); the returned consistency
-    is |delta_ep - (2 - delta_eps - delta_phi)|.
-    """
-    delta_eps = (2.0 - delta_ee) / 2.0
-    delta_phi = (2.0 - delta_pp) / 2.0
-    consistency = abs(delta_ep - (2.0 - delta_eps - delta_phi))
-    return delta_eps, delta_phi, consistency
+    slopes = np.diff(np.log(np.asarray(values, dtype=float))) / np.diff(np.log(sizes))
+    pair_sizes = np.sqrt(sizes[1:] * sizes[:-1])
+    return pair_sizes, slopes, fit_shifted_power(1.0 / pair_sizes, slopes)
 
 
 # ---------------------------------------------------------------------------
@@ -559,6 +527,97 @@ def _solve_adaptive(ladder: list[int], start: int, probe: ModelParams,
     return rung, result
 
 
+def _peaks(sizes: np.ndarray, ladder: list[int], delta: float,
+           bracket: tuple[float, float]) -> tuple[list[QGTResult], list[int]]:
+    """(peaks, cutoffs): the qgt_spectral tensor at each size's g_ee peak, and
+    the rung it was solved at, probed at the top of the bracket and searched
+    from the previous size's rung."""
+    peaks, cutoffs, rung = [], [], 0
+    for L in sizes:
+        def peak(n):
+            ec = locate_peak(lambda e: g_ee_slope(ModelParams.from_size(
+                L, e, n_cut=n, delta=delta)), bracket)
+            return qgt_spectral(ModelParams.from_size(L, ec, n_cut=n, delta=delta))
+
+        rung, res = _solve_adaptive(
+            ladder, rung, ModelParams.from_size(L, bracket[1], delta=delta), peak,
+            lambda r: r.cutoff_warning)
+        peaks.append(res)
+        cutoffs.append(ladder[rung])
+    return peaks, cutoffs
+
+
+def fit_peaks(sizes: Sequence[float],
+              peaks: Sequence[QGTResult]) -> tuple[dict, dict, list[str]]:
+    """(fields, diagnostics, warnings) of the fits to the tensors at the peaks.
+
+    The critical point is the 1/L extrapolation of the peak positions; delta_ee
+    and nu the drift_fit limits of the g_ee peaks' secant slopes, as slope and
+    as 2 / slope; delta_pp and delta_ep (and delta_ee_global) plain log-log
+    fits.  fields are the ScalingReport fields of these fits.  Pure: it solves
+    nothing, so a leave-one-size-out refit is a call on fewer peaks.
+    """
+    sizes = np.asarray(sizes, dtype=float)
+    ecs = np.array([r.params.eps for r in peaks])
+    g_peak = np.array([r.g_ee for r in peaks])
+    gpp_peak = np.array([r.g_pp for r in peaks])
+    fep_peak = np.abs([r.f_ep for r in peaks])
+    warnings = []
+    crit = fit_shifted_power(1.0 / sizes, ecs)
+    if crit.boundary_warning:
+        warnings.append("critical-point drift exponent at search-range boundary")
+    pair_sizes, slopes, dee_fit = drift_fit(sizes, g_peak)
+    nu_fit = fit_shifted_power(1.0 / pair_sizes, 2.0 / slopes)
+    for name, fit in (("delta_ee", dee_fit), ("nu", nu_fit)):
+        if fit.boundary_warning:
+            warnings.append(f"{name} drift exponent at search-range boundary")
+    dee_global = fit_power_law(sizes, g_peak)
+    dpp_fit = fit_power_law(sizes, gpp_peak)
+    dep_fit = fit_power_law(sizes, fep_peak)
+    # delta_j = (2 - delta_jj) / 2 for the perturbations j in (eps, phi)
+    delta_eps = (2.0 - dee_fit.limit) / 2.0
+    delta_phi = (2.0 - dpp_fit.exponent) / 2.0
+
+    fields = dict(eps_c_star=crit.limit, fit_a=crit.amplitude, fit_b=crit.exponent,
+                  nu=nu_fit.limit, delta_ee=dee_fit.limit, delta_pp=dpp_fit.exponent,
+                  delta_ep=dep_fit.exponent, delta_eps=delta_eps, delta_phi=delta_phi)
+    diagnostics = {
+        "eps_c_by_size": [float(v) for v in ecs],
+        "g_ee_peak": [float(v) for v in g_peak],
+        "g_pp_at_peak": [float(v) for v in gpp_peak],
+        "f_ep_at_peak": [float(v) for v in fep_peak],
+        "nbar_at_peak": [float(r.mean_n) for r in peaks],
+        "pair_sizes": [float(v) for v in pair_sizes],
+        "pair_slopes_gee": [float(v) for v in slopes],
+        "delta_ee_global": dee_global.exponent,
+        "delta_ee_sigma": abs(dee_global.exponent - dee_fit.limit),
+        "delta_ee_fit": {"amplitude": dee_fit.amplitude, "exponent": dee_fit.exponent,
+                         "residual": dee_fit.residual},
+        "nu_fit": {"amplitude": nu_fit.amplitude, "exponent": nu_fit.exponent,
+                   "residual": nu_fit.residual},
+        "crit_fit_residual": crit.residual,
+        "r_squared": {"delta_ee_global": dee_global.r_squared,
+                      "delta_pp": dpp_fit.r_squared, "delta_ep": dep_fit.r_squared},
+        "berry_dimension_consistency": abs(dep_fit.exponent - (2.0 - delta_eps - delta_phi)),
+    }
+    return fields, diagnostics, warnings
+
+
+def _family_rows(sizes: np.ndarray, eps_grid: np.ndarray, ladder: list[int],
+                 delta: float) -> tuple[list[list[QGTResult]], list[int]]:
+    """(rows, cutoffs): each size's tensor row on eps_grid and its rung,
+    probed at the top of the grid and searched from the previous size's rung."""
+    rows, cutoffs, rung = [], [], 0
+    for L in sizes:
+        rung, row = _solve_adaptive(
+            ladder, rung, ModelParams.from_size(L, eps_grid[-1], delta=delta),
+            lambda n: sweep_family([L], eps_grid, n, delta)[0],
+            lambda row: any(r.cutoff_warning for r in row))
+        rows.append(row)
+        cutoffs.append(ladder[rung])
+    return rows, cutoffs
+
+
 def scaling_pipeline(sizes: Sequence[float] = DEFAULT_SIZES,
                      n_cut: int = DEFAULT_N_CUT,
                      delta: float = 1.0,
@@ -567,16 +626,15 @@ def scaling_pipeline(sizes: Sequence[float] = DEFAULT_SIZES,
                      collapse_step: float = DEFAULT_COLLAPSE_STEP) -> ScalingReport:
     """Full finite-size-scaling analysis at the given sizes.
 
-    Stages: per-size peak location of g_ee, critical-point extrapolation,
-    exponent fits (converged delta_ee and nu from secant slopes, global fits
-    for delta_pp and delta_ep at the pseudo-critical points), the data-collapse
-    qualities on a shared eps window, and the curvature-collapse optimum.
-    An invalid collapse grid raises InputError before any point is computed.
+    Stages: _peaks (the g_ee peak of each size), fit_peaks (critical point,
+    exponents and scaling dimensions from the peaks kept by the cutoff gate),
+    _family_rows (the tensor on the shared eps window), then the two
+    data-collapse qualities and the curvature-collapse optimum.  An invalid
+    collapse grid raises InputError before any point is computed.
 
     n_cut is a cap.  Each size's peak search and family row run at the
-    cutoff _solve_adaptive picks from _cutoff_ladder(n_cut), probed at the
-    top of the peak bracket and of the family grid and searched from the
-    previous size's rung; diagnostics["cutoffs"] records them per kept size.
+    cutoff _solve_adaptive picks from _cutoff_ladder(n_cut);
+    diagnostics["cutoffs"] records them per kept size.
     """
     lo, hi = collapse_window
     if not (np.isfinite(collapse_step) and collapse_step > 0):
@@ -594,85 +652,39 @@ def scaling_pipeline(sizes: Sequence[float] = DEFAULT_SIZES,
         raise FitError(f"the scaling pipeline needs distinct sizes, got {sizes.tolist()}")
     # a bad delta or cap raises ModelParams' InputError before any solve
     ModelParams(delta=delta, kerr=0.0, eps=0.0, n_cut=n_cut)
-
     ladder = _cutoff_ladder(n_cut)
-    warnings: list[str] = []
-    peak_eps, peak_results, peak_cuts = [], [], []
-    rung = 0
-    for L in sizes:
-        def peak(n):
-            ec = locate_peak(lambda e: g_ee_slope(ModelParams.from_size(
-                L, e, n_cut=n, delta=delta)), peak_bracket)
-            return ec, qgt_spectral(ModelParams.from_size(L, ec, n_cut=n, delta=delta))
 
-        rung, (ec, res) = _solve_adaptive(
-            ladder, rung, ModelParams.from_size(L, peak_bracket[1], delta=delta),
-            peak, lambda found: found[1].cutoff_warning)
-        if res.cutoff_warning:
-            warnings.append(f"cutoff-inadequate point excluded: L={L:g} eps={ec:.6f}")
-        peak_eps.append(ec)
-        peak_results.append(res)
-        peak_cuts.append(ladder[rung])
-
-    keep = np.array([not r.cutoff_warning for r in peak_results])
-    degraded = bool(np.any(~keep))
+    peaks, peak_cuts = _peaks(sizes, ladder, delta, peak_bracket)
+    keep = np.array([not r.cutoff_warning for r in peaks])
+    warnings = [f"cutoff-inadequate point excluded: L={L:g} eps={r.params.eps:.6f}"
+                for L, r in zip(sizes, peaks) if r.cutoff_warning]
     sizes_kept = sizes[keep]
     if len(sizes_kept) < 4:
         raise FitError(f"fewer than 4 sizes survive the cutoff-adequacy gate: "
                        f"kept {sizes_kept.tolist()}, dropped {sizes[~keep].tolist()} "
                        f"(tail weight above {TAIL_TOLERANCE:g} at their peaks)")
-    ecs = np.array(peak_eps)[keep]
-    g_peak = np.array([r.g_ee for r in peak_results])[keep]
-    gpp_peak = np.array([r.g_pp for r in peak_results])[keep]
-    fep_peak = np.abs([r.f_ep for r in peak_results])[keep]
-    nbar_peak = np.array([r.mean_n for r in peak_results])[keep]
+    fields, fit_diagnostics, fit_warnings = fit_peaks(
+        sizes_kept, [r for r, k in zip(peaks, keep) if k])
+    warnings += fit_warnings
 
-    crit = extrapolate_critical_point(sizes_kept, ecs)
-    if crit.boundary_warning:
-        warnings.append("critical-point drift exponent at search-range boundary")
-
-    eff_sizes, slopes = pair_slopes(sizes_kept, g_peak)
-    dee_fit = nu_convergence(eff_sizes, slopes)
-    nu_fit = nu_convergence(eff_sizes, 2.0 / slopes)
-    for name, fit in (("delta_ee", dee_fit), ("nu", nu_fit)):
-        if fit.boundary_warning:
-            warnings.append(f"{name} drift exponent at search-range boundary")
-    dee_global = fit_power_law(sizes_kept, g_peak)
-    dpp_fit = fit_power_law(sizes_kept, gpp_peak)
-    dep_fit = fit_power_law(sizes_kept, fep_peak)
-    delta_eps, delta_phi, consistency = perturbation_dimensions(
-        dee_fit.limit, dpp_fit.exponent, dep_fit.exponent)
-
-    eps_grid = np.arange(collapse_window[0], collapse_window[1] + collapse_step / 2,
-                         collapse_step)
-    grid_results, family_cuts = [], []
-    rung = 0
-    for L in sizes_kept:
-        rung, row = _solve_adaptive(
-            ladder, rung, ModelParams.from_size(L, eps_grid[-1], delta=delta),
-            lambda n: sweep_family([L], eps_grid, n, delta)[0],
-            lambda row: any(r.cutoff_warning for r in row))
-        grid_results.append(row)
-        family_cuts.append(ladder[rung])
-    flagged = [(L, e) for L, row in zip(sizes_kept, grid_results)
+    eps_grid = np.arange(lo, hi + collapse_step / 2, collapse_step)
+    rows, family_cuts = _family_rows(sizes_kept, eps_grid, ladder, delta)
+    flagged = [(L, e) for L, row in zip(sizes_kept, rows)
                for e, r in zip(eps_grid, row) if r.cutoff_warning]
-    if flagged:
-        degraded = True
-        warnings.extend(f"cutoff-inadequate family point: L={L:g} eps={e:.6f}"
-                        for L, e in flagged[:20])
-
+    warnings.extend(f"cutoff-inadequate family point: L={L:g} eps={e:.6f}"
+                    for L, e in flagged[:20])
     fam_g = CurveFamily(sizes=sizes_kept, eps_grid=eps_grid,
-                        values=np.array([[r.g_ee for r in row] for row in grid_results]),
+                        values=np.array([[r.g_ee for r in row] for row in rows]),
                         observable="g_ee")
     fam_f = CurveFamily(sizes=sizes_kept, eps_grid=eps_grid,
-                        values=np.abs([[r.f_ep for r in row] for row in grid_results]),
+                        values=np.abs([[r.f_ep for r in row] for row in rows]),
                         observable="f_ep")
-    quality_gee = collapse_objective(fam_g, dee_fit.limit, nu_fit.limit, crit.limit)
-    quality_fep = collapse_objective(fam_f, dep_fit.exponent, nu_fit.limit, crit.limit)
-
-    ec_span = (min(crit.limit - 0.01, float(np.min(ecs)) - 0.02),
-               float(np.max(ecs)) + 0.01)
-    f_optimum = optimize_collapse(fam_f, 1.0, (1.2, 1.9), ec_span)
+    nu, ec = fields["nu"], fields["eps_c_star"]
+    quality_gee = collapse_objective(fam_g, fields["delta_ee"], nu, ec)
+    quality_fep = collapse_objective(fam_f, fields["delta_ep"], nu, ec)
+    ecs = fit_diagnostics["eps_c_by_size"]
+    f_optimum = optimize_collapse(fam_f, 1.0, (1.2, 1.9),
+                                  (min(ec - 0.01, min(ecs) - 0.02), max(ecs) + 0.01))
     if f_optimum.boundary_warning:
         warnings.append("curvature collapse optimum at a search boundary")
 
@@ -683,40 +695,19 @@ def scaling_pipeline(sizes: Sequence[float] = DEFAULT_SIZES,
                     "family": family_cuts},
         "delta": float(delta),
         "peak_bracket": [float(peak_bracket[0]), float(peak_bracket[1])],
-        "collapse_window": [float(collapse_window[0]), float(collapse_window[1])],
+        "collapse_window": [float(lo), float(hi)],
         "collapse_step": float(collapse_step),
-        "eps_c_by_size": [float(v) for v in ecs],
-        "g_ee_peak": [float(v) for v in g_peak],
-        "g_pp_at_peak": [float(v) for v in gpp_peak],
-        "f_ep_at_peak": [float(v) for v in fep_peak],
-        "nbar_at_peak": [float(v) for v in nbar_peak],
-        "pair_sizes": [float(v) for v in eff_sizes],
-        "pair_slopes_gee": [float(v) for v in slopes],
-        "delta_ee_global": dee_global.exponent,
-        "delta_ee_sigma": abs(dee_global.exponent - dee_fit.limit),
-        "delta_ee_fit": {"amplitude": dee_fit.amplitude, "exponent": dee_fit.exponent,
-                         "residual": dee_fit.residual},
-        "nu_fit": {"amplitude": nu_fit.amplitude, "exponent": nu_fit.exponent,
-                   "residual": nu_fit.residual},
-        "crit_fit_residual": crit.residual,
-        "r_squared": {"delta_ee_global": dee_global.r_squared,
-                      "delta_pp": dpp_fit.r_squared, "delta_ep": dep_fit.r_squared},
-        "berry_dimension_consistency": consistency,
+        **fit_diagnostics,
         "f_collapse_optimum": {"nu": f_optimum.nu, "eps_c_star": f_optimum.eps_c_star,
                                "quality": f_optimum.quality},
         "family_eps_grid": [float(v) for v in eps_grid],
         "family_g_ee": [[float(v) for v in row] for row in fam_g.values],
         "family_f_ep": [[float(v) for v in row] for row in fam_f.values],
-        "degraded": degraded,
+        "degraded": bool(len(sizes_kept) < len(sizes) or flagged),
         "warnings": warnings,
     }
-    return ScalingReport(
-        eps_c_star=crit.limit, fit_a=crit.amplitude, fit_b=crit.exponent,
-        nu=nu_fit.limit, delta_ee=dee_fit.limit, delta_pp=dpp_fit.exponent,
-        delta_ep=dep_fit.exponent, delta_eps=delta_eps, delta_phi=delta_phi,
-        collapse_quality_gee=quality_gee, collapse_quality_fep=quality_fep,
-        diagnostics=diagnostics,
-    )
+    return ScalingReport(**fields, collapse_quality_gee=quality_gee,
+                         collapse_quality_fep=quality_fep, diagnostics=diagnostics)
 
 
 @dataclass(frozen=True)
@@ -769,9 +760,7 @@ def k0_pipeline(scaling: ScalingReport,
     flagged = bool(min(g_fit.r_squared, f_fit.r_squared, n_fit.r_squared) < 0.99)
 
     diag = scaling.diagnostics
-    eff_sizes, n_slopes = pair_slopes(np.asarray(diag["sizes"]),
-                                      np.asarray(diag["nbar_at_peak"]))
-    dn_fit = nu_convergence(eff_sizes, n_slopes)
+    eff_sizes, n_slopes, dn_fit = drift_fit(diag["sizes"], diag["nbar_at_peak"])
     delta_nbar = dn_fit.limit
 
     beta1 = n_fit.exponent * g_fit.exponent

@@ -427,11 +427,30 @@ def load_scaling_report(path: Path) -> ScalingReport:
     return ScalingReport(**{key: data[key] for key in keys})
 
 
+def _unverified(out: Path) -> str | None:
+    """Why the scaling manifest in out does not verify its report (None if it
+    does): it must be of this __version__ and hold the report's sha256."""
+    try:
+        manifest = read_json(out / "manifest_scaling.json", "manifest")
+    except SchemaError as exc:
+        return str(exc)
+    if manifest.get("version") != __version__:
+        return f"its manifest is of version {manifest.get('version')!r}, not {__version__!r}"
+    outputs = manifest.get("outputs")
+    if not (isinstance(outputs, dict) and outputs.get(SCALING_REPORT_NAME)
+            == sha256_file(out / SCALING_REPORT_NAME)):
+        return "its sha256 differs from the one its manifest records"
+    return None
+
+
 def _k0(config: SweepConfig, out: Path) -> ModeResult:
-    """Cutoff-scaling study, its cutoffs checked before any solve; reuses a
-    matching scaling report in ``out``."""
+    """Cutoff-scaling study, its cutoffs checked before any solve.  It reuses
+    the scaling report in ``out`` when its diagnostics match this config and
+    the scaling manifest verifies it (_unverified); otherwise it computes the
+    report, and the manifest warnings start with a report it could not
+    verify and the computed report's own warnings."""
     _k0_cutoffs(config.ncut_list)
-    scaling = None
+    scaling, warnings = None, []
     existing = out / SCALING_REPORT_NAME
     if existing.exists():
         candidate = load_scaling_report(existing)
@@ -442,12 +461,17 @@ def _k0(config: SweepConfig, out: Path) -> ModeResult:
                 and diag.get("n_cut") == config.n_cut
                 and diag.get("delta") == config.delta
                 and diag.get("peak_bracket") == [float(b) for b in config.peak_bracket]):
-            scaling = candidate
+            if (reason := _unverified(out)) is None:
+                scaling = candidate
+            else:
+                warnings.append(f"{existing.name} is not reused, but computed again: {reason}")
 
     if scaling is None:
         scaling = _scaling_report(config)
+        warnings += scaling.diagnostics["warnings"]
     report = k0_pipeline(scaling, ncut_list=config.ncut_list, delta=config.delta)
-    warnings = ["a power-law fit has r^2 < 0.99"] if report.flagged else []
+    if report.flagged:
+        warnings.append("a power-law fit has r^2 < 0.99")
     if report.diagnostics["delta_nbar_fit"]["boundary_warning"]:
         warnings.append("delta_nbar drift exponent at search-range boundary")
     return {K0_REPORT_NAME: dumps_json(asdict(report))}, warnings

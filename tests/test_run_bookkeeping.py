@@ -4,12 +4,14 @@ the k0 study."""
 
 import dataclasses
 import json
+import re
 import shutil
 import threading
 
 import numpy as np
 import pytest
 
+import kerrqgt
 import kerrqgt.eigensolver as eigensolver
 import kerrqgt.qgt
 import kerrqgt.scaling
@@ -325,7 +327,11 @@ def _write_report(out, **diag_overrides):
             "delta_eps", "delta_phi", "collapse_quality_gee", "collapse_quality_fep"]
     report = {key: 1.0 for key in keys}
     report["diagnostics"] = diagnostics
-    (out / sweep.SCALING_REPORT_NAME).write_text(json.dumps(report))
+    path = out / sweep.SCALING_REPORT_NAME
+    path.write_text(json.dumps(report))
+    # the scaling manifest that verifies the report, so that k0 may reuse it
+    (out / "manifest_scaling.json").write_text(json.dumps(
+        {"version": kerrqgt.__version__, "outputs": {path.name: sweep.sha256_file(path)}}))
 
 
 @pytest.fixture
@@ -337,7 +343,7 @@ def k0_spies(monkeypatch):
         return sweep.ScalingReport(**{k: 0.0 for k in (
             "eps_c_star", "fit_a", "fit_b", "nu", "delta_ee", "delta_pp", "delta_ep",
             "delta_eps", "delta_phi", "collapse_quality_gee", "collapse_quality_fep")},
-            diagnostics={"source": "rebuilt"})
+            diagnostics={"source": "rebuilt", "warnings": []})
 
     def fake_k0_pipeline(scaling=None, **kwargs):
         seen["scaling"].append(scaling.diagnostics["source"])
@@ -374,15 +380,36 @@ def test_k0_reuses_report_for_unsorted_sizes(tmp_path, k0_spies):
     assert k0_spies["rebuilt"] == []
 
 
-@pytest.fixture
-def no_eigensolve(monkeypatch):
-    """Fail the test at the first tridiagonal eigensolve of the package,
-    bisected or seeded."""
-    def solve(*args, **kwargs):
-        raise AssertionError("a tridiagonal eigensolve was made")
+def _tamper(out):
+    path = out / sweep.SCALING_REPORT_NAME
+    path.write_text(json.dumps({**json.loads(path.read_text()), "delta_ee": 99.0}))
 
-    monkeypatch.setattr(eigensolver, "_lowest_pair", solve)
-    monkeypatch.setattr(eigensolver, "_seeded_pairs", solve)
+
+def _other_version(out):
+    path = out / "manifest_scaling.json"
+    path.write_text(json.dumps({**json.loads(path.read_text()), "version": "0.0.9"}))
+
+
+@pytest.mark.parametrize("damage, reason", [
+    (None, None),
+    (_tamper, "its sha256 differs from the one its manifest records"),
+    (_other_version, f"its manifest is of version '0.0.9', not '{kerrqgt.__version__}'"),
+    (lambda out: (out / "manifest_scaling.json").unlink(),
+     "manifest .*manifest_scaling.json cannot be read: No such file or directory"),
+], ids=["verified", "tampered", "other-version", "no-manifest"])
+def test_k0_reuses_only_a_report_its_manifest_verifies(tmp_path, k0_spies, damage, reason):
+    _write_report(tmp_path)
+    if damage:
+        damage(tmp_path)
+    run(SweepConfig(mode="k0", out_dir=str(tmp_path), **K0_BASE))
+    assert k0_spies["scaling"] == ["on disk" if damage is None else "rebuilt"]
+    warnings = _manifest_warnings(tmp_path, "k0")
+    if damage is None:
+        assert warnings == []
+    else:
+        [warning] = warnings
+        assert re.fullmatch(f"scaling_report.json is not reused, but computed again: {reason}",
+                            warning)
 
 
 def test_repeated_sizes_fail_before_any_solve(tmp_path, capsys, no_eigensolve):
@@ -461,6 +488,11 @@ def test_report_without_cutoffs_serves_k0_collapse_and_plots(tmp_path, monkeypat
     report = json.loads(files[0].read_text())
     assert set(report["diagnostics"].pop("cutoffs")) == {"peak", "family"}
     files[0].write_text(sweep.dumps_json(report))
+    # as its own manifest would have recorded it
+    manifest_path = tmp_path / "manifest_scaling.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["outputs"][files[0].name] = sweep.sha256_file(files[0])
+    manifest_path.write_text(json.dumps(manifest))
 
     def rebuilt(**kwargs):
         raise AssertionError("the scaling report was rebuilt")

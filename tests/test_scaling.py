@@ -14,20 +14,18 @@ from kerrqgt import (
     FitError,
     GapError,
     ModelParams,
+    QGTResult,
     WindowError,
     collapse_objective,
-    extrapolate_critical_point,
     fit_power_law,
     locate_peak,
-    nu_convergence,
     optimize_collapse,
-    pair_slopes,
-    perturbation_dimensions,
     qgt_spectral,
     scaling_pipeline,
 )
 from kerrqgt.qgt import g_ee_slope
-from kerrqgt.scaling import fit_shifted_power, sweep_family
+from kerrqgt.scaling import (_cutoff_ladder, _peaks, drift_fit, fit_peaks, fit_shifted_power,
+                             sweep_family)
 from kerrqgt.sweep import dumps_json, family_from_report, load_scaling_report
 
 
@@ -59,9 +57,10 @@ def test_locate_peak_matches_grid_scan():
 
 
 def test_extrapolation_recovers_synthetic_drift():
+    # the critical-point fit of fit_peaks
     sizes = np.array([300.0, 400.0, 500.0, 600.0, 700.0])
     eps_c = 1.008 + 0.5 * sizes ** (-0.8)
-    fit = extrapolate_critical_point(sizes, eps_c)
+    fit = fit_shifted_power(1.0 / sizes, eps_c)
     assert fit.limit == pytest.approx(1.008, abs=1e-6)
     assert fit.amplitude == pytest.approx(0.5, abs=1e-4)
     assert fit.exponent == pytest.approx(0.8, abs=1e-4)
@@ -70,7 +69,7 @@ def test_extrapolation_recovers_synthetic_drift():
 
 def test_extrapolation_rejects_constant_data():
     with pytest.raises(FitError):
-        extrapolate_critical_point([300, 400, 500, 600], [1.0, 1.0, 1.0, 1.0])
+        fit_shifted_power(1.0 / np.array([300.0, 400.0, 500.0, 600.0]), np.ones(4))
 
 
 def test_fit_power_law_exact():
@@ -99,28 +98,83 @@ def test_fit_power_law_rejects_nonpositive():
         fit_power_law([0.0, 2.0], [1.0, 1.0])
 
 
-def test_nu_convergence_synthetic():
-    sizes = np.array([300.0, 400.0, 500.0, 600.0, 700.0])
-    fit = nu_convergence(sizes, 1.51 + 2.0 / sizes)
+def _drifting_power(sizes, exponent, c):
+    """y = L^exponent exp(-c / L), whose secant slope over sizes L1 < L2 is
+    exponent + c (1/L1 - 1/L2) / ln(L2/L1): on a geometric size ladder of
+    ratio r, exponent + c (r - 1) / (sqrt(r) ln r) / Lg at the pair's
+    geometric mean Lg."""
+    return sizes**exponent * np.exp(-c / sizes)
+
+
+def test_drift_fit_limit_of_a_1_over_L_drift():
+    sizes = 100.0 * 2.0 ** np.arange(5)
+    pair_sizes, slopes, fit = drift_fit(sizes, _drifting_power(sizes, 1.51, 20.0))
     assert fit.limit == pytest.approx(1.51, abs=1e-6)
     assert fit.exponent == pytest.approx(1.0, abs=1e-4)
 
 
-def test_pair_slopes_geometric_assignment():
-    sizes = np.array([100.0, 200.0, 400.0])
-    values = 2.0 * sizes**1.5
-    eff, slopes = pair_slopes(sizes, values)
-    np.testing.assert_allclose(slopes, [1.5, 1.5])
-    np.testing.assert_allclose(eff, [np.sqrt(2.0) * 100.0, np.sqrt(2.0) * 200.0])
+def test_drift_fit_pair_sizes_are_geometric_means():
+    sizes = np.array([100.0, 200.0, 400.0, 800.0])
+    pair_sizes, slopes, _ = drift_fit(sizes, 2.0 * _drifting_power(sizes, 1.5, 10.0))
+    np.testing.assert_allclose(pair_sizes, np.sqrt(2.0) * sizes[:-1], rtol=1e-15)
+    secants = 1.5 + 10.0 * (1 / sizes[:-1] - 1 / sizes[1:]) / np.log(2.0)
+    np.testing.assert_allclose(slopes, secants, rtol=1e-12)
 
 
-def test_perturbation_dimensions():
-    d_eps, d_phi, consistency = perturbation_dimensions(1.325, 0.643, 1.0)
-    assert d_eps == pytest.approx(0.3375)
-    assert d_phi == pytest.approx(0.6785)
-    assert 2.0 - d_eps - d_phi == pytest.approx(0.984)
-    assert consistency == pytest.approx(abs(1.0 - 0.984))
-    assert perturbation_dimensions(2.0, 2.0, 0.0)[:2] == (0.0, 0.0)
+def _synthetic_peak(L, eps, g_ee, g_pp, f_ep):
+    return QGTResult(g_ee=g_ee, g_pp=g_pp, g_ep=0.0, f_ep=f_ep, gap=0.1, method="spectral",
+                     params=ModelParams.from_size(L, eps), mean_n=L / 10.0, var_n=1.0,
+                     tail_weight=0.0, cutoff_warning=False)
+
+
+def test_fit_peaks_perturbation_dimensions():
+    # delta_j = (2 - delta_jj) / 2 and |delta_ep - (2 - delta_eps - delta_phi)|
+    sizes = 100.0 * 2.0 ** np.arange(5)
+    peaks = [_synthetic_peak(L, 1.0 + 0.3 * L**-0.8, g, 2.0 * L**0.643, -0.5 * L)
+             for L, g in zip(sizes, _drifting_power(sizes, 1.325, 20.0))]
+    fields, diagnostics, warnings = fit_peaks(sizes, peaks)
+    assert fields["delta_ee"] == pytest.approx(1.325, abs=1e-6)
+    assert fields["delta_pp"] == pytest.approx(0.643, abs=1e-12)
+    assert fields["delta_ep"] == pytest.approx(1.0, abs=1e-12)
+    assert fields["delta_eps"] == (2.0 - fields["delta_ee"]) / 2.0
+    assert fields["delta_phi"] == (2.0 - fields["delta_pp"]) / 2.0
+    assert diagnostics["berry_dimension_consistency"] == abs(
+        fields["delta_ep"] - (2.0 - fields["delta_eps"] - fields["delta_phi"]))
+    assert fields["delta_eps"] == pytest.approx(0.3375, abs=1e-6)
+    assert fields["delta_phi"] == pytest.approx(0.6785)
+    assert diagnostics["berry_dimension_consistency"] == pytest.approx(0.016, abs=1e-6)
+    assert fields["eps_c_star"] == pytest.approx(1.0, abs=1e-6)
+    assert warnings == []
+
+
+TINY = dict(sizes=(40, 50, 60, 70, 85), n_cut=200, peak_bracket=(1.05, 1.45),
+            collapse_window=(1.05, 1.40), collapse_step=1e-2)
+
+
+@pytest.fixture(scope="module")
+def tiny_peaks():
+    """(report, sizes, peaks) of one tiny-scale pipeline and its _peaks stage."""
+    sizes = np.array(TINY["sizes"], dtype=float)
+    peaks, _ = _peaks(sizes, _cutoff_ladder(TINY["n_cut"]), 1.0, TINY["peak_bracket"])
+    return scaling_pipeline(**TINY), sizes, peaks
+
+
+def test_fit_peaks_reproduces_the_report_bit_for_bit(tiny_peaks):
+    report, sizes, peaks = tiny_peaks
+    assert not any(r.cutoff_warning for r in peaks)
+    fields, diagnostics, warnings = fit_peaks(sizes, peaks)
+    assert fields == {k: v for k, v in asdict(report).items() if k in fields}
+    assert diagnostics == {k: report.diagnostics[k] for k in diagnostics}
+    assert list(diagnostics) == list(report.diagnostics)[7:7 + len(diagnostics)]
+    assert warnings == [w for w in report.diagnostics["warnings"] if "drift exponent" in w]
+
+
+def test_leave_one_size_out_refits_make_no_solve(tiny_peaks, no_eigensolve):
+    _, sizes, peaks = tiny_peaks
+    for i in range(len(sizes)):
+        keep = np.arange(len(sizes)) != i
+        fields, _, _ = fit_peaks(sizes[keep], [p for p, k in zip(peaks, keep) if k])
+        assert all(np.isfinite(v) for v in fields.values())
 
 
 def _exact_family(nu=1.0, delta=2.0):
@@ -257,9 +311,7 @@ def test_collapse_of_an_all_zero_family_raises():
 
 
 def test_pipeline_and_stored_family_collapse_equal_with_reference(tmp_path, monkeypatch):
-    tiny = dict(sizes=(40, 50, 60, 70, 85), n_cut=200, peak_bracket=(1.05, 1.45),
-                collapse_window=(1.05, 1.40), collapse_step=1e-2)
-    fast = scaling_pipeline(**tiny)
+    fast = scaling_pipeline(**TINY)
     path = tmp_path / "scaling_report.json"
     path.write_text(dumps_json(asdict(fast)))
     stored = [family_from_report(load_scaling_report(path), name)
@@ -271,7 +323,7 @@ def test_pipeline_and_stored_family_collapse_equal_with_reference(tmp_path, monk
     # the reference objective has no early exit, so the seed bound is dropped
     monkeypatch.setattr(kerrqgt.scaling, "collapse_objective",
                         lambda *args, above=None: reference.collapse_objective(*args))
-    assert asdict(fast) == asdict(scaling_pipeline(**tiny))
+    assert asdict(fast) == asdict(scaling_pipeline(**TINY))
     assert fast_optima == [optimize_collapse(f, d, (1.2, 1.9), (1.0, 1.3))
                            for f in stored for d in (fast.delta_ee, 1.0)]
 

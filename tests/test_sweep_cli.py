@@ -506,6 +506,20 @@ def test_boundary_flags_of_the_shifted_power_fits_are_warned(tmp_path, monkeypat
         "k0": ["delta_nbar drift exponent at search-range boundary"]}
 
 
+def test_k0_manifest_carries_the_warnings_of_a_report_it_computes(tmp_path, monkeypatch):
+    fit = kerrqgt.scaling.fit_shifted_power
+    monkeypatch.setattr(kerrqgt.scaling, "fit_shifted_power",
+                        lambda x, y: replace(fit(x, y), boundary_warning=True))
+    out = tmp_path / "out"
+    run(SweepConfig(mode="k0", out_dir=str(out), ncut_list=(60, 84, 120, 170, 240),
+                    **SMALL_SCALING))
+    assert json.loads((out / "manifest_k0.json").read_text())["warnings"] == [
+        "critical-point drift exponent at search-range boundary",
+        "delta_ee drift exponent at search-range boundary",
+        "nu drift exponent at search-range boundary",
+        "delta_nbar drift exponent at search-range boundary"]
+
+
 def test_config_file_legacy_threads_key_is_dropped(tmp_path):
     config_path = tmp_path / "cfg.json"
     config_path.write_text(json.dumps({"threads": 4, "n_cut": 120}))
