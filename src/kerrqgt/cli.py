@@ -13,21 +13,14 @@ of the wrong JSON type for its field (numbers must be finite).
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 from .errors import InputError, SchemaError
 from .plots import emit_plots
-from .sweep import SweepConfig, read_json, run
+from .sweep import SweepConfig, _is_number, read_json, run
 
 # Built-in defaults that differ from SweepConfig's own.
 MODE_DEFAULTS = {"qgt": dict(eps_range=(0.95, 1.06, 23))}
-
-
-def _is_number(value) -> bool:
-    """A finite JSON number (json reads 1e999 as inf and accepts NaN)."""
-    return (isinstance(value, int) and not isinstance(value, bool)
-            or isinstance(value, float) and math.isfinite(value))
 
 
 # The JSON value each SweepConfig field type takes in a config file.

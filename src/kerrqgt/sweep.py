@@ -5,11 +5,14 @@ The mode function named by ``config.mode`` in ``MODES`` computes the output
 texts, evaluating its grid points in grid order; ``run`` then writes each text
 to a temporary name and renames it atomically, and writes the manifest last,
 so its presence certifies a completed run.  A rerun whose manifest is current
-computes and writes nothing.  In the qgt mode a grid point whose solve or
-gap certificate fails (POINT_ERRORS; the tensor kernels gap-gate every row
-they read) is dropped with a manifest warning that names it.  The cutoff
-probes and the phase diagram, which read only the photon distribution, are
-not gap-gated.
+(_stale finds no reason against it) computes and writes nothing.  The k0 mode
+reads the scaling report that manifest_scaling.json certifies, and runs the
+scaling mode into the same directory when there is none; so a k0 run whose
+own study fails may leave the scaling outputs behind.  In the qgt mode a grid
+point whose solve or gap certificate fails (POINT_ERRORS; the tensor kernels
+gap-gate every row they read) is dropped with a manifest warning that names
+it.  The cutoff probes and the phase diagram, which read only the photon
+distribution, are not gap-gated.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass, asdict, fields
+from dataclasses import dataclass, asdict, fields, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -145,6 +148,12 @@ def read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
     return header, [line.split(",") for line in lines[1:]]
 
 
+def _is_number(value) -> bool:
+    """A finite JSON number (json reads 1e999 as inf and accepts NaN)."""
+    return (isinstance(value, int) and not isinstance(value, bool)
+            or isinstance(value, float) and math.isfinite(value))
+
+
 def read_json(path: Path, what: str) -> dict:
     """The JSON object in path.  A file that cannot be read, is not JSON or
     holds anything but an object raises SchemaError naming what and path."""
@@ -249,24 +258,35 @@ def _write_manifest(out: Path, config: SweepConfig, started: str,
     return path
 
 
-def manifest_is_current(out: Path, config: SweepConfig) -> bool:
-    """True when a completed manifest of this version matches this config (up
-    to RUN_ONLY_FIELDS) and its files verify.  A manifest that is not a JSON
-    object, or whose outputs are not one, is not current: the run recomputes."""
+def _stale(out: Path, config: SweepConfig, identity=_identity) -> str | None:
+    """Why the manifest of config's mode in out does not certify its outputs
+    (None if it does): a JSON object of this __version__ whose config echo has
+    config's identity, listing outputs that all match their sha256.  An echo
+    that is not an object or lacks a field is stale."""
     try:
         manifest = read_json(_manifest_path(out, config), "manifest")
-    except SchemaError:  # missing, unreadable, not JSON or not an object
-        return False
-    echo, outputs = manifest.get("config"), manifest.get("outputs", {})
-    if (manifest.get("version") != __version__ or not isinstance(echo, dict)
-            or not isinstance(outputs, dict)
-            or _identity(echo) != _identity(config.echo())):
-        return False
+    except SchemaError as exc:  # missing, unreadable, not JSON or not an object
+        return str(exc)
+    if manifest.get("version") != __version__:
+        return f"its manifest is of version {manifest.get('version')!r}, not {__version__!r}"
+    echo, outputs = manifest.get("config"), manifest.get("outputs")
+    try:
+        same = isinstance(echo, dict) and identity(echo) == identity(config.echo())
+    except (KeyError, TypeError):  # a field missing, or of the wrong JSON type
+        same = False
+    if not same:
+        return "its manifest was written for another configuration"
+    if not (isinstance(outputs, dict) and outputs):
+        return "its manifest lists no outputs"
     for name, digest in outputs.items():
-        target = out / name
-        if not target.exists() or sha256_file(target) != digest:
-            return False
-    return True
+        if not (out / name).is_file() or sha256_file(out / name) != digest:
+            return "its sha256 differs from the one its manifest records"
+    return None
+
+
+def manifest_is_current(out: Path, config: SweepConfig) -> bool:
+    """True when the manifest of config's mode certifies its outputs (_stale)."""
+    return _stale(out, config) is None
 
 
 def run(config: SweepConfig) -> list[Path]:
@@ -274,7 +294,9 @@ def run(config: SweepConfig) -> list[Path]:
 
     Returns [] without computing anything when the manifest is current (see
     manifest_is_current) and ``config.force`` is not set.  The directory is
-    made only once the mode has returned, so a rejected run leaves none.
+    made only once the mode has returned, so a rejected run leaves none; but a
+    k0 run that has to compute its scaling report writes the scaling outputs
+    and their manifest first, and they stay if its own study then fails.
     """
     out = Path(config.out_dir)
     if not config.force and manifest_is_current(out, config):
@@ -391,17 +413,13 @@ def _qgt(config: SweepConfig, out: Path) -> ModeResult:
     return {"qgt.csv": csv_text(QGT_COLUMNS, rows)}, warnings
 
 
-def _scaling_report(config: SweepConfig) -> ScalingReport:
-    return scaling_pipeline(
+def _scaling(config: SweepConfig, out: Path) -> ModeResult:
+    """Full scaling analysis; the JSON report carries the curve families."""
+    report = scaling_pipeline(
         sizes=config.sizes, n_cut=config.n_cut, delta=config.delta,
         peak_bracket=tuple(config.peak_bracket),
         collapse_window=tuple(config.collapse_window),
         collapse_step=config.collapse_step)
-
-
-def _scaling(config: SweepConfig, out: Path) -> ModeResult:
-    """Full scaling analysis; the JSON report carries the curve families."""
-    report = _scaling_report(config)
     return ({SCALING_REPORT_NAME: dumps_json(asdict(report))},
             list(report.diagnostics["warnings"]))
 
@@ -422,54 +440,38 @@ def read_report(path: Path, keys: list[str]) -> dict:
 
 
 def load_scaling_report(path: Path) -> ScalingReport:
+    """The report in path; SchemaError, naming the key, if a field other than
+    diagnostics is not a finite JSON number."""
     keys = [f.name for f in fields(ScalingReport)]
     data = read_report(path, keys)
+    for key in keys:
+        if key != "diagnostics" and not _is_number(data[key]):
+            raise SchemaError(f"{Path(path).name} key {key!r} must be a finite number, "
+                              f"got {json.dumps(data[key])}")
     return ScalingReport(**{key: data[key] for key in keys})
 
 
-def _unverified(out: Path) -> str | None:
-    """Why the scaling manifest in out does not verify its report (None if it
-    does): it must be of this __version__ and hold the report's sha256."""
-    try:
-        manifest = read_json(out / "manifest_scaling.json", "manifest")
-    except SchemaError as exc:
-        return str(exc)
-    if manifest.get("version") != __version__:
-        return f"its manifest is of version {manifest.get('version')!r}, not {__version__!r}"
-    outputs = manifest.get("outputs")
-    if not (isinstance(outputs, dict) and outputs.get(SCALING_REPORT_NAME)
-            == sha256_file(out / SCALING_REPORT_NAME)):
-        return "its sha256 differs from the one its manifest records"
-    return None
+def _k0_inputs(echo: dict) -> list:
+    """What of a scaling config echo the k0 study reads: the peak bracket fixes
+    eps_c by size, hence the k0 inputs; the collapse grid does not enter."""
+    return [sorted(echo["sizes"]), echo["n_cut"], echo["delta"], echo["peak_bracket"]]
 
 
 def _k0(config: SweepConfig, out: Path) -> ModeResult:
-    """Cutoff-scaling study, its cutoffs checked before any solve.  It reuses
-    the scaling report in ``out`` when its diagnostics match this config and
-    the scaling manifest verifies it (_unverified); otherwise it computes the
-    report, and the manifest warnings start with a report it could not
-    verify and the computed report's own warnings."""
+    """Cutoff-scaling study, its cutoffs checked before any solve, on the
+    scaling report in out whose manifest certifies it for these _k0_inputs.
+    Otherwise the scaling mode first runs into out, with the k0-only cutoffs
+    at their default so that the same scaling flags later find it current,
+    and a report that was there gets a warning naming why it is not reused."""
     _k0_cutoffs(config.ncut_list)
-    scaling, warnings = None, []
-    existing = out / SCALING_REPORT_NAME
-    if existing.exists():
-        candidate = load_scaling_report(existing)
-        diag = candidate.diagnostics
-        # The peak bracket fixes eps_c by size, hence the k0 inputs; the
-        # collapse window and step do not enter the k0 study.
-        if (diag.get("sizes") == sorted(float(s) for s in config.sizes)
-                and diag.get("n_cut") == config.n_cut
-                and diag.get("delta") == config.delta
-                and diag.get("peak_bracket") == [float(b) for b in config.peak_bracket]):
-            if (reason := _unverified(out)) is None:
-                scaling = candidate
-            else:
-                warnings.append(f"{existing.name} is not reused, but computed again: {reason}")
-
-    if scaling is None:
-        scaling = _scaling_report(config)
-        warnings += scaling.diagnostics["warnings"]
-    report = k0_pipeline(scaling, ncut_list=config.ncut_list, delta=config.delta)
+    scaling = replace(config, mode="scaling", force=True, ncut_list=DEFAULT_K0_CUTOFFS)
+    existing, warnings = out / SCALING_REPORT_NAME, []
+    if (reason := _stale(out, scaling, _k0_inputs)) is not None:
+        if existing.exists():
+            warnings.append(f"{existing.name} is not reused, but computed again: {reason}")
+        run(scaling)
+    report = k0_pipeline(load_scaling_report(existing), ncut_list=config.ncut_list,
+                         delta=config.delta)
     if report.flagged:
         warnings.append("a power-law fit has r^2 < 0.99")
     if report.diagnostics["delta_nbar_fit"]["boundary_warning"]:
@@ -499,9 +501,16 @@ def family_from_report(report: ScalingReport, observable: str,
 
 
 def _collapse(config: SweepConfig, out: Path) -> ModeResult:
-    """Collapse optimization on a stored curve family."""
+    """Collapse optimization on a stored curve family.  A scaling_report.json
+    next to a manifest_scaling.json that does not certify it (_stale, for any
+    config) is still read, with a manifest warning naming the reason."""
     source = Path(config.input_path) if config.input_path else out / SCALING_REPORT_NAME
     report = load_scaling_report(source)
+    scaling, warnings = replace(config, mode="scaling"), []
+    if (source.name == SCALING_REPORT_NAME and _manifest_path(source.parent, scaling).exists()
+            and (reason := _stale(source.parent, scaling, identity=lambda echo: None))):
+        warnings.append(f"{source.name} is read, but its manifest does not certify it: "
+                        f"{reason}")
     family = family_from_report(report, config.observable, source.name)
     delta_jk = config.delta_jk
     if delta_jk is None:
@@ -523,7 +532,8 @@ def _collapse(config: SweepConfig, out: Path) -> ModeResult:
         "boundary_warning": optimum.boundary_warning,
         "source": source.name,
     }
-    warnings = ["collapse optimum at a search boundary"] if optimum.boundary_warning else []
+    if optimum.boundary_warning:
+        warnings.append("collapse optimum at a search boundary")
     return {f"collapse_{config.observable}.json": dumps_json(payload)}, warnings
 
 

@@ -1,15 +1,20 @@
-"""The golden reports that tests/test_golden.py checks, and how far BLAS moves them.
+"""The golden outputs that tests/test_golden.py and tests/test_golden_csv.py
+check, and how far BLAS moves them.
 
-    PYTHONPATH=src python tests/golden/regenerate.py            # rewrite both files
-    PYTHONPATH=src python tests/golden/regenerate.py --print    # both reports, as JSON
+    PYTHONPATH=src python tests/golden/regenerate.py              # rewrite all four files
+    PYTHONPATH=src python tests/golden/regenerate.py --print      # both reports, as JSON
+    PYTHONPATH=src python tests/golden/regenerate.py --print-csv  # both CSV texts, as JSON
     PYTHONPATH=src python tests/golden/regenerate.py --spread Haswell Nehalem
 
 scaling_report.json is scaling_pipeline() at its defaults and k0_report.json
 is k0_pipeline on that report at the default cutoffs, each serialised as the
-CLI writes it.  --spread reruns both reports in one child process per
-OPENBLAS_CORETYPE given (the variable is set for the child only) and prints,
-per field, the largest relative move from the committed files.  A field is
-a key path with list indices left out, so each curve family is one field.
+CLI writes it.  phase_diagram.csv and qgt.csv are the CLI runs of CSV_ARGV:
+the bench's phase-diagram and qgt-both command lines at seed 901, without
+their --threads, which has no effect.  --spread reruns every file in child
+processes with OPENBLAS_CORETYPE set to each kernel given (the variable is
+set for the children only) and prints, per field, the largest relative move
+from the committed files.  A report field is a key path with list indices
+left out, so each curve family is one field; a CSV field is a column.
 """
 
 from __future__ import annotations
@@ -19,11 +24,20 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from dataclasses import asdict
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 NAMES = ("scaling_report.json", "k0_report.json")
+CSV_ARGV = {
+    "phase_diagram.csv": ["phase-diagram", "--L", "800", "--eps", "0.000000:1.500000:31",
+                          "--phi", "2.679081:5.333116:4", "--ncut", "360"],
+    "qgt.csv": ["qgt", "--L-list", "150,250,350", "--eps", "0.945955:1.055955:8",
+                "--phi", "5.581933", "--method", "both", "--ncut", "400"],
+}
+# CSV columns that are not numbers, compared exactly
+TEXT_COLUMNS = ("method", "warn")
 
 
 def report_texts() -> dict[str, str]:
@@ -34,6 +48,27 @@ def report_texts() -> dict[str, str]:
     scaling = scaling_pipeline()
     return {NAMES[0]: dumps_json(asdict(scaling)),
             NAMES[1]: dumps_json(asdict(k0_pipeline(scaling)))}
+
+
+def csv_texts() -> dict[str, str]:
+    """{file name: text} of the CLI runs of CSV_ARGV, each in a fresh directory."""
+    from kerrqgt.cli import assemble_config, build_parser
+    from kerrqgt.sweep import run
+
+    texts = {}
+    for name, argv in CSV_ARGV.items():
+        with tempfile.TemporaryDirectory() as out:
+            [path] = run(assemble_config(build_parser().parse_args([*argv, "--out", out])))
+            texts[name] = path.read_text()
+    return texts
+
+
+def csv_columns(text: str) -> dict[str, list[str]]:
+    """{column name: its cells, top to bottom} of a CSV text."""
+    header, *rows = [line.split(",") for line in text.splitlines()]
+    if any(len(row) != len(header) for row in rows):
+        raise ValueError("a row has another number of cells than the header")
+    return {name: [row[i] for row in rows] for i, name in enumerate(header)}
 
 
 def leaves(obj, path: str = ""):
@@ -48,15 +83,16 @@ def leaves(obj, path: str = ""):
         yield path, obj
 
 
-def child_reports(coretype: str) -> dict[str, dict]:
-    """The parsed reports of a fresh interpreter under OPENBLAS_CORETYPE=coretype,
-    importing the kerrqgt that this process imports."""
+def child_reports(coretype: str, flag: str = "--print") -> dict:
+    """What this script prints with flag (the parsed reports by default) in a
+    fresh interpreter under OPENBLAS_CORETYPE=coretype, importing the kerrqgt
+    that this process imports."""
     import kerrqgt
 
     source = str(Path(kerrqgt.__file__).resolve().parents[1])
     env = {**os.environ, "OPENBLAS_CORETYPE": coretype,
            "PYTHONPATH": os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, str(Path(__file__).resolve()), "--print"],
+    proc = subprocess.run([sys.executable, str(Path(__file__).resolve()), flag],
                           env=env, capture_output=True, text=True, check=True)
     return json.loads(proc.stdout)
 
@@ -74,26 +110,44 @@ def relative_moves(golden: dict, other: dict) -> dict[str, float]:
     return moves
 
 
+def csv_moves(golden: str, other: str) -> dict[str, float]:
+    """Largest relative move per numeric column, as relative_moves does."""
+    want, got = csv_columns(golden), csv_columns(other)
+    if list(want) != list(got) or any(len(want[c]) != len(got[c]) for c in want):
+        raise ValueError("the CSV texts differ in their columns or rows")
+    if any(want[c] != got[c] for c in TEXT_COLUMNS if c in want):
+        raise ValueError("the CSV texts differ in a text column")
+    return {column: max(relative_moves([float(v) for v in want[column]],
+                                       [float(v) for v in got[column]]).values(), default=0.0)
+            for column in want if column not in TEXT_COLUMNS}
+
+
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--print", action="store_true", dest="print_only")
+    parser.add_argument("--print-csv", action="store_true")
     parser.add_argument("--spread", nargs="+", metavar="CORETYPE")
     args = parser.parse_args(argv)
     if args.print_only:
         print(json.dumps({name: json.loads(text) for name, text in report_texts().items()}))
+    elif args.print_csv:
+        print(json.dumps(csv_texts()))
     elif args.spread:
-        golden = {name: json.loads((HERE / name).read_text()) for name in NAMES}
+        golden = {name: (HERE / name).read_text() for name in [*NAMES, *CSV_ARGV]}
         worst: dict[str, float] = {}
         for coretype in args.spread:
-            other = child_reports(coretype)
-            for name in NAMES:
-                for field, move in relative_moves(golden[name], other[name]).items():
+            reports, texts = child_reports(coretype), child_reports(coretype, "--print-csv")
+            moves = {name: relative_moves(json.loads(golden[name]), reports[name])
+                     for name in NAMES}
+            moves.update({name: csv_moves(golden[name], texts[name]) for name in CSV_ARGV})
+            for name, fields in moves.items():
+                for field, move in fields.items():
                     key = f"{name}:{field}"
                     worst[key] = max(worst.get(key, 0.0), move)
         for key, move in worst.items():
             print(f"{key}\t{move:.2g}")
     else:
-        for name, text in report_texts().items():
+        for name, text in {**report_texts(), **csv_texts()}.items():
             (HERE / name).write_text(text)
     return 0
 

@@ -294,11 +294,13 @@ def _damage_manifest(path, damage):
     elif damage == "outputs list":
         manifest = json.loads(path.read_text())
         path.write_text(json.dumps({**manifest, "outputs": list(manifest["outputs"])}))
+    elif damage == "no outputs":
+        path.write_text(json.dumps({**json.loads(path.read_text()), "outputs": {}}))
     else:
         path.write_bytes(b"\xff\xfe not utf-8")
 
 
-@pytest.mark.parametrize("damage", ["array", "outputs list", "not utf-8"])
+@pytest.mark.parametrize("damage", ["array", "outputs list", "no outputs", "not utf-8"])
 def test_damaged_manifest_reruns_the_mode(tmp_path, capsys, damage):
     argv = ["qgt", "--out", str(tmp_path), "--L-list", "60", "--eps", "0.5:0.9:2",
             "--ncut", "160"]
@@ -329,9 +331,13 @@ def _write_report(out, **diag_overrides):
     report["diagnostics"] = diagnostics
     path = out / sweep.SCALING_REPORT_NAME
     path.write_text(json.dumps(report))
-    # the scaling manifest that verifies the report, so that k0 may reuse it
+    # the manifest of the scaling run that would have written the report, so
+    # that it certifies the report and k0 may reuse it
+    config = SweepConfig(mode="scaling", out_dir=str(out), **{
+        **{k: v for k, v in K0_BASE.items() if k != "ncut_list"}, **diag_overrides})
     (out / "manifest_scaling.json").write_text(json.dumps(
-        {"version": kerrqgt.__version__, "outputs": {path.name: sweep.sha256_file(path)}}))
+        {"version": kerrqgt.__version__, "config": config.echo(),
+         "outputs": {path.name: sweep.sha256_file(path)}}))
 
 
 @pytest.fixture
@@ -390,13 +396,21 @@ def _other_version(out):
     path.write_text(json.dumps({**json.loads(path.read_text()), "version": "0.0.9"}))
 
 
+def _echo_without_sizes(out):
+    path = out / "manifest_scaling.json"
+    manifest = json.loads(path.read_text())
+    del manifest["config"]["sizes"]
+    path.write_text(json.dumps(manifest))
+
+
 @pytest.mark.parametrize("damage, reason", [
     (None, None),
     (_tamper, "its sha256 differs from the one its manifest records"),
     (_other_version, f"its manifest is of version '0.0.9', not '{kerrqgt.__version__}'"),
     (lambda out: (out / "manifest_scaling.json").unlink(),
      "manifest .*manifest_scaling.json cannot be read: No such file or directory"),
-], ids=["verified", "tampered", "other-version", "no-manifest"])
+    (_echo_without_sizes, "its manifest was written for another configuration"),
+], ids=["verified", "tampered", "other-version", "no-manifest", "echo-without-sizes"])
 def test_k0_reuses_only_a_report_its_manifest_verifies(tmp_path, k0_spies, damage, reason):
     _write_report(tmp_path)
     if damage:
@@ -410,6 +424,26 @@ def test_k0_reuses_only_a_report_its_manifest_verifies(tmp_path, k0_spies, damag
         [warning] = warnings
         assert re.fullmatch(f"scaling_report.json is not reused, but computed again: {reason}",
                             warning)
+
+
+def test_k0_runs_into_one_directory_solve_the_scaling_report_once(tmp_path, monkeypatch,
+                                                                   capsys):
+    # the first k0 run writes the scaling report it computes, with its
+    # manifest; the second reuses it, and so does the scaling run they imply
+    calls, pipeline = [], sweep.scaling_pipeline
+    monkeypatch.setattr(sweep, "scaling_pipeline",
+                        lambda **kwargs: calls.append(kwargs) or pipeline(**kwargs))
+    argv = ["--L-list", "40,50,60,70,85", "--ncut", "200", "--bracket", "1.05:1.45",
+            "--out", str(tmp_path)]
+    assert main(["k0", *argv, "--ncut-list", "60,84,120,170,240"]) == 0
+    assert main(["k0", *argv, "--ncut-list", "60,84,120,170,240,340"]) == 0
+    assert len(calls) == 1
+    before = {path.name: path.stat().st_mtime_ns for path in tmp_path.iterdir()}
+    capsys.readouterr()
+    assert main(["scaling", *argv]) == 0
+    assert "are current" in capsys.readouterr().out
+    assert {path.name: path.stat().st_mtime_ns for path in tmp_path.iterdir()} == before
+    assert len(calls) == 1
 
 
 def test_repeated_sizes_fail_before_any_solve(tmp_path, capsys, no_eigensolve):
@@ -478,6 +512,27 @@ def test_collapse_manifests_are_kept_per_observable(tmp_path, capsys):
     for observable in ("g_ee", "f_ep"):
         manifest = json.loads((tmp_path / f"manifest_collapse_{observable}.json").read_text())
         assert list(manifest["outputs"]) == [f"collapse_{observable}.json"]
+
+
+def _append_newline(out):
+    path = out / sweep.SCALING_REPORT_NAME
+    path.write_text(path.read_text() + "\n")
+
+
+@pytest.mark.parametrize("damage, reason", [
+    (None, None),
+    (lambda out: (out / "manifest_scaling.json").unlink(), None),
+    (_append_newline, "its sha256 differs from the one its manifest records"),
+    (_other_version, f"its manifest is of version '0.0.9', not '{kerrqgt.__version__}'"),
+], ids=["verified", "no-manifest", "edited", "other-version"])
+def test_collapse_warns_of_a_report_its_manifest_does_not_certify(tmp_path, damage, reason):
+    # the report is read in every case; a missing manifest is no reason to warn
+    run(SweepConfig(mode="scaling", out_dir=str(tmp_path), **SMALL_RUNS["scaling"]))
+    if damage:
+        damage(tmp_path)
+    assert run(SweepConfig(mode="collapse", out_dir=str(tmp_path)))
+    assert _manifest_warnings(tmp_path, "collapse_g_ee") == ([] if reason is None else [
+        f"scaling_report.json is read, but its manifest does not certify it: {reason}"])
 
 
 def test_report_without_cutoffs_serves_k0_collapse_and_plots(tmp_path, monkeypatch):

@@ -513,11 +513,14 @@ def test_k0_manifest_carries_the_warnings_of_a_report_it_computes(tmp_path, monk
     out = tmp_path / "out"
     run(SweepConfig(mode="k0", out_dir=str(out), ncut_list=(60, 84, 120, 170, 240),
                     **SMALL_SCALING))
-    assert json.loads((out / "manifest_k0.json").read_text())["warnings"] == [
-        "critical-point drift exponent at search-range boundary",
-        "delta_ee drift exponent at search-range boundary",
-        "nu drift exponent at search-range boundary",
-        "delta_nbar drift exponent at search-range boundary"]
+    # the report's warnings go to the manifest of the scaling run that wrote it
+    warnings = {mode: json.loads((out / f"manifest_{mode}.json").read_text())["warnings"]
+                for mode in ("scaling", "k0")}
+    assert warnings == {
+        "scaling": ["critical-point drift exponent at search-range boundary",
+                    "delta_ee drift exponent at search-range boundary",
+                    "nu drift exponent at search-range boundary"],
+        "k0": ["delta_nbar drift exponent at search-range boundary"]}
 
 
 def test_config_file_legacy_threads_key_is_dropped(tmp_path):
@@ -598,13 +601,20 @@ UNTRUSTED_INPUTS = {
                    "No such file or directory"),
     (["collapse", "--input", "{dir}/text.json"],
      "report {dir}/text.json is not JSON: Expecting value: line 1 column 1 (char 0)"),
+    (["collapse", "--input", "{dir}/text-field.json"],
+     'text-field.json key \'eps_c_star\' must be a finite number, got "x"'),
+    (["collapse", "--input", "{dir}/bool-field.json"],
+     "bool-field.json key 'nu' must be a finite number, got true"),
     *[(argv, message) for argv, message in UNTRUSTED_INPUTS.values()],
 ], ids=["collapse-step", "cutoff", "config-method", "config-not-json", "config-missing",
         "negative-size", "zero-size", "collapse-no-report", "collapse-input-not-json",
-        *UNTRUSTED_INPUTS])
+        "collapse-input-text-field", "collapse-input-bool-field", *UNTRUSTED_INPUTS])
 def test_cli_input_error_is_one_line_with_status_2(tmp_path, capsys, argv, message):
     (tmp_path / "method.json").write_text('{"method": "xyz"}')
     (tmp_path / "text.json").write_text("not json")
+    report = {**{f.name: 1.0 for f in fields(ScalingReport)}, "diagnostics": {}}
+    (tmp_path / "text-field.json").write_text(json.dumps({**report, "eps_c_star": "x"}))
+    (tmp_path / "bool-field.json").write_text(json.dumps({**report, "nu": True}))
     argv = [arg.format(dir=tmp_path) for arg in argv]
     out = tmp_path / "out"
     assert main(argv + ["--out", str(out)]) == 2
@@ -624,7 +634,7 @@ def test_untrusted_inputs_fail_before_any_solve(tmp_path, monkeypatch, case):
     assert main(UNTRUSTED_INPUTS[case][0] + ["--out", str(tmp_path / "out")]) == 2
 
 
-@pytest.mark.parametrize("mode", ["k0", "plots"])
+@pytest.mark.parametrize("mode", ["plots"])
 def test_corrupt_report_in_out_is_one_line_with_status_2(tmp_path, capsys, mode):
     # --out already holds a corrupt scaling report next to a valid phase
     # diagram: the run stops before it writes a file or a manifest
@@ -641,7 +651,7 @@ def test_corrupt_report_in_out_is_one_line_with_status_2(tmp_path, capsys, mode)
     assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
 
-@pytest.mark.parametrize("mode", ["plots", "collapse", "k0"])
+@pytest.mark.parametrize("mode", ["plots", "collapse"])
 def test_non_object_diagnostics_is_one_line_with_status_2(tmp_path, capsys, mode):
     out = tmp_path / "out"
     out.mkdir()
@@ -655,6 +665,31 @@ def test_non_object_diagnostics_is_one_line_with_status_2(tmp_path, capsys, mode
                             f"holds a JSON int, not an object\n")
     assert captured.out == ""
     assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+
+@pytest.mark.parametrize("report", [
+    '{"eps_c_star": 1.0,',
+    json.dumps({**{f.name: 1.0 for f in fields(ScalingReport)}, "diagnostics": 5}),
+], ids=["not-json", "non-object-diagnostics"])
+def test_k0_replaces_a_report_its_manifest_does_not_certify(tmp_path, report):
+    # a corrupt report in --out that no manifest certifies is not read: k0
+    # runs the scaling mode over it, and the report it leaves verifies
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "scaling_report.json").write_text(report)
+    (out / "phase_diagram.csv").write_text(",".join(sweep.PHASE_DIAGRAM_COLUMNS) + "\n")
+    config = SweepConfig(mode="k0", out_dir=str(out), ncut_list=(60, 84, 120, 170, 240),
+                         **SMALL_SCALING)
+    assert run(config) == [out / "k0_report.json"]
+    assert json.loads((out / "manifest_k0.json").read_text())["warnings"] == [
+        f"scaling_report.json is not reused, but computed again: manifest "
+        f"{out}/manifest_scaling.json cannot be read: No such file or directory"]
+    assert manifest_is_current(out, SweepConfig(mode="scaling", out_dir=str(out),
+                                                **SMALL_SCALING))
+    assert json.loads((out / "scaling_report.json").read_text())["diagnostics"]["sizes"] == [
+        40.0, 50.0, 60.0, 70.0, 85.0]
+    assert (out / "phase_diagram.csv").read_text() == (
+        ",".join(sweep.PHASE_DIAGRAM_COLUMNS) + "\n")
 
 
 @pytest.mark.parametrize("sizes, values, reason", [
