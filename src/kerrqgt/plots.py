@@ -1,19 +1,22 @@
 """Emission of self-contained matplotlib scripts for the standard figures.
 
-Each generated script reads only data files written by ``sweep.run`` (and
-listed in its manifests) and saves a PNG next to the data; all are built from
-one template (_script).  Generation fails with SchemaError, before any script
-is written, when an input file cannot be read or lacks a required column or
-key; of the scripts, only the phase-diagram one checks its input again.
+Each generated script reads only data files written by ``sweep.run`` and
+saves a PNG next to the data; all are built from one template (_script).
+Generation fails with SchemaError, before any script is written, when an
+input file cannot be read or lacks a required column or key; of the scripts,
+only the phase-diagram one checks its input again.  An input that the
+manifest of the mode writing it does not certify (sweep.uncertified) is still
+read, with a warning on stderr; one without a manifest is read silently.
 """
 
 from __future__ import annotations
 
+import sys
 from pathlib import Path
 
 from .errors import SchemaError
-from .sweep import (PHASE_DIAGRAM_COLUMNS, QGT_COLUMNS, atomic_write_text, read_csv,
-                    read_report)
+from .sweep import (K0_REPORT_NAME, PHASE_DIAGRAM_COLUMNS, QGT_COLUMNS, SCALING_REPORT_NAME,
+                    atomic_write_text, read_csv, read_report, uncertified)
 
 
 def _script(doc: str, data_file: str, body: str, png: str) -> str:
@@ -168,51 +171,48 @@ ax.legend(fontsize=8)
 ''', "k0_scaling.png")
 
 
-def _check_csv_schema(path: Path, required: list[str]) -> None:
-    header, _ = read_csv(path)
-    for column in required:
-        if column not in header:
-            raise SchemaError(f"{path.name} is missing required column {column!r}")
+def _check_schema(path: Path, keys: list[str], diag_keys: list[str]) -> None:
+    """SchemaError unless path has every key: of a CSV, as a column; of a
+    report, at its top level, and every diag_key in its diagnostics."""
+    if path.suffix == ".csv":
+        header, _ = read_csv(path)
+        missing = [f"column {key!r}" for key in keys if key not in header]
+    else:
+        diag = read_report(path, keys).get("diagnostics", {})
+        missing = [f"key 'diagnostics.{key}'" for key in diag_keys if key not in diag]
+    if missing:
+        raise SchemaError(f"{path.name} is missing required {missing[0]}")
 
 
-def _check_report_keys(path: Path, keys: list[str], diag_keys: list[str]) -> None:
-    data = read_report(path, keys)
-    for key in diag_keys:
-        if key not in data.get("diagnostics", {}):
-            raise SchemaError(f"{path.name} is missing required key 'diagnostics.{key}'")
+# each input: the mode whose manifest certifies it, its required keys and
+# diagnostics keys (or CSV columns), and the scripts drawn from it
+_INPUTS = {
+    "phase_diagram.csv": ("phase-diagram", PHASE_DIAGRAM_COLUMNS, [],
+                          {"plot_phase_diagram.py": _PHASE_SCRIPT}),
+    "qgt.csv": ("qgt", QGT_COLUMNS, [], {}),
+    SCALING_REPORT_NAME: ("scaling", ["eps_c_star", "nu", "fit_a", "fit_b", "delta_pp"],
+                          ["family_eps_grid", "family_g_ee", "family_f_ep", "pair_sizes",
+                           "pair_slopes_gee", "eps_c_by_size", "g_pp_at_peak",
+                           "f_collapse_optimum", "nu_fit"],
+                          {"plot_qgt_peaks.py": _PEAKS_SCRIPT,
+                           "plot_scaling_fits.py": _FITS_SCRIPT,
+                           "plot_curvature.py": _CURVATURE_SCRIPT}),
+    K0_REPORT_NAME: ("k0", ["gamma1", "gamma2", "alpha_exp", "delta_nbar"],
+                     ["ncut_list", "g_ee", "f_ep", "nbar", "nbar_pair_sizes",
+                      "nbar_pair_slopes"], {"plot_k0.py": _K0_SCRIPT}),
+}
 
 
 def emit_plots(out_dir) -> list[Path]:
     """Write one plot script per figure whose input data exists in out_dir."""
     out = Path(out_dir)
     scripts = {}
-
-    phase = out / "phase_diagram.csv"
-    if phase.exists():
-        _check_csv_schema(phase, PHASE_DIAGRAM_COLUMNS)
-        scripts["plot_phase_diagram.py"] = _PHASE_SCRIPT
-
-    qgt = out / "qgt.csv"
-    if qgt.exists():
-        _check_csv_schema(qgt, QGT_COLUMNS)
-
-    report = out / "scaling_report.json"
-    if report.exists():
-        _check_report_keys(report, ["eps_c_star", "nu", "fit_a", "fit_b", "delta_pp"],
-                           ["family_eps_grid", "family_g_ee", "family_f_ep",
-                            "pair_sizes", "pair_slopes_gee", "eps_c_by_size",
-                            "g_pp_at_peak", "f_collapse_optimum", "nu_fit"])
-        scripts["plot_qgt_peaks.py"] = _PEAKS_SCRIPT
-        scripts["plot_scaling_fits.py"] = _FITS_SCRIPT
-        scripts["plot_curvature.py"] = _CURVATURE_SCRIPT
-
-    k0 = out / "k0_report.json"
-    if k0.exists():
-        _check_report_keys(k0, ["gamma1", "gamma2", "alpha_exp", "delta_nbar"],
-                           ["ncut_list", "g_ee", "f_ep", "nbar",
-                            "nbar_pair_sizes", "nbar_pair_slopes"])
-        scripts["plot_k0.py"] = _K0_SCRIPT
-
+    for name, (mode, keys, diag_keys, figures) in _INPUTS.items():
+        if (out / name).exists():
+            _check_schema(out / name, keys, diag_keys)
+            if warning := uncertified(out / name, mode):
+                print(f"kerrqgt plots: warning: {warning}", file=sys.stderr)
+            scripts.update(figures)
     for name, script in scripts.items():
         atomic_write_text(out / name, script)
     return [out / name for name in scripts]

@@ -43,17 +43,13 @@ from .eigensolver import ground_state_row
 from .errors import BracketError, FitError, InputError, WindowError
 from .model import ModelParams, TAIL_TOLERANCE
 from .qgt import g_ee_slope, qgt_spectral, qgt_spectral_row, QGTResult
+from .sweep import (DEFAULT_COLLAPSE_STEP, DEFAULT_COLLAPSE_WINDOW, DEFAULT_K0_CUTOFFS,
+                    DEFAULT_N_CUT, DEFAULT_PEAK_BRACKET, DEFAULT_SIZES)
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
-DEFAULT_SIZES = (300, 400, 500, 600, 700)
-DEFAULT_N_CUT = 800
-DEFAULT_PEAK_BRACKET = (0.99, 1.40)
-DEFAULT_COLLAPSE_WINDOW = (0.95, 1.06)
-DEFAULT_COLLAPSE_STEP = 1e-3
 # the most eps points a collapse grid may have (the default grid has 111)
 MAX_COLLAPSE_POINTS = 100_000
-DEFAULT_K0_CUTOFFS = (200, 283, 400, 566, 800, 1131, 1600)
 DRIFT_EXPONENT_RANGE = (0.1, 3.0)
 DRIFT_EXPONENT_SCAN = 61
 # Rounding bound of fit_shifted_power's exponent screen, in units of

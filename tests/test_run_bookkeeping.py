@@ -13,6 +13,7 @@ import pytest
 
 import kerrqgt
 import kerrqgt.eigensolver as eigensolver
+import kerrqgt.modes as modes
 import kerrqgt.qgt
 import kerrqgt.scaling
 import kerrqgt.sweep as sweep
@@ -67,8 +68,8 @@ def test_programming_errors_propagate(tmp_path, monkeypatch, target):
     def broken(*args, **kwargs):
         raise TypeError("unsupported operand")
 
-    # the sweep binds the spectral row kernel; qgt_fd_row looks tensor_fd up in qgt
-    monkeypatch.setattr(sweep if target == "qgt_spectral_row" else kerrqgt.qgt, target, broken)
+    # the qgt mode binds the spectral row kernel; qgt_fd_row looks tensor_fd up in qgt
+    monkeypatch.setattr(modes if target == "qgt_spectral_row" else kerrqgt.qgt, target, broken)
     with pytest.raises(TypeError, match="unsupported operand"):
         run(_qgt_config(tmp_path, method="both"))
     assert not (tmp_path / "qgt.csv").exists()
@@ -79,14 +80,14 @@ def test_row_gap_error_retries_point_by_point(tmp_path, monkeypatch):
     config = SweepConfig(mode="qgt", out_dir=str(tmp_path / "plain"), sizes=(60, 80),
                          eps_range=(0.5, 0.9, 3), method="both", n_cut=160)
     plain = read_csv(run(config)[0])[1]
-    row_kernel = sweep.qgt_spectral_row
+    row_kernel = modes.qgt_spectral_row
 
     def gap_at_one_point(ground):
         if any(p.eps == 0.7 and p.kerr == 1.0 / 80 for p in ground.points):
             raise GapError("sector gap below the floor")
         return row_kernel(ground)
 
-    monkeypatch.setattr(sweep, "qgt_spectral_row", gap_at_one_point)
+    monkeypatch.setattr(modes, "qgt_spectral_row", gap_at_one_point)
     patched = dataclasses.replace(config, out_dir=str(tmp_path / "patched"))
     rows = read_csv(run(patched)[0])[1]
     # the failure is in the spectral kernel, not in the centre row that both
@@ -346,7 +347,7 @@ def k0_spies(monkeypatch):
 
     def fake_scaling_pipeline(**kwargs):
         seen["rebuilt"].append(kwargs)
-        return sweep.ScalingReport(**{k: 0.0 for k in (
+        return kerrqgt.scaling.ScalingReport(**{k: 0.0 for k in (
             "eps_c_star", "fit_a", "fit_b", "nu", "delta_ee", "delta_pp", "delta_ep",
             "delta_eps", "delta_phi", "collapse_quality_gee", "collapse_quality_fep")},
             diagnostics={"source": "rebuilt", "warnings": []})
@@ -358,8 +359,8 @@ def k0_spies(monkeypatch):
                         flagged=False,
                         diagnostics={"delta_nbar_fit": {"boundary_warning": False}})
 
-    monkeypatch.setattr(sweep, "scaling_pipeline", fake_scaling_pipeline)
-    monkeypatch.setattr(sweep, "k0_pipeline", fake_k0_pipeline)
+    monkeypatch.setattr(modes, "scaling_pipeline", fake_scaling_pipeline)
+    monkeypatch.setattr(modes, "k0_pipeline", fake_k0_pipeline)
     return seen
 
 
@@ -430,8 +431,8 @@ def test_k0_runs_into_one_directory_solve_the_scaling_report_once(tmp_path, monk
                                                                    capsys):
     # the first k0 run writes the scaling report it computes, with its
     # manifest; the second reuses it, and so does the scaling run they imply
-    calls, pipeline = [], sweep.scaling_pipeline
-    monkeypatch.setattr(sweep, "scaling_pipeline",
+    calls, pipeline = [], modes.scaling_pipeline
+    monkeypatch.setattr(modes, "scaling_pipeline",
                         lambda **kwargs: calls.append(kwargs) or pipeline(**kwargs))
     argv = ["--L-list", "40,50,60,70,85", "--ncut", "200", "--bracket", "1.05:1.45",
             "--out", str(tmp_path)]
@@ -460,7 +461,7 @@ def test_repeated_sizes_fail_before_any_solve(tmp_path, capsys, no_eigensolve):
 def test_k0_repeated_cutoffs_fail(tmp_path, capsys, monkeypatch, k0_spies, no_eigensolve):
     # the scaling report on disk is reused; the cutoff study itself is real
     _write_report(tmp_path)
-    monkeypatch.setattr(sweep, "k0_pipeline", kerrqgt.scaling.k0_pipeline)
+    monkeypatch.setattr(modes, "k0_pipeline", kerrqgt.scaling.k0_pipeline)
     assert main(["k0", "--out", str(tmp_path), "--L-list", "40,50,60,70,85",
                  "--ncut", "200", "--bracket", "1.05:1.45", "--ncut-list", "60,60,60,60,60"]) == 2
     assert capsys.readouterr().err == (
@@ -535,6 +536,58 @@ def test_collapse_warns_of_a_report_its_manifest_does_not_certify(tmp_path, dama
         f"scaling_report.json is read, but its manifest does not certify it: {reason}"])
 
 
+PLOT_INPUTS = {"phase_diagram.csv": "phase-diagram", "qgt.csv": "qgt",
+               "scaling_report.json": "scaling", "k0_report.json": "k0"}
+
+
+@pytest.fixture(scope="module")
+def plot_inputs(tmp_path_factory):
+    """A directory with every plot input, each next to the manifest of its mode."""
+    out = tmp_path_factory.mktemp("plot_inputs")
+    for mode in PLOT_INPUTS.values():
+        run(SweepConfig(mode=mode, out_dir=str(out), **SMALL_RUNS[mode]))
+    return out
+
+
+def _edit_inputs(out):
+    for name in PLOT_INPUTS:
+        (out / name).write_text((out / name).read_text() + "\n")
+
+
+def _other_versions(out):
+    for mode in PLOT_INPUTS.values():
+        path = out / f"manifest_{mode}.json"
+        path.write_text(json.dumps({**json.loads(path.read_text()), "version": "0.0.9"}))
+
+
+def _drop_manifests(out):
+    for mode in PLOT_INPUTS.values():
+        (out / f"manifest_{mode}.json").unlink()
+
+
+@pytest.mark.parametrize("damage, reason", [
+    (None, None),
+    (_drop_manifests, None),
+    (_edit_inputs, "its sha256 differs from the one its manifest records"),
+    (_other_versions, f"its manifest is of version '0.0.9', not '{kerrqgt.__version__}'"),
+], ids=["verified", "no-manifest", "edited", "other-version"])
+def test_plots_warn_of_inputs_their_manifests_do_not_certify(tmp_path, capsys, plot_inputs,
+                                                             damage, reason):
+    # every input is read and every script written in each case; a missing
+    # manifest is no reason to warn
+    shutil.copytree(plot_inputs, tmp_path, dirs_exist_ok=True)
+    if damage:
+        damage(tmp_path)
+    assert main(["plots", "--out", str(tmp_path)]) == 0
+    printed = capsys.readouterr()
+    assert printed.err == "".join(
+        f"kerrqgt plots: warning: {name} is read, but its manifest does not certify it: "
+        f"{reason}\n" for name in PLOT_INPUTS if reason is not None)
+    assert sorted(line.rpartition("/")[2] for line in printed.out.splitlines()) == [
+        "plot_curvature.py", "plot_k0.py", "plot_phase_diagram.py", "plot_qgt_peaks.py",
+        "plot_scaling_fits.py"]
+
+
 def test_report_without_cutoffs_serves_k0_collapse_and_plots(tmp_path, monkeypatch):
     # A report written before the cutoff ladder has no diagnostics["cutoffs"];
     # the k0 study still reuses it, and collapse and plots still read it.
@@ -552,7 +605,7 @@ def test_report_without_cutoffs_serves_k0_collapse_and_plots(tmp_path, monkeypat
     def rebuilt(**kwargs):
         raise AssertionError("the scaling report was rebuilt")
 
-    monkeypatch.setattr(sweep, "scaling_pipeline", rebuilt)
+    monkeypatch.setattr(modes, "scaling_pipeline", rebuilt)
     assert run(SweepConfig(mode="k0", out_dir=str(tmp_path), **K0_BASE))
     k0 = json.loads((tmp_path / sweep.K0_REPORT_NAME).read_text())
     assert k0["diagnostics"]["scaling_eps_c_star"] == report["eps_c_star"]

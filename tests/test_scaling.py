@@ -23,10 +23,11 @@ from kerrqgt import (
     qgt_spectral,
     scaling_pipeline,
 )
+from kerrqgt.modes import family_from_report, load_scaling_report
 from kerrqgt.qgt import g_ee_slope
 from kerrqgt.scaling import (_cutoff_ladder, _peaks, drift_fit, fit_peaks, fit_shifted_power,
                              sweep_family)
-from kerrqgt.sweep import dumps_json, family_from_report, load_scaling_report
+from kerrqgt.sweep import dumps_json
 
 
 def test_locate_peak_parabola():

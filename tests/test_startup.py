@@ -1,20 +1,28 @@
-"""A CLI run loads scipy.linalg at its first solve, and never scipy.optimize
-or scipy.sparse.
+"""A CLI run loads numpy at its first solve or stored-family read,
+scipy.linalg at its first solve, and never scipy.optimize or scipy.sparse.
 
-No module of the package imports scipy when it is itself imported: the
-eigensolver and the Sternheimer solve import scipy.linalg (for its LAPACK
-routines) inside the functions that call it.  The peak search and the
-collapse polish are the package's own (scaling.brent_root and
-scaling.nelder_mead), so no run loads scipy.optimize, nor scipy.sparse,
-which it would bring in.  So `import kerrqgt.cli`, --help, an input error,
-plots, a no-op rerun and a collapse on a stored family load none of the
-three, and a run that solves (a fresh scaling, a k0 that cannot reuse its
-report, phase-diagram, qgt) loads scipy.linalg alone; those runs show that
-the probe sees it.  No module of the package imports scipy.sparse (the
+The package is split at one import boundary.  kerrqgt/__init__.py resolves
+its public names on first access, and cli, sweep, plots and errors import at
+import time no numpy and no module of the package that does: the command
+line parses its arguments, builds its SweepConfig, verifies manifests and
+emits plot scripts with the standard library alone.  sweep.run imports the
+mode table (kerrqgt.modes, which imports numpy and the kernels) only once a
+manifest check has found a reason to compute.  The eigensolver and the
+Sternheimer solve import scipy.linalg (for its LAPACK routines) inside the
+functions that call it.  The peak search and the collapse polish are the
+package's own (scaling.brent_root and scaling.nelder_mead), so no run loads
+scipy.optimize, nor scipy.sparse, which it would bring in.
+
+So `import kerrqgt.cli`, --help, an argparse-level input error, plots and a
+no-op rerun load none of the four.  A collapse on a stored family, and an
+input error that the model finds (a size of nan), load numpy alone; a run
+that solves (a fresh scaling, a k0 with or without its report,
+phase-diagram, qgt) loads numpy and scipy.linalg; those runs show that the
+probe sees them.  No module of the package imports scipy.sparse (the
 Fock-state oracles that used it live in tests/reference.py), and the runs
 must not load it through a dependency either.  Each case runs in a fresh
 interpreter, because sys.modules of the test process already holds all
-three.  The sizes are the bench's ``tiny`` scale.
+four.  The sizes are the bench's ``tiny`` scale.
 """
 
 import ast
@@ -28,8 +36,10 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-DEFERRED = ("scipy.linalg", "scipy.optimize", "scipy.sparse")
-SOLVED = ["scipy.linalg"]
+DEFERRED = ("numpy", "scipy.linalg", "scipy.optimize", "scipy.sparse")
+SOLVED = ["numpy", "scipy.linalg"]
+# the package modules the command line imports before it dispatches a mode
+LIGHT = ("__init__", "cli", "errors", "plots", "sweep")
 
 PROBE = f"""\
 import json, sys
@@ -62,12 +72,14 @@ SCALING = ["scaling", "--L-list", SIZES, "--ncut", "200", "--bracket", "1.05:1.4
 CASES = {
     "import": ([], None, [0, []]),
     "help": (["--help"], None, [0, []]),
-    "input-error": (["phase-diagram", "--L", "nan", "--eps", "0:1.5:3"], None, [2, []]),
+    # argparse rejects the step count; ModelParams rejects the size, in the numerical half
+    "argparse-error": (["phase-diagram", "--eps", "0:1:x"], None, [2, []]),
+    "input-error": (["phase-diagram", "--L", "nan", "--eps", "0:1.5:3"], None, [2, ["numpy"]]),
     "plots": (["plots"], "plot_qgt_peaks.py", [0, []]),
     # the scaling run of scaling_dir again: its manifest verifies, nothing is solved
     "scaling-rerun": (SCALING, None, [0, []]),
     # the polish on scaling_dir's stored g_ee family
-    "collapse": (["collapse"], "collapse_g_ee.json", [0, []]),
+    "collapse": (["collapse"], "collapse_g_ee.json", [0, ["numpy"]]),
     "phase-diagram": (["phase-diagram", "--L", "200", "--eps", "0:1.5:7",
                        "--phi", "0:1.5:2", "--ncut", "160"], "phase_diagram.csv", [0, SOLVED]),
     "qgt-both": (["qgt", "--L-list", "40,60", "--eps", "0.95:1.06:3", "--phi", "0.3",
@@ -95,7 +107,8 @@ def _run(argv, cwd, probe=PROBE):
 @pytest.fixture(scope="module")
 def scaling_dir(tmp_path_factory):
     """A tiny scaling report and its manifest, made in a process of its own:
-    a fresh scaling, every solve and search, which loads scipy.linalg alone."""
+    a fresh scaling, every solve and search, which loads numpy and
+    scipy.linalg alone."""
     out = tmp_path_factory.mktemp("scaling")
     assert _run([*SCALING, "--out", str(out)], out) == [0, SOLVED]
     return out
@@ -123,13 +136,17 @@ def test_non_finite_grid_step_count_is_an_input_error(steps, tmp_path):
 
 
 def _imported_modules(nodes):
-    """Every module an import statement among the nodes names."""
+    """Every module an import statement among the nodes names; a relative
+    import, which only the package's own modules make, as kerrqgt.<name>."""
     for node in nodes:
         if isinstance(node, ast.Import):
             yield from (alias.name for alias in node.names)
-        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
-            yield node.module
-            yield from (f"{node.module}.{alias.name}" for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:
+                module = f"kerrqgt.{module}".rstrip(".")
+            yield module
+            yield from (f"{module}.{alias.name}" for alias in node.names)
 
 
 def _import_time_nodes(node):
@@ -164,3 +181,23 @@ def test_no_package_module_imports_scipy_at_import_time():
     inside = {path.name for path, tree in sources
               if "scipy.linalg" in _imported_modules(ast.walk(tree))}
     assert inside == {"eigensolver.py", "qgt.py"}
+
+
+def _is_numpy(module):
+    return module == "numpy" or module.startswith("numpy.")
+
+
+def test_the_command_line_front_imports_no_numpy_at_import_time():
+    sources = {path.stem: tree for path, tree in _package_sources()}
+    assert set(LIGHT) < set(sources)
+    numerical = {f"kerrqgt.{name}" for name in sources if name not in LIGHT}
+    offenders = [f"{name}: {module}" for name in LIGHT
+                 for module in _imported_modules(_import_time_nodes(sources[name]))
+                 if _is_numpy(module) or module in numerical
+                 or module.rpartition(".")[0] in numerical]
+    assert offenders == []
+    # the numerical modules import numpy with the module, never in a function
+    late = [f"{name}: {module}" for name, tree in sources.items()
+            for module in _imported_modules(set(ast.walk(tree)) - set(_import_time_nodes(tree)))
+            if _is_numpy(module)]
+    assert late == []

@@ -13,6 +13,7 @@ import pytest
 import kerrqgt.cli
 import kerrqgt.eigensolver as eigensolver
 import kerrqgt.qgt as qgt
+import kerrqgt.modes as modes
 import kerrqgt.sweep as sweep
 from kerrqgt import ModelParams, ground_state_row, sector_block
 from kerrqgt.cli import (
@@ -87,7 +88,7 @@ def test_phase_diagram_run(tmp_path):
 
 def test_phase_diagram_solves_once_per_eps(tmp_path, monkeypatch):
     rows_solved, pairs = [], []
-    monkeypatch.setattr(sweep, "ground_state_row",
+    monkeypatch.setattr(modes, "ground_state_row",
                         lambda row: rows_solved.append(row) or ground_state_row(row))
     original = eigensolver._lowest_pair
 
@@ -208,7 +209,7 @@ def test_both_solves_each_point_of_a_failing_row_once(tmp_path, monkeypatch, fai
     grid = np.linspace(0.95, 1.06, 8)
     if fail == "gap-gate":
         monkeypatch.setattr(qgt, "GAP_FLOOR", 3.56e-3)
-    solve, calls = sweep.ground_state_row, []
+    solve, calls = modes.ground_state_row, []
     eig, bisections = eigensolver.eig_tridiagonal, []
 
     def counted_eig(block, seed=None):
@@ -221,7 +222,7 @@ def test_both_solves_each_point_of_a_failing_row_once(tmp_path, monkeypatch, fai
             raise EigenConvergenceError("no certified pair")
         return solve(points, seed)
 
-    monkeypatch.setattr(sweep, "ground_state_row", counted)
+    monkeypatch.setattr(modes, "ground_state_row", counted)
     monkeypatch.setattr(eigensolver, "eig_tridiagonal", counted_eig)
     singles, bisected, warnings = {}, {}, {}
     for method in ("spectral", "fd", "both"):
@@ -334,8 +335,8 @@ def test_cli_end_to_end(tmp_path, monkeypatch):
 
     # k0 at the same sizes, cutoff and peak bracket reuses the scaling report
     rebuilt = []
-    original = sweep.scaling_pipeline
-    monkeypatch.setattr(sweep, "scaling_pipeline",
+    original = modes.scaling_pipeline
+    monkeypatch.setattr(modes, "scaling_pipeline",
                         lambda **kw: rebuilt.append(1) or original(**kw))
     rc = main(["k0", "--out", str(out), "--ncut-list", "60,84,120,170,240",
                "--L-list", "40,50,60,70,85", "--ncut", "200", "--bracket", "1.05:1.45"])
@@ -478,7 +479,7 @@ def test_config_file_must_hold_an_object(tmp_path):
         "reversed-peak_bracket", "zero-width-ec_range", "nan-bracket-flag"])
 def test_pair_fields_hold_two_finite_numbers_lo_below_hi(tmp_path, capsys, monkeypatch, argv,
                                                          entries, named):
-    for module in (qgt, kerrqgt.scaling, sweep):
+    for module in (qgt, kerrqgt.scaling, modes):
         monkeypatch.setattr(module, "ground_state_row", None)
     config_path = tmp_path / "cfg.json"
     config_path.write_text(json.dumps(entries))
