@@ -4,17 +4,22 @@ check, and how far BLAS moves them.
     PYTHONPATH=src python tests/golden/regenerate.py              # rewrite all four files
     PYTHONPATH=src python tests/golden/regenerate.py --print      # both reports, as JSON
     PYTHONPATH=src python tests/golden/regenerate.py --print-csv  # both CSV texts, as JSON
-    PYTHONPATH=src python tests/golden/regenerate.py --spread Haswell Nehalem
+    PYTHONPATH=src python tests/golden/regenerate.py --spread native Haswell Nehalem
+    PYTHONPATH=src python tests/golden/regenerate.py --spread native Haswell --dispatch avx2
 
 scaling_report.json is scaling_pipeline() at its defaults and k0_report.json
 is k0_pipeline on that report at the default cutoffs, each serialised as the
 CLI writes it.  phase_diagram.csv and qgt.csv are the CLI runs of CSV_ARGV:
 the bench's phase-diagram and qgt-both command lines at seed 901, without
 their --threads, which has no effect.  --spread reruns every file in child
-processes with OPENBLAS_CORETYPE set to each kernel given (the variable is
-set for the children only) and prints, per field, the largest relative move
-from the committed files.  A report field is a key path with list indices
-left out, so each curve family is one field; a CSV field is a column.
+processes, one for each pair of an OPENBLAS_CORETYPE kernel given (native
+leaves the variable unset) and a numpy SIMD dispatch of --dispatch (both by
+default: native, and avx2, which sets NPY_DISABLE_CPU_FEATURES to
+AVX2_DISPATCH so that numpy runs its AVX2 loops, as on a CPU without
+AVX-512).  The variables are set for the children only.  It prints, per
+field, the largest relative move from the committed files.  A report field
+is a key path with list indices left out, so each curve family is one field;
+a CSV field is a column.
 """
 
 from __future__ import annotations
@@ -38,6 +43,11 @@ CSV_ARGV = {
 }
 # CSV columns that are not numbers, compared exactly
 TEXT_COLUMNS = ("method", "warn")
+# numpy's AVX-512 dispatch targets; with all of them disabled numpy runs its
+# AVX2 loops (names that a CPU or a numpy build lacks are ignored)
+AVX2_DISPATCH = ("AVX512F,AVX512CD,AVX512VL,AVX512BW,AVX512DQ,AVX512_SKX,AVX512_CLX,"
+                 "AVX512_CNL,AVX512_ICL,AVX512_SPR,X86_V4")
+DISPATCH = {"native": {}, "avx2": {"NPY_DISABLE_CPU_FEATURES": AVX2_DISPATCH}}
 
 
 def report_texts() -> dict[str, str]:
@@ -83,14 +93,15 @@ def leaves(obj, path: str = ""):
         yield path, obj
 
 
-def child_reports(coretype: str, flag: str = "--print") -> dict:
+def child_reports(variables: dict[str, str], flag: str = "--print") -> dict:
     """What this script prints with flag (the parsed reports by default) in a
-    fresh interpreter under OPENBLAS_CORETYPE=coretype, importing the kerrqgt
-    that this process imports."""
+    fresh interpreter with the environment variables set (as
+    {"OPENBLAS_CORETYPE": "Nehalem"} or DISPATCH["avx2"]), importing the
+    kerrqgt that this process imports."""
     import kerrqgt
 
     source = str(Path(kerrqgt.__file__).resolve().parents[1])
-    env = {**os.environ, "OPENBLAS_CORETYPE": coretype,
+    env = {**os.environ, **variables,
            "PYTHONPATH": os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, str(Path(__file__).resolve()), flag],
                           env=env, capture_output=True, text=True, check=True)
@@ -127,6 +138,7 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--print", action="store_true", dest="print_only")
     parser.add_argument("--print-csv", action="store_true")
     parser.add_argument("--spread", nargs="+", metavar="CORETYPE")
+    parser.add_argument("--dispatch", nargs="+", choices=DISPATCH, default=list(DISPATCH))
     args = parser.parse_args(argv)
     if args.print_only:
         print(json.dumps({name: json.loads(text) for name, text in report_texts().items()}))
@@ -135,8 +147,10 @@ def main(argv: list[str]) -> int:
     elif args.spread:
         golden = {name: (HERE / name).read_text() for name in [*NAMES, *CSV_ARGV]}
         worst: dict[str, float] = {}
-        for coretype in args.spread:
-            reports, texts = child_reports(coretype), child_reports(coretype, "--print-csv")
+        runs = [{**({} if coretype == "native" else {"OPENBLAS_CORETYPE": coretype}),
+                 **DISPATCH[dispatch]} for coretype in args.spread for dispatch in args.dispatch]
+        for variables in runs:
+            reports, texts = child_reports(variables), child_reports(variables, "--print-csv")
             moves = {name: relative_moves(json.loads(golden[name]), reports[name])
                      for name in NAMES}
             moves.update({name: csv_moves(golden[name], texts[name]) for name in CSV_ARGV})
