@@ -8,7 +8,7 @@ and golden-section 1D searches; no stochastic optimization is used anywhere.
 scaling_pipeline runs in stages: _peaks (the tensor at each size's peak),
 fit_peaks (the critical point, the correlation-length exponent and the
 scaling dimensions of the geometric tensor, fitted to the peaks alone, so a
-refit on fewer sizes solves nothing), _family_rows (the tensor on the
+refit on fewer sizes solves nothing), the family rows (the tensor on the
 collapse window), then the data-collapse qualities.  k0_pipeline, the
 cutoff-scaling study without Kerr nonlinearity, takes delta_nbar from the
 same drift_fit as delta_ee.  The finite-Kerr stages solve each size at the
@@ -523,24 +523,30 @@ def _solve_adaptive(ladder: list[int], start: int, probe: ModelParams,
     return rung, result
 
 
+def _solve_sizes(sizes: np.ndarray, ladder: list[int], delta: float, top: float,
+                 solve: Callable[[float, int], object], tripped: Callable[[object], bool]):
+    """(results, cutoffs): solve(L, n_cut) of each size and the rung it was
+    solved at (_solve_adaptive), probed at eps = top and searched from the
+    previous size's rung."""
+    results, cutoffs, rung = [], [], 0
+    for L in sizes:
+        rung, result = _solve_adaptive(ladder, rung, ModelParams.from_size(L, top, delta=delta),
+                                       lambda n: solve(L, n), tripped)
+        results.append(result)
+        cutoffs.append(ladder[rung])
+    return results, cutoffs
+
+
 def _peaks(sizes: np.ndarray, ladder: list[int], delta: float,
            bracket: tuple[float, float]) -> tuple[list[QGTResult], list[int]]:
     """(peaks, cutoffs): the qgt_spectral tensor at each size's g_ee peak, and
-    the rung it was solved at, probed at the top of the bracket and searched
-    from the previous size's rung."""
-    peaks, cutoffs, rung = [], [], 0
-    for L in sizes:
-        def peak(n):
-            ec = locate_peak(lambda e: g_ee_slope(ModelParams.from_size(
-                L, e, n_cut=n, delta=delta)), bracket)
-            return qgt_spectral(ModelParams.from_size(L, ec, n_cut=n, delta=delta))
+    the rung it was solved at, probed at the top of the bracket."""
+    def peak(L, n):
+        ec = locate_peak(lambda e: g_ee_slope(ModelParams.from_size(
+            L, e, n_cut=n, delta=delta)), bracket)
+        return qgt_spectral(ModelParams.from_size(L, ec, n_cut=n, delta=delta))
 
-        rung, res = _solve_adaptive(
-            ladder, rung, ModelParams.from_size(L, bracket[1], delta=delta), peak,
-            lambda r: r.cutoff_warning)
-        peaks.append(res)
-        cutoffs.append(ladder[rung])
-    return peaks, cutoffs
+    return _solve_sizes(sizes, ladder, delta, bracket[1], peak, lambda r: r.cutoff_warning)
 
 
 def fit_peaks(sizes: Sequence[float],
@@ -599,21 +605,6 @@ def fit_peaks(sizes: Sequence[float],
     return fields, diagnostics, warnings
 
 
-def _family_rows(sizes: np.ndarray, eps_grid: np.ndarray, ladder: list[int],
-                 delta: float) -> tuple[list[list[QGTResult]], list[int]]:
-    """(rows, cutoffs): each size's tensor row on eps_grid and its rung,
-    probed at the top of the grid and searched from the previous size's rung."""
-    rows, cutoffs, rung = [], [], 0
-    for L in sizes:
-        rung, row = _solve_adaptive(
-            ladder, rung, ModelParams.from_size(L, eps_grid[-1], delta=delta),
-            lambda n: sweep_family([L], eps_grid, n, delta)[0],
-            lambda row: any(r.cutoff_warning for r in row))
-        rows.append(row)
-        cutoffs.append(ladder[rung])
-    return rows, cutoffs
-
-
 def scaling_pipeline(sizes: Sequence[float] = DEFAULT_SIZES,
                      n_cut: int = DEFAULT_N_CUT,
                      delta: float = 1.0,
@@ -624,12 +615,12 @@ def scaling_pipeline(sizes: Sequence[float] = DEFAULT_SIZES,
 
     Stages: _peaks (the g_ee peak of each size), fit_peaks (critical point,
     exponents and scaling dimensions from the peaks kept by the cutoff gate),
-    _family_rows (the tensor on the shared eps window), then the two
+    the family rows (the tensor on the shared eps window), then the two
     data-collapse qualities and the curvature-collapse optimum.  An invalid
     collapse grid raises InputError before any point is computed.
 
     n_cut is a cap.  Each size's peak search and family row run at the
-    cutoff _solve_adaptive picks from _cutoff_ladder(n_cut);
+    cutoff _solve_sizes picks from _cutoff_ladder(n_cut);
     diagnostics["cutoffs"] records them per kept size.
     """
     lo, hi = collapse_window
@@ -664,7 +655,9 @@ def scaling_pipeline(sizes: Sequence[float] = DEFAULT_SIZES,
     warnings += fit_warnings
 
     eps_grid = np.arange(lo, hi + collapse_step / 2, collapse_step)
-    rows, family_cuts = _family_rows(sizes_kept, eps_grid, ladder, delta)
+    rows, family_cuts = _solve_sizes(sizes_kept, ladder, delta, eps_grid[-1],
+                                     lambda L, n: sweep_family([L], eps_grid, n, delta)[0],
+                                     lambda row: any(r.cutoff_warning for r in row))
     flagged = [(L, e) for L, row in zip(sizes_kept, rows)
                for e, r in zip(eps_grid, row) if r.cutoff_warning]
     warnings.extend(f"cutoff-inadequate family point: L={L:g} eps={e:.6f}"
