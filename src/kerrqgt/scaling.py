@@ -2,8 +2,9 @@
 
 Each pseudo-critical peak of g_ee is the root of its analytic slope
 (qgt.g_ee_slope), bracketed by a coarse sign scan and found by Brent's method.
-All fitters are deterministic, closed-form least squares combined with scanned
-and golden-section 1D searches; no stochastic optimization is used anywhere.
+Every fit is one closed-form least-squares line (_line), alone or profiled
+over a scanned and golden-section exponent; no stochastic optimization is
+used anywhere.
 
 scaling_pipeline runs in stages: _peaks (the tensor at each size's peak),
 fit_peaks (the critical point, the correlation-length exponent and the
@@ -17,19 +18,15 @@ the cap they are given.  The family rows and peak steps go through the
 tensor kernels, which gap-gate every row they read (qgt.GAP_FLOOR); a cutoff
 probe reads only the tail weight of an ungated ground_state_row.
 
-Two shortcuts skip work that cannot change a result, each checked in the
-tests against the slow path it replaces, and each kept because taking it
-out was measured to slow the pipeline:
-
-* fit_shifted_power screens its grid exponents in closed form and computes
-  the exact lstsq residual only for those within a rounding bound of the
-  screened minimum (_scan_exponent; against the full exact scan,
-  reference.scan_exponent and reference.fit_shifted_power).  The full scan
-  made a warm bench-scale scaling_pipeline 3.3 ms (of 39 ms) slower;
-* optimize_collapse passes the best seed value so far to collapse_objective,
-  which stops a seed once a lower bound of its value exceeds it (against
-  the unbounded reference.collapse_objective).  Unbounded seeds cost a
-  further 3.3 ms.
+fit_shifted_power scans its grid exponents exactly, the centred _line
+residual of every one in one array pass (against the reference residuals,
+reference.scan_exponent and reference.fit_shifted_power).  One shortcut
+skips work that cannot change a result, checked in the tests against the
+slow path it replaces and kept because taking it out was measured to slow
+the pipeline: optimize_collapse passes the best seed value so far to
+collapse_objective, which stops a seed once a lower bound of its value
+exceeds it (against the unbounded reference.collapse_objective).  Unbounded
+seeds made a warm bench-scale scaling_pipeline 3.3 ms (of 39 ms) slower.
 """
 
 from __future__ import annotations
@@ -52,11 +49,6 @@ GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 MAX_COLLAPSE_POINTS = 100_000
 DRIFT_EXPONENT_RANGE = (0.1, 3.0)
 DRIFT_EXPONENT_SCAN = 61
-# Rounding bound of fit_shifted_power's exponent screen, in units of
-# eps x sum(y^2): the screened and the lstsq residual of a grid exponent each
-# differ from the exact one by a few such units (at most 3.4 of them between
-# the two, over 6000 random fits of 3 to 7 points).
-SCREEN_ROUNDING = 1024
 PEAK_SCAN_POINTS = 8
 PEAK_XTOL = 1e-12
 BRENT_RTOL = 4 * float(np.finfo(float).eps)  # scipy brentq's defaults
@@ -225,38 +217,40 @@ class ShiftedPowerFit:
     boundary_warning: bool
 
 
-def _profile_residual(x: np.ndarray, y: np.ndarray, b: float) -> float:
-    """Least residual sum of squares of y = limit + amplitude * x^b at fixed b (lstsq)."""
-    basis = np.column_stack([np.ones_like(x), x**b])
-    coef, *_ = np.linalg.lstsq(basis, y, rcond=None)
-    return float(np.sum((basis @ coef - y) ** 2))
+def _line(u: np.ndarray, y: np.ndarray) -> tuple:
+    """(intercept, slope, residual) of the least-squares line y = intercept +
+    slope * u along the last axis of u, for each row of its leading axes.
+
+    Centred: the slope is du.dy / du.du of the deviations from the means, and
+    the residual sum of squares is summed over the centred residuals
+    dy - slope du in a second pass.
+    """
+    u_mean, y_mean = u.mean(axis=-1, keepdims=True), y.mean()
+    du, dy = u - u_mean, y - y_mean
+    slope = (du * dy).sum(axis=-1) / (du * du).sum(axis=-1)
+    residual = ((dy - slope[..., None] * du) ** 2).sum(axis=-1)
+    return y_mean - slope * u_mean[..., 0], slope, residual
+
+
+def _check_spread(x: np.ndarray, y: np.ndarray) -> None:
+    """FitError unless x varies: a line through constant x has no slope."""
+    if np.ptp(x) == 0.0:
+        raise FitError(f"constant data x = {x[0]:.17g} at y = {y.tolist()} leaves "
+                       f"the exponent unidentifiable")
 
 
 def _scan_exponent(x: np.ndarray, y: np.ndarray) -> int:
-    """Index of the DRIFT_EXPONENT_SCAN grid exponent of least _profile_residual
-    (the first, on a tie), as the full scan picks it.
-
-    A closed-form screen, the centred residual Syy - Suy^2 / Suu of every grid
-    exponent in one array pass, rules out each exponent whose screened residual
-    exceeds the screened minimum by more than twice SCREEN_ROUNDING x eps x
-    sum(y^2), a bound on the rounding error of either residual; the exact
-    residual is computed for the rest only.  A NaN screen rules out nothing.
-    """
+    """Index of the DRIFT_EXPONENT_SCAN grid exponent of least residual (the
+    first, on a tie): the exact _line residual of every grid exponent in one
+    array pass."""
     grid = np.linspace(*DRIFT_EXPONENT_RANGE, DRIFT_EXPONENT_SCAN)
-    du = x ** grid[:, None]
-    du -= du.mean(axis=1, keepdims=True)
-    dy = y - y.mean()
-    with np.errstate(divide="ignore", invalid="ignore"):
-        screened = dy @ dy - (du @ dy) ** 2 / np.einsum("gn,gn->g", du, du)
-    bound = 2.0 * SCREEN_ROUNDING * np.finfo(float).eps * (y @ y)
-    near = np.flatnonzero(~(screened > screened.min() + bound))
-    return int(near[int(np.argmin([_profile_residual(x, y, b) for b in grid[near]]))])
+    return int(np.argmin(_line(x ** grid[:, None], y)[2]))
 
 
 def fit_shifted_power(x: np.ndarray, y: np.ndarray) -> ShiftedPowerFit:
-    """Profiled linear least squares over (limit, amplitude) with a scanned
-    (_scan_exponent) and golden-refined search over the exponent in
-    DRIFT_EXPONENT_RANGE.  Non-finite data raise FitError."""
+    """Profiled linear least squares (_line) over (limit, amplitude) with a
+    scanned (_scan_exponent) and golden-refined search over the exponent in
+    DRIFT_EXPONENT_RANGE.  Non-finite or constant data raise FitError."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if len(x) < 3:
@@ -268,21 +262,17 @@ def fit_shifted_power(x: np.ndarray, y: np.ndarray) -> ShiftedPowerFit:
     if np.ptp(y) == 0.0:
         raise FitError(f"constant data y = {y[0]:.17g} at x = {x.tolist()} leaves "
                        f"the exponent unidentifiable")
-
-    def residual(b):
-        return _profile_residual(x, y, b)
+    _check_spread(x, y)
 
     n_scan = DRIFT_EXPONENT_SCAN
     grid = np.linspace(*DRIFT_EXPONENT_RANGE, n_scan)
     i = _scan_exponent(x, y)
-    b, _ = golden_section_min(residual, grid[max(i - 1, 0)], grid[min(i + 1, n_scan - 1)],
-                              tol=1e-10)
-    basis = np.column_stack([np.ones_like(x), x**b])
-    coef, *_ = np.linalg.lstsq(basis, y, rcond=None)
-    boundary = bool(i == 0 or i == n_scan - 1)
-    return ShiftedPowerFit(limit=float(coef[0]), amplitude=float(coef[1]),
-                           exponent=float(b), residual=residual(b),
-                           boundary_warning=boundary)
+    b, _ = golden_section_min(lambda b: float(_line(x**b, y)[2]),
+                              grid[max(i - 1, 0)], grid[min(i + 1, n_scan - 1)], tol=1e-10)
+    limit, amplitude, residual = _line(x**b, y)
+    return ShiftedPowerFit(limit=float(limit), amplitude=float(amplitude),
+                           exponent=float(b), residual=float(residual),
+                           boundary_warning=bool(i == 0 or i == n_scan - 1))
 
 
 @dataclass(frozen=True)
@@ -293,15 +283,15 @@ class PowerLawFit:
 
 
 def fit_power_law(x: Sequence[float], y: Sequence[float]) -> PowerLawFit:
-    """Ordinary least squares on (ln x, ln y)."""
+    """Ordinary least squares (_line) on (ln x, ln y).  Non-positive or
+    constant x raise FitError."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if np.any(x <= 0) or np.any(y <= 0):
         raise FitError("power-law fit requires strictly positive data")
+    _check_spread(x, y)
     lx, ly = np.log(x), np.log(y)
-    slope, intercept = np.polyfit(lx, ly, 1)
-    model = slope * lx + intercept
-    ss_res = float(np.sum((ly - model) ** 2))
+    intercept, slope, ss_res = _line(lx, ly)
     ss_tot = float(np.sum((ly - np.mean(ly)) ** 2))
     r2 = 1.0 if ss_tot == 0.0 and ss_res == 0.0 else 1.0 - ss_res / max(ss_tot, 1e-300)
     return PowerLawFit(exponent=float(slope), prefactor=float(np.exp(intercept)),

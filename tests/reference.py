@@ -26,9 +26,10 @@ decomposition, never from the kernels it checks:
 * collapse_objective is the data-collapse spread computed curve by curve:
   it concatenates and re-sorts the other curves' points for every curve and
   masks the points inside their range, with no early exit;
-* scan_exponent and fit_shifted_power are the shifted-power fit with the full
-  exact exponent scan: an lstsq residual at every one of the
-  DRIFT_EXPONENT_SCAN grid exponents, no screen;
+* scan_exponent and fit_shifted_power are the shifted-power fit on
+  np.linalg.lstsq in place of the package's closed-form line: an lstsq
+  residual at every one of the DRIFT_EXPONENT_SCAN grid exponents, and in
+  the golden-section polish and the final fit;
 * lazy_even_ground_vectors is the fd family's real vectors solved one eps
   at a time, on first request, as a row of one, and bisected_qgt_fd is the
   fd tensor on them: every stencil state bisected, none seeded;
@@ -62,8 +63,8 @@ and step check, because it checks the arithmetic on the edges, not their
 choice; for fixed_cutoff_scaling and fixed_cutoff_run the scaling pipeline
 and the sweep themselves, because those paths check the choice of cutoff,
 not the fits or the kernels; and for fit_shifted_power the golden-section
-search and the grid constants, because that path checks the exponent scan,
-not the polish.
+search and the grid constants, because that path checks the least-squares
+residuals that the scan and the polish minimise, not the search.
 """
 
 from __future__ import annotations
@@ -431,8 +432,8 @@ def scan_exponent(x, y) -> int:
 
 
 def fit_shifted_power(x, y) -> ShiftedPowerFit:
-    """kerrqgt.scaling.fit_shifted_power with the full exact scan (scan_exponent)
-    in place of the screened one; the golden-section polish is the package's."""
+    """kerrqgt.scaling.fit_shifted_power with lstsq residuals (scan_exponent,
+    then the package's golden-section polish on _profile_residual)."""
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     grid = np.linspace(*DRIFT_EXPONENT_RANGE, DRIFT_EXPONENT_SCAN)
     i = scan_exponent(x, y)

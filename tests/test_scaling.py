@@ -359,6 +359,11 @@ def test_gap_error_in_pipeline_names_the_point(monkeypatch):
 def test_constant_fit_data_is_named():
     with pytest.raises(FitError, match=r"constant data y = 1 at x = \[0.5, 0.25, 0.125\]"):
         fit_shifted_power(np.array([0.5, 0.25, 0.125]), np.ones(3))
+    # a line through constant x has no slope: 0 / 0 in closed form
+    with pytest.raises(FitError, match=r"constant data x = 0.5 at y = \[1.0, 2.0, 3.0\]"):
+        fit_shifted_power(np.full(3, 0.5), np.array([1.0, 2.0, 3.0]))
+    with pytest.raises(FitError, match=r"constant data x = 2 at y = \[1.0, 2.0, 4.0\]"):
+        fit_power_law([2, 2, 2], [1.0, 2.0, 4.0])
 
 
 def test_pipeline_names_the_sizes_the_cutoff_gate_drops():

@@ -1,7 +1,7 @@
 """The scaling search's shortcuts, each against the slow path it replaces.
 
-* The exponent screen of fit_shifted_power against the full exact scan
-  (reference.scan_exponent, reference.fit_shifted_power).
+* The closed-form exponent scan of fit_shifted_power against the full lstsq
+  scan (reference.scan_exponent, reference.fit_shifted_power).
 * The seed bound of optimize_collapse against the objective without it
   (reference.collapse_objective).
 * The report's peak tensors against a fresh qgt_spectral at the recorded
@@ -40,17 +40,29 @@ BENCH = dict(sizes=(150, 200, 250, 300, 350), n_cut=400, peak_bracket=(0.99, 1.4
 
 
 # ---------------------------------------------------------------------------
-# Exponent screen
+# Exponent scan
 
-def _random_fits(count, seed):
-    """(x, y) of shifted-power data at 3, 4, 5 and 7 sizes, noiseless to 1e-3 noise."""
+def _unit(y):
+    """One unit of rounding in a residual sum of squares of y: eps x sum(y^2)."""
+    return np.finfo(float).eps * (y @ y)
+
+
+def _random_draws(count, seed):
+    """(x, y, exponent, noise) of shifted-power data at 3, 4, 5 and 7 sizes,
+    noiseless to 1e-3 noise."""
     rng = np.random.default_rng(seed)
     for t in range(count):
         n = (3, 4, 5, 7)[t % 4]
         x = 1.0 / np.sort(rng.uniform(30.0, 1000.0, n))
-        y = (rng.uniform(-3.0, 3.0)
-             + rng.uniform(-2.0, 2.0) * x ** rng.uniform(0.05, 3.2) * 10 ** rng.uniform(0, 3))
-        yield x, y + (0.0, 1e-9, 1e-6, 1e-3)[(t // 4) % 4] * rng.normal(size=n)
+        limit, amplitude, b = rng.uniform(-3.0, 3.0), rng.uniform(-2.0, 2.0), rng.uniform(0.05, 3.2)
+        y = limit + amplitude * x ** b * 10 ** rng.uniform(0, 3)
+        noise = (0.0, 1e-9, 1e-6, 1e-3)[(t // 4) % 4]
+        yield x, y + noise * rng.normal(size=n), b, noise
+
+
+def _random_fits(count, seed):
+    """(x, y) of _random_draws."""
+    return ((x, y) for x, y, _, _ in _random_draws(count, seed))
 
 
 def test_exponent_screen_picks_the_full_scan_index():
@@ -59,19 +71,30 @@ def test_exponent_screen_picks_the_full_scan_index():
     assert differ == []
 
 
-def test_fit_equals_the_full_scan_fit():
-    # The polish depends on the data and the scanned index alone, so equal
-    # indices give equal fits; a sample checks it end to end.
-    for x, y in _random_fits(200, seed=7):
-        assert fit_shifted_power(x, y) == reference.fit_shifted_power(x, y)
+def test_fit_is_as_good_as_the_full_scan_fit():
+    # The lstsq residual at the fit's exponent exceeds the full lstsq scan
+    # fit's by at most one unit of rounding (0.021 of one at most, here); on
+    # noiseless data with the exponent inside the scanned range, the fit
+    # recovers it at least as well at the 99th percentile (3.0e-8 against
+    # 1.7e-7, here).
+    excess, misses, reference_misses = [], [], []
+    for x, y, b, noise in _random_draws(3000, seed=24):
+        fit, slow = fit_shifted_power(x, y), reference.fit_shifted_power(x, y)
+        excess.append((reference._profile_residual(x, y, fit.exponent) - slow.residual)
+                      / _unit(y))
+        if noise == 0.0 and scaling.DRIFT_EXPONENT_RANGE[0] <= b <= scaling.DRIFT_EXPONENT_RANGE[1]:
+            misses.append(abs(fit.exponent - b))
+            reference_misses.append(abs(slow.exponent - b))
+    assert max(excess) <= 1.0
+    assert np.percentile(misses, 99) <= np.percentile(reference_misses, 99)
 
 
-def test_fit_equals_the_full_scan_fit_on_a_near_tie():
+def test_fit_is_as_good_as_the_full_scan_fit_on_a_near_tie():
     # Noiseless 3-point data whose exponent b* is placed, by bisection, where
-    # the exact residuals at the grid exponents g_j and g_j+1 either side of
-    # it are equal up to rounding, far inside the screen's rounding bound:
-    # the screen cannot tell them apart and leaves the choice to the exact
-    # residuals.
+    # the lstsq residuals at the grid exponents g_j and g_j+1 either side of
+    # it are equal up to rounding: the closed form and lstsq may then pick
+    # either (here lstsq picks j and the closed form j+1), and the polished
+    # fit stays within one unit of rounding of the full scan's.
     grid = np.linspace(*scaling.DRIFT_EXPONENT_RANGE, scaling.DRIFT_EXPONENT_SCAN)
     j = 20
     x = 1.0 / np.array([150.0, 250.0, 350.0])
@@ -91,11 +114,11 @@ def test_fit_equals_the_full_scan_fit_on_a_near_tie():
         lo, hi = (mid, hi) if tilt(mid) < 0.0 else (lo, mid)
     y = data(lo)
     tied = [reference._profile_residual(x, y, b) for b in grid[j:j + 2]]
-    assert abs(tied[0] - tied[1]) <= 1e-6 * (scaling.SCREEN_ROUNDING
-                                             * np.finfo(float).eps * (y @ y))
+    assert abs(tied[0] - tied[1]) <= 1e-3 * _unit(y)
     assert reference.scan_exponent(x, y) in (j, j + 1)
-    assert scaling._scan_exponent(x, y) == reference.scan_exponent(x, y)
-    assert fit_shifted_power(x, y) == reference.fit_shifted_power(x, y)
+    assert scaling._scan_exponent(x, y) in (j, j + 1)
+    fit, slow = fit_shifted_power(x, y), reference.fit_shifted_power(x, y)
+    assert reference._profile_residual(x, y, fit.exponent) <= slow.residual + _unit(y)
 
 
 @pytest.mark.parametrize("x, y, named", [
