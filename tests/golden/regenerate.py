@@ -5,7 +5,6 @@ check, and how far BLAS moves them.
     PYTHONPATH=src python tests/golden/regenerate.py --print      # both reports, as JSON
     PYTHONPATH=src python tests/golden/regenerate.py --print-csv  # both CSV texts, as JSON
     PYTHONPATH=src python tests/golden/regenerate.py --spread native Haswell Nehalem
-    PYTHONPATH=src python tests/golden/regenerate.py --spread native Haswell --dispatch avx2
 
 scaling_report.json is scaling_pipeline() at its defaults and k0_report.json
 is k0_pipeline on that report at the default cutoffs, each serialised as the
@@ -13,10 +12,9 @@ CLI writes it.  phase_diagram.csv and qgt.csv are the CLI runs of CSV_ARGV:
 the bench's phase-diagram and qgt-both command lines at seed 901, without
 their --threads, which has no effect.  --spread reruns every file in child
 processes, one for each pair of an OPENBLAS_CORETYPE kernel given (native
-leaves the variable unset) and a numpy SIMD dispatch of --dispatch (both by
-default: native, and avx2, which sets NPY_DISABLE_CPU_FEATURES to
-AVX2_DISPATCH so that numpy runs its AVX2 loops, as on a CPU without
-AVX-512).  The variables are set for the children only.  It prints, per
+leaves the variable unset) and a numpy SIMD dispatch: native, and
+AVX2_DISPATCH, which makes numpy run its AVX2 loops as on a CPU without
+AVX-512.  The variables are set for the children only.  It prints, per
 field, the largest relative move from the committed files.  A report field
 is a key path with list indices left out, so each curve family is one field;
 a CSV field is a column.
@@ -43,11 +41,10 @@ CSV_ARGV = {
 }
 # CSV columns that are not numbers, compared exactly
 TEXT_COLUMNS = ("method", "warn")
-# numpy's AVX-512 dispatch targets; with all of them disabled numpy runs its
-# AVX2 loops (names that a CPU or a numpy build lacks are ignored)
-AVX2_DISPATCH = ("AVX512F,AVX512CD,AVX512VL,AVX512BW,AVX512DQ,AVX512_SKX,AVX512_CLX,"
-                 "AVX512_CNL,AVX512_ICL,AVX512_SPR,X86_V4")
-DISPATCH = {"native": {}, "avx2": {"NPY_DISABLE_CPU_FEATURES": AVX2_DISPATCH}}
+# numpy's AVX-512 dispatch targets disabled: numpy then runs its AVX2 loops
+# (names that a CPU or a numpy build lacks are ignored)
+AVX2_DISPATCH = {"NPY_DISABLE_CPU_FEATURES": "AVX512F,AVX512CD,AVX512VL,AVX512BW,AVX512DQ,"
+                 "AVX512_SKX,AVX512_CLX,AVX512_CNL,AVX512_ICL,AVX512_SPR,X86_V4"}
 
 
 def report_texts() -> dict[str, str]:
@@ -96,7 +93,7 @@ def leaves(obj, path: str = ""):
 def child_reports(variables: dict[str, str], flag: str = "--print") -> dict:
     """What this script prints with flag (the parsed reports by default) in a
     fresh interpreter with the environment variables set (as
-    {"OPENBLAS_CORETYPE": "Nehalem"} or DISPATCH["avx2"]), importing the
+    {"OPENBLAS_CORETYPE": "Nehalem"} or AVX2_DISPATCH), importing the
     kerrqgt that this process imports."""
     import kerrqgt
 
@@ -138,7 +135,6 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--print", action="store_true", dest="print_only")
     parser.add_argument("--print-csv", action="store_true")
     parser.add_argument("--spread", nargs="+", metavar="CORETYPE")
-    parser.add_argument("--dispatch", nargs="+", choices=DISPATCH, default=list(DISPATCH))
     args = parser.parse_args(argv)
     if args.print_only:
         print(json.dumps({name: json.loads(text) for name, text in report_texts().items()}))
@@ -148,7 +144,7 @@ def main(argv: list[str]) -> int:
         golden = {name: (HERE / name).read_text() for name in [*NAMES, *CSV_ARGV]}
         worst: dict[str, float] = {}
         runs = [{**({} if coretype == "native" else {"OPENBLAS_CORETYPE": coretype}),
-                 **DISPATCH[dispatch]} for coretype in args.spread for dispatch in args.dispatch]
+                 **dispatch} for coretype in args.spread for dispatch in ({}, AVX2_DISPATCH)]
         for variables in runs:
             reports, texts = child_reports(variables), child_reports(variables, "--print-csv")
             moves = {name: relative_moves(json.loads(golden[name]), reports[name])

@@ -5,16 +5,16 @@ Every number must lie within a relative tolerance of its field (a key path
 with list indices left out); strings, booleans and the fields themselves,
 list lengths included, must match exactly.  Each tolerance is about 10x
 (rounded up) the largest relative move measured when the reports were
-rerun under 18 OpenBLAS kernels, each set by OPENBLAS_CORETYPE in a child
-process, and under the native kernel and each of these with numpy's
-AVX-512 loops and with its AVX2 loops (NPY_DISABLE_CPU_FEATURES,
-regenerate.DISPATCH): 38 runs (`regenerate.py --spread`, x86-64 with AVX-512:
-SkylakeX, Cooperlake and SapphireRapids ran the native bytes; Haswell,
-Zen, Sandybridge, Nehalem, Core2, Penryn, Dunnington, Prescott, Atom,
-Opteron, Barcelona and the Bulldozer family moved them).  The AVX2 loops
-moved the two drift fits of nu and delta_nbar further than any kernel,
-through the last bit of x ** b in the fit; their fields are marked avx2.
-The measured move follows each tolerance.
+rerun in child processes (`regenerate.py --spread`) under the native kernel
+and 18 OpenBLAS kernels set by OPENBLAS_CORETYPE, each with numpy's
+AVX-512 loops and with its AVX2 loops (NPY_DISABLE_CPU_FEATURES set to
+regenerate.AVX2_DISPATCH): 38 runs on x86-64 with AVX-512.  SkylakeX,
+Cooperlake and SapphireRapids ran the native bytes; Haswell, Zen,
+Sandybridge, Nehalem, Core2, Penryn, Dunnington, Prescott, Atom, Opteron,
+Barcelona and the Bulldozer family moved them.  The AVX2 loops moved the
+drift fits of nu and delta_nbar further than any kernel, through the last
+bit of x ** b in the fit; their fields are marked avx2.  The measured move
+follows each tolerance.
 A computed field that no kernel moved by 1e-13 gets the floor 1e-12, which
 leaves room for math libraries that the measurement could not cover; the
 configuration echoes, and what is exact arithmetic on them, compare exactly.
@@ -27,7 +27,7 @@ import platform
 
 import pytest
 
-from golden.regenerate import DISPATCH, HERE, NAMES, child_reports, leaves, report_texts
+from golden.regenerate import AVX2_DISPATCH, HERE, NAMES, child_reports, leaves, report_texts
 
 EXACT = 0.0
 FLOOR = 1e-12
@@ -155,5 +155,5 @@ def test_reports_under_the_nehalem_kernel_match_the_golden_files():
 
 @pytest.mark.skipif(not X86_64, reason="the AVX2 dispatch names x86-64 SIMD targets")
 def test_reports_under_avx2_dispatch_match_the_golden_files():
-    other, golden = child_reports(DISPATCH["avx2"]), golden_reports()
+    other, golden = child_reports(AVX2_DISPATCH), golden_reports()
     assert [m for name in NAMES for m in mismatches(name, golden[name], other[name])] == []

@@ -47,7 +47,7 @@ def _unit(y):
     return np.finfo(float).eps * (y @ y)
 
 
-def _random_draws(count, seed):
+def _random_fits(count, seed):
     """(x, y, exponent, noise) of shifted-power data at 3, 4, 5 and 7 sizes,
     noiseless to 1e-3 noise."""
     rng = np.random.default_rng(seed)
@@ -60,13 +60,8 @@ def _random_draws(count, seed):
         yield x, y + noise * rng.normal(size=n), b, noise
 
 
-def _random_fits(count, seed):
-    """(x, y) of _random_draws."""
-    return ((x, y) for x, y, _, _ in _random_draws(count, seed))
-
-
 def test_exponent_screen_picks_the_full_scan_index():
-    differ = [(x, y) for x, y in _random_fits(3000, seed=24)
+    differ = [(x, y) for x, y, _, _ in _random_fits(3000, seed=24)
               if scaling._scan_exponent(x, y) != reference.scan_exponent(x, y)]
     assert differ == []
 
@@ -78,7 +73,7 @@ def test_fit_is_as_good_as_the_full_scan_fit():
     # recovers it at least as well at the 99th percentile (3.0e-8 against
     # 1.7e-7, here).
     excess, misses, reference_misses = [], [], []
-    for x, y, b, noise in _random_draws(3000, seed=24):
+    for x, y, b, noise in _random_fits(3000, seed=24):
         fit, slow = fit_shifted_power(x, y), reference.fit_shifted_power(x, y)
         excess.append((reference._profile_residual(x, y, fit.exponent) - slow.residual)
                       / _unit(y))
