@@ -232,25 +232,26 @@ def _line(u: np.ndarray, y: np.ndarray) -> tuple:
     return y_mean - slope * u_mean[..., 0], slope, residual
 
 
-def _check_spread(x: np.ndarray, y: np.ndarray) -> None:
-    """FitError unless x varies: a line through constant x has no slope."""
-    if np.ptp(x) == 0.0:
-        raise FitError(f"constant data x = {x[0]:.17g} at y = {y.tolist()} leaves "
-                       f"the exponent unidentifiable")
-
-
 def _scan_exponent(x: np.ndarray, y: np.ndarray) -> int:
     """Index of the DRIFT_EXPONENT_SCAN grid exponent of least residual (the
     first, on a tie): the exact _line residual of every grid exponent in one
-    array pass."""
+    array pass.  FitError unless every residual is finite, as when x is
+    constant (no slope) or x^b is not real (x < 0) or overflows."""
     grid = np.linspace(*DRIFT_EXPONENT_RANGE, DRIFT_EXPONENT_SCAN)
-    return int(np.argmin(_line(x ** grid[:, None], y)[2]))
+    with np.errstate(all="ignore"):
+        residuals = _line(x ** grid[:, None], y)[2]
+    if not np.isfinite(residuals).all():
+        raise FitError(f"x^b is constant or not finite at a scanned exponent b "
+                       f"for x = {x.tolist()}")
+    return int(np.argmin(residuals))
 
 
 def fit_shifted_power(x: np.ndarray, y: np.ndarray) -> ShiftedPowerFit:
     """Profiled linear least squares (_line) over (limit, amplitude) with a
     scanned (_scan_exponent) and golden-refined search over the exponent in
-    DRIFT_EXPONENT_RANGE.  Non-finite or constant data raise FitError."""
+    DRIFT_EXPONENT_RANGE.  Non-finite data, constant y, and x for which x^b
+    is constant or not finite at a grid exponent (_scan_exponent) raise
+    FitError."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if len(x) < 3:
@@ -262,7 +263,6 @@ def fit_shifted_power(x: np.ndarray, y: np.ndarray) -> ShiftedPowerFit:
     if np.ptp(y) == 0.0:
         raise FitError(f"constant data y = {y[0]:.17g} at x = {x.tolist()} leaves "
                        f"the exponent unidentifiable")
-    _check_spread(x, y)
 
     n_scan = DRIFT_EXPONENT_SCAN
     grid = np.linspace(*DRIFT_EXPONENT_RANGE, n_scan)
@@ -283,13 +283,18 @@ class PowerLawFit:
 
 
 def fit_power_law(x: Sequence[float], y: Sequence[float]) -> PowerLawFit:
-    """Ordinary least squares (_line) on (ln x, ln y).  Non-positive or
-    constant x raise FitError."""
+    """Ordinary least squares (_line) on (ln x, ln y).  Data that are not
+    positive and finite, and constant x, raise FitError."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if np.any(x <= 0) or np.any(y <= 0):
-        raise FitError("power-law fit requires strictly positive data")
-    _check_spread(x, y)
+    bad = ~((x > 0) & (y > 0) & np.isfinite(x) & np.isfinite(y))
+    if bad.any():
+        raise FitError(f"power-law fit requires positive finite data; points "
+                       f"{np.flatnonzero(bad).tolist()}: x = {x[bad].tolist()}, "
+                       f"y = {y[bad].tolist()}")
+    if np.ptp(x) == 0.0:
+        raise FitError(f"constant data x = {x[0]:.17g} at y = {y.tolist()} leaves "
+                       f"the exponent unidentifiable")
     lx, ly = np.log(x), np.log(y)
     intercept, slope, ss_res = _line(lx, ly)
     ss_tot = float(np.sum((ly - np.mean(ly)) ** 2))

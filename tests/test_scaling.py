@@ -97,6 +97,9 @@ def test_fit_power_law_rejects_nonpositive():
         fit_power_law([1.0, 2.0], [1.0, -1.0])
     with pytest.raises(FitError):
         fit_power_law([0.0, 2.0], [1.0, 1.0])
+    # non-finite data would give a NaN fit
+    with pytest.raises(FitError, match=r"points \[1, 2\]: x = \[2.0, inf\], y = \[nan, 3.0\]$"):
+        fit_power_law([1.0, 2.0, np.inf], [1.0, np.nan, 3.0])
 
 
 def _drifting_power(sizes, exponent, c):
@@ -360,7 +363,8 @@ def test_constant_fit_data_is_named():
     with pytest.raises(FitError, match=r"constant data y = 1 at x = \[0.5, 0.25, 0.125\]"):
         fit_shifted_power(np.array([0.5, 0.25, 0.125]), np.ones(3))
     # a line through constant x has no slope: 0 / 0 in closed form
-    with pytest.raises(FitError, match=r"constant data x = 0.5 at y = \[1.0, 2.0, 3.0\]"):
+    with pytest.raises(FitError, match=r"constant or not finite at a scanned exponent b "
+                                       r"for x = \[0.5, 0.5, 0.5\]"):
         fit_shifted_power(np.full(3, 0.5), np.array([1.0, 2.0, 3.0]))
     with pytest.raises(FitError, match=r"constant data x = 2 at y = \[1.0, 2.0, 4.0\]"):
         fit_power_law([2, 2, 2], [1.0, 2.0, 4.0])

@@ -54,7 +54,8 @@ def _random_fits(count, seed):
     for t in range(count):
         n = (3, 4, 5, 7)[t % 4]
         x = 1.0 / np.sort(rng.uniform(30.0, 1000.0, n))
-        limit, amplitude, b = rng.uniform(-3.0, 3.0), rng.uniform(-2.0, 2.0), rng.uniform(0.05, 3.2)
+        limit, amplitude = rng.uniform(-3.0, 3.0), rng.uniform(-2.0, 2.0)
+        b = rng.uniform(0.05, 3.2)
         y = limit + amplitude * x ** b * 10 ** rng.uniform(0, 3)
         noise = (0.0, 1e-9, 1e-6, 1e-3)[(t // 4) % 4]
         yield x, y + noise * rng.normal(size=n), b, noise
@@ -72,12 +73,13 @@ def test_fit_is_as_good_as_the_full_scan_fit():
     # noiseless data with the exponent inside the scanned range, the fit
     # recovers it at least as well at the 99th percentile (3.0e-8 against
     # 1.7e-7, here).
+    lo, hi = scaling.DRIFT_EXPONENT_RANGE
     excess, misses, reference_misses = [], [], []
     for x, y, b, noise in _random_fits(3000, seed=24):
         fit, slow = fit_shifted_power(x, y), reference.fit_shifted_power(x, y)
         excess.append((reference._profile_residual(x, y, fit.exponent) - slow.residual)
                       / _unit(y))
-        if noise == 0.0 and scaling.DRIFT_EXPONENT_RANGE[0] <= b <= scaling.DRIFT_EXPONENT_RANGE[1]:
+        if noise == 0.0 and lo <= b <= hi:
             misses.append(abs(fit.exponent - b))
             reference_misses.append(abs(slow.exponent - b))
     assert max(excess) <= 1.0
@@ -114,6 +116,16 @@ def test_fit_is_as_good_as_the_full_scan_fit_on_a_near_tie():
     assert scaling._scan_exponent(x, y) in (j, j + 1)
     fit, slow = fit_shifted_power(x, y), reference.fit_shifted_power(x, y)
     assert reference._profile_residual(x, y, fit.exponent) <= slow.residual + _unit(y)
+
+
+@pytest.mark.parametrize("x, named", [
+    ([-0.1, 0.2, 0.3, 0.4], r"\[-0.1, 0.2, 0.3, 0.4\]"),  # x^b is not real
+    ([1e200, 2e200, 3e200, 4e200], r"\[1e\+200, 2e\+200, 3e\+200, 4e\+200\]"),  # it overflows
+])
+def test_fit_data_without_a_finite_power_fail_by_name(x, named):
+    with pytest.raises(FitError, match="constant or not finite at a scanned exponent b "
+                                       f"for x = {named}$"):
+        fit_shifted_power(x, [1.0, 2.0, 4.0, 8.0])
 
 
 @pytest.mark.parametrize("x, y, named", [
