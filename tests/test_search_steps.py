@@ -121,7 +121,7 @@ def test_fit_is_as_good_as_the_full_scan_fit_on_a_near_tie():
 @pytest.mark.parametrize("x, named", [
     ([-0.1, 0.2, 0.3, 0.4], r"\[-0.1, 0.2, 0.3, 0.4\]"),  # x^b is not real
     ([1e200, 2e200, 3e200, 4e200], r"\[1e\+200, 2e\+200, 3e\+200, 4e\+200\]"),  # it overflows
-])
+], ids=["negative", "overflow"])
 def test_fit_data_without_a_finite_power_fail_by_name(x, named):
     with pytest.raises(FitError, match="constant or not finite at a scanned exponent b "
                                        f"for x = {named}$"):
