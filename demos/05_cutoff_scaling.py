@@ -16,7 +16,7 @@ rows = []
 print("cutoff scaling at eps = 1, K = 0:")
 print(f"{'N_cut':>6}{'g_ee':>14}{'|F_ep|':>12}{'<n>':>10}{'gap':>10}")
 for nc in cutoffs:
-    r = qgt_spectral(ModelParams(delta=1.0, kerr=0.0, eps=1.0, n_cut=nc))
+    r = qgt_spectral(ModelParams(kerr=0.0, eps=1.0, n_cut=nc))
     rows.append((r.g_ee, abs(r.f_ep), r.mean_n))
     print(f"{nc:6d}{r.g_ee:14.5g}{abs(r.f_ep):12.5g}{r.mean_n:10.4f}{r.gap:10.5f}")
 

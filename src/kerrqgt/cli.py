@@ -71,7 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="output directory")
     common.add_argument("--force", action="store_true", default=None,
                         help="rerun even if a matching manifest exists")
-    common.add_argument("--delta", type=float, default=None, help="detuning scale")
 
     parser = argparse.ArgumentParser(
         prog="kerrqgt",

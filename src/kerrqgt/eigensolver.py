@@ -28,7 +28,7 @@ one, on the same path).  Each gets its own selective solve; the sign
 convention, the gate units and the certificates are then taken on the whole
 row in one pass.  The diagonal and level map of a block that
 sector_block builds are the read-only arrays of the model.sector_arrays
-cache, shared by every block at the same (delta, kerr, n_cut); nothing here
+cache, shared by every block at the same (kerr, n_cut); nothing here
 writes to a block, and the tests solve blocks built from writable copies to
 the same bits.
 
@@ -258,7 +258,7 @@ def eig_tridiagonal(block: TridiagonalBlock, seed: np.ndarray | None = None) -> 
 
 
 def ground_state_row(points, seed: np.ndarray | None = None) -> GroundState:
-    """Ground states of a row of points that share delta, kerr and n_cut: one
+    """Ground states of a row of points that share kerr and n_cut: one
     stacked even-sector solve over the row's eps (a point is a row of one),
     seeded per row if seed is given (eig_tridiagonal)."""
     block = sector_block(points)

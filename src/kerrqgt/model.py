@@ -1,8 +1,8 @@
 """Truncated Fock-space model of a parametrically driven Kerr resonator.
 
-The Hamiltonian (hbar = 1) is
+The Hamiltonian (hbar = 1, every energy in units of the detuning) is
 
-    H = K adag^2 a^2 + delta adag a - (delta*eps/2) (e^{-i phi} adag^2 + e^{i phi} a^2),
+    H = K adag^2 a^2 + adag a - (eps/2) (e^{-i phi} adag^2 + e^{i phi} a^2),
 
 kept on the truncated basis {|0>, ..., |n_cut>}.  The two-photon drive only
 couples Fock levels n and n+2, so the matrix is pentadiagonal with an empty
@@ -10,10 +10,10 @@ first off-diagonal and splits into even/odd parity blocks.  A diagonal gauge
 rotation with phases e^{i n phi / 2} removes the drive phase, leaving real
 symmetric tridiagonal blocks whose off-diagonal entries are non-positive.
 sector_block builds the even block, the ground state's (see eigensolver) and
-the only one the package needs, for a row of M points that share delta, kerr
-and n_cut (a point is a row of one): one diagonal under (M, N-1) off-diagonals.
+the only one the package needs, for a row of M points that share kerr and
+n_cut (a point is a row of one): one diagonal under (M, N-1) off-diagonals.
 The eps-independent arrays of a block (sector_arrays) are built once per
-(delta, kerr, n_cut) and shared read-only.
+(kerr, n_cut) and shared read-only.
 
 The phase only relabels states, so the package never forms a complex
 full-Fock vector: a ground state is a real sector vector on its Fock levels
@@ -39,24 +39,20 @@ TAIL_TOLERANCE = 1e-12
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Physical parameters of one model instance.
+    """Physical parameters of one model instance, energies in units of the detuning.
 
-    delta : drive detuning (sets the overall frequency scale), > 0.
-    kerr  : Kerr nonlinearity K >= 0 in the same units as delta.
+    kerr  : Kerr nonlinearity K >= 0, in units of the detuning.
     eps   : dimensionless two-photon drive amplitude, >= 0.
     phi   : drive phase in radians (conventionally in [0, 2*pi)).
     n_cut : highest retained Fock level; the basis dimension is n_cut + 1.
     """
 
-    delta: float
     kerr: float
     eps: float
     phi: float = 0.0
     n_cut: int = 800
 
     def __post_init__(self):
-        if not math.isfinite(self.delta) or self.delta <= 0:
-            raise InputError(f"delta must be positive, got {self.delta}")
         if not math.isfinite(self.kerr) or self.kerr < 0:
             raise InputError(f"kerr must be >= 0, got {self.kerr}")
         if not math.isfinite(self.eps) or self.eps < 0:
@@ -72,20 +68,20 @@ class ModelParams:
 
     @property
     def effective_size(self) -> float:
-        """Effective system size delta / K; the thermodynamic limit is reached as it grows."""
+        """Effective system size 1 / K; the thermodynamic limit is reached as it grows."""
         if self.kerr == 0:
             raise ValueError("effective size is undefined for kerr = 0")
-        return self.delta / self.kerr
+        return 1.0 / self.kerr
 
     @classmethod
     def from_size(cls, size: float, eps: float, phi: float = 0.0,
-                  n_cut: int = 800, delta: float = 1.0) -> "ModelParams":
-        """Build parameters at a given effective size L = delta / K."""
+                  n_cut: int = 800) -> "ModelParams":
+        """Build parameters at a given effective size L = 1 / K."""
         if not size > 0:
             raise InputError(f"size must be positive, got {size}")
         if not math.isfinite(size):
             raise InputError(f"size must be finite, got {size}")
-        return cls(delta=delta, kerr=delta / size, eps=eps, phi=phi, n_cut=n_cut)
+        return cls(kerr=1.0 / size, eps=eps, phi=phi, n_cut=n_cut)
 
     def replace(self, **kw) -> "ModelParams":
         return dataclasses.replace(self, **kw)
@@ -119,13 +115,13 @@ class TridiagonalBlock:
 
 
 @functools.lru_cache(maxsize=64)
-def sector_arrays(delta: float, kerr: float, n_cut: int):
-    """(diag, coupling, index_map) of the even sector at (delta, kerr, n_cut),
-    cached and read-only: the diagonal K n(n-1) + delta n on the Fock levels
+def sector_arrays(kerr: float, n_cut: int):
+    """(diag, coupling, index_map) of the even sector at (kerr, n_cut),
+    cached and read-only: the diagonal K n(n-1) + n on the Fock levels
     n = 0, 2, ..., the two-photon elements pair_coupling(n) between them, and
     the levels themselves (ints)."""
     levels = np.arange(0, n_cut + 1, 2, dtype=float)
-    arrays = (kerr * levels * (levels - 1.0) + delta * levels,
+    arrays = (kerr * levels * (levels - 1.0) + levels,
               pair_coupling(levels[:-1]), levels.astype(int))
     for array in arrays:
         array.setflags(write=False)
@@ -135,20 +131,20 @@ def sector_arrays(delta: float, kerr: float, n_cut: int):
 def sector_block(points) -> TridiagonalBlock:
     """The gauge-rotated even sector over a row of points.
 
-    The points must share delta, kerr and n_cut; they may differ in eps and
+    The points must share kerr and n_cut; they may differ in eps and
     phi only, and anything else raises ValueError.  The block is independent
     of phi: the diagonal unitary with phases e^{i n phi / 2} maps H(eps, phi)
     to H(eps, 0), whose sectors are real tridiagonal with off-diagonal
-    -(delta*eps/2) sqrt((n+1)(n+2)), one row per point.
+    -(eps/2) sqrt((n+1)(n+2)), one row per point.
     """
     if not points:
         raise ValueError("a row needs at least one point")
     first = points[0]
     for p in points:
-        if (p.delta, p.kerr, p.n_cut) != (first.delta, first.kerr, first.n_cut):
+        if (p.kerr, p.n_cut) != (first.kerr, first.n_cut):
             raise ValueError(f"row points differ in more than eps and phi: {first} "
                              f"and {p}")
-    diag, coupling, index_map = sector_arrays(first.delta, first.kerr, first.n_cut)
+    diag, coupling, index_map = sector_arrays(first.kerr, first.n_cut)
     eps = np.array([p.eps for p in points], dtype=float)
-    off = -(first.delta * eps[:, None] / 2.0) * coupling
+    off = -(eps[:, None] / 2.0) * coupling
     return TridiagonalBlock(size=len(diag), diag=diag, offdiag=off, index_map=index_map)

@@ -23,11 +23,12 @@ from pathlib import Path
 import numpy as np
 
 from .eigensolver import ground_state_row
-from .errors import CutoffError, EigenConvergenceError, GapError, SchemaError, StepSizeError
+from .errors import (CutoffError, EigenConvergenceError, GapError, InputError, SchemaError,
+                     StepSizeError)
 from .model import ModelParams
 from .qgt import qgt_fd_row, qgt_spectral_row
-from .scaling import (CurveFamily, ScalingReport, _cutoff_ladder, _k0_cutoffs, _solve_adaptive,
-                      k0_pipeline, optimize_collapse, scaling_pipeline)
+from .scaling import (MAX_GRID_POINTS, CurveFamily, ScalingReport, _cutoff_ladder, _k0_cutoffs,
+                      _solve_adaptive, k0_pipeline, optimize_collapse, scaling_pipeline)
 from .sweep import (DEFAULT_K0_CUTOFFS, K0_REPORT_NAME, PHASE_DIAGRAM_COLUMNS, QGT_COLUMNS,
                     SCALING_REPORT_NAME, SweepConfig, _is_number, _stale, csv_text, dumps_json,
                     read_report, run, uncertified)
@@ -39,13 +40,19 @@ POINT_ERRORS = (EigenConvergenceError, GapError, StepSizeError)
 ModeResult = tuple[dict[str, str], list[str]]
 
 
+def _check_grid(axes: str, points: int) -> None:
+    """InputError, before any point is built, if a grid has over MAX_GRID_POINTS points."""
+    if points > MAX_GRID_POINTS:
+        raise InputError(f"{axes} grid of {points} points exceeds {MAX_GRID_POINTS}")
+
+
 def _phase_diagram(config: SweepConfig, out: Path) -> ModeResult:
     """Order-parameter grid rho(eps, phi) at fixed effective size."""
+    _check_grid("eps x phi", int(config.eps_range[2]) * int(config.phi_range[2]))
     eps_grid = np.linspace(*config.eps_range[:2], int(config.eps_range[2]))
     phi_grid = np.linspace(*config.phi_range[:2], int(config.phi_range[2]))
-    # ModelParams checks the size, delta, cutoff and eps before the screen
-    points = [ModelParams.from_size(config.size, eps, n_cut=config.n_cut, delta=config.delta)
-              for eps in eps_grid]
+    # ModelParams checks the size, cutoff and eps before the screen
+    points = [ModelParams.from_size(config.size, eps, n_cut=config.n_cut) for eps in eps_grid]
     eps_max = float(np.max(eps_grid))
     # A screen that rejects hopeless grids (1.3 x the condensate's <n> ~
     # L(eps - 1)/2, plus 50 levels), not a guarantee: it can pass a grid whose
@@ -102,15 +109,18 @@ def _qgt(config: SweepConfig, out: Path) -> ModeResult:
     at its top eps from the lowest rung: one centre row (ground_state_row) of
     its grid points, which each selected row kernel, qgt_spectral_row and/or
     qgt_fd_row, gap-gates and reads; each eps gets its spectral row first, then
-    its fd row.  A point whose centre fails loses both rows."""
+    its fd row.  A point whose centre fails loses both rows.  Unlike a scaling
+    stage, a size never starts at the previous size's rung, so that its rows do
+    not depend on the other sizes (test_qgt_sizes_do_not_depend_on_each_other)."""
+    _check_grid("size x eps", len(config.sizes) * int(config.eps_range[2]))
     eps_grid = np.linspace(*config.eps_range[:2], int(config.eps_range[2]))
     kernels = {"spectral": qgt_spectral_row, "fd": qgt_fd_row}
     methods = ["spectral", "fd"] if config.method == "both" else [config.method]
     ladder = _cutoff_ladder(config.n_cut)
     rows, warnings = [], []
     for size in config.sizes:
-        points = [ModelParams.from_size(size, eps, phi=config.phi, n_cut=config.n_cut,
-                                        delta=config.delta) for eps in eps_grid]
+        points = [ModelParams.from_size(size, eps, phi=config.phi, n_cut=config.n_cut)
+                  for eps in eps_grid]
 
         def solve(n_cut):
             return _rows_or_points([kernels[method] for method in methods],
@@ -138,7 +148,7 @@ def _qgt(config: SweepConfig, out: Path) -> ModeResult:
 def _scaling(config: SweepConfig, out: Path) -> ModeResult:
     """Full scaling analysis; the JSON report carries the curve families."""
     report = scaling_pipeline(
-        sizes=config.sizes, n_cut=config.n_cut, delta=config.delta,
+        sizes=config.sizes, n_cut=config.n_cut,
         peak_bracket=tuple(config.peak_bracket),
         collapse_window=tuple(config.collapse_window),
         collapse_step=config.collapse_step)
@@ -161,7 +171,7 @@ def load_scaling_report(path: Path) -> ScalingReport:
 def _k0_inputs(echo: dict) -> list:
     """What of a scaling config echo the k0 study reads: the peak bracket fixes
     eps_c by size, hence the k0 inputs; the collapse grid does not enter."""
-    return [sorted(echo["sizes"]), echo["n_cut"], echo["delta"], echo["peak_bracket"]]
+    return [sorted(echo["sizes"]), echo["n_cut"], echo["peak_bracket"]]
 
 
 def _k0(config: SweepConfig, out: Path) -> ModeResult:
@@ -177,8 +187,7 @@ def _k0(config: SweepConfig, out: Path) -> ModeResult:
         if existing.exists():
             warnings.append(f"{existing.name} is not reused, but computed again: {reason}")
         run(scaling)
-    report = k0_pipeline(load_scaling_report(existing), ncut_list=config.ncut_list,
-                         delta=config.delta)
+    report = k0_pipeline(load_scaling_report(existing), ncut_list=config.ncut_list)
     if report.flagged:
         warnings.append("a power-law fit has r^2 < 0.99")
     if report.diagnostics["delta_nbar_fit"]["boundary_warning"]:

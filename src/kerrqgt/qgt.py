@@ -63,7 +63,7 @@ class QGTResult:
     The tensor Q = g - (i/2) F is fixed by four real numbers: the metric
     entries g_ee, g_pp and g_ep, and the Berry curvature f_ep = -2 Im Q_{eps,phi}.
     gap, mean_n, var_n, tail_weight and cutoff_warning describe the even ground
-    state at the point, whichever route (method) gave the tensor.
+    state at the point, whichever route (method) gave the tensor (gap in units of the detuning).
     """
 
     g_ee: float
@@ -164,7 +164,7 @@ def _sternheimer(block, e0: np.ndarray, u0: np.ndarray, rhs: np.ndarray,
 
 def _response(ground: GroundState, powers: int):
     """The eps response on ground, a row of even ground states
-    (ground_state_row) of points that share delta, kerr and n_cut, whose gaps
+    (ground_state_row) of points that share kerr and n_cut, whose gaps
     it gates first (_gap_gate).
 
     Returns C = dT/deps (its off-diagonal band, the same for every eps),
@@ -173,7 +173,7 @@ def _response(ground: GroundState, powers: int):
     """
     _gap_gate(ground)
     u0, first = ground.vectors, ground.points[0]
-    band = -(first.delta / 2.0) * sector_arrays(first.delta, first.kerr, first.n_cut)[1]
+    band = -0.5 * sector_arrays(first.kerr, first.n_cut)[1]
     rhs = _tridiagonal_multiply(0.0, band, u0)
     de0 = np.array([u @ r for u, r in zip(u0, rhs)])
     rhs -= de0[:, None] * u0
@@ -184,7 +184,7 @@ def _response(ground: GroundState, powers: int):
 
 def qgt_spectral_row(ground: GroundState) -> list[QGTResult]:
     """Geometric tensors of the points of a centre row ground =
-    ground_state_row(points), points that share delta, kerr and n_cut.
+    ground_state_row(points), points that share kerr and n_cut.
 
     One Sternheimer solve per row gives every point's tensor exactly as
     qgt_spectral gives it alone.
@@ -201,7 +201,7 @@ def qgt_spectral(params: ModelParams) -> QGTResult:
 
     The drive phase is a gauge rotation, so the tensor is computed at phi = 0
     in real arithmetic from the lowest two levels and u0 alone.  With
-    C = dT/deps (off-diagonal band -(delta/2) sqrt((n+1)(n+2))) and
+    C = dT/deps (off-diagonal band -(1/2) sqrt((n+1)(n+2))) and
     dH/dphi = -i[n/2, H]:
 
         y    = (T - E0)^+ (1 - |u0><u0|) C u0     (one Sternheimer solve)
@@ -232,7 +232,7 @@ def g_ee_slope(params: ModelParams) -> float:
 
 def _even_ground_family(ground: GroundState, step_eps: float) -> list[dict]:
     """The stencil vectors of the points of a centre row ground =
-    ground_state_row(points), points that share delta, kerr and n_cut, whose
+    ground_state_row(points), points that share kerr and n_cut, whose
     gaps it gates first (_gap_gate).
 
     Every other eps of a point's stencils (stencil_eps) is a satellite of
@@ -259,7 +259,7 @@ def _even_ground_family(ground: GroundState, step_eps: float) -> list[dict]:
 def qgt_fd_row(ground: GroundState, step_eps: float = DEFAULT_STEP_EPS,
                step_phi: float = DEFAULT_STEP_PHI) -> list[QGTResult]:
     """Geometric tensors of the points of a centre row ground =
-    ground_state_row(points), points that share delta, kerr and n_cut, by
+    ground_state_row(points), points that share kerr and n_cut, by
     the gauge-invariant overlap stencil tensor_fd on real vectors.
 
     One seeded solve of every point's stencil satellites (_even_ground_family)

@@ -45,8 +45,8 @@ from .sweep import (DEFAULT_COLLAPSE_STEP, DEFAULT_COLLAPSE_WINDOW, DEFAULT_K0_C
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
-# the most eps points a collapse grid may have (the default grid has 111)
-MAX_COLLAPSE_POINTS = 100_000
+# the most points of any grid: collapse eps (111 by default), eps x phi, size x eps
+MAX_GRID_POINTS = 100_000
 DRIFT_EXPONENT_RANGE = (0.1, 3.0)
 DRIFT_EXPONENT_SCAN = 61
 PEAK_SCAN_POINTS = 8
@@ -483,11 +483,10 @@ class ScalingReport:
     diagnostics: dict = field(repr=False)
 
 
-def sweep_family(sizes: Sequence[float], eps_grid: np.ndarray, n_cut: int,
-                 delta: float = 1.0) -> list[list[QGTResult]]:
+def sweep_family(sizes: Sequence[float], eps_grid: np.ndarray,
+                 n_cut: int) -> list[list[QGTResult]]:
     """Spectral tensor on sizes x eps_grid, one row kernel call per size."""
-    rows = ([ModelParams.from_size(L, e, n_cut=n_cut, delta=delta) for e in eps_grid]
-            for L in sizes)
+    rows = ([ModelParams.from_size(L, e, n_cut=n_cut) for e in eps_grid] for L in sizes)
     return [qgt_spectral_row(ground_state_row(points)) for points in rows]
 
 
@@ -518,30 +517,29 @@ def _solve_adaptive(ladder: list[int], start: int, probe: ModelParams,
     return rung, result
 
 
-def _solve_sizes(sizes: np.ndarray, ladder: list[int], delta: float, top: float,
+def _solve_sizes(sizes: np.ndarray, ladder: list[int], top: float,
                  solve: Callable[[float, int], object], tripped: Callable[[object], bool]):
     """(results, cutoffs): solve(L, n_cut) of each size and the rung it was
     solved at (_solve_adaptive), probed at eps = top and searched from the
     previous size's rung."""
     results, cutoffs, rung = [], [], 0
     for L in sizes:
-        rung, result = _solve_adaptive(ladder, rung, ModelParams.from_size(L, top, delta=delta),
+        rung, result = _solve_adaptive(ladder, rung, ModelParams.from_size(L, top),
                                        lambda n: solve(L, n), tripped)
         results.append(result)
         cutoffs.append(ladder[rung])
     return results, cutoffs
 
 
-def _peaks(sizes: np.ndarray, ladder: list[int], delta: float,
+def _peaks(sizes: np.ndarray, ladder: list[int],
            bracket: tuple[float, float]) -> tuple[list[QGTResult], list[int]]:
     """(peaks, cutoffs): the qgt_spectral tensor at each size's g_ee peak, and
     the rung it was solved at, probed at the top of the bracket."""
     def peak(L, n):
-        ec = locate_peak(lambda e: g_ee_slope(ModelParams.from_size(
-            L, e, n_cut=n, delta=delta)), bracket)
-        return qgt_spectral(ModelParams.from_size(L, ec, n_cut=n, delta=delta))
+        ec = locate_peak(lambda e: g_ee_slope(ModelParams.from_size(L, e, n_cut=n)), bracket)
+        return qgt_spectral(ModelParams.from_size(L, ec, n_cut=n))
 
-    return _solve_sizes(sizes, ladder, delta, bracket[1], peak, lambda r: r.cutoff_warning)
+    return _solve_sizes(sizes, ladder, bracket[1], peak, lambda r: r.cutoff_warning)
 
 
 def fit_peaks(sizes: Sequence[float],
@@ -602,7 +600,6 @@ def fit_peaks(sizes: Sequence[float],
 
 def scaling_pipeline(sizes: Sequence[float] = DEFAULT_SIZES,
                      n_cut: int = DEFAULT_N_CUT,
-                     delta: float = 1.0,
                      peak_bracket: tuple[float, float] = DEFAULT_PEAK_BRACKET,
                      collapse_window: tuple[float, float] = DEFAULT_COLLAPSE_WINDOW,
                      collapse_step: float = DEFAULT_COLLAPSE_STEP) -> ScalingReport:
@@ -623,20 +620,20 @@ def scaling_pipeline(sizes: Sequence[float] = DEFAULT_SIZES,
         raise InputError(f"collapse_step must be positive and finite, got {collapse_step}")
     if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
         raise InputError(f"collapse_window must be finite with lo < hi, got {(lo, hi)}")
-    if not (hi - lo) / collapse_step < MAX_COLLAPSE_POINTS:
+    if not (hi - lo) / collapse_step < MAX_GRID_POINTS:
         raise InputError(f"collapse grid of {(hi - lo) / collapse_step + 1:.3g} points exceeds "
-                         f"{MAX_COLLAPSE_POINTS}; raise collapse_step or narrow "
+                         f"{MAX_GRID_POINTS}; raise collapse_step or narrow "
                          f"collapse_window")
     sizes = np.asarray(sorted(sizes), dtype=float)
     if len(sizes) < 4:
         raise FitError("the scaling pipeline needs at least 4 sizes")
     if np.any(np.diff(sizes) == 0):
         raise FitError(f"the scaling pipeline needs distinct sizes, got {sizes.tolist()}")
-    # a bad delta or cap raises ModelParams' InputError before any solve
-    ModelParams(delta=delta, kerr=0.0, eps=0.0, n_cut=n_cut)
+    # a bad cap raises ModelParams' InputError before any solve
+    ModelParams(kerr=0.0, eps=0.0, n_cut=n_cut)
     ladder = _cutoff_ladder(n_cut)
 
-    peaks, peak_cuts = _peaks(sizes, ladder, delta, peak_bracket)
+    peaks, peak_cuts = _peaks(sizes, ladder, peak_bracket)
     keep = np.array([not r.cutoff_warning for r in peaks])
     warnings = [f"cutoff-inadequate point excluded: L={L:g} eps={r.params.eps:.6f}"
                 for L, r in zip(sizes, peaks) if r.cutoff_warning]
@@ -650,8 +647,8 @@ def scaling_pipeline(sizes: Sequence[float] = DEFAULT_SIZES,
     warnings += fit_warnings
 
     eps_grid = np.arange(lo, hi + collapse_step / 2, collapse_step)
-    rows, family_cuts = _solve_sizes(sizes_kept, ladder, delta, eps_grid[-1],
-                                     lambda L, n: sweep_family([L], eps_grid, n, delta)[0],
+    rows, family_cuts = _solve_sizes(sizes_kept, ladder, eps_grid[-1],
+                                     lambda L, n: sweep_family([L], eps_grid, n)[0],
                                      lambda row: any(r.cutoff_warning for r in row))
     flagged = [(L, e) for L, row in zip(sizes_kept, rows)
                for e, r in zip(eps_grid, row) if r.cutoff_warning]
@@ -677,7 +674,6 @@ def scaling_pipeline(sizes: Sequence[float] = DEFAULT_SIZES,
         "n_cut": int(n_cut),
         "cutoffs": {"peak": [n for n, k in zip(peak_cuts, keep) if k],
                     "family": family_cuts},
-        "delta": float(delta),
         "peak_bracket": [float(peak_bracket[0]), float(peak_bracket[1])],
         "collapse_window": [float(lo), float(hi)],
         "collapse_step": float(collapse_step),
@@ -725,8 +721,7 @@ def _k0_cutoffs(ncut_list: Sequence[float]) -> list[int]:
 
 
 def k0_pipeline(scaling: ScalingReport,
-                ncut_list: Sequence[int] = DEFAULT_K0_CUTOFFS,
-                delta: float = 1.0) -> K0Report:
+                ncut_list: Sequence[int] = DEFAULT_K0_CUTOFFS) -> K0Report:
     """Cutoff scaling of the tensor at the K=0 critical drive eps = 1.
 
     Without Kerr nonlinearity the truncation itself plays the role of the
@@ -736,8 +731,7 @@ def k0_pipeline(scaling: ScalingReport,
     is read off scaling, the report of scaling_pipeline.
     """
     ncut_list = _k0_cutoffs(ncut_list)
-    points = [qgt_spectral(ModelParams(delta=delta, kerr=0.0, eps=1.0, n_cut=nc))
-              for nc in ncut_list]
+    points = [qgt_spectral(ModelParams(kerr=0.0, eps=1.0, n_cut=nc)) for nc in ncut_list]
     g_fit = fit_power_law(ncut_list, [p.g_ee for p in points])
     f_fit = fit_power_law(ncut_list, [abs(p.f_ep) for p in points])
     n_fit = fit_power_law(ncut_list, [p.mean_n for p in points])

@@ -187,7 +187,6 @@ class SweepConfig:
     mode: str
     out_dir: str
     force: bool = False
-    delta: float = 1.0
     n_cut: int = DEFAULT_N_CUT
     size: float = 2000.0
     sizes: tuple = DEFAULT_SIZES

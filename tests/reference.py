@@ -5,7 +5,10 @@ decomposition, never from the kernels it checks:
 
 * dense_hamiltonian and dense_drive_derivatives assemble the complex
   full-Fock matrices at any phi from ladder operators;
-* dense_eigenvalues diagonalizes the dense matrix;
+* dense_eigenvalues diagonalizes the dense matrix, and dense_even_ground
+  its even Fock rows and columns, with the sum over states on them;
+  these four take the detuning delta as an argument (default 1, the
+  package's unit of energy);
 * odd_block is the odd parity sector of one point, read off the same
   ladder-operator Hamiltonian with the gauge phases undone (the package
   builds only the even sector);
@@ -112,34 +115,65 @@ def _ladder(dim: int):
     return a, a @ a
 
 
-def _sparse_hamiltonian(params):
+def _sparse_hamiltonian(params, delta: float = 1.0):
     """dense_hamiltonian as a sparse matrix."""
     a, a2 = _ladder(params.dim)
     drive = np.exp(-1j * params.phi) * a2.T
-    return (params.kerr * (a2.T @ a2) + params.delta * (a.T @ a)
-            - (params.delta * params.eps / 2.0) * (drive + drive.conj().T))
+    return (params.kerr * (a2.T @ a2) + delta * (a.T @ a)
+            - (delta * params.eps / 2.0) * (drive + drive.conj().T))
 
 
-def dense_hamiltonian(params) -> np.ndarray:
-    """H = K a+^2 a^2 + delta a+ a - (delta eps / 2)(e^{-i phi} a+^2 + e^{i phi} a^2).
+def dense_hamiltonian(params, delta: float = 1.0) -> np.ndarray:
+    """H = K a+^2 a^2 + delta a+ a - (delta eps / 2)(e^{-i phi} a+^2 + e^{i phi} a^2),
+    with K = params.kerr in the same units as the detuning delta.  At delta = 1 it
+    is the package's Hamiltonian of params; at any delta it is delta times the
+    package's at kerr = K / delta.
 
     Exactly Hermitian: the two drive terms are built as conjugate transposes.
     """
-    return _sparse_hamiltonian(params).toarray()
+    return _sparse_hamiltonian(params, delta).toarray()
 
 
-def dense_drive_derivatives(params) -> tuple[np.ndarray, np.ndarray]:
-    """dH/deps and dH/dphi of dense_hamiltonian, differentiated by hand."""
+def dense_drive_derivatives(params, delta: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """dH/deps and dH/dphi of dense_hamiltonian(params, delta), differentiated by hand."""
     _, a2 = _ladder(params.dim)
     drive = np.exp(-1j * params.phi) * a2.T
-    d_eps = -(params.delta / 2.0) * (drive + drive.conj().T)
-    d_phi = -(params.delta * params.eps / 2.0) * (-1j * drive + (-1j * drive).conj().T)
+    d_eps = -(delta / 2.0) * (drive + drive.conj().T)
+    d_phi = -(delta * params.eps / 2.0) * (-1j * drive + (-1j * drive).conj().T)
     return d_eps.toarray(), d_phi.toarray()
 
 
-def dense_eigenvalues(params) -> np.ndarray:
+def dense_eigenvalues(params, delta: float = 1.0) -> np.ndarray:
     """Whole spectrum of the dense Hamiltonian (small cutoffs only)."""
-    return np.linalg.eigvalsh(dense_hamiltonian(params))
+    return np.linalg.eigvalsh(dense_hamiltonian(params, delta))
+
+
+def _sum_over_states(lam, states, params, delta: float = 1.0) -> tuple:
+    """(g_ee, g_pp, g_ep, f_ep) of the ground state states[:, 0] as the sum
+    over the other columns, full-Fock eigenvectors of the energies lam, with
+    the drive derivatives of dense_hamiltonian(params, delta)."""
+    u0 = states[:, 0]
+    d_eps, d_phi = dense_drive_derivatives(params, delta)
+    m_eps = states.conj().T @ (d_eps @ u0)
+    m_phi = states.conj().T @ (d_phi @ u0)
+
+    de2 = (lam[1:] - lam[0]) ** 2
+    q_ee = float(np.sum(np.abs(m_eps[1:]) ** 2 / de2))
+    q_pp = float(np.sum(np.abs(m_phi[1:]) ** 2 / de2))
+    q_ep = complex(np.sum(np.conj(m_eps[1:]) * m_phi[1:] / de2))
+    return q_ee, q_pp, q_ep.real, -2.0 * q_ep.imag
+
+
+def dense_even_ground(params, delta: float = 1.0) -> tuple:
+    """(gap, u0, (g_ee, g_pp, g_ep, f_ep)) of the even sector of
+    dense_hamiltonian(params, delta), by np.linalg.eigh of its even Fock rows
+    and columns: the gap E1 - E0, the full-Fock ground vector and the sum
+    over states."""
+    even = np.arange(0, params.dim, 2)
+    lam, vectors = np.linalg.eigh(dense_hamiltonian(params, delta)[np.ix_(even, even)])
+    states = np.zeros((params.dim, len(even)), dtype=complex)
+    states[even] = vectors
+    return float(lam[1] - lam[0]), states[:, 0], _sum_over_states(lam, states, params, delta)
 
 
 def gauge_phases(dim: int, phi: float) -> np.ndarray:
@@ -273,17 +307,9 @@ def qgt_sum_over_states(params) -> QGTResult:
 
     states = lift(spec.eigenvectors[0], even.index_map, params)
     u0 = states[:, 0]
-    d_eps, d_phi = dense_drive_derivatives(params)
-    m_eps = states.conj().T @ (d_eps @ u0)
-    m_phi = states.conj().T @ (d_phi @ u0)
-
-    de2 = (lam[1:] - lam[0]) ** 2
-    q_ee = float(np.sum(np.abs(m_eps[1:]) ** 2 / de2))
-    q_pp = float(np.sum(np.abs(m_phi[1:]) ** 2 / de2))
-    q_ep = complex(np.sum(np.conj(m_eps[1:]) * m_phi[1:] / de2))
-
+    g_ee, g_pp, g_ep, f_ep = _sum_over_states(lam, states, params)
     tail = tail_weight(u0)
-    return QGTResult(g_ee=q_ee, g_pp=q_pp, g_ep=q_ep.real, f_ep=-2.0 * q_ep.imag,
+    return QGTResult(g_ee=g_ee, g_pp=g_pp, g_ep=g_ep, f_ep=f_ep,
                      gap=gap, method="sum-over-states", params=params,
                      mean_n=mean_photon(u0), var_n=photon_variance(u0), tail_weight=tail,
                      cutoff_warning=bool(tail > TAIL_TOLERANCE))
@@ -301,7 +327,7 @@ class _LazyVectors(dict):
 
 
 def lazy_even_ground_vectors(params) -> dict:
-    """Map eps -> real even ground vector at the delta, kerr and n_cut of
+    """Map eps -> real even ground vector at the kerr and n_cut of
     params, solving each eps as a row of one when first asked for it; it
     holds exactly the eps asked for."""
     return _LazyVectors(params)

@@ -230,7 +230,7 @@ def test_criterion_6_property_suite():
     # eps = 0 closed forms to 1e-10
     worst = 0.0
     for kerr in (0.0, 0.01):
-        r = qgt_spectral(ModelParams(delta=1.0, kerr=kerr, eps=0.0, n_cut=64))
+        r = qgt_spectral(ModelParams(kerr=kerr, eps=0.0, n_cut=64))
         expected = 1.0 / (2.0 * (2.0 + 2.0 * kerr) ** 2)
         worst = max(worst, abs(r.g_ee - expected), abs(r.g_pp), abs(r.f_ep))
     checks.append(("eps=0 closed forms to 1e-10", worst <= 1e-10, f"worst {worst:.2e}"))

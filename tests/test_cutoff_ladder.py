@@ -101,12 +101,12 @@ def solved_cutoffs(monkeypatch):
     solved = []
     sweep_family, step = scaling.sweep_family, scaling.g_ee_slope
 
-    def family(sizes, eps_grid, n_cut, delta=1.0):
+    def family(sizes, eps_grid, n_cut):
         solved.append(("family", float(sizes[0]), n_cut))
-        return sweep_family(sizes, eps_grid, n_cut, delta)
+        return sweep_family(sizes, eps_grid, n_cut)
 
     def peak(params):
-        solve = ("peak", params.delta / params.kerr, params.n_cut)
+        solve = ("peak", 1.0 / params.kerr, params.n_cut)
         if solved[-1:] != [solve]:
             solved.append(solve)
         return step(params)

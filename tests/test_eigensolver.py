@@ -58,7 +58,7 @@ def test_two_by_two_closed_form():
 
 
 def test_no_drive_eigenvalues_are_diagonal():
-    even = sector_block([ModelParams(delta=1.0, kerr=0.01, eps=0.0, n_cut=20)])
+    even = sector_block([ModelParams(kerr=0.01, eps=0.0, n_cut=20)])
     n = np.arange(0, 21, 2, dtype=float)
     expected = 0.01 * n * (n - 1) + n
     np.testing.assert_allclose(full_spectrum(even).eigenvalues[0], expected, atol=1e-13)
@@ -67,7 +67,7 @@ def test_no_drive_eigenvalues_are_diagonal():
 
 
 def test_spectrum_bounds_hold():
-    p = ModelParams(delta=1.0, kerr=1.0 / 400.0, eps=1.02, n_cut=800)
+    p = ModelParams(kerr=1.0 / 400.0, eps=1.02, n_cut=800)
     for block in (sector_block([p]), odd_block(p)):
         full = full_spectrum(block)
         assert full.scale[0] == max(1.0, np.max(np.abs(full.eigenvalues)))
@@ -80,8 +80,7 @@ def test_spectrum_bounds_hold():
 def test_blocks_match_dense_debug_path():
     rng = np.random.default_rng(42)
     for _ in range(5):
-        p = ModelParams(delta=float(rng.uniform(0.5, 2.0)),
-                        kerr=float(rng.uniform(0.0, 0.1)),
+        p = ModelParams(kerr=float(rng.uniform(0.0, 0.1)),
                         eps=float(rng.uniform(0.0, 1.5)),
                         phi=float(rng.uniform(0.0, 2 * np.pi)),
                         n_cut=int(rng.integers(12, 65)))
@@ -95,7 +94,7 @@ def test_blocks_match_dense_debug_path():
 
 
 def test_variational_bound():
-    p = ModelParams(delta=1.0, kerr=0.02, eps=0.9, phi=0.3, n_cut=48)
+    p = ModelParams(kerr=0.02, eps=0.9, phi=0.3, n_cut=48)
     h = dense_hamiltonian(p)
     (e0,) = ground_state_row([p]).energy
     rng = np.random.default_rng(5)
@@ -106,12 +105,12 @@ def test_variational_bound():
 
 
 def test_ground_state_vacuum():
-    p = ModelParams(delta=1.0, kerr=0.01, eps=0.0, n_cut=24)
+    p = ModelParams(kerr=0.01, eps=0.0, n_cut=24)
     gs = ground_state_row([p])
     assert gs.energy[0] == pytest.approx(0.0, abs=1e-14)
     assert two_sector_race(p)[0] == "even"
     assert abs(fock_vector(gs, p)[0]) == pytest.approx(1.0)
-    assert gs.gap[0] == pytest.approx(2.0 + 2 * 0.01)  # 2 delta + 2 K within the even sector
+    assert gs.gap[0] == pytest.approx(2.0 + 2 * 0.01)  # 2 + 2 K within the even sector
 
 
 def test_ground_state_normal_phase_is_even():

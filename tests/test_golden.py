@@ -49,7 +49,6 @@ TOLERANCES = {
         "diagnostics.n_cut": EXACT,
         "diagnostics.cutoffs.peak": EXACT,
         "diagnostics.cutoffs.family": EXACT,
-        "diagnostics.delta": EXACT,
         "diagnostics.peak_bracket": EXACT,
         "diagnostics.collapse_window": EXACT,
         "diagnostics.collapse_step": EXACT,

@@ -30,14 +30,14 @@ RELATIVE = 1e-9
 GRID = (
     # eps = 0: the block is reducible (diagonal)
     [ModelParams.from_size(150, 0.0, n_cut=400),
-     ModelParams(delta=1.0, kerr=0.0, eps=0.0, n_cut=200)]
+     ModelParams(kerr=0.0, eps=0.0, n_cut=200)]
     # deep superradiant: near-degenerate parity minima
     + [ModelParams.from_size(150, eps, n_cut=400) for eps in (1.4, 1.7, 2.0)]
     # around the transition at L = 150..700
     + [ModelParams.from_size(L, eps, n_cut=800)
        for L in (150, 400, 700) for eps in (0.97, 1.0, 1.03)]
     # K = 0 at the critical drive, small gap at large cutoff
-    + [ModelParams(delta=1.0, kerr=0.0, eps=1.0, n_cut=nc) for nc in (200, 400, 800, 1600)]
+    + [ModelParams(kerr=0.0, eps=1.0, n_cut=nc) for nc in (200, 400, 800, 1600)]
 )
 
 

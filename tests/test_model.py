@@ -9,36 +9,34 @@ import numpy as np
 import pytest
 
 import kerrqgt
-from kerrqgt import InputError, ModelParams, TridiagonalBlock, sector_block
+from kerrqgt import InputError, ModelParams, TridiagonalBlock, qgt_spectral, sector_block
 from kerrqgt.eigensolver import _tridiagonal_multiply, ground_state_row
-from reference import (dense_hamiltonian, fock_vector, gauge_phases, mean_photon, odd_block,
-                       photon_variance, tail_weight)
+from reference import (dense_eigenvalues, dense_even_ground, dense_hamiltonian, fock_vector,
+                       full_spectrum, gauge_phases, mean_photon, odd_block, photon_variance,
+                       tail_weight)
 
 
 def test_params_validation():
     with pytest.raises(ValueError):
-        ModelParams(delta=0.0, kerr=0.0, eps=1.0)
+        ModelParams(kerr=-0.1, eps=1.0)
     with pytest.raises(ValueError):
-        ModelParams(delta=1.0, kerr=-0.1, eps=1.0)
+        ModelParams(kerr=0.0, eps=-0.5)
     with pytest.raises(ValueError):
-        ModelParams(delta=1.0, kerr=0.0, eps=-0.5)
-    with pytest.raises(ValueError):
-        ModelParams(delta=1.0, kerr=0.0, eps=1.0, n_cut=3)
+        ModelParams(kerr=0.0, eps=1.0, n_cut=3)
 
 
 def test_effective_size():
-    p = ModelParams(delta=1.0, kerr=0.002, eps=0.5)
+    p = ModelParams(kerr=0.002, eps=0.5)
     assert p.effective_size == pytest.approx(500.0)
     with pytest.raises(ValueError):
-        _ = ModelParams(delta=1.0, kerr=0.0, eps=0.5).effective_size
+        _ = ModelParams(kerr=0.0, eps=0.5).effective_size
     q = ModelParams.from_size(250, 0.5)
     assert q.kerr == pytest.approx(1.0 / 250.0)
 
 
 def test_replace_validates_and_rejects_unknown_fields():
-    p = ModelParams(delta=1.0, kerr=0.01, eps=0.5)
-    assert p.replace(eps=0.7, phi=0.2) == ModelParams(delta=1.0, kerr=0.01, eps=0.7,
-                                                      phi=0.2)
+    p = ModelParams(kerr=0.01, eps=0.5)
+    assert p.replace(eps=0.7, phi=0.2) == ModelParams(kerr=0.01, eps=0.7, phi=0.2)
     with pytest.raises(InputError, match="eps must be >= 0"):
         p.replace(eps=-1.0)
     with pytest.raises(TypeError):
@@ -46,13 +44,13 @@ def test_replace_validates_and_rejects_unknown_fields():
 
 
 def test_diagonal_entries():
-    h = dense_hamiltonian(ModelParams(delta=1.0, kerr=0.01, eps=1.0, n_cut=16))
+    h = dense_hamiltonian(ModelParams(kerr=0.01, eps=1.0, n_cut=16))
     assert h[0, 0] == 0.0
-    assert h[4, 4] == pytest.approx(0.01 * 12 + 4.0)  # K n(n-1) + delta n at n=4
+    assert h[4, 4] == pytest.approx(0.01 * 12 + 4.0)  # K n(n-1) + n at n=4
 
 
 def test_band_entries_no_kerr():
-    h = dense_hamiltonian(ModelParams(delta=1.0, kerr=0.0, eps=1.0, n_cut=16))
+    h = dense_hamiltonian(ModelParams(kerr=0.0, eps=1.0, n_cut=16))
     assert h[2, 0] == pytest.approx(-np.sqrt(2.0) / 2.0)  # <n+2|H|n>
     assert h[4, 2] == pytest.approx(-np.sqrt(12.0) / 2.0)
     # only the main diagonal and the offset-2 bands are occupied
@@ -61,7 +59,7 @@ def test_band_entries_no_kerr():
 
 
 def test_dense_hermitian_exactly():
-    dense = dense_hamiltonian(ModelParams(delta=1.3, kerr=0.02, eps=0.8, phi=0.9, n_cut=24))
+    dense = dense_hamiltonian(ModelParams(kerr=0.02, eps=0.8, phi=0.9, n_cut=24), delta=1.3)
     assert np.max(np.abs(dense - dense.conj().T)) == 0.0
 
 
@@ -69,7 +67,7 @@ def test_banded_apply_matches_dense():
     # The package's one banded matvec, on the package's even block and the
     # reference odd block, is the dense Hamiltonian at any phi once the gauge
     # phases are undone and redone.
-    p = ModelParams(delta=1.1, kerr=0.03, eps=0.7, phi=1.1, n_cut=20)
+    p = ModelParams(kerr=0.03, eps=0.7, phi=1.1, n_cut=20)
     rng = np.random.default_rng(7)
     v = rng.normal(size=p.dim) + 1j * rng.normal(size=p.dim)
     rotated = gauge_phases(p.dim, -p.phi) * v
@@ -81,8 +79,38 @@ def test_banded_apply_matches_dense():
                                atol=1e-12)
 
 
+# (delta, K, eps, phi, n_cut), delta and K in the same units: three fixed
+# detunings, then random points at random detunings in [0.5, 2].
+_RNG = np.random.default_rng(42)
+PHYSICAL_POINTS = [(1.1, 0.03, 0.7, 1.1, 20), (1.2, 0.03, 0.8, 0.9, 24),
+                   (1.3, 0.02, 0.8, 0.9, 24)] + [
+    (float(_RNG.uniform(0.5, 2.0)), float(_RNG.uniform(0.005, 0.1)),
+     float(_RNG.uniform(0.0, 1.5)), float(_RNG.uniform(0.0, 2 * np.pi)),
+     int(_RNG.integers(12, 65))) for _ in range(5)]
+
+
+@pytest.mark.parametrize("delta, kerr, eps, phi, n_cut", PHYSICAL_POINTS)
+def test_energies_are_in_units_of_the_detuning(delta, kerr, eps, phi, n_cut):
+    # H(delta, K) = delta h(K / delta): the package at L = delta / K has the
+    # spectrum of the dense Hamiltonian at (delta, K) divided by delta, hence
+    # a gap delta times smaller, and the same ground state and tensor.
+    physical = ModelParams(kerr=kerr, eps=eps, phi=phi, n_cut=n_cut)
+    p = ModelParams.from_size(delta / kerr, eps, phi=phi, n_cut=n_cut)
+    full = [full_spectrum(block).eigenvalues[0] for block in (sector_block([p]), odd_block(p))]
+    np.testing.assert_allclose(delta * np.sort(np.concatenate(full)),
+                               dense_eigenvalues(physical, delta), rtol=1e-12, atol=1e-9)
+    gap, u0, tensor = dense_even_ground(physical, delta)
+    ground = ground_state_row([p])
+    assert delta * ground.gap[0] == pytest.approx(gap, rel=1e-10)
+    assert abs(np.vdot(u0, fock_vector(ground, p))) == pytest.approx(1.0, abs=1e-12)
+    r = qgt_spectral(p)
+    assert r.gap == ground.gap[0]
+    np.testing.assert_allclose([r.g_ee, r.g_pp, r.g_ep, r.f_ep], tensor,
+                               rtol=1e-10, atol=1e-12 * max(map(abs, tensor)))
+
+
 def test_parity_blocks_small():
-    p = ModelParams(delta=1.0, kerr=0.0, eps=1.0, n_cut=4)
+    p = ModelParams(kerr=0.0, eps=1.0, n_cut=4)
     even, odd = sector_block([p]), odd_block(p)
     assert even.size == 3 and odd.size == 2
     np.testing.assert_allclose(even.diag, [0.0, 2.0, 4.0])
@@ -92,14 +120,14 @@ def test_parity_blocks_small():
 
 
 def test_parity_blocks_no_drive_diagonal():
-    p = ModelParams(delta=1.0, kerr=0.05, eps=0.0, n_cut=12)
+    p = ModelParams(kerr=0.05, eps=0.0, n_cut=12)
     even, odd = sector_block([p]), odd_block(p)
     assert np.all(even.offdiag == 0.0)
     assert np.all(odd.offdiag == 0.0)
 
 
 def test_blocks_independent_of_phi():
-    base = ModelParams(delta=1.0, kerr=0.01, eps=0.9, n_cut=30)
+    base = ModelParams(kerr=0.01, eps=0.9, n_cut=30)
     for phi in (np.pi / 4, np.pi):
         a = sector_block([base])
         b = sector_block([base.replace(phi=phi)])
@@ -115,7 +143,7 @@ def test_blocks_independent_of_phi():
 def test_spectrum_independent_of_phi():
     # The gauge rotation with phases e^{i n phi / 2} conjugates H(eps, phi)
     # into H(eps, 0), so the dense spectra must coincide.
-    base = ModelParams(delta=1.0, kerr=0.02, eps=0.8, n_cut=40)
+    base = ModelParams(kerr=0.02, eps=0.8, n_cut=40)
     ref = np.linalg.eigvalsh(dense_hamiltonian(base))
     scale = np.max(np.abs(ref))
     for phi in (np.pi / 4, np.pi, 2.3):
@@ -124,7 +152,7 @@ def test_spectrum_independent_of_phi():
 
 
 def test_block_spectra_match_dense():
-    p = ModelParams(delta=1.0, kerr=0.02, eps=0.8, phi=0.7, n_cut=40)
+    p = ModelParams(kerr=0.02, eps=0.8, phi=0.7, n_cut=40)
     even, odd = sector_block([p]), odd_block(p)
     import scipy.linalg
     ev_blocks = np.sort(np.concatenate([
@@ -136,7 +164,7 @@ def test_block_spectra_match_dense():
 
 
 def test_even_state_stays_even():
-    p = ModelParams(delta=1.0, kerr=0.01, eps=1.2, phi=0.4, n_cut=30)
+    p = ModelParams(kerr=0.01, eps=1.2, phi=0.4, n_cut=30)
     dense = dense_hamiltonian(p)
     rng = np.random.default_rng(3)
     for _ in range(5):
@@ -158,7 +186,7 @@ def test_gauge_phases():
 
 
 def test_gauge_phases_map_eigenvectors():
-    p0 = ModelParams(delta=1.0, kerr=0.02, eps=0.7, phi=0.0, n_cut=36)
+    p0 = ModelParams(kerr=0.02, eps=0.7, phi=0.0, n_cut=36)
     p1 = p0.replace(phi=1.3)
     w0, v0 = np.linalg.eigh(dense_hamiltonian(p0))
     h1 = dense_hamiltonian(p1)
@@ -186,7 +214,7 @@ def test_photon_variance():
 
 def test_rho_against_displacement_amplitude():
     # In the symmetry-broken regime <n>/L approaches (eps - 1) / 2.
-    p = ModelParams(delta=1.0, kerr=1.0 / 2000.0, eps=1.3, n_cut=800)
+    p = ModelParams(kerr=1.0 / 2000.0, eps=1.3, n_cut=800)
     gs = ground_state_row([p])
     value = mean_photon(fock_vector(gs, p)) / p.effective_size
     assert value == pytest.approx(0.15, rel=0.05)

@@ -17,7 +17,7 @@ SLOPE_GRID = (
     # away from it, both sides
     + [ModelParams.from_size(300, eps, n_cut=800) for eps in (0.3, 0.7, 1.3)]
     # K = 0 at the critical drive: g_ee grows like n_cut^4
-    + [ModelParams(delta=1.0, kerr=0.0, eps=1.0, n_cut=nc) for nc in (200, 400, 800, 1600)]
+    + [ModelParams(kerr=0.0, eps=1.0, n_cut=nc) for nc in (200, 400, 800, 1600)]
 )
 
 PIPELINE = dict(sizes=(40, 50, 60, 70, 85), n_cut=200, peak_bracket=(1.05, 1.45),
@@ -45,7 +45,7 @@ def test_slope_matches_central_difference(p):
 
 
 @pytest.mark.parametrize("p", [ModelParams.from_size(150, 0.0, n_cut=400),
-                               ModelParams(delta=1.0, kerr=0.0, eps=0.0, n_cut=200)],
+                               ModelParams(kerr=0.0, eps=0.0, n_cut=200)],
                          ids=_label)
 def test_slope_vanishes_at_zero_drive(p):
     # eps -> -eps is the gauge shift phi -> phi + pi, so g_ee is even in eps

@@ -56,8 +56,8 @@ def assert_fd_matches_bisected(fd):
 
 
 def test_perturbation_ops_hermitian_and_parity_conserving():
-    p = ModelParams(delta=1.2, kerr=0.03, eps=0.8, phi=0.9, n_cut=24)
-    for dense in dense_drive_derivatives(p):
+    p = ModelParams(kerr=0.03, eps=0.8, phi=0.9, n_cut=24)
+    for dense in dense_drive_derivatives(p, delta=1.2):
         assert np.max(np.abs(dense - dense.conj().T)) == 0.0
         v = np.zeros(p.dim, dtype=complex)
         v[::2] = 1.0
@@ -65,24 +65,24 @@ def test_perturbation_ops_hermitian_and_parity_conserving():
 
 
 def test_perturbation_ops_match_derivative_stencil():
-    p = ModelParams(delta=1.1, kerr=0.02, eps=0.7, phi=0.5, n_cut=20)
+    p, delta = ModelParams(kerr=0.02, eps=0.7, phi=0.5, n_cut=20), 1.1
     h = 1e-6
-    d_eps = (dense_hamiltonian(p.replace(eps=p.eps + h))
-             - dense_hamiltonian(p.replace(eps=p.eps - h))) / (2 * h)
-    d_phi = (dense_hamiltonian(p.replace(phi=p.phi + h))
-             - dense_hamiltonian(p.replace(phi=p.phi - h))) / (2 * h)
-    exact_eps, exact_phi = dense_drive_derivatives(p)
+    d_eps = (dense_hamiltonian(p.replace(eps=p.eps + h), delta)
+             - dense_hamiltonian(p.replace(eps=p.eps - h), delta)) / (2 * h)
+    d_phi = (dense_hamiltonian(p.replace(phi=p.phi + h), delta)
+             - dense_hamiltonian(p.replace(phi=p.phi - h), delta)) / (2 * h)
+    exact_eps, exact_phi = dense_drive_derivatives(p, delta)
     np.testing.assert_allclose(exact_eps, d_eps, atol=1e-7)
     np.testing.assert_allclose(exact_phi, d_phi, atol=1e-7)
 
 
 def test_spectral_no_drive_closed_form():
-    # Single virtual transition |0> -> |2>: Q_ee = (delta^2/2) / (2 delta + 2 K)^2.
-    r = qgt_spectral(ModelParams(delta=1.0, kerr=0.01, eps=0.0, n_cut=64))
+    # Single virtual transition |0> -> |2>: Q_ee = (1/2) / (2 + 2 K)^2.
+    r = qgt_spectral(ModelParams(kerr=0.01, eps=0.0, n_cut=64))
     assert r.g_ee == pytest.approx(0.5 / 2.02**2, abs=1e-12)
     assert r.g_pp == 0.0
     assert r.f_ep == 0.0
-    r0 = qgt_spectral(ModelParams(delta=1.0, kerr=0.0, eps=0.0, n_cut=64))
+    r0 = qgt_spectral(ModelParams(kerr=0.0, eps=0.0, n_cut=64))
     assert r0.g_ee == pytest.approx(0.125, abs=1e-12)
 
 
@@ -121,7 +121,7 @@ def test_phi_independence_of_tensor():
 
 
 def test_fd_metric_at_zero_drive():
-    (fd,) = qgt_fd_row(ground_state_row([ModelParams(delta=1.0, kerr=0.0, eps=0.0, n_cut=64)]),
+    (fd,) = qgt_fd_row(ground_state_row([ModelParams(kerr=0.0, eps=0.0, n_cut=64)]),
                        step_eps=1e-3, step_phi=1e-3)
     assert fd.method == "fd"
     assert fd.g_ee == pytest.approx(0.125, abs=1e-4)
@@ -153,13 +153,13 @@ def test_plaquette_orientation_antisymmetry():
 
 
 def test_plaquette_vanishes_at_zero_drive():
-    (fd,) = qgt_fd_row(ground_state_row([ModelParams(delta=1.0, kerr=0.0, eps=0.0, n_cut=64)]),
+    (fd,) = qgt_fd_row(ground_state_row([ModelParams(kerr=0.0, eps=0.0, n_cut=64)]),
                        step_eps=1e-3, step_phi=1e-3)
     assert abs(fd.f_ep) <= 1e-8
 
 
 def test_fidelity_susceptibility_values():
-    chi = fidelity_susceptibility(ModelParams(delta=1.0, kerr=0.0, eps=0.0, n_cut=64),
+    chi = fidelity_susceptibility(ModelParams(kerr=0.0, eps=0.0, n_cut=64),
                                   step_eps=1e-3)
     assert chi == pytest.approx(0.125, abs=1e-4)
     p = ModelParams.from_size(500, 0.95, n_cut=800)
@@ -370,7 +370,7 @@ def test_gphiphi_variance_identity():
 
 
 def test_variance_vanishes_at_zero_drive():
-    assert qgt_spectral(ModelParams(delta=1.0, kerr=0.01, eps=0.0, n_cut=32)).g_pp == 0.0
+    assert qgt_spectral(ModelParams(kerr=0.01, eps=0.0, n_cut=32)).g_pp == 0.0
 
 
 def test_gphiphi_against_limit():

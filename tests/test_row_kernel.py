@@ -1,6 +1,6 @@
 """The row kernel against point-by-point calls, and the QGTResult gates.
 
-A row of points that share delta, kerr and n_cut is solved as one stacked
+A row of points that share kerr and n_cut is solved as one stacked
 block of the even sector; every result must equal the single-point call bit
 for bit, because the scaling report and the CSVs are compared byte for byte.
 """

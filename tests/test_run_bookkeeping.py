@@ -318,10 +318,26 @@ def test_damaged_manifest_reruns_the_mode(tmp_path, capsys, damage):
     assert capsys.readouterr().out.count("wrote") == 2
 
 
+def test_manifest_echo_with_a_delta_field_is_recomputed_once(tmp_path, capsys):
+    # an echo holding a field that no config has, such as the detuning of
+    # runs made before energies were in units of it, is another configuration
+    argv = ["qgt", "--out", str(tmp_path), "--L-list", "60", "--eps", "0.5:0.9:2",
+            "--ncut", "160"]
+    assert main(argv) == 0
+    manifest_path = tmp_path / "manifest_qgt.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["config"]["delta"] = 1.0
+    manifest_path.write_text(json.dumps(manifest))
+    assert main(argv) == 0
+    assert "delta" not in json.loads(manifest_path.read_text())["config"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.count("wrote") == 2
+
+
 def _write_report(out, **diag_overrides):
     diagnostics = {
         "sizes": [float(s) for s in K0_BASE["sizes"]], "n_cut": K0_BASE["n_cut"],
-        "delta": 1.0, "peak_bracket": list(K0_BASE["peak_bracket"]),
+        "peak_bracket": list(K0_BASE["peak_bracket"]),
         "collapse_window": list(K0_BASE["collapse_window"]),
         "collapse_step": K0_BASE["collapse_step"], "source": "on disk",
     }

@@ -159,7 +159,7 @@ TINY = dict(sizes=(40, 50, 60, 70, 85), n_cut=200, peak_bracket=(1.05, 1.45),
 def tiny_peaks():
     """(report, sizes, peaks) of one tiny-scale pipeline and its _peaks stage."""
     sizes = np.array(TINY["sizes"], dtype=float)
-    peaks, _ = _peaks(sizes, _cutoff_ladder(TINY["n_cut"]), 1.0, TINY["peak_bracket"])
+    peaks, _ = _peaks(sizes, _cutoff_ladder(TINY["n_cut"]), TINY["peak_bracket"])
     return scaling_pipeline(**TINY), sizes, peaks
 
 
@@ -169,7 +169,7 @@ def test_fit_peaks_reproduces_the_report_bit_for_bit(tiny_peaks):
     fields, diagnostics, warnings = fit_peaks(sizes, peaks)
     assert fields == {k: v for k, v in asdict(report).items() if k in fields}
     assert diagnostics == {k: report.diagnostics[k] for k in diagnostics}
-    assert list(diagnostics) == list(report.diagnostics)[7:7 + len(diagnostics)]
+    assert list(diagnostics) == list(report.diagnostics)[6:6 + len(diagnostics)]
     assert warnings == [w for w in report.diagnostics["warnings"] if "drift exponent" in w]
 
 

@@ -221,7 +221,7 @@ def test_brent_root_is_always_an_evaluated_point():
 
 def test_cached_sector_arrays_are_read_only_and_bounded():
     block = sector_block([ModelParams.from_size(80, 1.1, n_cut=100)])
-    for array in (block.diag, block.index_map, *sector_arrays(1.0, 1.0 / 80, 100)):
+    for array in (block.diag, block.index_map, *sector_arrays(1.0 / 80, 100)):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 1.0
     assert sector_arrays.cache_info().maxsize == 64
@@ -242,7 +242,7 @@ def test_block_with_writable_arrays_solves_alike():
 def test_non_finite_cutoff_is_an_input_error(n_cut, monkeypatch):
     message = f"n_cut must be an integer >= 4, got {n_cut}"
     with pytest.raises(InputError, match=message):
-        ModelParams(delta=1.0, kerr=0.01, eps=1.0, n_cut=n_cut)
+        ModelParams(kerr=0.01, eps=1.0, n_cut=n_cut)
     # the scaling pipeline's cap is checked before any solve
     monkeypatch.setattr(scaling, "ground_state_row", None)
     with pytest.raises(InputError, match=message):

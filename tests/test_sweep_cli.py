@@ -403,6 +403,7 @@ def test_cli_config_file_mode_must_match_subcommand(tmp_path, capsys):
     ({"ncut": 100, "L": 50}, r"unknown keys: 'ncut' \(the --ncut flag; its field is "
                              r"'n_cut'\), 'L' \(the --L flag; its field is 'size'\)"),
     ({"n_cut": 100, "colour": "red"}, r"unknown keys: 'colour'$"),
+    ({"delta": 1.0}, r"unknown keys: 'delta'$"),  # energies are in units of the detuning
 ])
 def test_config_file_unknown_keys_schema_error(tmp_path, entries, message):
     config_path = tmp_path / "cfg.json"
@@ -583,6 +584,10 @@ UNTRUSTED_INPUTS = {
     "collapse-grid-too-fine": (["scaling", "--eps-step", "1e-300"],
                                "collapse grid of 1.1e+299 points exceeds 100000; raise "
                                "collapse_step or narrow collapse_window"),
+    "phase-diagram-grid-too-large": (["phase-diagram", "--eps", "0:1:1001", "--phi", "0:1:100"],
+                                     "eps x phi grid of 100100 points exceeds 100000"),
+    "qgt-grid-too-large": (["qgt", "--L-list", "40,50", "--eps", "0:1:50001", "--ncut", "40"],
+                           "size x eps grid of 100002 points exceeds 100000"),
 }
 
 
