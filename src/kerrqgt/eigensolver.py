@@ -94,9 +94,9 @@ class GroundState:
     The other fields carry the row axis, as in Spectrum: energy, gap (within
     the sector), mean_n, var_n, tail_weight and cutoff_warning are (M,), and
     vectors is (M, N), its row m the real ground vector of point m on the
-    Fock levels listed in levels, at phi = 0 (a point's phi only multiplies it
-    by the gauge phases e^{-i n phi / 2}).  block and spectrum are the
-    stacked block and the solve that the row was read from.
+    Fock levels listed in levels, at phi = 0 (at another phi the state is
+    this vector times the gauge phases e^{-i n phi / 2}).  block and spectrum
+    are the stacked block and the solve that the row was read from.
     """
 
     points: tuple

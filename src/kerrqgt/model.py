@@ -9,6 +9,8 @@ couples Fock levels n and n+2, so the matrix is pentadiagonal with an empty
 first off-diagonal and splits into even/odd parity blocks.  A diagonal gauge
 rotation with phases e^{i n phi / 2} removes the drive phase, leaving real
 symmetric tridiagonal blocks whose off-diagonal entries are non-positive.
+The phase is a gauge: no spectrum, photon distribution or geometric tensor
+depends on it, so ModelParams has no phi and every point is H at phi = 0.
 sector_block builds the even block, the ground state's (see eigensolver) and
 the only one the package needs, for a row of M points that share kerr and
 n_cut (a point is a row of one): one diagonal under (M, N-1) off-diagonals.
@@ -43,13 +45,11 @@ class ModelParams:
 
     kerr  : Kerr nonlinearity K >= 0, in units of the detuning.
     eps   : dimensionless two-photon drive amplitude, >= 0.
-    phi   : drive phase in radians (conventionally in [0, 2*pi)).
     n_cut : highest retained Fock level; the basis dimension is n_cut + 1.
     """
 
     kerr: float
     eps: float
-    phi: float = 0.0
     n_cut: int = 800
 
     def __post_init__(self):
@@ -57,8 +57,6 @@ class ModelParams:
             raise InputError(f"kerr must be >= 0, got {self.kerr}")
         if not math.isfinite(self.eps) or self.eps < 0:
             raise InputError(f"eps must be >= 0, got {self.eps}")
-        if not math.isfinite(self.phi):
-            raise InputError("phi must be finite")
         if not math.isfinite(self.n_cut) or int(self.n_cut) != self.n_cut or self.n_cut < 4:
             raise InputError(f"n_cut must be an integer >= 4, got {self.n_cut}")
 
@@ -74,14 +72,13 @@ class ModelParams:
         return 1.0 / self.kerr
 
     @classmethod
-    def from_size(cls, size: float, eps: float, phi: float = 0.0,
-                  n_cut: int = 800) -> "ModelParams":
+    def from_size(cls, size: float, eps: float, n_cut: int = 800) -> "ModelParams":
         """Build parameters at a given effective size L = 1 / K."""
         if not size > 0:
             raise InputError(f"size must be positive, got {size}")
         if not math.isfinite(size):
             raise InputError(f"size must be finite, got {size}")
-        return cls(kerr=1.0 / size, eps=eps, phi=phi, n_cut=n_cut)
+        return cls(kerr=1.0 / size, eps=eps, n_cut=n_cut)
 
     def replace(self, **kw) -> "ModelParams":
         return dataclasses.replace(self, **kw)
@@ -129,21 +126,18 @@ def sector_arrays(kerr: float, n_cut: int):
 
 
 def sector_block(points) -> TridiagonalBlock:
-    """The gauge-rotated even sector over a row of points.
+    """The even sector over a row of points.
 
-    The points must share kerr and n_cut; they may differ in eps and
-    phi only, and anything else raises ValueError.  The block is independent
-    of phi: the diagonal unitary with phases e^{i n phi / 2} maps H(eps, phi)
-    to H(eps, 0), whose sectors are real tridiagonal with off-diagonal
-    -(eps/2) sqrt((n+1)(n+2)), one row per point.
+    The points must share kerr and n_cut; they may differ in eps only, and
+    anything else raises ValueError.  The sectors of H(eps, 0) are real
+    tridiagonal with off-diagonal -(eps/2) sqrt((n+1)(n+2)), one row per point.
     """
     if not points:
         raise ValueError("a row needs at least one point")
     first = points[0]
     for p in points:
         if (p.kerr, p.n_cut) != (first.kerr, first.n_cut):
-            raise ValueError(f"row points differ in more than eps and phi: {first} "
-                             f"and {p}")
+            raise ValueError(f"row points differ in more than eps: {first} and {p}")
     diag, coupling, index_map = sector_arrays(first.kerr, first.n_cut)
     eps = np.array([p.eps for p in points], dtype=float)
     off = -(eps[:, None] / 2.0) * coupling

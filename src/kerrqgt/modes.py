@@ -60,10 +60,8 @@ def _phase_diagram(config: SweepConfig, out: Path) -> ModeResult:
     if eps_max > 1.0:
         required = int(np.ceil(config.size * (eps_max - 1.0) / 2.0 * 1.3 + 50))
         if config.n_cut < required:
-            raise CutoffError(
-                f"cutoff check failed at grid corner eps={eps_max:g}, "
-                f"phi={float(phi_grid[-1]):g}: need n_cut >= {required}, "
-                f"got {config.n_cut}")
+            raise CutoffError(f"cutoff check failed at eps={eps_max:g}: "
+                              f"need n_cut >= {required}, got {config.n_cut}")
 
     # H(eps, phi) = G H(eps, 0) G^dagger for the diagonal gauge unitary
     # G = exp(-i n phi / 2), so the photon distribution of the ground state,
@@ -104,14 +102,16 @@ def _rows_or_points(kernels, items) -> list[list]:
 
 
 def _qgt(config: SweepConfig, out: Path) -> ModeResult:
-    """Tensor components on a (size, eps) grid at fixed phi.  Each size is one
-    row at the cutoff _solve_adaptive picks from _cutoff_ladder(n_cut), probed
-    at its top eps from the lowest rung: one centre row (ground_state_row) of
-    its grid points, which each selected row kernel, qgt_spectral_row and/or
-    qgt_fd_row, gap-gates and reads; each eps gets its spectral row first, then
-    its fd row.  A point whose centre fails loses both rows.  Unlike a scaling
-    stage, a size never starts at the previous size's rung, so that its rows do
-    not depend on the other sizes (test_qgt_sizes_do_not_depend_on_each_other)."""
+    """Tensor components on a (size, eps) grid; the phi column echoes
+    config.phi, a gauge that no tensor depends on (see model).  Each size is
+    one row at the cutoff _solve_adaptive picks from _cutoff_ladder(n_cut),
+    probed at its top eps from the lowest rung: one centre row
+    (ground_state_row) of its grid points, which each selected row kernel,
+    qgt_spectral_row and/or qgt_fd_row, gap-gates and reads; each eps gets its
+    spectral row first, then its fd row.  A point whose centre fails loses
+    both rows.  Unlike a scaling stage, a size never starts at the previous
+    size's rung, so that its rows do not depend on the other sizes
+    (test_qgt_sizes_do_not_depend_on_each_other)."""
     _check_grid("size x eps", len(config.sizes) * int(config.eps_range[2]))
     eps_grid = np.linspace(*config.eps_range[:2], int(config.eps_range[2]))
     kernels = {"spectral": qgt_spectral_row, "fd": qgt_fd_row}
@@ -119,8 +119,7 @@ def _qgt(config: SweepConfig, out: Path) -> ModeResult:
     ladder = _cutoff_ladder(config.n_cut)
     rows, warnings = [], []
     for size in config.sizes:
-        points = [ModelParams.from_size(size, eps, phi=config.phi, n_cut=config.n_cut)
-                  for eps in eps_grid]
+        points = [ModelParams.from_size(size, eps, n_cut=config.n_cut) for eps in eps_grid]
 
         def solve(n_cut):
             return _rows_or_points([kernels[method] for method in methods],

@@ -207,6 +207,10 @@ class SweepConfig:
     def __post_init__(self):
         if self.method not in ("spectral", "fd", "both"):
             raise InputError(f"unknown method {self.method!r}")
+        if not self.sizes:
+            raise InputError("sizes is empty: name at least one size")
+        if not math.isfinite(self.phi):
+            raise InputError("phi must be finite")
         for name, rng in (("eps_range", self.eps_range), ("phi_range", self.phi_range)):
             if len(rng) == 3 and not math.isfinite(rng[2]):
                 raise InputError(f"{name} {rng} has a non-finite step count")
@@ -286,11 +290,6 @@ def _stale(out: Path, config: SweepConfig, identity=_identity) -> str | None:
     return None
 
 
-def manifest_is_current(out: Path, config: SweepConfig) -> bool:
-    """True when the manifest of config's mode certifies its outputs (_stale)."""
-    return _stale(out, config) is None
-
-
 def uncertified(path: Path, mode: str) -> str | None:
     """A warning that path, an output of mode, is read although the manifest
     of mode next to it does not certify it (_stale, for any config); None when
@@ -305,14 +304,15 @@ def uncertified(path: Path, mode: str) -> str | None:
 def run(config: SweepConfig) -> list[Path]:
     """Run ``config.mode`` into ``config.out_dir`` and return the files written.
 
-    Returns [] without computing anything when the manifest is current (see
-    manifest_is_current) and ``config.force`` is not set.  The directory is
-    made only once the mode has returned, so a rejected run leaves none; but a
-    k0 run that has to compute its scaling report writes the scaling outputs
-    and their manifest first, and they stay if its own study then fails.
+    Returns [] without computing anything when the manifest certifies the
+    outputs (_stale finds no reason against it) and ``config.force`` is not
+    set.  The directory is made only once the mode has returned, so a rejected
+    run leaves none; but a k0 run that has to compute its scaling report
+    writes the scaling outputs and their manifest first, and they stay if its
+    own study then fails.
     """
     out = Path(config.out_dir)
-    if not config.force and manifest_is_current(out, config):
+    if not config.force and _stale(out, config) is None:
         return []
     from .modes import MODES  # the numerical half: numpy and the kernels load here
 

@@ -4,14 +4,15 @@ Everything here is built straight from the Hamiltonian formula or from a full
 decomposition, never from the kernels it checks:
 
 * dense_hamiltonian and dense_drive_derivatives assemble the complex
-  full-Fock matrices at any phi from ladder operators;
+  full-Fock matrices from ladder operators;
 * dense_eigenvalues diagonalizes the dense matrix, and dense_even_ground
   its even Fock rows and columns, with the sum over states on them;
-  these four take the detuning delta as an argument (default 1, the
-  package's unit of energy);
+  these four take the drive phase phi (default 0) and the detuning delta
+  (default 1, the package's unit of energy) as arguments, since the
+  package has neither;
 * odd_block is the odd parity sector of one point, read off the same
-  ladder-operator Hamiltonian with the gauge phases undone (the package
-  builds only the even sector);
+  ladder-operator Hamiltonian at a phase phi with the gauge phases undone
+  (the package builds only the even sector);
 * full_spectrum is the whole spectrum of a parity block over a row of one
   point (LAPACK dstev) under the package's residual and orthogonality
   bounds, in the package's Spectrum layout; a NaN fails every gate;
@@ -19,10 +20,10 @@ decomposition, never from the kernels it checks:
   (dstev, values only), with near-degenerate minima resolved to even in the
   exact unit max(1, ||T||_2);
 * gauge_phases, lift and fock_vector put sector vectors on the full Fock
-  basis at any phi; mean_photon and photon_variance read <n> and Var(n) off
+  basis at a phase phi; mean_photon and photon_variance read <n> and Var(n) off
   a normalized Fock-basis state;
 * qgt_sum_over_states is the spectral sum over the full even-sector
-  eigenbasis at the requested phi, on lifted vectors with the dense drive
+  eigenbasis at a phase phi, on lifted vectors with the dense drive
   derivatives;
 * fidelity_susceptibility is -2 ln of the ground-state overlap under an eps
   shift, on full_spectrum ground vectors;
@@ -115,45 +116,48 @@ def _ladder(dim: int):
     return a, a @ a
 
 
-def _sparse_hamiltonian(params, delta: float = 1.0):
+def _sparse_hamiltonian(params, phi: float = 0.0, delta: float = 1.0):
     """dense_hamiltonian as a sparse matrix."""
     a, a2 = _ladder(params.dim)
-    drive = np.exp(-1j * params.phi) * a2.T
+    drive = np.exp(-1j * phi) * a2.T
     return (params.kerr * (a2.T @ a2) + delta * (a.T @ a)
             - (delta * params.eps / 2.0) * (drive + drive.conj().T))
 
 
-def dense_hamiltonian(params, delta: float = 1.0) -> np.ndarray:
+def dense_hamiltonian(params, phi: float = 0.0, delta: float = 1.0) -> np.ndarray:
     """H = K a+^2 a^2 + delta a+ a - (delta eps / 2)(e^{-i phi} a+^2 + e^{i phi} a^2),
-    with K = params.kerr in the same units as the detuning delta.  At delta = 1 it
-    is the package's Hamiltonian of params; at any delta it is delta times the
-    package's at kerr = K / delta.
+    with K = params.kerr in the same units as the detuning delta.  At phi = 0
+    and delta = 1 it is the package's Hamiltonian of params; at any phi it is
+    that one conjugated by diag(gauge_phases(dim, phi)), and at any delta
+    delta times the package's at kerr = K / delta.
 
     Exactly Hermitian: the two drive terms are built as conjugate transposes.
     """
-    return _sparse_hamiltonian(params, delta).toarray()
+    return _sparse_hamiltonian(params, phi, delta).toarray()
 
 
-def dense_drive_derivatives(params, delta: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
-    """dH/deps and dH/dphi of dense_hamiltonian(params, delta), differentiated by hand."""
+def dense_drive_derivatives(params, phi: float = 0.0,
+                            delta: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """dH/deps and dH/dphi of dense_hamiltonian(params, phi, delta), differentiated
+    by hand."""
     _, a2 = _ladder(params.dim)
-    drive = np.exp(-1j * params.phi) * a2.T
+    drive = np.exp(-1j * phi) * a2.T
     d_eps = -(delta / 2.0) * (drive + drive.conj().T)
     d_phi = -(delta * params.eps / 2.0) * (-1j * drive + (-1j * drive).conj().T)
     return d_eps.toarray(), d_phi.toarray()
 
 
-def dense_eigenvalues(params, delta: float = 1.0) -> np.ndarray:
+def dense_eigenvalues(params, phi: float = 0.0, delta: float = 1.0) -> np.ndarray:
     """Whole spectrum of the dense Hamiltonian (small cutoffs only)."""
-    return np.linalg.eigvalsh(dense_hamiltonian(params, delta))
+    return np.linalg.eigvalsh(dense_hamiltonian(params, phi, delta))
 
 
-def _sum_over_states(lam, states, params, delta: float = 1.0) -> tuple:
+def _sum_over_states(lam, states, params, phi: float, delta: float = 1.0) -> tuple:
     """(g_ee, g_pp, g_ep, f_ep) of the ground state states[:, 0] as the sum
     over the other columns, full-Fock eigenvectors of the energies lam, with
-    the drive derivatives of dense_hamiltonian(params, delta)."""
+    the drive derivatives of dense_hamiltonian(params, phi, delta)."""
     u0 = states[:, 0]
-    d_eps, d_phi = dense_drive_derivatives(params, delta)
+    d_eps, d_phi = dense_drive_derivatives(params, phi, delta)
     m_eps = states.conj().T @ (d_eps @ u0)
     m_phi = states.conj().T @ (d_phi @ u0)
 
@@ -164,16 +168,17 @@ def _sum_over_states(lam, states, params, delta: float = 1.0) -> tuple:
     return q_ee, q_pp, q_ep.real, -2.0 * q_ep.imag
 
 
-def dense_even_ground(params, delta: float = 1.0) -> tuple:
+def dense_even_ground(params, phi: float = 0.0, delta: float = 1.0) -> tuple:
     """(gap, u0, (g_ee, g_pp, g_ep, f_ep)) of the even sector of
-    dense_hamiltonian(params, delta), by np.linalg.eigh of its even Fock rows
-    and columns: the gap E1 - E0, the full-Fock ground vector and the sum
+    dense_hamiltonian(params, phi, delta), by np.linalg.eigh of its even Fock
+    rows and columns: the gap E1 - E0, the full-Fock ground vector and the sum
     over states."""
     even = np.arange(0, params.dim, 2)
-    lam, vectors = np.linalg.eigh(dense_hamiltonian(params, delta)[np.ix_(even, even)])
+    lam, vectors = np.linalg.eigh(dense_hamiltonian(params, phi, delta)[np.ix_(even, even)])
     states = np.zeros((params.dim, len(even)), dtype=complex)
     states[even] = vectors
-    return float(lam[1] - lam[0]), states[:, 0], _sum_over_states(lam, states, params, delta)
+    return (float(lam[1] - lam[0]), states[:, 0],
+            _sum_over_states(lam, states, params, phi, delta))
 
 
 def gauge_phases(dim: int, phi: float) -> np.ndarray:
@@ -182,36 +187,36 @@ def gauge_phases(dim: int, phi: float) -> np.ndarray:
     return np.exp(-0.5j * np.arange(dim) * phi)
 
 
-def lift(vectors, levels, params) -> np.ndarray:
+def lift(vectors, levels, params, phi: float = 0.0) -> np.ndarray:
     """Sector vectors on the Fock levels `levels` (axis 0) as full-Fock vectors
-    at params.phi: zero on the other levels, times the gauge phases."""
+    of params at the phase phi: zero on the other levels, times the gauge phases."""
     vectors = np.asarray(vectors)
     full = np.zeros((params.dim, *vectors.shape[1:]), dtype=complex)
     full[levels] = vectors
-    phases = gauge_phases(params.dim, params.phi)
+    phases = gauge_phases(params.dim, phi)
     return full * phases.reshape(-1, *[1] * (vectors.ndim - 1))
 
 
-def odd_block(params) -> TridiagonalBlock:
+def odd_block(params, phi: float = 0.0) -> TridiagonalBlock:
     """The odd parity sector (Fock levels 1, 3, ...) of a row of one point.
 
-    Read off the ladder-operator Hamiltonian at params.phi as G^dagger H G,
+    Read off the ladder-operator Hamiltonian at the phase phi as G^dagger H G,
     G = diag(gauge_phases), which is H(eps, 0): real up to rounding, and its
     real part is kept.  Nothing is taken from sector_block.
     """
     levels = np.arange(1, params.n_cut + 1, 2)
-    undo = scipy.sparse.diags(gauge_phases(params.dim, params.phi).conj())
-    rotated = undo @ _sparse_hamiltonian(params) @ undo.conj()
+    undo = scipy.sparse.diags(gauge_phases(params.dim, phi).conj())
+    rotated = undo @ _sparse_hamiltonian(params, phi) @ undo.conj()
     sector = rotated.tocsr()[levels][:, levels].real
     return TridiagonalBlock(size=len(levels), diag=sector.diagonal(),
                             offdiag=sector.diagonal(1)[None], index_map=levels)
 
 
-def fock_vector(ground, params) -> np.ndarray:
+def fock_vector(ground, params, phi: float = 0.0) -> np.ndarray:
     """The ground vector of a GroundState row of one, params, on the full Fock
-    basis at params.phi."""
+    basis at the phase phi."""
     (vector,) = ground.vectors
-    return lift(vector, ground.levels, params)
+    return lift(vector, ground.levels, params, phi)
 
 
 def _photon_weights(state) -> np.ndarray:
@@ -290,11 +295,11 @@ def two_sector_race(params):
     return ("odd" if wins else "even"), sectors, scale
 
 
-def qgt_sum_over_states(params) -> QGTResult:
-    """Q_jk = sum_{n>0} <u0|dH_j|u_n><u_n|dH_k|u0> / (E_n - E0)^2 at params.phi.
+def qgt_sum_over_states(params, phi: float = 0.0) -> QGTResult:
+    """Q_jk = sum_{n>0} <u0|dH_j|u_n><u_n|dH_k|u0> / (E_n - E0)^2 at the phase phi.
 
     The sum runs over the full even-sector eigenbasis, lifted onto the Fock
-    basis with the gauge phases of the requested phi; both drive derivatives
+    basis with the gauge phases of phi; both drive derivatives
     conserve parity, so the odd sector contributes nothing.  O(N^3).
     """
     even = sector_block([params])
@@ -305,9 +310,9 @@ def qgt_sum_over_states(params) -> QGTResult:
         raise GapError(f"sector gap {gap:.3e} is below the floor "
                        f"{GAP_FLOOR:g} x spectral scale {scale:.3e}")
 
-    states = lift(spec.eigenvectors[0], even.index_map, params)
+    states = lift(spec.eigenvectors[0], even.index_map, params, phi)
     u0 = states[:, 0]
-    g_ee, g_pp, g_ep, f_ep = _sum_over_states(lam, states, params)
+    g_ee, g_pp, g_ep, f_ep = _sum_over_states(lam, states, params, phi)
     tail = tail_weight(u0)
     return QGTResult(g_ee=g_ee, g_pp=g_pp, g_ep=g_ep, f_ep=f_ep,
                      gap=gap, method="sum-over-states", params=params,
@@ -457,12 +462,14 @@ def scan_exponent(x, y) -> int:
     return int(np.argmin([_profile_residual(x, y, b) for b in grid]))
 
 
-def fit_shifted_power(x, y) -> ShiftedPowerFit:
+def fit_shifted_power(x, y, i: int | None = None) -> ShiftedPowerFit:
     """kerrqgt.scaling.fit_shifted_power with lstsq residuals (scan_exponent,
-    then the package's golden-section polish on _profile_residual)."""
+    then the package's golden-section polish on _profile_residual); i is
+    scan_exponent(x, y), computed here when the caller does not pass it."""
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     grid = np.linspace(*DRIFT_EXPONENT_RANGE, DRIFT_EXPONENT_SCAN)
-    i = scan_exponent(x, y)
+    if i is None:
+        i = scan_exponent(x, y)
     b, _ = golden_section_min(lambda b: _profile_residual(x, y, b),
                               grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)],
                               tol=1e-10)

@@ -158,7 +158,7 @@ def test_criterion_6_property_suite():
         p0 = ModelParams.from_size(float(rng.uniform(20, 150)),
                                    float(rng.uniform(0.1, 1.4)), n_cut=256)
         ref = qgt_spectral(p0)
-        r = qgt_sum_over_states(p0.replace(phi=float(rng.uniform(0.05, 2 * np.pi))))
+        r = qgt_sum_over_states(p0, float(rng.uniform(0.05, 2 * np.pi)))
         for a, b in ((r.g_ee, ref.g_ee), (r.g_pp, ref.g_pp),
                      (abs(r.f_ep), abs(ref.f_ep))):
             if abs(b) > 1e-14:
@@ -171,8 +171,7 @@ def test_criterion_6_property_suite():
     for _ in range(10):
         size = float(rng.uniform(80, 300))
         eps = float(rng.choice([rng.uniform(0.3, 0.9), rng.uniform(1.25, 1.5)]))
-        p = ModelParams.from_size(size, eps, phi=float(rng.uniform(0, 2 * np.pi)),
-                                  n_cut=400)
+        p = ModelParams.from_size(size, eps, n_cut=400)
         spectral = qgt_spectral(p)
         fd = qgt_fd_row(ground_state_row([p]))[0]
         worst = max(worst,
@@ -183,15 +182,15 @@ def test_criterion_6_property_suite():
                    f"worst {worst:.2e}"))
 
     # g_pp = Var(n)/4 (the kernel) against the spectral sum of |<u_n|dH/dphi|u0>|^2
-    # at 50 random points
+    # at 50 random points, each at a random phase
     worst = 0.0
     for _ in range(50):
         p = ModelParams.from_size(float(rng.uniform(10, 100)),
-                                  float(rng.uniform(0.05, 1.5)),
-                                  phi=float(rng.uniform(0, 2 * np.pi)), n_cut=200)
+                                  float(rng.uniform(0.05, 1.5)), n_cut=200)
+        phi = float(rng.uniform(0, 2 * np.pi))
         spectral = qgt_spectral(p)
         if spectral.g_pp > 1e-14:
-            worst = max(worst, abs(qgt_sum_over_states(p).g_pp / spectral.g_pp - 1.0))
+            worst = max(worst, abs(qgt_sum_over_states(p, phi).g_pp / spectral.g_pp - 1.0))
     checks.append(("g_pp = Var(n)/4 <= 1e-9 (50 points)", worst <= 1e-9,
                    f"worst {worst:.2e}"))
 

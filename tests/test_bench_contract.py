@@ -49,7 +49,7 @@ def eig_calls(monkeypatch):
 def test_traced_kernels_call_eig_tridiagonal(eig_calls, kernel):
     # qgt_fd is the fd tensor of one point, its centre row included;
     # qgt_fd_row counts only the row kernel's own stencil solve
-    params = ModelParams.from_size(150, 0.9, phi=0.3, n_cut=200)
+    params = ModelParams.from_size(150, 0.9, n_cut=200)
     if kernel.startswith("qgt_fd"):
         ground = kerrqgt.ground_state_row([params])
         if kernel == "qgt_fd_row":

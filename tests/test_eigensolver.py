@@ -12,8 +12,9 @@ from kerrqgt import (
 )
 from kerrqgt.eigensolver import _lowest_pair
 from kerrqgt.model import TridiagonalBlock
-from reference import (dense_eigenvalues, dense_hamiltonian, fock_vector, full_spectrum,
-                       gauge_phases, odd_block, squeezed_vacuum_fock, two_sector_race)
+from reference import (dense_eigenvalues, dense_even_ground, dense_hamiltonian, fock_vector,
+                       full_spectrum, gauge_phases, odd_block, squeezed_vacuum_fock,
+                       two_sector_race)
 
 
 def make_block(diag, off):
@@ -80,13 +81,12 @@ def test_spectrum_bounds_hold():
 def test_blocks_match_dense_debug_path():
     rng = np.random.default_rng(42)
     for _ in range(5):
-        p = ModelParams(kerr=float(rng.uniform(0.0, 0.1)),
-                        eps=float(rng.uniform(0.0, 1.5)),
-                        phi=float(rng.uniform(0.0, 2 * np.pi)),
-                        n_cut=int(rng.integers(12, 65)))
-        blocks = [sector_block([p]), odd_block(p)]
+        kerr, eps = float(rng.uniform(0.0, 0.1)), float(rng.uniform(0.0, 1.5))
+        phi = float(rng.uniform(0.0, 2 * np.pi))
+        p = ModelParams(kerr=kerr, eps=eps, n_cut=int(rng.integers(12, 65)))
+        blocks = [sector_block([p]), odd_block(p, phi)]
         full = [full_spectrum(block).eigenvalues[0] for block in blocks]
-        np.testing.assert_allclose(np.sort(np.concatenate(full)), dense_eigenvalues(p),
+        np.testing.assert_allclose(np.sort(np.concatenate(full)), dense_eigenvalues(p, phi),
                                    atol=1e-9)
         for block, eigenvalues in zip(blocks, full):
             np.testing.assert_allclose(eig_tridiagonal(block).eigenvalues[0],
@@ -94,8 +94,8 @@ def test_blocks_match_dense_debug_path():
 
 
 def test_variational_bound():
-    p = ModelParams(kerr=0.02, eps=0.9, phi=0.3, n_cut=48)
-    h = dense_hamiltonian(p)
+    p = ModelParams(kerr=0.02, eps=0.9, n_cut=48)
+    h = dense_hamiltonian(p, phi=0.3)
     (e0,) = ground_state_row([p]).energy
     rng = np.random.default_rng(5)
     for _ in range(100):
@@ -145,11 +145,12 @@ def test_degenerate_sectors_above_transition():
 
 
 def test_ground_state_gauge_phase():
-    p0 = ModelParams.from_size(300, 0.8, n_cut=400)
-    p1 = p0.replace(phi=1.1)
-    g0, g1 = ground_state_row([p0]), ground_state_row([p1])
-    mapped = fock_vector(g0, p0) * gauge_phases(p0.dim, 1.1)
-    assert abs(np.vdot(mapped, fock_vector(g1, p1))) == pytest.approx(1.0, abs=1e-12)
+    # the package's ground vector, put on the gauge phases of phi = 1.1, is
+    # the dense even ground state at phi = 1.1
+    p = ModelParams.from_size(300, 0.8, n_cut=400)
+    mapped = fock_vector(ground_state_row([p]), p) * gauge_phases(p.dim, 1.1)
+    _, u0, _ = dense_even_ground(p, phi=1.1)
+    assert abs(np.vdot(mapped, u0)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_cutoff_warning_fires_when_truncated():

@@ -66,25 +66,24 @@ def test_linear_response_matches_sum_over_states(p):
 
 @pytest.mark.parametrize("p", GRID, ids=_label)
 def test_ground_state_matches_full_spectrum(p):
-    p = p.replace(phi=0.7)
     gs = ground_state_row([p])
     parity, _, scale = two_sector_race(p)
     assert parity == "even"
     block = sector_block([p])
     spec = full_spectrum(block)
-    vector = lift(spec.eigenvectors[0, :, 0], block.index_map, p)
+    vector = lift(spec.eigenvectors[0, :, 0], block.index_map, p, phi=0.7)
     assert abs(gs.energy[0] - spec.eigenvalues[0, 0]) <= 1e-12 * scale
     assert _close(gs.gap[0], spec.eigenvalues[0, 1] - spec.eigenvalues[0, 0])
-    assert abs(abs(np.vdot(vector, fock_vector(gs, p))) - 1.0) <= 1e-12
+    assert abs(abs(np.vdot(vector, fock_vector(gs, p, phi=0.7))) - 1.0) <= 1e-12
 
 
 @pytest.mark.parametrize("p", [
     ModelParams.from_size(150, 0.5, n_cut=60),
-    ModelParams.from_size(150, 0.97, phi=0.7, n_cut=400),
-    ModelParams.from_size(150, 1.4, phi=1.3, n_cut=400),
+    ModelParams.from_size(150, 0.97, n_cut=400),
+    ModelParams.from_size(150, 1.4, n_cut=400),
     ModelParams.from_size(300, 1.2, n_cut=120),
     # cutoff warning: the condensate reaches the last retained levels
-    ModelParams.from_size(2000, 1.3, phi=0.4, n_cut=400),
+    ModelParams.from_size(2000, 1.3, n_cut=400),
 ], ids=_label)
 def test_kernel_tail_weight_matches_ground_state(p):
     tensor, gs = qgt_spectral(p), ground_state_row([p])
@@ -196,7 +195,7 @@ def test_hot_paths_never_decompose_fully(monkeypatch):
 
     monkeypatch.setattr(eigensolver, "_lowest_pair", pair_spy)
     monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", spy)
-    p = ModelParams.from_size(150, 0.95, phi=0.4, n_cut=400)
+    p = ModelParams.from_size(150, 0.95, n_cut=400)
     qgt_spectral(p)
     ground_state_row([p])
     qgt_fd_row(ground_state_row([p]))

@@ -5,6 +5,8 @@ helpers of reference.py, and the odd-block checks its odd_block, which the
 other test modules use as slow paths.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -36,11 +38,16 @@ def test_effective_size():
 
 def test_replace_validates_and_rejects_unknown_fields():
     p = ModelParams(kerr=0.01, eps=0.5)
-    assert p.replace(eps=0.7, phi=0.2) == ModelParams(kerr=0.01, eps=0.7, phi=0.2)
+    assert p.replace(eps=0.7, n_cut=40) == ModelParams(kerr=0.01, eps=0.7, n_cut=40)
     with pytest.raises(InputError, match="eps must be >= 0"):
         p.replace(eps=-1.0)
     with pytest.raises(TypeError):
         p.replace(colour="red")
+
+
+def test_params_have_no_drive_phase():
+    # the drive phase is a gauge (see model), so it is not a parameter
+    assert [f.name for f in dataclasses.fields(ModelParams)] == ["kerr", "eps", "n_cut"]
 
 
 def test_diagonal_entries():
@@ -59,7 +66,7 @@ def test_band_entries_no_kerr():
 
 
 def test_dense_hermitian_exactly():
-    dense = dense_hamiltonian(ModelParams(kerr=0.02, eps=0.8, phi=0.9, n_cut=24), delta=1.3)
+    dense = dense_hamiltonian(ModelParams(kerr=0.02, eps=0.8, n_cut=24), phi=0.9, delta=1.3)
     assert np.max(np.abs(dense - dense.conj().T)) == 0.0
 
 
@@ -67,15 +74,15 @@ def test_banded_apply_matches_dense():
     # The package's one banded matvec, on the package's even block and the
     # reference odd block, is the dense Hamiltonian at any phi once the gauge
     # phases are undone and redone.
-    p = ModelParams(kerr=0.03, eps=0.7, phi=1.1, n_cut=20)
+    p, phi = ModelParams(kerr=0.03, eps=0.7, n_cut=20), 1.1
     rng = np.random.default_rng(7)
     v = rng.normal(size=p.dim) + 1j * rng.normal(size=p.dim)
-    rotated = gauge_phases(p.dim, -p.phi) * v
+    rotated = gauge_phases(p.dim, -phi) * v
     out = np.zeros(p.dim, dtype=complex)
-    for block in (sector_block([p]), odd_block(p)):
+    for block in (sector_block([p]), odd_block(p, phi)):
         sector = rotated[block.index_map]
         out[block.index_map] = _tridiagonal_multiply(block.diag, block.offdiag[0], sector)
-    np.testing.assert_allclose(gauge_phases(p.dim, p.phi) * out, dense_hamiltonian(p) @ v,
+    np.testing.assert_allclose(gauge_phases(p.dim, phi) * out, dense_hamiltonian(p, phi) @ v,
                                atol=1e-12)
 
 
@@ -93,16 +100,18 @@ PHYSICAL_POINTS = [(1.1, 0.03, 0.7, 1.1, 20), (1.2, 0.03, 0.8, 0.9, 24),
 def test_energies_are_in_units_of_the_detuning(delta, kerr, eps, phi, n_cut):
     # H(delta, K) = delta h(K / delta): the package at L = delta / K has the
     # spectrum of the dense Hamiltonian at (delta, K) divided by delta, hence
-    # a gap delta times smaller, and the same ground state and tensor.
-    physical = ModelParams(kerr=kerr, eps=eps, phi=phi, n_cut=n_cut)
-    p = ModelParams.from_size(delta / kerr, eps, phi=phi, n_cut=n_cut)
-    full = [full_spectrum(block).eigenvalues[0] for block in (sector_block([p]), odd_block(p))]
+    # a gap delta times smaller, and the same ground state and tensor, the
+    # dense problem at the phase phi and the package at none.
+    physical = ModelParams(kerr=kerr, eps=eps, n_cut=n_cut)
+    p = ModelParams.from_size(delta / kerr, eps, n_cut=n_cut)
+    full = [full_spectrum(block).eigenvalues[0]
+            for block in (sector_block([p]), odd_block(p, phi))]
     np.testing.assert_allclose(delta * np.sort(np.concatenate(full)),
-                               dense_eigenvalues(physical, delta), rtol=1e-12, atol=1e-9)
-    gap, u0, tensor = dense_even_ground(physical, delta)
+                               dense_eigenvalues(physical, phi, delta), rtol=1e-12, atol=1e-9)
+    gap, u0, tensor = dense_even_ground(physical, phi, delta)
     ground = ground_state_row([p])
     assert delta * ground.gap[0] == pytest.approx(gap, rel=1e-10)
-    assert abs(np.vdot(u0, fock_vector(ground, p))) == pytest.approx(1.0, abs=1e-12)
+    assert abs(np.vdot(u0, fock_vector(ground, p, phi))) == pytest.approx(1.0, abs=1e-12)
     r = qgt_spectral(p)
     assert r.gap == ground.gap[0]
     np.testing.assert_allclose([r.g_ee, r.g_pp, r.g_ep, r.f_ep], tensor,
@@ -127,15 +136,20 @@ def test_parity_blocks_no_drive_diagonal():
 
 
 def test_blocks_independent_of_phi():
+    # At every phi the gauge phases G rotate the dense Hamiltonian into the
+    # package's one block, G^dagger H(eps, phi) G = H(eps, 0) on the even
+    # levels, and into the reference odd block at phi = 0, each up to the
+    # rounding of the complex arithmetic.
     base = ModelParams(kerr=0.01, eps=0.9, n_cut=30)
+    even = sector_block([base])
+    tridiagonal = np.diag(even.diag) + np.diag(even.offdiag[0], 1) + np.diag(even.offdiag[0], -1)
     for phi in (np.pi / 4, np.pi):
-        a = sector_block([base])
-        b = sector_block([base.replace(phi=phi)])
-        np.testing.assert_array_equal(a.diag, b.diag)
-        np.testing.assert_array_equal(a.offdiag, b.offdiag)
-        # the reference odd block undoes the gauge phases in complex
-        # arithmetic, so it is phi-independent up to rounding
-        a, b = odd_block(base), odd_block(base.replace(phi=phi))
+        g = gauge_phases(base.dim, phi)
+        rotated = g.conj()[:, None] * dense_hamiltonian(base, phi) * g[None, :]
+        sector = rotated[np.ix_(even.index_map, even.index_map)]
+        np.testing.assert_allclose(sector.real, tridiagonal, rtol=1e-15, atol=0)
+        assert np.max(np.abs(sector.imag)) <= 1e-14 * np.max(np.abs(tridiagonal))
+        a, b = odd_block(base), odd_block(base, phi)
         np.testing.assert_allclose(a.diag, b.diag, rtol=1e-15, atol=0)
         np.testing.assert_allclose(a.offdiag, b.offdiag, rtol=1e-15, atol=0)
 
@@ -147,25 +161,25 @@ def test_spectrum_independent_of_phi():
     ref = np.linalg.eigvalsh(dense_hamiltonian(base))
     scale = np.max(np.abs(ref))
     for phi in (np.pi / 4, np.pi, 2.3):
-        ev = np.linalg.eigvalsh(dense_hamiltonian(base.replace(phi=phi)))
+        ev = np.linalg.eigvalsh(dense_hamiltonian(base, phi))
         assert np.max(np.abs(ev - ref)) <= 1e-10 * scale
 
 
 def test_block_spectra_match_dense():
-    p = ModelParams(kerr=0.02, eps=0.8, phi=0.7, n_cut=40)
-    even, odd = sector_block([p]), odd_block(p)
+    p, phi = ModelParams(kerr=0.02, eps=0.8, n_cut=40), 0.7
+    even, odd = sector_block([p]), odd_block(p, phi)
     import scipy.linalg
     ev_blocks = np.sort(np.concatenate([
         scipy.linalg.eigvalsh_tridiagonal(even.diag, even.offdiag[0]),
         scipy.linalg.eigvalsh_tridiagonal(odd.diag, odd.offdiag[0]),
     ]))
-    ev_dense = np.linalg.eigvalsh(dense_hamiltonian(p))
+    ev_dense = np.linalg.eigvalsh(dense_hamiltonian(p, phi))
     np.testing.assert_allclose(ev_blocks, ev_dense, atol=1e-10)
 
 
 def test_even_state_stays_even():
-    p = ModelParams(kerr=0.01, eps=1.2, phi=0.4, n_cut=30)
-    dense = dense_hamiltonian(p)
+    p = ModelParams(kerr=0.01, eps=1.2, n_cut=30)
+    dense = dense_hamiltonian(p, phi=0.4)
     rng = np.random.default_rng(3)
     for _ in range(5):
         v = np.zeros(p.dim, dtype=complex)
@@ -186,11 +200,10 @@ def test_gauge_phases():
 
 
 def test_gauge_phases_map_eigenvectors():
-    p0 = ModelParams(kerr=0.02, eps=0.7, phi=0.0, n_cut=36)
-    p1 = p0.replace(phi=1.3)
-    w0, v0 = np.linalg.eigh(dense_hamiltonian(p0))
-    h1 = dense_hamiltonian(p1)
-    mapped = gauge_phases(p1.dim, 1.3) * v0[:, 0]
+    p = ModelParams(kerr=0.02, eps=0.7, n_cut=36)
+    w0, v0 = np.linalg.eigh(dense_hamiltonian(p))
+    h1 = dense_hamiltonian(p, phi=1.3)
+    mapped = gauge_phases(p.dim, 1.3) * v0[:, 0]
     resid = h1 @ mapped - w0[0] * mapped
     assert np.linalg.norm(resid) < 1e-10
 

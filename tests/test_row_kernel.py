@@ -32,8 +32,8 @@ ROWS = [
 ]
 
 
-def _row(size, n_cut, eps_row, phi=0.0):
-    return [ModelParams.from_size(size, e, phi=phi, n_cut=n_cut) for e in eps_row]
+def _row(size, n_cut, eps_row):
+    return [ModelParams.from_size(size, e, n_cut=n_cut) for e in eps_row]
 
 
 def _label(row):
@@ -56,7 +56,7 @@ def test_stacked_blocks_are_the_single_blocks(row):
 
 @pytest.mark.parametrize("row", ROWS, ids=_label)
 def test_tensor_row_equals_single_calls(row):
-    points = _row(*row, phi=0.4)
+    points = _row(*row)
     results = qgt_spectral_row(ground_state_row(points))
     assert len(results) == len(points)
     for p, r in zip(points, results):
@@ -71,7 +71,7 @@ def test_tensor_row_equals_single_calls(row):
 
 @pytest.mark.parametrize("row", ROWS, ids=_label)
 def test_ground_state_row_equals_single_calls(row):
-    points = _row(*row, phi=1.1)
+    points = _row(*row)
     ground = ground_state_row(points)
     fields = ("energy", "gap", "mean_n", "var_n", "tail_weight", "cutoff_warning")
     assert ground.vectors.shape == (len(points), ground.block.size)
@@ -92,7 +92,7 @@ def test_ground_state_row_equals_single_calls(row):
 
 def test_fd_and_spectral_rows_share_the_context():
     # eps = 0 takes the boundary stencil; 1.3 is in the symmetry-broken regime
-    points = _row(150, 400, [0.0, 0.5, 0.97, 1.3], phi=0.4)
+    points = _row(150, 400, [0.0, 0.5, 0.97, 1.3])
     fields = ("gap", "mean_n", "var_n", "tail_weight", "cutoff_warning")
     for fd, spectral in zip(qgt_fd_row(ground_state_row(points)),
                             qgt_spectral_row(ground_state_row(points))):
@@ -132,8 +132,8 @@ def test_gap_floor_names_the_point_of_the_row(monkeypatch):
             kernel(ground_state_row(points))
 
 
-def test_row_points_must_share_everything_but_eps_and_phi():
-    with pytest.raises(ValueError, match="differ in more than eps and phi"):
+def test_row_points_must_share_everything_but_eps():
+    with pytest.raises(ValueError, match="differ in more than eps: "):
         qgt_spectral_row(ground_state_row([ModelParams.from_size(150, 0.9, n_cut=400),
                                            ModelParams.from_size(200, 0.9, n_cut=400)]))
     for kernel in (ground_state_row, lambda points: qgt_spectral_row(ground_state_row(points))):

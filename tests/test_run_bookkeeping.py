@@ -27,7 +27,7 @@ from kerrqgt.scaling import K0Report
 from kerrqgt.sweep import (
     SweepConfig,
     atomic_write_text,
-    manifest_is_current,
+    _stale,
     read_csv,
     run,
 )
@@ -280,13 +280,14 @@ def test_manifest_identity_ignores_out_dir_but_not_physics(tmp_path):
     run(cfg)
     moved = tmp_path / "moved"
     shutil.copytree(first, moved)
-    assert manifest_is_current(moved, dataclasses.replace(cfg, out_dir=str(moved)))
-    assert not manifest_is_current(first, dataclasses.replace(cfg, n_cut=170))
-    assert not manifest_is_current(first, dataclasses.replace(cfg, phi=0.1))
+    assert _stale(moved, dataclasses.replace(cfg, out_dir=str(moved))) is None
+    other = "its manifest was written for another configuration"
+    assert _stale(first, dataclasses.replace(cfg, n_cut=170)) == other
+    assert _stale(first, SweepConfig(**{**cfg.__dict__, "phi": 0.1})) == other
     manifest_path = first / "manifest_qgt.json"
     manifest = json.loads(manifest_path.read_text())
     manifest_path.write_text(json.dumps({**manifest, "version": "0.0.0"}))
-    assert not manifest_is_current(first, cfg)
+    assert _stale(first, cfg) is not None
 
 
 def _damage_manifest(path, damage):

@@ -61,13 +61,20 @@ def _random_fits(count, seed):
         yield x, y + noise * rng.normal(size=n), b, noise
 
 
-def test_exponent_screen_picks_the_full_scan_index():
-    differ = [(x, y) for x, y, _, _ in _random_fits(3000, seed=24)
-              if scaling._scan_exponent(x, y) != reference.scan_exponent(x, y)]
+@pytest.fixture(scope="module")
+def scanned_fits():
+    """_random_fits(3000, seed=24), each with its full lstsq scan index
+    reference.scan_exponent(x, y), scanned once for both tests that read it."""
+    return [(x, y, b, noise, reference.scan_exponent(x, y))
+            for x, y, b, noise in _random_fits(3000, seed=24)]
+
+
+def test_exponent_screen_picks_the_full_scan_index(scanned_fits):
+    differ = [(x, y) for x, y, _, _, i in scanned_fits if scaling._scan_exponent(x, y) != i]
     assert differ == []
 
 
-def test_fit_is_as_good_as_the_full_scan_fit():
+def test_fit_is_as_good_as_the_full_scan_fit(scanned_fits):
     # The lstsq residual at the fit's exponent exceeds the full lstsq scan
     # fit's by at most one unit of rounding (0.021 of one at most, here); on
     # noiseless data with the exponent inside the scanned range, the fit
@@ -75,8 +82,8 @@ def test_fit_is_as_good_as_the_full_scan_fit():
     # 1.7e-7, here).
     lo, hi = scaling.DRIFT_EXPONENT_RANGE
     excess, misses, reference_misses = [], [], []
-    for x, y, b, noise in _random_fits(3000, seed=24):
-        fit, slow = fit_shifted_power(x, y), reference.fit_shifted_power(x, y)
+    for x, y, b, noise, i in scanned_fits:
+        fit, slow = fit_shifted_power(x, y), reference.fit_shifted_power(x, y, i)
         excess.append((reference._profile_residual(x, y, fit.exponent) - slow.residual)
                       / _unit(y))
         if noise == 0.0 and lo <= b <= hi:

@@ -31,7 +31,7 @@ from kerrqgt.sweep import (
     SweepConfig,
     dumps_json,
     fmt_float,
-    manifest_is_current,
+    _stale,
     read_csv,
     run,
     sha256_file,
@@ -103,8 +103,8 @@ def test_phase_diagram_solves_once_per_eps(tmp_path, monkeypatch):
                       size=size, n_cut=n_cut, eps_range=(0.0, 1.2, 7),
                       phi_range=(0.0, 2.0 * np.pi, 5))
     _, rows = read_csv(run(cfg)[0])
-    # one row of points at phi = 0, and one even-sector lowest-pair solve per eps
-    assert len(rows_solved) == 1 and all(p.phi == 0.0 for p in rows_solved[0])
+    # one row of points, and one even-sector lowest-pair solve per eps
+    assert len(rows_solved) == 1
     assert [p.eps for p in rows_solved[0]] == list(eps_grid)
     expected = [sector_block([ModelParams.from_size(size, eps, n_cut=n_cut)])
                 for eps in eps_grid]
@@ -118,11 +118,12 @@ def test_phase_diagram_solves_once_per_eps(tmp_path, monkeypatch):
         assert [r[1] for r in row_set] == phis
         # every phi column repeats the phi = 0 one byte for byte
         assert all(r[:1] + r[2:] == row_set[0][:1] + row_set[0][2:] for r in row_set)
-        # and agrees with a separate ground-state solve at its own phi
+        # and agrees with a separate ground-state solve, put on the gauge
+        # phases of its own phi
         for r in row_set:
-            p = ModelParams.from_size(size, float(r[0]), phi=float(r[1]), n_cut=n_cut)
+            p = ModelParams.from_size(size, float(r[0]), n_cut=n_cut)
             gs = ground_state_row([p])
-            n_mean = mean_photon(fock_vector(gs, p))
+            n_mean = mean_photon(fock_vector(gs, p, float(r[1])))
             assert abs(float(r[4]) - n_mean) <= 1e-12 * n_mean
             assert abs(float(r[5]) - n_mean / size) <= 1e-12 * n_mean / size
             assert r[6] == ("cutoff" if gs.cutoff_warning[0] else "")
@@ -131,14 +132,15 @@ def test_phase_diagram_solves_once_per_eps(tmp_path, monkeypatch):
 def test_phase_diagram_cutoff_precheck(tmp_path):
     cfg = SweepConfig(mode="phase-diagram", out_dir=str(tmp_path), size=2000.0,
                       n_cut=100, eps_range=(0.0, 1.5, 4), phi_range=(0.0, 1.0, 2))
-    with pytest.raises(ValueError, match="grid corner"):
+    with pytest.raises(ValueError, match="cutoff check failed at eps=1.5"):
         run(cfg)
 
 
 def test_phase_diagram_cutoff_check_raises_cutoff_error(tmp_path):
     cfg = SweepConfig(mode="phase-diagram", out_dir=str(tmp_path), size=2000.0,
                       n_cut=100, eps_range=(0.0, 1.5, 4), phi_range=(0.0, 1.0, 2))
-    with pytest.raises(CutoffError, match=r"eps=1.5, phi=1: need n_cut >= 700, got 100"):
+    with pytest.raises(CutoffError, match=r"^cutoff check failed at eps=1.5: need n_cut >= 700, "
+                                          r"got 100$"):
         run(cfg)
     assert not list(tmp_path.glob("manifest_*"))
 
@@ -303,7 +305,7 @@ def test_scaling_run_manifest_and_idempotence(tmp_path):
     assert manifest_path.exists()
     manifest = json.loads(manifest_path.read_text())
     assert manifest["outputs"]["scaling_report.json"] == sha256_file(files[0])
-    assert manifest_is_current(tmp_path, cfg)
+    assert _stale(tmp_path, cfg) is None
 
     # unchanged config: no-op
     assert run(cfg) == []
@@ -312,7 +314,7 @@ def test_scaling_run_manifest_and_idempotence(tmp_path):
     assert forced and forced[0].exists()
     # changed config: manifest no longer current
     changed = SweepConfig(**{**cfg.__dict__, "collapse_step": 1e-3})
-    assert not manifest_is_current(tmp_path, changed)
+    assert _stale(tmp_path, changed) is not None
 
 
 def test_report_floats_have_17_significant_digits(tmp_path):
@@ -427,8 +429,10 @@ def test_config_file_unknown_keys_schema_error(tmp_path, entries, message):
      r"phi_range \(0.0, 1.0, 3.5\) has a non-integral step count"),
     ("k0", '{"ncut_list": [200.5, 283, 400, 566, 800]}',
      r"ncut_list \[200.5, 283, 400, 566, 800\] has a non-integral cutoff"),
+    # used to write a qgt.csv of only a header, and its manifest
+    ("qgt", '{"sizes": []}', r"sizes is empty: name at least one size"),
 ], ids=["infinite-n_cut", "sizes-with-a-string", "nan-in-ncut_list", "fractional-eps-steps",
-        "fractional-phi-steps", "fractional-k0-cutoff"])
+        "fractional-phi-steps", "fractional-k0-cutoff", "empty-sizes"])
 def test_config_file_bad_value_exits_2_naming_the_key(tmp_path, capsys, monkeypatch, mode, text,
                                                       message):
     def solve(*args, **kwargs):
@@ -581,6 +585,10 @@ UNTRUSTED_INPUTS = {
                             "--ncut", "100"], "grid range (0.0, inf, 3) has a non-finite bound"),
     "nan-eps-bound": (["phase-diagram", "--L", "40", "--eps", "nan:1:2", "--ncut", "100"],
                       "grid range (nan, 1.0, 2) has a non-finite bound"),
+    "nan-phi": (["qgt", "--L-list", "40", "--eps", "0.5:0.9:2", "--phi", "nan", "--ncut", "100"],
+                "phi must be finite"),
+    "infinite-phi": (["qgt", "--L-list", "40", "--eps", "0.5:0.9:2", "--phi", "inf",
+                      "--ncut", "100"], "phi must be finite"),
     "collapse-grid-too-fine": (["scaling", "--eps-step", "1e-300"],
                                "collapse grid of 1.1e+299 points exceeds 100000; raise "
                                "collapse_step or narrow collapse_window"),
@@ -594,8 +602,7 @@ UNTRUSTED_INPUTS = {
 @pytest.mark.parametrize("argv, message", [
     (["scaling", "--eps-step", "0"], "collapse_step must be positive and finite, got 0.0"),
     (["phase-diagram", "--L", "2000", "--eps", "0:1.5:3", "--ncut", "100"],
-     "cutoff check failed at grid corner eps=1.5, phi=6.28319: need n_cut >= 700, "
-     "got 100"),
+     "cutoff check failed at eps=1.5: need n_cut >= 700, got 100"),
     (["qgt", "--config", "{dir}/method.json"], "unknown method 'xyz'"),
     (["qgt", "--config", "{dir}/text.json"], "config file {dir}/text.json is not JSON: "
                                              "Expecting value: line 1 column 1 (char 0)"),
@@ -690,8 +697,8 @@ def test_k0_replaces_a_report_its_manifest_does_not_certify(tmp_path, report):
     assert json.loads((out / "manifest_k0.json").read_text())["warnings"] == [
         f"scaling_report.json is not reused, but computed again: manifest "
         f"{out}/manifest_scaling.json cannot be read: No such file or directory"]
-    assert manifest_is_current(out, SweepConfig(mode="scaling", out_dir=str(out),
-                                                **SMALL_SCALING))
+    assert _stale(out, SweepConfig(mode="scaling", out_dir=str(out),
+                                   **SMALL_SCALING)) is None
     assert json.loads((out / "scaling_report.json").read_text())["diagnostics"]["sizes"] == [
         40.0, 50.0, 60.0, 70.0, 85.0]
     assert (out / "phase_diagram.csv").read_text() == (
