@@ -4,11 +4,9 @@ Ground-state work needs only the lowest pair of a block: one bisection plus
 inverse iteration gets it in O(N).  _lowest_pair calls LAPACK dstebz and
 dstein directly, as scipy.linalg.eigh_tridiagonal(select='i') calls them,
 without its per-call argument checks; eig_tridiagonal checks that the block
-is finite once for the whole stack.  scipy.linalg is imported at the first
-solve, inside _lowest_pair and _seeded_pairs, its only users here, so that a
-run which solves nothing does not load it.  The gates take their units from
-two O(N) bounds on the block norm (see Spectrum), not from a second bisection
-for the top eigenvalue.
+is finite once for the whole stack.  The gates take their units from two O(N)
+bounds on the block norm (see Spectrum), not from a second bisection for the
+top eigenvalue.
 
 A row whose block lies near one already solved, such as a finite-difference
 stencil state next to its grid point, can be seeded with that certified
@@ -46,6 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _lapack
 from .errors import EigenConvergenceError
 from .model import (
     TridiagonalBlock,
@@ -138,13 +137,11 @@ def _lowest_pair(diag, off):
     value, one comparison (at eps = 0 the matrix splits into 1x1 blocks,
     listed by block).
     Raises LinAlgError on a nonzero info or when dstebz returns no pair."""
-    import scipy.linalg
-    m, w, iblock, isplit, info = scipy.linalg.lapack.dstebz(
-        diag, off, 2, 0.0, 0.0, 1, 2, 0.0, "B")
+    m, w, iblock, isplit, info = _lapack.dstebz(diag, off, 2, 0.0, 0.0, 1, 2, 0.0, "B")
     if info != 0 or m != 2:
         raise np.linalg.LinAlgError(f"dstebz returned {m} eigenvalues, info {info}")
     w = w[:2]
-    vectors, info = scipy.linalg.lapack.dstein(diag, off, w, iblock, isplit)
+    vectors, info = _lapack.dstein(diag, off, w, iblock, isplit)
     if info != 0:
         raise np.linalg.LinAlgError(f"dstein info {info}")
     if w[1] < w[0]:
@@ -167,7 +164,6 @@ def _seeded_pairs(diag, offdiag, seed, lam, vec) -> np.ndarray:
     E1 + RESIDUAL_BOUND x the residual unit: with those residuals the two
     values then lie next to E0 and E1.  Any other row is left to bisection.
     """
-    import scipy.linalg
     size = len(diag)
     seed = seed.swapaxes(1, 2)
     shifts = (np.einsum("mkn,mkn->mk", seed, _tridiagonal_multiply(diag, offdiag[:, None], seed))
@@ -176,7 +172,7 @@ def _seeded_pairs(diag, offdiag, seed, lam, vec) -> np.ndarray:
     iblock, isplit = np.ones(size, np.int32), np.full(size, size, np.int32)
     ok = shifts[:, 0] < shifts[:, 1]  # False for a swapped, degenerate or NaN seed
     for m in np.flatnonzero(ok):
-        pair, info = scipy.linalg.lapack.dstein(diag, offdiag[m], shifts[m], iblock, isplit)
+        pair, info = _lapack.dstein(diag, offdiag[m], shifts[m], iblock, isplit)
         ok[m] = info == 0
         vec[m] = pair.T
     rows = np.flatnonzero(ok)
@@ -195,8 +191,7 @@ def _seeded_pairs(diag, offdiag, seed, lam, vec) -> np.ndarray:
     for m, vl, vu in zip(rows, below, values[:, 1] + RESIDUAL_BOUND * unit):
         if not ok[m]:
             continue
-        count, *_, info = scipy.linalg.lapack.dstebz(
-            diag, offdiag[m], 1, vl, vu, 0, 0, COUNT_ONLY_ABSTOL, "B")
+        count, *_, info = _lapack.dstebz(diag, offdiag[m], 1, vl, vu, 0, 0, COUNT_ONLY_ABSTOL, "B")
         ok[m] = info == 0 and count == 2
     return ok
 

@@ -72,8 +72,8 @@ def _phase_diagram(config: SweepConfig, out: Path) -> ModeResult:
     rows = [(eps, phi, config.size, config.n_cut, n, n / config.size, "cutoff" if flag else "")
             for eps, n, flag in zip(eps_grid, ground.mean_n.tolist(), ground.cutoff_warning)
             for phi in phi_grid]
-    warnings = [f"cutoff-inadequate point: eps={r[0]:g} phi={r[1]:g}"
-                for r in rows if r[6]]
+    warnings = [f"cutoff-inadequate point: L={config.size:g} eps={eps:g}"
+                for eps, flag in zip(eps_grid, ground.cutoff_warning) if flag]
     return {"phase_diagram.csv": csv_text(PHASE_DIAGRAM_COLUMNS, rows)}, warnings
 
 

@@ -23,8 +23,6 @@ model.sector_arrays caches.
 
 The ground state is the even sector's (see eigensolver), and both drive
 derivatives conserve parity, so everything stays inside that sector.
-scipy.linalg is imported at the first solve, inside _sternheimer (its dpttrf
-and dpttrs), so that a run which solves nothing does not load it.
 """
 
 from __future__ import annotations
@@ -34,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _lapack
 from ._fd import stencil_eps, tensor_fd
 from .eigensolver import (
     ORTHOGONALITY_BOUND,
@@ -123,7 +122,6 @@ def _sternheimer(block, e0: np.ndarray, u0: np.ndarray, rhs: np.ndarray,
     gives a solution with y_k = 0, from which u0 is projected out.  At eps = 0
     the block is diagonal, u0 is a unit vector and the same holds.
     """
-    import scipy.linalg
     rows, size = u0.shape
     # keep[m] lists the indices that survive deflation of row m, in order;
     # a reduced off-diagonal entry that straddles the dropped index is zero.
@@ -133,7 +131,7 @@ def _sternheimer(block, e0: np.ndarray, u0: np.ndarray, rhs: np.ndarray,
     diag = block.diag[keep] - e0[:, None]
     off = block.offdiag[np.arange(rows)[:, None], keep[:, :-1]]
     off[keep[:, 1:] != keep[:, :-1] + 1] = 0.0
-    factors = [scipy.linalg.lapack.dpttrf(d, e) for d, e in zip(diag, off)]
+    factors = [_lapack.dpttrf(d, e) for d, e in zip(diag, off)]
     _certify(np.array([info == 0 for *_, info in factors]), block,
              lambda m: f"shifted block is not positive definite after deflation "
                        f"(dpttrf info {factors[m][2]})")
@@ -141,7 +139,7 @@ def _sternheimer(block, e0: np.ndarray, u0: np.ndarray, rhs: np.ndarray,
     for m, (d, e, _) in enumerate(factors):
         source, u, index = rhs[m], u0[m], keep[m]
         for y in solutions[:, m]:
-            y[index], _ = scipy.linalg.lapack.dpttrs(d, e, source[index])
+            y[index], _ = _lapack.dpttrs(d, e, source[index])
             y -= (u @ y) * u
             source = y
 

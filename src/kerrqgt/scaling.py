@@ -84,7 +84,7 @@ def golden_section_min(f: Callable[[float], float], lo: float, hi: float,
 
 
 def brent_root(f: Callable[[float], float], xa: float, xb: float, xtol: float) -> float:
-    """Root of f in [xa, xb] by Brent's method, ported from scipy's brentq.c:
+    """Root of f in [xa, xb] by Brent's method, a port of scipy's brentq.c:
     the same abscissae in the same order, so the root is always one that f was
     evaluated at.  Raises BracketError on a same-sign bracket, ValueError on a
     NaN value and RuntimeError after BRENT_MAXITER steps."""

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import kerrqgt._lapack as lapack
 import kerrqgt.eigensolver as eigensolver
 import kerrqgt.qgt as qgt
 import reference
@@ -66,7 +67,7 @@ def _eigensolve(alter):
 
 
 def _solve(alter):
-    return lambda mp: _alter_call(mp, scipy.linalg.lapack, "dpttrs", 1, alter)
+    return lambda mp: _alter_call(mp, lapack, "dpttrs", 1, alter)
 
 
 def _unprojected_overlap(monkeypatch):
@@ -92,21 +93,21 @@ CASES = {
                        EigenConvergenceError, "row 1: residual .* exceeds bound"),
     "orthogonality": (_eigensolve(_non_orthogonal_pair), _spectral_row,
                       EigenConvergenceError, "row 1: orthogonality defect 1.000e"),
-    "bisection-info": (lambda mp: _alter_call(mp, scipy.linalg.lapack, "dstebz", 1,
+    "bisection-info": (lambda mp: _alter_call(mp, lapack, "dstebz", 1,
                                               lambda r: (*r[:4], 3)),
                        _spectral_row, EigenConvergenceError,
                        "row 1: tridiagonal eigensolve failed: dstebz returned 2 "
                        "eigenvalues, info 3"),
-    "bisection-count": (lambda mp: _alter_call(mp, scipy.linalg.lapack, "dstebz", 1,
+    "bisection-count": (lambda mp: _alter_call(mp, lapack, "dstebz", 1,
                                                lambda r: (1, *r[1:])),
                         _spectral_row, EigenConvergenceError,
                         "row 1: tridiagonal eigensolve failed: dstebz returned 1 "
                         "eigenvalues, info 0"),
-    "inverse-iteration-info": (lambda mp: _alter_call(mp, scipy.linalg.lapack, "dstein", 1,
+    "inverse-iteration-info": (lambda mp: _alter_call(mp, lapack, "dstein", 1,
                                                       lambda r: (r[0], 1)),
                                _spectral_row, EigenConvergenceError,
                                "row 1: tridiagonal eigensolve failed: dstein info 1"),
-    "factorisation": (lambda mp: _alter_call(mp, scipy.linalg.lapack, "dpttrf", 1,
+    "factorisation": (lambda mp: _alter_call(mp, lapack, "dpttrf", 1,
                                              lambda r: (r[0], r[1], 1)),
                       _spectral_row, EigenConvergenceError,
                       r"row 1: shifted block is not positive definite .*\(dpttrf info 1\)"),
@@ -209,18 +210,18 @@ FALLBACK_CASES = {
     "far-seed": (lambda mp: None, _far_seed),
     "swapped-pair": (lambda mp: None, lambda pair: pair[:, ::-1]),
     "inverse-iteration-info": (
-        lambda mp: _alter_call(mp, scipy.linalg.lapack, "dstein", 1, lambda r: (r[0], 1)),
+        lambda mp: _alter_call(mp, lapack, "dstein", 1, lambda r: (r[0], 1)),
         lambda pair: pair),
     "inverse-iteration-nan": (
-        lambda mp: _alter_call(mp, scipy.linalg.lapack, "dstein", 1, _nan_vector),
+        lambda mp: _alter_call(mp, lapack, "dstein", 1, _nan_vector),
         lambda pair: pair),
     # values still ascend and E1 is untouched, so only the residual and
     # orthogonality bounds see it
     "inverse-iteration-residual": (
-        lambda mp: _alter_call(mp, scipy.linalg.lapack, "dstein", 1, _mixed_vector),
+        lambda mp: _alter_call(mp, lapack, "dstein", 1, _mixed_vector),
         lambda pair: pair),
     "sturm-count": (
-        lambda mp: _alter_call(mp, scipy.linalg.lapack, "dstebz", 1, lambda r: (3, *r[1:])),
+        lambda mp: _alter_call(mp, lapack, "dstebz", 1, lambda r: (3, *r[1:])),
         lambda pair: pair),
 }
 

@@ -42,6 +42,11 @@ def test_diagonal_case():
     ([3.0, -1.0, 0.5, 4.0], [0.7, 0.0, -0.2]),
     *[(sector_block([p]).diag, sector_block([p]).offdiag[0])
       for p in (ModelParams.from_size(150, eps, n_cut=120) for eps in (0.0, 0.5, 1.3))],
+    # the even blocks of the bench phase diagram (L 800, n_cut 360, eps 0:1.5:31)
+    # at eps 0, 0.5, 1.0, 1.2 and 1.5
+    *[(sector_block([p]).diag, sector_block([p]).offdiag[0])
+      for p in (ModelParams.from_size(800, eps, n_cut=360)
+                for eps in np.linspace(0.0, 1.5, 31)[[0, 10, 20, 24, 30]])],
 ])
 def test_lowest_pair_is_scipys_selective_solve(diag, off):
     diag, off = np.asarray(diag), np.asarray(off)

@@ -174,6 +174,16 @@ def test_one_cutoff_warning_per_point_with_both_methods(tmp_path):
         "cutoff-inadequate point: L=200 eps=1.2", "cutoff-inadequate point: L=200 eps=1.3"]
 
 
+def test_one_cutoff_warning_per_phase_diagram_point(tmp_path):
+    # phi is a gauge: the flagged eps is one solve and one warning, named as
+    # qgt names it, while each of its phi rows keeps its own warn column
+    files = run(SweepConfig(mode="phase-diagram", out_dir=str(tmp_path), size=300.0,
+                            n_cut=149, eps_range=(0.0, 1.5, 6), phi_range=(0.0, 3.0, 3)))
+    assert [(r[0], r[6]) for r in read_csv(files[0])[1] if r[6]] == [("1.5", "cutoff")] * 3
+    assert _manifest_warnings(tmp_path, "phase-diagram") == [
+        "cutoff-inadequate point: L=300 eps=1.5"]
+
+
 def test_rejected_run_leaves_no_output_directory(tmp_path):
     out = tmp_path / "out"
     with pytest.raises(ValueError, match="collapse_step must be positive"):

@@ -7,11 +7,12 @@ import time no numpy and no module of the package that does: the command
 line parses its arguments, builds its SweepConfig, verifies manifests and
 emits plot scripts with the standard library alone.  sweep.run imports the
 mode table (kerrqgt.modes, which imports numpy and the kernels) only once a
-manifest check has found a reason to compute.  The eigensolver and the
-Sternheimer solve import scipy.linalg (for its LAPACK routines) inside the
-functions that call it.  The peak search and the collapse polish are the
-package's own (scaling.brent_root and scaling.nelder_mead), so no run loads
-scipy.optimize, nor scipy.sparse, which it would bring in.
+manifest check has found a reason to compute.  kerrqgt/_lapack.py is the
+one module that reaches scipy: it imports scipy.linalg at the first solve,
+for the LAPACK routines dstebz, dstein, dpttrf and dpttrs.  The peak search
+and the collapse polish are the package's own (scaling.brent_root and
+scaling.nelder_mead), so no run loads scipy.optimize, nor scipy.sparse,
+which it would bring in.
 
 So `import kerrqgt.cli`, --help, an argparse-level input error, plots and a
 no-op rerun load none of the four.  A collapse on a stored family, and an
@@ -177,10 +178,10 @@ def test_no_package_module_imports_scipy_at_import_time():
                  for name in _imported_modules(_import_time_nodes(tree))
                  if name == "scipy" or name.startswith("scipy.")]
     assert offenders == []
-    # the imports inside the solving functions are there, and the walk above skips them
+    # the import inside _lapack's lookup is there, and the walk above skips it
     inside = {path.name for path, tree in sources
               if "scipy.linalg" in _imported_modules(ast.walk(tree))}
-    assert inside == {"eigensolver.py", "qgt.py"}
+    assert inside == {"_lapack.py"}
 
 
 def _is_numpy(module):
