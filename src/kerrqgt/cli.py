@@ -8,6 +8,10 @@ which take precedence over built-in defaults.  A file whose ``mode`` names
 another subcommand is rejected, and so is a file holding anything but an
 object of SweepConfig fields (an old ``threads`` entry is ignored) or a value
 of the wrong JSON type for its field (numbers must be finite).
+
+Parsing and config assembly import argparse and the light modules of the
+package (sweep, errors) only: ``plots`` is imported in its branch of main,
+and the numerical half, with numpy, by ``sweep.run`` at the first solve.
 """
 
 from __future__ import annotations
@@ -16,14 +20,13 @@ import argparse
 import sys
 
 from .errors import InputError, SchemaError
-from .plots import emit_plots
-from .sweep import SweepConfig, _is_number, read_json, run
+from .sweep import FIELDS, SweepConfig, _is_number, read_json, run
 
 # Built-in defaults that differ from SweepConfig's own.
 MODE_DEFAULTS = {"qgt": dict(eps_range=(0.95, 1.06, 23))}
 
 
-# The JSON value each SweepConfig field type takes in a config file.
+# The JSON value of each config-file kind of a SweepConfig field (sweep.FIELDS).
 FILE_VALUES = {
     "float": ("a finite number", _is_number),
     "int": ("a finite number", _is_number),
@@ -145,15 +148,14 @@ def _file_settings(path: str, mode: str) -> dict:
                           f"{loaded['mode']!r}, not for {mode!r}")
     loaded.pop("threads", None)  # the no-op thread count of old files
 
-    fields = set(SweepConfig.__dataclass_fields__)
-    unknown = [key for key in loaded if key not in fields]
+    unknown = [key for key in loaded if key not in FIELDS]
     if unknown:
         flags = _flag_fields(mode)
         named = [f"{key!r} (the --{key} flag; its field is {flags[key]!r})"
-                 if flags.get(key) in fields else repr(key) for key in unknown]
+                 if flags.get(key) in FIELDS else repr(key) for key in unknown]
         raise SchemaError(f"config file {path} has unknown keys: {', '.join(named)}")
     for key, value in loaded.items():
-        kind, _, optional = SweepConfig.__dataclass_fields__[key].type.partition(" | ")
+        kind, _, optional = FIELDS[key][1].partition(" | ")
         what, valid = FILE_VALUES[kind]
         if not (valid(value) or (optional and value is None)):
             raise SchemaError(f"config file {path}: {key!r} must be {what}, got {value!r}")
@@ -177,6 +179,7 @@ def main(argv=None) -> int:
     try:
         config = assemble_config(args)
         if config.mode == "plots":
+            from .plots import emit_plots
             written = emit_plots(config.out_dir)
             if not written:
                 print(f"no plottable outputs found in {config.out_dir}")

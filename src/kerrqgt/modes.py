@@ -17,7 +17,7 @@ only the photon distribution, are not gap-gated.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -180,7 +180,7 @@ def _k0(config: SweepConfig, out: Path) -> ModeResult:
     at their default so that the same scaling flags later find it current,
     and a report that was there gets a warning naming why it is not reused."""
     _k0_cutoffs(config.ncut_list)
-    scaling = replace(config, mode="scaling", force=True, ncut_list=DEFAULT_K0_CUTOFFS)
+    scaling = config.replace(mode="scaling", force=True, ncut_list=DEFAULT_K0_CUTOFFS)
     existing, warnings = out / SCALING_REPORT_NAME, []
     if (reason := _stale(out, scaling, _k0_inputs)) is not None:
         if existing.exists():

@@ -420,8 +420,11 @@ def optimize_collapse(family: CurveFamily, delta_jk: float,
     simplex, so the result is deterministic.  Each seed is evaluated with the
     best value so far as collapse_objective's bound, so a seed that cannot
     win stops early; the seed kept is the first smallest value, as without
-    the bound.
+    the bound.  A nu_range that is not 0 < lo < hi raises InputError.
     """
+    if not 0 < nu_range[0] < nu_range[1] < np.inf:  # the sizes are rescaled by L^(1/nu)
+        raise InputError(f"nu_range ({nu_range[0]}, {nu_range[1]}) must be 2 finite numbers "
+                         f"0 < lo < hi")
 
     def objective(point, above=None):
         nu, ec = float(point[0]), float(point[1])

@@ -7,23 +7,24 @@ computes and writes nothing.  Otherwise ``run`` imports the mode table
 the kernels), and the mode function named by ``config.mode`` computes the
 output texts; ``run`` then writes each text to a temporary name and renames
 it atomically, and writes the manifest last, so its presence certifies a
-completed run.  This module itself imports no numpy, so the command line
-parses, checks its inputs and verifies manifests with the standard library
-alone.
+completed run.
+
+This module is the light half of the package.  With ``cli``, ``errors`` and
+``__init__`` it is the command-line front, which imports at import time only
+argparse and the small modules a bare interpreter mostly holds already (os,
+math, collections, pathlib): SweepConfig is a namedtuple, not a dataclass,
+and json, hashlib, datetime, tempfile and numbers are imported in the
+functions that use them.  So the command line parses its arguments and checks
+its inputs without them, and without numpy.
 """
 
 from __future__ import annotations
 
-import datetime
-import hashlib
-import json
 import math
-import numbers
 import os
-import tempfile
-from dataclasses import dataclass, asdict
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 from pathlib import Path
-from typing import Iterable, Sequence
 
 from . import __version__
 from .errors import InputError, SchemaError
@@ -53,19 +54,20 @@ def fmt_float(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def _to_json(obj, indent: int = 0) -> str:
+def _to_json(obj, quote, indent: int = 0) -> str:
+    """obj as indented JSON; quote (json.dumps) writes its strings."""
     pad = "  " * indent
     pad_in = "  " * (indent + 1)
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        items = [f'{pad_in}{json.dumps(str(k))}: {_to_json(v, indent + 1)}'
+        items = [f'{pad_in}{quote(str(k))}: {_to_json(v, quote, indent + 1)}'
                  for k, v in obj.items()]
         return "{\n" + ",\n".join(items) + f"\n{pad}}}"
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        items = [f"{pad_in}{_to_json(v, indent + 1)}" for v in obj]
+        items = [f"{pad_in}{_to_json(v, quote, indent + 1)}" for v in obj]
         return "[\n" + ",\n".join(items) + f"\n{pad}]"
     if isinstance(obj, bool):
         return "true" if obj else "false"
@@ -76,8 +78,9 @@ def _to_json(obj, indent: int = 0) -> str:
     if obj is None:
         return "null"
     if isinstance(obj, str):
-        return json.dumps(obj)
+        return quote(obj)
     # numpy scalars, checked after the concrete types, which are much faster
+    import numbers
     if isinstance(obj, numbers.Integral):
         return str(int(obj))
     if isinstance(obj, numbers.Real):
@@ -86,12 +89,14 @@ def _to_json(obj, indent: int = 0) -> str:
 
 
 def dumps_json(obj) -> str:
-    return _to_json(obj) + "\n"
+    import json
+    return _to_json(obj, json.dumps) + "\n"
 
 
 def atomic_write_text(path: Path, text: str) -> None:
     """Write through a uniquely named temporary file in the target directory,
     then rename it over the target; concurrent writers never share a name."""
+    import tempfile
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as handle:
@@ -104,6 +109,7 @@ def atomic_write_text(path: Path, text: str) -> None:
 
 
 def sha256_file(path: Path) -> str:
+    import hashlib
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
@@ -118,12 +124,16 @@ def csv_text(columns: Sequence[str], rows: Iterable[Sequence]) -> str:
                 cells.append(str(int(value)))
             elif isinstance(value, float):
                 cells.append(fmt_float(value))
-            elif isinstance(value, numbers.Integral):  # numpy scalars, as in _to_json
-                cells.append(str(int(value)))
-            elif isinstance(value, numbers.Real):
-                cells.append(fmt_float(value))
+            elif isinstance(value, str):
+                cells.append(value)
             else:
-                cells.append(str(value))
+                import numbers  # numpy scalars, as in _to_json
+                if isinstance(value, numbers.Integral):
+                    cells.append(str(int(value)))
+                elif isinstance(value, numbers.Real):
+                    cells.append(fmt_float(value))
+                else:
+                    cells.append(str(value))
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
@@ -145,6 +155,7 @@ def _is_number(value) -> bool:
 def read_json(path: Path, what: str) -> dict:
     """The JSON object in path.  A file that cannot be read, is not JSON or
     holds anything but an object raises SchemaError naming what and path."""
+    import json
     try:
         loaded = json.loads(Path(path).read_text())
     except OSError as exc:
@@ -180,37 +191,49 @@ def read_report(path: Path, keys: list[str]) -> dict:
 RUN_ONLY_FIELDS = ("out_dir", "force")
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    """One run's full parameter set; echoed verbatim into the manifest."""
+# Every SweepConfig field, in the order of its echo: its default (mode and
+# out_dir have none) and the JSON value it takes in a config file, as a key of
+# cli.FILE_VALUES, with " | None" if the file may also give null.
+FIELDS = {
+    "mode": (None, "str"),
+    "out_dir": (None, "str"),
+    "force": (False, "bool"),
+    "n_cut": (DEFAULT_N_CUT, "int"),
+    "size": (2000.0, "float"),
+    "sizes": (DEFAULT_SIZES, "tuple"),
+    "eps_range": ((0.0, 1.5, 31), "tuple"),
+    "phi_range": ((0.0, 2.0 * math.pi, 24), "tuple"),
+    "phi": (0.0, "float"),
+    "method": ("spectral", "str"),
+    "ncut_list": (DEFAULT_K0_CUTOFFS, "tuple"),
+    "peak_bracket": (DEFAULT_PEAK_BRACKET, "tuple"),
+    "collapse_window": (DEFAULT_COLLAPSE_WINDOW, "tuple"),
+    "collapse_step": (DEFAULT_COLLAPSE_STEP, "float"),
+    "input_path": (None, "str | None"),
+    "observable": ("g_ee", "str"),
+    "delta_jk": (None, "float | None"),
+    "nu_range": ((1.2, 1.9), "tuple"),
+    "ec_range": (None, "tuple | None"),
+}
 
-    mode: str
-    out_dir: str
-    force: bool = False
-    n_cut: int = DEFAULT_N_CUT
-    size: float = 2000.0
-    sizes: tuple = DEFAULT_SIZES
-    eps_range: tuple = (0.0, 1.5, 31)
-    phi_range: tuple = (0.0, 2.0 * math.pi, 24)
-    phi: float = 0.0
-    method: str = "spectral"
-    ncut_list: tuple = DEFAULT_K0_CUTOFFS
-    peak_bracket: tuple = DEFAULT_PEAK_BRACKET
-    collapse_window: tuple = DEFAULT_COLLAPSE_WINDOW
-    collapse_step: float = DEFAULT_COLLAPSE_STEP
-    input_path: str | None = None
-    observable: str = "g_ee"
-    delta_jk: float | None = None
-    nu_range: tuple = (1.2, 1.9)
-    ec_range: tuple | None = None
 
-    def __post_init__(self):
+class SweepConfig(namedtuple("SweepConfig", FIELDS,
+                             defaults=[default for default, _ in list(FIELDS.values())[2:]])):
+    """One run's full parameter set, immutable and checked when it is made;
+    echoed verbatim into the manifest."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **settings):
+        self = super().__new__(cls, *args, **settings)
         if self.method not in ("spectral", "fd", "both"):
             raise InputError(f"unknown method {self.method!r}")
         if not self.sizes:
             raise InputError("sizes is empty: name at least one size")
         if not math.isfinite(self.phi):
             raise InputError("phi must be finite")
+        if self.delta_jk is not None and not math.isfinite(self.delta_jk):
+            raise InputError(f"delta_jk must be finite, got {self.delta_jk}")
         for name, rng in (("eps_range", self.eps_range), ("phi_range", self.phi_range)):
             if len(rng) == 3 and not math.isfinite(rng[2]):
                 raise InputError(f"{name} {rng} has a non-finite step count")
@@ -226,10 +249,16 @@ class SweepConfig:
                 continue
             if not (len(pair) == 2 and all(map(math.isfinite, pair)) and pair[0] < pair[1]):
                 raise InputError(f"{name} {pair} must be 2 finite numbers lo < hi")
+        if self.nu_range[0] <= 0:  # the collapse rescales sizes by L^(1/nu)
+            raise InputError(f"nu_range {self.nu_range} must be 2 finite numbers 0 < lo < hi")
+        return self
+
+    def replace(self, **changes) -> SweepConfig:
+        """A copy with changes, checked as a new config is."""
+        return SweepConfig(**{**self._asdict(), **changes})
 
     def echo(self) -> dict:
-        raw = asdict(self)
-        return {k: list(v) if isinstance(v, tuple) else v for k, v in raw.items()}
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in self._asdict().items()}
 
 
 def _identity(echo: dict) -> str:
@@ -245,6 +274,7 @@ def _manifest_path(out: Path, config: SweepConfig) -> Path:
 
 
 def _utcnow() -> str:
+    import datetime
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
@@ -312,6 +342,9 @@ def run(config: SweepConfig) -> list[Path]:
     own study then fails.
     """
     out = Path(config.out_dir)
+    blocker = next((p for p in (out, *out.parents) if p.exists()), out)
+    if not blocker.is_dir():
+        raise InputError(f"output directory {out} cannot be made: {blocker} is not a directory")
     if not config.force and _stale(out, config) is None:
         return []
     from .modes import MODES  # the numerical half: numpy and the kernels load here

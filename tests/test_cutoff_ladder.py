@@ -10,8 +10,6 @@ reference.fixed_cutoff_scaling and reference.fixed_cutoff_run, solve every row
 at the cap.
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -166,8 +164,7 @@ QGT_CONTEXT_COLUMNS = {"gap": 9, "mean_n": 10}
 
 def _qgt_lines(config, fixed=False):
     solve = reference.fixed_cutoff_run if fixed else run
-    path = solve(dataclasses.replace(config, out_dir=config.out_dir + ("-fixed" if fixed
-                                                                        else "")))[0]
+    path = solve(config.replace(out_dir=config.out_dir + ("-fixed" if fixed else "")))[0]
     return path.read_text().splitlines()
 
 

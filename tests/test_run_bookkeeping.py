@@ -2,7 +2,6 @@
 order, manifest identity under reruns, and reuse of a prior scaling report by
 the k0 study."""
 
-import dataclasses
 import json
 import re
 import shutil
@@ -88,7 +87,7 @@ def test_row_gap_error_retries_point_by_point(tmp_path, monkeypatch):
         return row_kernel(ground)
 
     monkeypatch.setattr(modes, "qgt_spectral_row", gap_at_one_point)
-    patched = dataclasses.replace(config, out_dir=str(tmp_path / "patched"))
+    patched = config.replace(out_dir=str(tmp_path / "patched"))
     rows = read_csv(run(patched)[0])[1]
     # the failure is in the spectral kernel, not in the centre row that both
     # routes read, so the fd row of the point survives
@@ -115,7 +114,7 @@ def test_nan_solve_drops_only_its_point(tmp_path, monkeypatch):
         return lam, vec
 
     monkeypatch.setattr(eigensolver, "_lowest_pair", nan_at_target)
-    patched = dataclasses.replace(config, out_dir=str(tmp_path / "patched"))
+    patched = config.replace(out_dir=str(tmp_path / "patched"))
     lines = run(patched)[0].read_text().splitlines()
     dropped = [line for line in plain if line.startswith("80,0.69999999999999996,")]
     assert [line.split(",")[4] for line in dropped] == ["spectral", "fd"]
@@ -153,7 +152,7 @@ def test_nan_stencil_state_drops_only_its_fd_row(tmp_path, monkeypatch):
         return ok
 
     monkeypatch.setattr(eigensolver, "_seeded_pairs", nan_at_target)
-    patched = dataclasses.replace(config, out_dir=str(tmp_path / "patched"))
+    patched = config.replace(out_dir=str(tmp_path / "patched"))
     lines = run(patched)[0].read_text().splitlines()
     dropped = [line for line in plain if line.startswith("80,0.69999999999999996,")
                and line.split(",")[4] == "fd"]
@@ -278,7 +277,7 @@ def test_thread_count_alone_does_not_recompute(tmp_path, capsys):
 def test_plain_rerun_after_force_is_a_no_op(tmp_path):
     cfg = _qgt_config(tmp_path)
     run(cfg)
-    assert run(dataclasses.replace(cfg, force=True))
+    assert run(cfg.replace(force=True))
     echoed = json.loads((tmp_path / "manifest_qgt.json").read_text())["config"]
     assert echoed["force"] is True
     assert run(cfg) == []
@@ -290,10 +289,10 @@ def test_manifest_identity_ignores_out_dir_but_not_physics(tmp_path):
     run(cfg)
     moved = tmp_path / "moved"
     shutil.copytree(first, moved)
-    assert _stale(moved, dataclasses.replace(cfg, out_dir=str(moved))) is None
+    assert _stale(moved, cfg.replace(out_dir=str(moved))) is None
     other = "its manifest was written for another configuration"
-    assert _stale(first, dataclasses.replace(cfg, n_cut=170)) == other
-    assert _stale(first, SweepConfig(**{**cfg.__dict__, "phi": 0.1})) == other
+    assert _stale(first, cfg.replace(n_cut=170)) == other
+    assert _stale(first, cfg.replace(phi=0.1)) == other
     manifest_path = first / "manifest_qgt.json"
     manifest = json.loads(manifest_path.read_text())
     manifest_path.write_text(json.dumps({**manifest, "version": "0.0.0"}))

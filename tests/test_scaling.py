@@ -13,6 +13,7 @@ from kerrqgt import (
     CurveFamily,
     FitError,
     GapError,
+    InputError,
     ModelParams,
     QGTResult,
     WindowError,
@@ -230,6 +231,13 @@ def test_optimize_collapse_recovers_nu():
     opt = optimize_collapse(fam, 2.0, (0.7, 1.4), (0.995, 1.005))
     assert opt.nu == pytest.approx(1.0, rel=0.01)
     assert opt.eps_c_star == pytest.approx(1.0, abs=1e-3)
+
+
+# nu = 0 used to end in a ZeroDivisionError, and negative exponents in an optimum
+@pytest.mark.parametrize("nu_range", [(0.0, 1.4), (-1.0, 1.4), (float("nan"), 1.4)])
+def test_optimize_collapse_rejects_a_non_positive_nu_range(nu_range):
+    with pytest.raises(InputError, match=r"nu_range \(.*\) must be 2 finite numbers 0 < lo < hi"):
+        optimize_collapse(_exact_family(), 2.0, nu_range, (0.995, 1.005))
 
 
 @pytest.fixture(scope="module")

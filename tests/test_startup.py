@@ -24,6 +24,11 @@ Fock-state oracles that used it live in tests/reference.py), and the runs
 must not load it through a dependency either.  Each case runs in a fresh
 interpreter, because sys.modules of the test process already holds all
 four.  The sizes are the bench's ``tiny`` scale.
+
+The front (import kerrqgt.cli, parse the arguments, assemble the config)
+also leaves the standard library's heavier modules alone: SweepConfig is no
+dataclass, and sweep imports json, hashlib, datetime, tempfile and numbers in
+the functions that use them, cli imports plots in its plots branch.
 """
 
 import ast
@@ -96,13 +101,31 @@ CASES = {
 }
 
 
-def _run(argv, cwd, probe=PROBE):
-    """The probe in a fresh interpreter: the JSON list its last line prints."""
+# modules the front must not load beyond what a bare interpreter holds
+FRONT_UNLOADED = ("dataclasses", "inspect", "hashlib", "datetime", "json", "numbers",
+                  "tempfile", "kerrqgt.plots")
+# the bench's setup code, printing sys.modules one a line
+FRONT_PROBE = """\
+import sys
+import kerrqgt.cli as cli
+cli.assemble_config(cli.build_parser().parse_args(sys.argv[1:]))
+print("\\n".join(sys.modules))
+"""
+BARE_PROBE = 'import sys; print("\\n".join(sys.modules))'
+
+
+def _output(probe, argv, cwd):
+    """What the probe prints in a fresh interpreter."""
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run([sys.executable, "-c", probe, *argv], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout.splitlines()[-1])
+    return proc.stdout
+
+
+def _run(argv, cwd, probe=PROBE):
+    """The JSON list that the last line of the probe's output holds."""
+    return json.loads(_output(probe, argv, cwd).splitlines()[-1])
 
 
 @pytest.fixture(scope="module")
@@ -128,6 +151,16 @@ def test_cli_run_leaves_optimize_and_sparse_unloaded(case, tmp_path, scaling_dir
         assert (tmp_path / output).is_file()
     else:
         assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("argv", [SCALING, CASES["phase-diagram"][0], CASES["qgt-both"][0],
+                                  ["collapse", "--nu-range", "1.2:1.9"], ["plots"]],
+                         ids=["scaling", "phase-diagram", "qgt-both", "collapse", "plots"])
+def test_the_front_loads_no_module_it_does_not_use(argv, tmp_path):
+    bare = set(_output(BARE_PROBE, [], tmp_path).split())
+    front = set(_output(FRONT_PROBE, [*argv, "--out", str(tmp_path)], tmp_path).split())
+    assert {"argparse", "kerrqgt.cli", "kerrqgt.sweep"} <= front
+    assert sorted(set(FRONT_UNLOADED) & (front - bare)) == []
 
 
 @pytest.mark.parametrize("steps", ["inf", "nan"])

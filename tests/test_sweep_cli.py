@@ -310,10 +310,10 @@ def test_scaling_run_manifest_and_idempotence(tmp_path):
     # unchanged config: no-op
     assert run(cfg) == []
     # force: reruns and rewrites
-    forced = run(SweepConfig(**{**cfg.__dict__, "force": True}))
+    forced = run(cfg.replace(force=True))
     assert forced and forced[0].exists()
     # changed config: manifest no longer current
-    changed = SweepConfig(**{**cfg.__dict__, "collapse_step": 1e-3})
+    changed = cfg.replace(collapse_step=1e-3)
     assert _stale(tmp_path, changed) is not None
 
 
@@ -458,8 +458,8 @@ def test_config_file_integral_float_counts_are_accepted(tmp_path):
 
 
 def test_every_config_field_has_a_file_value_check():
-    for field in fields(SweepConfig):
-        assert field.type.partition(" | ")[0] in kerrqgt.cli.FILE_VALUES, field.name
+    for name, (_, kind) in sweep.FIELDS.items():
+        assert kind.partition(" | ")[0] in kerrqgt.cli.FILE_VALUES, name
 
 
 def test_config_file_must_hold_an_object(tmp_path):
@@ -596,6 +596,13 @@ UNTRUSTED_INPUTS = {
                                      "eps x phi grid of 100100 points exceeds 100000"),
     "qgt-grid-too-large": (["qgt", "--L-list", "40,50", "--eps", "0:1:50001", "--ncut", "40"],
                            "size x eps grid of 100002 points exceeds 100000"),
+    # the collapse rescales the sizes by L^(1/nu): nu = 0 divided by zero
+    "zero-nu-bound": (["collapse", "--nu-range", "0:2"],
+                      "nu_range (0.0, 2.0) must be 2 finite numbers 0 < lo < hi"),
+    "negative-nu-bound": (["collapse", "--nu-range=-1:2"],
+                          "nu_range (-1.0, 2.0) must be 2 finite numbers 0 < lo < hi"),
+    "nan-delta-jk": (["collapse", "--delta-jk", "nan"], "delta_jk must be finite, got nan"),
+    "infinite-delta-jk": (["collapse", "--delta-jk", "inf"], "delta_jk must be finite, got inf"),
 }
 
 
@@ -618,13 +625,17 @@ UNTRUSTED_INPUTS = {
      'text-field.json key \'eps_c_star\' must be a finite number, got "x"'),
     (["collapse", "--input", "{dir}/bool-field.json"],
      "bool-field.json key 'nu' must be a finite number, got true"),
+    (["collapse", "--config", "{dir}/nu-range.json"],
+     "nu_range (0, 2) must be 2 finite numbers 0 < lo < hi"),
     *[(argv, message) for argv, message in UNTRUSTED_INPUTS.values()],
 ], ids=["collapse-step", "cutoff", "config-method", "config-not-json", "config-missing",
         "negative-size", "zero-size", "collapse-no-report", "collapse-input-not-json",
-        "collapse-input-text-field", "collapse-input-bool-field", *UNTRUSTED_INPUTS])
+        "collapse-input-text-field", "collapse-input-bool-field", "config-zero-nu-bound",
+        *UNTRUSTED_INPUTS])
 def test_cli_input_error_is_one_line_with_status_2(tmp_path, capsys, argv, message):
     (tmp_path / "method.json").write_text('{"method": "xyz"}')
     (tmp_path / "text.json").write_text("not json")
+    (tmp_path / "nu-range.json").write_text('{"nu_range": [0, 2]}')
     report = {**{f.name: 1.0 for f in fields(ScalingReport)}, "diagnostics": {}}
     (tmp_path / "text-field.json").write_text(json.dumps({**report, "eps_c_star": "x"}))
     (tmp_path / "bool-field.json").write_text(json.dumps({**report, "nu": True}))
@@ -645,6 +656,27 @@ def test_untrusted_inputs_fail_before_any_solve(tmp_path, monkeypatch, case):
     monkeypatch.setattr(eigensolver, "_lowest_pair", solve)
     monkeypatch.setattr(eigensolver, "_seeded_pairs", solve)
     assert main(UNTRUSTED_INPUTS[case][0] + ["--out", str(tmp_path / "out")]) == 2
+
+
+# An --out that is, or lies below, a regular file used to end in a traceback
+# from mkdir once every output had been computed.
+@pytest.mark.parametrize("below", ["", "sub"], ids=["a-file", "below-a-file"])
+def test_out_naming_a_file_fails_before_the_manifest_check(tmp_path, capsys, monkeypatch,
+                                                            below):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the run went on past its output directory")
+
+    for module, name in ((sweep, "_stale"), (eigensolver, "_lowest_pair"),
+                         (eigensolver, "_seeded_pairs")):
+        monkeypatch.setattr(module, name, forbidden)
+    blocker = tmp_path / "taken"
+    blocker.write_text("a file")
+    out = blocker / below
+    assert main(["phase-diagram", "--L", "40", "--eps", "0:1:2", "--ncut", "100",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (f"kerrqgt phase-diagram: error: output directory {out} "
+                                       f"cannot be made: {blocker} is not a directory\n")
+    assert blocker.read_text() == "a file"
 
 
 @pytest.mark.parametrize("mode", ["plots"])
